@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -53,7 +52,6 @@ __all__ = [
     "gamma_factor",
     "contragredient_params",
     "log_mb_gamma",
-    "working_precision",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -62,19 +60,6 @@ _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^k for k mod 4
 
 #: radius of the disk around each pole inside which evaluation refuses to run
 POLE_DISK = 1e-12
-
-
-def working_precision(default: int = 30) -> int:
-    """Decimal digits used when golden values are (re)generated.
-
-    Reads the ``RV_PRECISION`` environment variable; plain double precision is
-    used everywhere else.
-    """
-    try:
-        prec = int(os.environ.get("RV_PRECISION", default))
-    except ValueError:
-        prec = default
-    return max(prec, 15)
 
 
 @dataclass(frozen=True)
@@ -87,8 +72,6 @@ class Conventions:
     * multiplicative Haar on ℝ^×: dx/|x|
     * multiplicative Haar on ℚ_p^×: units get volume 1
     """
-
-    working_precision: int = 30
 
     def psi_real(self, x: float) -> complex:
         return cmath.exp(2j * math.pi * x)

@@ -44,7 +44,7 @@ from .archimedean import (
 )
 from .contours import Contour, build_contour
 from .params_io import params_from_dict, params_to_dict
-from .quadrature import ToleranceNotMet, gauss_nodes
+from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, polyline_walk
 
 __all__ = [
     "bessel_real",
@@ -89,24 +89,8 @@ def _mb_batch(
     det_span = max((abs(n.imag) for n in contour.nodes), default=0.0)
     h_bend = max(det_span + 2.0, 1.25 * t_flip + 8.0)
 
-    gx, gw = gauss_nodes(24)
-
-    def panel(a: complex, b: complex):
-        half = 0.5 * (b - a)
-        nodes = 0.5 * (a + b) + half * gx
-        vals = np.exp(logf(nodes)[:, None] - np.outer(nodes, lx))
-        return half * (gw @ vals)
-
-    def refine(a, b, whole, seg_tol, depth):
-        mid = 0.5 * (a + b)
-        left, right = panel(a, mid), panel(mid, b)
-        better = left + right
-        err = float(np.max(np.abs(whole - better)))
-        if err <= seg_tol or depth <= 0:
-            return better, err
-        lv, le = refine(a, mid, left, 0.6 * seg_tol, depth - 1)
-        rv, re_ = refine(mid, b, right, 0.6 * seg_tol, depth - 1)
-        return lv + rv, le + re_
+    def integrand(nodes):
+        return np.exp(logf(nodes)[:, None] - np.outer(nodes, lx))
 
     def omega(t: float) -> float:
         base = n_osc * math.log(max(abs(t), 1.0) / c0)
@@ -116,22 +100,7 @@ def _mb_batch(
     pts = [complex(sigma, -h_bend), *contour.nodes, complex(sigma, h_bend)]
 
     tol_raw = tol * 2 * math.pi
-    total = np.zeros(len(xeffs), dtype=complex)
-    err_total = 0.0
-
-    # straight portion, phase-adaptive subdivision
-    for a, b in zip(pts[:-1], pts[1:]):
-        length = abs(b - a)
-        pos = 0.0
-        while pos < length:
-            t_here = (a + (b - a) * (pos / length)).imag
-            step = min(length - pos, max(0.1, min(3.0, 14.0 / omega(t_here))))
-            lo = a + (b - a) * (pos / length)
-            hi = a + (b - a) * ((pos + step) / length)
-            val, err = refine(lo, hi, panel(lo, hi), tol_raw / 200.0, 11)
-            total += val
-            err_total += err
-            pos += step
+    total, err_total = polyline_walk(integrand, pts, omega, tol_raw / 200.0)
 
     # bent tails: exponential decay; stop on the running tail estimate
     tail_bound = 0.0
@@ -143,7 +112,7 @@ def _mb_batch(
         while True:
             lo = anchor + u * direction
             hi = anchor + (u + step) * direction
-            val, err = refine(lo, hi, panel(lo, hi), tol_raw / 200.0, 11)
+            val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)
             total += orient * val
             err_total += err
             mag = float(np.max(np.abs(val)))
@@ -188,15 +157,7 @@ def bessel_real_batch(
     values = np.zeros(len(xs), dtype=complex)
     errors = np.zeros(len(xs))
     # group points by magnitude so each group shares a bend height
-    order = np.argsort(ax)
-    groups: list[list[int]] = []
-    for idx in order:
-        if groups and ax[idx] <= ax[groups[-1][0]] * 4.0:
-            groups[-1].append(idx)
-        else:
-            groups.append([idx])
-    for grp in groups:
-        gi = np.array(grp)
+    for gi in magnitude_groups(ax, 4.0):
         integrals = {}
         for d in deltas:
             logf = lambda s, d=d: log_mb_gamma(params, CharTwist(d), s)

@@ -21,7 +21,6 @@ import random
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -242,8 +241,6 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _default_tol(args, fallback: float) -> float:
-    # RV_PRECISION names the digits used when oracles run under mpmath; the
-    # double-precision pipeline keys its tolerances off the explicit flag
     tol = getattr(args, "tol", None)
     if tol is None:
         return fallback
@@ -530,17 +527,6 @@ def _scan_rows(results: list) -> list:
     ]
 
 
-def _tate_scan(s_values, phi, tol, threads):
-    """Pairing scan, optionally fanned out over a thread pool (order preserved)."""
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(
-                lambda s: zero_criterion_pairing("tate", [s], phi=phi, tol=tol), s_values
-            )
-            return [r for chunk in chunks for r in chunk]
-    return zero_criterion_pairing("tate", s_values, phi=phi, tol=tol)
-
-
 def _run_gj_scan(args, t0):
     tol = _default_tol(args, 1e-7)
     s_values = _parse_s_values(args)
@@ -548,7 +534,7 @@ def _run_gj_scan(args, t0):
     if args.variant == "tate":
         if not isinstance(phi, SchwartzGaussian):
             raise ConfigError("the tate pairing needs a Schwartz witness: --phi gaussian[:c0,c2]")
-        res = _tate_scan(s_values, phi, tol, args.threads)
+        res = zero_criterion_pairing("tate", s_values, phi=phi, tol=tol)
     elif args.variant == "cuspidal":
         if isinstance(phi, SchwartzGaussian):
             raise ConfigError("the cuspidal pairing needs compact support: --phi bump:a,b")
@@ -582,7 +568,6 @@ def _run_gj_scan(args, t0):
         "phi": res[0].phi if res else None,
         "tol": tol,
         "out": args.out,
-        "threads": args.threads or 1,
     }
     return _report("gj-scan", inputs, results, thresholds, t0), failed
 
@@ -598,7 +583,7 @@ def _run_clozel_test(args, t0):
         raise ConfigError("the tate pairing needs a Schwartz witness: --phi gaussian[:c0,c2]")
     lo, hi = t_center - window / 2, t_center + window / 2
     ts = np.linspace(lo, hi, steps)
-    res = _tate_scan([complex(0.5, t) for t in ts], phi, 1e-7, args.threads)
+    res = zero_criterion_pairing("tate", [complex(0.5, t) for t in ts], phi=phi, tol=1e-7)
     defects = np.array([r.defect for r in res])
     i_min = int(np.argmin(defects))
     # the independent location of the zero: Hardy Z sign change inside the window
@@ -644,7 +629,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="report/table output path")
         p.add_argument("--tol", type=float, help="target tolerance")
         p.add_argument("--seed", type=int, help="seed for any randomized selection")
-        p.add_argument("--threads", type=int, help="worker-pool cap (jobs are single-process)")
 
     p = subs.add_parser("gamma", help="γ-factor values on an s-grid")
     p.add_argument("--blocks", help="place-parameter JSON (default: the weight-12 real place)")
@@ -765,8 +749,6 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         _merge_config(args, parser)
-        if args.threads is not None and args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         report, failed = _DISPATCH[args.subcommand](args, t0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

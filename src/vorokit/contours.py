@@ -57,11 +57,10 @@ class Contour:
 
     asymptote: float
     nodes: tuple = field(default_factory=tuple)
-    direction: str = "up"
 
     def shifted(self, dx: float) -> "Contour":
         """Parallel-translate the asymptote (detour nodes keep their bulge)."""
-        return Contour(self.asymptote + dx, tuple(n + dx for n in self.nodes), self.direction)
+        return Contour(self.asymptote + dx, tuple(n + dx for n in self.nodes))
 
 
 def pole_starts(params: PlaceParams, twist: CharTwist) -> list[tuple[complex, int]]:

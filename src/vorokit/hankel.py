@@ -18,9 +18,15 @@ independent routes:
   the route-agreement and functional-equation tests would fail loudly under
   the opposite convention.
 
-The two routes share no quadrature machinery beyond the γ-factor itself;
-their agreement, and the vanishing of the local functional-equation residual
-computed by :func:`local_fe_residual`, are enforced in the test suite.
+The two routes share the generic panel integrator of :mod:`vorokit.quadrature`
+(the mellin route directly, the convolution route through the Bessel
+kernels) and the γ-factor.  What stays independent is the integrands — γ·M_δ[w]
+on the mellin side, the Bessel convolution on the other — and the external
+oracles that pin the shared engine from outside: the GL1 plane wave (A2), the
+classical J₁₁ test, the n = 1 Fourier oracle and the :func:`signed_mellin`
+golden value.  Route agreement, those oracles, and the vanishing of the local
+functional-equation residual computed by :func:`local_fe_residual` are
+enforced in the test suite.
 """
 
 from __future__ import annotations
@@ -41,17 +47,21 @@ from .archimedean import (
 )
 from .bessel import bessel_real_batch
 from .contours import build_contour, pole_starts
-from .quadrature import ToleranceNotMet, adaptive_segment, gauss_nodes
+from .quadrature import (
+    ToleranceNotMet,
+    adaptive_segment,
+    gauss_nodes,
+    magnitude_groups,
+    phase_step,
+    polyline_walk,
+)
 
 __all__ = [
     "BadSupport",
     "TestFunction",
-    "DualFunctionResult",
     "make_bump",
     "signed_mellin",
-    "hankel_mellin_route",
     "hankel_mellin_batch",
-    "hankel_convolution_route",
     "hankel_convolution_batch",
     "local_fe_residual",
 ]
@@ -97,14 +107,6 @@ class TestFunction:
         if self.neg is not None or other.neg is not None:
             neg = lambda x: self(-x) + other(-x)
         return TestFunction(a, b, pos, neg)
-
-
-@dataclass(frozen=True)
-class DualFunctionResult:
-    x: float
-    value: complex
-    route: str  # "mellin" | "convolution"
-    achieved_tol: float
 
 
 def _bump_profile(a: float, b: float):
@@ -200,60 +202,32 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour):
     rank = params.rank
     va, vb = math.log(w.a), math.log(w.b)
     lx_min, lx_max = float(lx.min()), float(lx.max())
-    gx, gwts = gauss_nodes(24)
     tol_raw = tol * 2.0 * math.pi
     mbase = _mellin_base(tol)
 
-    def panel(pa, pb):
-        half = 0.5 * (pb - pa)
-        nodes = 0.5 * (pa + pb) + half * gx
+    def integrand(nodes):
         logg = log_mb_gamma(params, tw, nodes)
         mv = _mellin_nodes(w, delta, 1.0 - nodes - nu, mbase)
-        vals = np.exp(logg[:, None] + np.outer(nu - nodes, lx)) * mv[:, None]
-        return half * (gwts @ vals)
+        return np.exp(logg[:, None] + np.outer(nu - nodes, lx)) * mv[:, None]
 
-    def refine(pa, pb, whole, seg_tol, depth):
-        mid = 0.5 * (pa + pb)
-        left, right = panel(pa, mid), panel(mid, pb)
-        better = left + right
-        err = float(np.max(np.abs(whole - better)))
-        if err <= seg_tol or depth <= 0:
-            return better, err
-        lv, le = refine(pa, mid, left, 0.6 * seg_tol, depth - 1)
-        rv, re_ = refine(mid, pb, right, 0.6 * seg_tol, depth - 1)
-        return lv + rv, le + re_
-
-    def stepsize(t):
+    def omega(t):
         base = rank * math.log(max(abs(t), 1.0) / (2.0 * math.pi))
-        om = max(abs(base - lx_min), abs(base - lx_max), 0.5) + max(abs(va), abs(vb))
-        return min(3.0, max(0.1, 14.0 / om))
+        return max(abs(base - lx_min), abs(base - lx_max), 0.5) + max(abs(va), abs(vb))
 
-    total = np.zeros(len(lx), dtype=complex)
-    err_total = 0.0
     sigma = contour.asymptote
     det_span = max((abs(nd.imag) for nd in contour.nodes), default=0.0)
     h0 = det_span + 2.0
     pts = [complex(sigma, -h0), *contour.nodes, complex(sigma, h0)]
-    for pa, pb in zip(pts[:-1], pts[1:]):
-        length = abs(pb - pa)
-        pos = 0.0
-        while pos < length:
-            step = min(length - pos, stepsize((pa + (pb - pa) * (pos / length)).imag))
-            lo = pa + (pb - pa) * (pos / length)
-            hi = pa + (pb - pa) * ((pos + step) / length)
-            val, err = refine(lo, hi, panel(lo, hi), tol_raw / 200.0, 11)
-            total += val
-            err_total += err
-            pos += step
+    total, err_total = polyline_walk(integrand, pts, omega, tol_raw / 200.0)
 
     tail_bound = 0.0
     for sgn in (1.0, -1.0):
         t, smalls, recent = h0, 0, [0.0]
         while True:
-            step = stepsize(t)
+            step = phase_step(omega(t))
             lo = complex(sigma, sgn * t)
             hi = complex(sigma, sgn * (t + step))
-            val, err = refine(lo, hi, panel(lo, hi), tol_raw / 200.0, 11)
+            val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)
             total += sgn * val
             err_total += err
             mag = float(np.max(np.abs(val)))
@@ -294,21 +268,13 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
     has_gl1 = any(isinstance(bl, GL1Block) for bl in params.blocks)
     deltas = (0, 1) if (has_gl1 or w.neg is not None) else (0,)
     ax = np.abs(xs)
-    # group by magnitude: each group shares a walk, so panel sizing and the
-    # truncation height respond to the group's own |x| range
-    order = np.argsort(ax)
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and ax[i] <= ax[groups[-1][0]] * 16.0:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
     values = np.zeros(len(xs), dtype=complex)
     errors = np.zeros(len(xs))
     for d in deltas:
         _validate_inner_mellin(w, d)
-    for grp in groups:
-        gi = np.array(grp)
+    # group by magnitude: each group shares a walk, so panel sizing and the
+    # truncation height respond to the group's own |x| range
+    for gi in magnitude_groups(ax, 16.0):
         lx = np.log(ax[gi])
         comp, errs = {}, []
         for d in deltas:
@@ -321,14 +287,6 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
         values[gi] = 0.5 * (i0 + np.sign(xs[gi]) * i1)
         errors[gi] = 0.5 * sum(errs) if len(errs) == 2 else errs[0]
     return values, errors
-
-
-def hankel_mellin_route(
-    params: RealPlaceParams, n: int, w: TestFunction, x: float, tol: float = 1e-9
-) -> DualFunctionResult:
-    """w̃(x) by inverse Mellin of γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−(n−1)/2)."""
-    vals, errs = hankel_mellin_batch(params, n, w, [x], tol)
-    return DualFunctionResult(float(x), complex(vals[0]), "mellin", float(errs[0]))
 
 
 # ---- convolution route -----------------------------------------------------
@@ -410,18 +368,11 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
     models = {s: _build_kernel_model(params, s, lo, hi, model_tol) for s in (1, -1) if need[s]}
 
     ua, ub = w.a ** (1.0 / n), w.b ** (1.0 / n)
-    order = np.argsort(ax)
-    groups: list[list[int]] = []
-    for i in order:
-        if groups and ax[i] <= ax[groups[-1][0]] * 4.0:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    groups = magnitude_groups(ax, 4.0)
 
     def eval_resolution(scale):
         out = np.zeros(len(xs), dtype=complex)
-        for grp in groups:
-            gi = np.array(grp)
+        for gi in groups:
             cyc = n * (float(ax[gi].max()) ** (1.0 / n)) * (ub - ua)
             npan = int(4 + math.ceil(scale * cyc / 1.8))
             te = np.linspace(ua, ub, npan + 1) ** n  # equal phase per panel
@@ -461,14 +412,6 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
     values = v2 * ax**nu
     achieved = (diff + cw * model_tol) * ax**nu
     return values, achieved
-
-
-def hankel_convolution_route(
-    params: RealPlaceParams, n: int, w: TestFunction, x: float, tol: float = 1e-8
-) -> DualFunctionResult:
-    """w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t."""
-    vals, errs = hankel_convolution_batch(params, n, w, [x], tol)
-    return DualFunctionResult(float(x), complex(vals[0]), "convolution", float(errs[0]))
 
 
 # ---- local functional equation ---------------------------------------------

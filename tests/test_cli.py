@@ -72,6 +72,17 @@ def test_unknown_config_field_exits_2(capsys, tmp_path):
     assert "volume" in err
 
 
+def test_threads_is_not_an_option(capsys, tmp_path):
+    # jobs run in one thread; a stale `threads` key is an unknown field
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({"check-lseries": True, "q": 5, "alpha": "1/2,2", "threads": 2}))
+    code, _, err = run(capsys, ["padic", "--config", str(doc)])
+    assert code == 2
+    assert "unknown config field 'threads'" in err
+    code, _, _ = run(capsys, ["gj-scan", "--variant", "tate", "--s-list", "2", "--threads", "2"])
+    assert code == 2
+
+
 def test_config_supplies_parameters_and_flags_win(capsys, tmp_path):
     doc = tmp_path / "job.json"
     doc.write_text(json.dumps({"check-lseries": True, "q": 7, "alpha": "1/2,2", "order": 15}))
@@ -257,15 +268,6 @@ def test_gj_scan_phi_variant_mismatch(capsys):
     )
     assert code == 2
     assert "compact support" in err
-
-
-def test_gj_scan_threads_match_serial(capsys):
-    argv = ["gj-scan", "--variant", "tate", "--s-list", "0.5+13j,0.5+14.134725j"]
-    _, out1, _ = run(capsys, argv)
-    _, out2, _ = run(capsys, argv + ["--threads", "2"])
-    d1 = [p["defect"] for p in json.loads(out1)["results"]["points"]]
-    d2 = [p["defect"] for p in json.loads(out2)["results"]["points"]]
-    assert d1 == d2
 
 
 def test_clozel_test_dip(capsys, tmp_path):

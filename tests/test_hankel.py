@@ -9,9 +9,7 @@ from vorokit.archimedean import DS2Block, GL1Block, PoleError, RealPlaceParams
 from vorokit.hankel import (
     BadSupport,
     hankel_convolution_batch,
-    hankel_convolution_route,
     hankel_mellin_batch,
-    hankel_mellin_route,
     local_fe_residual,
     make_bump,
     signed_mellin,
@@ -88,27 +86,25 @@ def _fourier_oracle(w, x):
 def test_mellin_route_n1_fourier_oracle():
     w = make_bump(1.0, 2.0)
     for x in (1.0, 0.45, -2.2):
-        res = hankel_mellin_route(GL1_TRIVIAL, 1, w, x, 1e-9)
-        assert res.route == "mellin"
-        assert res.achieved_tol <= 1e-9
-        assert res.value == pytest.approx(_fourier_oracle(w, x), abs=5e-9)
+        vals, errs = hankel_mellin_batch(GL1_TRIVIAL, 1, w, [x], 1e-9)
+        assert errs[0] <= 1e-9
+        assert vals[0] == pytest.approx(_fourier_oracle(w, x), abs=5e-9)
 
 
 def test_convolution_route_n1_matches_mellin():
     w = make_bump(1.0, 2.0)
     for x in (1.0, -1.7):
-        conv = hankel_convolution_route(GL1_TRIVIAL, 1, w, x, 1e-8)
-        mell = hankel_mellin_route(GL1_TRIVIAL, 1, w, x, 1e-8)
-        assert conv.route == "convolution"
-        assert abs(conv.value - mell.value) < 2e-8
+        conv, _ = hankel_convolution_batch(GL1_TRIVIAL, 1, w, [x], 1e-8)
+        mell, _ = hankel_mellin_batch(GL1_TRIVIAL, 1, w, [x], 1e-8)
+        assert abs(conv[0] - mell[0]) < 2e-8
 
 
 def test_route_agreement_ds2():
     w = make_bump(1.0, 2.0)
     for x in (0.5, 1.0, 2.0):
-        conv = hankel_convolution_route(DS2_11, 2, w, x, 1e-8)
-        mell = hankel_mellin_route(DS2_11, 2, w, x, 1e-8)
-        assert abs(conv.value - mell.value) < 2e-8
+        conv, _ = hankel_convolution_batch(DS2_11, 2, w, [x], 1e-8)
+        mell, _ = hankel_mellin_batch(DS2_11, 2, w, [x], 1e-8)
+        assert abs(conv[0] - mell[0]) < 2e-8
     # no γ-parity dependence and one-sided w: the dual vanishes on x < 0
     vals, _ = hankel_mellin_batch(DS2_11, 2, w, [-1.0, -3.7], 1e-9)
     assert np.max(np.abs(vals)) < 1e-12
@@ -125,9 +121,9 @@ def test_route_agreement_random_pairs():
     for _ in range(10):
         params, n = pool[rng.randrange(len(pool))]
         x = rng.uniform(0.4, 6.0) * rng.choice([1, -1])
-        conv = hankel_convolution_route(params, n, w, x, 1e-7)
-        mell = hankel_mellin_route(params, n, w, x, 1e-7)
-        assert abs(conv.value - mell.value) < 2e-7, (params, x)
+        conv, _ = hankel_convolution_batch(params, n, w, [x], 1e-7)
+        mell, _ = hankel_mellin_batch(params, n, w, [x], 1e-7)
+        assert abs(conv[0] - mell[0]) < 2e-7, (params, x)
 
 
 def test_scaling_law():
@@ -137,9 +133,9 @@ def test_scaling_law():
     w_lam = hankel.TestFunction(w.a / lam, w.b / lam, lambda t: w(lam * t))
     for params, n in ((DS2_5, 2), (GL1_TRIVIAL, 1)):
         for x in (1.3, 3.1):
-            lhs = hankel_mellin_route(params, n, w_lam, x, 1e-9).value
-            rhs = lam ** (n - 2) * hankel_mellin_route(params, n, w, x / lam, 1e-9).value
-            assert lhs == pytest.approx(rhs, rel=1e-7, abs=1e-9)
+            lhs, _ = hankel_mellin_batch(params, n, w_lam, [x], 1e-9)
+            rhs, _ = hankel_mellin_batch(params, n, w, [x / lam], 1e-9)
+            assert lhs[0] == pytest.approx(lam ** (n - 2) * rhs[0], rel=1e-7, abs=1e-9)
 
 
 def test_dual_decay_beyond_support():
@@ -162,11 +158,11 @@ def test_convolution_zero_function():
 def test_rank_mismatch_rejected():
     w = make_bump(1.0, 2.0)
     with pytest.raises(ValueError):
-        hankel_mellin_route(DS2_5, 3, w, 1.0)
+        hankel_mellin_batch(DS2_5, 3, w, [1.0])
     with pytest.raises(TypeError):
         from vorokit.archimedean import ComplexBlock, ComplexPlaceParams
 
-        hankel_mellin_route(ComplexPlaceParams((ComplexBlock(0.0, 0),)), 1, w, 1.0)
+        hankel_mellin_batch(ComplexPlaceParams((ComplexBlock(0.0, 0),)), 1, w, [1.0])
 
 
 def test_fe_residual_n1():

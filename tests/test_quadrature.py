@@ -1,0 +1,153 @@
+import numpy as np
+import pytest
+
+from vorokit.quadrature import (
+    adaptive_segment,
+    gauss_nodes,
+    magnitude_groups,
+    phase_step,
+    polyline_walk,
+)
+
+
+# ---- reference copies of the code the shared helpers replaced ---------------
+
+
+def _greedy_groups(ax, ratio):
+    order = np.argsort(ax)
+    groups = []
+    for i in order:
+        if groups and ax[i] <= ax[groups[-1][0]] * ratio:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    return [np.array(g) for g in groups]
+
+
+def _old_segment(f, a, b, deg=24):
+    x, w = gauss_nodes(deg)
+    half = 0.5 * (b - a)
+    nodes = 0.5 * (a + b) + half * x
+    vals = f(nodes)
+    if vals.ndim == 1:
+        return half * (w @ vals)
+    return half * np.tensordot(w, vals, axes=(0, 0))
+
+
+def _old_adapt(f, a, b, whole, tol, deg, depth):
+    mid = 0.5 * (a + b)
+    left = _old_segment(f, a, mid, deg)
+    right = _old_segment(f, mid, b, deg)
+    better = left + right
+    err = float(np.max(np.abs(whole - better)))
+    if err <= tol or depth <= 0:
+        return better, err
+    lv, le = _old_adapt(f, a, mid, left, 0.6 * tol, deg, depth - 1)
+    rv, re_ = _old_adapt(f, mid, b, right, 0.6 * tol, deg, depth - 1)
+    return lv + rv, le + re_
+
+
+def _batched_refine(f, a, b, seg_tol, depth):
+    # the per-module bisection the Bessel and Mellin-route integrals carried
+    gx, gw = gauss_nodes(24)
+
+    def panel(pa, pb):
+        half = 0.5 * (pb - pa)
+        return half * (gw @ f(0.5 * (pa + pb) + half * gx))
+
+    def refine(pa, pb, whole, tol, d):
+        mid = 0.5 * (pa + pb)
+        left, right = panel(pa, mid), panel(mid, pb)
+        better = left + right
+        err = float(np.max(np.abs(whole - better)))
+        if err <= tol or d <= 0:
+            return better, err
+        lv, le = refine(pa, mid, left, 0.6 * tol, d - 1)
+        rv, re_ = refine(mid, pb, right, 0.6 * tol, d - 1)
+        return lv + rv, le + re_
+
+    return refine(a, b, panel(a, b), seg_tol, depth)
+
+
+# ---- magnitude grouping -----------------------------------------------------
+
+
+@pytest.mark.parametrize("ratio", [4.0, 16.0])
+def test_magnitude_groups_match_greedy_loop(ratio):
+    rng = np.random.default_rng(20240)
+    for size in (1, 2, 7, 60, 500):
+        mags = np.exp(rng.uniform(-6.0, 8.0, size))
+        got = magnitude_groups(mags, ratio)
+        ref = _greedy_groups(mags, ratio)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.dtype == r.dtype
+            assert np.array_equal(g, r)
+        assert sorted(np.concatenate(got).tolist()) == list(range(size))
+
+
+@pytest.mark.parametrize("ratio", [4.0, 16.0])
+def test_magnitude_groups_ties_and_boundaries(ratio):
+    # repeated magnitudes and a point exactly at ratio·(group start)
+    mags = np.array([3.0, 1.0, 1.0, ratio, ratio * 1.0000001, 3.0, ratio * ratio * 2.0, 1.0])
+    got = magnitude_groups(mags, ratio)
+    ref = _greedy_groups(mags, ratio)
+    assert [g.tolist() for g in got] == [r.tolist() for r in ref]
+    assert sorted(got[0].tolist()) == [0, 1, 2, 3, 5, 7]
+
+
+def test_magnitude_groups_single_point():
+    (only,) = magnitude_groups(np.array([2.5]), 4.0)
+    assert only.tolist() == [0]
+
+
+# ---- the panel integrator ---------------------------------------------------
+
+
+def test_adaptive_segment_1d_unchanged():
+    f = lambda s: np.exp(2.3j * s) / (1.0 + s * s)
+    for a, b, tol, depth in ((0.1, 5.0, 1e-12, 13), (-2 + 1j, 3 - 0.5j, 1e-9, 11), (0.0, 40.0, 1e-14, 4)):
+        got = adaptive_segment(f, complex(a), complex(b), tol, max_depth=depth)
+        ref = _old_adapt(f, complex(a), complex(b), _old_segment(f, complex(a), complex(b)), tol, 24, depth)
+        assert got[0] == ref[0] and got[1] == ref[1]
+
+
+def test_adaptive_segment_batched_matches_module_bisection():
+    lam = np.array([0.4, -1.1 + 2.0j, 3.0j, 7.5])
+    f = lambda s: np.exp(np.outer(s, lam))
+    for a, b in ((0.5 - 3j, 0.5 + 2j), (-1 + 1j, 2.5 + 4j)):
+        val, err = adaptive_segment(f, a, b, 1e-11, max_depth=11)
+        ref_val, ref_err = _batched_refine(f, a, b, 1e-11, 11)
+        assert np.array_equal(val, ref_val) and err == ref_err
+
+
+# ---- the polyline walk ------------------------------------------------------
+
+
+@pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
+def test_polyline_walk_exponential_closed_form(omega):
+    lam = np.array([0.5, -1.0 + 0.5j, 1.5j, -0.3 - 2.0j])
+    pts = [complex(0.5, -4.0), complex(-0.3, -1.0), complex(0.2, 1.5), complex(0.5, 4.0)]
+    tol = 1e-9
+    val, err = polyline_walk(lambda s: np.exp(np.outer(s, lam)), pts, omega, tol)
+    exact = (np.exp(lam * pts[-1]) - np.exp(lam * pts[0])) / lam
+    assert val.shape == lam.shape
+    assert np.max(np.abs(val - exact)) <= tol
+    assert 0.0 <= err <= tol * 100
+
+
+def test_polyline_walk_panels_follow_phase_step():
+    calls = []
+
+    def f(s):
+        calls.append(s)
+        return s * s  # integrated exactly by every panel: no bisection
+
+    # step 14/7 = 2 on a length-10 segment: five panels, three rule calls each
+    polyline_walk(f, [0j, 10j], lambda t: 7.0, 1e-6)
+    assert len(calls) == 15
+    calls.clear()
+    # step clamped to 3: panels 3, 3, 3, 1
+    polyline_walk(f, [0j, 10j], lambda t: 1.0, 1e-6)
+    assert len(calls) == 12
+    assert phase_step(1e9) == 0.1 and phase_step(1e-9) == 3.0

@@ -241,7 +241,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 
 def _default_tol(args, fallback: float) -> float:
-    tol = getattr(args, "tol", None)
+    tol = args.tol
     if tol is None:
         return fallback
     if not tol > 0:
@@ -515,7 +515,6 @@ def _run_voronoi_verify(args, t0):
         "tol": tol,
         "max_rel": max_rel,
         "coeffs": args.coeffs,
-        "seed": args.seed if args.seed is not None else 0,
     }
     return _report("voronoi-verify", inputs, results, thresholds, t0), failed
 
@@ -624,18 +623,18 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"vorokit {__version__}")
     subs = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    def common(p):
+    def common(p, tol=True):
         p.add_argument("--config", help="JSON document of parameters (flags win on conflict)")
         p.add_argument("--out", help="report/table output path")
-        p.add_argument("--tol", type=float, help="target tolerance")
-        p.add_argument("--seed", type=int, help="seed for any randomized selection")
+        if tol:
+            p.add_argument("--tol", type=float, help="target tolerance")
 
     p = subs.add_parser("gamma", help="γ-factor values on an s-grid")
     p.add_argument("--blocks", help="place-parameter JSON (default: the weight-12 real place)")
     p.add_argument("--twist", type=int, help="character twist index")
     p.add_argument("--s-list", help="comma-separated complex s values")
     p.add_argument("--s-grid", help="re:im_lo:im_hi:steps vertical grid")
-    common(p)
+    common(p, tol=False)
 
     p = subs.add_parser("kernel-table", help="tabulate the oscillatory kernel on a grid")
     p.add_argument("--blocks")
@@ -673,7 +672,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zeta", help="additive-twist rational a/c")
     p.add_argument("--alpha-rational", help="comma-separated torus arguments")
     p.add_argument("--shell-depth", type=int)
-    common(p)
+    p.add_argument("--seed", type=int, help="seed for the random Satake tuples")
+    common(p, tol=False)
 
     p = subs.add_parser("voronoi-verify", help="two-sided summation-identity residual")
     p.add_argument("--k", type=int, default=12, help="weight (12 unless --coeffs)")
@@ -699,7 +699,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, help="grid points (default 81)")
     p.add_argument("--phi")
     p.add_argument("--min-dip", type=float, help="required max/min defect ratio (default 100)")
-    common(p)
+    common(p, tol=False)
 
     return top
 

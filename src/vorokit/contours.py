@@ -29,8 +29,6 @@ from functools import lru_cache
 
 from .archimedean import (
     CharTwist,
-    ComplexPlaceParams,
-    DS2Block,
     GL1Block,
     PlaceParams,
     RealPlaceParams,

@@ -100,9 +100,7 @@ def _partial_sum(coeffs: DirichletCoeffs, x: float, z: complex) -> complex:
     return complex(np.sum(coeffs.values[:n] * ns ** (-z)))
 
 
-def h_kernel(spec: KernelSpec, x: float) -> complex:
-    """H_s at a nonzero real x: |x|^{s−1/2} Σ_{n≤|x|} a_n n^{−s} (cuspidal),
-    or |x|^{s−1} Σ_{n≤|x|} a_n n^{−s} − 1/(1−s) (tate)."""
+def _step_kernel(spec: KernelSpec, table, x: float) -> complex:
     ax = abs(float(x))
     if ax == 0.0:
         raise ValueError("kernels live on ℝ^×; x = 0 is not allowed")
@@ -110,8 +108,14 @@ def h_kernel(spec: KernelSpec, x: float) -> complex:
     if spec.variant == "cuspidal":
         if ax < 1.0:
             return 0j
-        return ax ** (s - 0.5) * _partial_sum(spec.coeffs, ax, s)
-    return ax ** (s - 1.0) * _partial_sum(spec.coeffs, ax, s) - 1.0 / (1.0 - s)
+        return ax ** (s - 0.5) * _partial_sum(table, ax, s)
+    return ax ** (s - 1.0) * _partial_sum(table, ax, s) - 1.0 / (1.0 - s)
+
+
+def h_kernel(spec: KernelSpec, x: float) -> complex:
+    """H_s at a nonzero real x: |x|^{s−1/2} Σ_{n≤|x|} a_n n^{−s} (cuspidal),
+    or |x|^{s−1} Σ_{n≤|x|} a_n n^{−s} − 1/(1−s) (tate)."""
+    return _step_kernel(spec, spec.coeffs, x)
 
 
 def k_dual_kernel(spec: KernelSpec, x: float) -> complex:
@@ -121,15 +125,7 @@ def k_dual_kernel(spec: KernelSpec, x: float) -> complex:
     coincides with h_kernel; the cuspidal level-1 case is self-dual as well,
     unless an explicit dual table says otherwise.
     """
-    ax = abs(float(x))
-    if ax == 0.0:
-        raise ValueError("kernels live on ℝ^×; x = 0 is not allowed")
-    s = spec.s
-    if spec.variant == "cuspidal":
-        if ax < 1.0:
-            return 0j
-        return ax ** (s - 0.5) * _partial_sum(spec.dual, ax, s)
-    return ax ** (s - 1.0) * _partial_sum(spec.dual, ax, s) - 1.0 / (1.0 - s)
+    return _step_kernel(spec, spec.dual, x)
 
 
 def clozel_tate_kernels(s: complex, x: float, n_coeffs: int | None = None):

@@ -1,17 +1,20 @@
 """Exact nonarchimedean local toolkit.
 
 Everything here is exact: matrix entries are rationals, Satake data lives in
-small closed rings (ℚ, ℚ(√d), ℚ(i)), and additive-character values are kept
-as rational *turns* (the fraction t in e^{2πi t}) rather than floats.  The
-conversion to floating complex happens once, at the boundary to global sums,
-via :meth:`WhittakerValue.to_complex`.
+small closed rings (ℚ and the quadratic fields ℚ(√d), with d = −1 giving
+ℚ(i)), and additive-character values are kept as rational *turns* (the
+fraction t in e^{2πi t}) rather than floats.  The conversion to floating
+complex happens once, at the boundary to global sums, via
+:meth:`WhittakerValue.to_complex`.
 
-The centrepiece is an exact Iwasawa decomposition g = u·t·k over ℚ_p, which
-turns spherical Whittaker evaluation anywhere on the group into a
-torus-diagonal lookup: a ψ-phase from the unipotent part, a power of √q from
-the modulus character, and a complete-homogeneous (rank 2) or Schur (rank 3)
-polynomial in the Satake parameters.  On top of that sit the ramified-twist
-transform of the basic vector and the rank-3 Kloosterman-type shell sum.
+The centrepiece is an exact Iwasawa decomposition g = u·t·k over ℚ_p, one
+bottom-up column reduction for every rank, which turns spherical Whittaker
+evaluation anywhere on the group into a torus-diagonal lookup: a ψ-phase
+from the unipotent part, a power of √q from the modulus character, and one
+Schur polynomial s_{(a,b)}(α) = h_a h_b − h_{a+1} h_{b−1} in the Satake
+parameters (just h_a when b = 0, as always at rank 2).  On top of that sit
+the ramified-twist transform of the basic vector and the rank-3
+Kloosterman-type shell sum.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ __all__ = [
     "padic_fractional_part",
     "psi_phase",
     "QSqrt",
-    "QC",
     "FormalSeries",
     "SatakeParams",
     "satake_from_eigenvalue",
@@ -39,11 +41,9 @@ __all__ = [
     "basic_function_value",
     "local_l_series_check",
     "PAdicMat",
-    "iwasawa_gl2",
-    "iwasawa_gl3",
+    "iwasawa",
     "WhittakerValue",
-    "whittaker_gl2_general",
-    "whittaker_gl3_general",
+    "whittaker_general",
     "ramified_transform_gl2",
     "kloosterman_gl3",
     "kloosterman_gl2_literal",
@@ -111,8 +111,9 @@ def _exact_fraction(x) -> Fraction:
 class QSqrt:
     """a + b·√d with rational a, b: the smallest ring keeping √d exact.
 
-    d is a fixed positive non-square integer.  Division multiplies by the
-    conjugate, so the ring is actually a field; mixing two different
+    d is a fixed radicand: either −1 (the Gaussian rationals ℚ(i), for exactly
+    complex Satake data) or a non-square integer ≥ 2.  Division multiplies by
+    the conjugate, so the ring is actually a field; mixing two different
     radicands raises TypeError instead of silently demoting to float.
     """
 
@@ -123,8 +124,8 @@ class QSqrt:
     def __post_init__(self) -> None:
         object.__setattr__(self, "a", _exact_fraction(self.a))
         object.__setattr__(self, "b", _exact_fraction(self.b))
-        if self.d < 2:
-            raise ValueError("radicand must be an integer ≥ 2")
+        if self.d != -1 and (self.d < 2 or math.isqrt(self.d) ** 2 == self.d):
+            raise ValueError("radicand must be −1 or a non-square integer ≥ 2")
 
     # -- coercion
     def _lift(self, other):
@@ -212,112 +213,23 @@ class QSqrt:
         return NotImplemented
 
     def __hash__(self):
+        # a rational value hashes as the rational, matching __eq__ across radicands
+        if self.b == 0:
+            return hash(self.a)
         return hash((self.d, self.a, self.b))
 
     def __float__(self) -> float:
+        if self.d < 0:
+            raise TypeError("a Gaussian rational has no float value")
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __complex__(self) -> complex:
+        if self.d < 0:
+            return complex(float(self.a), float(self.b) * math.sqrt(-self.d))
         return complex(float(self))
 
     def __repr__(self) -> str:
         return f"({self.a} + {self.b}·√{self.d})"
-
-
-@dataclass(frozen=True)
-class QC:
-    """Gaussian rational a + b·i, for exactly complex Satake data."""
-
-    a: Fraction
-    b: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _exact_fraction(self.a))
-        object.__setattr__(self, "b", _exact_fraction(self.b))
-
-    def _lift(self, other):
-        if isinstance(other, QC):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QC(Fraction(other), Fraction(0))
-        return None
-
-    def conjugate(self) -> "QC":
-        return QC(self.a, -self.b)
-
-    def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QC(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QC":
-        return QC(-self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QC(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return QC(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        nrm = o.a * o.a + o.b * o.b
-        if nrm == 0:
-            raise ZeroDivisionError("division by zero in ℚ(i)")
-        return self * QC(o.a / nrm, -o.b / nrm)
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return (QC(Fraction(1), Fraction(0)) / self) ** (-n)
-        out = QC(Fraction(1), Fraction(0))
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QC):
-            return self.a == other.a and self.b == other.b
-        if isinstance(other, (int, Fraction)):
-            return self.b == 0 and self.a == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __complex__(self) -> complex:
-        return complex(float(self.a), float(self.b))
-
-    def __repr__(self) -> str:
-        return f"({self.a} + {self.b}·i)"
 
 
 def _ring_div(a, b):
@@ -345,10 +257,14 @@ def _ring_pow(x, k: int):
 def _times_sqrt_pow(value, q: int, k: int):
     """value·(√q)^k, exactly when the ring of `value` allows it.
 
-    Even k stays in the ring; odd k lands in ℚ(√q) (or, if `value` already
-    lives in an incompatible ring, falls back to floating complex — the only
-    lossy corner, and one no exact test relies on).
+    A square q contributes the rational (√q)^k.  Otherwise even k stays in
+    the ring; odd k lands in ℚ(√q) (or, if `value` already lives in an
+    incompatible ring, falls back to floating complex — the only lossy
+    corner, and one no exact test relies on).
     """
+    root = math.isqrt(q)
+    if root * root == q:
+        return value * Fraction(root) ** k
     if k % 2 == 0:
         return value * Fraction(q) ** (k // 2)
     rad = QSqrt(q, Fraction(0), Fraction(q) ** ((k - 1) // 2))
@@ -641,73 +557,43 @@ def _add_col(mat, dst: int, src: int, factor: Fraction) -> None:
         row[dst] = row[dst] + factor * row[src]
 
 
-def _finish_iwasawa(g: PAdicMat, a, kinv):
+def iwasawa(g: PAdicMat):
+    """Exact g = u·t·k with k ∈ GL_n(ℤ_p).
+
+    Already-integral unit-determinant matrices pass straight through as the
+    k part.  Otherwise the rows are pivoted from the bottom up: row r picks
+    its column of minimal valuation among 0..r (ties toward the left),
+    swaps it into column r and clears the columns to its left, all by
+    integral column operations; the tests confirm the factors re-multiply
+    to g exactly.
+    """
+    if g.det() == 0:
+        raise Singular("matrix is not invertible")
     n = g.size
+    if g.is_integral() and g.has_unit_det():
+        eye = PAdicMat.identity(g.p, n)
+        return eye, eye, g
+    a = [list(row) for row in g.entries]
+    kinv = [list(row) for row in PAdicMat.identity(g.p, n).entries]
+    for r in range(n - 1, 0, -1):
+        c = _pivot_col(a[r], range(r + 1), g.p)
+        if c != r:
+            _swap_cols(a, c, r)
+            _swap_cols(kinv, c, r)
+        for c2 in range(r):
+            ratio = a[r][c2] / a[r][r]
+            _add_col(a, c2, r, -ratio)
+            _add_col(kinv, c2, r, -ratio)
     tdiag = [a[i][i] for i in range(n)]
     u = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             u[i][j] = a[i][j] / tdiag[j]
-    kinv_mat = PAdicMat(g.p, tuple(tuple(row) for row in kinv))
     return (
         PAdicMat(g.p, tuple(tuple(row) for row in u)),
         PAdicMat.diagonal(g.p, tdiag),
-        kinv_mat.inverse(),
+        PAdicMat(g.p, tuple(tuple(row) for row in kinv)).inverse(),
     )
-
-
-def iwasawa_gl2(g: PAdicMat):
-    """Exact g = u·t·k with k ∈ GL₂(ℤ_p).
-
-    Already-integral unit-determinant matrices pass straight through as the
-    k part.  Otherwise one column pivot (minimal bottom-row valuation, ties
-    broken toward the left column) triangularises g by integral column
-    operations; the tests confirm the factors re-multiply to g exactly.
-    """
-    if g.size != 2:
-        raise ValueError("expected a 2×2 matrix")
-    if g.det() == 0:
-        raise Singular("matrix is not invertible")
-    if g.is_integral() and g.has_unit_det():
-        eye = PAdicMat.identity(g.p, 2)
-        return eye, eye, g
-    a = [list(row) for row in g.entries]
-    kinv = [list(row) for row in PAdicMat.identity(g.p, 2).entries]
-    if _pivot_col(a[1], (0, 1), g.p) == 0:
-        _swap_cols(a, 0, 1)
-        _swap_cols(kinv, 0, 1)
-    ratio = a[1][0] / a[1][1]
-    _add_col(a, 0, 1, -ratio)
-    _add_col(kinv, 0, 1, -ratio)
-    return _finish_iwasawa(g, a, kinv)
-
-
-def iwasawa_gl3(g: PAdicMat):
-    """Exact g = u·t·k with k ∈ GL₃(ℤ_p), by two rounds of bottom-row pivoting."""
-    if g.size != 3:
-        raise ValueError("expected a 3×3 matrix")
-    if g.det() == 0:
-        raise Singular("matrix is not invertible")
-    if g.is_integral() and g.has_unit_det():
-        eye = PAdicMat.identity(g.p, 3)
-        return eye, eye, g
-    a = [list(row) for row in g.entries]
-    kinv = [list(row) for row in PAdicMat.identity(g.p, 3).entries]
-    c = _pivot_col(a[2], (0, 1, 2), g.p)
-    if c != 2:
-        _swap_cols(a, c, 2)
-        _swap_cols(kinv, c, 2)
-    for c2 in (0, 1):
-        ratio = a[2][c2] / a[2][2]
-        _add_col(a, c2, 2, -ratio)
-        _add_col(kinv, c2, 2, -ratio)
-    if _pivot_col(a[1], (0, 1), g.p) == 0:
-        _swap_cols(a, 0, 1)
-        _swap_cols(kinv, 0, 1)
-    ratio = a[1][0] / a[1][1]
-    _add_col(a, 0, 1, -ratio)
-    _add_col(kinv, 0, 1, -ratio)
-    return _finish_iwasawa(g, a, kinv)
 
 
 # ---- Whittaker values off the torus ----------------------------------------
@@ -768,47 +654,34 @@ def _zero_value(q: int) -> WhittakerValue:
 def _check_field(sp: SatakeParams, g: PAdicMat) -> None:
     if g.p != sp.q:
         raise ValueError("matrix prime and Satake residue cardinality disagree")
+    if g.size != sp.n:
+        raise ValueError("matrix size and Satake rank disagree")
 
 
-def whittaker_gl2_general(sp: SatakeParams, g: PAdicMat) -> WhittakerValue:
-    """°W(g) anywhere on GL₂: ψ-phase of the unipotent part times the
-    diagonal value q^{−d/2}·e₂^{m₂}·h_d(α) with d = m₁ − m₂ (zero if d < 0)."""
-    if sp.n != 2:
-        raise ValueError("rank-2 Satake data required")
-    _check_field(sp, g)
-    u, t, _ = iwasawa_gl2(g)
-    m1 = v_p(t.entries[0][0], g.p)
-    m2 = v_p(t.entries[1][1], g.p)
-    if m1 < m2:
-        return _zero_value(sp.q)
-    d = int(m1 - m2)
-    h = _h_sequence(sp.elem, d)[d]
-    coef = _ring_pow(sp.elem[1], int(m2)) * h
-    return WhittakerValue(sp.q, psi_phase(u.entries[0][1], g.p), -d, coef)
+def whittaker_general(sp: SatakeParams, g: PAdicMat) -> WhittakerValue:
+    """°W(g) anywhere on GL_n (n = 2, 3), through g = u·t·k.
 
-
-def whittaker_gl3_general(sp: SatakeParams, g: PAdicMat) -> WhittakerValue:
-    """°W(g) on GL₃ via the rank-3 diagonal formula.
-
-    Phase ψ_p(u₁₂ + u₂₃); torus value q^{−(m₁−m₃)}·e₃^{m₃}·s_{(a,b,0)}(α)
-    with (a, b) = (m₁−m₃, m₂−m₃) and the Schur value h_a h_b − h_{a+1} h_{b−1};
-    zero unless m₁ ≥ m₂ ≥ m₃.
+    With m_i = v_p(t_ii): zero unless m₁ ≥ … ≥ m_n; otherwise the phase
+    ψ_p(Σ u_{i,i+1}) times q^{−⟨ρ, m⟩}·e_n^{m_n}·s_{(a,b)}(α), where
+    (a, b) = (m₁ − m_n, m₂ − m_n) and the Schur value is h_a when b = 0
+    (always so at rank 2) and h_a h_b − h_{a+1} h_{b−1} otherwise.
     """
-    if sp.n != 3:
-        raise ValueError("rank-3 Satake data required")
     _check_field(sp, g)
-    u, t, _ = iwasawa_gl3(g)
-    m1 = v_p(t.entries[0][0], g.p)
-    m2 = v_p(t.entries[1][1], g.p)
-    m3 = v_p(t.entries[2][2], g.p)
-    if not m1 >= m2 >= m3:
+    u, t, _ = iwasawa(g)
+    n = g.size
+    m = [int(v_p(t.entries[i][i], g.p)) for i in range(n)]
+    if m != sorted(m, reverse=True):
         return _zero_value(sp.q)
-    a, b = int(m1 - m3), int(m2 - m3)
-    h = _h_sequence(sp.elem, a + 1)
-    schur = h[a] * h[b] - (h[a + 1] * h[b - 1] if b >= 1 else Fraction(0))
-    coef = _ring_pow(sp.elem[2], int(m3)) * schur
-    turns = psi_phase(u.entries[0][1] + u.entries[1][2], g.p)
-    return WhittakerValue(sp.q, turns, -2 * a, coef)
+    a, b = m[0] - m[-1], m[1] - m[-1]
+    if b == 0:
+        schur = _h_sequence(sp.elem, a)[a]
+    else:
+        h = _h_sequence(sp.elem, a + 1)
+        schur = h[a] * h[b] - h[a + 1] * h[b - 1]
+    coef = _ring_pow(sp.elem[-1], m[-1]) * schur
+    half = -sum((n - 1 - 2 * i) * mi for i, mi in enumerate(m))
+    turns = psi_phase(sum((u.entries[i][i + 1] for i in range(1, n - 1)), u.entries[0][1]), g.p)
+    return WhittakerValue(sp.q, turns, half, coef)
 
 
 # ---- ramified additive twist of the basic vector ---------------------------
@@ -832,7 +705,7 @@ def ramified_transform_gl2(sp: SatakeParams, zeta_p, x) -> WhittakerValue:
     if xq == 0:
         raise ValueError("x must be a nonzero rational")
     mat = PAdicMat(sp.q, ((0, -xq), (1, Fraction(zeta_p))))
-    return whittaker_gl2_general(sp, mat)
+    return whittaker_general(sp, mat)
 
 
 # ---- rank-3 Kloosterman-type shell sum -------------------------------------
@@ -871,7 +744,7 @@ def kloosterman_gl3(
     spd = contragredient_satake(sp)
     tau = PAdicMat(p, ((0, -alpha / zeta, 0), (1, 0, 0), (0, 0, -zeta)))
     shells: dict[int, list[WhittakerValue]] = {}
-    base = whittaker_gl3_general(spd, tau)
+    base = whittaker_general(spd, tau)
     shells[0] = [] if base.is_zero else [base]
     consecutive_zero = 0
     vanished_at = None
@@ -883,7 +756,7 @@ def kloosterman_gl3(
             if v0 % p == 0:
                 continue
             y = Fraction(v0, mod)
-            wv = whittaker_gl3_general(spd, tau @ PAdicMat.elementary(p, 3, 0, 1, y))
+            wv = whittaker_general(spd, tau @ PAdicMat.elementary(p, 3, 0, 1, y))
             if not wv.is_zero:
                 terms.append(wv.rotated(padic_fractional_part(y, p)))
         shells[j] = terms
@@ -932,4 +805,4 @@ def kloosterman_gl2_literal(alpha, zeta_p, sp: SatakeParams) -> WhittakerValue:
     if not v_p(zeta, sp.q) < 0:
         raise ValueError("|ζ|_p must exceed 1")
     mat = PAdicMat(sp.q, ((0, -zeta), (-alpha / zeta, 0)))
-    return whittaker_gl2_general(contragredient_satake(sp), mat)
+    return whittaker_general(contragredient_satake(sp), mat)

@@ -31,7 +31,7 @@ from vorokit.padic import (
     satake_from_eigenvalue,
     v_p,
     whittaker_diag,
-    whittaker_gl2_general,
+    whittaker_general,
 )
 from vorokit.voronoi import VoronoiJob, tau_coefficients, voronoi_residual
 
@@ -116,10 +116,10 @@ def test_a10_whittaker_invariance_and_ramified_dual():
         p = (2, 5)[trial % 2]
         sp = satake_from_eigenvalue(p, F(3, 4) if p == 2 else F(2, 3))
         g, k = random_g(p, rng), random_k(p, rng)
-        invariant &= whittaker_gl2_general(sp, g @ k) == whittaker_gl2_general(sp, g)
+        invariant &= whittaker_general(sp, g @ k) == whittaker_general(sp, g)
         y = integral_frac(p, rng, vmin=-3)
-        left = whittaker_gl2_general(sp, PAdicMat.elementary(p, 2, 0, 1, y) @ g)
-        invariant &= left == whittaker_gl2_general(sp, g).rotated(psi_phase(y, p))
+        left = whittaker_general(sp, PAdicMat.elementary(p, 2, 0, 1, y) @ g)
+        invariant &= left == whittaker_general(sp, g).rotated(psi_phase(y, p))
 
     sp5 = satake_from_eigenvalue(5, F(2, 3))
     ramified = True

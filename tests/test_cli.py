@@ -83,6 +83,26 @@ def test_threads_is_not_an_option(capsys, tmp_path):
     assert code == 2
 
 
+UNREAD_FLAGS = [("gamma", "tol"), ("padic", "tol"), ("clozel-test", "tol")] + [
+    (sub, "seed")
+    for sub in ("gamma", "kernel-table", "hankel", "fe-check", "voronoi-verify", "gj-scan", "clozel-test")
+]
+
+
+@pytest.mark.parametrize("sub,key", UNREAD_FLAGS)
+def test_unread_flag_is_not_an_option(capsys, tmp_path, sub, key):
+    # a subcommand registers --tol and --seed only if it reads them
+    required = ["--variant", "tate"] if sub == "gj-scan" else []
+    code, _, err = run(capsys, [sub, *required, f"--{key}", "1"])
+    assert code == 2
+    assert "unrecognized arguments" in err
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({key: 1}))
+    code, _, err = run(capsys, [sub, *required, "--config", str(doc)])
+    assert code == 2
+    assert f"unknown config field '{key}'" in err
+
+
 def test_config_supplies_parameters_and_flags_win(capsys, tmp_path):
     doc = tmp_path / "job.json"
     doc.write_text(json.dumps({"check-lseries": True, "q": 7, "alpha": "1/2,2", "order": 15}))

@@ -5,8 +5,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from vorokit import padic
 from vorokit.padic import (
-    QC,
     DepthExceeded,
     FormalSeries,
     PAdicMat,
@@ -17,8 +17,7 @@ from vorokit.padic import (
     basic_function_value,
     complete_homogeneous,
     contragredient_satake,
-    iwasawa_gl2,
-    iwasawa_gl3,
+    iwasawa,
     kloosterman_gl2_literal,
     kloosterman_gl3,
     local_l_series_check,
@@ -28,8 +27,7 @@ from vorokit.padic import (
     satake_from_eigenvalue,
     v_p,
     whittaker_diag,
-    whittaker_gl2_general,
-    whittaker_gl3_general,
+    whittaker_general,
 )
 
 SP5 = satake_from_eigenvalue(5, F(2, 3))
@@ -134,12 +132,36 @@ def test_qsqrt_field_arithmetic():
 
 
 def test_gaussian_rational_arithmetic():
-    i = QC(F(0), F(1))
+    i = QSqrt(-1, F(0), F(1))
     assert i * i == -1
     assert (1 + i) ** 2 == 2 * i
-    assert 1 / (1 + i) == QC(F(1, 2), F(-1, 2))
+    assert 1 / (1 + i) == QSqrt(-1, F(1, 2), F(-1, 2))
     assert i.conjugate() == -i
-    assert complex(QC(F(1, 3), F(-2))) == pytest.approx(1 / 3 - 2j)
+    assert complex(QSqrt(-1, F(1, 3), F(-2))) == pytest.approx(1 / 3 - 2j)
+    with pytest.raises(TypeError):
+        float(i)
+
+
+def test_radicand_must_be_minus_one_or_non_square():
+    for d in (4, 9, 1, 0, -2):
+        with pytest.raises(ValueError):
+            QSqrt(d, F(1), F(1))
+
+
+def test_square_q_values_stay_rational():
+    # (√4)^{-1} and (√9)^{-1} are rational, so the values compare equal to them
+    assert whittaker_diag(SatakeParams(4, (F(1), F(1))), 1) == 1
+    assert basic_function_value(SatakeParams(9, (F(1), F(1))), 1) == F(2, 3)
+    assert basic_function_value(SatakeParams(9, (F(1), F(1))), 2) == F(1, 3)
+
+
+def test_hash_agrees_with_equality():
+    halves = {QSqrt(2, F(1, 2), F(0)), QSqrt(3, F(1, 2), F(0)), F(1, 2)}
+    assert len(halves) == 1
+    w2 = WhittakerValue(5, F(1, 5), 0, QSqrt(2, F(1, 2), F(0)))
+    w3 = WhittakerValue(5, F(1, 5), 0, QSqrt(3, F(1, 2), F(0)))
+    assert w2 == w3
+    assert hash(w2) == hash(w3)
 
 
 # ---- symmetric functions and diagonal values --------------------------------
@@ -197,7 +219,7 @@ def test_local_l_series_random_tuples():
     for trial in range(20):
         n = rng.choice([1, 2, 3])
         if trial % 7 == 3:
-            alpha = tuple(QC(F(rng.randrange(1, 9)), F(rng.randrange(1, 9))) for _ in range(n))
+            alpha = tuple(QSqrt(-1, F(rng.randrange(1, 9)), F(rng.randrange(1, 9))) for _ in range(n))
         elif trial % 7 == 5:
             alpha = tuple(QSqrt(3, F(rng.randrange(1, 9)), F(rng.randrange(1, 9))) for _ in range(n))
         else:
@@ -250,23 +272,23 @@ def test_matrix_guards():
 def test_iwasawa_gl2_special_shapes():
     # integral unit-determinant matrices pass through as the k part
     g = PAdicMat(5, ((2, 3), (1, 1)))
-    u, t, k = iwasawa_gl2(g)
+    u, t, k = iwasawa(g)
     assert u.entries == t.entries == PAdicMat.identity(5, 2).entries
     assert k.entries == g.entries
     # non-unit diagonal stays in the torus
     g = PAdicMat.diagonal(5, (F(5), F(1, 25)))
-    u, t, k = iwasawa_gl2(g)
+    u, t, k = iwasawa(g)
     assert t.entries == g.entries
     assert u.entries == k.entries == PAdicMat.identity(5, 2).entries
     with pytest.raises(Singular):
-        iwasawa_gl2(PAdicMat(5, ((1, 1), (1, 1))))
+        iwasawa(PAdicMat(5, ((1, 1), (1, 1))))
 
 
 def test_iwasawa_gl2_bruhat_flip_example():
     # [[xζ, x], [1, 0]] with v(ζ) = −1: verified by exact re-multiplication
     x, z = F(3, 4), F(2, 5)
     g = PAdicMat(5, ((x * z, x), (1, 0)))
-    u, t, k = iwasawa_gl2(g)
+    u, t, k = iwasawa(g)
     assert (u @ t @ k).entries == g.entries
     assert k.is_integral() and k.has_unit_det()
     assert u.entries[1][0] == 0 and u.entries[0][0] == u.entries[1][1] == 1
@@ -277,9 +299,9 @@ def test_iwasawa_random_re_multiplication():
     rng = random.Random(1405)
     for trial in range(12):
         p = (2, 5)[trial % 2]
-        for size, decomp in ((2, iwasawa_gl2), (3, iwasawa_gl3)):
+        for size in (2, 3):
             g = _random_g(p, size, rng)
-            u, t, k = decomp(g)
+            u, t, k = iwasawa(g)
             assert (u @ t @ k).entries == g.entries
             assert k.is_integral() and k.has_unit_det()
             for i in range(size):
@@ -293,23 +315,25 @@ def test_iwasawa_random_re_multiplication():
 
 
 def test_whittaker_gl2_worked_examples():
-    assert whittaker_gl2_general(SP5, PAdicMat.identity(5, 2)).scalar() == 1
+    assert whittaker_general(SP5, PAdicMat.identity(5, 2)).scalar() == 1
     # ψ_p is trivial on ℤ_p, so the phase drops
     g = PAdicMat.elementary(5, 2, 0, 1, F(3)) @ PAdicMat.diagonal(5, (5, 1))
-    w = whittaker_gl2_general(SP5, g)
+    w = whittaker_general(SP5, g)
     assert w.turns == 0
     assert w.scalar() == whittaker_diag(SP5, 1)
     # n(1/p) contributes the exact character value e^{−2πi/p}
     g = PAdicMat.elementary(5, 2, 0, 1, F(1, 5)) @ PAdicMat.diagonal(5, (5, 1))
-    w = whittaker_gl2_general(SP5, g)
+    w = whittaker_general(SP5, g)
     assert w == WhittakerValue(5, F(4, 5), -1, SP5.elem[0])
     assert w.to_complex() == pytest.approx(
         cmath.exp(-2j * math.pi / 5) * complex(whittaker_diag(SP5, 1)), abs=1e-15
     )
     # torus non-effectivity
-    assert whittaker_gl2_general(SP5, PAdicMat.diagonal(5, (1, 5))).is_zero
+    assert whittaker_general(SP5, PAdicMat.diagonal(5, (1, 5))).is_zero
     with pytest.raises(ValueError):
-        whittaker_gl2_general(SP5, PAdicMat.identity(7, 2))
+        whittaker_general(SP5, PAdicMat.identity(7, 2))
+    with pytest.raises(ValueError):
+        whittaker_general(SP5, PAdicMat.identity(5, 3))
 
 
 def test_whittaker_gl2_invariance_exact():
@@ -319,10 +343,10 @@ def test_whittaker_gl2_invariance_exact():
         sp = satake_from_eigenvalue(p, F(3, 4))
         g = _random_g(p, 2, rng)
         k = _random_k(p, 2, rng)
-        assert whittaker_gl2_general(sp, g @ k) == whittaker_gl2_general(sp, g)
+        assert whittaker_general(sp, g @ k) == whittaker_general(sp, g)
         y = _integral_frac(p, rng, vmin=-3)
-        left = whittaker_gl2_general(sp, PAdicMat.elementary(p, 2, 0, 1, y) @ g)
-        assert left == whittaker_gl2_general(sp, g).rotated(psi_phase(y, p))
+        left = whittaker_general(sp, PAdicMat.elementary(p, 2, 0, 1, y) @ g)
+        assert left == whittaker_general(sp, g).rotated(psi_phase(y, p))
 
 
 def test_whittaker_gl3_invariance_exact():
@@ -332,19 +356,19 @@ def test_whittaker_gl3_invariance_exact():
         sp = SatakeParams(p, (F(1, 2), F(3), F(2, 3)))
         g = _random_g(p, 3, rng)
         k = _random_k(p, 3, rng)
-        assert whittaker_gl3_general(sp, g @ k) == whittaker_gl3_general(sp, g)
+        assert whittaker_general(sp, g @ k) == whittaker_general(sp, g)
         y12 = _integral_frac(p, rng, vmin=-2)
         y23 = _integral_frac(p, rng, vmin=-2)
         n = PAdicMat.elementary(p, 3, 0, 1, y12) @ PAdicMat.elementary(p, 3, 1, 2, y23)
-        left = whittaker_gl3_general(sp, n @ g)
-        assert left == whittaker_gl3_general(sp, g).rotated(psi_phase(y12, p) + psi_phase(y23, p))
+        left = whittaker_general(sp, n @ g)
+        assert left == whittaker_general(sp, g).rotated(psi_phase(y12, p) + psi_phase(y23, p))
 
 
 def test_whittaker_gl3_diagonal_matches_rank3_formula():
-    w = whittaker_gl3_general(SP3_RANK3, PAdicMat.diagonal(5, (5, 1, 1)))
+    w = whittaker_general(SP3_RANK3, PAdicMat.diagonal(5, (5, 1, 1)))
     assert w.turns == 0
     assert w.scalar() == whittaker_diag(SP3_RANK3, 1)
-    assert whittaker_gl3_general(SP3_RANK3, PAdicMat.diagonal(5, (1, 5, 1))).is_zero
+    assert whittaker_general(SP3_RANK3, PAdicMat.diagonal(5, (1, 5, 1))).is_zero
 
 
 # ---- ramified additive twists ----------------------------------------------
@@ -391,10 +415,10 @@ def test_kloosterman_base_shell_single_value():
     spd = contragredient_satake(SP3_RANK3)
     zeta = F(1, 5)
     tau = PAdicMat(5, ((0, -F(2) / zeta, 0), (1, 0, 0), (0, 0, -zeta)))
-    base = whittaker_gl3_general(spd, tau)
+    base = whittaker_general(spd, tau)
     for u in (F(0), F(1), F(3), F(1, 2), F(7, 3)):
         shifted = tau @ PAdicMat.elementary(5, 3, 0, 1, u)
-        assert whittaker_gl3_general(spd, shifted) == base
+        assert whittaker_general(spd, shifted) == base
     report = kloosterman_gl3(F(2), zeta, SP3_RANK3, full_output=True)
     assert report["shells"][0] == [base.describe()]
 
@@ -433,3 +457,127 @@ def test_rank2_literal_shell_sum_is_numerator_blind():
     transforms = [ramified_transform_gl2(sp, zeta, F(a, 25)) for a in (1, 2, 3)]
     assert transforms[0] != transforms[1]
     assert {t.turns for t in transforms} == {F(1, 5), F(2, 5), F(3, 5)}
+
+
+# ---- the rank-generic code against the former rank-specific copies ---------
+
+
+def _ref_iwasawa_finish(g, a, kinv):
+    n = g.size
+    tdiag = [a[i][i] for i in range(n)]
+    u = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            u[i][j] = a[i][j] / tdiag[j]
+    return (
+        PAdicMat(g.p, tuple(tuple(row) for row in u)),
+        PAdicMat.diagonal(g.p, tdiag),
+        PAdicMat(g.p, tuple(tuple(row) for row in kinv)).inverse(),
+    )
+
+
+def _ref_iwasawa_gl2(g):
+    if g.det() == 0:
+        raise Singular("matrix is not invertible")
+    if g.is_integral() and g.has_unit_det():
+        eye = PAdicMat.identity(g.p, 2)
+        return eye, eye, g
+    a = [list(row) for row in g.entries]
+    kinv = [list(row) for row in PAdicMat.identity(g.p, 2).entries]
+    if padic._pivot_col(a[1], (0, 1), g.p) == 0:
+        padic._swap_cols(a, 0, 1)
+        padic._swap_cols(kinv, 0, 1)
+    ratio = a[1][0] / a[1][1]
+    padic._add_col(a, 0, 1, -ratio)
+    padic._add_col(kinv, 0, 1, -ratio)
+    return _ref_iwasawa_finish(g, a, kinv)
+
+
+def _ref_iwasawa_gl3(g):
+    if g.det() == 0:
+        raise Singular("matrix is not invertible")
+    if g.is_integral() and g.has_unit_det():
+        eye = PAdicMat.identity(g.p, 3)
+        return eye, eye, g
+    a = [list(row) for row in g.entries]
+    kinv = [list(row) for row in PAdicMat.identity(g.p, 3).entries]
+    c = padic._pivot_col(a[2], (0, 1, 2), g.p)
+    if c != 2:
+        padic._swap_cols(a, c, 2)
+        padic._swap_cols(kinv, c, 2)
+    for c2 in (0, 1):
+        ratio = a[2][c2] / a[2][2]
+        padic._add_col(a, c2, 2, -ratio)
+        padic._add_col(kinv, c2, 2, -ratio)
+    if padic._pivot_col(a[1], (0, 1), g.p) == 0:
+        padic._swap_cols(a, 0, 1)
+        padic._swap_cols(kinv, 0, 1)
+    ratio = a[1][0] / a[1][1]
+    padic._add_col(a, 0, 1, -ratio)
+    padic._add_col(kinv, 0, 1, -ratio)
+    return _ref_iwasawa_finish(g, a, kinv)
+
+
+def _ref_whittaker_gl2(sp, g):
+    u, t, _ = _ref_iwasawa_gl2(g)
+    m1 = v_p(t.entries[0][0], g.p)
+    m2 = v_p(t.entries[1][1], g.p)
+    if m1 < m2:
+        return WhittakerValue(sp.q, F(0), 0, F(0))
+    d = int(m1 - m2)
+    h = padic._h_sequence(sp.elem, d)[d]
+    coef = padic._ring_pow(sp.elem[1], int(m2)) * h
+    return WhittakerValue(sp.q, psi_phase(u.entries[0][1], g.p), -d, coef)
+
+
+def _ref_whittaker_gl3(sp, g):
+    u, t, _ = _ref_iwasawa_gl3(g)
+    m1 = v_p(t.entries[0][0], g.p)
+    m2 = v_p(t.entries[1][1], g.p)
+    m3 = v_p(t.entries[2][2], g.p)
+    if not m1 >= m2 >= m3:
+        return WhittakerValue(sp.q, F(0), 0, F(0))
+    a, b = int(m1 - m3), int(m2 - m3)
+    h = padic._h_sequence(sp.elem, a + 1)
+    schur = h[a] * h[b] - (h[a + 1] * h[b - 1] if b >= 1 else F(0))
+    coef = padic._ring_pow(sp.elem[2], int(m3)) * schur
+    turns = psi_phase(u.entries[0][1] + u.entries[1][2], g.p)
+    return WhittakerValue(sp.q, turns, -2 * a, coef)
+
+
+def _same_value(w, ref):
+    # field by field, so a change of ring or of the √q parity also shows
+    return (w.q, w.turns, w.half, type(w.coef), w.coef) == (ref.q, ref.turns, ref.half, type(ref.coef), ref.coef)
+
+
+def test_iwasawa_matches_rank_specific_reference():
+    rng = random.Random(1408)
+    for trial in range(60):
+        p = (2, 3, 5)[trial % 3]
+        for size, ref in ((2, _ref_iwasawa_gl2), (3, _ref_iwasawa_gl3)):
+            g = _random_g(p, size, rng)
+            if trial % 4 == 0:
+                g = g @ _random_k(p, size, rng)
+            got, want = iwasawa(g), ref(g)
+            assert [m.entries for m in got] == [m.entries for m in want]
+
+
+def test_whittaker_general_matches_rank_specific_reference():
+    rng = random.Random(1409)
+    sp2 = {p: satake_from_eigenvalue(p, QSqrt(p, F(0), F(3, 4))) for p in (2, 3, 5)}
+    sp3 = {p: SatakeParams(p, (F(1, 2), F(3), F(2, 3))) for p in (2, 3, 5)}
+    for trial in range(60):
+        p = (2, 3, 5)[trial % 3]
+        g2, g3 = _random_g(p, 2, rng), _random_g(p, 3, rng)
+        assert _same_value(whittaker_general(sp2[p], g2), _ref_whittaker_gl2(sp2[p], g2))
+        assert _same_value(whittaker_general(sp3[p], g3), _ref_whittaker_gl3(sp3[p], g3))
+
+
+def test_ramified_transform_matches_rank_specific_reference():
+    # SP5 has rational data; the second datum is the one a Voronoi job at p = 5 builds
+    zeta = F(2, 5)
+    for sp in (SP5, satake_from_eigenvalue(5, QSqrt(5, F(0), F(4830, 5**6)))):
+        for m in range(1, 3001):
+            x = F(m, 25)
+            want = _ref_whittaker_gl2(sp, PAdicMat(5, ((0, -x), (1, zeta))))
+            assert _same_value(ramified_transform_gl2(sp, zeta, x), want)

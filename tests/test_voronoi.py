@@ -14,7 +14,6 @@ from vorokit import hankel
 from vorokit.hankel import make_bump
 from vorokit.padic import satake_from_eigenvalue, QSqrt
 from vorokit.voronoi import (
-    DirichletCoeffs,
     TailNotConverged,
     TruncationTooSmall,
     VoronoiJob,

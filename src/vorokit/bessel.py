@@ -356,14 +356,14 @@ def kernel_table(
         achieved = 0.0
         for i, p in enumerate(pts):
             try:
-                values[i] = bessel_real(params, p, tol, contour) * math.sqrt(abs(p))
+                bval, berr = bessel_real_batch(params, [p], tol, contour)
+                values[i] = bval[0] * math.sqrt(abs(p))
+                achieved = max(achieved, float(berr[0]))
             except ToleranceNotMet as exc:
                 partial = True
                 failures.append(i)
                 values[i] = complex("nan")
                 achieved = max(achieved, exc.achieved)
-        if not partial:
-            achieved = tol
     return KernelTable(
         params,
         CharTwist(0),

@@ -1,10 +1,11 @@
 """Command-line front end: batch jobs in, JSON/CSV reports out.
 
-One process runs one job.  Parameters come from subcommand flags, optionally
-topped up from a ``--config`` JSON document (unknown keys are rejected, flags
-win on conflict).  Every report echoes its resolved inputs, tags each numeric
-result with an error estimate and a provenance label, and is written
-atomically (temp file + rename) so a killed job never leaves a torn file.
+One process runs one job.  Each parameter comes from its subcommand flag, else
+from a ``--config`` JSON document (unknown keys are rejected), else from the
+default declared on the flag.  Every report echoes its resolved inputs, tags
+each numeric result with an error estimate and a provenance label, and is
+written atomically (temp file + rename) so a killed job never leaves a torn
+file.
 
 Exit codes: 0 success with all thresholds met, 1 a threshold failed,
 2 configuration error, 3 the computation itself gave up.
@@ -71,7 +72,7 @@ from .voronoi import (
 
 __all__ = ["ConfigError", "ComputationError", "ThresholdFailed", "main"]
 
-_DELTA_BLOCKS = {"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}
+_DELTA_BLOCKS = '{"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}'
 
 _COMPUTE_ERRORS = (
     ToleranceNotMet,
@@ -129,18 +130,22 @@ def _parse_rational_list(text: str, what: str) -> list:
     return [_parse_rational(tok, what) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_blocks(text: str | None) -> RealPlaceParams:
-    doc = _DELTA_BLOCKS if text is None else None
-    if doc is None:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"--blocks is not valid JSON: {exc}") from None
+def _parse_blocks(text: str) -> RealPlaceParams:
     try:
-        params = params_from_dict(doc)
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--blocks is not valid JSON: {exc}") from None
+    try:
+        return params_from_dict(doc)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
-    return params
+
+
+def _parse_bump(text: str, what: str):
+    try:
+        return make_bump(*_parse_float_pair(text, what))
+    except BadSupport as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _parse_phi(text: str):
@@ -151,18 +156,13 @@ def _parse_phi(text: str):
         c0, c2 = _parse_float_pair(text[len("gaussian:") :], "gaussian coefficients")
         return SchwartzGaussian(c0, c2)
     if text.startswith("bump:"):
-        a, b = _parse_float_pair(text[len("bump:") :], "bump support")
-        try:
-            return make_bump(a, b)
-        except BadSupport as exc:
-            raise ConfigError(str(exc)) from None
+        return _parse_bump(text[len("bump:") :], "bump support")
     raise ConfigError(f"phi must be gaussian[:c0,c2] or bump:a,b, got {text!r}")
 
 
 def _parse_s_values(args) -> list:
-    if getattr(args, "s_list", None):
-        return _parse_complex_list(args.s_list)
-    if getattr(args, "s_grid", None):
+    """The s-set: ``--s-grid`` when given, else ``--s-list``."""
+    if args.s_grid:
         parts = args.s_grid.split(":")
         if len(parts) != 4:
             raise ConfigError(f"--s-grid must be re:im_lo:im_hi:steps, got {args.s_grid!r}")
@@ -173,6 +173,8 @@ def _parse_s_values(args) -> list:
         if steps < 1:
             raise ConfigError("--s-grid needs at least one step")
         return [complex(re, t) for t in np.linspace(lo, hi, steps)]
+    if args.s_list:
+        return _parse_complex_list(args.s_list)
     raise ConfigError("one of --s-list or --s-grid is required")
 
 
@@ -240,21 +242,12 @@ def _write_csv(path: str, header: list, rows: list) -> None:
     _atomic_write(path, buf.getvalue())
 
 
-def _default_tol(args, fallback: float) -> float:
-    tol = args.tol
-    if tol is None:
-        return fallback
-    if not tol > 0:
-        raise ConfigError("tolerances must be positive")
-    return tol
-
-
 # ---- subcommand handlers ----------------------------------------------------
 
 
 def _run_gamma(args, t0):
     params = _parse_blocks(args.blocks)
-    twist = CharTwist(args.twist or 0)
+    twist = CharTwist(args.twist)
     s_values = _parse_s_values(args)
     rows = []
     for s in s_values:
@@ -267,12 +260,11 @@ def _run_gamma(args, t0):
             entry["gamma"] = _num(None, None, "overflow; use log_gamma")
         rows.append(entry)
     inputs = {"blocks": params_to_dict(params), "twist": twist.value, "s": s_values}
-    return _report("gamma", inputs, {"points": rows}, {}, t0), []
+    return _report("gamma", inputs, {"points": rows}, {}, t0)
 
 
 def _run_kernel_table(args, t0):
     params = _parse_blocks(args.blocks)
-    tol = _default_tol(args, 1e-8)
     if args.x_min is None or args.x_max is None or not 0 < args.x_min < args.x_max:
         raise ConfigError("need 0 < --x-min < --x-max")
     if args.n < 1:
@@ -280,7 +272,7 @@ def _run_kernel_table(args, t0):
     grid = np.geomspace(args.x_min, args.x_max, args.n) if args.spacing == "log" else np.linspace(
         args.x_min, args.x_max, args.n
     )
-    table = kernel_table(params, [float(g) for g in grid], tol=tol)
+    table = kernel_table(params, [float(g) for g in grid], tol=args.tol)
     if table.partial:
         raise ComputationError(f"kernel table incomplete at {len(table.failures)} points: {table.failures[:3]}")
     if args.out:
@@ -291,7 +283,7 @@ def _run_kernel_table(args, t0):
         "x_max": args.x_max,
         "n": args.n,
         "spacing": args.spacing,
-        "tol": tol,
+        "tol": args.tol,
         "out": args.out,
     }
     results = {
@@ -299,17 +291,12 @@ def _run_kernel_table(args, t0):
         "achieved_tol": _num(table.achieved_tol, 0.0, "bent-contour-quadrature"),
         "max_abs_value": _num(max(abs(v) for v in table.values), table.achieved_tol, "bent-contour-quadrature"),
     }
-    return _report("kernel-table", inputs, results, {}, t0), []
+    return _report("kernel-table", inputs, results, {}, t0)
 
 
 def _run_hankel(args, t0):
     params = _parse_blocks(args.blocks)
-    tol = _default_tol(args, 1e-8)
-    a, b = _parse_float_pair(args.bump, "--bump")
-    try:
-        w = make_bump(a, b)
-    except BadSupport as exc:
-        raise ConfigError(str(exc)) from None
+    w = _parse_bump(args.bump, "--bump")
     xs = [float(x.real) for x in _parse_complex_list(args.x)]
     if any(x == 0 for x in xs):
         raise ConfigError("dual evaluation points must be nonzero")
@@ -317,7 +304,7 @@ def _run_hankel(args, t0):
     values = {}
     for route in routes:
         fn = hankel_mellin_batch if route == "mellin" else hankel_convolution_batch
-        vals, errs = fn(params, 2, w, xs, tol=tol)
+        vals, errs = fn(params, 2, w, xs, tol=args.tol)
         values[route] = (vals, errs)
     rows = []
     csv_rows = []
@@ -330,7 +317,6 @@ def _run_hankel(args, t0):
         rows.append(entry)
     results = {"points": rows}
     thresholds = {}
-    failed = []
     if len(routes) == 2:
         disagree = max(
             abs(values["mellin"][0][i] - values["convolution"][0][i])
@@ -340,36 +326,29 @@ def _run_hankel(args, t0):
         results["max_route_disagreement"] = _num(float(disagree), 0.0, "dual-route")
         if args.max_disagree is not None:
             thresholds["route_agreement"] = _threshold(args.max_disagree, float(disagree))
-            if not thresholds["route_agreement"]["passed"]:
-                failed.append("route_agreement")
     if args.out:
         _write_csv(args.out, ["x", "route", "re", "im", "err"], csv_rows)
     inputs = {
         "blocks": params_to_dict(params),
-        "bump": [a, b],
+        "bump": [w.a, w.b],
         "x": xs,
         "route": args.route,
-        "tol": tol,
+        "tol": args.tol,
         "out": args.out,
     }
-    return _report("hankel", inputs, results, thresholds, t0), failed
+    return _report("hankel", inputs, results, thresholds, t0)
 
 
 def _run_fe_check(args, t0):
     params = _parse_blocks(args.blocks)
-    tol = _default_tol(args, 1e-6)
-    a, b = _parse_float_pair(args.bump, "--bump")
-    try:
-        w = make_bump(a, b)
-    except BadSupport as exc:
-        raise ConfigError(str(exc)) from None
+    w = _parse_bump(args.bump, "--bump")
     s_values = _parse_s_values(args)
-    rep = local_fe_residual(params, 2, w, s_values, tol=tol)
+    rep = local_fe_residual(params, 2, w, s_values, tol=args.tol)
     samples = [
         {
             "s": e["s"],
             "parity": e["parity"],
-            "lhs": _num(e["lhs"], tol, "mellin-route-dual"),
+            "lhs": _num(e["lhs"], args.tol, "mellin-route-dual"),
             "rhs": _num(e["rhs"], 1e-12, "gamma-times-mellin"),
             "rel_residual": _jsonable(e["rel_residual"]),
         }
@@ -381,15 +360,14 @@ def _run_fe_check(args, t0):
         "grid": rep["grid"],
     }
     thresholds = {"max_rel_residual": _threshold(args.max_residual, float(rep["max_rel_residual"]))}
-    failed = [] if thresholds["max_rel_residual"]["passed"] else ["max_rel_residual"]
     inputs = {
         "blocks": params_to_dict(params),
-        "bump": [a, b],
+        "bump": [w.a, w.b],
         "s": s_values,
-        "tol": tol,
+        "tol": args.tol,
         "max_residual": args.max_residual,
     }
-    return _report("fe-check", inputs, results, thresholds, t0), failed
+    return _report("fe-check", inputs, results, thresholds, t0)
 
 
 def _random_satake(rng: random.Random) -> SatakeParams:
@@ -404,11 +382,11 @@ def _random_satake(rng: random.Random) -> SatakeParams:
 
 
 def _run_padic(args, t0):
-    seed = args.seed if args.seed is not None else 0
     if args.check_lseries:
-        order = args.order or 30
-        if order < 1:
+        if args.order < 1:
             raise ConfigError("--order must be positive")
+        if args.count < 1:
+            raise ConfigError("--count must be positive")
         cases = []
         if args.alpha:
             if not args.q:
@@ -419,12 +397,12 @@ def _run_padic(args, t0):
                 raise ConfigError("--lam needs --q")
             cases.append(satake_from_eigenvalue(args.q, _parse_rational(args.lam, "--lam")))
         else:
-            rng = random.Random(seed)
-            cases = [_random_satake(rng) for _ in range(args.count or 20)]
+            rng = random.Random(args.seed)
+            cases = [_random_satake(rng) for _ in range(args.count)]
         rows = []
         all_ok = True
         for sp in cases:
-            _, ok = local_l_series_check(sp, order)
+            _, ok = local_l_series_check(sp, args.order)
             all_ok = all_ok and ok
             rows.append(
                 {
@@ -434,10 +412,10 @@ def _run_padic(args, t0):
                     "identity_holds": _num(bool(ok), "exact", "exact-rational"),
                 }
             )
-        results = {"order": order, "cases": rows}
+        results = {"order": args.order, "cases": rows}
         thresholds = {"exact_identity": {"limit": True, "observed": all_ok, "mode": "exact", "passed": all_ok}}
-        inputs = {"mode": "check-lseries", "order": order, "seed": seed, "count": len(cases)}
-        return _report("padic", inputs, results, thresholds, t0), ([] if all_ok else ["exact_identity"])
+        inputs = {"mode": "check-lseries", "order": args.order, "seed": args.seed, "count": len(cases)}
+        return _report("padic", inputs, results, thresholds, t0)
     if args.kloosterman3:
         if not args.p or not args.zeta or not args.alpha_rational:
             raise ConfigError("--kloosterman3 needs --p, --zeta and --alpha-rational")
@@ -468,24 +446,20 @@ def _run_padic(args, t0):
             "zeta": str(zeta),
             "alpha": [str(a) for a in alphas],
             "satake_elem": [repr(e) for e in sp.elem],
-            "seed": seed,
+            "seed": args.seed,
         }
-        return _report("padic", inputs, {"sums": rows}, {}, t0), []
+        return _report("padic", inputs, {"sums": rows}, {}, t0)
     raise ConfigError("padic needs one of --check-lseries or --kloosterman3")
 
 
 def _run_voronoi_verify(args, t0):
-    tol = _default_tol(args, 1e-6)
+    tol = args.tol
     if args.k != 12 and not args.coeffs:
         raise ConfigError("only weight 12 has a built-in coefficient table; pass --coeffs for others")
-    zeta = _parse_rational(args.zeta or "0", "--zeta")
-    a_supp, b_supp = _parse_float_pair(args.support, "--support")
-    try:
-        w = make_bump(a_supp, b_supp)
-    except BadSupport as exc:
-        raise ConfigError(str(exc)) from None
+    zeta = _parse_rational(args.zeta, "--zeta")
+    w = _parse_bump(args.support, "--support")
     coeffs = coeffs_from_file(args.coeffs) if args.coeffs else None
-    n_trunc = args.n_trunc or (4096 if zeta.denominator == 1 else 4096 * zeta.denominator)
+    n_trunc = args.n_trunc if args.n_trunc is not None else 4096 * zeta.denominator
     if coeffs is None:
         coeffs = tau_coefficients(n_trunc)
     try:
@@ -506,17 +480,16 @@ def _run_voronoi_verify(args, t0):
         "windows": rep["shells"],
     }
     thresholds = {"rel_residual": _threshold(max_rel, float(rep["rel_residual"]))}
-    failed = [] if thresholds["rel_residual"]["passed"] else ["rel_residual"]
     inputs = {
         "k": args.k,
         "zeta": str(zeta),
-        "support": [a_supp, b_supp],
+        "support": [w.a, w.b],
         "n_trunc": n_trunc,
         "tol": tol,
         "max_rel": max_rel,
         "coeffs": args.coeffs,
     }
-    return _report("voronoi-verify", inputs, results, thresholds, t0), failed
+    return _report("voronoi-verify", inputs, results, thresholds, t0)
 
 
 def _scan_rows(results: list) -> list:
@@ -527,7 +500,7 @@ def _scan_rows(results: list) -> list:
 
 
 def _run_gj_scan(args, t0):
-    tol = _default_tol(args, 1e-7)
+    tol = args.tol
     s_values = _parse_s_values(args)
     phi = _parse_phi(args.phi or ("gaussian" if args.variant == "tate" else "bump:1,40"))
     if args.variant == "tate":
@@ -537,7 +510,7 @@ def _run_gj_scan(args, t0):
     elif args.variant == "cuspidal":
         if isinstance(phi, SchwartzGaussian):
             raise ConfigError("the cuspidal pairing needs compact support: --phi bump:a,b")
-        coeffs = tau_coefficients(args.n_trunc or 1024)
+        coeffs = tau_coefficients(args.n_trunc)
         res = zero_criterion_pairing("cuspidal", s_values, w=phi, coeffs=coeffs, tol=tol)
     else:
         raise ConfigError(f"--variant must be tate or cuspidal, got {args.variant!r}")
@@ -555,12 +528,8 @@ def _run_gj_scan(args, t0):
     ]
     results = {"points": points, "min_defect": min(r.defect for r in res), "max_defect": max(r.defect for r in res)}
     thresholds = {}
-    failed = []
     if args.max_defect is not None:
-        worst = max(r.defect for r in res)
-        thresholds["max_defect"] = _threshold(args.max_defect, worst)
-        if not thresholds["max_defect"]["passed"]:
-            failed.append("max_defect")
+        thresholds["max_defect"] = _threshold(args.max_defect, max(r.defect for r in res))
     inputs = {
         "variant": args.variant,
         "s": s_values,
@@ -568,20 +537,16 @@ def _run_gj_scan(args, t0):
         "tol": tol,
         "out": args.out,
     }
-    return _report("gj-scan", inputs, results, thresholds, t0), failed
+    return _report("gj-scan", inputs, results, thresholds, t0)
 
 
 def _run_clozel_test(args, t0):
-    t_center = args.t0 if args.t0 is not None else 14.134725
-    window = args.window if args.window is not None else 2.0
-    steps = args.steps if args.steps is not None else 81
-    if steps < 3 or window <= 0:
+    if args.steps < 3 or args.window <= 0:
         raise ConfigError("need --steps ≥ 3 and --window > 0")
-    phi = _parse_phi(args.phi or "gaussian")
+    phi = _parse_phi(args.phi)
     if not isinstance(phi, SchwartzGaussian):
         raise ConfigError("the tate pairing needs a Schwartz witness: --phi gaussian[:c0,c2]")
-    lo, hi = t_center - window / 2, t_center + window / 2
-    ts = np.linspace(lo, hi, steps)
+    ts = np.linspace(args.t0 - args.window / 2, args.t0 + args.window / 2, args.steps)
     res = zero_criterion_pairing("tate", [complex(0.5, t) for t in ts], phi=phi, tol=1e-7)
     defects = np.array([r.defect for r in res])
     i_min = int(np.argmin(defects))
@@ -593,7 +558,6 @@ def _run_clozel_test(args, t0):
             located = zeta_zero_bisect(float(ts[i]), float(ts[i + 1]))
             break
     dip_ratio = float(np.max(defects) / max(np.min(defects), 1e-300))
-    min_dip = args.min_dip if args.min_dip is not None else 100.0
     if args.out:
         _write_csv(args.out, ["s_re", "s_im", "defect", "reference_abs"], _scan_rows(res))
     results = {
@@ -606,10 +570,9 @@ def _run_clozel_test(args, t0):
                                 float(ts[1] - ts[0]), "derived"),
         "phi": res[0].phi,
     }
-    thresholds = {"dip_ratio": _threshold(min_dip, dip_ratio, mode="min")}
-    failed = [] if thresholds["dip_ratio"]["passed"] else ["dip_ratio"]
-    inputs = {"t0": t_center, "window": window, "steps": steps, "phi": res[0].phi, "out": args.out}
-    return _report("clozel-test", inputs, results, thresholds, t0), failed
+    thresholds = {"dip_ratio": _threshold(args.min_dip, dip_ratio, mode="min")}
+    inputs = {"t0": args.t0, "window": args.window, "steps": args.steps, "phi": res[0].phi, "out": args.out}
+    return _report("clozel-test", inputs, results, thresholds, t0)
 
 
 # ---- argument plumbing ------------------------------------------------------
@@ -623,42 +586,48 @@ def _build_parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=f"vorokit {__version__}")
     subs = top.add_subparsers(dest="subcommand", metavar="SUBCOMMAND")
 
-    def common(p, tol=True):
+    def common(p, tol=None):
         p.add_argument("--config", help="JSON document of parameters (flags win on conflict)")
         p.add_argument("--out", help="report/table output path")
-        if tol:
-            p.add_argument("--tol", type=float, help="target tolerance")
+        if tol is not None:
+            p.add_argument("--tol", type=float, default=tol, help="target tolerance (default %(default)s)")
+
+    def blocks(p):
+        p.add_argument("--blocks", default=_DELTA_BLOCKS,
+                       help="place-parameter JSON (default: the weight-12 real place, %(default)s)")
 
     p = subs.add_parser("gamma", help="γ-factor values on an s-grid")
-    p.add_argument("--blocks", help="place-parameter JSON (default: the weight-12 real place)")
-    p.add_argument("--twist", type=int, help="character twist index")
+    blocks(p)
+    p.add_argument("--twist", type=int, default=0, help="character twist index (default %(default)s)")
     p.add_argument("--s-list", help="comma-separated complex s values")
-    p.add_argument("--s-grid", help="re:im_lo:im_hi:steps vertical grid")
-    common(p, tol=False)
+    p.add_argument("--s-grid", help="re:im_lo:im_hi:steps vertical grid (replaces --s-list)")
+    common(p)
 
     p = subs.add_parser("kernel-table", help="tabulate the oscillatory kernel on a grid")
-    p.add_argument("--blocks")
+    blocks(p)
     p.add_argument("--x-min", type=float)
     p.add_argument("--x-max", type=float)
-    p.add_argument("--n", type=int, default=32)
-    p.add_argument("--spacing", choices=("log", "linear"), default="log")
-    common(p)
+    p.add_argument("--n", type=int, default=32, help="grid points (default %(default)s)")
+    p.add_argument("--spacing", choices=("log", "linear"), default="log", help="(default %(default)s)")
+    common(p, tol=1e-8)
 
     p = subs.add_parser("hankel", help="dual test function by either route")
-    p.add_argument("--blocks")
-    p.add_argument("--bump", default="1,40", help="support a,b of the bump test function")
-    p.add_argument("--x", default="0.5,1,2,5", help="evaluation points")
-    p.add_argument("--route", choices=("mellin", "convolution", "both"), default="both")
+    blocks(p)
+    p.add_argument("--bump", default="1,40", help="support a,b of the bump test function (default %(default)s)")
+    p.add_argument("--x", default="0.5,1,2,5", help="evaluation points (default %(default)s)")
+    p.add_argument("--route", choices=("mellin", "convolution", "both"), default="both",
+                   help="(default %(default)s)")
     p.add_argument("--max-disagree", type=float, help="threshold on cross-route relative disagreement")
-    common(p)
+    common(p, tol=1e-8)
 
     p = subs.add_parser("fe-check", help="local functional-equation residuals")
-    p.add_argument("--blocks")
-    p.add_argument("--bump", default="1,40")
-    p.add_argument("--s-list", default="0.2,0.5,0.8")
-    p.add_argument("--s-grid")
-    p.add_argument("--max-residual", type=float, default=1e-6)
-    common(p)
+    blocks(p)
+    p.add_argument("--bump", default="1,40", help="support a,b of the bump test function (default %(default)s)")
+    p.add_argument("--s-list", default="0.2,0.5,0.8", help="comma-separated complex s values (default %(default)s)")
+    p.add_argument("--s-grid", help="re:im_lo:im_hi:steps vertical grid (replaces --s-list)")
+    p.add_argument("--max-residual", type=float, default=1e-6,
+                   help="threshold on the max relative residual (default %(default)s)")
+    common(p, tol=1e-6)
 
     p = subs.add_parser("padic", help="exact nonarchimedean checks")
     p.add_argument("--check-lseries", action="store_true")
@@ -667,41 +636,48 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, help="prime (kloosterman3)")
     p.add_argument("--alpha", help="comma-separated rational Satake parameters")
     p.add_argument("--lam", help="rational Hecke eigenvalue (rank 2, or rank 3 for kloosterman3)")
-    p.add_argument("--order", type=int, help="series truncation order")
-    p.add_argument("--count", type=int, help="number of random tuples when no --alpha/--lam")
+    p.add_argument("--order", type=int, default=30, help="series truncation order (default %(default)s)")
+    p.add_argument("--count", type=int, default=20,
+                   help="number of random tuples when no --alpha/--lam (default %(default)s)")
     p.add_argument("--zeta", help="additive-twist rational a/c")
     p.add_argument("--alpha-rational", help="comma-separated torus arguments")
     p.add_argument("--shell-depth", type=int)
-    p.add_argument("--seed", type=int, help="seed for the random Satake tuples")
-    common(p, tol=False)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random Satake tuples (default %(default)s)")
+    common(p)
 
     p = subs.add_parser("voronoi-verify", help="two-sided summation-identity residual")
-    p.add_argument("--k", type=int, default=12, help="weight (12 unless --coeffs)")
-    p.add_argument("--zeta", default="0", help="additive twist a/c")
-    p.add_argument("--support", default="1,40", help="bump support a,b")
-    p.add_argument("--n-trunc", type=int)
+    p.add_argument("--k", type=int, default=12, help="weight, %(default)s unless --coeffs")
+    p.add_argument("--zeta", default="0", help="additive twist a/c (default %(default)s)")
+    p.add_argument("--support", default="1,40", help="bump support a,b (default %(default)s)")
+    p.add_argument("--n-trunc", type=int, help="coefficients summed (default 4096·c)")
     p.add_argument("--coeffs", help="CSV coefficient table (n,lambda_re,lambda_im)")
     p.add_argument("--max-rel", type=float, help="relative-residual threshold (default 100·tol)")
-    common(p)
+    common(p, tol=1e-6)
 
     p = subs.add_parser("gj-scan", help="zero-criterion pairing over an s-set")
-    p.add_argument("--variant", choices=("tate", "cuspidal"), required=True)
-    p.add_argument("--s-list")
-    p.add_argument("--s-grid")
-    p.add_argument("--phi", help="gaussian[:c0,c2] or bump:a,b")
-    p.add_argument("--n-trunc", type=int)
+    p.add_argument("--variant", choices=("tate", "cuspidal"), help="required, as a flag or a config key")
+    p.add_argument("--s-list", help="comma-separated complex s values")
+    p.add_argument("--s-grid", help="re:im_lo:im_hi:steps vertical grid (replaces --s-list)")
+    p.add_argument("--phi", help="gaussian[:c0,c2] or bump:a,b (default gaussian for tate, bump:1,40 for cuspidal)")
+    p.add_argument("--n-trunc", type=int, default=1024, help="cuspidal coefficients (default %(default)s)")
     p.add_argument("--max-defect", type=float)
-    common(p)
+    common(p, tol=1e-7)
 
     p = subs.add_parser("clozel-test", help="dip scan of the tate pairing across a window")
-    p.add_argument("--t0", type=float, help="window centre height (default 14.134725)")
-    p.add_argument("--window", type=float, help="window width (default 2)")
-    p.add_argument("--steps", type=int, help="grid points (default 81)")
-    p.add_argument("--phi")
-    p.add_argument("--min-dip", type=float, help="required max/min defect ratio (default 100)")
-    common(p, tol=False)
+    p.add_argument("--t0", type=float, default=14.134725, help="window centre height (default %(default)s)")
+    p.add_argument("--window", type=float, default=2.0, help="window width (default %(default)s)")
+    p.add_argument("--steps", type=int, default=81, help="grid points (default %(default)s)")
+    p.add_argument("--phi", default="gaussian", help="gaussian[:c0,c2] (default %(default)s)")
+    p.add_argument("--min-dip", type=float, default=100.0,
+                   help="required max/min defect ratio (default %(default)s)")
+    common(p)
 
     return top
+
+
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """Subcommand name → its parser."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 _DISPATCH = {
@@ -716,11 +692,10 @@ _DISPATCH = {
 }
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if not getattr(args, "config", None):
-        return
+def _read_config(path: str, sub: argparse.ArgumentParser, name: str) -> dict:
+    """The ``--config`` document as defaults for the subcommand parser ``sub``."""
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
@@ -728,28 +703,42 @@ def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config document must be a JSON object")
-    known = set(vars(args))
+    actions = {act.dest: act for act in sub._actions if act.dest not in ("help", "config")}
+    defaults = {}
     for key, val in doc.items():
-        dest = key.replace("-", "_")
-        if dest not in known or dest in ("config", "subcommand"):
-            raise ConfigError(f"unknown config field {key!r} for {args.subcommand}")
-        if getattr(args, dest) in (None, False):
-            setattr(args, dest, val)
+        act = actions.get(key.replace("-", "_"))
+        if act is None:
+            raise ConfigError(f"unknown config field {key!r} for {name}")
+        # argparse checks no choices on a default, but runs a string default through type=
+        if act.choices and val not in act.choices:
+            raise ConfigError(f"config field {key!r} must be one of {list(act.choices)}, got {val!r}")
+        defaults[act.dest] = val if act.nargs == 0 or isinstance(val, str) else json.dumps(val)
+    return defaults
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """Resolve every parameter: its flag, else the ``--config`` key, else the flag's default."""
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not args.subcommand:
+        parser.print_help()
+        raise SystemExit(2)
+    if args.config:
+        sub = _subcommands(parser)[args.subcommand]
+        sub.set_defaults(**_read_config(args.config, sub, args.subcommand))
+        args = parser.parse_args(argv)
+    if "tol" in vars(args) and not args.tol > 0:
+        raise ConfigError("tolerances must be positive")
+    return args
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed the message
-        return int(exc.code or 0)
-    if not args.subcommand:
-        parser.print_help()
-        return 2
     t0 = time.time()
     try:
-        _merge_config(args, parser)
-        report, failed = _DISPATCH[args.subcommand](args, t0)
+        args = _parse_args(argv)
+        report = _DISPATCH[args.subcommand](args, t0)
+    except SystemExit as exc:  # argparse already printed the message
+        return int(exc.code or 0)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -759,11 +748,11 @@ def main(argv=None) -> int:
     except (ValueError, TypeError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    failed = [k for k, t in report["thresholds"].items() if not t["passed"]]
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    json_out = getattr(args, "out", None)
-    if json_out and args.subcommand in ("gamma", "fe-check", "padic", "voronoi-verify"):
-        _atomic_write(json_out, payload)
-        print(f"report written to {json_out}" + (f"; thresholds failed: {failed}" if failed else ""))
+    if args.out and args.subcommand in ("gamma", "fe-check", "padic", "voronoi-verify"):
+        _atomic_write(args.out, payload)
+        print(f"report written to {args.out}" + (f"; thresholds failed: {failed}" if failed else ""))
     else:
         sys.stdout.write(payload)
     if failed:

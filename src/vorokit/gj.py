@@ -295,17 +295,15 @@ def split_zeta_identity(
     oct_idx = 0
     prefix = np.zeros(1, dtype=complex)  # C_g(1−s), filled as octaves arrive
     while True:
-        if oct_idx >= len(grid.octaves):
-            if grid._hi > coeffs.n:
-                raise TailNotConverged(
-                    f"K-side still above tol/10 at x = {grid._hi} with {coeffs.n} coefficients"
-                )
-            grid.ensure(2 * grid._hi)
-        oc = grid.octaves[oct_idx]
-        if oc["hi"] > coeffs.n + 1:
+        # the next octave [hi/2, hi) needs C_g for g < hi; check before building it
+        hi = grid.octaves[oct_idx]["hi"] if oct_idx < len(grid.octaves) else 2 * grid._hi
+        if hi > coeffs.n + 1:
             raise TailNotConverged(
-                f"K-side still above tol/10 at x = {oc['lo']} with {coeffs.n} coefficients"
+                f"K-side still above tol/10 at x = {hi // 2} with {coeffs.n} coefficients"
             )
+        if oct_idx == len(grid.octaves):
+            grid.ensure(hi)
+        oc = grid.octaves[oct_idx]
         if len(prefix) < oc["hi"]:
             old = len(prefix)
             ns = np.arange(old, oc["hi"], dtype=float)

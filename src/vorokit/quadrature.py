@@ -41,40 +41,42 @@ class ToleranceNotMet(ArithmeticError):
         )
 
 
+_DEG = 24  # Gauss–Legendre points per panel
+
+
 @lru_cache(maxsize=8)
 def gauss_nodes(deg: int):
     x, w = leggauss(deg)
     return x, w
 
 
-def segment(f, a: complex, b: complex, deg: int = 24):
+def segment(f, a: complex, b: complex):
     """Plain GL quadrature of f along the straight segment a→b."""
-    x, w = gauss_nodes(deg)
+    x, w = gauss_nodes(_DEG)
     half = 0.5 * (b - a)
     nodes = 0.5 * (a + b) + half * x
     return half * (w @ f(nodes))
 
 
-def adaptive_segment(f, a: complex, b: complex, tol: float, deg: int = 24, max_depth: int = 13):
+def adaptive_segment(f, a: complex, b: complex, tol: float, max_depth: int = 13):
     """Adaptive bisection on a→b.  Returns (integral, error_estimate).
 
     The error estimate is the accumulated |whole − two halves| over accepted
     panels; it overstates the true error of the returned refined value.
     """
-    whole = segment(f, a, b, deg)
-    return _adapt(f, a, b, whole, tol, deg, max_depth)
+    return _adapt(f, a, b, segment(f, a, b), tol, max_depth)
 
 
-def _adapt(f, a, b, whole, tol, deg, depth):
+def _adapt(f, a, b, whole, tol, depth):
     mid = 0.5 * (a + b)
-    left = segment(f, a, mid, deg)
-    right = segment(f, mid, b, deg)
+    left = segment(f, a, mid)
+    right = segment(f, mid, b)
     better = left + right
     err = float(np.max(np.abs(whole - better)))
     if err <= tol or depth <= 0:
         return better, err
-    lv, le = _adapt(f, a, mid, left, 0.6 * tol, deg, depth - 1)
-    rv, re_ = _adapt(f, mid, b, right, 0.6 * tol, deg, depth - 1)
+    lv, le = _adapt(f, a, mid, left, 0.6 * tol, depth - 1)
+    rv, re_ = _adapt(f, mid, b, right, 0.6 * tol, depth - 1)
     return lv + rv, le + re_
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
+from vorokit import bessel
 from vorokit.archimedean import (
     CharTwist,
     ComplexBlock,
@@ -25,6 +26,7 @@ from vorokit.bessel import (
     kernel_table,
 )
 from vorokit.contours import Contour, InfeasibleContour, build_contour, check_admissible
+from vorokit.quadrature import ToleranceNotMet
 
 GL1R = RealPlaceParams((GL1Block(0, 0.0),))
 DS11 = RealPlaceParams((DS2Block(11, 0.0),))
@@ -165,6 +167,25 @@ def test_kernel_table_roundtrip(tmp_path):
         kernel_table(GL1R, [], tol=1e-8)
     with pytest.raises(ValueError):
         kernel_table(GL1R, [2.0, 1.0], tol=1e-8)
+
+
+def test_kernel_table_salvage_keeps_computed_errors(monkeypatch):
+    # when the whole batch fails, each point is redone alone and keeps its own error
+    real_batch = bessel.bessel_real_batch
+    point_errs = []
+
+    def batch(params, xs, tol, contour=None):
+        if len(xs) > 1:
+            raise ToleranceNotMet(tol, 2 * tol, "forced")
+        vals, errs = real_batch(params, xs, tol, contour)
+        point_errs.append(float(errs[0]))
+        return vals, errs
+
+    monkeypatch.setattr(bessel, "bessel_real_batch", batch)
+    t = kernel_table(DS11, [0.5, 1.5], tol=1e-7)
+    assert not t.partial and len(point_errs) == 4
+    assert t.achieved_tol == max(point_errs)
+    assert t.achieved_tol < 1e-7
 
 
 def test_kernel_table_signs_cover_grid():

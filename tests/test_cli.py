@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
 from vorokit.archimedean import CharTwist, gamma_factor
-from vorokit.cli import main
+from vorokit.cli import _build_parser, _parse_args, _parse_s_values, _subcommands, main
 from vorokit.params_io import params_from_dict
 
 DELTA_DOC = {"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}
@@ -70,6 +71,11 @@ def test_unknown_config_field_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, ["padic", "--config", str(doc)])
     assert code == 2
     assert "volume" in err
+    # keys are flag names without their leading dashes
+    doc.write_text(json.dumps({"check-lseries": True, "--q": 7, "alpha": "1/2,2"}))
+    code, _, err = run(capsys, ["padic", "--config", str(doc)])
+    assert code == 2
+    assert "unknown config field '--q'" in err
 
 
 def test_threads_is_not_an_option(capsys, tmp_path):
@@ -111,6 +117,80 @@ def test_config_supplies_parameters_and_flags_win(capsys, tmp_path):
     assert json.loads(out)["results"]["cases"][0]["q"] == 7
     code, out, _ = run(capsys, ["padic", "--config", str(doc), "--q", "11"])
     assert json.loads(out)["results"]["cases"][0]["q"] == 11
+
+
+def _defaulted_flags():
+    for sub, parser in _subcommands(_build_parser()).items():
+        for act in parser._actions:
+            if act.option_strings and act.default not in (None, argparse.SUPPRESS):
+                yield pytest.param(sub, act, id=f"{sub}{act.option_strings[0]}")
+
+
+def _other_values(act):
+    """(config value, flag value): each differs from the default and the two differ."""
+    d = act.default
+    if act.choices:
+        return next(c for c in act.choices if c != d), d
+    if isinstance(d, (int, float)):
+        return d + 1, d + 2
+    return "from-config", "from-flag"
+
+
+def _resolve(tmp_path, sub, doc, *flags):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    return _parse_args([sub, "--config", str(path), *flags])
+
+
+@pytest.mark.parametrize("sub,act", _defaulted_flags())
+def test_config_overrides_each_default_and_flag_beats_config(tmp_path, sub, act):
+    opt, dest = act.option_strings[0], act.dest
+    assert getattr(_parse_args([sub]), dest) == act.default
+    if act.nargs == 0:  # store_true: the config can set it, and the flag sets it over a false config
+        assert getattr(_resolve(tmp_path, sub, {dest: True}), dest) is True
+        assert getattr(_resolve(tmp_path, sub, {dest: False}, opt), dest) is True
+        return
+    cfg, flag = _other_values(act)
+    assert cfg != act.default and flag != cfg
+    assert getattr(_resolve(tmp_path, sub, {opt[2:]: cfg}), dest) == cfg
+    assert getattr(_resolve(tmp_path, sub, {opt[2:]: cfg}, opt, str(flag)), dest) == flag
+
+
+def test_config_values_are_read_as_flag_text(capsys, tmp_path):
+    args = _resolve(tmp_path, "voronoi-verify", {"zeta": 0.2, "n-trunc": 512, "tol": 1e-4})
+    assert (args.zeta, args.n_trunc, args.tol) == ("0.2", 512, 1e-4)
+    assert json.loads(_resolve(tmp_path, "hankel", {"blocks": DELTA_DOC}).blocks) == DELTA_DOC
+    for sub, doc in [("voronoi-verify", {"tol": True}), ("kernel-table", {"n": 3.5}),
+                     ("hankel", {"route": "mellon"}), ("padic", {"order": None})]:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, _ = run(capsys, [sub, "--config", str(path)])
+        assert code == 2, doc
+
+
+def test_config_supplies_gj_scan_variant(capsys, tmp_path):
+    assert _resolve(tmp_path, "gj-scan", {"variant": "tate"}).variant == "tate"
+    doc = tmp_path / "scan.json"
+    doc.write_text(json.dumps({"variant": "tate", "s-list": "2"}))
+    code, out, _ = run(capsys, ["gj-scan", "--config", str(doc)])
+    assert code == 0
+    assert json.loads(out)["inputs"]["variant"] == "tate"
+    doc.write_text(json.dumps({"variant": "tat", "s-list": "2"}))
+    code, _, err = run(capsys, ["gj-scan", "--config", str(doc)])
+    assert code == 2
+    assert "variant" in err
+    code, _, err = run(capsys, ["gj-scan", "--s-list", "2"])
+    assert code == 2
+    assert "variant" in err
+
+
+def test_fe_check_s_grid_replaces_the_default_list(capsys):
+    grid = _parse_s_values(_parse_args(["fe-check", "--s-grid", "0.5:0:1:3"]))
+    assert grid == [0.5 + 0j, 0.5 + 0.5j, 0.5 + 1j]
+    assert _parse_s_values(_parse_args(["fe-check"])) == [0.2, 0.5, 0.8]
+    code, _, err = run(capsys, ["gamma"])
+    assert code == 2
+    assert "--s-list or --s-grid" in err
 
 
 def test_malformed_config_exits_2(capsys, tmp_path):
@@ -182,6 +262,13 @@ def test_padic_kloosterman_report_shape(capsys):
         some_shell = next(iter(entry["shells"].values()))
         if some_shell:
             assert set(some_shell[0]) == {"turns", "sqrtq_power", "coef"}
+
+
+def test_padic_rejects_zero_order_and_count(capsys):
+    for flag in ("--order", "--count"):
+        code, _, err = run(capsys, ["padic", "--check-lseries", flag, "0"])
+        assert code == 2
+        assert f"{flag} must be positive" in err
 
 
 def test_padic_requires_a_mode(capsys):

@@ -178,8 +178,11 @@ def test_split_identity_guards():
         split_zeta_identity(two_sided, 0.5, CO16)
     with pytest.raises(CoeffRangeExceeded):
         split_zeta_identity(W40, 0.5, CO16)  # support to 40, table to 16
+    grid = DualGrid(W40, tol=1e-7)
     with pytest.raises(TailNotConverged):
-        split_zeta_identity(W40, 2.0, tau_coefficients(64), tol=1e-7)
+        split_zeta_identity(W40, 2.0, tau_coefficients(64), tol=1e-7, grid=grid)
+    # the octave the 64 coefficients cannot reach is refused before it is built
+    assert all(oc["hi"] <= 64 + 1 for oc in grid.octaves)
 
 
 def test_cuspidal_proxy():

@@ -32,14 +32,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Union
 
 import numpy as np
 from scipy.special import loggamma
 
 __all__ = [
-    "Conventions",
     "GL1Block",
     "DS2Block",
     "RealPlaceParams",
@@ -60,26 +58,6 @@ _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^k for k mod 4
 
 #: radius of the disk around each pole inside which evaluation refuses to run
 POLE_DISK = 1e-12
-
-
-@dataclass(frozen=True)
-class Conventions:
-    """Fixed measure and character normalisations.
-
-    * additive character on ℝ: x ↦ exp(2πi x)
-    * additive character on ℚ_p: x ↦ exp(−2πi {x}_p) with {x}_p the p-adic
-      fractional part (so the product over all places is trivial on ℚ)
-    * multiplicative Haar on ℝ^×: dx/|x|
-    * multiplicative Haar on ℚ_p^×: units get volume 1
-    """
-
-    def psi_real(self, x: float) -> complex:
-        return cmath.exp(2j * math.pi * x)
-
-    def psi_padic(self, x: Fraction, p: int) -> complex:
-        from .padic import padic_fractional_part
-
-        return cmath.exp(-2j * math.pi * float(padic_fractional_part(Fraction(x), p)))
 
 
 @dataclass(frozen=True)

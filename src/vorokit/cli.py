@@ -70,21 +70,9 @@ from .voronoi import (
     voronoi_residual,
 )
 
-__all__ = ["ConfigError", "ComputationError", "ThresholdFailed", "main"]
+__all__ = ["ConfigError", "ComputationError", "main"]
 
 _DELTA_BLOCKS = '{"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}'
-
-_COMPUTE_ERRORS = (
-    ToleranceNotMet,
-    TailNotConverged,
-    TruncationTooSmall,
-    PoleError,
-    PoleAtOne,
-    CoeffRangeExceeded,
-    DepthExceeded,
-    InfeasibleContour,
-    Singular,
-)
 
 
 class ConfigError(ValueError):
@@ -95,8 +83,18 @@ class ComputationError(RuntimeError):
     """A module refused or failed to reach the requested accuracy."""
 
 
-class ThresholdFailed(RuntimeError):
-    """The job ran, but a residual exceeded its configured threshold."""
+_COMPUTE_ERRORS = (
+    ComputationError,
+    ToleranceNotMet,
+    TailNotConverged,
+    TruncationTooSmall,
+    PoleError,
+    PoleAtOne,
+    CoeffRangeExceeded,
+    DepthExceeded,
+    InfeasibleContour,
+    Singular,
+)
 
 
 # ---- small parsing grammars -------------------------------------------------
@@ -297,7 +295,10 @@ def _run_kernel_table(args, t0):
 def _run_hankel(args, t0):
     params = _parse_blocks(args.blocks)
     w = _parse_bump(args.bump, "--bump")
-    xs = [float(x.real) for x in _parse_complex_list(args.x)]
+    zs = _parse_complex_list(args.x)
+    if any(z.imag != 0 for z in zs):
+        raise ConfigError("dual evaluation points must be real")
+    xs = [z.real for z in zs]
     if any(x == 0 for x in xs):
         raise ConfigError("dual evaluation points must be nonzero")
     routes = ("mellin", "convolution") if args.route == "both" else (args.route,)
@@ -387,7 +388,7 @@ def _run_padic(args, t0):
             raise ConfigError("--order must be positive")
         if args.count < 1:
             raise ConfigError("--count must be positive")
-        cases = []
+        cases, drawn = [], {}
         if args.alpha:
             if not args.q:
                 raise ConfigError("--alpha needs --q")
@@ -399,6 +400,7 @@ def _run_padic(args, t0):
         else:
             rng = random.Random(args.seed)
             cases = [_random_satake(rng) for _ in range(args.count)]
+            drawn = {"seed": args.seed}  # echoed only when random tuples were drawn
         rows = []
         all_ok = True
         for sp in cases:
@@ -414,7 +416,7 @@ def _run_padic(args, t0):
             )
         results = {"order": args.order, "cases": rows}
         thresholds = {"exact_identity": {"limit": True, "observed": all_ok, "mode": "exact", "passed": all_ok}}
-        inputs = {"mode": "check-lseries", "order": args.order, "seed": args.seed, "count": len(cases)}
+        inputs = {"mode": "check-lseries", "order": args.order, "count": len(cases), **drawn}
         return _report("padic", inputs, results, thresholds, t0)
     if args.kloosterman3:
         if not args.p or not args.zeta or not args.alpha_rational:
@@ -446,7 +448,6 @@ def _run_padic(args, t0):
             "zeta": str(zeta),
             "alpha": [str(a) for a in alphas],
             "satake_elem": [repr(e) for e in sp.elem],
-            "seed": args.seed,
         }
         return _report("padic", inputs, {"sums": rows}, {}, t0)
     raise ConfigError("padic needs one of --check-lseries or --kloosterman3")
@@ -614,7 +615,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("hankel", help="dual test function by either route")
     blocks(p)
     p.add_argument("--bump", default="1,40", help="support a,b of the bump test function (default %(default)s)")
-    p.add_argument("--x", default="0.5,1,2,5", help="evaluation points (default %(default)s)")
+    p.add_argument("--x", default="0.5,1,2,5", help="nonzero real evaluation points (default %(default)s)")
     p.add_argument("--route", choices=("mellin", "convolution", "both"), default="both",
                    help="(default %(default)s)")
     p.add_argument("--max-disagree", type=float, help="threshold on cross-route relative disagreement")

@@ -1,13 +1,20 @@
 """Sharp-cutoff zeta kernels, their duals, and the pairings that probe L-zeros.
 
-The kernel H_s(x) packages the partial sums of a Dirichlet series with the
-power |x|^{s−1/2} (cuspidal) or |x|^{s−1} with a residue constant (the Tate
-case over ℚ).  Between consecutive integers each kernel is a constant times a
-power of |x|, so every pairing integral here is organised gap-by-gap: one
-Dirichlet prefix sum per gap, one short quadrature of the smooth test factor.
+Every kernel here has one gap-wise form.  With the Dirichlet prefix sums
+C_g = Σ_{n≤g} a_n n^{−s} (C_0 = 0, formed only by :func:`_prefix_sums`),
+
+    kernel(x) = C_{⌊|x|⌋}·|x|^power + residue,
+
+where :class:`KernelSpec` fixes power and residue by variant: s − 1/2 and no
+residue (cuspidal), s − 1 and −1/(1−s) (the Tate case over ℚ).  The dual
+kernel K_{1−s} is the same form at 1 − s over the dual table.  Pointwise
+values (:func:`h_kernel`, :func:`k_dual_kernel`) read one C_g; every pairing
+integral reads them gap by gap through :func:`_pair`, the kernel being a
+constant times a power of |x| on each unit gap (g, g + 1), so a short
+Gauss–Legendre rule per gap integrates it against a smooth test factor.
 
 Two global statements are made checkable this way.  The split identity writes
-the full zeta integral of a test function as ⟨φ, H_s⟩ + ⟨F(φ), K_{1−s}⟩ and
+the full zeta integral of a test function as ⟨w, H_s⟩ + ⟨w̃, K_{1−s}⟩ and
 compares it against an archimedean Mellin factor times an independently
 computed L-value.  The Fourier-duality criterion pairs F(H_s) + K_{1−s}
 against a fixed Schwartz function: the result vanishes precisely at zeros of
@@ -27,7 +34,7 @@ from scipy.special import loggamma
 from .archimedean import DS2Block, RealPlaceParams
 from .hankel import TestFunction, hankel_convolution_batch, make_bump, signed_mellin
 from .lseries import euler_product_l_delta, l_delta_smoothed, zeta_em
-from .quadrature import ToleranceNotMet, gauss_nodes
+from .quadrature import ToleranceNotMet, gauss_panels
 from .voronoi import DirichletCoeffs, TailNotConverged, tau_coefficients
 
 __all__ = [
@@ -89,27 +96,47 @@ class KernelSpec:
     def dual(self) -> DirichletCoeffs:
         return self.dual_coeffs if self.dual_coeffs is not None else self.coeffs
 
+    @property
+    def power(self) -> complex:
+        """The exponent of |x|: s − 1/2 (cuspidal) or s − 1 (tate)."""
+        return self.s - (0.5 if self.variant == "cuspidal" else 1.0)
 
-def _partial_sum(coeffs: DirichletCoeffs, x: float, z: complex) -> complex:
-    n = int(math.floor(x))
-    if n < 1:
-        return 0j
-    if n > coeffs.n:
-        raise CoeffRangeExceeded(f"need coefficients to {n}, table holds {coeffs.n}")
-    ns = np.arange(1, n + 1, dtype=float)
-    return complex(np.sum(coeffs.values[:n] * ns ** (-z)))
+    @property
+    def residue(self) -> complex:
+        """The constant term: none (cuspidal) or −κ/(1−s) with κ = 1 (tate)."""
+        return 0.0 if self.variant == "cuspidal" else -1.0 / (1.0 - self.s)
 
 
-def _step_kernel(spec: KernelSpec, table, x: float) -> complex:
+def _prefix_sums(table: DirichletCoeffs, z: complex, g_max: int) -> np.ndarray:
+    """C_0 … C_{g_max} with C_g = Σ_{n≤g} a_n n^{−z}; C_0 = 0 is the empty sum."""
+    if g_max > table.n:
+        raise CoeffRangeExceeded(f"need coefficients to {g_max}, table holds {table.n}")
+    ns = np.arange(1, g_max + 1, dtype=float)
+    return np.concatenate([[0j], np.cumsum(table.values[:g_max] * ns ** (-z))])
+
+
+def _step_kernel(spec: KernelSpec, table: DirichletCoeffs, x: float) -> complex:
     ax = abs(float(x))
     if ax == 0.0:
         raise ValueError("kernels live on ℝ^×; x = 0 is not allowed")
-    s = spec.s
-    if spec.variant == "cuspidal":
-        if ax < 1.0:
-            return 0j
-        return ax ** (s - 0.5) * _partial_sum(table, ax, s)
-    return ax ** (s - 1.0) * _partial_sum(table, ax, s) - 1.0 / (1.0 - s)
+    g = math.floor(ax)
+    if g == 0:  # empty sum: exactly the residue
+        return complex(spec.residue)
+    return complex(_prefix_sums(table, spec.s, g)[g] * ax**spec.power + spec.residue)
+
+
+def _pair(spec: KernelSpec, table: DirichletCoeffs, x, wts, gap, values) -> complex:
+    """Σ wts·values·C_gap·x^power: the prefix-sum part of a kernel paired with
+    samples on nodes x, each lying in the unit gap (gap, gap + 1)."""
+    c = _prefix_sums(table, spec.s, int(np.max(gap)))
+    return complex(np.sum(wts * values * c[gap] * x**spec.power))
+
+
+def _gap_rule(gaps, count):
+    """count(g) Gauss–Legendre nodes on each unit gap (g, g + 1).  → (x, wts, gap)"""
+    rules = [gauss_panels((g, g + 1), count(g)) for g in gaps]
+    x = np.concatenate([r[0] for r in rules])
+    return x, np.concatenate([r[1] for r in rules]), np.repeat(gaps, [len(r[0]) for r in rules])
 
 
 def h_kernel(spec: KernelSpec, x: float) -> complex:
@@ -174,27 +201,19 @@ def _completed_zeta(s: complex) -> complex:
 def _tate_pairing(s: complex, phi: SchwartzGaussian, gmax: int = 9) -> complex:
     """⟨H_s, φ̂⟩ + ⟨K_{1−s}, φ⟩ with the additive pairing ∫_ℝ · dx.
 
-    Both kernels are even and piecewise x^power between integers, and the
-    partial-sum coefficient on (0,1) is zero, so the whole integral is the
-    residue constants against ∫φ plus short per-gap quadratures on [1, gmax).
+    Both kernels are even, so the integral is twice the half-line one: the
+    residue constants against ∫φ̂ and ∫φ in closed form, plus the prefix-sum
+    parts gap by gap on [1, gmax), where φ and φ̂ are negligible beyond.
     """
     s = complex(s)
-    if min(abs(s), abs(1 - s)) < _POLE_DISK:
-        raise PoleAtOne(f"pairing has poles at 0 and 1; s = {s}")
+    h = KernelSpec(unit_coeffs(gmax - 1), s, "tate")
+    k = KernelSpec(h.dual, 1.0 - s, "tate")
     phih = phi.fourier()
-    total = -phih.integral() / (1.0 - s) - phi.integral() / s
-    c_s = 0j
-    c_d = 0j
     height = abs(s.imag)
-    for g in range(1, gmax):
-        c_s += g ** (-s)
-        c_d += g ** (s - 1.0)  # Σ m^{−(1−s)}
-        cnt = min(48, 12 + 3 * int(height * math.log1p(1.0 / g)))
-        u, v = gauss_nodes(cnt)
-        xs = g + 0.5 + 0.5 * u
-        wts = 0.5 * v
-        total += 2.0 * c_s * np.sum(wts * xs ** (s - 1.0) * phih(xs))
-        total += 2.0 * c_d * np.sum(wts * xs ** (-s) * phi(xs))
+    x, wts, gap = _gap_rule(range(1, gmax), lambda g: min(48, 12 + 3 * int(height * math.log1p(1.0 / g))))
+    total = h.residue * phih.integral() + k.residue * phi.integral()
+    total += 2.0 * _pair(h, h.coeffs, x, wts, gap, phih(x))
+    total += 2.0 * _pair(k, k.dual, x, wts, gap, phi(x))
     return complex(total)
 
 
@@ -225,23 +244,16 @@ class DualGrid:
     def ensure(self, upto: int) -> None:
         while self._hi < upto:
             lo, hi = self._hi, 2 * self._hi
-            xs_l, wt_l, gap_l = [], [], []
-            for g in range(lo, hi):
-                swing = 2.0 * math.pi * math.sqrt(self.w.b / g)  # dual phase across the gap
-                cnt = min(48, 10 + 3 * int(swing))
-                u, v = gauss_nodes(cnt)
-                xs = g + 0.5 + 0.5 * u
-                xs_l.append(xs)
-                wt_l.append(0.5 * v / xs)  # d×x = dx/x
-                gap_l.append(np.full(cnt, g, dtype=int))
-            xs = np.concatenate(xs_l)
+            # the dual phase swings by 2π·sqrt(b/g) across gap g
+            xs, wts, gaps = _gap_rule(
+                range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(self.w.b / g)))
+            )
             try:
                 vals, _ = hankel_convolution_batch(self.params, 2, self.w, xs, tol=self.wtol)
             except ToleranceNotMet:
                 vals, _ = hankel_convolution_batch(self.params, 2, self.w, xs, tol=8 * self.wtol)
             self.octaves.append(
-                {"lo": lo, "hi": hi, "xs": xs, "wts": np.concatenate(wt_l),
-                 "gaps": np.concatenate(gap_l), "vals": vals}
+                {"lo": lo, "hi": hi, "xs": xs, "wts": wts / xs, "gaps": gaps, "vals": vals}
             )
             self._hi = hi
 
@@ -269,31 +281,20 @@ def split_zeta_identity(
     if coeffs is None:
         coeffs = tau_coefficients(1024)
     params = params if params is not None else _default_params()
-    if math.floor(w.b) > coeffs.n:
-        raise CoeffRangeExceeded(f"support reaches {w.b}, table holds {coeffs.n}")
+    h = KernelSpec(coeffs, s)
+    k = KernelSpec(coeffs, 1.0 - s)
 
-    # direct side: Σ_g C_g(s) ∫_gap w(x) x^{s−1/2} d×x; the prefix runs from
-    # g = 1 even when the support starts higher
-    lam = coeffs.values
-    i1 = 0j
-    c_run = 0j
-    u24, v24 = gauss_nodes(24)
-    for g in range(1, math.ceil(w.b)):
-        c_run += lam[g - 1] * g ** (-s)
-        a_clip, b_clip = max(float(g), w.a), min(float(g + 1), w.b)
-        if b_clip <= a_clip:
-            continue
-        xs = 0.5 * (a_clip + b_clip) + 0.5 * (b_clip - a_clip) * u24
-        wts = 0.5 * (b_clip - a_clip) * v24 / xs
-        i1 += c_run * np.sum(wts * w(xs) * xs ** (s - 0.5))
+    # direct side: ⟨w, H_s⟩ over the gaps clipped to the support, d×x = dx/x
+    edges = np.concatenate([[w.a], np.arange(math.floor(w.a) + 1, math.ceil(w.b)), [w.b]])
+    x, wts = gauss_panels(edges, 24)
+    gap = np.repeat(np.floor(edges[:-1]).astype(int), 24)
+    i1 = _pair(h, h.coeffs, x, wts / x, gap, w(x))
 
     # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible
     grid = grid if grid is not None else DualGrid(w, params, tol)
-    sd = 1.0 - s
     i2 = 0j
     small = 0
     oct_idx = 0
-    prefix = np.zeros(1, dtype=complex)  # C_g(1−s), filled as octaves arrive
     while True:
         # the next octave [hi/2, hi) needs C_g for g < hi; check before building it
         hi = grid.octaves[oct_idx]["hi"] if oct_idx < len(grid.octaves) else 2 * grid._hi
@@ -304,12 +305,7 @@ def split_zeta_identity(
         if oct_idx == len(grid.octaves):
             grid.ensure(hi)
         oc = grid.octaves[oct_idx]
-        if len(prefix) < oc["hi"]:
-            old = len(prefix)
-            ns = np.arange(old, oc["hi"], dtype=float)
-            ext = np.cumsum(lam[old - 1 : oc["hi"] - 1] * ns ** (-sd))
-            prefix = np.concatenate([prefix, prefix[-1] + ext])
-        contrib = complex(np.sum(oc["wts"] * oc["vals"] * oc["xs"] ** (sd - 0.5) * prefix[oc["gaps"]]))
+        contrib = _pair(k, k.dual, oc["xs"], oc["wts"], oc["gaps"], oc["vals"])
         i2 += contrib
         small = small + 1 if abs(contrib) < tol / 10 else 0
         oct_idx += 1

@@ -51,6 +51,7 @@ from .quadrature import (
     ToleranceNotMet,
     adaptive_segment,
     gauss_nodes,
+    gauss_panels,
     magnitude_groups,
     phase_step,
     polyline_walk,
@@ -347,7 +348,6 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
         raise ValueError("x must be nonzero")
     nu = 0.5 * (n - 1)
     tpow = 0.5 * (3.0 - n) - 1.0
-    gx16, gw16 = gauss_nodes(16)
 
     # |w|-mass against the t-power: budgets the kernel-model error
     vm = np.linspace(w.a, w.b, 481)[1:-1]
@@ -375,10 +375,7 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
         for gi in groups:
             cyc = n * (float(ax[gi].max()) ** (1.0 / n)) * (ub - ua)
             npan = int(4 + math.ceil(scale * cyc / 1.8))
-            te = np.linspace(ua, ub, npan + 1) ** n  # equal phase per panel
-            tc, th = 0.5 * (te[:-1] + te[1:]), 0.5 * np.diff(te)
-            tn = (tc[:, None] + th[:, None] * gx16[None, :]).ravel()
-            wt = (th[:, None] * gw16[None, :]).ravel()
+            tn, wt = gauss_panels(np.linspace(ua, ub, npan + 1) ** n, 16)  # equal phase per panel
             base = wt * tn**tpow
             parts = [(1, w(tn))]
             if w.neg is not None:
@@ -464,12 +461,7 @@ def local_fe_residual(
             freq = (math.exp(v) * w.b) ** (1.0 / n)
             v = min(vhi, v + 1.3 / max(1.0, 1.2 * freq))
             edges.append(v)
-        gx16, gw16 = gauss_nodes(16)
-        e = np.asarray(edges)
-        c, h = 0.5 * (e[:-1] + e[1:]), 0.5 * np.diff(e)
-        vn = (c[:, None] + h[:, None] * gx16[None, :]).ravel()
-        wts = (h[:, None] * gw16[None, :]).ravel()
-        return vn, wts
+        return gauss_panels(edges, 16)
 
     v_nodes, v_wts = build_panels(math.log(y_min), math.log(y_max))
     weight = max(float(np.sum(v_wts * np.exp(r * v_nodes))) for r in (re_min, re_max))

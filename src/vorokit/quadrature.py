@@ -9,6 +9,9 @@ per batch entry is the max-norm across the batch.
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` walk
 a polyline with :func:`polyline_walk` and then follow their own tails, each
 with its own stopping rule, panel by panel through :func:`adaptive_segment`.
+Fixed-resolution integrals over a real partition (the dual function's
+t-integral, the v-grid of the local functional equation, the gap-wise GJ
+pairings) take their nodes and weights from :func:`gauss_panels`.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "gauss_nodes",
+    "gauss_panels",
     "segment",
     "adaptive_segment",
     "phase_step",
@@ -48,6 +52,15 @@ _DEG = 24  # Gauss–Legendre points per panel
 def gauss_nodes(deg: int):
     x, w = leggauss(deg)
     return x, w
+
+
+def gauss_panels(edges, deg: int):
+    """Nodes and weights of the composite deg-point rule on the panels
+    edges[0]→edges[1]→…, panel after panel."""
+    x, w = gauss_nodes(deg)
+    e = np.asarray(edges, dtype=float)
+    c, h = 0.5 * (e[:-1] + e[1:]), 0.5 * np.diff(e)
+    return (c[:, None] + h[:, None] * x).ravel(), (h[:, None] * w).ravel()
 
 
 def segment(f, a: complex, b: complex):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 
 import pytest
@@ -60,6 +61,25 @@ def test_threshold_failure_exits_1(capsys):
     assert "max_defect" in err
     rep = json.loads(out)
     assert rep["thresholds"]["max_defect"]["passed"] is False
+
+
+def test_partial_kernel_table_exits_3(capsys, monkeypatch):
+    from vorokit import cli
+
+    real = cli.kernel_table
+    monkeypatch.setattr(
+        cli, "kernel_table",
+        lambda *a, **k: dataclasses.replace(real(*a, **k), partial=True, failures=(3,)),
+    )
+    code, out, err = run(capsys, ["kernel-table", "--x-min", "0.5", "--x-max", "8", "--n", "5"])
+    assert code == 3
+    assert "computation error" in err and out == ""
+
+
+def test_hankel_complex_x_exits_2(capsys):
+    code, out, err = run(capsys, ["hankel", "--bump", "1,4", "--x", "1+2j", "--route", "convolution"])
+    assert code == 2
+    assert "config error" in err and "real" in err and out == ""
 
 
 # ---- config documents -------------------------------------------------------
@@ -262,6 +282,19 @@ def test_padic_kloosterman_report_shape(capsys):
         some_shell = next(iter(entry["shells"].values()))
         if some_shell:
             assert set(some_shell[0]) == {"turns", "sqrtq_power", "coef"}
+
+
+def test_padic_echoes_seed_only_when_tuples_are_drawn(capsys):
+    drawn = json.loads(run(capsys, ["padic", "--check-lseries", "--count", "2", "--seed", "4"])[1])
+    assert drawn["inputs"]["seed"] == 4
+    for argv in (
+        ["padic", "--check-lseries", "--q", "5", "--alpha", "2/3,3/2", "--order", "8"],
+        ["padic", "--check-lseries", "--q", "5", "--lam", "1/2", "--order", "8"],
+        ["padic", "--kloosterman3", "--p", "5", "--zeta", "2/5", "--alpha-rational", "1"],
+    ):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "seed" not in json.loads(out)["inputs"]
 
 
 def test_padic_rejects_zero_order_and_count(capsys):

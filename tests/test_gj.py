@@ -18,6 +18,7 @@ from vorokit.gj import (
     PoleAtOne,
     SchwartzGaussian,
     _completed_zeta,
+    _prefix_sums,
     _tate_pairing,
     clozel_tate_kernels,
     h_kernel,
@@ -98,6 +99,17 @@ def test_dual_kernel_self_duality():
     assert k_dual_kernel(other, 7.3) != h_kernel(other, 7.3)
 
 
+def test_prefix_sums():
+    c = _prefix_sums(CO16, 0.3 + 2j, 16)
+    assert len(c) == 17 and c[0] == 0j
+    for g in (1, 7, 16):
+        direct = sum(CO16.values[n - 1] * n ** (-(0.3 + 2j)) for n in range(1, g + 1))
+        assert c[g] == pytest.approx(direct, rel=1e-13)
+    assert _prefix_sums(CO16, 2.0, 0).tolist() == [0j]
+    with pytest.raises(CoeffRangeExceeded):
+        _prefix_sums(CO16, 2.0, 17)
+
+
 # ---- Schwartz family --------------------------------------------------------
 
 
@@ -122,6 +134,30 @@ def test_tate_pairing_matches_completed_zeta():
         _tate_pairing(1.0 + 1e-12, SchwartzGaussian())
     with pytest.raises(PoleAtOne):
         _tate_pairing(1e-12, SchwartzGaussian())
+
+
+# an independent rule: 60 Gauss–Legendre points on each panel, pointwise kernels
+_U60, _V60 = np.polynomial.legendre.leggauss(60)
+
+
+def _pointwise_integral(f, edges):
+    total = 0j
+    for a, b in zip(edges[:-1], edges[1:]):
+        xs = 0.5 * (a + b) + 0.5 * (b - a) * _U60
+        total += 0.5 * (b - a) * sum(v * f(x) for v, x in zip(_V60, xs))
+    return total
+
+
+@pytest.mark.parametrize("phi", [SchwartzGaussian(), SchwartzGaussian(1.0, -2.0)], ids=lambda p: p.label)
+def test_tate_pairing_integrates_the_pointwise_kernels(phi):
+    phih = phi.fourier()
+    for s in (2.0, 0.4 + 3j, 0.5 + 14.134725j):
+        h = KernelSpec(unit_coeffs(12), s, "tate")
+        k = KernelSpec(unit_coeffs(12), 1 - s, "tate")
+        want = 2 * _pointwise_integral(
+            lambda x: h_kernel(h, x) * phih(x) + k_dual_kernel(k, x) * phi(x), range(13)
+        )
+        assert abs(_tate_pairing(s, phi) - want) < 1e-13
 
 
 def test_zero_criterion_dip():
@@ -164,6 +200,15 @@ def test_split_identity_critical_point():
     rep = split_zeta_identity(W40, 0.5, CO1K, tol=1e-7)
     assert rep["defect"] < 1e-9
     assert rep["l_value"] == pytest.approx(l_delta_smoothed(0.5), abs=1e-15)
+
+
+def test_split_identity_direct_side_integrates_the_pointwise_kernel():
+    w = make_bump(1.3, 7.6)  # non-integer ends: the first and last gaps are clipped
+    s = 0.7 + 2j
+    rep = split_zeta_identity(w, s, CO1K, tol=1e-5)
+    h = KernelSpec(CO1K, s)
+    want = _pointwise_integral(lambda x: w(x) * h_kernel(h, x) / x, [1.3, 2, 3, 4, 5, 6, 7, 7.6])
+    assert rep["i1"] == pytest.approx(want, rel=1e-12)
 
 
 def test_split_identity_zero_function():

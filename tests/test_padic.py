@@ -107,10 +107,8 @@ def test_psi_phase_group_law():
         for p in (2, 5):
             assert psi_phase(x + y, p) == (psi_phase(x, p) + psi_phase(y, p)) % 1
     assert psi_phase(4, 5) == 0
-    # matches the archimedean module's character hook
-    from vorokit.archimedean import Conventions
-
-    got = Conventions().psi_padic(F(1, 5), 5)
+    # ψ_p(x) = e^{−2πi{x}_p}: the phase is a fraction of a turn
+    got = cmath.exp(2j * math.pi * float(psi_phase(F(1, 5), 5)))
     assert got == pytest.approx(cmath.exp(-2j * math.pi / 5), abs=1e-15)
 
 

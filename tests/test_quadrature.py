@@ -4,6 +4,7 @@ import pytest
 from vorokit.quadrature import (
     adaptive_segment,
     gauss_nodes,
+    gauss_panels,
     magnitude_groups,
     phase_step,
     polyline_walk,
@@ -67,6 +68,41 @@ def _batched_refine(f, a, b, seg_tol, depth):
         return lv + rv, le + re_
 
     return refine(a, b, panel(a, b), seg_tol, depth)
+
+
+def _old_te_rule(te, deg):
+    # the t-panels hankel_convolution_batch built by hand
+    gx, gw = gauss_nodes(deg)
+    tc, th = 0.5 * (te[:-1] + te[1:]), 0.5 * np.diff(te)
+    return (tc[:, None] + th[:, None] * gx[None, :]).ravel(), (th[:, None] * gw[None, :]).ravel()
+
+
+# ---- the composite rule -----------------------------------------------------
+
+
+@pytest.mark.parametrize("deg", [16, 24])
+def test_gauss_panels_exact_on_monomials(deg):
+    edges = [-0.7, -0.55, 0.1, 0.12, 0.6, 1.3]
+    x, w = gauss_panels(edges, deg)
+    assert x.shape == w.shape == (deg * (len(edges) - 1),)
+    a, b = edges[0], edges[-1]
+    for k in range(2 * deg):
+        exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
+        assert np.sum(w * x**k) == pytest.approx(exact, rel=1e-13, abs=1e-15)
+
+
+def test_gauss_panels_reproduces_the_hand_built_rules():
+    # hankel_convolution_batch's t-panels: equal phase on [a^(1/n), b^(1/n)], n = 2
+    for npan in (5, 17, 40):
+        te = np.linspace(1.0, 40.0**0.5, npan + 1) ** 2
+        x, w = gauss_panels(te, 16)
+        ref_x, ref_w = _old_te_rule(te, 16)
+        assert np.array_equal(x, ref_x) and np.array_equal(w, ref_w)
+    # the per-gap rule g + 1/2 + u/2, weights v/2, of the GJ pairings
+    for g, cnt in ((1, 12), (37, 48), (512, 10)):
+        u, v = gauss_nodes(cnt)
+        x, w = gauss_panels((g, g + 1), cnt)
+        assert np.array_equal(x, g + 0.5 + 0.5 * u) and np.array_equal(w, 0.5 * v)
 
 
 # ---- magnitude grouping -----------------------------------------------------

@@ -15,7 +15,7 @@ Quadrature: the contour *object* is vertical-with-detour, but the integrand
 decays only polynomially along a vertical line, so the integral is evaluated
 on an equivalent path whose two tails bend 45° up-left/down-left once above
 all detour structure and above the stationary height ≈ c·|x|^{1/n}; on the
-bent rays the decay is exponential and Gauss–Legendre panels converge fast.
+bent rays the decay is exponential and Gauss–Kronrod panels converge fast.
 The horizontal connectors between the two paths vanish as the height grows,
 so the value equals the contour integral exactly; contour-independence and
 closed-form calibrations are enforced in the test suite.

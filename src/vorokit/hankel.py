@@ -15,8 +15,9 @@ independent routes:
   a validated piecewise-Chebyshev model in the variable u = arg^{1/n} (one
   model per argument sign), so large batches of x reuse the same kernel
   evaluations.  The |t|-exponent (3−n)/2 is the calibration-resolved reading;
-  the route-agreement and functional-equation tests would fail loudly under
-  the opposite convention.
+  the route-agreement test (A5) would fail loudly under the opposite
+  convention.  The functional-equation check would not: it samples w̃ by the
+  mellin route only and never calls this one.
 
 The two routes share the generic panel integrator of :mod:`vorokit.quadrature`
 (the mellin route directly, the convolution route through the Bessel

@@ -301,12 +301,14 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
         m_hi = min(job.n_trunc, int(math.floor(edge * denom)))
         if m_hi >= m_lo:
             ms = np.arange(m_lo, m_hi + 1)
+            dual_tol = wtol
             try:
-                dual_vals, _ = hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=wtol)
+                dual_vals, _ = hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=dual_tol)
             except ToleranceNotMet:
                 # far windows carry negligible weight; a looser pass there
                 # costs nothing against the tol/10 shell threshold
-                dual_vals, _ = hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=8 * wtol)
+                dual_tol = 8 * wtol
+                dual_vals, _ = hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=dual_tol)
             contrib = 0j
             for i in range(len(ms)):
                 m = int(ms[i])
@@ -329,7 +331,9 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
                     local *= cmath.exp(2j * math.pi * float(turns % 1))
                 contrib += local * co.values[mprime - 1] / math.sqrt(mprime) * dual_vals[i]
             total += contrib
-            shells.append({"alpha_hi": edge, "m_range": (int(m_lo), int(m_hi)), "abs": abs(contrib)})
+            shells.append(
+                {"alpha_hi": edge, "m_range": (int(m_lo), int(m_hi)), "abs": abs(contrib), "dual_tol": dual_tol}
+            )
             small = small + 1 if abs(contrib) < job.tol / 10 else 0
             if small >= 2:
                 converged = True

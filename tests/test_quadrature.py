@@ -1,7 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from vorokit.quadrature import (
+    _GK_WG,
+    _GK_WK,
+    _GK_X,
     adaptive_segment,
     gauss_nodes,
     gauss_panels,
@@ -25,49 +29,22 @@ def _greedy_groups(ax, ratio):
     return [np.array(g) for g in groups]
 
 
-def _old_segment(f, a, b, deg=24):
-    x, w = gauss_nodes(deg)
-    half = 0.5 * (b - a)
-    nodes = 0.5 * (a + b) + half * x
-    vals = f(nodes)
-    if vals.ndim == 1:
-        return half * (w @ vals)
-    return half * np.tensordot(w, vals, axes=(0, 0))
+def _gk_refine(f, a, b, tol, max_depth):
+    # G10/K21 bisection that stops at panels of length (b - a)/2^(max_depth+1)
+    finest = max_depth + 1
 
-
-def _old_adapt(f, a, b, whole, tol, deg, depth):
-    mid = 0.5 * (a + b)
-    left = _old_segment(f, a, mid, deg)
-    right = _old_segment(f, mid, b, deg)
-    better = left + right
-    err = float(np.max(np.abs(whole - better)))
-    if err <= tol or depth <= 0:
-        return better, err
-    lv, le = _old_adapt(f, a, mid, left, 0.6 * tol, deg, depth - 1)
-    rv, re_ = _old_adapt(f, mid, b, right, 0.6 * tol, deg, depth - 1)
-    return lv + rv, le + re_
-
-
-def _batched_refine(f, a, b, seg_tol, depth):
-    # the per-module bisection the Bessel and Mellin-route integrals carried
-    gx, gw = gauss_nodes(24)
-
-    def panel(pa, pb):
-        half = 0.5 * (pb - pa)
-        return half * (gw @ f(0.5 * (pa + pb) + half * gx))
-
-    def refine(pa, pb, whole, tol, d):
-        mid = 0.5 * (pa + pb)
-        left, right = panel(pa, mid), panel(mid, pb)
-        better = left + right
-        err = float(np.max(np.abs(whole - better)))
-        if err <= tol or d <= 0:
-            return better, err
-        lv, le = refine(pa, mid, left, 0.6 * tol, d - 1)
-        rv, re_ = refine(mid, pb, right, 0.6 * tol, d - 1)
+    def refine(pa, pb, ptol, level):
+        c, h = 0.5 * (pa + pb), 0.5 * (pb - pa)
+        vals = f(c + h * _GK_X)
+        k, g = h * (_GK_WK @ vals), h * (_GK_WG @ vals)
+        err = float(np.max(np.abs(k - g)))
+        if err <= ptol or level == finest:
+            return k, err
+        lv, le = refine(pa, c, 0.6 * ptol, level + 1)
+        rv, re_ = refine(c, pb, 0.6 * ptol, level + 1)
         return lv + rv, le + re_
 
-    return refine(a, b, panel(a, b), seg_tol, depth)
+    return refine(a, b, tol, 0)
 
 
 def _old_te_rule(te, deg):
@@ -140,11 +117,26 @@ def test_magnitude_groups_single_point():
 # ---- the panel integrator ---------------------------------------------------
 
 
+def test_gk_table_pins_g10_and_k21_exactness():
+    x, w = gauss_nodes(10)
+    gauss = _GK_WG != 0.0
+    assert gauss.sum() == 10 and not gauss[10]  # the centre node is Kronrod-only
+    assert np.max(np.abs(_GK_X[gauss] - x)) <= 1e-15
+    assert np.max(np.abs(_GK_WG[gauss] - w)) <= 1e-15
+    assert np.array_equal(_GK_X, -_GK_X[::-1]) and np.all(np.diff(_GK_X) > 0)
+
+    def miss(weights, d):
+        return abs(weights @ _GK_X**d - (1.0 - (-1.0) ** (d + 1)) / (d + 1))
+
+    assert all(miss(_GK_WK, d) <= 1e-15 for d in range(32)) and miss(_GK_WK, 32) > 1e-13
+    assert all(miss(_GK_WG, d) <= 1e-15 for d in range(20)) and miss(_GK_WG, 20) > 1e-13
+
+
 def test_adaptive_segment_1d_unchanged():
     f = lambda s: np.exp(2.3j * s) / (1.0 + s * s)
     for a, b, tol, depth in ((0.1, 5.0, 1e-12, 13), (-2 + 1j, 3 - 0.5j, 1e-9, 11), (0.0, 40.0, 1e-14, 4)):
         got = adaptive_segment(f, complex(a), complex(b), tol, max_depth=depth)
-        ref = _old_adapt(f, complex(a), complex(b), _old_segment(f, complex(a), complex(b)), tol, 24, depth)
+        ref = _gk_refine(f, complex(a), complex(b), tol, depth)
         assert got[0] == ref[0] and got[1] == ref[1]
 
 
@@ -153,19 +145,41 @@ def test_adaptive_segment_batched_matches_module_bisection():
     f = lambda s: np.exp(np.outer(s, lam))
     for a, b in ((0.5 - 3j, 0.5 + 2j), (-1 + 1j, 2.5 + 4j)):
         val, err = adaptive_segment(f, a, b, 1e-11, max_depth=11)
-        ref_val, ref_err = _batched_refine(f, a, b, 1e-11, 11)
+        ref_val, ref_err = _gk_refine(f, a, b, 1e-11, 11)
         assert np.array_equal(val, ref_val) and err == ref_err
+
+
+def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
+    lengths = []
+
+    def f(s):
+        lengths.append(abs(s[-1] - s[0]) / _GK_X[-1])  # the panel length
+        return np.abs(s - 0.3)
+
+    for a, b, depth in ((0.0, 1.0, 6), (-1.7, 2.2, 9)):
+        lengths.clear()
+        val, err = adaptive_segment(f, complex(a), complex(b), 1e-15, max_depth=depth)
+        assert err > 1e-15  # the kink is never resolved: the depth ran out
+        assert min(lengths) == pytest.approx((b - a) / 2 ** (depth + 1), rel=1e-12)
+        assert val.real == pytest.approx(0.5 * ((b - 0.3) ** 2 + (0.3 - a) ** 2), abs=1e-7)
 
 
 # ---- the polyline walk ------------------------------------------------------
 
 
+_EXP_LAM = np.array([0.5, -1.0 + 0.5j, 1.5j, -0.3 - 2.0j])
+_EXP_PTS = [complex(0.5, -4.0), complex(-0.3, -1.0), complex(0.2, 1.5), complex(0.5, 4.0)]
+
+
+def _exp_batch(s):
+    return np.exp(np.outer(s, _EXP_LAM))
+
+
 @pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
 def test_polyline_walk_exponential_closed_form(omega):
-    lam = np.array([0.5, -1.0 + 0.5j, 1.5j, -0.3 - 2.0j])
-    pts = [complex(0.5, -4.0), complex(-0.3, -1.0), complex(0.2, 1.5), complex(0.5, 4.0)]
+    lam, pts = _EXP_LAM, _EXP_PTS
     tol = 1e-9
-    val, err = polyline_walk(lambda s: np.exp(np.outer(s, lam)), pts, omega, tol)
+    val, err = polyline_walk(_exp_batch, pts, omega, tol)
     exact = (np.exp(lam * pts[-1]) - np.exp(lam * pts[0])) / lam
     assert val.shape == lam.shape
     assert np.max(np.abs(val - exact)) <= tol
@@ -179,11 +193,23 @@ def test_polyline_walk_panels_follow_phase_step():
         calls.append(s)
         return s * s  # integrated exactly by every panel: no bisection
 
-    # step 14/7 = 2 on a length-10 segment: five panels, three rule calls each
+    # step 14/7 = 2 on a length-10 segment: five panels, one rule call each
     polyline_walk(f, [0j, 10j], lambda t: 7.0, 1e-6)
-    assert len(calls) == 15
+    assert len(calls) == 5
     calls.clear()
     # step clamped to 3: panels 3, 3, 3, 1
     polyline_walk(f, [0j, 10j], lambda t: 1.0, 1e-6)
-    assert len(calls) == 12
+    assert len(calls) == 4
     assert phase_step(1e9) == 0.1 and phase_step(1e-9) == 3.0
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
+def test_polyline_walk_error_estimate_bounds_the_error(omega, tol):
+    val, err = polyline_walk(_exp_batch, _EXP_PTS, omega, tol)
+    # the closed form to 30 digits: in doubles it is itself ~2e-13 off here
+    with mpmath.workdps(30):
+        a, b = mpmath.mpc(_EXP_PTS[0]), mpmath.mpc(_EXP_PTS[-1])
+        exact = [(mpmath.exp(lam * b) - mpmath.exp(lam * a)) / lam for lam in map(mpmath.mpc, _EXP_LAM)]
+        miss = max(float(abs(mpmath.mpc(v) - e)) for v, e in zip(val, exact))
+    assert miss <= err

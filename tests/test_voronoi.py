@@ -10,9 +10,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vorokit import hankel
+from vorokit import hankel, voronoi
 from vorokit.hankel import make_bump
 from vorokit.padic import satake_from_eigenvalue, QSqrt
+from vorokit.quadrature import ToleranceNotMet
 from vorokit.voronoi import (
     TailNotConverged,
     TruncationTooSmall,
@@ -177,6 +178,25 @@ def test_rhs_tolerance_stability():
     loose = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))
     tight = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-6, coeffs=CO))
     assert abs(loose - tight) < 5e-5
+
+
+def test_windows_report_the_dual_tolerance_they_met(monkeypatch):
+    real = voronoi.hankel_convolution_batch
+    asked = []
+
+    def first_window_misses(*args, tol):
+        asked.append(tol)
+        if len(asked) == 1:
+            raise ToleranceNotMet(tol, 2 * tol, "forced")
+        return real(*args, tol=tol)
+
+    monkeypatch.setattr(voronoi, "hankel_convolution_batch", first_window_misses)
+    rep = voronoi_residual(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-6, coeffs=CO))
+    wtol = 2e-9  # min(1e-7, max(2e-9, tol/500))
+    met = [shell["dual_tol"] for shell in rep["shells"]]
+    assert asked[:2] == [wtol, 8 * wtol]
+    assert len(met) >= 2 and met[0] == 8 * wtol and met[1:] == [wtol] * (len(met) - 1)
+    assert rep["rel_residual"] < 1e-6
 
 
 def test_tail_not_converged():

@@ -171,8 +171,17 @@ def _mellin_base(tol: float) -> int:
     return 12 + 4 * min(8, int(round(math.log10(1e-6 / tol))))
 
 
-def _mellin_nodes(f: TestFunction, delta: int, zs: np.ndarray, base: int = 12) -> np.ndarray:
-    """Fixed-resolution composite M_δ[f] at many z; panels sized off max |Im z|."""
+def _mellin_nodes(f: TestFunction, delta: int, zs: np.ndarray, base: int) -> np.ndarray:
+    """Fixed-resolution composite M_δ[f] at many z; panels sized off max |Im z|.
+
+    The rule is p equal panels of ``_MDEG`` Gauss nodes in v = log x, so every
+    node is v = cᵢ + h·xₗ with cᵢ a panel centre and h the common half-width.
+    The kernel e^{vz} then factors as e^{cᵢz}·e^{h·xₗ·z} and the sum is taken
+    as Σᵢ e^{cᵢz} Σₗ (wt·f)ᵢₗ e^{h·xₗ·z}: p + ``_MDEG`` exponentials per z
+    instead of p·``_MDEG``.  Nodes, weights and f-values are the ones the
+    unfactored sum uses, so the quadrature rule is the same; only rounding
+    differs.
+    """
     zs = np.asarray(zs, dtype=complex)
     va, vb = math.log(f.a), math.log(f.b)
     maxim = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
@@ -180,10 +189,10 @@ def _mellin_nodes(f: TestFunction, delta: int, zs: np.ndarray, base: int = 12) -
     gx, gwts = gauss_nodes(_MDEG)
     edges = np.linspace(va, vb, p + 1)
     half = 0.5 * (edges[1] - edges[0])
-    v = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx[None, :]).ravel()
-    wt = np.tile(half * gwts, p)
-    fv = _component_vals(f, delta, np.exp(v))
-    return (wt * fv) @ np.exp(np.outer(v, zs))
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    fw = half * gwts * _component_vals(f, delta, np.exp(centres[:, None] + half * gx[None, :]))
+    inner = fw @ np.exp(np.outer(half * gx, zs))
+    return np.sum(np.exp(np.outer(centres, zs)) * inner, axis=0)
 
 
 # ---- mellin route ----------------------------------------------------------
@@ -249,11 +258,12 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour):
     return values, achieved
 
 
-def _validate_inner_mellin(w, delta):
-    # the fixed-resolution composite is checked once against the adaptive route
+def _validate_inner_mellin(w, delta, base):
+    # the fixed-resolution composite is checked once against the adaptive
+    # route, at the base resolution the route integrates with
     for zp in (complex(0.7, -13.7), complex(1.2, 21.3)):
         ref = signed_mellin(w, delta, zp, 1e-11)
-        got = complex(_mellin_nodes(w, delta, np.array([zp]))[0])
+        got = complex(_mellin_nodes(w, delta, np.array([zp]), base)[0])
         if abs(ref - got) > 1e-9:
             raise ToleranceNotMet(1e-9, abs(ref - got), "inner Mellin grid validation")
 
@@ -273,7 +283,7 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
     values = np.zeros(len(xs), dtype=complex)
     errors = np.zeros(len(xs))
     for d in deltas:
-        _validate_inner_mellin(w, d)
+        _validate_inner_mellin(w, d, _mellin_base(tol))
     # group by magnitude: each group shares a walk, so panel sizing and the
     # truncation height respond to the group's own |x| range
     for gi in magnitude_groups(ax, 16.0):

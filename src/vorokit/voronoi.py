@@ -346,7 +346,7 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
             f"{[round(s['abs'], 12) for s in shells[-3:]]})"
         )
     if full_output:
-        return {"value": total, "support": support, "shells": shells, "denominator": denom, "dual_tol": wtol}
+        return {"value": total, "support": support, "shells": shells}
     return total
 
 

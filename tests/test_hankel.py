@@ -14,7 +14,7 @@ from vorokit.hankel import (
     make_bump,
     signed_mellin,
 )
-from vorokit.quadrature import adaptive_segment
+from vorokit.quadrature import adaptive_segment, gauss_nodes
 
 GL1_TRIVIAL = RealPlaceParams((GL1Block(0, 0.0),))
 DS2_5 = RealPlaceParams((DS2Block(5, 0.0),))
@@ -187,3 +187,43 @@ def test_fe_residual_pole_sample():
     w = make_bump(1.0, 2.0)
     with pytest.raises(PoleError):
         local_fe_residual(DS2_5, 2, w, [3.5], 1e-6)
+
+
+def _direct_composite(f, delta, zs, base):
+    # reference: the unfactored composite, one exponential per (node, z)
+    zs = np.asarray(zs, dtype=complex)
+    va, vb = math.log(f.a), math.log(f.b)
+    maxim = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
+    p = base + int(1.3 * maxim * (vb - va) / (2.0 * math.pi))
+    gx, gwts = gauss_nodes(hankel._MDEG)
+    edges = np.linspace(va, vb, p + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    v = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * gx[None, :]).ravel()
+    wt = np.tile(half * gwts, p)
+    fv = hankel._component_vals(f, delta, np.exp(v))
+    return (wt * fv) @ np.exp(np.outer(v, zs))
+
+
+def test_inner_mellin_factored_matches_direct_composite():
+    bump = make_bump(1.0, 40.0)
+    two_sided = hankel.TestFunction(0.5, 3.0, make_bump(0.5, 3.0).pos, lambda x: 0.7 * make_bump(0.8, 2.5)(x))
+    zs = [complex(re, im) for re in (-2.5, 0.3, 1.2, 4.0) for im in (0.0, 13.7, -13.7, 300.0, -300.0, 3000.0, -3000.0)]
+    for f in (bump, two_sided):
+        absf = hankel.TestFunction(f.a, f.b, lambda x, f=f: np.abs(f(x)), lambda x, f=f: np.abs(f(-x)))
+        for delta in (0, 1):
+            for base in (12, 44):
+                for z in zs:
+                    got = hankel._mellin_nodes(f, delta, np.array([z]), base)[0]
+                    ref = _direct_composite(f, delta, [z], base)[0]
+                    # rounding scales with the summand's mass Σ|wt·f|e^{v·Re z}
+                    mass = abs(_direct_composite(absf, 0, [z.real], base)[0])
+                    assert abs(got - ref) <= 1e-13 * max(1.0, mass), (f.a, delta, base, z)
+    # and against the adaptive transform, at the bases the mellin route runs
+    for f in (bump, two_sided):
+        for delta in (0, 1):
+            for tol in (1e-6, 1.9e-9, 1e-14):
+                base = hankel._mellin_base(tol)
+                for z in (complex(0.7, -13.7), complex(1.2, 21.3), complex(-2.5, 40.0)):
+                    got = hankel._mellin_nodes(f, delta, np.array([z]), base)[0]
+                    # each base meets the tolerance it is chosen for, down to the reference's own 1e-11
+                    assert abs(got - signed_mellin(f, delta, z, 1e-11)) <= max(tol, 2e-11), (f.a, delta, base, z)

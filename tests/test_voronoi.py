@@ -202,3 +202,13 @@ def test_windows_report_the_dual_tolerance_they_met(monkeypatch):
 def test_tail_not_converged():
     with pytest.raises(TailNotConverged):
         rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=64, tol=1e-8, coeffs=CO))
+
+
+def test_rhs_full_output_keys(monkeypatch):
+    rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    assert set(rep) == {"value", "support", "shells"}
+    # nothing survives at p = 5: the early return reports the same keys
+    monkeypatch.setattr(voronoi, "_detect_min_valuation", lambda sp, zeta: None)
+    rep = rhs_theta(VoronoiJob(a=1, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    assert set(rep) == {"value", "support", "shells"}
+    assert rep["value"] == 0 and rep["support"] == {5: None} and rep["shells"] == []

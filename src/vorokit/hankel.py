@@ -14,9 +14,12 @@ independent routes:
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
   a validated piecewise-Chebyshev model in the variable u = arg^{1/n} (one
   model per argument sign), so large batches of x reuse the same kernel
-  evaluations.  The |t|-exponent (3−n)/2 is the calibration-resolved reading;
-  the route-agreement test (A5) would fail loudly under the opposite
-  convention.  The functional-equation check would not: it samples w̃ by the
+  evaluations.  The model is evaluated in one sorted pass per chunk of
+  kernel arguments: the points are ordered by panel once, one
+  Chebyshev–Vandermonde matrix covers the chunk, and each panel costs one
+  small real matrix product.  The |t|-exponent (3−n)/2 is the
+  calibration-resolved reading; the route-agreement test (A5) would fail
+  loudly under the opposite convention.  The functional-equation check would not: it samples w̃ by the
   mellin route only and never calls this one.
 
 The two routes share the generic panel integrator of :mod:`vorokit.quadrature`
@@ -33,11 +36,11 @@ enforced in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.chebyshev import chebfit, chebval
+from numpy.polynomial.chebyshev import chebfit, chebvander
 
 from .archimedean import (
     CharTwist,
@@ -304,24 +307,43 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
 # ---- convolution route -----------------------------------------------------
 
 _CHEB_DEG = 20
+_EVAL_POINTS = 65536  # kernel arguments per `_KernelModel.eval` call
 
 
 @dataclass
 class _KernelModel:
-    """Piecewise-Chebyshev model of 𝔟(±arg) in u = arg^{1/n}; args positive."""
+    """Piecewise-Chebyshev model of 𝔟(±arg) in u = arg^{1/n}; args 1-D, positive.
+
+    ``coeffs[j]`` holds the degree-``_CHEB_DEG`` Chebyshev coefficients on
+    panel [edges[j], edges[j+1]].  `eval` sorts its points by panel once,
+    builds one Chebyshev–Vandermonde matrix of the mapped abscissae for all
+    of them and takes each panel's values as one real (n_j × 21) @ (21 × 2)
+    product against that panel's coefficients, real and imaginary parts side
+    by side.
+    """
 
     rank: int
     edges: np.ndarray
     coeffs: np.ndarray
+    _cri: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._cri = np.stack([self.coeffs.real, self.coeffs.imag], axis=-1)
 
     def eval(self, args: np.ndarray) -> np.ndarray:
         u = np.power(args, 1.0 / self.rank)
-        idx = np.clip(np.searchsorted(self.edges, u) - 1, 0, self.coeffs.shape[0] - 1)
-        out = np.empty(args.shape, dtype=complex)
-        for j in np.unique(idx):
-            m = idx == j
-            lo, hi = self.edges[j], self.edges[j + 1]
-            out[m] = chebval((2.0 * u[m] - (lo + hi)) / (hi - lo), self.coeffs[j])
+        npan = self.coeffs.shape[0]
+        idx = np.clip(np.searchsorted(self.edges, u) - 1, 0, npan - 1)
+        order = np.argsort(idx, kind="stable")
+        starts = np.searchsorted(idx[order], np.arange(npan + 1))
+        lo, hi = self.edges[idx], self.edges[idx + 1]
+        vander = chebvander(((2.0 * u - (lo + hi)) / (hi - lo))[order], _CHEB_DEG)
+        vals = np.empty((len(order), 2))
+        for j in np.flatnonzero(np.diff(starts)):
+            rows = slice(starts[j], starts[j + 1])
+            vals[rows] = vander[rows] @ self._cri[j]
+        out = np.empty(len(order), dtype=complex)
+        out[order] = vals[:, 0] + 1j * vals[:, 1]
         return out
 
 
@@ -388,6 +410,7 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
             npan = int(4 + math.ceil(scale * cyc / 1.8))
             tn, wt = gauss_panels(np.linspace(ua, ub, npan + 1) ** n, 16)  # equal phase per panel
             base = wt * tn**tpow
+            chunk = max(1, _EVAL_POINTS // len(tn))  # rows of x per kernel-model call
             parts = [(1, w(tn))]
             if w.neg is not None:
                 parts.append((-1, w(-tn)))
@@ -400,8 +423,8 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
                     if len(sel) == 0:
                         continue
                     model = models[s_x * s_t]
-                    for c0 in range(0, len(sel), 512):
-                        rows = sel[c0 : c0 + 512]
+                    for c0 in range(0, len(sel), chunk):
+                        rows = sel[c0 : c0 + chunk]
                         args = np.outer(ax[rows], tn)
                         kv = model.eval(args.ravel()).reshape(args.shape)
                         out[rows] += kv @ coef

@@ -198,26 +198,54 @@ def _delta_satake(p: int, co: DirichletCoeffs):
     return satake_from_eigenvalue(p, lam)
 
 
-def _detect_min_valuation(sp, zeta: Fraction):
+def _class_modulus(p: int, v: int, r: int) -> int:
+    """p^k, k = max(1, −(v + r)): the twisted factor at x = p^v·u, u a p-adic
+    unit, depends on u only through u mod p^k (r = −v_p(ζ)).
+
+    The shell detection enumerates these unit classes and the factor memo of
+    `rhs_theta` keys on them, so the two always agree on what a class is.
+    """
+    return p ** max(1, -(v + r))
+
+
+def _ramified_factor(memo: dict, sp, zeta: Fraction, x: Fraction):
+    """ramified_transform_gl2(sp, zeta, x), computed once per p-adic class of x.
+
+    The key is (p, v_p(x), u mod p^k) for x = p^v·u; `memo` is local to one
+    call of `rhs_theta`, where p, sp and ζ fix the transform.
+    """
+    p = sp.q
+    v = int(v_p(x, p))
+    unit = x / Fraction(p) ** v
+    mod = _class_modulus(p, v, -int(v_p(zeta, p)))
+    key = (p, v, unit.numerator * pow(unit.denominator, -1, mod) % mod)
+    wv = memo.get(key)
+    if wv is None:
+        wv = memo[key] = ramified_transform_gl2(sp, zeta, x)
+    return wv
+
+
+def _detect_min_valuation(sp, zeta: Fraction, memo: dict | None = None):
     """Deepest surviving α-shell of the local twisted factor, found exactly.
 
     Descends v = 0, −1, … evaluating the transform on every unit class that
     the character can distinguish; stops after two consecutive shells vanish
-    identically.  Returns None if nothing survives at all.
+    identically.  Returns None if nothing survives at all.  The values it
+    computes go into `memo` (see `_ramified_factor`).
     """
+    memo = {} if memo is None else memo
     p = sp.q
     r = -int(v_p(zeta, p))
     minv = None
     empty = 0
     v = 0
     while v >= -(2 * r + 3):
-        kcl = max(1, -(v + r))
-        mod = p**kcl
+        mod = _class_modulus(p, v, r)
         found = False
         for u in range(1, mod):
             if u % p == 0:
                 continue
-            if not ramified_transform_gl2(sp, zeta, Fraction(u * p**v) if v >= 0 else Fraction(u, p**-v)).is_zero:
+            if not _ramified_factor(memo, sp, zeta, Fraction(u) * Fraction(p) ** v).is_zero:
                 found = True
                 break
         if found:
@@ -273,9 +301,10 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
     zeta = Fraction(job.a, job.c)
     sps = {}
     support = {}
+    memo: dict = {}  # ramified factors by p-adic class; this call's only
     for p in fac:
         sp = _delta_satake(p, co)
-        mv = _detect_min_valuation(sp, zeta)
+        mv = _detect_min_valuation(sp, zeta, memo)
         if mv is None:
             result = 0j
             return {"value": result, "support": {p: None}, "shells": []} if full_output else result
@@ -319,7 +348,7 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
                 for p in fac:
                     while mprime % p == 0:
                         mprime //= p
-                    wv = ramified_transform_gl2(sps[p], zeta, Fraction(m, denom))
+                    wv = _ramified_factor(memo, sps[p], zeta, Fraction(m, denom))
                     if wv.is_zero:
                         dead = True
                         break

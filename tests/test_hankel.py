@@ -3,6 +3,7 @@ import random
 
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import chebval
 
 from vorokit import hankel
 from vorokit.archimedean import DS2Block, GL1Block, PoleError, RealPlaceParams
@@ -227,3 +228,43 @@ def test_inner_mellin_factored_matches_direct_composite():
                     got = hankel._mellin_nodes(f, delta, np.array([z]), base)[0]
                     # each base meets the tolerance it is chosen for, down to the reference's own 1e-11
                     assert abs(got - signed_mellin(f, delta, z, 1e-11)) <= max(tol, 2e-11), (f.a, delta, base, z)
+
+
+# ---- the Chebyshev kernel model ---------------------------------------------
+
+
+def _per_panel_chebval(model, args):
+    # one Clenshaw evaluation per panel over that panel's points: the plain reading of the model
+    u = np.power(args, 1.0 / model.rank)
+    idx = np.clip(np.searchsorted(model.edges, u) - 1, 0, model.coeffs.shape[0] - 1)
+    out = np.empty(args.shape, dtype=complex)
+    for j in np.unique(idx):
+        m = idx == j
+        lo, hi = model.edges[j], model.edges[j + 1]
+        out[m] = chebval((2.0 * u[m] - (lo + hi)) / (hi - lo), model.coeffs[j])
+    return out
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_kernel_model_eval_matches_per_panel_chebval(rank):
+    rng = np.random.default_rng(rank)
+    npan = 37
+    edges = np.linspace(0.8, 9.5, npan + 1)
+    coeffs = rng.normal(size=(npan, hankel._CHEB_DEG + 1)) + 1j * rng.normal(size=(npan, hankel._CHEB_DEG + 1))
+    coeffs *= 0.7 ** np.arange(hankel._CHEB_DEG + 1)  # decaying, as a fitted model's are
+    model = hankel._KernelModel(rank, edges, coeffs)
+    on_edges = edges**rank  # every panel edge, both ends included
+    inside = rng.uniform(edges[0], edges[-1], 5000) ** rank
+    args = rng.permutation(np.concatenate([inside, on_edges, on_edges[::-1], [edges[0] ** rank] * 3]))
+    got, ref = model.eval(args), _per_panel_chebval(model, args)
+    assert got.shape == args.shape and got.dtype == complex
+    bound = 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(got - ref)) <= bound
+    # one call on a concatenation is two calls on its halves
+    half = len(args) // 2
+    halves = np.concatenate([model.eval(args[:half]), model.eval(args[half:])])
+    assert np.max(np.abs(got - halves)) <= bound
+    # points in a single panel, and no points at all
+    one = np.full(4, ((edges[3] + edges[4]) / 2) ** rank)
+    assert np.max(np.abs(model.eval(one) - _per_panel_chebval(model, one))) <= bound
+    assert model.eval(np.zeros(0)).shape == (0,)

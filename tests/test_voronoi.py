@@ -5,6 +5,7 @@ repeated polynomial multiplication — a different route than the module's
 sparse cube-power passes, so a bug in either one shows up as a mismatch.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ from vorokit.voronoi import (
     TruncationTooSmall,
     VoronoiJob,
     _detect_min_valuation,
+    _factor,
+    _ramified_factor,
     coeffs_from_file,
     lhs_theta,
     multiplicativity_check,
@@ -156,6 +159,59 @@ def test_support_detection_at_five():
     assert _detect_min_valuation(sp, F(1, 25)) == -4
 
 
+def _unit_class(p, x, r):
+    # (v, u mod p^k) for x = p^v·u, k = max(1, −(v + r)): the class the twisted factor is constant on
+    v = 0
+    num, den = x.numerator, x.denominator
+    while num % p == 0:
+        num, v = num // p, v + 1
+    while den % p == 0:
+        den, v = den // p, v - 1
+    mod = p ** max(1, -(v + r))
+    return v, num * pow(den, -1, mod) % mod
+
+
+@pytest.mark.parametrize("c", [5, 7, 25, 10])
+def test_memoised_ramified_factors_equal_direct_transforms(c):
+    # rhs_theta's first window, m/D ≤ 4, for every numerator a/c
+    co = tau_coefficients(10)
+    for a in range(1, c):
+        if math.gcd(a, c) != 1:
+            continue
+        zeta = F(a, c)
+        memo, sps, denom = {}, {}, 1
+        for p in _factor(c):
+            sps[p] = voronoi._delta_satake(p, co)
+            denom *= p ** -_detect_min_valuation(sps[p], zeta, memo)
+        for m in range(1, 4 * denom + 1):
+            for p, sp in sps.items():
+                x = F(m, denom)
+                assert _ramified_factor(memo, sp, zeta, x) == voronoi.ramified_transform_gl2(sp, zeta, x), (a, m, p)
+
+
+def test_rhs_transforms_once_per_class(monkeypatch):
+    real = voronoi.ramified_transform_gl2
+    seen = []
+
+    def counted(sp, zeta, x):
+        seen.append(_unit_class(sp.q, F(x), 1))
+        return real(sp, zeta, x)
+
+    def decaying_dual(params, n, w, xs, tol):
+        # the padic side does not depend on w̃; a decaying stand-in ends the α-sum quickly
+        return np.exp(-xs), np.zeros(len(xs))
+
+    monkeypatch.setattr(voronoi, "ramified_transform_gl2", counted)
+    monkeypatch.setattr(voronoi, "hankel_convolution_batch", decaying_dual)
+    rep = rhs_theta(VoronoiJob(a=2, c=5, w=W40, n_trunc=2000, tol=1e-4, coeffs=CO), full_output=True)
+    assert rep["support"] == {5: -2}
+    points = rep["shells"][-1]["m_range"][1]
+    needed = {_unit_class(5, F(m, 25), 1) for m in range(1, points + 1)}
+    assert len(seen) == len(set(seen))  # no class is transformed twice
+    assert needed <= set(seen)
+    assert len(seen) < points / 5
+
+
 # ---- both sides against each other ------------------------------------------
 
 
@@ -208,7 +264,7 @@ def test_rhs_full_output_keys(monkeypatch):
     rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
     assert set(rep) == {"value", "support", "shells"}
     # nothing survives at p = 5: the early return reports the same keys
-    monkeypatch.setattr(voronoi, "_detect_min_valuation", lambda sp, zeta: None)
+    monkeypatch.setattr(voronoi, "_detect_min_valuation", lambda sp, zeta, memo: None)
     rep = rhs_theta(VoronoiJob(a=1, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
     assert set(rep) == {"value", "support", "shells"}
     assert rep["value"] == 0 and rep["support"] == {5: None} and rep["shells"] == []

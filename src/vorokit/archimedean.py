@@ -99,6 +99,11 @@ class RealPlaceParams:
     def rank(self) -> int:
         return sum(1 if isinstance(b, GL1Block) else 2 for b in self.blocks)
 
+    @property
+    def parity_dependent(self) -> bool:
+        """Whether γ(s, π×sgn^δ, ψ) depends on δ: a sign twist moves GL1 parities only."""
+        return any(isinstance(b, GL1Block) for b in self.blocks)
+
 
 @dataclass(frozen=True)
 class ComplexBlock:

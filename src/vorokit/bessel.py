@@ -37,7 +37,6 @@ import numpy as np
 from .archimedean import (
     CharTwist,
     ComplexPlaceParams,
-    GL1Block,
     PlaceParams,
     RealPlaceParams,
     log_mb_gamma,
@@ -60,44 +59,33 @@ _BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical, upper ray
 _MAX_RAY = 2000.0
 
 
-def _osc_profile(params: PlaceParams):
-    """(n_osc, c0): the integrand's phase rate is ~ n_osc·log(|t|/c0) − log x_eff."""
-    if isinstance(params, RealPlaceParams):
-        return params.rank, 2 * math.pi
-    return 2 * params.rank, 4 * math.pi
+def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
+    """(1/2πi) ∫_C γ(1−s, π×χ, ψ) xeff^{−s} ds for a batch of xeff > 0.
 
-
-def _mb_batch(
-    logf,
-    contour: Contour,
-    xeffs: np.ndarray,
-    n_osc: int,
-    c0: float,
-    tol: float,
-    flip_pow: float = 1.0,
-):
-    """(1/2πi) ∫_C exp(logf(s)) xeff^{−s} ds for a batch of xeff > 0.
-
-    ``flip_pow`` adjusts the stationary-height estimate c0·xeff^{flip_pow/n_osc}
-    (2 in the doubled complex-place variable, where the integrand carries
-    r^{−w} but the saddle sits at |t| ≈ 4π r^{1/n}).  Returns
-    (values, error_estimates) as arrays over the batch.
+    The integrand's phase rate is ~ n_osc·log(|t|/c0) − flip_pow·log xeff, so
+    its stationary height is c0·xeff^{flip_pow/n_osc}: n_osc = n, c0 = 2π,
+    flip_pow = 1 over ℝ, and in the doubled variable over ℂ n_osc = 2n,
+    c0 = 4π, flip_pow = 2 (the integrand carries r^{−w} but the saddle sits
+    at |t| ≈ 4π r^{1/n}).  Returns (values, error_estimates) as arrays over
+    the batch.
     """
+    if isinstance(params, RealPlaceParams):
+        n_osc, c0, flip_pow = params.rank, 2 * math.pi, 1.0
+    else:
+        n_osc, c0, flip_pow = 2 * params.rank, 4 * math.pi, 2.0
     lx = np.log(xeffs)
     lx_min, lx_max = float(lx.min()), float(lx.max())
     t_flip = c0 * math.exp(flip_pow * lx_max / n_osc)
-    det_span = max((abs(n.imag) for n in contour.nodes), default=0.0)
-    h_bend = max(det_span + 2.0, 1.25 * t_flip + 8.0)
+    h_bend = max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0)
 
     def integrand(nodes):
-        return np.exp(logf(nodes)[:, None] - np.outer(nodes, lx))
+        return np.exp(log_mb_gamma(params, twist, nodes)[:, None] - np.outer(nodes, lx))
 
     def omega(t: float) -> float:
         base = n_osc * math.log(max(abs(t), 1.0) / c0)
         return max(abs(base - flip_pow * lx_min), abs(base - flip_pow * lx_max), 0.5)
 
-    sigma = contour.asymptote
-    pts = [complex(sigma, -h_bend), *contour.nodes, complex(sigma, h_bend)]
+    pts = contour.polyline(h_bend)
 
     tol_raw = tol * 2 * math.pi
     total, err_total = polyline_walk(integrand, pts, omega, tol_raw / 200.0)
@@ -148,9 +136,7 @@ def bessel_real_batch(
         raise ValueError("x must be nonzero")
     if contour is None:
         contour = build_contour(params, CharTwist(0))
-    n_osc, c0 = _osc_profile(params)
-    has_gl1 = any(isinstance(b, GL1Block) for b in params.blocks)
-    deltas = (0, 1) if has_gl1 else (0,)
+    deltas = (0, 1) if params.parity_dependent else (0,)
     per_tol = tol / 2.0
 
     ax = np.abs(xs)
@@ -160,11 +146,10 @@ def bessel_real_batch(
     for gi in magnitude_groups(ax, 4.0):
         integrals = {}
         for d in deltas:
-            logf = lambda s, d=d: log_mb_gamma(params, CharTwist(d), s)
-            integrals[d], errs = _mb_batch(logf, contour, ax[gi], n_osc, c0, per_tol)
+            integrals[d], errs = _mb_batch(params, CharTwist(d), contour, ax[gi], per_tol)
             errors[gi] += errs
         i0 = integrals[0]
-        i1 = integrals[1] if has_gl1 else i0
+        i1 = integrals.get(1, i0)
         sgn = np.sign(xs[gi])
         values[gi] = 0.5 * (i0 + sgn * i1)
     return values, errors
@@ -184,51 +169,33 @@ def bessel_real(
 # ---- complex place ---------------------------------------------------------
 
 
-def radial_component(
-    params: ComplexPlaceParams,
-    m: int,
-    r: float,
-    tol: float = 1e-10,
-    contour: Contour | None = None,
-) -> complex:
+def radial_component(params: ComplexPlaceParams, m: int, r: float, tol: float = 1e-10) -> complex:
     """j_{t, l+m}(r): one winding component, as an integral in the doubled variable."""
     if r <= 0:
         raise ValueError("r must be positive")
-    if contour is None:
-        contour = build_contour(params, CharTwist(m))
-    n_osc, c0 = _osc_profile(params)
-    logf = lambda w: log_mb_gamma(params, CharTwist(m), w)
-    vals, _ = _mb_batch(logf, contour, np.array([r]), n_osc, c0, 2 * tol, flip_pow=2.0)
+    twist = CharTwist(m)
+    vals, _ = _mb_batch(params, twist, build_contour(params, twist), np.array([r]), 2 * tol)
     return 0.5 * complex(vals[0])
 
 
-def bessel_complex(
-    params: ComplexPlaceParams,
-    z: complex,
-    tol: float = 1e-9,
-    m_max: int | None = None,
-    full_output: bool = False,
-):
+def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float = 1e-9) -> complex:
     """Bessel function over ℂ via the winding-number series.
 
     Terms are added in increasing |m| until three consecutive |m|-levels fall
-    below tol/10 (and at least |m| ≥ 8 has been reached), or until m_max.
-    Each component integral is evaluated to tol/(2·m_max+1).  The default cap
-    tracks the transition point |m| ≈ 4π|z| of the component magnitudes.
+    below tol/10 (and at least |m| ≥ 8 has been reached); the series raises
+    ToleranceNotMet if that has not happened by the cap m_max = ⌊4π|z|⌋ + 32,
+    which tracks the transition point |m| ≈ 4π|z| of the component
+    magnitudes.  Each component integral is evaluated to tol/(2·m_max+1).
     """
     if z == 0:
         raise ValueError("z must be nonzero")
     r = abs(z)
-    if m_max is None:
-        m_max = int(4 * math.pi * r) + 32
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    m_max = int(4 * math.pi * r) + 32
     phase = z / r
     per_term = tol / (2 * m_max + 1)
     total = 0.0 + 0.0j
     small_levels = 0
     tail_est = 0.0
-    used = 0
     for level in range(0, m_max + 1):
         ms = (0,) if level == 0 else (level, -level)
         level_mag = 0.0
@@ -237,15 +204,12 @@ def bessel_complex(
             term = j * phase**m / (2 * math.pi)
             total += term
             level_mag = max(level_mag, abs(term))
-        used = level
         small_levels = small_levels + 1 if level_mag < tol / 10.0 else 0
         tail_est = 2 * level_mag
         if small_levels >= 3 and level >= 8:
             break
     else:
         raise ToleranceNotMet(tol, tail_est, f"winding series not stabilised by m_max={m_max}")
-    if full_output:
-        return total, {"m_used": used, "series_tail": tail_est, "per_term_tol": per_term}
     return total
 
 
@@ -328,9 +292,8 @@ def kernel_table(
     params: RealPlaceParams,
     grid: Sequence[float],
     tol: float = 1e-8,
-    signs: Sequence[int] = (1, -1),
 ) -> KernelTable:
-    """Tabulate k(sign·x) over a sorted positive grid."""
+    """Tabulate k(sign·x) over a sorted positive grid, the + half first, then the −."""
     if not isinstance(params, RealPlaceParams):
         raise TypeError("kernel tables are built for real-place parameters")
     grid = list(grid)
@@ -340,7 +303,7 @@ def kernel_table(
         raise ValueError("grid must be strictly increasing and positive")
     contour = build_contour(params, CharTwist(0))
     xs_all, sg_all = [], []
-    for s in signs:
+    for s in (1, -1):
         xs_all.extend(grid)
         sg_all.extend([s] * len(grid))
     pts = np.array(xs_all) * np.array(sg_all)

@@ -305,7 +305,7 @@ def _run_hankel(args, t0):
     values = {}
     for route in routes:
         fn = hankel_mellin_batch if route == "mellin" else hankel_convolution_batch
-        vals, errs = fn(params, 2, w, xs, tol=args.tol)
+        vals, errs = fn(params, params.rank, w, xs, tol=args.tol)
         values[route] = (vals, errs)
     rows = []
     csv_rows = []
@@ -344,7 +344,7 @@ def _run_fe_check(args, t0):
     params = _parse_blocks(args.blocks)
     w = _parse_bump(args.bump, "--bump")
     s_values = _parse_s_values(args)
-    rep = local_fe_residual(params, 2, w, s_values, tol=args.tol)
+    rep = local_fe_residual(params, params.rank, w, s_values, tol=args.tol)
     samples = [
         {
             "s": e["s"],
@@ -419,13 +419,13 @@ def _run_padic(args, t0):
         inputs = {"mode": "check-lseries", "order": args.order, "count": len(cases), **drawn}
         return _report("padic", inputs, results, thresholds, t0)
     if args.kloosterman3:
+        if args.lam:
+            raise ConfigError("--lam is a --check-lseries flag (a rank-2 eigenvalue); give kloosterman3 --alpha")
         if not args.p or not args.zeta or not args.alpha_rational:
             raise ConfigError("--kloosterman3 needs --p, --zeta and --alpha-rational")
         zeta = _parse_rational(args.zeta, "--zeta")
         alphas = _parse_rational_list(args.alpha_rational, "--alpha-rational")
-        if args.lam:
-            sp = satake_from_eigenvalue(args.p, _parse_rational(args.lam, "--lam"), n=3)
-        elif args.alpha:
+        if args.alpha:
             sp = SatakeParams(args.p, tuple(_parse_rational_list(args.alpha, "--alpha")))
         else:
             sp = SatakeParams(args.p, (Fraction(1, 2), Fraction(1), Fraction(2)))
@@ -636,7 +636,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, help="residue cardinality (check-lseries)")
     p.add_argument("--p", type=int, help="prime (kloosterman3)")
     p.add_argument("--alpha", help="comma-separated rational Satake parameters")
-    p.add_argument("--lam", help="rational Hecke eigenvalue (rank 2, or rank 3 for kloosterman3)")
+    p.add_argument("--lam", help="rational rank-2 Hecke eigenvalue (check-lseries)")
     p.add_argument("--order", type=int, default=30, help="series truncation order (default %(default)s)")
     p.add_argument("--count", type=int, default=20,
                    help="number of random tuples when no --alpha/--lam (default %(default)s)")

@@ -60,6 +60,18 @@ class Contour:
         """Parallel-translate the asymptote (detour nodes keep their bulge)."""
         return Contour(self.asymptote + dx, tuple(n + dx for n in self.nodes))
 
+    @property
+    def detour_height(self) -> float:
+        """max |Im s| over the detour nodes; 0 without a detour."""
+        return max((abs(n.imag) for n in self.nodes), default=0.0)
+
+    def polyline(self, h: float) -> list[complex]:
+        """The path truncated to |Im s| ≤ h, as vertices from σ − ih up to σ + ih.
+
+        ``h`` must be at least ``detour_height``.
+        """
+        return [complex(self.asymptote, -h), *self.nodes, complex(self.asymptote, h)]
+
 
 def pole_starts(params: PlaceParams, twist: CharTwist) -> list[tuple[complex, int]]:
     """Rightmost pole and spacing, per block: [(start, step), ...].
@@ -140,14 +152,6 @@ def _dist_to_segment(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def _path_segments(c: Contour, halfheight: float) -> list[tuple[complex, complex]]:
-    if c.nodes:
-        pts = [complex(c.asymptote, -halfheight), *c.nodes, complex(c.asymptote, halfheight)]
-    else:
-        pts = [complex(c.asymptote, -halfheight), complex(c.asymptote, halfheight)]
-    return list(zip(pts[:-1], pts[1:]))
-
-
 def check_admissible(contour: Contour, params: PlaceParams, twist: CharTwist = CharTwist(0)) -> None:
     """Raise InfeasibleContour if any admissibility requirement fails."""
     bound = _asymptote_bound(params)
@@ -156,7 +160,7 @@ def check_admissible(contour: Contour, params: PlaceParams, twist: CharTwist = C
             f"asymptote {contour.asymptote} violates the decay bound {bound}"
         )
     rho = max((n.real for n in contour.nodes), default=contour.asymptote)
-    det_span = max((abs(n.imag) for n in contour.nodes), default=0.0)
+    det_span = contour.detour_height
     for start, step in pole_starts(params, twist):
         p = start
         while p.real > contour.asymptote - 2 * CLEARANCE - 1.0:
@@ -166,8 +170,8 @@ def check_admissible(contour: Contour, params: PlaceParams, twist: CharTwist = C
                     raise InfeasibleContour(f"pole {p} not enclosed by the detour")
             elif p.real >= contour.asymptote:
                 raise InfeasibleContour(f"pole {p} lies right of the line Re s = {contour.asymptote}")
-            extent = max(det_span, abs(p.imag)) + 5.0
-            d = min(_dist_to_segment(p, a, b) for a, b in _path_segments(contour, extent))
+            pts = contour.polyline(max(det_span, abs(p.imag)) + 5.0)
+            d = min(_dist_to_segment(p, a, b) for a, b in zip(pts, pts[1:]))
             if d < _MIN_CLEARANCE:
                 raise InfeasibleContour(f"pole {p} at distance {d:.3g} < {_MIN_CLEARANCE}")
             p -= step

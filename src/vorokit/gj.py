@@ -155,11 +155,9 @@ def k_dual_kernel(spec: KernelSpec, x: float) -> complex:
     return _step_kernel(spec, spec.dual, x)
 
 
-def clozel_tate_kernels(s: complex, x: float, n_coeffs: int | None = None):
+def clozel_tate_kernels(s: complex, x: float):
     """(H_s(x), K_s(x)) for ζ_ℚ; the pair is equal here because D = 1."""
-    if n_coeffs is None:
-        n_coeffs = max(1, int(math.floor(abs(float(x)))))
-    spec = KernelSpec(unit_coeffs(n_coeffs), complex(s), "tate")
+    spec = KernelSpec(unit_coeffs(max(1, math.floor(abs(float(x))))), complex(s), "tate")
     return h_kernel(spec, x), k_dual_kernel(spec, x)
 
 
@@ -198,13 +196,14 @@ def _completed_zeta(s: complex) -> complex:
     return cmath.exp(complex(loggamma(s / 2)) - 0.5 * s * math.log(math.pi)) * zeta_em(s)
 
 
-def _tate_pairing(s: complex, phi: SchwartzGaussian, gmax: int = 9) -> complex:
+def _tate_pairing(s: complex, phi: SchwartzGaussian) -> complex:
     """⟨H_s, φ̂⟩ + ⟨K_{1−s}, φ⟩ with the additive pairing ∫_ℝ · dx.
 
     Both kernels are even, so the integral is twice the half-line one: the
     residue constants against ∫φ̂ and ∫φ in closed form, plus the prefix-sum
     parts gap by gap on [1, gmax), where φ and φ̂ are negligible beyond.
     """
+    gmax = 9
     s = complex(s)
     h = KernelSpec(unit_coeffs(gmax - 1), s, "tate")
     k = KernelSpec(h.dual, 1.0 - s, "tate")
@@ -220,8 +219,8 @@ def _tate_pairing(s: complex, phi: SchwartzGaussian, gmax: int = 9) -> complex:
 # ---- split identity for the weight-12 form ----------------------------------
 
 
-def _default_params() -> RealPlaceParams:
-    return RealPlaceParams((DS2Block(11, 0.0),))
+# the weight-12 form's real place: the L-value oracles know no other form
+_DELTA_PARAMS = RealPlaceParams((DS2Block(11, 0.0),))
 
 
 class DualGrid:
@@ -233,9 +232,8 @@ class DualGrid:
     weight and the integer gap it lies in.
     """
 
-    def __init__(self, w: TestFunction, params: RealPlaceParams | None = None, tol: float = 1e-7):
+    def __init__(self, w: TestFunction, tol: float = 1e-7):
         self.w = w
-        self.params = params if params is not None else _default_params()
         # floored like the α-sum: the oscillatory engine bottoms out ~3e-13
         self.wtol = min(1e-7, max(2e-9, tol / 100.0))
         self.octaves: list[dict] = []
@@ -249,9 +247,9 @@ class DualGrid:
                 range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(self.w.b / g)))
             )
             try:
-                vals, _ = hankel_convolution_batch(self.params, 2, self.w, xs, tol=self.wtol)
+                vals, _ = hankel_convolution_batch(_DELTA_PARAMS, 2, self.w, xs, tol=self.wtol)
             except ToleranceNotMet:
-                vals, _ = hankel_convolution_batch(self.params, 2, self.w, xs, tol=8 * self.wtol)
+                vals, _ = hankel_convolution_batch(_DELTA_PARAMS, 2, self.w, xs, tol=8 * self.wtol)
             self.octaves.append(
                 {"lo": lo, "hi": hi, "xs": xs, "wts": wts / xs, "gaps": gaps, "vals": vals}
             )
@@ -263,7 +261,6 @@ def split_zeta_identity(
     s: complex,
     coeffs: DirichletCoeffs | None = None,
     *,
-    params: RealPlaceParams | None = None,
     tol: float = 1e-7,
     grid: DualGrid | None = None,
     euler_pbound: int = 10000,
@@ -280,7 +277,6 @@ def split_zeta_identity(
         raise ValueError("the test function must be supported inside (0, ∞)")
     if coeffs is None:
         coeffs = tau_coefficients(1024)
-    params = params if params is not None else _default_params()
     h = KernelSpec(coeffs, s)
     k = KernelSpec(coeffs, 1.0 - s)
 
@@ -291,7 +287,7 @@ def split_zeta_identity(
     i1 = _pair(h, h.coeffs, x, wts / x, gap, w(x))
 
     # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible
-    grid = grid if grid is not None else DualGrid(w, params, tol)
+    grid = grid if grid is not None else DualGrid(w, tol)
     i2 = 0j
     small = 0
     oct_idx = 0
@@ -364,7 +360,6 @@ def zero_criterion_pairing(
     phi: SchwartzGaussian | None = None,
     w: TestFunction | None = None,
     coeffs: DirichletCoeffs | None = None,
-    params: RealPlaceParams | None = None,
     tol: float = 1e-7,
 ) -> list[PairingResult]:
     """Evaluate the zero-detecting pairing on a list of s values.
@@ -384,10 +379,10 @@ def zero_criterion_pairing(
         raise ValueError(f"unknown variant {variant!r}")
     w = w if w is not None else make_bump(1.0, 40.0)
     coeffs = coeffs if coeffs is not None else tau_coefficients(1024)
-    grid = DualGrid(w, params, tol)
+    grid = DualGrid(w, tol)
     out = []
     for s in s_list:
-        rep = split_zeta_identity(w, complex(s), coeffs, params=params, tol=tol, grid=grid)
+        rep = split_zeta_identity(w, complex(s), coeffs, tol=tol, grid=grid)
         proxy = rep["value"] / rep["z_arch"]
         out.append(
             PairingResult(complex(s), proxy, rep["l_value"], abs(proxy - rep["l_value"]),

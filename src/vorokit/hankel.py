@@ -44,7 +44,6 @@ from numpy.polynomial.chebyshev import chebfit, chebvander
 
 from .archimedean import (
     CharTwist,
-    GL1Block,
     RealPlaceParams,
     gamma_factor,
     log_mb_gamma,
@@ -229,10 +228,8 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour):
         return max(abs(base - lx_min), abs(base - lx_max), 0.5) + max(abs(va), abs(vb))
 
     sigma = contour.asymptote
-    det_span = max((abs(nd.imag) for nd in contour.nodes), default=0.0)
-    h0 = det_span + 2.0
-    pts = [complex(sigma, -h0), *contour.nodes, complex(sigma, h0)]
-    total, err_total = polyline_walk(integrand, pts, omega, tol_raw / 200.0)
+    h0 = contour.detour_height + 2.0
+    total, err_total = polyline_walk(integrand, contour.polyline(h0), omega, tol_raw / 200.0)
 
     tail_bound = 0.0
     for sgn in (1.0, -1.0):
@@ -280,8 +277,7 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
     if np.any(xs == 0.0):
         raise ValueError("x must be nonzero")
     nu = 0.5 * (n - 1)
-    has_gl1 = any(isinstance(bl, GL1Block) for bl in params.blocks)
-    deltas = (0, 1) if (has_gl1 or w.neg is not None) else (0,)
+    deltas = (0, 1) if (params.parity_dependent or w.neg is not None) else (0,)
     ax = np.abs(xs)
     values = np.zeros(len(xs), dtype=complex)
     errors = np.zeros(len(xs))
@@ -350,7 +346,7 @@ class _KernelModel:
 def _build_kernel_model(params, sign, lo, hi, tol) -> _KernelModel:
     rank = params.rank
     ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
-    if sign < 0 and not any(isinstance(bl, GL1Block) for bl in params.blocks):
+    if sign < 0 and not params.parity_dependent:
         # parity cancellation: 𝔟 vanishes identically on the negative axis
         return _KernelModel(rank, np.array([ulo, uhi]), np.zeros((1, _CHEB_DEG + 1), complex))
     npan = max(3, int(math.ceil((uhi - ulo) * rank / 1.1)))
@@ -454,7 +450,6 @@ def local_fe_residual(
     w: TestFunction,
     s_samples,
     tol: float = 1e-6,
-    y_min: float | None = None,
     y_max: float | None = None,
 ) -> dict:
     """Residuals of M_δ[w̃](s−ν) = γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν), ν = (n−1)/2.
@@ -463,8 +458,12 @@ def local_fe_residual(
     Mellin-integrated; the right side pairs :func:`signed_mellin` with the
     directly evaluated γ-factor, so the two sides share no quadrature.  Below
     the grid the dual is modelled by its leading power y^κ, κ read off the
-    rightmost integrand pole, and integrated in closed form.  Returns a report
-    dict with one entry per (s, parity) and the maximum relative residual.
+    rightmost integrand pole, and integrated in closed form.  The grid starts
+    at y_min = 1e-3 when every κ + Re(s − ν) > 1/2 and at 1e-8 otherwise; it
+    ends at ``y_max`` (default 20·b for w supported in |x| < b), doubled at
+    most three times until the dual's tail beyond it is negligible.  Returns a
+    report dict with one entry per (s, parity) and the maximum relative
+    residual.
     """
     _require_real_rank(params, n)
     nu = 0.5 * (n - 1)
@@ -482,11 +481,10 @@ def local_fe_residual(
     }
     re_z = [(s - nu).real for s in s_list]
     re_min, re_max = min(re_z), max(re_z)
-    if y_min is None:
-        y_min = 1e-3 if min(kappa.values()) + re_min > 0.5 else 1e-8
+    y_min = 1e-3 if min(kappa.values()) + re_min > 0.5 else 1e-8
     if y_max is None:
         y_max = 20.0 * w.b
-    two_sided = any(isinstance(bl, GL1Block) for bl in params.blocks) or w.neg is not None
+    two_sided = params.parity_dependent or w.neg is not None
 
     def build_panels(vlo, vhi):
         edges = [vlo]

@@ -46,19 +46,19 @@ _BERN = (
 )
 
 
-def zeta_em(s: complex, n: int | None = None, order: int = 12) -> complex:
-    """ζ(s) by Euler–Maclaurin: partial sum to n, then Bernoulli corrections.
+def zeta_em(s: complex, order: int = 12) -> complex:
+    """ζ(s) by Euler–Maclaurin: partial sum to n = max(20, 8 + 1.1·|Im s|),
+    then ``order`` Bernoulli corrections.
 
-    Accurate to ~1e-14 for |Im s| up to a few tens with the default cutoff;
-    not meant for large height or far left of the critical strip.
+    Accurate to ~1e-14 for |Im s| up to a few tens; not meant for large height
+    or far left of the critical strip.
     """
     s = complex(s)
     if abs(s - 1) < 1e-12:
         raise ValueError("ζ has its pole at s = 1")
     if not 1 <= order <= len(_BERN):
         raise ValueError(f"order must be in 1..{len(_BERN)}")
-    if n is None:
-        n = max(20, int(8 + 1.1 * abs(s.imag)))
+    n = max(20, int(8 + 1.1 * abs(s.imag)))
     ks = np.arange(1, n, dtype=float)
     total = complex(np.sum(ks ** (-s)))
     total += n ** (1 - s) / (s - 1) + 0.5 * n ** (-s)
@@ -109,17 +109,18 @@ def _tau_exact(n: int) -> tuple:
     return tau_coefficients(n).exact
 
 
-def l_delta_smoothed(s: complex, terms: int = 18, dps: int = 32) -> complex:
+def l_delta_smoothed(s: complex, terms: int = 18) -> complex:
     """L(s) for the weight-12 form via the incomplete-Γ smoothed sum.
 
     The completed function Λ(s) = (2π)^{−(s+11/2)} Γ(s+11/2) L(s) equals
     Σ_n τ(n) [(2πn)^{−s'} Γ(s',2πn) + (2πn)^{s'−12} Γ(12−s',2πn)] with
     s' = s + 11/2, by splitting its integral representation at 1 and using
     the weight-12 modular inversion.  The terms die like e^{−2πn}, so this
-    converges for every s and serves as the critical-strip oracle.
+    converges for every s and serves as the critical-strip oracle.  The sum
+    runs at 32 significant digits.
     """
     tau = _tau_exact(terms)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(32):
         sp = mpmath.mpc(s) + mpmath.mpf(11) / 2
         acc = mpmath.mpc(0)
         for m in range(1, terms + 1):
@@ -141,19 +142,20 @@ def _primes_upto(n: int) -> list:
     return [int(p) for p in np.nonzero(sieve)[0]]
 
 
-def euler_product_l_delta(s: complex, pbound: int = 10000, dps: int = 30) -> complex:
+def euler_product_l_delta(s: complex, pbound: int = 10000) -> complex:
     """L(s) as ∏_{p ≤ pbound} (1 − λ(p) p^{−s} + p^{−2s})^{−1}, Re s > 3/2 only.
 
     The truncation error is the omitted tail of the product; past the
     abscissa of absolute convergence that tail is wildly wrong, so the
-    function refuses rather than pretend.
+    function refuses rather than pretend.  The product runs at 30 significant
+    digits.
     """
     s = complex(s)
     if s.real <= 1.5:
         raise ValueError("Euler product used outside Re s > 3/2")
     tau = _tau_exact(pbound)
     primes = _primes_upto(pbound)
-    with mpmath.workdps(dps):
+    with mpmath.workdps(30):
         sm = mpmath.mpc(s)
         acc = mpmath.mpc(1)
         for p in primes:

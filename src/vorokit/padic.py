@@ -350,14 +350,12 @@ class SatakeParams:
         return len(self.alpha)
 
 
-def satake_from_eigenvalue(q: int, lam, n: int = 2) -> SatakeParams:
-    """Hecke eigenvalue → Satake pair {α, α⁻¹} (trivial central character).
+def satake_from_eigenvalue(q: int, lam) -> SatakeParams:
+    """Hecke eigenvalue → Satake pair {α, α⁻¹} (rank 2, trivial central character).
 
     `lam` may be any exact ring element; the stored symmetric functions are
     (λ, 1) and the display roots solve X² − λX + 1 = 0.
     """
-    if n != 2:
-        raise ValueError("only the rank-2, trivial-central-character case is defined")
     lamc = complex(lam)
     root = cmath.sqrt(lamc * lamc - 4)
     alpha = ((lamc + root) / 2, (lamc - root) / 2)

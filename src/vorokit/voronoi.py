@@ -395,6 +395,6 @@ def voronoi_residual(job: VoronoiJob) -> dict:
         "weight": job.weight,
         "n_trunc": job.n_trunc,
         "tol": job.tol,
-        "support": rep.get("support", {}),
-        "shells": rep.get("shells", []),
+        "support": rep["support"],
+        "shells": rep["shells"],
     }

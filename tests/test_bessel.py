@@ -62,6 +62,17 @@ def test_shifted_contour_still_admissible():
         check_admissible(build_contour(p).shifted(-0.15), p)
 
 
+def test_twisted_contours_admissible():
+    # the mellin route builds the δ = 1 contour; the complex place one per winding m
+    pair = RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))
+    check_admissible(build_contour(pair, CharTwist(1)), pair, CharTwist(1))
+    for m in range(-3, 4):
+        check_admissible(build_contour(GL1C, CharTwist(m)), GL1C, CharTwist(m))
+    # the m = 1 path has no detour, so it passes right of the untwisted pole at w = 0
+    with pytest.raises(InfeasibleContour):
+        check_admissible(build_contour(GL1C, CharTwist(1)), GL1C)
+
+
 def test_inadmissible_contours_rejected():
     with pytest.raises(InfeasibleContour):
         check_admissible(Contour(0.6), DS11)  # violates the decay bound

@@ -310,6 +310,15 @@ def test_padic_requires_a_mode(capsys):
     assert "check-lseries" in err
 
 
+def test_padic_kloosterman_rejects_lam(capsys):
+    code, _, err = run(
+        capsys,
+        ["padic", "--kloosterman3", "--p", "5", "--zeta", "2/5", "--alpha-rational", "1", "--lam", "1/2"],
+    )
+    assert code == 2
+    assert "--lam" in err and "--check-lseries" in err
+
+
 # ---- table and route outputs ------------------------------------------------
 
 
@@ -345,6 +354,27 @@ def test_hankel_both_routes_agree_and_csv(capsys, tmp_path):
     assert len(lines) == 5  # header + 2 points × 2 routes
     routes = {line.split(",")[1] for line in lines[1:]}
     assert routes == {"mellin", "convolution"}
+
+
+GL1_DOC = '{"place":"real","blocks":[{"kind":"gl1","delta":0}]}'
+
+
+def test_hankel_takes_the_rank_from_the_blocks(capsys):
+    code, out, err = run(
+        capsys,
+        ["hankel", "--blocks", GL1_DOC, "--bump", "1,2", "--x", "1,-1.7", "--route", "both",
+         "--max-disagree", "1e-5", "--tol", "1e-7"],
+    )
+    assert code == 0, err
+    assert json.loads(out)["thresholds"]["route_agreement"]["passed"] is True
+
+
+def test_fe_check_takes_the_rank_from_the_blocks(capsys):
+    code, out, err = run(capsys, ["fe-check", "--blocks", GL1_DOC, "--bump", "1,2", "--s-list", "0.5"])
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["thresholds"]["max_rel_residual"]["passed"] is True
+    assert {e["parity"] for e in rep["results"]["samples"]} == {0, 1}
 
 
 # ---- voronoi-verify ---------------------------------------------------------

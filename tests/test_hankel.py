@@ -127,6 +127,25 @@ def test_route_agreement_random_pairs():
         assert abs(conv[0] - mell[0]) < 2e-7, (params, x)
 
 
+@pytest.mark.parametrize(
+    "params, n",
+    [(GL1_TRIVIAL, 1), (DS2_5, 2), (RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0))), 2)],
+    ids=["gl1", "ds2_5", "gl1_gl1"],
+)
+def test_route_agreement_two_sided_test_function(params, n):
+    # w lives on both half-lines: the convolution route pairs both kernel
+    # signs with the negative t-part, the mellin route sums both parities
+    bump = make_bump(1.0, 2.0)
+    w = hankel.TestFunction(1.0, 2.0, bump.pos, lambda x: 0.5 * bump.pos(x))
+    xs = [0.7, -0.7, 2.3, -2.3]
+    conv, _ = hankel_convolution_batch(params, n, w, xs, 1e-7)
+    mell, _ = hankel_mellin_batch(params, n, w, xs, 1e-7)
+    assert np.max(np.abs(conv - mell)) < 2e-7
+    if params is DS2_5:
+        # one-sided, this dual vanishes on x < 0; the negative part made it nonzero
+        assert abs(mell[1]) > 1e-3
+
+
 def test_scaling_law():
     # w_λ(t) = w(λt) has dual λ^{n−2} w̃(λx) ... evaluated through the route
     lam = 2.0

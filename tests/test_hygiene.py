@@ -1,9 +1,17 @@
-"""Source hygiene: no module imports a name it never uses.
+"""Source hygiene: no module imports a name it never uses, and no library
+parameter has a default that every caller leaves alone.
 
-A pure-``ast`` scan of ``src/vorokit/*.py`` and ``tests/*.py``.  A name
-counts as used when it is read anywhere in the module or listed in a
-literal ``__all__``; ``from __future__`` imports are compiler directives and
-never count as unused.
+Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
+``tests/*.py``; a name counts as used when it is read anywhere in the module
+or listed in a literal ``__all__``; ``from __future__`` imports are compiler
+directives and never count as unused.
+
+Parameters: every defaulted parameter of a module-level function or method
+in ``src/vorokit`` must be passed, by keyword or by position, at one or more
+call sites in ``src/vorokit``, ``tests`` or ``perfbench``; otherwise its
+default is a constant spelled as a knob.  A call is matched by the bare name
+it calls (``f(...)`` or ``obj.f(...)``), a call of a class by its name counts
+for ``__init__``, and ``*args``/``**kwargs`` at a call site pass nothing.
 """
 
 from __future__ import annotations
@@ -12,7 +20,9 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FILES = sorted([*(ROOT / "src" / "vorokit").glob("*.py"), *(ROOT / "tests").glob("*.py")])
+SRC = sorted((ROOT / "src" / "vorokit").glob("*.py"))
+FILES = sorted([*SRC, *(ROOT / "tests").glob("*.py")])
+CALLERS = sorted([*FILES, *(ROOT / "perfbench").glob("*.py")])
 
 
 def _imported(tree):
@@ -61,3 +71,79 @@ def test_no_unused_imports():
     assert FILES
     found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in FILES for name, line in unused_imports(p.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _defaulted(tree):
+    """(qualified name, name its callers use, parameter, position) for each
+    defaulted parameter; position is None for a keyword-only one."""
+    defs = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            defs.append((node.name, node.name, node, 0))
+        elif isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef):  # self or cls is bound at the call
+                    defs.append((f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name, f, 1))
+    for qual, called, f, bound in defs:
+        pos = [*f.args.posonlyargs, *f.args.args][bound:]
+        for i in range(len(pos) - len(f.args.defaults), len(pos)):
+            yield qual, called, pos[i].arg, i
+        for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
+            if default is not None:
+                yield qual, called, arg.arg, None
+
+
+def _calls(tree):
+    """name called → [(positional arguments, keyword names)] for each call."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            npos = sum(not isinstance(a, ast.Starred) for a in node.args)
+            out.setdefault(name, []).append((npos, {k.arg for k in node.keywords if k.arg}))
+    return out
+
+
+def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """'qualname(param)' for each defaulted parameter in `defining` that no call in `calling` passes."""
+    calls = {}
+    for source in calling:
+        for name, sites in _calls(ast.parse(source)).items():
+            calls.setdefault(name, []).extend(sites)
+    return [
+        f"{qual}({param})"
+        for source in defining
+        for qual, called, param, i in _defaulted(ast.parse(source))
+        if not any(param in kws or (i is not None and npos > i) for npos, kws in calls.get(called, []))
+    ]
+
+
+def test_census_flags_defaults_no_call_passes():
+    lib = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    def inner(z=0):\n"
+        "        return z\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        pass\n"
+        "    def m(self, p=1, q=2):\n"
+        "        pass\n"
+        "    @classmethod\n"
+        "    def make(cls, r=5):\n"
+        "        pass\n"
+    )
+    callers = (
+        "f(0, 1)\n"  # b by position
+        "mod.f(0, d=9, **opts)\n"  # d by keyword; **opts passes nothing
+        "f(*args)\n"
+        "K(1, 2)\n"  # y by position through the class name
+        "k.m(7)\n"  # p by position, self bound
+        "K.make()\n"
+    )
+    assert unset_defaults([lib], [lib, callers]) == ["f(c)", "f(e)", "K.m(q)", "K.make(r)"]
+
+
+def test_every_library_default_is_passed_somewhere():
+    assert SRC
+    found = unset_defaults([p.read_text() for p in SRC], [p.read_text() for p in CALLERS])
+    assert not found, "defaulted parameters no caller passes:\n" + "\n".join(found)

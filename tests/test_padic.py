@@ -199,8 +199,6 @@ def test_satake_validation_and_dual():
         SatakeParams(1, (F(1),))
     with pytest.raises(ValueError):
         SatakeParams(5, (F(1), 0))
-    with pytest.raises(ValueError):
-        satake_from_eigenvalue(5, F(1), n=3)
     sp = SatakeParams(7, (F(2), F(1, 3), F(5)))
     dual = contragredient_satake(sp)
     assert dual.elem[-1] == 1 / sp.elem[-1]

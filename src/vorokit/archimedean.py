@@ -1,28 +1,35 @@
 """Archimedean local factors over ℝ and ℂ.
 
 A representation of GL(n, ℝ) is described here by an ordered list of blocks,
-each either a character of GL(1) or a two-dimensional discrete-series block:
+each either a character GL1Block(δ, t) of GL(1) with parity δ ∈ {0,1} or a
+two-dimensional discrete-series block DS2Block(l, t) with weight parameter
+l ≥ 1.  Over ℂ every block is a character [z]^l |z|^t of ℂ^×.  A unitary twist
+χ (sgn^{δ_χ} over ℝ, [·]^m over ℂ) is folded into the block data rather than
+materialised.
 
-    GL1Block(δ, t):   L(s) = π^{-(s+t+δ)/2} Γ((s+t+δ)/2),        ε = i^δ
-    DS2Block(l, t):   L(s) = 2 (2π)^{-(s+t+l/2)} Γ(s+t+l/2),     ε = i^{l+1}
+Every factor is a product of the two archimedean Γ-functions
 
-with δ ∈ {0,1} the parity and l ≥ 1 the weight parameter.  Over ℂ every block
-is a character [z]^l |z|^t of ℂ^× and
+    Γ_ℝ(z) = π^{−z/2} Γ(z/2),      Γ_ℂ(z) = 2 (2π)^{−z} Γ(z).
 
-    block (t, l):     L(s) = 2 (2π)^{-(s+t+|l|/2)} Γ(s+t+|l|/2),  ε = i^{|l|}.
+``gamma_pieces`` gives one Γ-piece (kind, t, a, k) per block, and
 
-A unitary twist (sgn^δ over ℝ, [·]^m over ℂ) is folded into the block data
-rather than materialised: GL1 parities shift by δ mod 2, complex winding
-numbers shift by m, and discrete-series blocks are unchanged.
+    L(s, π×χ) = ∏ Γ_kind(s + t + a),      ε(s, π×χ, ψ) = i^{Σ k},
 
-The γ-factor is the functional-equation ratio
+    block                 piece (kind, t, a, k)
+    GL1Block(δ, t)        (ℝ, t, δ', δ')            δ' = δ + δ_χ mod 2
+    DS2Block(l, t)        (ℂ, t, l/2, l + 1)
+    ComplexBlock(t, l)    (ℂ, t, |l+m|/2, |l+m|)
 
-    γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~ × χ̄) / L(s, π×χ),
+The contragredient π~ twisted by χ̄ has the same pieces with t negated
+(``contragredient_params`` builds its parameters for reference).  The
+γ-factor is the functional-equation ratio
 
-where π~ is the contragredient (parameter negation, see
-``contragredient_params``).  ``log_mb_gamma`` evaluates log γ(1−s, ·) in a
-single stable expression for use on integration contours at large height,
-where the L-factors individually overflow double precision.
+    γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~ × χ̄) / L(s, π×χ).
+
+``log_mb_gamma`` evaluates log γ(1−s, ·) in a single stable expression for
+use on integration contours at large height, where the L-factors individually
+overflow double precision.  Its variable is the Mellin–Barnes variable
+``mb_scale``·s: s itself over ℝ, the doubled variable over ℂ.
 
 All functions are pure; parameter objects are frozen and hashable.
 """
@@ -32,6 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Union
 
 import numpy as np
@@ -49,6 +57,7 @@ __all__ = [
     "epsilon_factor",
     "gamma_factor",
     "contragredient_params",
+    "gamma_pieces",
     "log_mb_gamma",
 ]
 
@@ -80,12 +89,11 @@ class DS2Block:
             raise ValueError(f"discrete-series weight must be an integer >= 1, got {self.l}")
 
 
-RealBlock = Union[GL1Block, DS2Block]
-
-
 @dataclass(frozen=True)
 class RealPlaceParams:
     blocks: tuple
+
+    mb_scale = 1  # the Mellin–Barnes variable is s itself
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -118,6 +126,8 @@ class ComplexBlock:
 @dataclass(frozen=True)
 class ComplexPlaceParams:
     blocks: tuple
+
+    mb_scale = 2  # the Mellin–Barnes variable is the doubled w = 2s
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -154,38 +164,43 @@ class PoleError(ArithmeticError):
         )
 
 
-def _real_twist(params: RealPlaceParams, twist: CharTwist) -> int:
+# ---- Γ-pieces ---------------------------------------------------------------
+
+#: kind → (h, log c, f) with Γ_kind(z) = f · c^{−z/h} · Γ(z/h)
+_KINDS = {"R": (2, _LOG_PI, 1.0), "C": (1, _LOG_2PI, 2.0)}
+
+
+@lru_cache(maxsize=256)
+def gamma_pieces(params: PlaceParams, twist: CharTwist) -> tuple:
+    """The Γ-pieces (kind, t, a, k) of π×χ, one per block, kind "R" or "C"."""
+    if isinstance(params, ComplexPlaceParams):
+        return tuple(("C", b.t, abs(b.l + twist.value) / 2, abs(b.l + twist.value)) for b in params.blocks)
     d = twist.value
     if d not in (0, 1):
         raise ValueError(f"real-place twist parity must be 0 or 1, got {d}")
-    return d
+    return tuple(
+        ("R", b.t, (b.delta + d) % 2, (b.delta + d) % 2) if isinstance(b, GL1Block)
+        else ("C", b.t, b.l / 2, b.l + 1)
+        for b in params.blocks
+    )
 
 
 # ---- individual factors ----------------------------------------------------
 
 
+def _l_product(pieces, s: complex) -> complex:
+    out = 1.0 + 0.0j
+    for j, (kind, t, a, _) in enumerate(pieces):
+        h, log_c, f = _KINDS[kind]
+        z = (s + t + a) / h
+        _check_pole(j, z, s, stride=h)
+        out *= f * cmath.exp(-z * log_c + loggamma(complex(z)))
+    return out
+
+
 def l_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
     """Product over blocks of the local L-factor at s, with the twist folded in."""
-    out = 1.0 + 0.0j
-    if isinstance(params, RealPlaceParams):
-        d = _real_twist(params, twist)
-        for j, b in enumerate(params.blocks):
-            if isinstance(b, GL1Block):
-                eps = (b.delta + d) % 2
-                a = (s + b.t + eps) / 2
-                _check_pole(j, a, s, stride=2)
-                out *= cmath.exp(-a * _LOG_PI + loggamma(complex(a)))
-            else:
-                a = s + b.t + b.l / 2
-                _check_pole(j, a, s, stride=1)
-                out *= 2.0 * cmath.exp(-a * _LOG_2PI + loggamma(complex(a)))
-        return out
-    m = twist.value
-    for j, b in enumerate(params.blocks):
-        a = s + b.t + abs(b.l + m) / 2
-        _check_pole(j, a, s, stride=1)
-        out *= 2.0 * cmath.exp(-a * _LOG_2PI + loggamma(complex(a)))
-    return out
+    return _l_product(gamma_pieces(params, twist), s)
 
 
 def _check_pole(block_index: int, gamma_arg: complex, s: complex, stride: int) -> None:
@@ -199,17 +214,8 @@ def _check_pole(block_index: int, gamma_arg: complex, s: complex, stride: int) -
 
 
 def epsilon_factor(params: PlaceParams, twist: CharTwist) -> complex:
-    """The s-independent root of unity ∏ i^{…} for the twisted parameters."""
-    k = 0
-    if isinstance(params, RealPlaceParams):
-        d = _real_twist(params, twist)
-        for b in params.blocks:
-            k += (b.delta + d) % 2 if isinstance(b, GL1Block) else b.l + 1
-    else:
-        m = twist.value
-        for b in params.blocks:
-            k += abs(b.l + m)
-    return _I_POW[k % 4]
+    """The s-independent root of unity i^{Σk} for the twisted parameters."""
+    return _I_POW[sum(k for *_, k in gamma_pieces(params, twist)) % 4]
 
 
 def contragredient_params(params: PlaceParams) -> PlaceParams:
@@ -223,19 +229,11 @@ def contragredient_params(params: PlaceParams) -> PlaceParams:
     return ComplexPlaceParams(tuple(ComplexBlock(-b.t, -b.l) for b in params.blocks))
 
 
-def _conj_twist(params: PlaceParams, twist: CharTwist) -> CharTwist:
-    # sgn^δ is self-conjugate; [·]^m conjugates to [·]^{−m}.
-    if isinstance(params, RealPlaceParams):
-        return twist
-    return CharTwist(-twist.value)
-
-
 def gamma_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
     """γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~×χ̄) / L(s, π×χ)."""
-    dual = contragredient_params(params)
-    num = l_factor(dual, _conj_twist(params, twist), 1 - s)
-    den = l_factor(params, twist, s)
-    return epsilon_factor(params, twist) * num / den
+    pieces = gamma_pieces(params, twist)
+    dual = [(kind, -t, a, k) for kind, t, a, k in pieces]  # π~ × χ̄
+    return epsilon_factor(params, twist) * _l_product(dual, 1 - s) / _l_product(pieces, s)
 
 
 # ---- stable log form for contour integration -------------------------------
@@ -247,40 +245,18 @@ def log_mb_gamma(params: PlaceParams, twist: CharTwist, s) -> np.ndarray:
     This is the function whose inverse Mellin transform gives the Bessel
     function; combining the Γ-ratios and power factors inside a single log
     keeps the evaluation finite at contour heights where each L-factor alone
-    would overflow.  For complex-place parameters the variable is the doubled
-    one (s here is w, the γ-ratio being formed at w/2), matching the contour
-    normalisation in :mod:`vorokit.contours`.
+    would overflow.  s is the Mellin–Barnes variable, so the γ-ratio is formed
+    at u = s / ``mb_scale`` (w/2 for the doubled variable w over ℂ), matching
+    the contour normalisation in :mod:`vorokit.contours`.
     """
     s = np.asarray(s, dtype=complex)
     out = np.zeros_like(s)
-    if isinstance(params, RealPlaceParams):
-        d = _real_twist(params, twist)
-        phase = 0
-        for b in params.blocks:
-            if isinstance(b, GL1Block):
-                eps = (b.delta + d) % 2
-                phase += eps
-                out = out + (
-                    (1 - 2 * s + 2 * b.t) / 2 * _LOG_PI
-                    + loggamma((s - b.t + eps) / 2)
-                    - loggamma((1 - s + b.t + eps) / 2)
-                )
-            else:
-                phase += b.l + 1
-                out = out + (
-                    (1 - 2 * s + 2 * b.t) * _LOG_2PI
-                    + loggamma(s - b.t + b.l / 2)
-                    - loggamma(1 - s + b.t + b.l / 2)
-                )
-        return out + cmath.log(_I_POW[phase % 4])
-    m = twist.value
     phase = 0
-    for b in params.blocks:
-        a = abs(b.l + m) / 2
-        phase += abs(b.l + m)
-        out = out + (
-            (1 - s + 2 * b.t) * _LOG_2PI
-            + loggamma(s / 2 - b.t + a)
-            - loggamma(1 - s / 2 + b.t + a)
-        )
+    for kind, t, a, k in gamma_pieces(params, twist):
+        # log Γ_kind(u − t + a) − log Γ_kind(1 − u + t + a), f cancelling, written in
+        # v = u/h: (1/h − 2v + 2t/h)·log c + log Γ(v − t/h + a/h) − log Γ(1/h − v + t/h + a/h)
+        h, log_c, _ = _KINDS[kind]
+        v, th, ah = s / (params.mb_scale * h), t / h, a / h
+        out = out + ((1 / h - 2 * v + 2 * th) * log_c + loggamma(v - th + ah) - loggamma(1 / h - v + th + ah))
+        phase += k
     return out + cmath.log(_I_POW[phase % 4])

@@ -62,17 +62,16 @@ _MAX_RAY = 2000.0
 def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
     """(1/2πi) ∫_C γ(1−s, π×χ, ψ) xeff^{−s} ds for a batch of xeff > 0.
 
-    The integrand's phase rate is ~ n_osc·log(|t|/c0) − flip_pow·log xeff, so
-    its stationary height is c0·xeff^{flip_pow/n_osc}: n_osc = n, c0 = 2π,
-    flip_pow = 1 over ℝ, and in the doubled variable over ℂ n_osc = 2n,
-    c0 = 4π, flip_pow = 2 (the integrand carries r^{−w} but the saddle sits
-    at |t| ≈ 4π r^{1/n}).  Returns (values, error_estimates) as arrays over
-    the batch.
+    s is the Mellin–Barnes variable sc·s₀ (sc = ``params.mb_scale``: 1 over ℝ,
+    2 over ℂ).  The γ-ratio has degree n_osc = sc·n in s₀, so by Stirling its
+    phase rate per unit of Im s₀ is ~ n_osc·log(|Im s₀|/2π) = n_osc·log(|t|/c0)
+    at t = Im s with c0 = 2π·sc; xeff^{−s} = (xeff^{sc})^{−s₀} adds
+    −flip_pow·log xeff with flip_pow = sc.  The stationary height is
+    c0·xeff^{flip_pow/n_osc} = 2π·sc·xeff^{1/n}.
+    Returns (values, error_estimates) as arrays over the batch.
     """
-    if isinstance(params, RealPlaceParams):
-        n_osc, c0, flip_pow = params.rank, 2 * math.pi, 1.0
-    else:
-        n_osc, c0, flip_pow = 2 * params.rank, 4 * math.pi, 2.0
+    sc = params.mb_scale
+    n_osc, c0, flip_pow = sc * params.rank, 2 * math.pi * sc, sc
     lx = np.log(xeffs)
     lx_min, lx_max = float(lx.min()), float(lx.max())
     t_flip = c0 * math.exp(flip_pow * lx_max / n_osc)
@@ -216,11 +215,11 @@ def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float = 1e-9) ->
 # ---- kernels and tables ----------------------------------------------------
 
 
-def kernel_eval(params: PlaceParams, x, tol: float = 1e-10, **kw) -> complex:
+def kernel_eval(params: PlaceParams, x, tol: float = 1e-10) -> complex:
     """k(x) = b(x)·|x|^{1/2} with the place's normalised absolute value."""
     if isinstance(params, RealPlaceParams):
-        return bessel_real(params, x, tol, **kw) * math.sqrt(abs(x))
-    return bessel_complex(params, x, tol, **kw) * abs(x)  # |z|_ℂ^{1/2} = |z|
+        return bessel_real(params, x, tol) * math.sqrt(abs(x))
+    return bessel_complex(params, x, tol) * abs(x)  # |z|_ℂ^{1/2} = |z|
 
 
 @dataclass(frozen=True)

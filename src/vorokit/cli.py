@@ -383,6 +383,8 @@ def _random_satake(rng: random.Random) -> SatakeParams:
 
 
 def _run_padic(args, t0):
+    if args.check_lseries and args.kloosterman3:
+        raise ConfigError("--check-lseries and --kloosterman3 are separate jobs; give one")
     if args.check_lseries:
         if args.order < 1:
             raise ConfigError("--order must be positive")
@@ -507,7 +509,7 @@ def _run_gj_scan(args, t0):
     if args.variant == "tate":
         if not isinstance(phi, SchwartzGaussian):
             raise ConfigError("the tate pairing needs a Schwartz witness: --phi gaussian[:c0,c2]")
-        res = zero_criterion_pairing("tate", s_values, phi=phi, tol=tol)
+        res = zero_criterion_pairing("tate", s_values, phi=phi)
     elif args.variant == "cuspidal":
         if isinstance(phi, SchwartzGaussian):
             raise ConfigError("the cuspidal pairing needs compact support: --phi bump:a,b")
@@ -520,7 +522,7 @@ def _run_gj_scan(args, t0):
     points = [
         {
             "s": r.s,
-            "value": _num(r.value, tol, "gap-quadrature"),
+            "value": _num(r.value, None if r.variant == "tate" else tol, "gap-quadrature"),
             "reference": _num(r.reference, 1e-12, "euler-maclaurin-zeta" if r.variant == "tate" else r.variant),
             "defect": _jsonable(r.defect),
             "phi": r.phi,
@@ -548,7 +550,7 @@ def _run_clozel_test(args, t0):
     if not isinstance(phi, SchwartzGaussian):
         raise ConfigError("the tate pairing needs a Schwartz witness: --phi gaussian[:c0,c2]")
     ts = np.linspace(args.t0 - args.window / 2, args.t0 + args.window / 2, args.steps)
-    res = zero_criterion_pairing("tate", [complex(0.5, t) for t in ts], phi=phi, tol=1e-7)
+    res = zero_criterion_pairing("tate", [complex(0.5, t) for t in ts], phi=phi)
     defects = np.array([r.defect for r in res])
     i_min = int(np.argmin(defects))
     # the independent location of the zero: Hardy Z sign change inside the window

@@ -6,17 +6,20 @@ vertical line Re s = σ′, and the detour (an axis-aligned rectangle bulge to
 the right) walks the path around any Γ-poles of the integrand that sit to the
 right of the asymptote.  Admissibility means
 
-  (1) σ′ < 1/2 + (Re Σ n_j t_j − 1)/n  (real place; the analogous bound in
-      the doubled variable over ℂ),
+  (1) σ′ < sc/2 + (Re Σ n_j t_j − 1)/n in the Mellin–Barnes variable
+      sc·s (sc = ``mb_scale``: 1 over ℝ, 2 over ℂ), with n_j the degree of
+      block j over the place's field and n = Σ n_j,
   (2) every integrand pole lies strictly left of the path with clearance
       ≥ 0.1,
   (3) the path is the vertical line outside the node section.
 
-The pole sets are, per block and with the twist folded in:
+The integrand γ(1−s, π×χ, ψ) has the poles of L(s, π~×χ̄), so each Γ-piece
+(kind, t, a, k) of :mod:`vorokit.archimedean` contributes, in the variable
+sc·s,
 
-  real GL1(δ, t):  t − ℕ      (union over both character parities)
-  real DS2(l, t):  t − l/2 − ℕ
-  complex (t, l):  2t − |l+m| − 2ℕ   (doubled variable w = 2s)
+  Γ_ℂ piece:  sc·(t − a − ℕ)
+  Γ_ℝ piece:  t − ℕ    (real place only: the union of t − a − 2ℕ over both
+                        parities a ∈ {0,1}, since one contour serves both)
 
 ``build_contour`` places the asymptote at the admissibility bound minus 1/4
 and bulges right of any poles within 1/4 of it, so all clearances are ≥ 1/4.
@@ -27,12 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .archimedean import (
-    CharTwist,
-    GL1Block,
-    PlaceParams,
-    RealPlaceParams,
-)
+from .archimedean import CharTwist, PlaceParams, gamma_pieces
 
 __all__ = ["Contour", "InfeasibleContour", "build_contour", "pole_starts", "check_admissible"]
 
@@ -74,45 +72,25 @@ class Contour:
 
 
 def pole_starts(params: PlaceParams, twist: CharTwist) -> list[tuple[complex, int]]:
-    """Rightmost pole and spacing, per block: [(start, step), ...].
+    """Rightmost pole and spacing, per Γ-piece: [(start, step), ...].
 
-    Poles of block j are start_j − step_j·k, k = 0, 1, 2, …
+    Poles of piece j are start_j − step_j·k, k = 0, 1, 2, …
     """
-    out: list[tuple[complex, int]] = []
-    if isinstance(params, RealPlaceParams):
-        for b in params.blocks:
-            if isinstance(b, GL1Block):
-                out.append((complex(b.t), 1))  # both parities together
-            else:
-                out.append((complex(b.t) - b.l / 2, 1))
-    else:
-        m = twist.value
-        for b in params.blocks:
-            out.append((2 * complex(b.t) - abs(b.l + m), 2))
-    return out
+    sc = params.mb_scale
+    # a Γ_ℝ piece takes t − ℕ, the poles of both parities, whatever its own a
+    return [(sc * (complex(t) - (0 if kind == "R" else a)), sc) for kind, t, a, _ in gamma_pieces(params, twist)]
 
 
 def _asymptote_bound(params: PlaceParams) -> float:
-    if isinstance(params, RealPlaceParams):
-        n = params.rank
-        tsum = sum(
-            (1 if isinstance(b, GL1Block) else 2) * complex(b.t).real for b in params.blocks
-        )
-        return 0.5 + (tsum - 1.0) / n
-    n = params.rank
-    tsum = sum(complex(b.t).real for b in params.blocks)
-    # doubled variable: twice the natural bound of the undoubled one
-    return 1.0 + (tsum - 1.0) / n
-
-
-def build_contour(params: PlaceParams, twist: CharTwist = CharTwist(0)) -> Contour:
-    key = (params, twist)
-    return _build_contour_cached(key)
+    sc = params.mb_scale
+    # n_j: 1 for a Γ_ℝ piece (GL1 over ℝ); 2 // sc for a Γ_ℂ piece (DS2 over ℝ, GL1 over ℂ)
+    pieces = gamma_pieces(params, CharTwist(0))
+    tsum = sum((1 if kind == "R" else 2 // sc) * complex(t).real for kind, t, _, _ in pieces)
+    return sc / 2 + (tsum - 1.0) / params.rank
 
 
 @lru_cache(maxsize=256)
-def _build_contour_cached(key) -> Contour:
-    params, twist = key
+def build_contour(params: PlaceParams, twist: CharTwist = CharTwist(0)) -> Contour:
     sigma = _asymptote_bound(params) - CLEARANCE
     bulged: list[complex] = []
     for start, step in pole_starts(params, twist):

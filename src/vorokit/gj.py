@@ -365,8 +365,9 @@ def zero_criterion_pairing(
     """Evaluate the zero-detecting pairing on a list of s values.
 
     tate: ⟨F(H_s) + K_{1−s}, φ⟩ against a Gaussian-family φ (closed-form
-    Fourier transform); cuspidal: the split-identity L-proxy against the
-    L-value oracle, sharing one dual grid across the whole scan.
+    Fourier transform) by a fixed gap rule, which reads no ``tol`` and
+    computes no error bound; cuspidal: the split-identity L-proxy against the
+    L-value oracle to ``tol``, sharing one dual grid across the whole scan.
     """
     if variant == "tate":
         phi = phi if phi is not None else SchwartzGaussian()

@@ -512,8 +512,8 @@ def local_fe_residual(
     ref_pos, ref_neg = pos_all[:1], neg_all[:1]
     w_pos, w_neg = pos_all[1:], neg_all[1:]
 
-    # extend upward until the last panels are negligible for every sample
-    for _ in range(4):
+    # double y_max, at most three times, until the last panels are negligible for every sample
+    for doublings in range(4):
         tail_nodes = v_nodes[-48:]
         tail = max(
             float(np.sum(v_wts[-48:] * np.abs(w_pos[-48:] + w_neg[-48:]) * np.exp(r * tail_nodes)))
@@ -521,16 +521,17 @@ def local_fe_residual(
         )
         if tail < tol * 0.02:
             break
+        if doublings == 3:
+            raise ToleranceNotMet(tol, tail, "dual tail not negligible at y_max")
         new_vhi = math.log(y_max) + math.log(2.0)
         vn_ext, wt_ext = build_panels(math.log(y_max), new_vhi)
-        p_ext, n_ext, _ = evaluate(vn_ext)
+        p_ext, n_ext, ext_err = evaluate(vn_ext)
+        grid_err = max(grid_err, ext_err)
         v_nodes = np.concatenate([v_nodes, vn_ext])
         v_wts = np.concatenate([v_wts, wt_ext])
         w_pos = np.concatenate([w_pos, p_ext])
         w_neg = np.concatenate([w_neg, n_ext])
         y_max = math.exp(new_vhi)
-    else:
-        raise ToleranceNotMet(tol, tail, "dual tail not negligible at y_max")
 
     samples = []
     for s in s_list:

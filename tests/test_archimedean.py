@@ -16,6 +16,7 @@ from vorokit.archimedean import (
     contragredient_params,
     epsilon_factor,
     gamma_factor,
+    gamma_pieces,
     l_factor,
     log_mb_gamma,
 )
@@ -65,6 +66,20 @@ def test_contragredient():
     assert cd.blocks[0].t == -(0.3 + 2j) and cd.blocks[0].l == -5
     r = RealPlaceParams((DS2Block(11, 0.0),))
     assert contragredient_params(r) == r
+
+
+def test_gamma_pieces_table():
+    r = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
+    assert gamma_pieces(r, CharTwist(0)) == (("R", 0.2, 1, 1), ("C", -0.1 + 0.3j, 2.0, 5))
+    assert gamma_pieces(r, CharTwist(1)) == (("R", 0.2, 0, 0), ("C", -0.1 + 0.3j, 2.0, 5))
+    c = ComplexPlaceParams((ComplexBlock(0.1, 2), ComplexBlock(-0.1, -1)))
+    assert gamma_pieces(c, CharTwist(-3)) == (("C", 0.1, 0.5, 1), ("C", -0.1, 2.0, 4))
+    with pytest.raises(ValueError):
+        gamma_pieces(r, CharTwist(2))
+    # the contragredient with the conjugate twist: the same pieces with t negated
+    for params, tw, ctw in ((r, CharTwist(1), CharTwist(1)), (c, CharTwist(-3), CharTwist(3))):
+        negated = tuple((kind, -t, a, k) for kind, t, a, k in gamma_pieces(params, tw))
+        assert gamma_pieces(contragredient_params(params), ctw) == negated
 
 
 def test_gamma_recurrence_random_s():

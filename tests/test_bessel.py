@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from vorokit import bessel
+from vorokit import bessel, contours
 from vorokit.archimedean import (
     CharTwist,
     ComplexBlock,
@@ -55,6 +55,21 @@ def test_build_contour_complex_bound():
     c = build_contour(GL1C)
     assert c.asymptote < 0  # doubled-variable bound for (t, l) = (0, 0)
     check_admissible(c, GL1C)
+
+
+def test_pole_data_of_twisted_pieces():
+    # ℂ (t, l) = (0.1, 2) by [·]^{−3}: Γ_ℂ(s − 0.1 + 1/2), poles w = 2(0.1 − 1/2 − k); bound 1 + (0.1 − 1)/1
+    c = ComplexPlaceParams((ComplexBlock(0.1, 2),))
+    (start, step), = contours.pole_starts(c, CharTwist(-3))
+    assert start == pytest.approx(-0.8, abs=1e-15) and step == 2
+    assert contours._asymptote_bound(c) == pytest.approx(0.1, abs=1e-15)
+    # ℝ GL1(1, 0.2) + DS2(4, −0.1+0.3j) by sgn: both parities 0.2 − ℕ, and −0.1+0.3j − 2 − ℕ;
+    # bound 1/2 + (0.2 + 2·(−0.1) − 1)/3
+    r = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
+    (s1, k1), (s2, k2) = contours.pole_starts(r, CharTwist(1))
+    assert (s1, k1, k2) == (0.2, 1, 1)
+    assert s2 == pytest.approx(-2.1 + 0.3j, abs=1e-15)
+    assert contours._asymptote_bound(r) == pytest.approx(1 / 6, abs=1e-15)
 
 
 def test_shifted_contour_still_admissible():

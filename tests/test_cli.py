@@ -310,6 +310,15 @@ def test_padic_requires_a_mode(capsys):
     assert "check-lseries" in err
 
 
+def test_padic_rejects_both_modes(capsys):
+    code, out, err = run(
+        capsys,
+        ["padic", "--check-lseries", "--kloosterman3", "--p", "5", "--zeta", "2/5", "--alpha-rational", "1"],
+    )
+    assert code == 2 and out == ""
+    assert "--check-lseries" in err and "--kloosterman3" in err
+
+
 def test_padic_kloosterman_rejects_lam(capsys):
     code, _, err = run(
         capsys,
@@ -425,6 +434,17 @@ def test_gj_scan_csv_shape(capsys, tmp_path):
         s_re, s_im, defect, ref = (float(tok) for tok in line.split(","))
         assert s_re == 0.5 and 13 <= s_im <= 15
         assert defect >= 0 and ref >= 0
+
+
+def test_gj_scan_tate_reads_no_tolerance(capsys):
+    results = []
+    for tol in ("1e-2", "1e-9"):
+        code, out, _ = run(capsys, ["gj-scan", "--variant", "tate", "--s-list", "0.5+14j,2", "--tol", tol])
+        assert code == 0
+        rep = json.loads(out)
+        assert all(p["value"]["error"] is None for p in rep["results"]["points"])
+        results.append(json.dumps(rep["results"], sort_keys=True))
+    assert results[0] == results[1]
 
 
 def test_gj_scan_phi_variant_mismatch(capsys):

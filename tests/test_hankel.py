@@ -15,7 +15,7 @@ from vorokit.hankel import (
     make_bump,
     signed_mellin,
 )
-from vorokit.quadrature import adaptive_segment, gauss_nodes
+from vorokit.quadrature import ToleranceNotMet, adaptive_segment, gauss_nodes
 
 GL1_TRIVIAL = RealPlaceParams((GL1Block(0, 0.0),))
 DS2_5 = RealPlaceParams((DS2Block(5, 0.0),))
@@ -207,6 +207,36 @@ def test_fe_residual_pole_sample():
     w = make_bump(1.0, 2.0)
     with pytest.raises(PoleError):
         local_fe_residual(DS2_5, 2, w, [3.5], 1e-6)
+
+
+def test_fe_residual_stops_after_three_doublings(monkeypatch):
+    # a dual that never decays: the initial grid and three doublings are checked, no fourth
+    calls = []
+
+    def flat(params, n, w, xs, tol):
+        calls.append(len(xs))
+        return np.ones(len(xs), dtype=complex), np.full(len(xs), 1e-12)
+
+    monkeypatch.setattr(hankel, "hankel_mellin_batch", flat)
+    with pytest.raises(ToleranceNotMet):
+        local_fe_residual(GL1_TRIVIAL, 1, make_bump(1.0, 2.0), [0.5], 1e-6)
+    assert len(calls) == 4
+
+
+def test_fe_residual_grid_reports_every_batch_error(monkeypatch):
+    # the dual vanishes past 2·y_max, so two doublings pass; the extensions are less accurate
+    w = make_bump(1.0, 2.0)
+    y_max = 20.0 * w.b
+
+    def stand_in(params, n, w, xs, tol):
+        ax = np.abs(np.asarray(xs))
+        err = 3e-9 if ax.min() > y_max else 1e-12
+        return np.where(ax <= 2 * y_max, 1.0 + 0j, 0j), np.full(len(ax), err)
+
+    monkeypatch.setattr(hankel, "hankel_mellin_batch", stand_in)
+    rep = local_fe_residual(GL1_TRIVIAL, 1, w, [0.5], 1e-6)
+    assert rep["grid"]["y_max"] == pytest.approx(4 * y_max)
+    assert rep["grid"]["achieved"] == 3e-9
 
 
 def _direct_composite(f, delta, zs, base):

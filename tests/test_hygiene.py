@@ -12,6 +12,8 @@ call sites in ``src/vorokit``, ``tests`` or ``perfbench``; otherwise its
 default is a constant spelled as a knob.  A call is matched by the bare name
 it calls (``f(...)`` or ``obj.f(...)``), a call of a class by its name counts
 for ``__init__``, and ``*args``/``**kwargs`` at a call site pass nothing.
+The census cannot see a knob that hides in ``*args`` or ``**kwargs``, so no
+function in ``src/vorokit`` (nested ones and lambdas included) declares one.
 """
 
 from __future__ import annotations
@@ -147,3 +149,34 @@ def test_every_library_default_is_passed_somewhere():
     assert SRC
     found = unset_defaults([p.read_text() for p in SRC], [p.read_text() for p in CALLERS])
     assert not found, "defaulted parameters no caller passes:\n" + "\n".join(found)
+
+
+def star_params(source: str) -> list[tuple[str, int]]:
+    """(function name, line) for each function or lambda that declares *args or **kwargs."""
+    found = [
+        (getattr(node, "name", "<lambda>"), node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and (node.args.vararg or node.args.kwarg)
+    ]
+    return sorted(found, key=lambda item: item[1])
+
+
+def test_scanner_flags_star_parameters():
+    src = (
+        "def f(a, *, b=1):\n"  # a bare * declares no parameter
+        "    def inner(*xs):\n"
+        "        return xs\n"
+        "class K:\n"
+        "    def m(self, x, **kw):\n"
+        "        pass\n"
+        "g = lambda *a, **k: None\n"
+        "f(*args, **opts)\n"  # unpacking at a call site is not a parameter
+    )
+    assert star_params(src) == [("inner", 2), ("m", 5), ("<lambda>", 7)]
+
+
+def test_no_library_function_takes_star_parameters():
+    assert SRC
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in SRC for name, line in star_params(p.read_text())]
+    assert not found, "*args/**kwargs parameters:\n" + "\n".join(found)

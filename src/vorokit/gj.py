@@ -32,7 +32,7 @@ import numpy as np
 from scipy.special import loggamma
 
 from .archimedean import DS2Block, RealPlaceParams
-from .hankel import TestFunction, hankel_convolution_batch, make_bump, signed_mellin
+from .hankel import KernelCache, TestFunction, hankel_convolution_batch, make_bump, signed_mellin
 from .lseries import euler_product_l_delta, l_delta_smoothed, zeta_em
 from .quadrature import ToleranceNotMet, gauss_panels
 from .voronoi import DirichletCoeffs, TailNotConverged, tau_coefficients
@@ -229,7 +229,8 @@ class DualGrid:
     Building w̃ is the expensive part of the K-side integral and depends only
     on the test function, so one grid is shared across every s in a scan.
     Octaves [2^j, 2^{j+1}) are built on demand; each node carries its d×x
-    weight and the integer gap it lies in.
+    weight and the integer gap it lies in, and each octave records the
+    kernel-model panels it built and reused from the grid's one cache.
     """
 
     def __init__(self, w: TestFunction, tol: float = 1e-7):
@@ -238,6 +239,7 @@ class DualGrid:
         self.wtol = min(1e-7, max(2e-9, tol / 100.0))
         self.octaves: list[dict] = []
         self._hi = 1
+        self._cache = KernelCache()
 
     def ensure(self, upto: int) -> None:
         while self._hi < upto:
@@ -247,11 +249,23 @@ class DualGrid:
                 range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(self.w.b / g)))
             )
             try:
-                vals, _ = hankel_convolution_batch(_DELTA_PARAMS, 2, self.w, xs, tol=self.wtol)
+                vals, _ = hankel_convolution_batch(
+                    _DELTA_PARAMS, 2, self.w, xs, tol=self.wtol, cache=self._cache
+                )
             except ToleranceNotMet:
-                vals, _ = hankel_convolution_batch(_DELTA_PARAMS, 2, self.w, xs, tol=8 * self.wtol)
+                vals, _ = hankel_convolution_batch(
+                    _DELTA_PARAMS, 2, self.w, xs, tol=8 * self.wtol, cache=self._cache
+                )
             self.octaves.append(
-                {"lo": lo, "hi": hi, "xs": xs, "wts": wts / xs, "gaps": gaps, "vals": vals}
+                {
+                    "lo": lo,
+                    "hi": hi,
+                    "xs": xs,
+                    "wts": wts / xs,
+                    "gaps": gaps,
+                    "vals": vals,
+                    "kernel_panels": self._cache.panel_counts(),
+                }
             )
             self._hi = hi
 

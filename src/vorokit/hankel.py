@@ -12,9 +12,19 @@ independent routes:
 
 * **convolution** — w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
-  a validated piecewise-Chebyshev model in the variable u = arg^{1/n} (one
-  model per argument sign), so large batches of x reuse the same kernel
-  evaluations.  The model is evaluated in one sorted pass per chunk of
+  a validated piecewise-Chebyshev model in the variable u = arg^{1/n}.  A job
+  keeps one model per (params, argument sign) in a :class:`KernelCache`:
+  one per ``rhs_theta`` call, one per ``DualGrid``, a private one for a lone
+  batch.  Its panels sit on a fixed lattice, panel j = [j·h, (j+1)·h] with
+  h = 1.1/n, so every α-window or octave of the job asks for panels the
+  earlier ones may already hold, and builds only the rest, in one Bessel
+  batch, checked off-node at the golden-section point of every 4th new
+  panel.  The windows' tolerances differ, so a panel is served by the error
+  it was certified to, not by the tolerance it was asked for: max(3 × its
+  node batch's achieved error, the probe error of the chunk it was built
+  in).  A panel certified within the request's tolerance is reused and any
+  other one is rebuilt, which is the guarantee a fresh build at that
+  tolerance gives.  A model is evaluated in one sorted pass per chunk of
   kernel arguments: the points are ordered by panel once, one
   Chebyshev–Vandermonde matrix covers the chunk, and each panel costs one
   small real matrix product.  The |t|-exponent (3−n)/2 is the
@@ -67,6 +77,7 @@ __all__ = [
     "signed_mellin",
     "hankel_mellin_batch",
     "hankel_convolution_batch",
+    "KernelCache",
     "local_fe_residual",
 ]
 
@@ -303,6 +314,7 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
 # ---- convolution route -----------------------------------------------------
 
 _CHEB_DEG = 20
+_PANEL_WIDTH = 1.1  # lattice step in u = arg^{1/n} is _PANEL_WIDTH / n
 _EVAL_POINTS = 65536  # kernel arguments per `_KernelModel.eval` call
 
 
@@ -343,32 +355,87 @@ class _KernelModel:
         return out
 
 
-def _build_kernel_model(params, sign, lo, hi, tol) -> _KernelModel:
-    rank = params.rank
-    ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
-    if sign < 0 and not params.parity_dependent:
-        # parity cancellation: 𝔟 vanishes identically on the negative axis
-        return _KernelModel(rank, np.array([ulo, uhi]), np.zeros((1, _CHEB_DEG + 1), complex))
-    npan = max(3, int(math.ceil((uhi - ulo) * rank / 1.1)))
-    edges = np.linspace(ulo, uhi, npan + 1)
+def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
+    """Chebyshev coefficients of lattice panels ``js`` from one node batch at tol/3.
+
+    → (coefficients, 3 × each panel's worst achieved node error).
+    """
     k = _CHEB_DEG + 1
     cheb_x = np.cos(np.pi * (2 * np.arange(k) + 1) / (2 * k))
-    centers, halves = 0.5 * (edges[:-1] + edges[1:]), 0.5 * np.diff(edges)
-    unodes = (centers[:, None] + halves[:, None] * cheb_x[None, :]).ravel()
-    vals, _ = bessel_real_batch(params, sign * unodes**rank, tol / 3.0)
-    coeffs = np.stack([chebfit(cheb_x, vals[j * k : (j + 1) * k], _CHEB_DEG) for j in range(npan)])
-    model = _KernelModel(rank, edges, coeffs)
-    # validate off-node: golden-section point of every 4th panel
-    probe_u = edges[:-1:4] + 0.381966 * np.diff(edges)[::4]
-    direct, _ = bessel_real_batch(params, sign * probe_u**rank, tol / 3.0)
-    errp = float(np.max(np.abs(model.eval(probe_u**rank) - direct)))
-    if errp > tol:
-        raise ToleranceNotMet(tol, errp, "kernel model validation")
-    return model
+    lo, hi = h * js, h * (js + 1)
+    unodes = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * cheb_x[None, :]).ravel()
+    vals, errs = bessel_real_batch(params, sign * unodes**params.rank, tol / 3.0)
+    coeffs = chebfit(cheb_x, vals.reshape(len(js), k).T, _CHEB_DEG).T
+    return coeffs, 3.0 * errs.reshape(len(js), k).max(axis=1)
 
 
-def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, tol: float = 1e-8):
-    """Dual function on a signed batch by the convolution route.  → (values, errors)."""
+class KernelCache:
+    """The convolution route's kernel models for one job, panel by panel.
+
+    The model of 𝔟(±arg) for (params, sign) lives on a fixed lattice in
+    u = arg^{1/n}: panel j covers [j·h, (j+1)·h], h = 1.1/n.  Each panel keeps
+    the error it was certified to when it was built: max(3 × its node batch's
+    achieved error, the off-node probe error of the chunk it was built in).
+    `model` serves a panel whose certified error is within the request's
+    tolerance and builds every other panel it needs anew, so each request
+    gets the guarantee a fresh build at its tolerance gives.  A chunk that
+    fails validation leaves the cache as it was.
+    """
+
+    def __init__(self) -> None:
+        self._panels: dict = {}  # (params, sign) → {j: (coefficients, certified error)}
+        self._built = self._reused = 0
+
+    def panel_counts(self) -> dict:
+        """Panels built and reused since the last call (or since creation)."""
+        out = {"built": self._built, "reused": self._reused}
+        self._built = self._reused = 0
+        return out
+
+    def model(self, params, sign: int, lo: float, hi: float, tol: float) -> _KernelModel:
+        """A model of 𝔟(sign·arg) on lo ≤ arg ≤ hi, accurate to ``tol``."""
+        rank = params.rank
+        ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
+        if sign < 0 and not params.parity_dependent:
+            # parity cancellation: 𝔟 vanishes identically on the negative axis
+            return _KernelModel(rank, np.array([ulo, uhi]), np.zeros((1, _CHEB_DEG + 1), complex))
+        h = _PANEL_WIDTH / rank
+        j0 = int(ulo // h)
+        js = np.arange(j0, max(j0 + 1, math.ceil(uhi / h)))
+        panels = self._panels.setdefault((params, sign), {})
+        stale = np.array([j for j in js if j not in panels or panels[j][1] > tol], dtype=int)
+        fresh = {}
+        if len(stale):
+            new, node_err = _fit_panels(params, sign, stale, h, tol)
+            fresh = dict(zip(stale.tolist(), new))
+        coeffs = np.stack([fresh[j] if j in fresh else panels[j][0] for j in js.tolist()])
+        model = _KernelModel(rank, h * np.arange(j0, js[-1] + 2), coeffs)
+        if fresh:
+            # validate off-node: golden-section point of every 4th new panel
+            probe_u = h * (stale[::4] + 0.381966)
+            direct, _ = bessel_real_batch(params, sign * probe_u**rank, tol / 3.0)
+            errp = float(np.max(np.abs(model.eval(probe_u**rank) - direct)))
+            if errp > tol:
+                raise ToleranceNotMet(tol, errp, "kernel model validation")
+            panels.update((j, (c, max(e, errp))) for (j, c), e in zip(fresh.items(), node_err))
+        self._built += len(fresh)
+        self._reused += len(js) - len(fresh)
+        return model
+
+
+def hankel_convolution_batch(
+    params: RealPlaceParams,
+    n: int,
+    w: TestFunction,
+    xs,
+    tol: float = 1e-8,
+    cache: KernelCache | None = None,
+):
+    """Dual function on a signed batch by the convolution route.  → (values, errors).
+
+    Kernel models come from ``cache``; a job that makes many batches passes
+    one cache to all of them, and a batch given none builds its own.
+    """
     _require_real_rank(params, n)
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
@@ -394,7 +461,8 @@ def hankel_convolution_batch(params: RealPlaceParams, n: int, w: TestFunction, x
         -1: bool((xs < 0).any() or ((xs > 0).any() and w.neg is not None)),
     }
     lo, hi = float(ax.min() * w.a), float(ax.max() * w.b)
-    models = {s: _build_kernel_model(params, s, lo, hi, model_tol) for s in (1, -1) if need[s]}
+    cache = KernelCache() if cache is None else cache
+    models = {s: cache.model(params, s, lo, hi, model_tol) for s in (1, -1) if need[s]}
 
     ua, ub = w.a ** (1.0 / n), w.b ** (1.0 / n)
     groups = magnitude_groups(ax, 4.0)

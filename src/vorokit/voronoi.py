@@ -23,7 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from .archimedean import DS2Block, RealPlaceParams
-from .hankel import TestFunction, hankel_convolution_batch
+from .hankel import KernelCache, TestFunction, hankel_convolution_batch
 from .padic import QSqrt, ramified_transform_gl2, satake_from_eigenvalue, v_p
 from .quadrature import ToleranceNotMet
 
@@ -293,7 +293,9 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
     axis vanishes identically for these discrete-series parameters, so the
     sum is one-sided.  Windows of doubling width are accumulated until two
     consecutive ones fall below tol/10 in absolute value; running out of
-    coefficients first raises TailNotConverged.
+    coefficients first raises TailNotConverged.  The windows share one
+    kernel-model cache, and each shell records the model panels it built and
+    reused (``kernel_panels``).
     """
     co = _job_coeffs(job)
     params = RealPlaceParams((DS2Block(job.weight - 1, 0.0),))
@@ -320,6 +322,7 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
     # out far more accurate than this anyway
     wtol = min(1e-7, max(2e-9, job.tol / 500.0))
 
+    cache = KernelCache()  # kernel panels shared by this call's windows
     total = 0j
     shells = []
     small = 0
@@ -332,12 +335,16 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
             ms = np.arange(m_lo, m_hi + 1)
             dual_tol = wtol
             try:
-                dual_vals, _ = hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=dual_tol)
+                dual_vals, _ = hankel_convolution_batch(
+                    params, 2, job.w, ms / float(denom), tol=dual_tol, cache=cache
+                )
             except ToleranceNotMet:
                 # far windows carry negligible weight; a looser pass there
                 # costs nothing against the tol/10 shell threshold
                 dual_tol = 8 * wtol
-                dual_vals, _ = hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=dual_tol)
+                dual_vals, _ = hankel_convolution_batch(
+                    params, 2, job.w, ms / float(denom), tol=dual_tol, cache=cache
+                )
             contrib = 0j
             for i in range(len(ms)):
                 m = int(ms[i])
@@ -361,7 +368,13 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
                 contrib += local * co.values[mprime - 1] / math.sqrt(mprime) * dual_vals[i]
             total += contrib
             shells.append(
-                {"alpha_hi": edge, "m_range": (int(m_lo), int(m_hi)), "abs": abs(contrib), "dual_tol": dual_tol}
+                {
+                    "alpha_hi": edge,
+                    "m_range": (int(m_lo), int(m_hi)),
+                    "abs": abs(contrib),
+                    "dual_tol": dual_tol,
+                    "kernel_panels": cache.panel_counts(),
+                }
             )
             small = small + 1 if abs(contrib) < job.tol / 10 else 0
             if small >= 2:

@@ -6,9 +6,10 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from vorokit.archimedean import CharTwist, gamma_factor
+from vorokit.archimedean import CharTwist, gamma_factor, log_mb_gamma
 from vorokit.cli import _build_parser, _parse_args, _parse_s_values, _subcommands, main
 from vorokit.params_io import params_from_dict
 
@@ -234,6 +235,14 @@ def test_rerun_same_seed_is_byte_identical_modulo_timing(capsys):
     assert body_without_timing(out1) == body_without_timing(out2)
     _, out3, _ = run(capsys, ["padic", "--check-lseries", "--count", "4", "--seed", "4"])
     assert body_without_timing(out1) != body_without_timing(out3)
+    # a job whose windows share one kernel-model cache, panel counts included
+    argv = ["voronoi-verify", "--zeta", "0", "--support", "1,8", "--n-trunc", "512", "--tol", "1e-4"]
+    code, out1, _ = run(capsys, argv)
+    _, out2, _ = run(capsys, argv)
+    assert code == 0 and body_without_timing(out1) == body_without_timing(out2)
+    windows = json.loads(out1)["results"]["windows"]
+    assert len(windows) >= 2 and all(set(w["kernel_panels"]) == {"built", "reused"} for w in windows)
+    assert windows[0]["kernel_panels"]["built"] > 0 and windows[-1]["kernel_panels"]["reused"] > 0
 
 
 # ---- gamma ------------------------------------------------------------------
@@ -250,6 +259,17 @@ def test_gamma_matches_direct_evaluation(capsys):
         got = complex(*point["gamma"]["value"])
         assert got == pytest.approx(want, rel=1e-12)
         assert point["gamma"]["provenance"] == "gamma-ratio-closed-form"
+
+
+def test_gamma_underflow_reports_log_gamma_only(capsys):
+    # at s = 2 + 1000i both L-factors of the ratio underflow to zero
+    code, out, _ = run(capsys, ["gamma", "--s-list", "2+1000j,0.5+2j"])
+    assert code == 0
+    far, near = json.loads(out)["results"]["points"]
+    assert far["gamma"] == {"value": None, "error": None, "provenance": "underflow; use log_gamma"}
+    want = complex(log_mb_gamma(params_from_dict(DELTA_DOC), CharTwist(0), np.array([-1 - 1000j]))[0])
+    assert complex(*far["log_gamma"]["value"]) == want
+    assert near["gamma"]["provenance"] == "gamma-ratio-closed-form"
 
 
 # ---- padic ------------------------------------------------------------------

@@ -194,6 +194,10 @@ def test_split_identity_grid():
     assert routes[2.0] == "euler-product"
     assert routes[0.4] == "smoothed-sum"
     assert routes[1.0 + 1.5j] == "smoothed-sum"
+    # every octave after the first extends the grid's one kernel model
+    counts = [oc["kernel_panels"] for oc in grid.octaves]
+    assert len(counts) >= 3 and counts[0]["built"] > 0 and counts[0]["reused"] == 0
+    assert all(c["reused"] > 0 for c in counts[1:])
 
 
 def test_split_identity_critical_point():

@@ -7,6 +7,7 @@ from numpy.polynomial.chebyshev import chebval
 
 from vorokit import hankel
 from vorokit.archimedean import DS2Block, GL1Block, PoleError, RealPlaceParams
+from vorokit.bessel import bessel_real_batch
 from vorokit.hankel import (
     BadSupport,
     hankel_convolution_batch,
@@ -317,3 +318,100 @@ def test_kernel_model_eval_matches_per_panel_chebval(rank):
     one = np.full(4, ((edges[3] + edges[4]) / 2) ** rank)
     assert np.max(np.abs(model.eval(one) - _per_panel_chebval(model, one))) <= bound
     assert model.eval(np.zeros(0)).shape == (0,)
+
+
+# ---- the kernel-model cache -------------------------------------------------
+
+H2 = hankel._PANEL_WIDTH / 2  # lattice step in u for rank 2
+NODES = hankel._CHEB_DEG + 1  # Bessel nodes per panel
+
+
+def _bessel_batches(monkeypatch):
+    # the size of every Bessel batch the convolution route asks for, in order
+    real = hankel.bessel_real_batch
+    sizes = []
+
+    def counted(params, xs, tol):
+        sizes.append(len(xs))
+        return real(params, xs, tol)
+
+    monkeypatch.setattr(hankel, "bessel_real_batch", counted)
+    return sizes
+
+
+def _u_range(j_lo, j_hi):
+    # kernel arguments whose u = arg^{1/2} runs from inside panel j_lo to inside panel j_hi
+    return ((j_lo + 0.2) * H2) ** 2, ((j_hi + 0.5) * H2) ** 2
+
+
+def test_kernel_cache_builds_only_uncovered_panels(monkeypatch):
+    sizes = _bessel_batches(monkeypatch)
+    cache = hankel.KernelCache()
+    cache.model(DS2_11, 1, *_u_range(2, 9), 1e-9)
+    assert cache.panel_counts() == {"built": 8, "reused": 0}
+    assert sizes == [8 * NODES, 2]  # one node batch; probes in panels 2 and 6
+    sizes.clear()
+    model = cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
+    assert cache.panel_counts() == {"built": 4, "reused": 5}
+    assert sizes == [4 * NODES, 1]  # panels 10..13 only; one probe, in panel 10
+    sizes.clear()
+    inside = cache.model(DS2_11, 1, *_u_range(6, 8), 1e-9)
+    assert cache.panel_counts() == {"built": 0, "reused": 3} and sizes == []
+    # the sign the parity cancels costs nothing and counts nothing
+    zero = cache.model(DS2_11, -1, *_u_range(2, 9), 1e-9)
+    assert cache.panel_counts() == {"built": 0, "reused": 0} and sizes == []
+    assert not np.any(zero.eval(np.array([3.0, 7.0])))
+    # the served models agree with direct values off the nodes
+    args = np.linspace(*_u_range(5, 13), 41)
+    direct, _ = bessel_real_batch(DS2_11, args, 1e-12)
+    assert np.max(np.abs(model.eval(args) - direct)) <= 1e-9
+    some = args[(args > ((6 + 0.2) * H2) ** 2) & (args < ((8 + 0.5) * H2) ** 2)]
+    assert len(some) > 3 and np.array_equal(inside.eval(some), model.eval(some))
+
+
+def test_kernel_cache_rebuilds_a_panel_certified_looser_than_asked():
+    cache = hankel.KernelCache()
+    lo, hi = _u_range(2, 9)
+    cache.model(DS2_11, 1, lo, hi, 1e-9)
+    panels = cache._panels[(DS2_11, 1)]
+    assert sorted(panels) == list(range(2, 10))
+    assert all(0.0 < err <= 1e-9 for _, err in panels.values())
+    # panel 5 now claims only 1e-6 and holds garbage: it must be built anew, not served
+    panels[5] = (np.zeros(NODES, dtype=complex), 1e-6)
+    cache.panel_counts()
+    model = cache.model(DS2_11, 1, lo, hi, 1e-9)
+    assert cache.panel_counts() == {"built": 1, "reused": 7}
+    assert 0.0 < panels[5][1] <= 1e-9 and np.any(panels[5][0])
+    args = (np.linspace(5.05, 5.95, 7) * H2) ** 2
+    direct, _ = bessel_real_batch(DS2_11, args, 1e-12)
+    assert np.max(np.abs(model.eval(args) - direct)) <= 1e-9
+    # a request looser than that claim serves the panel as it is
+    panels[5] = (panels[5][0], 1e-6)
+    cache.model(DS2_11, 1, lo, hi, 1e-6)
+    assert cache.panel_counts() == {"built": 0, "reused": 8}
+
+
+def test_kernel_cache_unchanged_after_failed_validation(monkeypatch):
+    cache = hankel.KernelCache()
+    cache.model(DS2_11, 1, *_u_range(2, 9), 1e-9)
+    cache.panel_counts()
+    before = {j: (c.copy(), e) for j, (c, e) in cache._panels[(DS2_11, 1)].items()}
+    real = hankel.bessel_real_batch
+    calls = []
+
+    def probes_disagree(params, xs, tol):
+        vals, errs = real(params, xs, tol)
+        calls.append(len(xs))
+        return (vals + 1e-6 if len(calls) == 2 else vals), errs
+
+    monkeypatch.setattr(hankel, "bessel_real_batch", probes_disagree)
+    with pytest.raises(ToleranceNotMet):
+        cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
+    after = cache._panels[(DS2_11, 1)]
+    assert sorted(after) == sorted(before)
+    assert all(np.array_equal(after[j][0], c) and after[j][1] == e for j, (c, e) in before.items())
+    assert cache.panel_counts() == {"built": 0, "reused": 0}
+    # the same request with agreeing probes goes through, as rhs_theta's retry needs
+    monkeypatch.setattr(hankel, "bessel_real_batch", real)
+    cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
+    assert cache.panel_counts() == {"built": 4, "reused": 5}

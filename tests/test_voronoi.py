@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from vorokit import hankel, voronoi
+from vorokit.archimedean import DS2Block, RealPlaceParams
 from vorokit.hankel import make_bump
 from vorokit.padic import satake_from_eigenvalue, QSqrt
 from vorokit.quadrature import ToleranceNotMet
@@ -197,7 +198,7 @@ def test_rhs_transforms_once_per_class(monkeypatch):
         seen.append(_unit_class(sp.q, F(x), 1))
         return real(sp, zeta, x)
 
-    def decaying_dual(params, n, w, xs, tol):
+    def decaying_dual(params, n, w, xs, tol, cache):
         # the padic side does not depend on w̃; a decaying stand-in ends the α-sum quickly
         return np.exp(-xs), np.zeros(len(xs))
 
@@ -240,11 +241,11 @@ def test_windows_report_the_dual_tolerance_they_met(monkeypatch):
     real = voronoi.hankel_convolution_batch
     asked = []
 
-    def first_window_misses(*args, tol):
+    def first_window_misses(*args, tol, cache):
         asked.append(tol)
         if len(asked) == 1:
             raise ToleranceNotMet(tol, 2 * tol, "forced")
-        return real(*args, tol=tol)
+        return real(*args, tol=tol, cache=cache)
 
     monkeypatch.setattr(voronoi, "hankel_convolution_batch", first_window_misses)
     rep = voronoi_residual(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-6, coeffs=CO))
@@ -253,6 +254,47 @@ def test_windows_report_the_dual_tolerance_they_met(monkeypatch):
     assert asked[:2] == [wtol, 8 * wtol]
     assert len(met) >= 2 and met[0] == 8 * wtol and met[1:] == [wtol] * (len(met) - 1)
     assert rep["rel_residual"] < 1e-6
+
+
+def test_windows_share_one_kernel_cache(monkeypatch):
+    real = voronoi.hankel_convolution_batch
+    batches = []
+
+    def recorded(params, n, w, xs, tol, cache):
+        vals, errs = real(params, n, w, xs, tol=tol, cache=cache)
+        batches.append((params, xs, tol, cache, vals))
+        return vals, errs
+
+    monkeypatch.setattr(voronoi, "hankel_convolution_batch", recorded)
+    rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    assert len(batches) == len(rep["shells"]) >= 3
+    assert len({id(b[3]) for b in batches}) == 1  # one cache for the whole call
+    for (params, xs, tol, _, vals), shell in zip(batches, rep["shells"]):
+        # each window's values are those of a model built for that window alone
+        fresh, _ = real(params, 2, W40, xs, tol=tol)
+        assert tol == shell["dual_tol"]
+        assert np.max(np.abs(vals - fresh)) <= tol
+    counts = [shell["kernel_panels"] for shell in rep["shells"]]
+    assert counts[0]["built"] > 0 and counts[0]["reused"] == 0
+    assert all(c["reused"] > 0 for c in counts[1:])
+    # a second call starts from an empty cache and repeats every count and value
+    again = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    assert again == rep
+
+
+def test_direct_side_and_mellin_route_build_no_kernel_model(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("kernel model built")
+
+    monkeypatch.setattr(hankel.KernelCache, "model", refuse)
+    monkeypatch.setattr(hankel, "_fit_panels", refuse)
+    assert abs(lhs_theta(VoronoiJob(a=2, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))) > 1e-3
+    ds11 = RealPlaceParams((DS2Block(11, 0.0),))
+    vals, errs = hankel.hankel_mellin_batch(ds11, 2, W40, [0.5, 3.0], 1e-8)
+    assert np.all(np.isfinite(vals)) and np.max(errs) <= 1e-8
+    # the patch is live: the convolution route does reach it
+    with pytest.raises(AssertionError, match="kernel model built"):
+        hankel.hankel_convolution_batch(ds11, 2, W40, [0.5], 1e-8)
 
 
 def test_tail_not_converged():

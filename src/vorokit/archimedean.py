@@ -26,7 +26,9 @@ The contragredient π~ twisted by χ̄ has the same pieces with t negated
 
     γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~ × χ̄) / L(s, π×χ).
 
-``log_mb_gamma`` evaluates log γ(1−s, ·) in a single stable expression for
+L-factors are formed as the exp of a sum of log Γ's, and ``gamma_factor``
+as the exp of the difference of the two logs, so γ stays finite at heights
+where both L-factors underflow.  ``log_mb_gamma`` evaluates log γ(1−s, ·) in a single stable expression for
 use on integration contours at large height, where the L-factors individually
 overflow double precision.  Its variable is the Mellin–Barnes variable
 ``mb_scale``·s: s itself over ℝ, the doubled variable over ℂ.
@@ -166,8 +168,8 @@ class PoleError(ArithmeticError):
 
 # ---- Γ-pieces ---------------------------------------------------------------
 
-#: kind → (h, log c, f) with Γ_kind(z) = f · c^{−z/h} · Γ(z/h)
-_KINDS = {"R": (2, _LOG_PI, 1.0), "C": (1, _LOG_2PI, 2.0)}
+#: kind → (h, log c, log f) with Γ_kind(z) = f · c^{−z/h} · Γ(z/h)
+_KINDS = {"R": (2, _LOG_PI, 0.0), "C": (1, _LOG_2PI, math.log(2.0))}
 
 
 @lru_cache(maxsize=256)
@@ -188,19 +190,20 @@ def gamma_pieces(params: PlaceParams, twist: CharTwist) -> tuple:
 # ---- individual factors ----------------------------------------------------
 
 
-def _l_product(pieces, s: complex) -> complex:
-    out = 1.0 + 0.0j
+def _log_l(pieces, s: complex) -> complex:
+    # log ∏ Γ_kind(s + t + a), one log Γ per piece: finite where the product under- or overflows
+    out = 0j
     for j, (kind, t, a, _) in enumerate(pieces):
-        h, log_c, f = _KINDS[kind]
+        h, log_c, log_f = _KINDS[kind]
         z = (s + t + a) / h
         _check_pole(j, z, s, stride=h)
-        out *= f * cmath.exp(-z * log_c + loggamma(complex(z)))
+        out += log_f - z * log_c + loggamma(complex(z))
     return out
 
 
 def l_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
     """Product over blocks of the local L-factor at s, with the twist folded in."""
-    return _l_product(gamma_pieces(params, twist), s)
+    return cmath.exp(_log_l(gamma_pieces(params, twist), s))
 
 
 def _check_pole(block_index: int, gamma_arg: complex, s: complex, stride: int) -> None:
@@ -230,10 +233,15 @@ def contragredient_params(params: PlaceParams) -> PlaceParams:
 
 
 def gamma_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
-    """γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~×χ̄) / L(s, π×χ)."""
+    """γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~×χ̄) / L(s, π×χ).
+
+    The ratio is formed as exp(log L(1−s, π~×χ̄) − log L(s, π×χ)), so it stays
+    finite at heights where both L-factors underflow.  Raises OverflowError
+    where γ itself exceeds double range.
+    """
     pieces = gamma_pieces(params, twist)
     dual = [(kind, -t, a, k) for kind, t, a, k in pieces]  # π~ × χ̄
-    return epsilon_factor(params, twist) * _l_product(dual, 1 - s) / _l_product(pieces, s)
+    return epsilon_factor(params, twist) * cmath.exp(_log_l(dual, 1 - s) - _log_l(pieces, s))
 
 
 # ---- stable log form for contour integration -------------------------------

@@ -43,7 +43,7 @@ from .archimedean import (
 )
 from .contours import Contour, build_contour
 from .params_io import params_from_dict, params_to_dict
-from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, polyline_walk
+from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, panel_nodes, polyline_walk
 
 __all__ = [
     "bessel_real",
@@ -77,7 +77,8 @@ def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np
     t_flip = c0 * math.exp(flip_pow * lx_max / n_osc)
     h_bend = max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0)
 
-    def integrand(nodes):
+    def integrand(c, h):
+        nodes = panel_nodes(c, h)
         return np.exp(log_mb_gamma(params, twist, nodes)[:, None] - np.outer(nodes, lx))
 
     def omega(t: float) -> float:

@@ -256,8 +256,6 @@ def _run_gamma(args, t0):
             entry["gamma"] = _num(g, 5e-14 * max(1.0, abs(g)), "gamma-ratio-closed-form")
         except OverflowError:
             entry["gamma"] = _num(None, None, "overflow; use log_gamma")
-        except ZeroDivisionError:  # L(s) underflows to 0 at large |Im s|
-            entry["gamma"] = _num(None, None, "underflow; use log_gamma")
         rows.append(entry)
     inputs = {"blocks": params_to_dict(params), "twist": twist.value, "s": s_values}
     return _report("gamma", inputs, {"points": rows}, {}, t0)

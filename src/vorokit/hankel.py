@@ -8,7 +8,14 @@ independent routes:
   parity-summed with sgn(x)^δ weights.  The transform M_δ[w] of a compactly
   supported w is entire and decays super-polynomially on vertical lines, so
   the contour is truncated straight (no bent tails) once three consecutive
-  panels fall under the tail threshold.
+  panels fall under the tail threshold.  The factor γ·M_δ[w] does not depend
+  on x, and on a panel with centre c and half-width h the x-power at the
+  node s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}:
+  one exponential per point per panel, times a table E_h that depends on
+  the panel only through h.  The tails start on a multiple of 1/64 and step
+  on the ladder {2^k, 1.5·2^k}, so their half-widths, bisected ones
+  included, are exact and repeat, and a memo of the last two tables serves
+  almost every tail panel.
 
 * **convolution** — w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
@@ -25,12 +32,13 @@ independent routes:
   in).  A panel certified within the request's tolerance is reused and any
   other one is rebuilt, which is the guarantee a fresh build at that
   tolerance gives.  A model is evaluated in one sorted pass per chunk of
-  kernel arguments: the points are ordered by panel once, one
-  Chebyshev–Vandermonde matrix covers the chunk, and each panel costs one
-  small real matrix product.  The |t|-exponent (3−n)/2 is the
-  calibration-resolved reading; the route-agreement test (A5) would fail
-  loudly under the opposite convention.  The functional-equation check would not: it samples w̃ by the
-  mellin route only and never calls this one.
+  kernel arguments: each point's panel is ⌊u/h⌋ on the lattice, the points
+  are ordered by panel once, one Chebyshev–Vandermonde matrix covers the
+  chunk, and each panel costs one small real matrix product.  The
+  |t|-exponent (3−n)/2 is the calibration-resolved reading; the
+  route-agreement test (A5) would fail loudly under the opposite
+  convention.  The functional-equation check would not: it samples w̃ by
+  the mellin route only and never calls this one.
 
 The two routes share the generic panel integrator of :mod:`vorokit.quadrature`
 (the mellin route directly, the convolution route through the Bessel
@@ -46,6 +54,7 @@ enforced in the test suite.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,6 +75,7 @@ from .quadrature import (
     gauss_nodes,
     gauss_panels,
     magnitude_groups,
+    panel_nodes,
     phase_step,
     polyline_walk,
 )
@@ -160,8 +170,8 @@ def signed_mellin(f: TestFunction, delta: int, z: complex, tol: float = 1e-12) -
         raise ValueError("parity must be 0 or 1")
     z = complex(z)
 
-    def integrand(nodes):
-        x = nodes.real
+    def integrand(c, h):
+        x = panel_nodes(c, h).real
         return _component_vals(f, delta, x) * np.exp((z - 1.0) * np.log(x))
 
     val, err = adaptive_segment(integrand, complex(f.a), complex(f.b), tol)
@@ -211,6 +221,8 @@ def _mellin_nodes(f: TestFunction, delta: int, zs: np.ndarray, base: int) -> np.
 # ---- mellin route ----------------------------------------------------------
 
 _MAX_HEIGHT = 6000.0
+_PHASE_MEMO = 2  # phase tables E_h kept per parity walk; each is 21 × len(lx) complex
+_TAIL_GRID = 64  # the tails start on a multiple of 1/_TAIL_GRID
 
 
 def _require_real_rank(params, n: int) -> None:
@@ -220,36 +232,89 @@ def _require_real_rank(params, n: int) -> None:
         raise ValueError(f"rank mismatch: params have rank {params.rank}, n={n}")
 
 
-def _dual_vertical(params, delta, w, nu, lx, tol, contour):
-    """One parity component I_δ along the contour, batched over log|x|."""
-    tw = CharTwist(delta)
+def _ladder_step(step: float) -> float:
+    """The largest of {2^k, 1.5·2^k} that is ≤ ``step``, exact in binary."""
+    m, e = math.frexp(step)  # step = m·2^e, 1/2 ≤ m < 1
+    return math.ldexp(0.75 if m >= 0.75 else 0.5, e)
+
+
+class _MellinIntegrand:
+    """γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν)·x^{ν−s} on one G10/K21 panel, batched over lx = log|x|.
+
+    At the node s = c + h·ξ_l of the panel with centre c and half-width h,
+    x^{ν−s} = e^{(ν−c)·lx}·e^{−h·ξ_l·lx}.  The first factor costs one
+    exponential per point.  The second, E_h = exp(−h·ξ ⊗ lx), depends on
+    the panel only through h and is kept for the last ``_PHASE_MEMO``
+    half-widths used, so panels of a repeated half-width reuse it.  The
+    x-free factor G_l = γ(1−s_l)·M_δ[w](1−s_l−ν) costs 21 values per panel.
+    ``built`` and ``reused`` count the phase tables made and served again.
+    """
+
+    def __init__(self, params, delta, w, nu, lx, mbase):
+        self.params, self.twist, self.w, self.delta = params, CharTwist(delta), w, delta
+        self.nu, self.lx, self.mbase = nu, lx, mbase
+        self._memo: dict = {}  # h → E_h, least recently used first
+        self.built = self.reused = 0
+
+    def phase(self, h) -> np.ndarray:
+        table = self._memo.pop(h, None)
+        if table is None:
+            table = np.exp(-np.outer(panel_nodes(0.0, h), self.lx))
+            self.built += 1
+            if len(self._memo) == _PHASE_MEMO:
+                del self._memo[next(iter(self._memo))]
+        else:
+            self.reused += 1
+        self._memo[h] = table
+        return table
+
+    def __call__(self, c, h) -> np.ndarray:
+        nodes = panel_nodes(c, h)
+        g = np.exp(log_mb_gamma(self.params, self.twist, nodes))
+        g *= _mellin_nodes(self.w, self.delta, 1.0 - nodes - self.nu, self.mbase)
+        out = self.phase(h) * g[:, None]
+        out *= np.exp((self.nu - c) * self.lx)
+        return out
+
+
+def _dual_vertical(params, delta, w, nu, lx, tol, contour, counts):
+    """One parity component I_δ along the contour, batched over log|x|.
+
+    The detour polyline up to height h0 is walked by :func:`polyline_walk`;
+    the two vertical tails above it follow, panel after panel, until three
+    consecutive panels fall under the tail threshold.  h0 is rounded up to
+    a multiple of 1/64 and every tail step is put on the ladder
+    {2^k, 1.5·2^k}: the largest rung within ``phase_step``, so a tail panel
+    is never longer than the phase rate allows and at most 1.5 times
+    shorter.  Every tail panel edge, bisected sub-panels' included, is then
+    exact in binary, half-widths repeat exactly, and the integrand's phase
+    memo (:class:`_MellinIntegrand`) serves all but a few of them; the
+    polyline's panels simply miss it.  ``counts`` accumulates the tail
+    panels and the phase tables built and reused.
+    """
     rank = params.rank
     va, vb = math.log(w.a), math.log(w.b)
     lx_min, lx_max = float(lx.min()), float(lx.max())
     tol_raw = tol * 2.0 * math.pi
-    mbase = _mellin_base(tol)
-
-    def integrand(nodes):
-        logg = log_mb_gamma(params, tw, nodes)
-        mv = _mellin_nodes(w, delta, 1.0 - nodes - nu, mbase)
-        return np.exp(logg[:, None] + np.outer(nu - nodes, lx)) * mv[:, None]
+    integrand = _MellinIntegrand(params, delta, w, nu, lx, _mellin_base(tol))
 
     def omega(t):
         base = rank * math.log(max(abs(t), 1.0) / (2.0 * math.pi))
         return max(abs(base - lx_min), abs(base - lx_max), 0.5) + max(abs(va), abs(vb))
 
     sigma = contour.asymptote
-    h0 = contour.detour_height + 2.0
+    h0 = math.ceil((contour.detour_height + 2.0) * _TAIL_GRID) / _TAIL_GRID
     total, err_total = polyline_walk(integrand, contour.polyline(h0), omega, tol_raw / 200.0)
 
     tail_bound = 0.0
     for sgn in (1.0, -1.0):
         t, smalls, recent = h0, 0, [0.0]
         while True:
-            step = phase_step(omega(t))
+            step = _ladder_step(phase_step(omega(t)))
             lo = complex(sigma, sgn * t)
             hi = complex(sigma, sgn * (t + step))
             val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)
+            counts["tail_panels"] += 1
             total += sgn * val
             err_total += err
             mag = float(np.max(np.abs(val)))
@@ -261,6 +326,8 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour):
                 break
             if t > _MAX_HEIGHT:
                 raise ToleranceNotMet(tol, mag / (2 * math.pi), "dual-integral tail not converged")
+    counts["memo_built"] += integrand.built
+    counts["memo_reused"] += integrand.reused
 
     values = total / (2j * math.pi)
     achieved = (err_total + tail_bound) / (2.0 * math.pi)
@@ -279,9 +346,22 @@ def _validate_inner_mellin(w, delta, base):
             raise ToleranceNotMet(1e-9, abs(ref - got), "inner Mellin grid validation")
 
 
-def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, tol: float = 1e-9):
-    """Dual function on a signed batch by the mellin route.  → (values, errors)."""
+def hankel_mellin_batch(
+    params: RealPlaceParams,
+    n: int,
+    w: TestFunction,
+    xs,
+    tol: float = 1e-9,
+    counts: Counter | None = None,
+):
+    """Dual function on a signed batch by the mellin route.  → (values, errors).
+
+    ``counts``, when given, accumulates the route's deterministic work:
+    ``tail_panels`` (vertical tail panels before bisection) and
+    ``memo_built``/``memo_reused`` (phase tables made and served again).
+    """
     _require_real_rank(params, n)
+    counts = Counter() if counts is None else counts
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
@@ -301,7 +381,7 @@ def hankel_mellin_batch(params: RealPlaceParams, n: int, w: TestFunction, xs, to
         comp, errs = {}, []
         for d in deltas:
             comp[d], e = _dual_vertical(
-                params, d, w, nu, lx, tol, build_contour(params, CharTwist(d))
+                params, d, w, nu, lx, tol, build_contour(params, CharTwist(d)), counts
             )
             errs.append(e)
         i0 = comp[0]
@@ -322,16 +402,18 @@ _EVAL_POINTS = 65536  # kernel arguments per `_KernelModel.eval` call
 class _KernelModel:
     """Piecewise-Chebyshev model of 𝔟(±arg) in u = arg^{1/n}; args 1-D, positive.
 
-    ``coeffs[j]`` holds the degree-``_CHEB_DEG`` Chebyshev coefficients on
-    panel [edges[j], edges[j+1]].  `eval` sorts its points by panel once,
-    builds one Chebyshev–Vandermonde matrix of the mapped abscissae for all
-    of them and takes each panel's values as one real (n_j × 21) @ (21 × 2)
-    product against that panel's coefficients, real and imaginary parts side
-    by side.
+    ``coeffs[i]`` holds the degree-``_CHEB_DEG`` Chebyshev coefficients on
+    the lattice panel [(j0+i)·h, (j0+i+1)·h].  `eval` finds each point's
+    panel as ⌊u/h⌋ − j0, clipped to the model's panels, sorts the points by
+    panel once, builds one Chebyshev–Vandermonde matrix of the mapped
+    abscissae for all of them and takes each panel's values as one real
+    (n_i × 21) @ (21 × 2) product against that panel's coefficients, real and
+    imaginary parts side by side.
     """
 
     rank: int
-    edges: np.ndarray
+    h: float
+    j0: int
     coeffs: np.ndarray
     _cri: np.ndarray = field(init=False, repr=False)
 
@@ -340,11 +422,17 @@ class _KernelModel:
 
     def eval(self, args: np.ndarray) -> np.ndarray:
         u = np.power(args, 1.0 / self.rank)
-        npan = self.coeffs.shape[0]
-        idx = np.clip(np.searchsorted(self.edges, u) - 1, 0, npan - 1)
+        h, npan = self.h, self.coeffs.shape[0]
+        # ⌊u/h⌋, one lower where u is on or below the edge h·k as rounded: a
+        # point on an edge belongs to the panel on its left.  It is never one
+        # too low, since u > fl(h·m) means u/h > m and so fl(u/h) ≥ m.
+        k = np.floor(u / h)
+        k -= u <= h * k
+        k = np.clip(k, self.j0, self.j0 + npan - 1)
+        lo, hi = h * k, h * (k + 1)
+        idx = (k - self.j0).astype(np.min_scalar_type(npan))  # small keys: a radix sort
         order = np.argsort(idx, kind="stable")
-        starts = np.searchsorted(idx[order], np.arange(npan + 1))
-        lo, hi = self.edges[idx], self.edges[idx + 1]
+        starts = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=npan))])
         vander = chebvander(((2.0 * u - (lo + hi)) / (hi - lo))[order], _CHEB_DEG)
         vals = np.empty((len(order), 2))
         for j in np.flatnonzero(np.diff(starts)):
@@ -353,6 +441,14 @@ class _KernelModel:
         out = np.empty(len(order), dtype=complex)
         out[order] = vals[:, 0] + 1j * vals[:, 1]
         return out
+
+
+class _ZeroModel:
+    """𝔟 on the negative axis under parity cancellation: identically zero."""
+
+    @staticmethod
+    def eval(args: np.ndarray) -> np.ndarray:
+        return np.zeros(len(args), dtype=complex)
 
 
 def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
@@ -392,13 +488,13 @@ class KernelCache:
         self._built = self._reused = 0
         return out
 
-    def model(self, params, sign: int, lo: float, hi: float, tol: float) -> _KernelModel:
+    def model(self, params, sign: int, lo: float, hi: float, tol: float) -> _KernelModel | _ZeroModel:
         """A model of 𝔟(sign·arg) on lo ≤ arg ≤ hi, accurate to ``tol``."""
         rank = params.rank
-        ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
         if sign < 0 and not params.parity_dependent:
             # parity cancellation: 𝔟 vanishes identically on the negative axis
-            return _KernelModel(rank, np.array([ulo, uhi]), np.zeros((1, _CHEB_DEG + 1), complex))
+            return _ZeroModel()
+        ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
         h = _PANEL_WIDTH / rank
         j0 = int(ulo // h)
         js = np.arange(j0, max(j0 + 1, math.ceil(uhi / h)))
@@ -409,7 +505,7 @@ class KernelCache:
             new, node_err = _fit_panels(params, sign, stale, h, tol)
             fresh = dict(zip(stale.tolist(), new))
         coeffs = np.stack([fresh[j] if j in fresh else panels[j][0] for j in js.tolist()])
-        model = _KernelModel(rank, h * np.arange(j0, js[-1] + 2), coeffs)
+        model = _KernelModel(rank, h, j0, coeffs)
         if fresh:
             # validate off-node: golden-section point of every 4th new panel
             probe_u = h * (stale[::4] + 0.381966)
@@ -567,10 +663,12 @@ def local_fe_residual(
     weight = max(float(np.sum(v_wts * np.exp(r * v_nodes))) for r in (re_min, re_max))
     gtol = tol * 0.05 / max(weight, 1.0)
 
+    work = Counter()
+
     def evaluate(vn):
         ys = np.exp(vn)
         pts = np.concatenate([ys, -ys]) if two_sided else ys
-        vals, errs = hankel_mellin_batch(params, n, w, pts, gtol)
+        vals, errs = hankel_mellin_batch(params, n, w, pts, gtol, counts=work)
         pos = vals[: len(ys)]
         neg = vals[len(ys) :] if two_sided else np.zeros_like(pos)
         return pos, neg, float(np.max(errs))
@@ -622,6 +720,8 @@ def local_fe_residual(
             "points": int(len(v_nodes)),
             "tol": gtol,
             "achieved": grid_err,
+            "tail_panels": work["tail_panels"],
+            "phase_memo": {"built": work["memo_built"], "reused": work["memo_reused"]},
         },
         "dual_route": "mellin",
         "requested_tol": tol,

@@ -1,14 +1,19 @@
 """Small shared quadrature helpers.
 
-Everything here integrates vectorised complex-valued functions
-f(s: ndarray[K]) -> ndarray[K] or ndarray[K, B] (a batch of B integrands
-sharing the same nodes) along straight segments in the complex plane.
+Everything here integrates vectorised complex-valued functions along
+straight segments in the complex plane, a batch of B integrands at a time.
 Error control is absolute; for a batch it is the max-norm across the batch.
 
 :func:`adaptive_segment` is the one adaptive panel integrator.  Each panel
 costs one call of f on the 21 nodes of the Gauss–Kronrod pair G10/K21
 (QUADPACK's qk21, Piessens et al. 1983): the 21-point Kronrod rule K and the
-10-point Gauss rule G embedded in it share those nodes.  A panel is accepted
+10-point Gauss rule G embedded in it share those nodes.  The integrand is
+handed the panel, not its nodes: f(c, h) with c the panel's centre and h its
+complex half-width returns the values at the nodes c + h·ξ_l (ξ_l the
+ascending K21 abscissae on [−1, 1]) as ndarray[21] or ndarray[21, B].  An
+integrand that needs only the nodes forms them with :func:`panel_nodes`; one
+whose x-dependence factors through h·ξ_l (the Mellin route's x^{ν−s}) can
+reuse that factor on every panel of the same half-width.  A panel is accepted
 when the raw difference |K − G| is within its tolerance and bisected
 otherwise; the value kept is K.  |K − G| estimates the error of G, the
 lower-order rule, so where f is smooth on the panel it overstates the error
@@ -33,6 +38,7 @@ from numpy.polynomial.legendre import leggauss
 __all__ = [
     "gauss_nodes",
     "gauss_panels",
+    "panel_nodes",
     "adaptive_segment",
     "phase_step",
     "polyline_walk",
@@ -117,8 +123,13 @@ def gauss_panels(edges, deg: int):
     return (c[:, None] + h[:, None] * x).ravel(), (h[:, None] * w).ravel()
 
 
+def panel_nodes(c, h) -> np.ndarray:
+    """The 21 G10/K21 nodes c + h·ξ_l of the panel with centre c, half-width h."""
+    return c + h * _GK_X
+
+
 def adaptive_segment(f, a: complex, b: complex, tol: float, max_depth: int = 13):
-    """Adaptive G10/K21 quadrature on a→b.  Returns (integral, error_estimate).
+    """Adaptive G10/K21 quadrature of f(c, h) on a→b.  Returns (integral, error_estimate).
 
     The panel a→b is accepted when |K − G| ≤ tol (max over the batch) and
     bisected otherwise, each half to 0.6·tol, down to panels of length
@@ -132,9 +143,10 @@ def adaptive_segment(f, a: complex, b: complex, tol: float, max_depth: int = 13)
 
 def _adapt(f, a, b, tol, depth):
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    vals = f(c + h * _GK_X)
+    vals = f(c, h)
     kronrod = h * (_GK_WK @ vals)
     err = float(np.max(np.abs(kronrod - h * (_GK_WG @ vals))))
+    del vals  # not held while the halves below are integrated
     if err <= tol or depth <= 0:
         return kronrod, err
     lv, le = _adapt(f, a, c, 0.6 * tol, depth - 1)
@@ -148,7 +160,7 @@ def phase_step(omega: float) -> float:
 
 
 def polyline_walk(f, pts, omega, tol: float):
-    """∫ f along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
+    """∫ f(c, h) along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
 
     Each straight piece is cut into panels of length ``phase_step(omega(t))``,
     t the imaginary part at the panel's start, and each panel is integrated

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import cmath
 import dataclasses
 import json
 
@@ -243,6 +244,14 @@ def test_rerun_same_seed_is_byte_identical_modulo_timing(capsys):
     windows = json.loads(out1)["results"]["windows"]
     assert len(windows) >= 2 and all(set(w["kernel_panels"]) == {"built", "reused"} for w in windows)
     assert windows[0]["kernel_panels"]["built"] > 0 and windows[-1]["kernel_panels"]["reused"] > 0
+    # the mellin route's work counts in the fe-check grid block
+    argv = ["fe-check", "--blocks", GL1_DOC, "--bump", "1,2", "--s-list", "0.5", "--tol", "1e-4"]
+    code, out1, _ = run(capsys, argv)
+    _, out2, _ = run(capsys, argv)
+    assert code == 0 and body_without_timing(out1) == body_without_timing(out2)
+    grid = json.loads(out1)["results"]["grid"]
+    assert grid["tail_panels"] > 0 and set(grid["phase_memo"]) == {"built", "reused"}
+    assert grid["phase_memo"]["reused"] > grid["phase_memo"]["built"] > 0
 
 
 # ---- gamma ------------------------------------------------------------------
@@ -261,14 +270,16 @@ def test_gamma_matches_direct_evaluation(capsys):
         assert point["gamma"]["provenance"] == "gamma-ratio-closed-form"
 
 
-def test_gamma_underflow_reports_log_gamma_only(capsys):
-    # at s = 2 + 1000i both L-factors of the ratio underflow to zero
+def test_gamma_at_large_height_is_finite(capsys):
+    # at s = 2 + 1000i both L-factors of the ratio underflow to zero; their log ratio does not
     code, out, _ = run(capsys, ["gamma", "--s-list", "2+1000j,0.5+2j"])
     assert code == 0
     far, near = json.loads(out)["results"]["points"]
-    assert far["gamma"] == {"value": None, "error": None, "provenance": "underflow; use log_gamma"}
     want = complex(log_mb_gamma(params_from_dict(DELTA_DOC), CharTwist(0), np.array([-1 - 1000j]))[0])
     assert complex(*far["log_gamma"]["value"]) == want
+    assert far["gamma"]["provenance"] == "gamma-ratio-closed-form"
+    got = complex(*far["gamma"]["value"])
+    assert abs(got - cmath.exp(want)) <= 1e-12 * abs(cmath.exp(want))
     assert near["gamma"]["provenance"] == "gamma-ratio-closed-form"
 
 

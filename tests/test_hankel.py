@@ -1,12 +1,15 @@
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from vorokit import hankel
-from vorokit.archimedean import DS2Block, GL1Block, PoleError, RealPlaceParams
+from vorokit.archimedean import CharTwist, DS2Block, GL1Block, PoleError, RealPlaceParams, log_mb_gamma
 from vorokit.bessel import bessel_real_batch
 from vorokit.hankel import (
     BadSupport,
@@ -16,7 +19,8 @@ from vorokit.hankel import (
     make_bump,
     signed_mellin,
 )
-from vorokit.quadrature import ToleranceNotMet, adaptive_segment, gauss_nodes
+from vorokit.contours import build_contour
+from vorokit.quadrature import ToleranceNotMet, adaptive_segment, gauss_nodes, panel_nodes, phase_step
 
 GL1_TRIVIAL = RealPlaceParams((GL1Block(0, 0.0),))
 DS2_5 = RealPlaceParams((DS2Block(5, 0.0),))
@@ -80,7 +84,10 @@ def test_signed_mellin_linearity():
 
 def _fourier_oracle(w, x):
     # n=1 trivial parameters: w̃(x) = ∫ e^{2πi x t} w(t) dt, directly
-    f = lambda t: np.exp(2j * math.pi * x * t.real) * w(t.real)
+    def f(c, h):
+        t = panel_nodes(c, h).real
+        return np.exp(2j * math.pi * x * t) * w(t)
+
     val, _ = adaptive_segment(f, complex(w.a), complex(w.b), 1e-12)
     return val
 
@@ -169,6 +176,106 @@ def test_dual_decay_beyond_support():
     assert envs[0] > envs[1] > envs[2]
 
 
+# ---- the mellin route's factored x-phase and tail ladder ---------------------
+
+
+@pytest.mark.parametrize("t", [3.0, 200.0, 700.0])
+def test_mellin_integrand_factored_phase_matches_direct(t):
+    # G_l·E_h[l]·e^{(ν−c)·lx} against exp(log γ + (ν−s)·lx)·M_δ[w], the latter in 30 digits
+    # from the same double inputs; doubles round the phase (ν−s)·lx itself by ~eps·|phase|,
+    # however x^{ν−s} is formed (the direct double form is 1.4e-12 off at t = 700, lx = 7)
+    delta, nu, w = 0, 0.5, make_bump(1.0, 40.0)
+    lx = np.linspace(-7.0, 7.0, 15)
+    mbase = hankel._mellin_base(1e-9)
+    sigma = build_contour(DS2_11, CharTwist(delta)).asymptote
+    f = hankel._MellinIntegrand(DS2_11, delta, w, nu, lx, mbase)
+    panels = [  # a miss, a hit on the same half-width, and a slanted detour-like panel
+        (complex(sigma, t + 0.375), 0.375j, (1, 0)),
+        (complex(sigma, t + 1.125), 0.375j, (1, 1)),
+        (complex(sigma + 0.3, t), 0.4 + 0.1j, (2, 1)),
+    ]
+    for c, h, counts in panels:
+        got = f(c, h)
+        assert (f.built, f.reused) == counts
+        s = panel_nodes(c, h)
+        logg = log_mb_gamma(DS2_11, CharTwist(delta), s)
+        mv = hankel._mellin_nodes(w, delta, 1.0 - s - nu, mbase)
+        with mpmath.workdps(30):
+            exact = lambda g, si, m, x: mpmath.exp(mpmath.mpc(g) + (nu - mpmath.mpc(si)) * x) * mpmath.mpc(m)
+            ref = np.array([[complex(exact(g, si, m, x)) for x in lx] for g, si, m in zip(logg, s, mv)])
+        bound = (1e-13 + np.finfo(float).eps * np.abs(np.outer(nu - s, lx))) * np.abs(ref)
+        assert np.all(np.abs(got - ref) <= bound), (t, c, h)
+
+
+def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
+    """Run the mellin route, recording every ladder step, adaptive panel and memo size."""
+    steps, panels, sizes = [], [], []
+    ladder, segment, phase = hankel._ladder_step, hankel.adaptive_segment, hankel._MellinIntegrand.phase
+
+    def ladder_rec(p):
+        steps.append((p, ladder(p)))
+        return steps[-1][1]
+
+    def segment_rec(f, a, b, tol, max_depth=13):
+        panels.append((a, b))
+        return segment(f, a, b, tol, max_depth=max_depth)
+
+    def phase_rec(self, h):
+        out = phase(self, h)
+        sizes.append(len(self._memo))
+        return out
+
+    monkeypatch.setattr(hankel, "_ladder_step", ladder_rec)
+    monkeypatch.setattr(hankel, "adaptive_segment", segment_rec)
+    monkeypatch.setattr(hankel._MellinIntegrand, "phase", phase_rec)
+    counts = Counter()
+    hankel_mellin_batch(params, n, w, xs, tol, counts=counts)
+    return steps, panels, sizes, counts
+
+
+# detour heights 0 and 1.3: the tails start at 2 and at 3.3 rounded up to 3.3125
+@pytest.mark.parametrize("params", [DS2_11, RealPlaceParams((GL1Block(0, 0.3j), GL1Block(1, -0.3j)))])
+def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
+    w = make_bump(1.0, 2.0)
+    steps, panels, _, counts = _record_mellin_walk(monkeypatch, params, 2, w, [0.3, -2.0, 40.0], 1e-9)
+    sigmas = {build_contour(params, CharTwist(d)).asymptote for d in (0, 1)}
+    tails = [(a, b) for a, b in panels if a.real == b.real and a.real in sigmas]
+    assert len(tails) == len(steps) == counts["tail_panels"] > 0
+    for (p, step), (a, b) in zip(steps, tails):
+        m, _ = math.frexp(step)
+        assert m in (0.5, 0.75) and p / 1.5 < step <= p
+        t = abs(a.imag)
+        assert t * 64 == int(t * 64)  # the tails start on a multiple of 1/64 and stay on it
+        assert (t + step) - t == step and abs(b.imag) == t + step
+        # down to the finest sub-panel the bisection halves exactly
+        assert Fraction(t + step / 4096) == Fraction(t) + Fraction(step) / 4096
+    # every rung, every ladder cut just below it, and the clamps of phase_step
+    rungs = [math.ldexp(m, e) for e in range(-3, 3) for m in (0.5, 0.75)]
+    for p in rungs + [np.nextafter(r, 0.0) for r in rungs] + [phase_step(1e9), phase_step(1e-9), 0.1, 2.999]:
+        step = hankel._ladder_step(p)
+        assert step <= p and step > p / 1.5 and math.frexp(step)[0] in (0.5, 0.75)
+
+
+def test_phase_memo_holds_at_most_two_tables(monkeypatch):
+    w = make_bump(1.0, 2.0)
+    _, _, sizes, counts = _record_mellin_walk(monkeypatch, DS2_11, 2, w, [0.3, -2.0, 40.0], 1e-9)
+    assert max(sizes) == hankel._PHASE_MEMO == 2
+    assert len(sizes) == counts["memo_built"] + counts["memo_reused"]
+    assert counts["memo_reused"] > 5 * counts["memo_built"]
+
+
+def test_mellin_error_bars_cover_the_gap_to_a_tighter_convolution_route():
+    # five magnitude groups (ratio 16) over y ∈ [1e-3, 800], both signs
+    w = make_bump(1.0, 2.0)
+    ys = np.array([1e-3, 0.02, 0.4, 8.0, 160.0, 800.0])
+    xs = np.concatenate([ys, -ys[1::2]])
+    mell, merr = hankel_mellin_batch(DS2_11, 2, w, xs, 1e-7)
+    assert len(hankel.magnitude_groups(np.abs(xs), 16.0)) == 5
+    for x, m, e in zip(xs, mell, merr):
+        conv, cerr = hankel_convolution_batch(DS2_11, 2, w, [x], 1e-9)
+        assert cerr[0] < e / 10 and abs(m - conv[0]) <= e + cerr[0], x
+
+
 def test_convolution_zero_function():
     zero = hankel.TestFunction(1.0, 2.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
     vals, errs = hankel_convolution_batch(DS2_5, 2, zero, [0.5, 2.0], 1e-8)
@@ -214,7 +321,7 @@ def test_fe_residual_stops_after_three_doublings(monkeypatch):
     # a dual that never decays: the initial grid and three doublings are checked, no fourth
     calls = []
 
-    def flat(params, n, w, xs, tol):
+    def flat(params, n, w, xs, tol, counts):
         calls.append(len(xs))
         return np.ones(len(xs), dtype=complex), np.full(len(xs), 1e-12)
 
@@ -229,7 +336,7 @@ def test_fe_residual_grid_reports_every_batch_error(monkeypatch):
     w = make_bump(1.0, 2.0)
     y_max = 20.0 * w.b
 
-    def stand_in(params, n, w, xs, tol):
+    def stand_in(params, n, w, xs, tol, counts):
         ax = np.abs(np.asarray(xs))
         err = 3e-9 if ax.min() > y_max else 1e-12
         return np.where(ax <= 2 * y_max, 1.0 + 0j, 0j), np.full(len(ax), err)
@@ -284,28 +391,34 @@ def test_inner_mellin_factored_matches_direct_composite():
 
 
 def _per_panel_chebval(model, args):
-    # one Clenshaw evaluation per panel over that panel's points: the plain reading of the model
+    # one Clenshaw evaluation per panel over that panel's points: the plain reading of the
+    # model, with each point's panel found by a binary search of the lattice edges
+    npan = model.coeffs.shape[0]
+    edges = model.h * np.arange(model.j0, model.j0 + npan + 1)
     u = np.power(args, 1.0 / model.rank)
-    idx = np.clip(np.searchsorted(model.edges, u) - 1, 0, model.coeffs.shape[0] - 1)
+    idx = np.clip(np.searchsorted(edges, u) - 1, 0, npan - 1)
     out = np.empty(args.shape, dtype=complex)
     for j in np.unique(idx):
         m = idx == j
-        lo, hi = model.edges[j], model.edges[j + 1]
+        lo, hi = edges[j], edges[j + 1]
         out[m] = chebval((2.0 * u[m] - (lo + hi)) / (hi - lo), model.coeffs[j])
     return out
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_kernel_model_eval_matches_per_panel_chebval(rank):
+    # the lattice index ⌊u/h⌋ − j0 picks the panel the binary search picks: the random
+    # coefficients make neighbouring panels disagree at O(1), so any other panel shows
     rng = np.random.default_rng(rank)
-    npan = 37
-    edges = np.linspace(0.8, 9.5, npan + 1)
+    npan, h, j0 = 37, hankel._PANEL_WIDTH / rank, 3
+    edges = h * np.arange(j0, j0 + npan + 1)
     coeffs = rng.normal(size=(npan, hankel._CHEB_DEG + 1)) + 1j * rng.normal(size=(npan, hankel._CHEB_DEG + 1))
     coeffs *= 0.7 ** np.arange(hankel._CHEB_DEG + 1)  # decaying, as a fitted model's are
-    model = hankel._KernelModel(rank, edges, coeffs)
+    model = hankel._KernelModel(rank, h, j0, coeffs)
     on_edges = edges**rank  # every panel edge, both ends included
     inside = rng.uniform(edges[0], edges[-1], 5000) ** rank
-    args = rng.permutation(np.concatenate([inside, on_edges, on_edges[::-1], [edges[0] ** rank] * 3]))
+    beside = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]) ** rank
+    args = rng.permutation(np.concatenate([inside, on_edges, on_edges[::-1], [edges[0] ** rank] * 3, beside]))
     got, ref = model.eval(args), _per_panel_chebval(model, args)
     assert got.shape == args.shape and got.dtype == complex
     bound = 1e-14 * np.max(np.abs(ref))
@@ -318,6 +431,10 @@ def test_kernel_model_eval_matches_per_panel_chebval(rank):
     one = np.full(4, ((edges[3] + edges[4]) / 2) ** rank)
     assert np.max(np.abs(model.eval(one) - _per_panel_chebval(model, one))) <= bound
     assert model.eval(np.zeros(0)).shape == (0,)
+    # points beyond the lattice range are clipped to the end panels
+    outside = np.array([0.9 * edges[0], 1.05 * edges[-1]]) ** rank
+    ref = _per_panel_chebval(model, outside)
+    assert np.all(np.abs(model.eval(outside) - ref) <= 1e-14 * np.abs(ref))
 
 
 # ---- the kernel-model cache -------------------------------------------------

@@ -10,6 +10,7 @@ from vorokit.quadrature import (
     gauss_nodes,
     gauss_panels,
     magnitude_groups,
+    panel_nodes,
     phase_step,
     polyline_walk,
 )
@@ -35,7 +36,7 @@ def _gk_refine(f, a, b, tol, max_depth):
 
     def refine(pa, pb, ptol, level):
         c, h = 0.5 * (pa + pb), 0.5 * (pb - pa)
-        vals = f(c + h * _GK_X)
+        vals = f(c, h)
         k, g = h * (_GK_WK @ vals), h * (_GK_WG @ vals)
         err = float(np.max(np.abs(k - g)))
         if err <= ptol or level == finest:
@@ -133,7 +134,10 @@ def test_gk_table_pins_g10_and_k21_exactness():
 
 
 def test_adaptive_segment_1d_unchanged():
-    f = lambda s: np.exp(2.3j * s) / (1.0 + s * s)
+    def f(c, h):
+        s = panel_nodes(c, h)
+        return np.exp(2.3j * s) / (1.0 + s * s)
+
     for a, b, tol, depth in ((0.1, 5.0, 1e-12, 13), (-2 + 1j, 3 - 0.5j, 1e-9, 11), (0.0, 40.0, 1e-14, 4)):
         got = adaptive_segment(f, complex(a), complex(b), tol, max_depth=depth)
         ref = _gk_refine(f, complex(a), complex(b), tol, depth)
@@ -142,7 +146,7 @@ def test_adaptive_segment_1d_unchanged():
 
 def test_adaptive_segment_batched_matches_module_bisection():
     lam = np.array([0.4, -1.1 + 2.0j, 3.0j, 7.5])
-    f = lambda s: np.exp(np.outer(s, lam))
+    f = lambda c, h: np.exp(np.outer(panel_nodes(c, h), lam))
     for a, b in ((0.5 - 3j, 0.5 + 2j), (-1 + 1j, 2.5 + 4j)):
         val, err = adaptive_segment(f, a, b, 1e-11, max_depth=11)
         ref_val, ref_err = _gk_refine(f, a, b, 1e-11, 11)
@@ -152,9 +156,9 @@ def test_adaptive_segment_batched_matches_module_bisection():
 def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
     lengths = []
 
-    def f(s):
-        lengths.append(abs(s[-1] - s[0]) / _GK_X[-1])  # the panel length
-        return np.abs(s - 0.3)
+    def f(c, h):
+        lengths.append(2.0 * abs(h))  # the panel length
+        return np.abs(panel_nodes(c, h) - 0.3)
 
     for a, b, depth in ((0.0, 1.0, 6), (-1.7, 2.2, 9)):
         lengths.clear()
@@ -171,8 +175,8 @@ _EXP_LAM = np.array([0.5, -1.0 + 0.5j, 1.5j, -0.3 - 2.0j])
 _EXP_PTS = [complex(0.5, -4.0), complex(-0.3, -1.0), complex(0.2, 1.5), complex(0.5, 4.0)]
 
 
-def _exp_batch(s):
-    return np.exp(np.outer(s, _EXP_LAM))
+def _exp_batch(c, h):
+    return np.exp(np.outer(panel_nodes(c, h), _EXP_LAM))
 
 
 @pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
@@ -189,8 +193,9 @@ def test_polyline_walk_exponential_closed_form(omega):
 def test_polyline_walk_panels_follow_phase_step():
     calls = []
 
-    def f(s):
-        calls.append(s)
+    def f(c, h):
+        calls.append(c)
+        s = panel_nodes(c, h)
         return s * s  # integrated exactly by every panel: no bisection
 
     # step 14/7 = 2 on a length-10 segment: five panels, one rule call each

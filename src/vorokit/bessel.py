@@ -29,7 +29,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,7 +42,7 @@ from .archimedean import (
     log_mb_gamma,
 )
 from .contours import Contour, build_contour
-from .params_io import params_from_dict, params_to_dict
+from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, panel_nodes, polyline_walk
 
 __all__ = [
@@ -235,14 +235,11 @@ class KernelTable:
     achieved_tol: float
     requested_tol: float
     contour: Contour
-    partial: bool = False
-    failures: tuple = field(default_factory=tuple)
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write("x,sign,re,im\n")
-            for x, s, v in zip(self.xs, self.signs, self.values):
-                fh.write(f"{x!r},{s:d},{v.real!r},{v.imag!r}\n")
+        lines = ["x,sign,re,im"]
+        for x, s, v in zip(self.xs, self.signs, self.values):
+            lines.append(f"{x!r},{s:d},{v.real!r},{v.imag!r}")
         meta = {
             "params": params_to_dict(self.params),
             "twist": self.twist.value,
@@ -252,11 +249,9 @@ class KernelTable:
                 "asymptote": self.contour.asymptote,
                 "nodes": [[n.real, n.imag] for n in self.contour.nodes],
             },
-            "partial": self.partial,
-            "failures": list(self.failures),
         }
-        with open(path + ".meta.json", "w") as fh:
-            json.dump(meta, fh, indent=1)
+        atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path + ".meta.json", json.dumps(meta, indent=1))
 
     @classmethod
     def load(cls, path: str) -> "KernelTable":
@@ -283,8 +278,6 @@ class KernelTable:
             meta["achieved_tol"],
             meta["requested_tol"],
             contour,
-            meta["partial"],
-            tuple(meta["failures"]),
         )
 
 
@@ -293,7 +286,11 @@ def kernel_table(
     grid: Sequence[float],
     tol: float = 1e-8,
 ) -> KernelTable:
-    """Tabulate k(sign·x) over a sorted positive grid, the + half first, then the −."""
+    """Tabulate k(sign·x) over a sorted positive grid, the + half first, then the −.
+
+    One batch evaluates every point; if it cannot meet `tol` its
+    ToleranceNotMet propagates and no table is made.
+    """
     if not isinstance(params, RealPlaceParams):
         raise TypeError("kernel tables are built for real-place parameters")
     grid = list(grid)
@@ -307,26 +304,9 @@ def kernel_table(
         xs_all.extend(grid)
         sg_all.extend([s] * len(grid))
     pts = np.array(xs_all) * np.array(sg_all)
-    partial = False
-    failures: list[int] = []
-    try:
-        bvals, errs = bessel_real_batch(params, pts, tol, contour)
-        values = bvals * np.sqrt(np.abs(pts))
-        achieved = float(np.max(errs))
-    except ToleranceNotMet:
-        # salvage point by point, flagging the offenders
-        values = np.zeros(len(pts), dtype=complex)
-        achieved = 0.0
-        for i, p in enumerate(pts):
-            try:
-                bval, berr = bessel_real_batch(params, [p], tol, contour)
-                values[i] = bval[0] * math.sqrt(abs(p))
-                achieved = max(achieved, float(berr[0]))
-            except ToleranceNotMet as exc:
-                partial = True
-                failures.append(i)
-                values[i] = complex("nan")
-                achieved = max(achieved, exc.achieved)
+    bvals, errs = bessel_real_batch(params, pts, tol, contour)
+    values = bvals * np.sqrt(np.abs(pts))
+    achieved = float(np.max(errs))
     return KernelTable(
         params,
         CharTwist(0),
@@ -336,6 +316,4 @@ def kernel_table(
         achieved,
         tol,
         contour,
-        partial,
-        tuple(failures),
     )

@@ -17,10 +17,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -59,7 +57,7 @@ from .padic import (
     local_l_series_check,
     satake_from_eigenvalue,
 )
-from .params_io import params_from_dict, params_to_dict
+from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import ToleranceNotMet
 from .voronoi import (
     TailNotConverged,
@@ -70,7 +68,7 @@ from .voronoi import (
     voronoi_residual,
 )
 
-__all__ = ["ConfigError", "ComputationError", "main"]
+__all__ = ["ConfigError", "main"]
 
 _DELTA_BLOCKS = '{"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}'
 
@@ -79,12 +77,7 @@ class ConfigError(ValueError):
     """Bad flags, bad config document, or parameters outside the contracts."""
 
 
-class ComputationError(RuntimeError):
-    """A module refused or failed to reach the requested accuracy."""
-
-
 _COMPUTE_ERRORS = (
-    ComputationError,
     ToleranceNotMet,
     TailNotConverged,
     TruncationTooSmall,
@@ -219,25 +212,12 @@ def _threshold(limit: float, observed: float, mode: str = "max") -> dict:
     return {"limit": limit, "observed": _jsonable(observed), "mode": mode, "passed": bool(passed)}
 
 
-def _atomic_write(path: str, text: str) -> None:
-    target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_csv(path: str, header: list, rows: list) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    atomic_write(path, buf.getvalue())
 
 
 # ---- subcommand handlers ----------------------------------------------------
@@ -271,8 +251,6 @@ def _run_kernel_table(args, t0):
         args.x_min, args.x_max, args.n
     )
     table = kernel_table(params, [float(g) for g in grid], tol=args.tol)
-    if table.partial:
-        raise ComputationError(f"kernel table incomplete at {len(table.failures)} points: {table.failures[:3]}")
     if args.out:
         table.save(args.out)
     inputs = {
@@ -433,7 +411,7 @@ def _run_padic(args, t0):
             sp = SatakeParams(args.p, (Fraction(1, 2), Fraction(1), Fraction(2)))
         rows = []
         for al in alphas:
-            rep = kloosterman_gl3(al, zeta, sp, shell_depth=args.shell_depth, full_output=True)
+            rep = kloosterman_gl3(al, zeta, sp, shell_depth=args.shell_depth)
             rows.append(
                 {
                     "alpha": str(al),
@@ -754,7 +732,7 @@ def main(argv=None) -> int:
     failed = [k for k, t in report["thresholds"].items() if not t["passed"]]
     payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out and args.subcommand in ("gamma", "fe-check", "padic", "voronoi-verify"):
-        _atomic_write(args.out, payload)
+        atomic_write(args.out, payload)
         print(f"report written to {args.out}" + (f"; thresholds failed: {failed}" if failed else ""))
     else:
         sys.stdout.write(payload)

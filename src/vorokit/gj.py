@@ -306,8 +306,8 @@ def split_zeta_identity(
     small = 0
     oct_idx = 0
     while True:
-        # the next octave [hi/2, hi) needs C_g for g < hi; check before building it
-        hi = grid.octaves[oct_idx]["hi"] if oct_idx < len(grid.octaves) else 2 * grid._hi
+        # octave j is [2^j, 2^{j+1}) and needs C_g for g < 2^{j+1}; check before building it
+        hi = 2 ** (oct_idx + 1)
         if hi > coeffs.n + 1:
             raise TailNotConverged(
                 f"K-side still above tol/10 at x = {hi // 2} with {coeffs.n} coefficients"

@@ -374,15 +374,15 @@ def hankel_mellin_batch(
     errors = np.zeros(len(xs))
     for d in deltas:
         _validate_inner_mellin(w, d, _mellin_base(tol))
+    # over ℝ the pole set ignores the twist, so one contour serves both parities
+    contour = build_contour(params, CharTwist(0))
     # group by magnitude: each group shares a walk, so panel sizing and the
     # truncation height respond to the group's own |x| range
     for gi in magnitude_groups(ax, 16.0):
         lx = np.log(ax[gi])
         comp, errs = {}, []
         for d in deltas:
-            comp[d], e = _dual_vertical(
-                params, d, w, nu, lx, tol, build_contour(params, CharTwist(d)), counts
-            )
+            comp[d], e = _dual_vertical(params, d, w, nu, lx, tol, contour, counts)
             errs.append(e)
         i0 = comp[0]
         i1 = comp[1] if 1 in comp else i0
@@ -681,9 +681,11 @@ def local_fe_residual(
     # double y_max, at most three times, until the last panels are negligible for every sample
     for doublings in range(4):
         tail_nodes = v_nodes[-48:]
+        # both parity components, w_pos ± w_neg, must have decayed
         tail = max(
-            float(np.sum(v_wts[-48:] * np.abs(w_pos[-48:] + w_neg[-48:]) * np.exp(r * tail_nodes)))
+            float(np.sum(v_wts[-48:] * np.abs(w_pos[-48:] + sign * w_neg[-48:]) * np.exp(r * tail_nodes)))
             for r in (re_min, re_max)
+            for sign in (1.0, -1.0)
         )
         if tail < tol * 0.02:
             break

@@ -255,23 +255,19 @@ def _ring_pow(x, k: int):
 
 
 def _times_sqrt_pow(value, q: int, k: int):
-    """value·(√q)^k, exactly when the ring of `value` allows it.
+    """value·(√q)^k, exactly.
 
     A square q contributes the rational (√q)^k.  Otherwise even k stays in
-    the ring; odd k lands in ℚ(√q) (or, if `value` already lives in an
-    incompatible ring, falls back to floating complex — the only lossy
-    corner, and one no exact test relies on).
+    the ring, and odd k lands in ℚ(√q); if `value` already lives in ℚ(√d)
+    with d ≠ q, the product has no exact form here and QSqrt raises
+    TypeError.
     """
     root = math.isqrt(q)
     if root * root == q:
         return value * Fraction(root) ** k
     if k % 2 == 0:
         return value * Fraction(q) ** (k // 2)
-    rad = QSqrt(q, Fraction(0), Fraction(q) ** ((k - 1) // 2))
-    try:
-        return rad * value
-    except TypeError:
-        return complex(value) * q ** (k / 2)
+    return QSqrt(q, Fraction(0), Fraction(q) ** ((k - 1) // 2)) * value
 
 
 # ---- symmetric functions and Satake data -----------------------------------
@@ -714,8 +710,7 @@ def kloosterman_gl3(
     zeta_p,
     sp: SatakeParams,
     shell_depth: int | None = None,
-    full_output: bool = False,
-):
+) -> dict:
     """|ζ|_p · Σ over valuation shells of ψ̄(y)·°W̃(τ·n₁₂(y)), exactly.
 
     τ = [[0, −α/ζ, 0], [1, 0, 0], [0, 0, −ζ]].  The y-line splits into ℤ_p
@@ -724,7 +719,9 @@ def kloosterman_gl3(
     phase and the Whittaker value are constant.  Enumeration stops once two
     consecutive shells contribute exactly zero — an exact support statement,
     not a numerical cutoff — and raises DepthExceeded if that never happens
-    within `shell_depth` (default 2·|v_p(ζ)| + 3) shells.
+    within `shell_depth` (default 2·|v_p(ζ)| + 3) shells.  Returns the
+    value with its prefactor |ζ|_p, the shell where vanishing was detected,
+    the depth allowed and each shell's exact terms.
     """
     if sp.n != 3:
         raise ValueError("rank-3 Satake data required")
@@ -773,16 +770,13 @@ def kloosterman_gl3(
     for jj in sorted(shells):
         for term in shells[jj]:
             acc += term.to_complex()
-    value = prefactor * acc
-    if full_output:
-        return {
-            "value": value,
-            "prefactor": prefactor,
-            "vanished_at": vanished_at,
-            "shell_depth": shell_depth,
-            "shells": {jj: [t.describe() for t in ts] for jj, ts in shells.items()},
-        }
-    return value
+    return {
+        "value": prefactor * acc,
+        "prefactor": prefactor,
+        "vanished_at": vanished_at,
+        "shell_depth": shell_depth,
+        "shells": {jj: [t.describe() for t in ts] for jj, ts in shells.items()},
+    }
 
 
 def kloosterman_gl2_literal(alpha, zeta_p, sp: SatakeParams) -> WhittakerValue:

@@ -1,4 +1,5 @@
-"""JSON-dict serialisation of place parameters (shared by tables and the CLI).
+"""JSON-dict serialisation of place parameters, and the one atomic file
+writer (both shared by tables and the CLI).
 
 Schema:
     {"place": "real", "blocks": [{"kind": "gl1", "delta": 0, "t": [0.0, 0.0]},
@@ -7,6 +8,9 @@ Schema:
 """
 
 from __future__ import annotations
+
+import os
+import tempfile
 
 from .archimedean import (
     ComplexBlock,
@@ -17,7 +21,21 @@ from .archimedean import (
     RealPlaceParams,
 )
 
-__all__ = ["params_to_dict", "params_from_dict"]
+__all__ = ["params_to_dict", "params_from_dict", "atomic_write"]
+
+
+def atomic_write(path: str, text: str) -> None:
+    """Write `text` to `path` through a temp file in its directory and a rename."""
+    target = os.path.abspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp.", suffix=".part")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def _c(v: complex) -> list[float]:

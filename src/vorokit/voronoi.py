@@ -283,7 +283,7 @@ def lhs_theta(job: VoronoiJob) -> complex:
     return complex(np.sum(phases * co.values[ns - 1] * wn / np.sqrt(ns)))
 
 
-def rhs_theta(job: VoronoiJob, full_output: bool = False):
+def rhs_theta(job: VoronoiJob) -> dict:
     """The dual side: Σ over the detected support lattice of
     [∏_{p|c} exact local transform] · λ(m′) m′^{−1/2} · w̃(α).
 
@@ -295,7 +295,9 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
     consecutive ones fall below tol/10 in absolute value; running out of
     coefficients first raises TailNotConverged.  The windows share one
     kernel-model cache, and each shell records the model panels it built and
-    reused (``kernel_panels``).
+    reused (``kernel_panels``).  Returns {"value", "support", "shells"}; a
+    prime whose exact local factor vanishes everywhere has support None and
+    gives value 0 with no shells.
     """
     co = _job_coeffs(job)
     params = RealPlaceParams((DS2Block(job.weight - 1, 0.0),))
@@ -308,8 +310,7 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
         sp = _delta_satake(p, co)
         mv = _detect_min_valuation(sp, zeta, memo)
         if mv is None:
-            result = 0j
-            return {"value": result, "support": {p: None}, "shells": []} if full_output else result
+            return {"value": 0j, "support": {p: None}, "shells": []}
         sps[p] = sp
         support[p] = mv
     denom = 1
@@ -387,15 +388,13 @@ def rhs_theta(job: VoronoiJob, full_output: bool = False):
             f"α-sum still above tol/10 after m = {job.n_trunc} (last shells: "
             f"{[round(s['abs'], 12) for s in shells[-3:]]})"
         )
-    if full_output:
-        return {"value": total, "support": support, "shells": shells}
-    return total
+    return {"value": total, "support": support, "shells": shells}
 
 
 def voronoi_residual(job: VoronoiJob) -> dict:
     """Evaluate both sides and report absolute/relative residuals."""
     lhs = lhs_theta(job)
-    rep = rhs_theta(job, full_output=True)
+    rep = rhs_theta(job)
     rhs = rep["value"]
     abs_residual = abs(lhs - rhs)
     rel_residual = abs_residual / max(abs(lhs), abs(rhs), 1e-30)

@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import json
 import math
 import os
 import random
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from vorokit import bessel, contours
+from vorokit import contours
 from vorokit.archimedean import (
     CharTwist,
     ComplexBlock,
@@ -26,7 +28,6 @@ from vorokit.bessel import (
     kernel_table,
 )
 from vorokit.contours import Contour, InfeasibleContour, build_contour, check_admissible
-from vorokit.quadrature import ToleranceNotMet
 
 GL1R = RealPlaceParams((GL1Block(0, 0.0),))
 DS11 = RealPlaceParams((DS2Block(11, 0.0),))
@@ -77,8 +78,27 @@ def test_shifted_contour_still_admissible():
         check_admissible(build_contour(p).shifted(-0.15), p)
 
 
+@pytest.mark.parametrize(
+    "params",
+    [
+        GL1R,
+        RealPlaceParams((GL1Block(1, 0.0),)),
+        DS11,
+        RealPlaceParams((GL1Block(0, 0.0), DS2Block(11, 0.0))),
+        RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j))),
+        RealPlaceParams((GL1Block(0, 0.6 - 1.5j), GL1Block(1, -0.3 + 0.7j))),
+    ],
+)
+def test_real_place_contour_serves_both_parities(params):
+    # over ℝ the pole set ignores the twist, which is why both Bessel routes integrate
+    # the δ = 1 component along the δ = 0 contour
+    c0 = build_contour(params, CharTwist(0))
+    assert build_contour(params, CharTwist(1)) == c0
+    check_admissible(c0, params, CharTwist(1))
+
+
 def test_twisted_contours_admissible():
-    # the mellin route builds the δ = 1 contour; the complex place one per winding m
+    # a twisted real-place contour, and the complex place's one per winding m
     pair = RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))
     check_admissible(build_contour(pair, CharTwist(1)), pair, CharTwist(1))
     for m in range(-3, 4):
@@ -195,23 +215,34 @@ def test_kernel_table_roundtrip(tmp_path):
         kernel_table(GL1R, [2.0, 1.0], tol=1e-8)
 
 
-def test_kernel_table_salvage_keeps_computed_errors(monkeypatch):
-    # when the whole batch fails, each point is redone alone and keeps its own error
-    real_batch = bessel.bessel_real_batch
-    point_errs = []
+def test_kernel_table_load_reads_sidecars_with_old_keys(tmp_path):
+    # sidecars written by earlier versions also carry a partial flag and failed indices
+    t = kernel_table(GL1R, [1.0], tol=1e-8)
+    path = tmp_path / "table.csv"
+    t.save(str(path))
+    meta_path = tmp_path / "table.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    meta.update(partial=False, failures=[])
+    meta_path.write_text(json.dumps(meta, indent=1))
+    assert KernelTable.load(str(path)) == t
 
-    def batch(params, xs, tol, contour=None):
-        if len(xs) > 1:
-            raise ToleranceNotMet(tol, 2 * tol, "forced")
-        vals, errs = real_batch(params, xs, tol, contour)
-        point_errs.append(float(errs[0]))
-        return vals, errs
 
-    monkeypatch.setattr(bessel, "bessel_real_batch", batch)
-    t = kernel_table(DS11, [0.5, 1.5], tol=1e-7)
-    assert not t.partial and len(point_errs) == 4
-    assert t.achieved_tol == max(point_errs)
-    assert t.achieved_tol < 1e-7
+def test_kernel_table_save_over_an_old_table_is_atomic(tmp_path, monkeypatch):
+    old = kernel_table(GL1R, [1.0], tol=1e-8)
+    path = str(tmp_path / "table.csv")
+    old.save(path)
+    before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+    assert sorted(before) == ["table.csv", "table.csv.meta.json"]
+    new = dataclasses.replace(old, values=tuple(2 * v for v in old.values), requested_tol=1e-6)
+
+    def crash(src, dst):
+        raise OSError("rename interrupted")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError, match="rename interrupted"):
+        new.save(path)
+    # the old files are untouched and no temp file is left behind
+    assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
 
 
 def test_kernel_table_signs_cover_grid():

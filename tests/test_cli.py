@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import dataclasses
 import json
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from vorokit.archimedean import CharTwist, gamma_factor, log_mb_gamma
 from vorokit.cli import _build_parser, _parse_args, _parse_s_values, _subcommands, main
 from vorokit.params_io import params_from_dict
+from vorokit.quadrature import ToleranceNotMet
 
 DELTA_DOC = {"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}
 
@@ -65,17 +65,21 @@ def test_threshold_failure_exits_1(capsys):
     assert rep["thresholds"]["max_defect"]["passed"] is False
 
 
-def test_partial_kernel_table_exits_3(capsys, monkeypatch):
-    from vorokit import cli
+def test_partial_kernel_table_exits_3(capsys, monkeypatch, tmp_path):
+    # a batch that cannot meet --tol exits 3 before anything is written
+    from vorokit import bessel
 
-    real = cli.kernel_table
-    monkeypatch.setattr(
-        cli, "kernel_table",
-        lambda *a, **k: dataclasses.replace(real(*a, **k), partial=True, failures=(3,)),
+    def short(params, xs, tol, contour):
+        raise ToleranceNotMet(tol, 2 * tol, "forced")
+
+    monkeypatch.setattr(bessel, "bessel_real_batch", short)
+    out_path = tmp_path / "table.csv"
+    code, out, err = run(
+        capsys, ["kernel-table", "--x-min", "0.5", "--x-max", "8", "--n", "5", "--out", str(out_path)]
     )
-    code, out, err = run(capsys, ["kernel-table", "--x-min", "0.5", "--x-max", "8", "--n", "5"])
     assert code == 3
-    assert "computation error" in err and out == ""
+    assert "computation error: ToleranceNotMet" in err and out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_hankel_complex_x_exits_2(capsys):
@@ -374,7 +378,7 @@ def test_kernel_table_writes_csv_and_meta(capsys, tmp_path):
     assert lines[0] == "x,sign,re,im"
     assert len(lines) == 11  # header + 5 points × 2 signs
     meta = json.loads((tmp_path / "table.csv.meta.json").read_text())
-    assert meta["partial"] is False
+    assert set(meta) == {"params", "twist", "achieved_tol", "requested_tol", "contour"}
     rep = json.loads(out)
     assert rep["results"]["achieved_tol"]["value"] < 1e-7
 

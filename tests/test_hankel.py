@@ -331,6 +331,17 @@ def test_fe_residual_stops_after_three_doublings(monkeypatch):
     assert len(calls) == 4
 
 
+def test_fe_residual_tail_check_sees_the_odd_component():
+    # an odd w makes the even component I₀ vanish: only w̃(y) − w̃(−y) can say the tail is long
+    bump = make_bump(1.0, 2.0)
+    odd = hankel.TestFunction(1.0, 2.0, bump.pos, lambda x: -bump.pos(x))
+    with pytest.raises(ToleranceNotMet, match="y_max"):
+        local_fe_residual(GL1_TRIVIAL, 1, odd, [0.3, 0.7], 1e-6, y_max=1.0)
+    rep = local_fe_residual(GL1_TRIVIAL, 1, odd, [0.3, 0.7], 1e-6)
+    assert rep["grid"]["y_max"] == pytest.approx(2 * 20.0 * odd.b)
+    assert rep["max_rel_residual"] < 1e-8
+
+
 def test_fe_residual_grid_reports_every_batch_error(monkeypatch):
     # the dual vanishes past 2·y_max, so two doublings pass; the extensions are less accurate
     w = make_bump(1.0, 2.0)

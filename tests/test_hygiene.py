@@ -1,5 +1,6 @@
-"""Source hygiene: no module imports a name it never uses, and no library
-parameter has a default that every caller leaves alone.
+"""Source hygiene: no module imports a name it never uses, no library
+parameter has a default that every caller leaves alone, no function has a
+return-shape flag, and one writer owns every file write.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -14,6 +15,12 @@ it calls (``f(...)`` or ``obj.f(...)``), a call of a class by its name counts
 for ``__init__``, and ``*args``/``**kwargs`` at a call site pass nothing.
 The census cannot see a knob that hides in ``*args`` or ``**kwargs``, so no
 function in ``src/vorokit`` (nested ones and lambdas included) declares one.
+
+Second paths: no function in ``src/vorokit`` takes a ``full_output``
+parameter (one return shape per function), and no ``open``/``os.fdopen``
+call in ``src/vorokit`` opens a file for writing outside
+``params_io.atomic_write``, so every file a job writes goes through its temp
+file and rename.
 """
 
 from __future__ import annotations
@@ -180,3 +187,89 @@ def test_no_library_function_takes_star_parameters():
     assert SRC
     found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in SRC for name, line in star_params(p.read_text())]
     assert not found, "*args/**kwargs parameters:\n" + "\n".join(found)
+
+
+def full_output_params(source: str) -> list[tuple[str, int]]:
+    """(function name, line) for each function that declares a ``full_output`` parameter."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            a = node.args
+            if any(arg.arg == "full_output" for arg in [*a.posonlyargs, *a.args, *a.kwonlyargs]):
+                found.append((node.name, node.lineno))
+    return found
+
+
+def test_scanner_flags_full_output():
+    src = (
+        "def f(x, full_output=False):\n"
+        "    pass\n"
+        "def g(x, *, full_output):\n"
+        "    pass\n"
+        "def h(x, output=None):\n"
+        "    return full_output(x)\n"
+    )
+    assert full_output_params(src) == [("f", 1), ("g", 3)]
+
+
+def test_no_library_function_takes_full_output():
+    assert SRC
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in SRC for name, line in full_output_params(p.read_text())]
+    assert not found, "full_output parameters:\n" + "\n".join(found)
+
+
+def _mode(call: ast.Call):
+    # the mode argument of open(file, mode) / os.fdopen(fd, mode), "r" when absent
+    if len(call.args) > 1:
+        return call.args[1]
+    return next((k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+
+
+def write_opens(source: str) -> list[tuple[str, int]]:
+    """(enclosing function, line) for each open/fdopen call whose mode may write.
+
+    A mode that is not a string literal counts as writing.
+    """
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+                if name in ("open", "fdopen"):
+                    mode = _mode(child)
+                    if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)) or set(mode.value) & set("wax+"):
+                        found.append((where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scanner_flags_write_opens():
+    src = (
+        "def r(p):\n"
+        "    return open(p).read() + open(p, 'rb').read() + open(p, mode='r').read()\n"
+        "def w(p, m):\n"
+        "    open(p, 'w')\n"
+        "    open(p, mode='a')\n"
+        "    os.fdopen(3, 'r+')\n"
+        "    open(p, m)\n"
+        "open('x', 'xb')\n"
+    )
+    assert write_opens(src) == [("w", 4), ("w", 5), ("w", 6), ("w", 7), ("<module>", 8)]
+
+
+def test_every_file_write_goes_through_the_atomic_writer():
+    assert SRC
+    found = [
+        f"{p.relative_to(ROOT)}:{line}: {where}"
+        for p in SRC
+        for where, line in write_opens(p.read_text())
+        if (p.name, where) != ("params_io.py", "atomic_write")
+    ]
+    assert not found, "files opened for writing outside params_io.atomic_write:\n" + "\n".join(found)

@@ -182,6 +182,14 @@ def test_whittaker_diag_values():
     assert whittaker_diag(SP3_RANK3, 1) == F(1, 5) * F(25, 6)
 
 
+def test_whittaker_diag_refuses_mismatched_radicands():
+    # h_1 = √2 + 1/√2 lives in ℚ(√2), and q^{-1/2} at q = 3 needs ℚ(√3): no exact product
+    sp = SatakeParams(3, (QSqrt(2, 0, 1), QSqrt(2, 0, 1) ** -1))
+    assert whittaker_diag(sp, 2) == F(1, 3) * (F(2) + F(1, 2) + 1)  # even power: stays exact
+    with pytest.raises(TypeError, match="√3 and √2 do not mix exactly"):
+        whittaker_diag(sp, 1)
+
+
 def test_weight12_basic_value_is_minus_three_eighths():
     # unitarily normalised eigenvalue at p = 2: (−24/2^6)·√2 = (−3/8)√2
     lam = QSqrt(2, F(0), F(-3, 8))
@@ -415,23 +423,29 @@ def test_kloosterman_base_shell_single_value():
     for u in (F(0), F(1), F(3), F(1, 2), F(7, 3)):
         shifted = tau @ PAdicMat.elementary(5, 3, 0, 1, u)
         assert whittaker_general(spd, shifted) == base
-    report = kloosterman_gl3(F(2), zeta, SP3_RANK3, full_output=True)
+    report = kloosterman_gl3(F(2), zeta, SP3_RANK3)
     assert report["shells"][0] == [base.describe()]
 
 
 def test_kloosterman_stabilizes_when_doubling_depth():
     for alpha, zeta in ((F(1), F(1, 5)), (F(3, 5), F(1, 5)), (F(1), F(2, 25))):
-        report = kloosterman_gl3(alpha, zeta, SP3_RANK3, full_output=True)
+        report = kloosterman_gl3(alpha, zeta, SP3_RANK3)
         again = kloosterman_gl3(alpha, zeta, SP3_RANK3, shell_depth=2 * report["shell_depth"])
-        assert report["value"] == again
+        assert report["value"] == again["value"]
         assert report["vanished_at"] is not None
 
 
 def test_kloosterman_non_effective_torus_vanishes():
     # α deep enough below the support cone kills every shell
-    report = kloosterman_gl3(F(1, 5 ** 6), F(1, 5), SP3_RANK3, full_output=True)
+    report = kloosterman_gl3(F(1, 5 ** 6), F(1, 5), SP3_RANK3)
     assert report["value"] == 0
     assert all(not terms for terms in report["shells"].values())
+
+
+def test_kloosterman_returns_the_report():
+    report = kloosterman_gl3(F(1), F(1, 5), SP3_RANK3)
+    assert set(report) == {"value", "prefactor", "vanished_at", "shell_depth", "shells"}
+    assert report["prefactor"] == 5 and report["shell_depth"] == 5
 
 
 def test_kloosterman_guards():

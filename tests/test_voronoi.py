@@ -204,7 +204,7 @@ def test_rhs_transforms_once_per_class(monkeypatch):
 
     monkeypatch.setattr(voronoi, "ramified_transform_gl2", counted)
     monkeypatch.setattr(voronoi, "hankel_convolution_batch", decaying_dual)
-    rep = rhs_theta(VoronoiJob(a=2, c=5, w=W40, n_trunc=2000, tol=1e-4, coeffs=CO), full_output=True)
+    rep = rhs_theta(VoronoiJob(a=2, c=5, w=W40, n_trunc=2000, tol=1e-4, coeffs=CO))
     assert rep["support"] == {5: -2}
     points = rep["shells"][-1]["m_range"][1]
     needed = {_unit_class(5, F(m, 25), 1) for m in range(1, points + 1)}
@@ -234,7 +234,7 @@ def test_twisted_identity_c5():
 def test_rhs_tolerance_stability():
     loose = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))
     tight = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-6, coeffs=CO))
-    assert abs(loose - tight) < 5e-5
+    assert abs(loose["value"] - tight["value"]) < 5e-5
 
 
 def test_windows_report_the_dual_tolerance_they_met(monkeypatch):
@@ -266,7 +266,7 @@ def test_windows_share_one_kernel_cache(monkeypatch):
         return vals, errs
 
     monkeypatch.setattr(voronoi, "hankel_convolution_batch", recorded)
-    rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))
     assert len(batches) == len(rep["shells"]) >= 3
     assert len({id(b[3]) for b in batches}) == 1  # one cache for the whole call
     for (params, xs, tol, _, vals), shell in zip(batches, rep["shells"]):
@@ -278,7 +278,7 @@ def test_windows_share_one_kernel_cache(monkeypatch):
     assert counts[0]["built"] > 0 and counts[0]["reused"] == 0
     assert all(c["reused"] > 0 for c in counts[1:])
     # a second call starts from an empty cache and repeats every count and value
-    again = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    again = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))
     assert again == rep
 
 
@@ -302,11 +302,11 @@ def test_tail_not_converged():
         rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=64, tol=1e-8, coeffs=CO))
 
 
-def test_rhs_full_output_keys(monkeypatch):
-    rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+def test_rhs_theta_returns_value_support_shells(monkeypatch):
+    rep = rhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))
     assert set(rep) == {"value", "support", "shells"}
     # nothing survives at p = 5: the early return reports the same keys
     monkeypatch.setattr(voronoi, "_detect_min_valuation", lambda sp, zeta, memo: None)
-    rep = rhs_theta(VoronoiJob(a=1, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO), full_output=True)
+    rep = rhs_theta(VoronoiJob(a=1, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))
     assert set(rep) == {"value", "support", "shells"}
     assert rep["value"] == 0 and rep["support"] == {5: None} and rep["shells"] == []

@@ -22,11 +22,13 @@ closed-form calibrations are enforced in the test suite.
 
 Evaluation is batched: many x share one path, with the γ-part of the
 integrand computed once per node and the x-powers applied as an outer product.
+Over ℝ, :func:`parity_batch` owns the parity fold, here and in :mod:`vorokit.hankel`.
 """
 
 from __future__ import annotations
 
 import cmath
+import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -46,10 +48,9 @@ from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, panel_nodes, polyline_walk
 
 __all__ = [
-    "bessel_real",
+    "parity_batch",
     "bessel_real_batch",
     "bessel_complex",
-    "kernel_eval",
     "kernel_table",
     "KernelTable",
     "ToleranceNotMet",
@@ -122,48 +123,42 @@ def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np
 # ---- real place ------------------------------------------------------------
 
 
+def parity_batch(xs, ratio: float, deltas, component):
+    """The parity fold of b and w̃: ½(I₀ + sgn(x)·I₁), error ½(e₀ + e₁).  → (values, errors).
+
+    ``component(δ, |x|)`` → (I_δ, error) for δ in ``deltas``, (0,) where I₁ = I₀,
+    on each magnitude group (|x| within ``ratio`` of its smallest), so each walk
+    is sized to its group.  x = 0 raises ValueError before any component runs.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if np.any(xs == 0):
+        raise ValueError("x must be nonzero")
+    ax = np.abs(xs)
+    values = np.zeros(len(xs), dtype=complex)
+    errors = np.zeros(len(xs))
+    for gi in magnitude_groups(ax, ratio):
+        parts = [component(d, ax[gi]) for d in deltas]
+        (i0, e0), (i1, e1) = parts[0], parts[-1]
+        values[gi] = 0.5 * (i0 + np.sign(xs[gi]) * i1)
+        errors[gi] = 0.5 * (e0 + e1)
+    return values, errors
+
+
 def bessel_real_batch(
     params: RealPlaceParams,
     xs: Sequence[float],
     tol: float = 1e-10,
     contour: Contour | None = None,
 ):
-    """Vectorised ``bessel_real``; xs may mix signs.  Returns (values, errors)."""
+    """b(x) on a batch that may mix signs, each parity integral to tol/2.  Returns (values, errors)."""
     if not isinstance(params, RealPlaceParams):
-        raise TypeError("bessel_real needs real-place parameters")
-    xs = np.asarray(xs, dtype=float)
-    if np.any(xs == 0):
-        raise ValueError("x must be nonzero")
+        raise TypeError("bessel_real_batch needs real-place parameters")
     if contour is None:
         contour = build_contour(params, CharTwist(0))
     deltas = (0, 1) if params.parity_dependent else (0,)
-    per_tol = tol / 2.0
-
-    ax = np.abs(xs)
-    values = np.zeros(len(xs), dtype=complex)
-    errors = np.zeros(len(xs))
-    # group points by magnitude so each group shares a bend height
-    for gi in magnitude_groups(ax, 4.0):
-        integrals = {}
-        for d in deltas:
-            integrals[d], errs = _mb_batch(params, CharTwist(d), contour, ax[gi], per_tol)
-            errors[gi] += errs
-        i0 = integrals[0]
-        i1 = integrals.get(1, i0)
-        sgn = np.sign(xs[gi])
-        values[gi] = 0.5 * (i0 + sgn * i1)
-    return values, errors
-
-
-def bessel_real(
-    params: RealPlaceParams,
-    x: float,
-    tol: float = 1e-10,
-    contour: Contour | None = None,
-) -> complex:
-    """The Bessel function b(x) of a real-place representation, |error| ≤ tol."""
-    vals, _ = bessel_real_batch(params, [x], tol, contour)
-    return complex(vals[0])
+    return parity_batch(
+        xs, 4.0, deltas, lambda d, ax: _mb_batch(params, CharTwist(d), contour, ax, tol / 2.0)
+    )
 
 
 # ---- complex place ---------------------------------------------------------
@@ -178,7 +173,7 @@ def radial_component(params: ComplexPlaceParams, m: int, r: float, tol: float = 
     return 0.5 * complex(vals[0])
 
 
-def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float = 1e-9) -> complex:
+def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float) -> complex:
     """Bessel function over ℂ via the winding-number series.
 
     Terms are added in increasing |m| until three consecutive |m|-levels fall
@@ -216,13 +211,6 @@ def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float = 1e-9) ->
 # ---- kernels and tables ----------------------------------------------------
 
 
-def kernel_eval(params: PlaceParams, x, tol: float = 1e-10) -> complex:
-    """k(x) = b(x)·|x|^{1/2} with the place's normalised absolute value."""
-    if isinstance(params, RealPlaceParams):
-        return bessel_real(params, x, tol) * math.sqrt(abs(x))
-    return bessel_complex(params, x, tol) * abs(x)  # |z|_ℂ^{1/2} = |z|
-
-
 @dataclass(frozen=True)
 class KernelTable:
     """Kernel values on a signed grid, with the contour that produced them."""
@@ -240,7 +228,9 @@ class KernelTable:
         lines = ["x,sign,re,im"]
         for x, s, v in zip(self.xs, self.signs, self.values):
             lines.append(f"{x!r},{s:d},{v.real!r},{v.imag!r}")
+        text = "\n".join(lines) + "\n"
         meta = {
+            "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
             "params": params_to_dict(self.params),
             "twist": self.twist.value,
             "achieved_tol": self.achieved_tol,
@@ -250,21 +240,25 @@ class KernelTable:
                 "nodes": [[n.real, n.imag] for n in self.contour.nodes],
             },
         }
-        atomic_write(path, "\n".join(lines) + "\n")
+        atomic_write(path, text)
         atomic_write(path + ".meta.json", json.dumps(meta, indent=1))
 
     @classmethod
     def load(cls, path: str) -> "KernelTable":
         with open(path + ".meta.json") as fh:
             meta = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        # a save cut between its two renames leaves a new CSV beside the old sidecar;
+        # sidecars written before the digest existed carry none and are not checked
+        if "csv_sha256" in meta and hashlib.sha256(raw).hexdigest() != meta["csv_sha256"]:
+            raise ValueError(f"{path} does not match its sidecar: the SHA-256 differs")
         xs, signs, values = [], [], []
-        with open(path) as fh:
-            next(fh)
-            for line in fh:
-                xstr, sstr, restr, imstr = line.strip().split(",")
-                xs.append(float(xstr))
-                signs.append(int(sstr))
-                values.append(complex(float(restr), float(imstr)))
+        for line in raw.decode().splitlines()[1:]:
+            xstr, sstr, restr, imstr = line.split(",")
+            xs.append(float(xstr))
+            signs.append(int(sstr))
+            values.append(complex(float(restr), float(imstr)))
         contour = Contour(
             meta["contour"]["asymptote"],
             tuple(complex(a, b) for a, b in meta["contour"]["nodes"]),
@@ -299,10 +293,8 @@ def kernel_table(
     if any(x <= 0 for x in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing and positive")
     contour = build_contour(params, CharTwist(0))
-    xs_all, sg_all = [], []
-    for s in (1, -1):
-        xs_all.extend(grid)
-        sg_all.extend([s] * len(grid))
+    xs_all = grid + grid
+    sg_all = [1] * len(grid) + [-1] * len(grid)
     pts = np.array(xs_all) * np.array(sg_all)
     bvals, errs = bessel_real_batch(params, pts, tol, contour)
     values = bvals * np.sqrt(np.abs(pts))

@@ -230,7 +230,8 @@ class DualGrid:
     on the test function, so one grid is shared across every s in a scan.
     Octaves [2^j, 2^{j+1}) are built on demand; each node carries its d×x
     weight and the integer gap it lies in, and each octave records the
-    kernel-model panels it built and reused from the grid's one cache.
+    kernel-model panels it built and reused from the grid's one cache and
+    the ``dual_tol`` its batch met (8 × ``wtol`` after the looser retry).
     """
 
     def __init__(self, w: TestFunction, tol: float = 1e-7):
@@ -248,13 +249,15 @@ class DualGrid:
             xs, wts, gaps = _gap_rule(
                 range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(self.w.b / g)))
             )
+            dual_tol = self.wtol
             try:
                 vals, _ = hankel_convolution_batch(
-                    _DELTA_PARAMS, 2, self.w, xs, tol=self.wtol, cache=self._cache
+                    _DELTA_PARAMS, 2, self.w, xs, tol=dual_tol, cache=self._cache
                 )
             except ToleranceNotMet:
+                dual_tol = 8 * self.wtol
                 vals, _ = hankel_convolution_batch(
-                    _DELTA_PARAMS, 2, self.w, xs, tol=8 * self.wtol, cache=self._cache
+                    _DELTA_PARAMS, 2, self.w, xs, tol=dual_tol, cache=self._cache
                 )
             self.octaves.append(
                 {
@@ -265,6 +268,7 @@ class DualGrid:
                     "gaps": gaps,
                     "vals": vals,
                     "kernel_panels": self._cache.panel_counts(),
+                    "dual_tol": dual_tol,
                 }
             )
             self._hi = hi
@@ -342,6 +346,7 @@ def split_zeta_identity(
         "defect": defect,
         "rel_defect": defect / max(abs(reference), 1e-30),
         "x_max": grid.octaves[oct_idx - 1]["hi"] if oct_idx else 1,
+        "dual_tol": max(oc["dual_tol"] for oc in grid.octaves[:oct_idx]),
         "tol": tol,
     }
 

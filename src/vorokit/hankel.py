@@ -5,7 +5,7 @@ independent routes:
 
 * **mellin** — inverse Mellin integral of γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν),
   ν = (n−1)/2, along the admissible contour of :mod:`vorokit.contours`,
-  parity-summed with sgn(x)^δ weights.  The transform M_δ[w] of a compactly
+  folded by ``bessel.parity_batch``.  The transform M_δ[w] of a compactly
   supported w is entire and decays super-polynomially on vertical lines, so
   the contour is truncated straight (no bent tails) once three consecutive
   panels fall under the tail threshold.  The factor γ·M_δ[w] does not depend
@@ -20,7 +20,7 @@ independent routes:
 * **convolution** — w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
   a validated piecewise-Chebyshev model in the variable u = arg^{1/n}.  A job
-  keeps one model per (params, argument sign) in a :class:`KernelCache`:
+  keeps one model per (params, sign with 𝔟 ≢ 0) in a :class:`KernelCache`:
   one per ``rhs_theta`` call, one per ``DualGrid``, a private one for a lone
   batch.  Its panels sit on a fixed lattice, panel j = [j·h, (j+1)·h] with
   h = 1.1/n, so every α-window or octave of the job asks for panels the
@@ -67,7 +67,7 @@ from .archimedean import (
     gamma_factor,
     log_mb_gamma,
 )
-from .bessel import bessel_real_batch
+from .bessel import bessel_real_batch, parity_batch
 from .contours import build_contour, pole_starts
 from .quadrature import (
     ToleranceNotMet,
@@ -346,6 +346,11 @@ def _validate_inner_mellin(w, delta, base):
             raise ToleranceNotMet(1e-9, abs(ref - got), "inner Mellin grid validation")
 
 
+def _parities(params, w) -> tuple:
+    """(0,) where I₁ = I₀ (γ ignores the parity and w lives on x > 0), else (0, 1)."""
+    return (0, 1) if params.parity_dependent or w.neg is not None else (0,)
+
+
 def hankel_mellin_batch(
     params: RealPlaceParams,
     n: int,
@@ -362,33 +367,18 @@ def hankel_mellin_batch(
     """
     _require_real_rank(params, n)
     counts = Counter() if counts is None else counts
-    xs = np.asarray(xs, dtype=float)
-    if xs.size == 0:
-        return np.zeros(0, dtype=complex), np.zeros(0)
-    if np.any(xs == 0.0):
-        raise ValueError("x must be nonzero")
     nu = 0.5 * (n - 1)
-    deltas = (0, 1) if (params.parity_dependent or w.neg is not None) else (0,)
-    ax = np.abs(xs)
-    values = np.zeros(len(xs), dtype=complex)
-    errors = np.zeros(len(xs))
-    for d in deltas:
-        _validate_inner_mellin(w, d, _mellin_base(tol))
+    deltas = _parities(params, w)
+    unvalidated = list(deltas)
     # over ℝ the pole set ignores the twist, so one contour serves both parities
     contour = build_contour(params, CharTwist(0))
-    # group by magnitude: each group shares a walk, so panel sizing and the
-    # truncation height respond to the group's own |x| range
-    for gi in magnitude_groups(ax, 16.0):
-        lx = np.log(ax[gi])
-        comp, errs = {}, []
-        for d in deltas:
-            comp[d], e = _dual_vertical(params, d, w, nu, lx, tol, contour, counts)
-            errs.append(e)
-        i0 = comp[0]
-        i1 = comp[1] if 1 in comp else i0
-        values[gi] = 0.5 * (i0 + np.sign(xs[gi]) * i1)
-        errors[gi] = 0.5 * sum(errs) if len(errs) == 2 else errs[0]
-    return values, errors
+
+    def component(d, ax):
+        while unvalidated:  # every parity's inner Mellin grid, once, before the first walk
+            _validate_inner_mellin(w, unvalidated.pop(0), _mellin_base(tol))
+        return _dual_vertical(params, d, w, nu, np.log(ax), tol, contour, counts)
+
+    return parity_batch(xs, 16.0, deltas, component)
 
 
 # ---- convolution route -----------------------------------------------------
@@ -443,14 +433,6 @@ class _KernelModel:
         return out
 
 
-class _ZeroModel:
-    """𝔟 on the negative axis under parity cancellation: identically zero."""
-
-    @staticmethod
-    def eval(args: np.ndarray) -> np.ndarray:
-        return np.zeros(len(args), dtype=complex)
-
-
 def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
     """Chebyshev coefficients of lattice panels ``js`` from one node batch at tol/3.
 
@@ -488,12 +470,9 @@ class KernelCache:
         self._built = self._reused = 0
         return out
 
-    def model(self, params, sign: int, lo: float, hi: float, tol: float) -> _KernelModel | _ZeroModel:
+    def model(self, params, sign: int, lo: float, hi: float, tol: float) -> _KernelModel:
         """A model of 𝔟(sign·arg) on lo ≤ arg ≤ hi, accurate to ``tol``."""
         rank = params.rank
-        if sign < 0 and not params.parity_dependent:
-            # parity cancellation: 𝔟 vanishes identically on the negative axis
-            return _ZeroModel()
         ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
         h = _PANEL_WIDTH / rank
         j0 = int(ulo // h)
@@ -541,9 +520,10 @@ def hankel_convolution_batch(
     nu = 0.5 * (n - 1)
     tpow = 0.5 * (3.0 - n) - 1.0
 
+    t_signs = (1, -1) if w.neg is not None else (1,)  # the signs of w's support
     # |w|-mass against the t-power: budgets the kernel-model error
     vm = np.linspace(w.a, w.b, 481)[1:-1]
-    wabs = np.abs(w(vm)) + (np.abs(w(-vm)) if w.neg is not None else 0.0)
+    wabs = sum(np.abs(w(s_t * vm)) for s_t in t_signs)
     cw = float(np.trapezoid(wabs * vm**tpow, vm))
     if cw == 0.0:
         return np.zeros(len(xs), dtype=complex), np.zeros(len(xs))
@@ -552,13 +532,12 @@ def hankel_convolution_batch(
     denom = max(1.0, float(ax.max()) ** nu)
     model_tol = 0.5 * tol / (cw * denom)
     quad_tol = 0.5 * tol / denom
-    need = {
-        1: bool((xs > 0).any() or ((xs < 0).any() and w.neg is not None)),
-        -1: bool((xs < 0).any() or ((xs > 0).any() and w.neg is not None)),
-    }
+    # 𝔟(xt) at the signs of x times w's; where γ ignores the parity 𝔟 vanishes on x < 0
+    kernel_signs = (1, -1) if params.parity_dependent else (1,)
+    need = {s_x * s_t for s_x in np.unique(np.sign(xs)) for s_t in t_signs}
     lo, hi = float(ax.min() * w.a), float(ax.max() * w.b)
     cache = KernelCache() if cache is None else cache
-    models = {s: cache.model(params, s, lo, hi, model_tol) for s in (1, -1) if need[s]}
+    models = {s: cache.model(params, s, lo, hi, model_tol) for s in kernel_signs if s in need}
 
     ua, ub = w.a ** (1.0 / n), w.b ** (1.0 / n)
     groups = magnitude_groups(ax, 4.0)
@@ -571,18 +550,16 @@ def hankel_convolution_batch(
             tn, wt = gauss_panels(np.linspace(ua, ub, npan + 1) ** n, 16)  # equal phase per panel
             base = wt * tn**tpow
             chunk = max(1, _EVAL_POINTS // len(tn))  # rows of x per kernel-model call
-            parts = [(1, w(tn))]
-            if w.neg is not None:
-                parts.append((-1, w(-tn)))
-            for s_t, wpart in parts:
+            for s_t in t_signs:
+                wpart = w(s_t * tn)
                 if not np.any(wpart):
                     continue
                 coef = base * wpart
                 for s_x in (1, -1):
                     sel = gi[np.sign(xs[gi]) == s_x]
-                    if len(sel) == 0:
+                    model = models.get(s_x * s_t)
+                    if model is None or len(sel) == 0:
                         continue
-                    model = models[s_x * s_t]
                     for c0 in range(0, len(sel), chunk):
                         rows = sel[c0 : c0 + chunk]
                         args = np.outer(ax[rows], tn)
@@ -648,7 +625,7 @@ def local_fe_residual(
     y_min = 1e-3 if min(kappa.values()) + re_min > 0.5 else 1e-8
     if y_max is None:
         y_max = 20.0 * w.b
-    two_sided = params.parity_dependent or w.neg is not None
+    two_sided = _parities(params, w) == (0, 1)
 
     def build_panels(vlo, vhi):
         edges = [vlo]
@@ -666,26 +643,25 @@ def local_fe_residual(
     work = Counter()
 
     def evaluate(vn):
+        # the parity components w̃(y) ± w̃(−y) on y = e^v, once per batch
         ys = np.exp(vn)
         pts = np.concatenate([ys, -ys]) if two_sided else ys
         vals, errs = hankel_mellin_batch(params, n, w, pts, gtol, counts=work)
         pos = vals[: len(ys)]
-        neg = vals[len(ys) :] if two_sided else np.zeros_like(pos)
-        return pos, neg, float(np.max(errs))
+        neg = vals[len(ys) :] if two_sided else 0.0
+        return np.stack([pos + neg, pos - neg]), float(np.max(errs))
 
-    v_eval = np.concatenate([[math.log(y_min)], v_nodes])
-    pos_all, neg_all, grid_err = evaluate(v_eval)
-    ref_pos, ref_neg = pos_all[:1], neg_all[:1]
-    w_pos, w_neg = pos_all[1:], neg_all[1:]
+    comps, grid_err = evaluate(np.concatenate([[math.log(y_min)], v_nodes]))
+    head, comps = comps[:, 0], comps[:, 1:]
 
-    # double y_max, at most three times, until the last panels are negligible for every sample
+    # double y_max, at most three times, until the last panels of both
+    # parity components are negligible for every sample
     for doublings in range(4):
         tail_nodes = v_nodes[-48:]
-        # both parity components, w_pos ± w_neg, must have decayed
         tail = max(
-            float(np.sum(v_wts[-48:] * np.abs(w_pos[-48:] + sign * w_neg[-48:]) * np.exp(r * tail_nodes)))
+            float(np.sum(v_wts[-48:] * np.abs(comp[-48:]) * np.exp(r * tail_nodes)))
             for r in (re_min, re_max)
-            for sign in (1.0, -1.0)
+            for comp in comps
         )
         if tail < tol * 0.02:
             break
@@ -693,22 +669,19 @@ def local_fe_residual(
             raise ToleranceNotMet(tol, tail, "dual tail not negligible at y_max")
         new_vhi = math.log(y_max) + math.log(2.0)
         vn_ext, wt_ext = build_panels(math.log(y_max), new_vhi)
-        p_ext, n_ext, ext_err = evaluate(vn_ext)
+        ext, ext_err = evaluate(vn_ext)
         grid_err = max(grid_err, ext_err)
         v_nodes = np.concatenate([v_nodes, vn_ext])
         v_wts = np.concatenate([v_wts, wt_ext])
-        w_pos = np.concatenate([w_pos, p_ext])
-        w_neg = np.concatenate([w_neg, n_ext])
+        comps = np.concatenate([comps, ext], axis=1)
         y_max = math.exp(new_vhi)
 
     samples = []
     for s in s_list:
         z = s - nu
         for d in (0, 1):
-            comp = w_pos + (-1.0) ** d * w_neg
-            lhs = complex(np.sum(v_wts * comp * np.exp(z * v_nodes)))
-            head = complex(ref_pos[0] + (-1.0) ** d * ref_neg[0])
-            lhs += head * y_min**z / (z + kappa[d])
+            lhs = complex(np.sum(v_wts * comps[d] * np.exp(z * v_nodes)))
+            lhs += complex(head[d]) * y_min**z / (z + kappa[d])
             r = rhs[(s, d)]
             rr = abs(lhs - r) / max(abs(lhs), abs(r), 1e-30)
             samples.append({"s": s, "parity": d, "lhs": lhs, "rhs": r, "rel_residual": rr})

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import jv
 
-from vorokit import contours
+from vorokit import bessel, contours
 from vorokit.archimedean import (
     CharTwist,
     ComplexBlock,
@@ -22,16 +22,21 @@ from vorokit.archimedean import (
 from vorokit.bessel import (
     KernelTable,
     bessel_complex,
-    bessel_real,
     bessel_real_batch,
-    kernel_eval,
     kernel_table,
+    parity_batch,
 )
 from vorokit.contours import Contour, InfeasibleContour, build_contour, check_admissible
 
 GL1R = RealPlaceParams((GL1Block(0, 0.0),))
 DS11 = RealPlaceParams((DS2Block(11, 0.0),))
 GL1C = ComplexPlaceParams((ComplexBlock(0.0, 0),))
+
+
+def b_at(params, x, tol=1e-10, contour=None):
+    """b(x) at one point, through the batch."""
+    vals, _ = bessel_real_batch(params, [x], tol, contour)
+    return complex(vals[0])
 
 
 # ---- contours --------------------------------------------------------------
@@ -119,9 +124,9 @@ def test_inadmissible_contours_rejected():
 
 
 def test_gl1_real_known_points():
-    assert bessel_real(GL1R, 1.0) == pytest.approx(1.0, abs=1e-9)
-    assert bessel_real(GL1R, 0.25) == pytest.approx(1j, abs=1e-9)
-    assert bessel_real(GL1R, 0.5) == pytest.approx(-1.0, abs=1e-9)
+    assert b_at(GL1R, 1.0) == pytest.approx(1.0, abs=1e-9)
+    assert b_at(GL1R, 0.25) == pytest.approx(1j, abs=1e-9)
+    assert b_at(GL1R, 0.5) == pytest.approx(-1.0, abs=1e-9)
 
 
 def test_gl1_real_oracle_random():
@@ -134,10 +139,10 @@ def test_gl1_real_oracle_random():
 
 def test_ds2_weight11_matches_classical_bessel():
     for x in (0.3, 1.0, 7.0, 40.0, 200.0):
-        got = bessel_real(DS11, x, tol=1e-10)
+        got = b_at(DS11, x, tol=1e-10)
         want = 2 * math.pi * jv(11, 4 * math.pi * math.sqrt(x))  # i^{l+1} = 1
         assert got == pytest.approx(want, abs=5e-10)
-    assert bessel_real(DS11, -3.0) == 0.0  # parity sum cancels on x < 0
+    assert b_at(DS11, -3.0) == 0.0  # parity sum cancels on x < 0
 
 
 def test_contour_independence():
@@ -147,8 +152,8 @@ def test_contour_independence():
     check_admissible(shifted, DS11)
     for _ in range(10):
         x = rng.uniform(0.05, 20)
-        a = bessel_real(DS11, x, tol=1e-9, contour=base)
-        b = bessel_real(DS11, x, tol=1e-9, contour=shifted)
+        a = b_at(DS11, x, tol=1e-9, contour=base)
+        b = b_at(DS11, x, tol=1e-9, contour=shifted)
         assert abs(a - b) < 2e-9
 
 
@@ -189,15 +194,67 @@ def test_complex_conjugation_symmetry():
 
 
 def test_kernel_eval_identities():
-    assert kernel_eval(GL1R, 4.0, tol=1e-9) == pytest.approx(2.0, abs=1e-8)
+    # k(x) = b(x)·|x|^{1/2}: over ℝ the kernel table's values, over ℂ b(z)·|z|,
+    # since |z|_ℂ^{1/2} = |z|, checked against the plane wave e^{2πi(z+z̄)}·|z|
+    assert kernel_table(GL1R, [4.0], tol=1e-9).values[0] == pytest.approx(2.0, abs=1e-8)
     x = 2.3
-    assert kernel_eval(DS11, x, tol=1e-10) == pytest.approx(
-        bessel_real(DS11, x, tol=1e-10) * math.sqrt(x), abs=1e-12
+    assert kernel_table(DS11, [x], tol=1e-10).values[0] == pytest.approx(
+        b_at(DS11, x, tol=1e-10) * math.sqrt(x), abs=1e-12
     )
     z = complex(0.25, 0.31) * (2 / abs(complex(0.25, 0.31)))  # |z| = 2, z+z̄ arbitrary
-    got = kernel_eval(GL1C, z, tol=1e-8)
-    want = bessel_complex(GL1C, z, tol=1e-8) * 4.0 ** 0.5 * 2 / 2  # |z|_ℂ^{1/2} = |z| = 2
-    assert got == pytest.approx(want, abs=1e-9)
+    got = bessel_complex(GL1C, z, tol=1e-8) * abs(z)
+    want = cmath.exp(2j * math.pi * (z + z.conjugate())) * abs(z)
+    assert got == pytest.approx(want, abs=6e-8)  # the plane-wave oracle's 3e-8, times |z|
+
+
+# ---- the parity fold ---------------------------------------------------------
+
+
+def _stub_component(calls, scalar_error=False):
+    # I_δ = (δ+1)·|x| with error (δ+1)·1e-3, recording each call
+    def component(d, ax):
+        calls.append((d, ax.tolist()))
+        err = (d + 1) * 1e-3
+        return (d + 1) * ax + 0j, err if scalar_error else np.full(len(ax), err)
+
+    return component
+
+
+def test_parity_batch_folds_both_parities():
+    calls = []
+    xs = [1.0, -2.0, 30.0, -0.5]
+    vals, errs = parity_batch(xs, 4.0, (0, 1), _stub_component(calls))
+    # ½(I₀ + sgn(x)·I₁) = ½(|x| ± 2|x|), error ½(e₀ + e₁)
+    assert vals.dtype == complex and vals.tolist() == [1.5, 0.5 * (2.0 - 4.0), 45.0, 0.5 * (0.5 - 1.0)]
+    assert errs.tolist() == [0.5 * (1e-3 + 2e-3)] * 4
+    # |x| ∈ {0.5, 1, 2} is one magnitude group and 30 another; each parity once per group
+    assert calls == [(0, [0.5, 1.0, 2.0]), (1, [0.5, 1.0, 2.0]), (0, [30.0]), (1, [30.0])]
+
+
+def test_parity_batch_with_one_parity_folds_i0_with_itself():
+    calls = []
+    vals, errs = parity_batch([1.0, -2.0, 30.0], 4.0, (0,), _stub_component(calls, scalar_error=True))
+    assert vals.tolist() == [1.0, 0.0, 30.0] and errs.tolist() == [1e-3] * 3
+    assert [d for d, _ in calls] == [0, 0]
+
+
+def test_parity_batch_refuses_zero_before_any_component():
+    calls = []
+    with pytest.raises(ValueError, match="nonzero"):
+        parity_batch([1.0, 0.0, -2.0], 4.0, (0, 1), _stub_component(calls))
+    assert calls == []
+    vals, errs = parity_batch([], 4.0, (0, 1), _stub_component(calls))
+    assert vals.shape == errs.shape == (0,) and calls == []
+
+
+def test_gl1_batch_error_is_half_the_sum_of_the_parity_errors():
+    # GL1 has both parities; the fold's error is ½(e₀ + e₁), not e₀ + e₁
+    xs = np.array([0.6, -0.9, 1.7, -2.2])  # one magnitude group
+    vals, errs = bessel_real_batch(GL1R, xs, 1e-8)
+    contour = build_contour(GL1R, CharTwist(0))
+    (i0, e0), (i1, e1) = (bessel._mb_batch(GL1R, CharTwist(d), contour, np.abs(xs), 1e-8 / 2) for d in (0, 1))
+    assert np.array_equal(errs, 0.5 * (e0 + e1)) and np.all(errs > 0)
+    assert np.array_equal(vals, 0.5 * (i0 + np.sign(xs) * i1))
 
 
 def test_kernel_table_roundtrip(tmp_path):
@@ -243,6 +300,35 @@ def test_kernel_table_save_over_an_old_table_is_atomic(tmp_path, monkeypatch):
         new.save(path)
     # the old files are untouched and no temp file is left behind
     assert {f.name: f.read_bytes() for f in tmp_path.iterdir()} == before
+
+
+def test_kernel_table_torn_between_its_two_renames_is_refused(tmp_path, monkeypatch):
+    old = kernel_table(GL1R, [1.0], tol=1e-8)
+    path = str(tmp_path / "table.csv")
+    old.save(path)
+    new = dataclasses.replace(old, values=tuple(2 * v for v in old.values), requested_tol=1e-6)
+    real, renamed = os.replace, []
+
+    def second_rename_fails(src, dst):
+        renamed.append(os.path.basename(dst))
+        if len(renamed) == 2:
+            raise OSError("interrupted between the renames")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", second_rename_fails)
+    with pytest.raises(OSError, match="between the renames"):
+        new.save(path)
+    monkeypatch.undo()
+    assert renamed == ["table.csv", "table.csv.meta.json"]
+    # the new CSV now sits beside the old sidecar: its digest refuses the pair
+    with pytest.raises(ValueError, match="sidecar"):
+        KernelTable.load(path)
+    # a sidecar written before the digest existed is read unchecked
+    meta_path = tmp_path / "table.csv.meta.json"
+    meta = json.loads(meta_path.read_text())
+    del meta["csv_sha256"]
+    meta_path.write_text(json.dumps(meta, indent=1))
+    assert KernelTable.load(path).values == new.values
 
 
 def test_kernel_table_signs_cover_grid():

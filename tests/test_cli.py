@@ -378,7 +378,7 @@ def test_kernel_table_writes_csv_and_meta(capsys, tmp_path):
     assert lines[0] == "x,sign,re,im"
     assert len(lines) == 11  # header + 5 points × 2 signs
     meta = json.loads((tmp_path / "table.csv.meta.json").read_text())
-    assert set(meta) == {"params", "twist", "achieved_tol", "requested_tol", "contour"}
+    assert set(meta) == {"csv_sha256", "params", "twist", "achieved_tol", "requested_tol", "contour"}
     rep = json.loads(out)
     assert rep["results"]["achieved_tol"]["value"] < 1e-7
 

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from vorokit import hankel
+from vorokit import gj, hankel
 from vorokit.gj import (
     CoeffRangeExceeded,
     DualGrid,
@@ -29,6 +29,7 @@ from vorokit.gj import (
 )
 from vorokit.hankel import make_bump
 from vorokit.lseries import l_delta_smoothed
+from vorokit.quadrature import ToleranceNotMet
 from vorokit.voronoi import TailNotConverged, tau_coefficients
 
 CO16 = tau_coefficients(16)
@@ -198,6 +199,30 @@ def test_split_identity_grid():
     counts = [oc["kernel_panels"] for oc in grid.octaves]
     assert len(counts) >= 3 and counts[0]["built"] > 0 and counts[0]["reused"] == 0
     assert all(c["reused"] > 0 for c in counts[1:])
+
+
+def test_octaves_report_the_dual_tolerance_they_met(monkeypatch):
+    real = gj.hankel_convolution_batch
+    asked = []
+
+    def first_octave_misses(*args, tol, cache):
+        asked.append(tol)
+        if len(asked) == 1:
+            raise ToleranceNotMet(tol, 2 * tol, "forced")
+        return real(*args, tol=tol, cache=cache)
+
+    monkeypatch.setattr(gj, "hankel_convolution_batch", first_octave_misses)
+    w = make_bump(1.0, 4.0)
+    grid = DualGrid(w, tol=1e-5)
+    rep = split_zeta_identity(w, 0.5, CO1K, tol=1e-5, grid=grid)
+    wtol = 1e-7  # min(1e-7, max(2e-9, tol/100))
+    met = [oc["dual_tol"] for oc in grid.octaves]
+    assert asked[:2] == [wtol, 8 * wtol]
+    assert len(met) >= 2 and met[0] == 8 * wtol and met[1:] == [wtol] * (len(met) - 1)
+    assert rep["dual_tol"] == 8 * wtol and rep["defect"] < 1e-5
+    # a grid whose batches all met wtol reports wtol
+    monkeypatch.undo()
+    assert split_zeta_identity(w, 0.5, CO1K, tol=1e-5)["dual_tol"] == wtol
 
 
 def test_split_identity_critical_point():

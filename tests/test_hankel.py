@@ -485,16 +485,27 @@ def test_kernel_cache_builds_only_uncovered_panels(monkeypatch):
     sizes.clear()
     inside = cache.model(DS2_11, 1, *_u_range(6, 8), 1e-9)
     assert cache.panel_counts() == {"built": 0, "reused": 3} and sizes == []
-    # the sign the parity cancels costs nothing and counts nothing
-    zero = cache.model(DS2_11, -1, *_u_range(2, 9), 1e-9)
-    assert cache.panel_counts() == {"built": 0, "reused": 0} and sizes == []
-    assert not np.any(zero.eval(np.array([3.0, 7.0])))
     # the served models agree with direct values off the nodes
     args = np.linspace(*_u_range(5, 13), 41)
     direct, _ = bessel_real_batch(DS2_11, args, 1e-12)
     assert np.max(np.abs(model.eval(args) - direct)) <= 1e-9
     some = args[(args > ((6 + 0.2) * H2) ** 2) & (args < ((8 + 0.5) * H2) ** 2)]
     assert len(some) > 3 and np.array_equal(inside.eval(some), model.eval(some))
+
+
+def test_convolution_batch_builds_no_model_for_the_sign_the_parity_cancels(monkeypatch):
+    # DS2(11)'s γ ignores the parity, so 𝔟 vanishes on the negative axis; for a
+    # w supported in x > 0 that is every kernel argument of a point x < 0
+    sizes = _bessel_batches(monkeypatch)
+    cache = hankel.KernelCache()
+    w = make_bump(1.0, 2.0)
+    vals, errs = hankel_convolution_batch(DS2_11, 2, w, [-0.5, -3.0, -40.0], 1e-8, cache)
+    assert vals.dtype == complex and np.array_equal(vals, np.zeros(3)) and np.all(errs > 0)
+    assert sizes == [] and cache._panels == {} and cache.panel_counts() == {"built": 0, "reused": 0}
+    # a mixed batch builds the positive-sign model only, and its x < 0 point is exactly 0
+    mixed, _ = hankel_convolution_batch(DS2_11, 2, w, [0.5, -0.5], 1e-8, cache)
+    assert mixed[0] != 0 and mixed[1] == 0
+    assert sizes and list(cache._panels) == [(DS2_11, 1)]
 
 
 def test_kernel_cache_rebuilds_a_panel_certified_looser_than_asked():

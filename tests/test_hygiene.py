@@ -1,6 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no library
-parameter has a default that every caller leaves alone, no function has a
-return-shape flag, and one writer owns every file write.
+parameter has a default that every caller leaves alone, only named test hooks
+have a default that only tests pass, no function has a return-shape flag, and
+one writer owns every file write.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -10,7 +11,9 @@ directives and never count as unused.
 Parameters: every defaulted parameter of a module-level function or method
 in ``src/vorokit`` must be passed, by keyword or by position, at one or more
 call sites in ``src/vorokit``, ``tests`` or ``perfbench``; otherwise its
-default is a constant spelled as a knob.  A call is matched by the bare name
+default is a constant spelled as a knob.  A second census counts only the
+calls in ``src/vorokit`` and ``perfbench``: the defaults that only tests pass
+are the frozen ``TEST_HOOKS``, each with the reason a test needs it.  A call is matched by the bare name
 it calls (``f(...)`` or ``obj.f(...)``), a call of a class by its name counts
 for ``__init__``, and ``*args``/``**kwargs`` at a call site pass nothing.
 The census cannot see a knob that hides in ``*args`` or ``**kwargs``, so no
@@ -156,6 +159,30 @@ def test_every_library_default_is_passed_somewhere():
     assert SRC
     found = unset_defaults([p.read_text() for p in SRC], [p.read_text() for p in CALLERS])
     assert not found, "defaulted parameters no caller passes:\n" + "\n".join(found)
+
+
+# Defaults that tests pass and no library caller does: named test hooks, frozen.
+TEST_HOOKS = {
+    "check_admissible(twist)": "tests check the contours built for twisted characters",
+    "split_zeta_identity(euler_pbound)": "a test deepens the Euler product at one point of large scale",
+    "local_fe_residual(y_max)": "A4 fixes the grid's far end, and a test shows a short one is refused",
+    "zeta_em(order)": "a test shows an order beyond the Bernoulli table is refused",
+    "zeta_zero_bisect(tol)": "A8 bisects the first zero only as far as its check needs",
+    "l_delta_smoothed(terms)": "a test shows the smoothed sum has converged at its default length",
+    "local_l_series_check(series)": "a test substitutes a corrupted series to show the check can fail",
+    "multiplicativity_check(pairs)": "a test draws more pairs than the default",
+    "multiplicativity_check(seed)": "a test draws its pairs from a second seed",
+}
+
+
+def test_defaults_only_tests_pass_are_the_named_hooks():
+    # a second census with library callers only: src/vorokit and perfbench
+    library = [p.read_text() for p in [*SRC, *(ROOT / "perfbench").glob("*.py")]]
+    found = set(unset_defaults([p.read_text() for p in SRC], library))
+    assert not found - set(TEST_HOOKS), "defaults only tests pass:\n" + "\n".join(sorted(found - set(TEST_HOOKS)))
+    assert not set(TEST_HOOKS) - found, "test hooks a library caller now passes:\n" + "\n".join(
+        sorted(set(TEST_HOOKS) - found)
+    )
 
 
 def star_params(source: str) -> list[tuple[str, int]]:

@@ -21,7 +21,7 @@ so the value equals the contour integral exactly; contour-independence and
 closed-form calibrations are enforced in the test suite.
 
 Evaluation is batched: many x share one path, with the γ-part of the
-integrand computed once per node and the x-powers applied as an outer product.
+integrand computed once per node and x^{−s} factored by panel (:class:`_BesselIntegrand`).
 Over ℝ, :func:`parity_batch` owns the parity fold, here and in :mod:`vorokit.hankel`.
 """
 
@@ -45,7 +45,7 @@ from .archimedean import (
 )
 from .contours import Contour, build_contour
 from .params_io import atomic_write, params_from_dict, params_to_dict
-from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, panel_nodes, polyline_walk
+from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, panel_nodes, phase_tables, polyline_walk
 
 __all__ = [
     "parity_batch",
@@ -58,6 +58,25 @@ __all__ = [
 
 _BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical, upper ray
 _MAX_RAY = 2000.0
+
+
+class _BesselIntegrand:
+    """γ(1−s, π×χ, ψ)·xeff^{−s} on one G10/K21 panel, batched over lx = log xeff.
+
+    With lg = log γ(1−s) at the nodes c + h·ξ_l and lg_10 at the centre ξ = 0,
+    it is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10}, E_h from ``phase`` and
+    P_j = e^{lg_10 − c·lx_j}.  No factor exceeds the centre value or the
+    variation across the panel, so none overflows where xeff^{−s} alone would.
+    """
+
+    def __init__(self, params, twist, lx):
+        self.params, self.twist, self.lx, self.phase = params, twist, lx, phase_tables(lx)
+
+    def __call__(self, c, h) -> np.ndarray:
+        lg = log_mb_gamma(self.params, self.twist, panel_nodes(c, h))
+        out = self.phase(h) * np.exp(lg - lg[10])[:, None]
+        out *= np.exp(lg[10] - c * self.lx)
+        return out
 
 
 def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
@@ -76,11 +95,9 @@ def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np
     lx = np.log(xeffs)
     lx_min, lx_max = float(lx.min()), float(lx.max())
     t_flip = c0 * math.exp(flip_pow * lx_max / n_osc)
-    h_bend = max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0)
-
-    def integrand(c, h):
-        nodes = panel_nodes(c, h)
-        return np.exp(log_mb_gamma(params, twist, nodes)[:, None] - np.outer(nodes, lx))
+    # on a multiple of 1/64, so the vertical panels' edges are exact and their h repeat
+    h_bend = math.ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0) * 64) / 64
+    integrand = _BesselIntegrand(params, twist, lx)
 
     def omega(t: float) -> float:
         base = n_osc * math.log(max(abs(t), 1.0) / c0)

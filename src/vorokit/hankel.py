@@ -14,8 +14,8 @@ independent routes:
   one exponential per point per panel, times a table E_h that depends on
   the panel only through h.  The tails start on a multiple of 1/64 and step
   on the ladder {2^k, 1.5·2^k}, so their half-widths, bisected ones
-  included, are exact and repeat, and a memo of the last two tables serves
-  almost every tail panel.
+  included, are exact and repeat, and a memo of the last two tables
+  (``quadrature.phase_tables``) serves almost every tail panel.
 
 * **convolution** — w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
@@ -77,6 +77,7 @@ from .quadrature import (
     magnitude_groups,
     panel_nodes,
     phase_step,
+    phase_tables,
     polyline_walk,
 )
 
@@ -221,7 +222,6 @@ def _mellin_nodes(f: TestFunction, delta: int, zs: np.ndarray, base: int) -> np.
 # ---- mellin route ----------------------------------------------------------
 
 _MAX_HEIGHT = 6000.0
-_PHASE_MEMO = 2  # phase tables E_h kept per parity walk; each is 21 × len(lx) complex
 _TAIL_GRID = 64  # the tails start on a multiple of 1/_TAIL_GRID
 
 
@@ -244,29 +244,14 @@ class _MellinIntegrand:
     At the node s = c + h·ξ_l of the panel with centre c and half-width h,
     x^{ν−s} = e^{(ν−c)·lx}·e^{−h·ξ_l·lx}.  The first factor costs one
     exponential per point.  The second, E_h = exp(−h·ξ ⊗ lx), depends on
-    the panel only through h and is kept for the last ``_PHASE_MEMO``
-    half-widths used, so panels of a repeated half-width reuse it.  The
-    x-free factor G_l = γ(1−s_l)·M_δ[w](1−s_l−ν) costs 21 values per panel.
-    ``built`` and ``reused`` count the phase tables made and served again.
+    the panel only through h and comes from ``phase``, so panels of a
+    repeated half-width reuse it.  The x-free factor
+    G_l = γ(1−s_l)·M_δ[w](1−s_l−ν) costs 21 values per panel.
     """
 
     def __init__(self, params, delta, w, nu, lx, mbase):
         self.params, self.twist, self.w, self.delta = params, CharTwist(delta), w, delta
-        self.nu, self.lx, self.mbase = nu, lx, mbase
-        self._memo: dict = {}  # h → E_h, least recently used first
-        self.built = self.reused = 0
-
-    def phase(self, h) -> np.ndarray:
-        table = self._memo.pop(h, None)
-        if table is None:
-            table = np.exp(-np.outer(panel_nodes(0.0, h), self.lx))
-            self.built += 1
-            if len(self._memo) == _PHASE_MEMO:
-                del self._memo[next(iter(self._memo))]
-        else:
-            self.reused += 1
-        self._memo[h] = table
-        return table
+        self.nu, self.lx, self.mbase, self.phase = nu, lx, mbase, phase_tables(lx)
 
     def __call__(self, c, h) -> np.ndarray:
         nodes = panel_nodes(c, h)
@@ -289,8 +274,8 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour, counts):
     shorter.  Every tail panel edge, bisected sub-panels' included, is then
     exact in binary, half-widths repeat exactly, and the integrand's phase
     memo (:class:`_MellinIntegrand`) serves all but a few of them; the
-    polyline's panels simply miss it.  ``counts`` accumulates the tail
-    panels and the phase tables built and reused.
+    polyline's few panels, unclamped below h0, mostly miss it.  ``counts``
+    accumulates the tail panels and the phase tables built and reused.
     """
     rank = params.rank
     va, vb = math.log(w.a), math.log(w.b)
@@ -326,8 +311,8 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour, counts):
                 break
             if t > _MAX_HEIGHT:
                 raise ToleranceNotMet(tol, mag / (2 * math.pi), "dual-integral tail not converged")
-    counts["memo_built"] += integrand.built
-    counts["memo_reused"] += integrand.reused
+    memo = integrand.phase.cache_info()
+    counts.update(memo_built=memo.misses, memo_reused=memo.hits)
 
     values = total / (2j * math.pi)
     achieved = (err_total + tail_bound) / (2.0 * math.pi)

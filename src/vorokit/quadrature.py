@@ -12,8 +12,9 @@ handed the panel, not its nodes: f(c, h) with c the panel's centre and h its
 complex half-width returns the values at the nodes c + h·ξ_l (ξ_l the
 ascending K21 abscissae on [−1, 1]) as ndarray[21] or ndarray[21, B].  An
 integrand that needs only the nodes forms them with :func:`panel_nodes`; one
-whose x-dependence factors through h·ξ_l (the Mellin route's x^{ν−s}) can
-reuse that factor on every panel of the same half-width.  A panel is accepted
+whose x-power x^{−s} splits as e^{−c·log x}·e^{−h·ξ_l·log x} takes the second
+factor from :func:`phase_tables`, one table per repeated half-width, as the
+Bessel batch and the Mellin route both do.  A panel is accepted
 when the raw difference |K − G| is within its tolerance and bisected
 otherwise; the value kept is K.  |K − G| estimates the error of G, the
 lower-order rule, so where f is smooth on the panel it overstates the error
@@ -39,6 +40,7 @@ __all__ = [
     "gauss_nodes",
     "gauss_panels",
     "panel_nodes",
+    "phase_tables",
     "adaptive_segment",
     "phase_step",
     "polyline_walk",
@@ -128,6 +130,15 @@ def panel_nodes(c, h) -> np.ndarray:
     return c + h * _GK_X
 
 
+_PHASE_MEMO = 2  # tables kept by a phase_tables memo; each is 21 × len(lx) complex
+
+
+def phase_tables(lx: np.ndarray):
+    """h ↦ E_h = exp(−h·ξ ⊗ lx) on the K21 nodes for a fixed ``lx``, the last ``_PHASE_MEMO``
+    kept; ``cache_info()`` counts the tables built (misses) and reused (hits)."""
+    return lru_cache(maxsize=_PHASE_MEMO)(lambda h: np.exp(-np.outer(panel_nodes(0.0, h), lx)))
+
+
 def adaptive_segment(f, a: complex, b: complex, tol: float, max_depth: int = 13):
     """Adaptive G10/K21 quadrature of f(c, h) on a→b.  Returns (integral, error_estimate).
 
@@ -162,24 +173,24 @@ def phase_step(omega: float) -> float:
 def polyline_walk(f, pts, omega, tol: float):
     """∫ f(c, h) along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
 
-    Each straight piece is cut into panels of length ``phase_step(omega(t))``,
+    Each straight piece a→b is cut into panels of length ``phase_step(omega(t))``,
     t the imaginary part at the panel's start, and each panel is integrated
     by :func:`adaptive_segment` to ``tol``, down to sub-panels 2^-12 of its
-    length.
+    length.  Edges sit at a + u·pos, u = (b − a)/|b − a|, the last at b: exact
+    on a vertical piece from a multiple of 1/64, where clamped panels share h.
     Returns (integral, summed error estimates).
     """
     total, err_total = 0.0, 0.0
     for a, b in zip(pts[:-1], pts[1:]):
         length = abs(b - a)
-        pos = 0.0
+        u, pos = (b - a) / length, 0.0
         while pos < length:
-            lo = a + (b - a) * (pos / length)
-            step = min(length - pos, phase_step(omega(lo.imag)))
-            hi = a + (b - a) * ((pos + step) / length)
+            lo = a + u * pos
+            pos += phase_step(omega(lo.imag))
+            hi = a + u * pos if pos < length else b
             val, err = adaptive_segment(f, lo, hi, tol, max_depth=11)
             total = total + val
             err_total += err
-            pos += step
     return total, err_total
 
 

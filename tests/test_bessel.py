@@ -5,11 +5,12 @@ import math
 import os
 import random
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import jv
 
-from vorokit import bessel, contours
+from vorokit import bessel, contours, quadrature
 from vorokit.archimedean import (
     CharTwist,
     ComplexBlock,
@@ -27,6 +28,7 @@ from vorokit.bessel import (
     parity_batch,
 )
 from vorokit.contours import Contour, InfeasibleContour, build_contour, check_admissible
+from vorokit.quadrature import panel_nodes
 
 GL1R = RealPlaceParams((GL1Block(0, 0.0),))
 DS11 = RealPlaceParams((DS2Block(11, 0.0),))
@@ -166,6 +168,116 @@ def test_integrand_tail_decay_on_asymptote():
         for t in (T, 2 * T, 4 * T)
     ]
     assert mags[0] > mags[1] > mags[2]
+
+
+# ---- Meijer G oracle ---------------------------------------------------------
+
+# Γ_ℝ shifts (t, a) of L(s, π×sgn^δ) = ∏ Γ_ℝ(s + t + a) and the ε exponent Σk, from the
+# L-factor table by hand: GL1(δ₀, t) → Γ_ℝ(s + t + δ), δ = δ₀ + δ_χ mod 2, k = δ;
+# DS2(l, t) → Γ_ℂ(s + t + l/2) = Γ_ℝ(s + t + l/2)·Γ_ℝ(s + t + l/2 + 1), k = l + 1
+MEIJER_SETS = {
+    "GL1(0)": (RealPlaceParams((GL1Block(0, 0.0),)), {0: ([(0, 0)], 0), 1: ([(0, 1)], 1)}),
+    "GL1(1)": (RealPlaceParams((GL1Block(1, 0.0),)), {0: ([(0, 1)], 1), 1: ([(0, 0)], 0)}),
+    "DS2(11)": (DS11, {d: ([(0, 5.5), (0, 6.5)], 12) for d in (0, 1)}),
+    "DS2(4)": (RealPlaceParams((DS2Block(4, 0.0),)), {d: ([(0, 2), (0, 3)], 5) for d in (0, 1)}),
+    "GL1(1)+DS2(22)": (
+        RealPlaceParams((GL1Block(1, 0.0), DS2Block(22, 0.0))),
+        {0: ([(0, 1), (0, 11), (0, 12)], 24), 1: ([(0, 0), (0, 11), (0, 12)], 23)},
+    ),
+    "GL1(1,0.2)+DS2(4,-0.1+0.3i)": (
+        RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j))),
+        {
+            0: ([(0.2, 1), (-0.1 + 0.3j, 2), (-0.1 + 0.3j, 3)], 6),
+            1: ([(0.2, 0), (-0.1 + 0.3j, 2), (-0.1 + 0.3j, 3)], 5),
+        },
+    ),
+}
+
+
+def meijer_bessel(shifts, x):
+    """b(x) = ½ Σ_δ I_δ(|x|)·sgn(x)^δ in 30 digits, each parity a Meijer G function.
+
+    γ(1−s) = i^k·∏_j Γ_ℝ(s + a_j − t_j)/Γ_ℝ(1 − s + a_j + t_j) over the N shifts (the
+    contragredient negates t), and s' = −s/2 turns (1/2πi)∫γ(1−s)X^{−s}ds into
+    I_δ(X) = 2·i^k·π^{N/2 + Σt}·G^{N,0}_{0,2N}((π^N X)² | (a_j − t_j)/2 ; (1 − a_j − t_j)/2).
+    """
+    total = 0j
+    with mpmath.workdps(30):
+        for d, (sh, k) in shifts.items():
+            n = len(sh)
+            inner = [(mpmath.mpc(a) - mpmath.mpc(t)) / 2 for t, a in sh]
+            outer = [(1 - mpmath.mpc(a) - mpmath.mpc(t)) / 2 for t, a in sh]
+            pre = 2 * mpmath.mpc(0, 1) ** k * mpmath.pi ** (mpmath.mpf(n) / 2 + sum(mpmath.mpc(t) for t, _ in sh))
+            g = mpmath.meijerg([[], []], [inner, outer], (mpmath.pi**n * abs(x)) ** 2)
+            total += 0.5 * complex(pre * g) * (1 if x > 0 else (-1) ** d)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(MEIJER_SETS))
+def test_real_bessel_matches_meijer_g(name):
+    # GL1 at |x| = 1e3 walks to height 2π·1e3 and certifies ~1e-10 there, so it asks 1e-9
+    params, shifts = MEIJER_SETS[name]
+    tol = 1e-9 if params.rank == 1 else 1e-10
+    xs = [0.3, -1.7, 5.0, -20.0, 100.0, -1000.0, 1000.0]
+    vals, errs = bessel_real_batch(params, xs, tol)
+    gaps = np.abs(vals - np.array([meijer_bessel(shifts, x) for x in xs]))
+    assert np.all(gaps <= errs) and np.all(errs <= tol), (name, gaps, errs)
+
+
+# ---- the factored x-phase ----------------------------------------------------
+
+
+def test_bessel_integrand_factored_phase_matches_direct():
+    # G_l·E_h[l]·P against exp(log γ − s·lx), the latter in 30 digits from the same double
+    # inputs.  Doubles round the exponent by ~eps·(|log γ| + |s·lx|), however it is formed:
+    # on the tail panel |log γ| ≈ 1e5, and the direct double form is 3.5e4·eps off there
+    twist = CharTwist(0)
+    lx = np.linspace(0.0, math.log(1e6), 8)
+    sigma = build_contour(DS11).asymptote
+    h_bend = 1.25 * 2 * math.pi * 1e3 + 8.0  # the walk's bend height for x up to 1e6
+    tail = complex(sigma, h_bend) + 45.0 * bessel._BEND  # 40 to 50 units down the upper ray
+    f = bessel._BesselIntegrand(DS11, twist, lx)
+    panels = [  # a miss and a hit at t = 700, a slanted detour panel and a bent-tail panel
+        (complex(sigma, 701.5), 1.5j, (1, 0)),
+        (complex(sigma, 704.5), 1.5j, (1, 1)),
+        (complex(sigma + 0.3, 2.0), 0.4 + 0.1j, (2, 1)),
+        (tail, 5.0 * bessel._BEND, (3, 1)),
+    ]
+    for c, h, counts in panels:
+        got = f(c, h)
+        assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
+        assert np.all(np.isfinite(got)), (c, h)
+        s = panel_nodes(c, h)
+        logg = log_mb_gamma(DS11, twist, s)
+        with mpmath.workdps(30):
+            exact = lambda g, si, x: mpmath.exp(mpmath.mpc(g) - mpmath.mpc(si) * x)
+            ref = np.array([[complex(exact(g, si, x)) for x in lx] for g, si in zip(logg, s)])
+        phase = np.abs(logg)[:, None] + np.abs(np.outer(s, lx))
+        bound = (1e-13 + np.finfo(float).eps * phase) * np.abs(ref)
+        assert np.all(np.abs(got - ref) <= bound), (c, h)
+
+
+def test_bessel_batch_reuses_phase_tables(monkeypatch):
+    # the vertical panels clamped at length 3 share h = 1.5i, so one batch over
+    # x ∈ [1, 1e4] serves most panels from a memo of at most two tables
+    memos, sizes, tables = [], [], bessel.phase_tables
+
+    def tables_rec(lx):
+        phase = tables(lx)
+        memos.append(phase.cache_info)
+
+        def rec(h):
+            out = phase(h)
+            sizes.append(phase.cache_info().currsize)
+            return out
+
+        return rec
+
+    monkeypatch.setattr(bessel, "phase_tables", tables_rec)
+    bessel_real_batch(DS11, np.geomspace(1.0, 1e4, 9), 1e-10)
+    built, reused = sum(m().misses for m in memos), sum(m().hits for m in memos)
+    assert len(sizes) == built + reused and max(sizes) == quadrature._PHASE_MEMO == 2
+    assert reused >= 2 * built > 0
 
 
 # ---- complex place ---------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from vorokit import hankel
+from vorokit import hankel, quadrature
 from vorokit.archimedean import CharTwist, DS2Block, GL1Block, PoleError, RealPlaceParams, log_mb_gamma
 from vorokit.bessel import bessel_real_batch
 from vorokit.hankel import (
@@ -196,7 +196,7 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
     ]
     for c, h, counts in panels:
         got = f(c, h)
-        assert (f.built, f.reused) == counts
+        assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         s = panel_nodes(c, h)
         logg = log_mb_gamma(DS2_11, CharTwist(delta), s)
         mv = hankel._mellin_nodes(w, delta, 1.0 - s - nu, mbase)
@@ -207,10 +207,22 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
         assert np.all(np.abs(got - ref) <= bound), (t, c, h)
 
 
+def _recording_tables(phase, sizes):
+    """``phase`` that appends the memo's size after each table it serves to ``sizes``."""
+
+    def rec(h):
+        out = phase(h)
+        sizes.append(phase.cache_info().currsize)
+        return out
+
+    rec.cache_info = phase.cache_info
+    return rec
+
+
 def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
     """Run the mellin route, recording every ladder step, adaptive panel and memo size."""
     steps, panels, sizes = [], [], []
-    ladder, segment, phase = hankel._ladder_step, hankel.adaptive_segment, hankel._MellinIntegrand.phase
+    ladder, segment, tables = hankel._ladder_step, hankel.adaptive_segment, hankel.phase_tables
 
     def ladder_rec(p):
         steps.append((p, ladder(p)))
@@ -220,14 +232,12 @@ def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
         panels.append((a, b))
         return segment(f, a, b, tol, max_depth=max_depth)
 
-    def phase_rec(self, h):
-        out = phase(self, h)
-        sizes.append(len(self._memo))
-        return out
+    def tables_rec(lx):
+        return _recording_tables(tables(lx), sizes)
 
     monkeypatch.setattr(hankel, "_ladder_step", ladder_rec)
     monkeypatch.setattr(hankel, "adaptive_segment", segment_rec)
-    monkeypatch.setattr(hankel._MellinIntegrand, "phase", phase_rec)
+    monkeypatch.setattr(hankel, "phase_tables", tables_rec)
     counts = Counter()
     hankel_mellin_batch(params, n, w, xs, tol, counts=counts)
     return steps, panels, sizes, counts
@@ -259,7 +269,7 @@ def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
 def test_phase_memo_holds_at_most_two_tables(monkeypatch):
     w = make_bump(1.0, 2.0)
     _, _, sizes, counts = _record_mellin_walk(monkeypatch, DS2_11, 2, w, [0.3, -2.0, 40.0], 1e-9)
-    assert max(sizes) == hankel._PHASE_MEMO == 2
+    assert max(sizes) == quadrature._PHASE_MEMO == 2
     assert len(sizes) == counts["memo_built"] + counts["memo_reused"]
     assert counts["memo_reused"] > 5 * counts["memo_built"]
 

@@ -19,6 +19,11 @@ for ``__init__``, and ``*args``/``**kwargs`` at a call site pass nothing.
 The census cannot see a knob that hides in ``*args`` or ``**kwargs``, so no
 function in ``src/vorokit`` (nested ones and lambdas included) declares one.
 
+Phase tables: outside ``quadrature.py`` no ``np.exp`` takes an ``np.outer``
+of the K21 panel nodes (a ``panel_nodes(...)`` call, or a name bound to one),
+so ``quadrature.PhaseTables`` is the one place a table exp(−h·ξ ⊗ lx) or an
+unfactored x^{−s} on the panel nodes is formed.
+
 Second paths: no function in ``src/vorokit`` takes a ``full_output``
 parameter (one return shape per function), and no ``open``/``os.fdopen``
 call in ``src/vorokit`` opens a file for writing outside
@@ -300,3 +305,49 @@ def test_every_file_write_goes_through_the_atomic_writer():
         if (p.name, where) != ("params_io.py", "atomic_write")
     ]
     assert not found, "files opened for writing outside params_io.atomic_write:\n" + "\n".join(found)
+
+
+def _call_name(node):
+    f = node.func if isinstance(node, ast.Call) else None
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def node_phase_exps(source: str) -> list[int]:
+    """Lines of each exp(...) whose argument holds an outer(nodes, ...) of K21 panel nodes."""
+    tree = ast.parse(source)
+    bound = {
+        t.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Assign) and _call_name(n.value) == "panel_nodes"
+        for t in n.targets
+        if isinstance(t, ast.Name)
+    }
+
+    def is_nodes(arg):
+        return _call_name(arg) == "panel_nodes" or (isinstance(arg, ast.Name) and arg.id in bound)
+
+    return [
+        n.lineno
+        for n in ast.walk(tree)
+        if _call_name(n) == "exp"
+        and any(_call_name(o) == "outer" and o.args and is_nodes(o.args[0]) for a in n.args for o in ast.walk(a))
+    ]
+
+
+def test_scanner_flags_exps_of_panel_node_outers():
+    src = (
+        "def f(c, h, lx, g):\n"
+        "    nodes = panel_nodes(c, h)\n"
+        "    a = np.exp(-np.outer(panel_nodes(0.0, h), lx))\n"
+        "    b = np.exp(g[:, None] - np.outer(nodes, lx))\n"
+        "    return np.exp(np.outer(lx, nodes)) + np.exp(c * lx) + np.outer(nodes, lx)\n"
+    )
+    assert node_phase_exps(src) == [3, 4]
+
+
+def test_phase_tables_have_one_owner():
+    found = [
+        f"{p.relative_to(ROOT)}:{line}" for p in SRC if p.name != "quadrature.py" for line in node_phase_exps(p.read_text())
+    ]
+    assert (ROOT / "src" / "vorokit" / "quadrature.py") in SRC
+    assert not found, "phase tables formed outside quadrature.PhaseTables:\n" + "\n".join(found)

@@ -435,8 +435,6 @@ def _run_padic(args, t0):
 
 def _run_voronoi_verify(args, t0):
     tol = args.tol
-    if args.k != 12 and not args.coeffs:
-        raise ConfigError("only weight 12 has a built-in coefficient table; pass --coeffs for others")
     zeta = _parse_rational(args.zeta, "--zeta")
     w = _parse_bump(args.support, "--support")
     coeffs = coeffs_from_file(args.coeffs) if args.coeffs else None
@@ -504,6 +502,7 @@ def _run_gj_scan(args, t0):
             "reference": _num(r.reference, 1e-12, "euler-maclaurin-zeta" if r.variant == "tate" else r.variant),
             "defect": _jsonable(r.defect),
             "phi": r.phi,
+            "dual_tol": r.dual_tol,
         }
         for r in res
     ]

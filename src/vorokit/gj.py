@@ -34,8 +34,8 @@ from scipy.special import loggamma
 from .archimedean import DS2Block, RealPlaceParams
 from .hankel import KernelCache, TestFunction, hankel_convolution_batch, make_bump, signed_mellin
 from .lseries import euler_product_l_delta, l_delta_smoothed, zeta_em
-from .quadrature import ToleranceNotMet, gauss_panels
-from .voronoi import DirichletCoeffs, TailNotConverged, tau_coefficients
+from .quadrature import gauss_panels
+from .voronoi import DirichletCoeffs, certified_batch, dual_floor, tail_sum, tau_coefficients
 
 __all__ = [
     "CoeffRangeExceeded",
@@ -228,16 +228,16 @@ class DualGrid:
 
     Building w̃ is the expensive part of the K-side integral and depends only
     on the test function, so one grid is shared across every s in a scan.
-    Octaves [2^j, 2^{j+1}) are built on demand; each node carries its d×x
-    weight and the integer gap it lies in, and each octave records the
-    kernel-model panels it built and reused from the grid's one cache and
-    the ``dual_tol`` its batch met (8 × ``wtol`` after the looser retry).
+    Octaves [2^j, 2^{j+1}) are built on demand, one ``certified_batch`` each
+    at ``dual_floor(tol/100)``; each node carries its d×x weight and the
+    integer gap it lies in, and each octave carries the batch record: the
+    ``dual_tol`` it met (8 × ``wtol`` after the looser retry) and the
+    kernel-model panels it built and reused from the grid's one cache.
     """
 
     def __init__(self, w: TestFunction, tol: float = 1e-7):
         self.w = w
-        # floored like the α-sum: the oscillatory engine bottoms out ~3e-13
-        self.wtol = min(1e-7, max(2e-9, tol / 100.0))
+        self.wtol = dual_floor(tol / 100.0)
         self.octaves: list[dict] = []
         self._hi = 1
         self._cache = KernelCache()
@@ -249,28 +249,12 @@ class DualGrid:
             xs, wts, gaps = _gap_rule(
                 range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(self.w.b / g)))
             )
-            dual_tol = self.wtol
-            try:
-                vals, _ = hankel_convolution_batch(
-                    _DELTA_PARAMS, 2, self.w, xs, tol=dual_tol, cache=self._cache
-                )
-            except ToleranceNotMet:
-                dual_tol = 8 * self.wtol
-                vals, _ = hankel_convolution_batch(
-                    _DELTA_PARAMS, 2, self.w, xs, tol=dual_tol, cache=self._cache
-                )
-            self.octaves.append(
-                {
-                    "lo": lo,
-                    "hi": hi,
-                    "xs": xs,
-                    "wts": wts / xs,
-                    "gaps": gaps,
-                    "vals": vals,
-                    "kernel_panels": self._cache.panel_counts(),
-                    "dual_tol": dual_tol,
-                }
+            vals, record = certified_batch(
+                lambda t: hankel_convolution_batch(_DELTA_PARAMS, 2, self.w, xs, tol=t, cache=self._cache)[0],
+                self.wtol,
+                self._cache,
             )
+            self.octaves.append({"lo": lo, "hi": hi, "xs": xs, "wts": wts / xs, "gaps": gaps, "vals": vals, **record})
             self._hi = hi
 
 
@@ -306,25 +290,20 @@ def split_zeta_identity(
 
     # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible
     grid = grid if grid is not None else DualGrid(w, tol)
-    i2 = 0j
-    small = 0
-    oct_idx = 0
-    while True:
+
+    def octaves():
+        j = 0
         # octave j is [2^j, 2^{j+1}) and needs C_g for g < 2^{j+1}; check before building it
-        hi = 2 ** (oct_idx + 1)
-        if hi > coeffs.n + 1:
-            raise TailNotConverged(
-                f"K-side still above tol/10 at x = {hi // 2} with {coeffs.n} coefficients"
-            )
-        if oct_idx == len(grid.octaves):
-            grid.ensure(hi)
-        oc = grid.octaves[oct_idx]
-        contrib = _pair(k, k.dual, oc["xs"], oc["wts"], oc["gaps"], oc["vals"])
-        i2 += contrib
-        small = small + 1 if abs(contrib) < tol / 10 else 0
-        oct_idx += 1
-        if small >= 2:
-            break
+        while 2 ** (j + 1) <= coeffs.n + 1:
+            if j == len(grid.octaves):
+                grid.ensure(2 ** (j + 1))
+            oc = grid.octaves[j]
+            yield _pair(k, k.dual, oc["xs"], oc["wts"], oc["gaps"], oc["vals"])
+            j += 1
+
+    # the last reachable octave ends at the largest power of two ≤ n + 1
+    reach = f"x = {2 ** ((coeffs.n + 1).bit_length() - 1)} with {coeffs.n} coefficients"
+    i2, read = tail_sum(octaves(), tol, reach)
 
     z_arch = signed_mellin(w, 0, s - 0.5, tol=min(1e-12, tol / 10))
     if s.real > 1.5:
@@ -345,8 +324,8 @@ def split_zeta_identity(
         "reference": reference,
         "defect": defect,
         "rel_defect": defect / max(abs(reference), 1e-30),
-        "x_max": grid.octaves[oct_idx - 1]["hi"] if oct_idx else 1,
-        "dual_tol": max(oc["dual_tol"] for oc in grid.octaves[:oct_idx]),
+        "x_max": grid.octaves[read - 1]["hi"],
+        "dual_tol": max(oc["dual_tol"] for oc in grid.octaves[:read]),
         "tol": tol,
     }
 
@@ -362,6 +341,8 @@ class PairingResult:
     is the criterion — and reference carries the completed-ζ resummation.
     For the cuspidal variant value is the L-proxy (I₁+I₂)/Z_∞ and defect its
     distance to the oracle.  `phi` records which test function witnessed it.
+    `dual_tol` is the split report's: the loosest per-point tolerance the
+    dual octaves met (None for tate, which samples no w̃).
     """
 
     s: complex
@@ -370,6 +351,7 @@ class PairingResult:
     defect: float
     variant: str
     phi: str
+    dual_tol: float | None
 
 
 def zero_criterion_pairing(
@@ -393,7 +375,7 @@ def zero_criterion_pairing(
         out = []
         for s in s_list:
             val = _tate_pairing(complex(s), phi)
-            out.append(PairingResult(complex(s), val, _completed_zeta(complex(s)), abs(val), "tate", phi.label))
+            out.append(PairingResult(complex(s), val, _completed_zeta(complex(s)), abs(val), "tate", phi.label, None))
         return out
     if variant != "cuspidal":
         raise ValueError(f"unknown variant {variant!r}")
@@ -406,6 +388,6 @@ def zero_criterion_pairing(
         proxy = rep["value"] / rep["z_arch"]
         out.append(
             PairingResult(complex(s), proxy, rep["l_value"], abs(proxy - rep["l_value"]),
-                          "cuspidal", f"bump({w.a:g},{w.b:g})")
+                          "cuspidal", f"bump({w.a:g},{w.b:g})", rep["dual_tol"])
         )
     return out

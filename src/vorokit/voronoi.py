@@ -30,6 +30,9 @@ from .quadrature import ToleranceNotMet
 __all__ = [
     "TruncationTooSmall",
     "TailNotConverged",
+    "dual_floor",
+    "certified_batch",
+    "tail_sum",
     "DirichletCoeffs",
     "tau_coefficients",
     "coeffs_from_file",
@@ -46,7 +49,47 @@ class TruncationTooSmall(ValueError):
 
 
 class TailNotConverged(ArithmeticError):
-    """The dual α-sum failed to stabilise within the coefficient budget."""
+    """A dual sum failed to stabilise within the coefficient budget."""
+
+
+# ---- the dual-sum policy: rhs_theta's α-windows and gj.DualGrid's octaves ----
+
+
+def dual_floor(x: float) -> float:
+    """The per-point dual tolerance for a caller's share x of its tol: floored
+    so far batches, whose kernel arguments push the oscillatory engine toward
+    its roundoff floor (~3e-13), are not asked for more than double precision
+    delivers, and capped so a loose job still gets a usable w̃."""
+    return min(1e-7, max(2e-9, x))
+
+
+def certified_batch(sample, wtol: float, cache: KernelCache):
+    """sample(wtol), or sample(8·wtol) once if that raises ToleranceNotMet
+    (a second miss propagates).  → (values, {"dual_tol": met,
+    "kernel_panels": cache.panel_counts()}), so every report shows the
+    fallback.  Far batches carry negligible weight, so the looser pass costs
+    nothing against the tol/10 tail threshold."""
+    try:
+        met, values = wtol, sample(wtol)
+    except ToleranceNotMet:
+        met = 8 * wtol
+        values = sample(met)
+    return values, {"dual_tol": met, "kernel_panels": cache.panel_counts()}
+
+
+def tail_sum(terms, tol: float, reach: str) -> tuple[complex, int]:
+    """(Σ terms, terms read), up to and including the second consecutive term
+    below tol/10; a larger term resets the count.  Terms that run out first
+    raise TailNotConverged, which names `reach`, how far they went."""
+    total, seen, small = 0j, [], 0
+    for term in terms:
+        total += term
+        seen.append(abs(term))
+        small = small + 1 if seen[-1] < tol / 10 else 0
+        if small == 2:
+            return total, len(seen)
+    last = [round(a, 12) for a in seen[-3:]]
+    raise TailNotConverged(f"dual sum still above tol/10 after {reach} (last terms: {last})")
 
 
 # ---- weight-12 coefficient table -------------------------------------------
@@ -167,6 +210,8 @@ class VoronoiJob:
             raise ValueError("need a positive truncation and tolerance")
         if self.weight < 2:
             raise ValueError("weight must be at least 2")
+        if self.weight != 12 and (self.coeffs is None or self.coeffs.provenance == "tau"):
+            raise ValueError(f"the built-in τ table is weight 12; pass coeffs of weight {self.weight}")
 
 
 def _job_coeffs(job: VoronoiJob) -> DirichletCoeffs:
@@ -316,36 +361,20 @@ def rhs_theta(job: VoronoiJob) -> dict:
     denom = 1
     for p in fac:
         denom *= p ** (-support[p])
-    # per-point dual tolerance: floored so the far windows (whose kernel
-    # arguments push the oscillatory engine toward its roundoff floor) are
-    # not asked for more than double precision delivers; each window call
-    # re-scales its internal budget by its own |α|^ν, so near windows come
-    # out far more accurate than this anyway
-    wtol = min(1e-7, max(2e-9, job.tol / 500.0))
-
+    wtol = dual_floor(job.tol / 500.0)
     cache = KernelCache()  # kernel panels shared by this call's windows
-    total = 0j
     shells = []
-    small = 0
-    converged = False
-    m_lo = 1
-    edge = 4.0
-    while m_lo <= job.n_trunc:
-        m_hi = min(job.n_trunc, int(math.floor(edge * denom)))
-        if m_hi >= m_lo:
+
+    def windows():
+        m_lo, edge = 1, 4.0  # windows end at α = 4, 8, 16, …: each holds ≥ 4·denom new m
+        while m_lo <= job.n_trunc:
+            m_hi = min(job.n_trunc, int(math.floor(edge * denom)))
             ms = np.arange(m_lo, m_hi + 1)
-            dual_tol = wtol
-            try:
-                dual_vals, _ = hankel_convolution_batch(
-                    params, 2, job.w, ms / float(denom), tol=dual_tol, cache=cache
-                )
-            except ToleranceNotMet:
-                # far windows carry negligible weight; a looser pass there
-                # costs nothing against the tol/10 shell threshold
-                dual_tol = 8 * wtol
-                dual_vals, _ = hankel_convolution_batch(
-                    params, 2, job.w, ms / float(denom), tol=dual_tol, cache=cache
-                )
+            dual_vals, record = certified_batch(
+                lambda t: hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=t, cache=cache)[0],
+                wtol,
+                cache,
+            )
             contrib = 0j
             for i in range(len(ms)):
                 m = int(ms[i])
@@ -367,27 +396,11 @@ def rhs_theta(job: VoronoiJob) -> dict:
                 if turns % 1:
                     local *= cmath.exp(2j * math.pi * float(turns % 1))
                 contrib += local * co.values[mprime - 1] / math.sqrt(mprime) * dual_vals[i]
-            total += contrib
-            shells.append(
-                {
-                    "alpha_hi": edge,
-                    "m_range": (int(m_lo), int(m_hi)),
-                    "abs": abs(contrib),
-                    "dual_tol": dual_tol,
-                    "kernel_panels": cache.panel_counts(),
-                }
-            )
-            small = small + 1 if abs(contrib) < job.tol / 10 else 0
-            if small >= 2:
-                converged = True
-                break
-            m_lo = m_hi + 1
-        edge *= 2
-    if not converged:
-        raise TailNotConverged(
-            f"α-sum still above tol/10 after m = {job.n_trunc} (last shells: "
-            f"{[round(s['abs'], 12) for s in shells[-3:]]})"
-        )
+            shells.append({"alpha_hi": edge, "m_range": (m_lo, m_hi), "abs": abs(contrib), **record})
+            yield contrib
+            m_lo, edge = m_hi + 1, 2 * edge
+
+    total, _ = tail_sum(windows(), job.tol, f"m = {job.n_trunc}")
     return {"value": total, "support": support, "shells": shells}
 
 

@@ -495,6 +495,32 @@ def test_gj_scan_phi_variant_mismatch(capsys):
     assert "compact support" in err
 
 
+def test_gj_scan_reports_the_dual_tolerance_met(capsys, monkeypatch):
+    from vorokit import gj
+
+    real = gj.hankel_convolution_batch
+    asked = []
+
+    def first_octave_misses(*args, tol, cache):
+        asked.append(tol)
+        if len(asked) == 1:
+            raise ToleranceNotMet(tol, 2 * tol, "forced")
+        return real(*args, tol=tol, cache=cache)
+
+    argv = ["gj-scan", "--variant", "cuspidal", "--s-list", "0.5,2", "--phi", "bump:1,4", "--tol", "1e-5"]
+    wtol = 1e-7  # min(1e-7, max(2e-9, tol/100))
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert [p["dual_tol"] for p in json.loads(out)["results"]["points"]] == [wtol, wtol]
+    monkeypatch.setattr(gj, "hankel_convolution_batch", first_octave_misses)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and asked[:2] == [wtol, 8 * wtol]
+    # both points read the first octave, so both show the looser retry
+    assert [p["dual_tol"] for p in json.loads(out)["results"]["points"]] == [8 * wtol, 8 * wtol]
+    code, out, _ = run(capsys, ["gj-scan", "--variant", "tate", "--s-list", "2"])
+    assert code == 0 and json.loads(out)["results"]["points"][0]["dual_tol"] is None
+
+
 def test_clozel_test_dip(capsys, tmp_path):
     out_path = tmp_path / "dip.csv"
     code, out, _ = run(

@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no library
 parameter has a default that every caller leaves alone, only named test hooks
-have a default that only tests pass, no function has a return-shape flag, and
-one writer owns every file write.
+have a default that only tests pass, no function has a return-shape flag,
+one writer owns every file write and one owner each the phase tables and the
+dual-sum policy.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -23,6 +24,11 @@ Phase tables: outside ``quadrature.py`` no ``np.exp`` takes an ``np.outer``
 of the K21 panel nodes (a ``panel_nodes(...)`` call, or a name bound to one),
 so ``quadrature.PhaseTables`` is the one place a table exp(−h·ξ ⊗ lx) or an
 unfactored x^{−s} on the panel nodes is formed.
+
+Dual-sum policy: outside ``voronoi.dual_floor`` no call ``max(…, 2e-9, …)``
+floors a tolerance, and outside ``voronoi.certified_batch`` no handler
+catches ``ToleranceNotMet`` (alone or in a tuple), so the dual tolerance and
+its one retry have one owner.
 
 Second paths: no function in ``src/vorokit`` takes a ``full_output``
 parameter (one return shape per function), and no ``open``/``os.fdopen``
@@ -351,3 +357,65 @@ def test_phase_tables_have_one_owner():
     ]
     assert (ROOT / "src" / "vorokit" / "quadrature.py") in SRC
     assert not found, "phase tables formed outside quadrature.PhaseTables:\n" + "\n".join(found)
+
+
+def dual_policy_copies(source: str) -> list[tuple[str, str, int]]:
+    """(kind, enclosing function, line) for each tolerance floor max(…, 2e-9, …)
+    ("floor") and each handler that catches ToleranceNotMet ("retry")."""
+    found = []
+
+    def names(node):
+        nodes = [n for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))]
+        return {n.id if isinstance(n, ast.Name) else n.attr for n in nodes}
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if _call_name(child) == "max" and any(isinstance(a, ast.Constant) and a.value == 2e-9 for a in child.args):
+                found.append(("floor", where, child.lineno))
+            if isinstance(child, ast.ExceptHandler) and child.type and "ToleranceNotMet" in names(child.type):
+                found.append(("retry", where, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_scanner_flags_dual_policy_copies():
+    # both copies as they stood before the policy had one owner
+    src = (
+        "class DualGrid:\n"
+        "    def __init__(self, w, tol=1e-7):\n"
+        "        self.wtol = min(1e-7, max(2e-9, tol / 100.0))\n"
+        "    def ensure(self, upto):\n"
+        "        try:\n"
+        "            vals, _ = hankel_convolution_batch(P, 2, self.w, xs, tol=self.wtol, cache=c)\n"
+        "        except ToleranceNotMet:\n"
+        "            vals, _ = hankel_convolution_batch(P, 2, self.w, xs, tol=8 * self.wtol, cache=c)\n"
+        "def rhs_theta(job):\n"
+        "    wtol = min(1e-7, max(2e-9, job.tol / 500.0))\n"
+        "    try:\n"
+        "        pass\n"
+        "    except (ValueError, quadrature.ToleranceNotMet):\n"
+        "        pass\n"
+        "    except ValueError:\n"
+        "        return max(1e-9, wtol)\n"
+    )
+    assert dual_policy_copies(src) == [
+        ("floor", "__init__", 3), ("retry", "ensure", 7), ("floor", "rhs_theta", 10), ("retry", "rhs_theta", 13)
+    ]
+
+
+def test_dual_sum_policy_has_one_owner():
+    owners = {("floor", "dual_floor"), ("retry", "certified_batch")}
+    found = {p.name: dual_policy_copies(p.read_text()) for p in SRC}
+    assert {(kind, where) for kind, where, _ in found["voronoi.py"]} == owners
+    copies = [
+        f"{name}:{line}: {kind} in {where}"
+        for name, rows in found.items()
+        for kind, where, line in rows
+        if name != "voronoi.py" or (kind, where) not in owners
+    ]
+    assert not copies, "dual-sum policy outside voronoi.dual_floor/certified_batch:\n" + "\n".join(copies)

@@ -17,16 +17,19 @@ from vorokit.hankel import make_bump
 from vorokit.padic import satake_from_eigenvalue, QSqrt
 from vorokit.quadrature import ToleranceNotMet
 from vorokit.voronoi import (
+    DirichletCoeffs,
     TailNotConverged,
     TruncationTooSmall,
     VoronoiJob,
     _detect_min_valuation,
     _factor,
     _ramified_factor,
+    certified_batch,
     coeffs_from_file,
     lhs_theta,
     multiplicativity_check,
     rhs_theta,
+    tail_sum,
     tau_coefficients,
     voronoi_residual,
 )
@@ -141,6 +144,17 @@ def test_job_validation():
         VoronoiJob(a=0, c=1, w=W40, n_trunc=64, weight=1)
 
 
+def test_job_refuses_the_tau_table_at_another_weight():
+    # the built-in table is weight 12's; pairing it with DS2Block(15) gave a
+    # silent 116 % residual
+    for coeffs in (None, CO):
+        with pytest.raises(ValueError, match="coeffs"):
+            VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, weight=16, coeffs=coeffs)
+    # a table of any other provenance is the caller's to vouch for
+    other = DirichletCoeffs(CO.n, CO.values, "file")
+    assert VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, weight=16, coeffs=other).weight == 16
+
+
 def test_truncation_guards():
     with pytest.raises(TruncationTooSmall):
         lhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=8, coeffs=CO))
@@ -211,6 +225,62 @@ def test_rhs_transforms_once_per_class(monkeypatch):
     assert len(seen) == len(set(seen))  # no class is transformed twice
     assert needed <= set(seen)
     assert len(seen) < points / 5
+
+
+# ---- the dual-sum policy ----------------------------------------------------
+
+
+def test_certified_batch_retries_once_at_eight_times():
+    cache = hankel.KernelCache()
+    asked = []
+
+    def misses_first(tol):
+        asked.append(tol)
+        if len(asked) == 1:
+            raise ToleranceNotMet(tol, 2 * tol, "forced")
+        return [tol]
+
+    vals, record = certified_batch(misses_first, 1e-8, cache)
+    assert asked == [1e-8, 8 * 1e-8] and vals == [8 * 1e-8]
+    assert record == {"dual_tol": 8 * 1e-8, "kernel_panels": {"built": 0, "reused": 0}}
+    assert certified_batch(lambda tol: [tol], 1e-8, cache)[1]["dual_tol"] == 1e-8
+
+
+def test_certified_batch_reraises_a_second_miss():
+    asked = []
+
+    def always_misses(tol):
+        asked.append(tol)
+        raise ToleranceNotMet(tol, 2 * tol, "forced")
+
+    with pytest.raises(ToleranceNotMet):
+        certified_batch(always_misses, 1e-8, hankel.KernelCache())
+    assert asked == [1e-8, 8 * 1e-8]  # one retry, no third pass
+
+
+def _no_more(terms):
+    # the terms, then a failure if the sum reads past them
+    yield from terms
+    raise AssertionError("read past the stopping term")
+
+
+def test_tail_sum_stops_at_the_second_consecutive_small_term():
+    # tol 1e-3: a term below 1e-4 is small
+    assert tail_sum(_no_more([1.0, 5e-5, 2e-5]), 1e-3, "three terms") == (1.0 + 5e-5 + 2e-5, 3)
+    # a term of exactly tol/10 is not small
+    assert tail_sum(_no_more([1.0, 1e-4, 5e-5, 2e-5]), 1e-3, "four terms")[1] == 4
+
+
+def test_tail_sum_resets_on_a_large_term():
+    total, read = tail_sum(_no_more([5e-5, 1.0, 5e-5, 2.0, 5e-5, 5e-5]), 1e-3, "six terms")
+    assert read == 6 and total == 5e-5 + 1.0 + 5e-5 + 2.0 + 5e-5 + 5e-5
+
+
+def test_tail_sum_raises_when_the_terms_run_out():
+    with pytest.raises(TailNotConverged, match="after m = 3"):
+        tail_sum(iter([1.0, 5e-5, 1.0]), 1e-3, "m = 3")
+    with pytest.raises(TailNotConverged):
+        tail_sum([], 1e-3, "no terms")
 
 
 # ---- both sides against each other ------------------------------------------

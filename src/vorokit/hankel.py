@@ -15,7 +15,13 @@ independent routes:
   the panel only through h.  The tails start on a multiple of 1/64 and step
   on the ladder {2^k, 1.5·2^k}, so their half-widths, bisected ones
   included, are exact and repeat, and a memo of the last two tables
-  (``quadrature.phase_tables``) serves almost every tail panel.
+  (``quadrature.phase_tables``) serves almost every tail panel.  M_δ[w] at
+  the panel's nodes is one composite rule in v = log x whose panel count p,
+  sized off the panel's largest |Im z|, is rounded up onto the same ladder
+  {2^k, 1.5·2^k}.  A batch keeps one grid per (δ, rung), and the kernel
+  e^{v·z} at the nodes factors into e^{c_i·z0}·e^{η_j·z0} times two
+  phase tables of h, so a panel whose h repeats costs p + 20
+  exponentials, not 21·p.
 
 * **convolution** — w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
@@ -69,6 +75,7 @@ from .archimedean import (
     gamma_factor,
     log_mb_gamma,
 )
+from . import quadrature
 from .bessel import bessel_real_batch, parity_batch
 from .contours import build_contour, pole_starts
 from .quadrature import (
@@ -197,28 +204,80 @@ def _mellin_base(tol: float) -> int:
     return 12 + 4 * min(8, int(round(math.log10(1e-6 / tol))))
 
 
-def _mellin_nodes(f: TestFunction, delta: int, zs: np.ndarray, base: int) -> np.ndarray:
-    """Fixed-resolution composite M_δ[f] at many z; panels sized off max |Im z|.
+def _panel_rung(p: int) -> int:
+    """The smallest of {2^k, 1.5·2^k} that is ≥ ``p`` (p ≥ 1)."""
+    e = (p - 1).bit_length()  # 2^(e−1) < p ≤ 2^e
+    return 3 << (e - 2) if e >= 2 and p <= 3 << (e - 2) else 1 << e
 
-    The rule is p equal panels of ``_MDEG`` Gauss nodes in v = log x, so every
-    node is v = cᵢ + h·xₗ with cᵢ a panel centre and h the common half-width.
-    The kernel e^{vz} then factors as e^{cᵢz}·e^{h·xₗ·z} and the sum is taken
-    as Σᵢ e^{cᵢz} Σₗ (wt·f)ᵢₗ e^{h·xₗ·z}: p + ``_MDEG`` exponentials per z
-    instead of p·``_MDEG``.  Nodes, weights and f-values are the ones the
+
+class _MellinGrids:
+    """The composite rule's grids for M_δ[w], one per (δ, rung), for one batch.
+
+    The rule on p panels is p equal panels of ``_MDEG`` Gauss nodes in
+    v = log x on [log a, log b]: nodes v = cᵢ + ηⱼ, cᵢ the panel centres and
+    ηⱼ = half·xⱼ the offsets, weighted by fw = half·wtⱼ·f_δ(e^v).  p only
+    takes rungs of the ladder {2^k, 1.5·2^k}, so a batch builds a few grids
+    and keeps them all.  The grid last asked for also keeps the memo of its
+    tables exp(−h·ξ ⊗ (c | η)) from ``quadrature.phase_tables``, so panels of
+    a repeated half-width h on one rung reuse them; a walk changes rung
+    rarely, and only one grid's tables are held at a time.
+    """
+
+    def __init__(self, w: TestFunction, base: int):
+        self.w, self.base = w, base
+        self.va, self.vb = math.log(w.a), math.log(w.b)
+        self._grids: dict = {}  # (δ, p) → (fw, centres, offsets)
+        self._key, self._tables = None, None  # the grid last asked for and its table memo
+        self._dropped: list = []  # cache_info() of each table memo let go
+
+    def grid(self, delta: int, p: int):
+        """(fw, centres, offsets, table memo) of the p-panel rule for parity δ."""
+        if (delta, p) not in self._grids:
+            gx, gwts = gauss_nodes(_MDEG)
+            edges = np.linspace(self.va, self.vb, p + 1)
+            half = 0.5 * (edges[1] - edges[0])
+            centres, offsets = 0.5 * (edges[:-1] + edges[1:]), half * gx
+            fw = half * gwts * _component_vals(self.w, delta, np.exp(centres[:, None] + offsets[None, :]))
+            self._grids[(delta, p)] = (fw, centres, offsets)
+        fw, centres, offsets = self._grids[(delta, p)]
+        if self._key != (delta, p):
+            if self._tables is not None:
+                self._dropped.append(self._tables.cache_info())
+            self._key = (delta, p)
+            # looked up on quadrature, so a wrapper of hankel.phase_tables counts the x-phase alone
+            self._tables = quadrature.phase_tables(np.concatenate([centres, offsets]))
+        return fw, centres, offsets, self._tables
+
+    def counts(self) -> dict:
+        """Grids built, and phase tables built and reused."""
+        memos = self._dropped + ([self._tables.cache_info()] if self._tables is not None else [])
+        return {
+            "grids_built": len(self._grids),
+            "tables_built": sum(m.misses for m in memos),
+            "tables_reused": sum(m.hits for m in memos),
+        }
+
+
+def _mellin_nodes(grids: _MellinGrids, delta: int, z0: complex, h: complex) -> np.ndarray:
+    """Composite M_δ[w] at the 21 K21 nodes z_l = z0 − h·ξ_l of one panel.
+
+    The rule's p is base + 1.3·max|Im z_l|·log(b/a)/2π rounded up onto the
+    ladder, so never fewer panels than that rule asks.  At a node
+    v = cᵢ + ηⱼ of the rule the kernel factors as
+    e^{v·z_l} = e^{cᵢ·z0}·e^{ηⱼ·z0}·E_h[l, i]·F_h[l, j], with the tables
+    E_h = exp(−h·ξ ⊗ c) and F_h = exp(−h·ξ ⊗ η) of the grid's memo, so
+    M(z_l) = Σᵢ e^{cᵢ·z0}·E_h[l, i]·Σⱼ fw[i, j]·e^{ηⱼ·z0}·F_h[l, j]: p + ``_MDEG``
+    exponentials, one (21 × ``_MDEG``) @ (``_MDEG`` × p) product and 21·p
+    multiplies per panel.  Nodes, weights and f-values are the ones the
     unfactored sum uses, so the quadrature rule is the same; only rounding
     differs.
     """
-    zs = np.asarray(zs, dtype=complex)
-    va, vb = math.log(f.a), math.log(f.b)
-    maxim = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
-    p = base + int(1.3 * maxim * (vb - va) / (2.0 * math.pi))
-    gx, gwts = gauss_nodes(_MDEG)
-    edges = np.linspace(va, vb, p + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    fw = half * gwts * _component_vals(f, delta, np.exp(centres[:, None] + half * gx[None, :]))
-    inner = fw @ np.exp(np.outer(half * gx, zs))
-    return np.sum(np.exp(np.outer(centres, zs)) * inner, axis=0)
+    maxim = float(np.max(np.abs(panel_nodes(z0, -h).imag)))
+    p = _panel_rung(grids.base + int(1.3 * maxim * (grids.vb - grids.va) / (2.0 * math.pi)))
+    fw, centres, offsets, tables = grids.grid(delta, p)
+    t = tables(h)
+    inner = t[:, p:] @ (fw * np.exp(offsets * z0)).T
+    return (t[:, :p] * inner) @ np.exp(centres * z0)
 
 
 # ---- mellin route ----------------------------------------------------------
@@ -248,23 +307,23 @@ class _MellinIntegrand:
     exponential per point.  The second, E_h = exp(−h·ξ ⊗ lx), depends on
     the panel only through h and comes from ``phase``, so panels of a
     repeated half-width reuse it.  The x-free factor
-    G_l = γ(1−s_l)·M_δ[w](1−s_l−ν) costs 21 values per panel.
+    G_l = γ(1−s_l)·M_δ[w](1−s_l−ν) costs 21 values per panel; its
+    M_δ[w] at the nodes 1 − ν − c − h·ξ_l comes from :func:`_mellin_nodes`.
     """
 
-    def __init__(self, params, delta, w, nu, lx, mbase):
-        self.params, self.twist, self.w, self.delta = params, CharTwist(delta), w, delta
-        self.nu, self.lx, self.mbase, self.phase = nu, lx, mbase, phase_tables(lx)
+    def __init__(self, params, delta, grids, nu, lx):
+        self.params, self.twist, self.grids, self.delta = params, CharTwist(delta), grids, delta
+        self.nu, self.lx, self.phase = nu, lx, phase_tables(lx)
 
     def __call__(self, c, h) -> np.ndarray:
-        nodes = panel_nodes(c, h)
-        g = np.exp(log_mb_gamma(self.params, self.twist, nodes))
-        g *= _mellin_nodes(self.w, self.delta, 1.0 - nodes - self.nu, self.mbase)
+        g = np.exp(log_mb_gamma(self.params, self.twist, panel_nodes(c, h)))
+        g *= _mellin_nodes(self.grids, self.delta, 1.0 - self.nu - c, h)
         out = self.phase(h) * g[:, None]
         out *= np.exp((self.nu - c) * self.lx)
         return out
 
 
-def _dual_vertical(params, delta, w, nu, lx, tol, contour, counts):
+def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
     """One parity component I_δ along the contour, batched over log|x|.
 
     The detour polyline up to height h0 is walked by :func:`polyline_walk`;
@@ -280,10 +339,10 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour, counts):
     accumulates the tail panels and the phase tables built and reused.
     """
     rank = params.rank
-    va, vb = math.log(w.a), math.log(w.b)
+    va, vb = grids.va, grids.vb
     lx_min, lx_max = float(lx.min()), float(lx.max())
     tol_raw = tol * 2.0 * math.pi
-    integrand = _MellinIntegrand(params, delta, w, nu, lx, _mellin_base(tol))
+    integrand = _MellinIntegrand(params, delta, grids, nu, lx)
 
     def omega(t):
         base = rank * math.log(max(abs(t), 1.0) / (2.0 * math.pi))
@@ -323,12 +382,15 @@ def _dual_vertical(params, delta, w, nu, lx, tol, contour, counts):
     return values, achieved
 
 
-def _validate_inner_mellin(w, delta, base):
-    # the fixed-resolution composite is checked once against the adaptive
-    # route, at the base resolution the route integrates with
-    for zp in (complex(0.7, -13.7), complex(1.2, 21.3)):
-        ref = signed_mellin(w, delta, zp, 1e-11)
-        got = complex(_mellin_nodes(w, delta, np.array([zp]), base)[0])
+def _validate_inner_mellin(grids, delta):
+    # the route's composite is checked once against the adaptive transform,
+    # through the form the route integrates with: at the centre node of one
+    # panel of real half-width 1/2 and at the first node of another, so
+    # the phase tables' rows off the centre are read too
+    for z0, node in ((complex(0.7, -13.7), 10), (complex(0.7, 21.3), 0)):
+        zp = complex(panel_nodes(z0, -0.5)[node])
+        ref = signed_mellin(grids.w, delta, zp, 1e-11)
+        got = complex(_mellin_nodes(grids, delta, z0, 0.5)[node])
         if abs(ref - got) > 1e-9:
             raise ToleranceNotMet(1e-9, abs(ref - got), "inner Mellin grid validation")
 
@@ -349,23 +411,29 @@ def hankel_mellin_batch(
     """Dual function on a signed batch by the mellin route.  → (values, errors).
 
     ``counts``, when given, accumulates the route's deterministic work:
-    ``tail_panels`` (vertical tail panels before bisection) and
-    ``memo_built``/``memo_reused`` (phase tables made and served again).
+    ``tail_panels`` (vertical tail panels before bisection),
+    ``memo_built``/``memo_reused`` (x-phase tables made and served again) and
+    the inner transform's memo, which lives for this call:
+    ``grids_built`` (composite-rule grids, one per parity and rung) and
+    ``tables_built``/``tables_reused`` (their phase tables).
     """
     _require_real_rank(params, n)
     counts = Counter() if counts is None else counts
     nu = 0.5 * (n - 1)
     deltas = _parities(params, w)
     unvalidated = list(deltas)
+    grids = _MellinGrids(w, _mellin_base(tol))
     # over ℝ the pole set ignores the twist, so one contour serves both parities
     contour = build_contour(params, CharTwist(0))
 
     def component(d, ax):
         while unvalidated:  # every parity's inner Mellin grid, once, before the first walk
-            _validate_inner_mellin(w, unvalidated.pop(0), _mellin_base(tol))
-        return _dual_vertical(params, d, w, nu, np.log(ax), tol, contour, counts)
+            _validate_inner_mellin(grids, unvalidated.pop(0))
+        return _dual_vertical(params, d, grids, nu, np.log(ax), tol, contour, counts)
 
-    return parity_batch(xs, 16.0, deltas, component)
+    out = parity_batch(xs, 16.0, deltas, component)
+    counts.update(grids.counts())
+    return out
 
 
 # ---- convolution route -----------------------------------------------------
@@ -684,6 +752,7 @@ def local_fe_residual(
             "achieved": grid_err,
             "tail_panels": work["tail_panels"],
             "phase_memo": {"built": work["memo_built"], "reused": work["memo_reused"]},
+            "inner_memo": {k: work[k] for k in ("grids_built", "tables_built", "tables_reused")},
         },
         "dual_route": "mellin",
         "requested_tol": tol,

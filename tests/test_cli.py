@@ -256,6 +256,10 @@ def test_rerun_same_seed_is_byte_identical_modulo_timing(capsys):
     grid = json.loads(out1)["results"]["grid"]
     assert grid["tail_panels"] > 0 and set(grid["phase_memo"]) == {"built", "reused"}
     assert grid["phase_memo"]["reused"] > grid["phase_memo"]["built"] > 0
+    # and the inner transform's memo, kept apart from the x-phase counts
+    memo = grid["inner_memo"]
+    assert set(memo) == {"grids_built", "tables_built", "tables_reused"}
+    assert memo["tables_reused"] > memo["tables_built"] >= memo["grids_built"] > 0
 
 
 # ---- gamma ------------------------------------------------------------------

@@ -186,9 +186,9 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
     # however x^{ν−s} is formed (the direct double form is 1.4e-12 off at t = 700, lx = 7)
     delta, nu, w = 0, 0.5, make_bump(1.0, 40.0)
     lx = np.linspace(-7.0, 7.0, 15)
-    mbase = hankel._mellin_base(1e-9)
+    grids = hankel._MellinGrids(w, hankel._mellin_base(1e-9))
     sigma = build_contour(DS2_11, CharTwist(delta)).asymptote
-    f = hankel._MellinIntegrand(DS2_11, delta, w, nu, lx, mbase)
+    f = hankel._MellinIntegrand(DS2_11, delta, grids, nu, lx)
     panels = [  # a miss, a hit on the same half-width, and a slanted detour-like panel
         (complex(sigma, t + 0.375), 0.375j, (1, 0)),
         (complex(sigma, t + 1.125), 0.375j, (1, 1)),
@@ -199,7 +199,7 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
         assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         s = panel_nodes(c, h)
         logg = log_mb_gamma(DS2_11, CharTwist(delta), s)
-        mv = hankel._mellin_nodes(w, delta, 1.0 - s - nu, mbase)
+        mv = hankel._mellin_nodes(grids, delta, 1.0 - nu - c, h)
         with mpmath.workdps(30):
             exact = lambda g, si, m, x: mpmath.exp(mpmath.mpc(g) + (nu - mpmath.mpc(si)) * x) * mpmath.mpc(m)
             ref = np.array([[complex(exact(g, si, m, x)) for x in lx] for g, si, m in zip(logg, s, mv)])
@@ -264,6 +264,14 @@ def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
     for p in rungs + [np.nextafter(r, 0.0) for r in rungs] + [phase_step(1e9), phase_step(1e-9), 0.1, 2.999]:
         step = hankel._ladder_step(p)
         assert step <= p and step > p / 1.5 and math.frexp(step)[0] in (0.5, 0.75)
+
+
+def test_panel_rung_is_the_smallest_ladder_count_not_below_p():
+    ladder = sorted({1 << k for k in range(16)} | {3 << k for k in range(15)})
+    for p in range(1, 20000):
+        rung = hankel._panel_rung(p)
+        assert rung == min(r for r in ladder if r >= p), p
+    assert [hankel._panel_rung(p) for p in (1, 2, 3, 4, 5, 6, 7, 12, 13)] == [1, 2, 3, 4, 6, 6, 8, 12, 16]
 
 
 def test_phase_memo_holds_at_most_two_tables(monkeypatch):
@@ -369,11 +377,11 @@ def test_fe_residual_grid_reports_every_batch_error(monkeypatch):
 
 
 def _direct_composite(f, delta, zs, base):
-    # reference: the unfactored composite, one exponential per (node, z)
+    # reference: the unfactored composite, one exponential per (node, z), on the rung p
     zs = np.asarray(zs, dtype=complex)
     va, vb = math.log(f.a), math.log(f.b)
     maxim = float(np.max(np.abs(zs.imag))) if zs.size else 0.0
-    p = base + int(1.3 * maxim * (vb - va) / (2.0 * math.pi))
+    p = hankel._panel_rung(base + int(1.3 * maxim * (vb - va) / (2.0 * math.pi)))
     gx, gwts = gauss_nodes(hankel._MDEG)
     edges = np.linspace(va, vb, p + 1)
     half = 0.5 * (edges[1] - edges[0])
@@ -383,16 +391,30 @@ def _direct_composite(f, delta, zs, base):
     return (wt * fv) @ np.exp(np.outer(v, zs))
 
 
+def _two_sided():
+    return hankel.TestFunction(0.5, 3.0, make_bump(0.5, 3.0).pos, lambda x: 0.7 * make_bump(0.8, 2.5)(x))
+
+
+def _abs_function(f):
+    return hankel.TestFunction(f.a, f.b, lambda x: np.abs(f(x)), lambda x: np.abs(f(-x)))
+
+
+def _at_centre(grids, delta, z):
+    # the route's panel form read at the centre node (ξ = 0) of a panel of real half-width
+    return hankel._mellin_nodes(grids, delta, z, 0.5)[10]
+
+
 def test_inner_mellin_factored_matches_direct_composite():
     bump = make_bump(1.0, 40.0)
-    two_sided = hankel.TestFunction(0.5, 3.0, make_bump(0.5, 3.0).pos, lambda x: 0.7 * make_bump(0.8, 2.5)(x))
+    two_sided = _two_sided()
     zs = [complex(re, im) for re in (-2.5, 0.3, 1.2, 4.0) for im in (0.0, 13.7, -13.7, 300.0, -300.0, 3000.0, -3000.0)]
     for f in (bump, two_sided):
-        absf = hankel.TestFunction(f.a, f.b, lambda x, f=f: np.abs(f(x)), lambda x, f=f: np.abs(f(-x)))
+        absf = _abs_function(f)
         for delta in (0, 1):
             for base in (12, 44):
+                grids = hankel._MellinGrids(f, base)
                 for z in zs:
-                    got = hankel._mellin_nodes(f, delta, np.array([z]), base)[0]
+                    got = _at_centre(grids, delta, z)
                     ref = _direct_composite(f, delta, [z], base)[0]
                     # rounding scales with the summand's mass Σ|wt·f|e^{v·Re z}
                     mass = abs(_direct_composite(absf, 0, [z.real], base)[0])
@@ -401,11 +423,60 @@ def test_inner_mellin_factored_matches_direct_composite():
     for f in (bump, two_sided):
         for delta in (0, 1):
             for tol in (1e-6, 1.9e-9, 1e-14):
-                base = hankel._mellin_base(tol)
+                grids = hankel._MellinGrids(f, hankel._mellin_base(tol))
                 for z in (complex(0.7, -13.7), complex(1.2, 21.3), complex(-2.5, 40.0)):
-                    got = hankel._mellin_nodes(f, delta, np.array([z]), base)[0]
+                    got = _at_centre(grids, delta, z)
                     # each base meets the tolerance it is chosen for, down to the reference's own 1e-11
-                    assert abs(got - signed_mellin(f, delta, z, 1e-11)) <= max(tol, 2e-11), (f.a, delta, base, z)
+                    assert abs(got - signed_mellin(f, delta, z, 1e-11)) <= max(tol, 2e-11), (f.a, delta, tol, z)
+
+
+@pytest.mark.parametrize("h", [0.375j, 1.5j, complex(0.4, 0.1)])
+def test_inner_mellin_tables_match_direct_composite_on_whole_panels(h):
+    # every node z0 − h·ξ_l of a panel, off-centre rows of the phase tables included, against
+    # the unfactored composite on the same rung; a second panel of the same h reuses the tables
+    for f in (make_bump(1.0, 40.0), _two_sided()):
+        absf = _abs_function(f)
+        for delta in (0, 1):
+            grids = hankel._MellinGrids(f, 44)
+            for z0 in (complex(-2.5, 0.0), complex(0.3, 13.7), complex(1.2, -300.0), complex(4.0, 3000.0)):
+                zs = panel_nodes(z0, -h)
+                got = hankel._mellin_nodes(grids, delta, z0, h)
+                ref = _direct_composite(f, delta, zs, 44)
+                mass = np.abs(_direct_composite(absf, 0, zs.real, 44))
+                assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, mass)), (f.a, delta, z0, h)
+            again = hankel._mellin_nodes(grids, delta, complex(4.0, 3000.0), h)
+            assert np.array_equal(again, got)
+            assert grids.counts() == {"grids_built": 4, "tables_built": 4, "tables_reused": 1}
+
+
+def test_inner_mellin_validation_reads_the_route_tables(monkeypatch):
+    # the validation runs the route's tabled form: a corrupted inner table makes it fail,
+    # the rows off the centre node alone included (the centre row is 1 whatever h is)
+    w = make_bump(1.0, 2.0)
+    tables = quadrature.phase_tables
+
+    def corrupted(rows):
+        def make(lx):
+            memo = tables(lx)
+
+            def table(h):
+                out = memo(h).copy()
+                out[rows] *= 1.01
+                return out
+
+            table.cache_info = memo.cache_info
+            return table
+
+        return make
+
+    for rows in (slice(None), [0, 20]):
+        monkeypatch.setattr(quadrature, "phase_tables", corrupted(rows))
+        with pytest.raises(ToleranceNotMet, match="inner Mellin grid validation"):
+            hankel._validate_inner_mellin(hankel._MellinGrids(w, hankel._mellin_base(1e-9)), 0)
+        with pytest.raises(ToleranceNotMet, match="inner Mellin grid validation"):
+            hankel_mellin_batch(DS2_11, 2, w, [0.3, 2.0], 1e-9)
+    monkeypatch.setattr(quadrature, "phase_tables", tables)
+    hankel._validate_inner_mellin(hankel._MellinGrids(w, hankel._mellin_base(1e-9)), 0)
 
 
 # ---- the Chebyshev kernel model ---------------------------------------------

@@ -22,7 +22,7 @@ function in ``src/vorokit`` (nested ones and lambdas included) declares one.
 
 Phase tables: outside ``quadrature.py`` no ``np.exp`` takes an ``np.outer``
 of the K21 panel nodes (a ``panel_nodes(...)`` call, or a name bound to one),
-so ``quadrature.PhaseTables`` is the one place a table exp(−h·ξ ⊗ lx) or an
+so ``quadrature.phase_tables`` is the one place a table exp(−h·ξ ⊗ lx) or an
 unfactored x^{−s} on the panel nodes is formed.
 
 Dual-sum policy: outside ``voronoi.dual_floor`` no call ``max(…, 2e-9, …)``
@@ -356,7 +356,7 @@ def test_phase_tables_have_one_owner():
         f"{p.relative_to(ROOT)}:{line}" for p in SRC if p.name != "quadrature.py" for line in node_phase_exps(p.read_text())
     ]
     assert (ROOT / "src" / "vorokit" / "quadrature.py") in SRC
-    assert not found, "phase tables formed outside quadrature.PhaseTables:\n" + "\n".join(found)
+    assert not found, "phase tables formed outside quadrature.phase_tables:\n" + "\n".join(found)
 
 
 def dual_policy_copies(source: str) -> list[tuple[str, str, int]]:

@@ -39,14 +39,25 @@ independent routes:
   node batch's achieved error, the probe error of the chunk it was built
   in).  A panel certified within the request's tolerance is reused and any
   other one is rebuilt, which is the guarantee a fresh build at that
-  tolerance gives.  A model is evaluated in one sorted pass per chunk of
-  kernel arguments: each point's panel is ⌊u/h⌋ on the lattice, the points
-  are ordered by panel once, one Chebyshev–Vandermonde matrix covers the
-  chunk, and each panel costs one small real matrix product.  The
-  |t|-exponent (3−n)/2 is the calibration-resolved reading; the
-  route-agreement test (A5) would fail loudly under the opposite
-  convention.  The functional-equation check would not: it samples w̃ by
-  the mellin route only and never calls this one.
+  tolerance gives.  The t-integral is taken in the model's own variable:
+  t = u^n/|x| turns it into
+  |x|^{(n−3)/2}·∫ 𝔟(±u^n)·w(±u^n/|x|)·n·u^{(n−1)(2−n)/2} du, and the rule
+  puts its nodes at the same abscissae ξ in every lattice panel under the
+  supports.  The model at every node is then one table,
+  coefficients @ chebvander(ξ) (panels × nodes), whatever x is: a point
+  costs its w-values, one real (points × nodes) @ (nodes × 2) product
+  against the table's real and imaginary parts per kernel sign, and one
+  power of |x|.  Per magnitude group (ratio 4) and resolution s the rule
+  keeps the density of the t-rule it replaced at the group's largest |x|:
+  npan = 4 + ⌈s·cyc/1.8⌉ panels of 16 nodes across the support, so a node
+  spacing δ = x_max^{1/n}·(u_b − u_a)/(16·npan).  A lattice panel of width
+  h gets N = max(⌈h/δ⌉, ⌈16·(4 + 4s)·h/(x_min^{1/n}·(u_b − u_a))⌉) nodes as
+  ⌈N/16⌉ Gauss sub-panels; the second term keeps w resolved where its
+  support spans less than one panel.  The |t|-exponent (3−n)/2 is the
+  calibration-resolved reading; the route-agreement test (A5) would fail
+  loudly under the opposite convention.  The functional-equation check
+  would not: it samples w̃ by the mellin route only and never calls this
+  one.
 
 The two routes share the generic panel integrator of :mod:`vorokit.quadrature`
 (the mellin route directly, the convolution route through the Bessel
@@ -63,7 +74,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -440,52 +451,27 @@ def hankel_mellin_batch(
 
 _CHEB_DEG = 20
 _PANEL_WIDTH = 1.1  # lattice step in u = arg^{1/n} is _PANEL_WIDTH / n
-_EVAL_POINTS = 65536  # kernel arguments per `_KernelModel.eval` call
+_BLOCK = 65536  # entries of the (x × node) test-function matrix per product
 
 
 @dataclass
 class _KernelModel:
-    """Piecewise-Chebyshev model of 𝔟(±arg) in u = arg^{1/n}; args 1-D, positive.
+    """Piecewise-Chebyshev model of 𝔟(±arg) in u = arg^{1/n}.
 
     ``coeffs[i]`` holds the degree-``_CHEB_DEG`` Chebyshev coefficients on
-    the lattice panel [(j0+i)·h, (j0+i+1)·h].  `eval` finds each point's
-    panel as ⌊u/h⌋ − j0, clipped to the model's panels, sorts the points by
-    panel once, builds one Chebyshev–Vandermonde matrix of the mapped
-    abscissae for all of them and takes each panel's values as one real
-    (n_i × 21) @ (21 × 2) product against that panel's coefficients, real and
-    imaginary parts side by side.
+    the lattice panel [(j0+i)·h, (j0+i+1)·h].  The model is only ever read
+    at fixed mapped abscissae ξ ∈ [−1, 1], the same ones in every panel, so
+    `table` is its one evaluation: one Chebyshev–Vandermonde matrix of ξ and
+    one product with the coefficients.
     """
 
-    rank: int
     h: float
     j0: int
     coeffs: np.ndarray
-    _cri: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        self._cri = np.stack([self.coeffs.real, self.coeffs.imag], axis=-1)
-
-    def eval(self, args: np.ndarray) -> np.ndarray:
-        u = np.power(args, 1.0 / self.rank)
-        h, npan = self.h, self.coeffs.shape[0]
-        # ⌊u/h⌋, one lower where u is on or below the edge h·k as rounded: a
-        # point on an edge belongs to the panel on its left.  It is never one
-        # too low, since u > fl(h·m) means u/h > m and so fl(u/h) ≥ m.
-        k = np.floor(u / h)
-        k -= u <= h * k
-        k = np.clip(k, self.j0, self.j0 + npan - 1)
-        lo, hi = h * k, h * (k + 1)
-        idx = (k - self.j0).astype(np.min_scalar_type(npan))  # small keys: a radix sort
-        order = np.argsort(idx, kind="stable")
-        starts = np.concatenate([[0], np.cumsum(np.bincount(idx, minlength=npan))])
-        vander = chebvander(((2.0 * u - (lo + hi)) / (hi - lo))[order], _CHEB_DEG)
-        vals = np.empty((len(order), 2))
-        for j in np.flatnonzero(np.diff(starts)):
-            rows = slice(starts[j], starts[j + 1])
-            vals[rows] = vander[rows] @ self._cri[j]
-        out = np.empty(len(order), dtype=complex)
-        out[order] = vals[:, 0] + 1j * vals[:, 1]
-        return out
+    def table(self, xi: np.ndarray) -> np.ndarray:
+        """(panels × len(ξ)) model values at u = (j0+i)·h + (ξ+1)·h/2."""
+        return self.coeffs @ chebvander(xi, _CHEB_DEG).T
 
 
 def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
@@ -500,6 +486,9 @@ def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
     vals, errs = bessel_real_batch(params, sign * unodes**params.rank, tol / 3.0)
     coeffs = chebfit(cheb_x, vals.reshape(len(js), k).T, _CHEB_DEG).T
     return coeffs, 3.0 * errs.reshape(len(js), k).max(axis=1)
+
+
+_PROBE_XI = 2.0 * 0.381966 - 1.0  # the golden-section point of a panel, mapped to [−1, 1]
 
 
 class KernelCache:
@@ -539,12 +528,12 @@ class KernelCache:
             new, node_err = _fit_panels(params, sign, stale, h, tol)
             fresh = dict(zip(stale.tolist(), new))
         coeffs = np.stack([fresh[j] if j in fresh else panels[j][0] for j in js.tolist()])
-        model = _KernelModel(rank, h, j0, coeffs)
+        model = _KernelModel(h, j0, coeffs)
         if fresh:
             # validate off-node: golden-section point of every 4th new panel
-            probe_u = h * (stale[::4] + 0.381966)
-            direct, _ = bessel_real_batch(params, sign * probe_u**rank, tol / 3.0)
-            errp = float(np.max(np.abs(model.eval(probe_u**rank) - direct)))
+            probed = stale[::4]
+            direct, _ = bessel_real_batch(params, sign * (h * (probed + 0.381966)) ** rank, tol / 3.0)
+            errp = float(np.max(np.abs(model.table(np.array([_PROBE_XI]))[probed - j0, 0] - direct)))
             if errp > tol:
                 raise ToleranceNotMet(tol, errp, "kernel model validation")
             panels.update((j, (c, max(e, errp))) for (j, c), e in zip(fresh.items(), node_err))
@@ -593,33 +582,53 @@ def hankel_convolution_batch(
     lo, hi = float(ax.min() * w.a), float(ax.max() * w.b)
     cache = KernelCache() if cache is None else cache
     models = {s: cache.model(params, s, lo, hi, model_tol) for s in kernel_signs if s in need}
+    if not models:  # every kernel argument falls where 𝔟 vanishes
+        return np.zeros(len(xs), dtype=complex), cw * model_tol * ax**nu
+    lattice = next(iter(models.values()))  # both signs' models hold the same lattice panels
+    h, j0 = lattice.h, lattice.j0
 
     ua, ub = w.a ** (1.0 / n), w.b ** (1.0 / n)
     groups = magnitude_groups(ax, 4.0)
+    # t = u^n/|x|: ∫ 𝔟(±u^n)·w(u^n/|x|)·n·u^{(n−1)(2−n)/2} du · |x|^{(n−3)/2}
+    upow, xpow = 0.5 * (n - 1) * (2 - n), 0.5 * (n - 3)
 
     def eval_resolution(scale):
         out = np.zeros(len(xs), dtype=complex)
         for gi in groups:
-            cyc = n * (float(ax[gi].max()) ** (1.0 / n)) * (ub - ua)
-            npan = int(4 + math.ceil(scale * cyc / 1.8))
-            tn, wt = gauss_panels(np.linspace(ua, ub, npan + 1) ** n, 16)  # equal phase per panel
-            base = wt * tn**tpow
-            chunk = max(1, _EVAL_POINTS // len(tn))  # rows of x per kernel-model call
-            for s_t in t_signs:
-                wpart = w(s_t * tn)
-                if not np.any(wpart):
-                    continue
-                coef = base * wpart
-                for s_x in (1, -1):
-                    sel = gi[np.sign(xs[gi]) == s_x]
-                    model = models.get(s_x * s_t)
-                    if model is None or len(sel) == 0:
-                        continue
-                    for c0 in range(0, len(sel), chunk):
-                        rows = sel[c0 : c0 + chunk]
-                        args = np.outer(ax[rows], tn)
-                        kv = model.eval(args.ravel()).reshape(args.shape)
-                        out[rows] += kv @ coef
+            xmin, xmax = float(ax[gi].min()), float(ax[gi].max())
+            cyc = n * xmax ** (1.0 / n) * (ub - ua)
+            npan = int(4 + math.ceil(scale * cyc / 1.8))  # 16-node panels across the support at x_max
+            spacing = xmax ** (1.0 / n) * (ub - ua) / (16 * npan)
+            nodes = max(
+                math.ceil(h / spacing), math.ceil(16 * (4 + 4 * scale) * h / (xmin ** (1.0 / n) * (ub - ua)))
+            )
+            sub = math.ceil(nodes / 16)
+            xi, gw = gauss_panels(np.linspace(-1.0, 1.0, sub + 1), math.ceil(nodes / sub))
+            # the lattice panels under the group's supports, inside the models' [lo, hi]
+            i0 = int((xmin * w.a) ** (1.0 / n) // h) - j0
+            i1 = max(i0 + 1, math.ceil((xmax * w.b) ** (1.0 / n) / h) - j0)
+            u = (h * (np.arange(i0 + j0, i1 + j0)[:, None] + 0.5 * (xi + 1.0))).ravel()
+            un = u**n
+            weight = np.tile(0.5 * h * gw, i1 - i0) * n * u**upow
+            tables = {}
+            for s, m in models.items():
+                tab = m.table(xi)[i0:i1].ravel() * weight
+                tables[s] = np.stack([tab.real, tab.imag], axis=1)
+            chunk = max(1, _BLOCK // len(u))  # rows of x per product
+            for s_x in (1, -1):
+                sel = gi[np.sign(xs[gi]) == s_x]
+                for c0 in range(0, len(sel), chunk):
+                    rows = sel[c0 : c0 + chunk]
+                    # the nodes under this chunk's supports: gi is ascending in |x|
+                    k0 = np.searchsorted(un, float(ax[rows[0]]) * w.a)
+                    k1 = np.searchsorted(un, float(ax[rows[-1]]) * w.b, side="right")
+                    targ = np.outer(1.0 / ax[rows], un[k0:k1])
+                    acc = np.zeros((len(rows), 2))
+                    for s_t in t_signs:
+                        tab = tables.get(s_x * s_t)
+                        if tab is not None:
+                            acc += w(s_t * targ) @ tab[k0:k1]
+                    out[rows] += (acc[:, 0] + 1j * acc[:, 1]) * ax[rows] ** xpow
         return out
 
     v1, v2 = eval_resolution(1.0), eval_resolution(1.45)

@@ -8,7 +8,7 @@ untwisted dual coefficients everywhere else.  The two sides share *no* code
 path beyond the coefficient table, which is what makes the residual a real
 check and not a tautology.
 
-Coefficients are exact integers (eta-product expansion over Python ints);
+Coefficients are exact integers (eta-product expansion, multimodular in int64);
 the ramified local factors are exact ring elements with rational phase turns,
 converted to floating complex only inside the final α-sum.
 """
@@ -123,24 +123,56 @@ def _eta_cube_sparse(nmax: int):
     return out
 
 
+# the largest primes below 2^31; six cover every N < 1.7·10⁹, beyond any table that fits in memory
+_CRT_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+
+
+def _crt_signed(residues: np.ndarray, primes: tuple) -> list:
+    """The integers in (−P/2, P/2), P = ∏ primes, with the given residues (one row per prime).
+
+    Garner's mixed-radix digits are formed in int64: every product is of two
+    numbers below 2^31.  Only the final Σ digit·(radix) is in Python ints.
+    """
+    digits = []
+    for r, p in zip(residues, primes):
+        v = r
+        for d, q in zip(digits, primes):
+            v = (v - d) % p * pow(q, -1, p) % p
+        digits.append(v)
+    total = np.zeros(residues.shape[1], dtype=object)
+    for d, p in zip(digits[::-1], primes[::-1]):
+        total = total * p + d.astype(object)
+    big = math.prod(primes)
+    return [int(t) - big if 2 * t > big else int(t) for t in total]
+
+
 def tau_coefficients(N: int) -> DirichletCoeffs:
     """λ(n) = τ(n)/n^{11/2} for n ≤ N, from the exact eta-product expansion.
 
     The 24th power of ∏(1−q^j) is built as the 8th power of the sparse
-    triangular-number series for the cube, eight dense×sparse passes over
-    Python ints — O(N^{3/2}) work, exact at every step.
+    triangular-number series for the cube: eight dense×sparse passes, O(N^{3/2})
+    work.  They run in int64 modulo the first few ``_CRT_PRIMES`` at once,
+    as many as make the primes' product exceed 4N⁶: Deligne's bound gives
+    |τ(n)| ≤ d(n)·n^{11/2} < 2N⁶, so the residues fix τ(n) in (−P/2, P/2)
+    and the CRT recovers it exactly.
     """
     if N < 1:
         raise ValueError("need at least one coefficient")
+    k = next(k for k in range(1, len(_CRT_PRIMES) + 1) if math.prod(_CRT_PRIMES[:k]) > 4 * N**6)
+    primes = _CRT_PRIMES[:k]
+    ps = np.array(primes, dtype=np.int64)[:, None]
     sparse = _eta_cube_sparse(N - 1)
-    d = np.zeros(N, dtype=object)
-    d[0] = 1
+    d = np.zeros((k, N), dtype=np.int64)
+    d[:, 0] = 1
     for _ in range(8):
-        nd = np.zeros(N, dtype=object)
+        # one reduction per pass: every d < p < 2^31 on entry and the pass's K terms
+        # have Σ|c| = Σ(2j+1) = K², so |nd| < K²·2^31, below 2^63 while K < 2^16, which
+        # K(K−1)/2 < N < 2^31 ensures (at N = 10⁴: 141 terms of at most 281·2^31)
+        nd = np.zeros_like(d)
         for e, cth in sparse:
-            nd[e:] = nd[e:] + cth * d[: N - e]
-        d = nd
-    tau = tuple(int(t) for t in d)
+            nd[:, e:] += cth * d[:, : N - e]
+        d = nd % ps
+    tau = tuple(_crt_signed(d, primes))
     ns = np.arange(1, N + 1, dtype=float)
     lam = np.array([float(t) for t in tau]) / ns**5.5
     return DirichletCoeffs(N, lam.astype(complex), "tau", tau)

@@ -482,51 +482,50 @@ def test_inner_mellin_validation_reads_the_route_tables(monkeypatch):
 # ---- the Chebyshev kernel model ---------------------------------------------
 
 
-def _per_panel_chebval(model, args):
-    # one Clenshaw evaluation per panel over that panel's points: the plain reading of the
-    # model, with each point's panel found by a binary search of the lattice edges
-    npan = model.coeffs.shape[0]
-    edges = model.h * np.arange(model.j0, model.j0 + npan + 1)
-    u = np.power(args, 1.0 / model.rank)
-    idx = np.clip(np.searchsorted(edges, u) - 1, 0, npan - 1)
-    out = np.empty(args.shape, dtype=complex)
-    for j in np.unique(idx):
-        m = idx == j
-        lo, hi = edges[j], edges[j + 1]
-        out[m] = chebval((2.0 * u[m] - (lo + hi)) / (hi - lo), model.coeffs[j])
+def _per_panel_chebval(model, panels, xi):
+    # one Clenshaw evaluation per panel over that panel's abscissae ξ ∈ [−1, 1]: the plain
+    # reading of the model
+    out = np.empty(len(xi), dtype=complex)
+    for j in np.unique(panels):
+        m = panels == j
+        out[m] = chebval(xi[m], model.coeffs[j])
     return out
 
 
+def _model_at(model, args, rank):
+    # the model at kernel arguments: each point's panel by a binary search of the lattice
+    # edges, clipped to the model's panels, and its u = arg^{1/rank} mapped onto [−1, 1]
+    npan = model.coeffs.shape[0]
+    edges = model.h * np.arange(model.j0, model.j0 + npan + 1)
+    u = np.power(args, 1.0 / rank)
+    idx = np.clip(np.searchsorted(edges, u) - 1, 0, npan - 1)
+    lo, hi = edges[idx], edges[idx + 1]
+    return _per_panel_chebval(model, idx, (2.0 * u - (lo + hi)) / (hi - lo))
+
+
 @pytest.mark.parametrize("rank", [1, 2, 3])
-def test_kernel_model_eval_matches_per_panel_chebval(rank):
-    # the lattice index ⌊u/h⌋ − j0 picks the panel the binary search picks: the random
+def test_kernel_model_table_matches_per_panel_chebval(rank):
+    # row i of the table is panel j0 + i at every ξ, the panel ends ±1 included: the random
     # coefficients make neighbouring panels disagree at O(1), so any other panel shows
     rng = np.random.default_rng(rank)
     npan, h, j0 = 37, hankel._PANEL_WIDTH / rank, 3
-    edges = h * np.arange(j0, j0 + npan + 1)
     coeffs = rng.normal(size=(npan, hankel._CHEB_DEG + 1)) + 1j * rng.normal(size=(npan, hankel._CHEB_DEG + 1))
     coeffs *= 0.7 ** np.arange(hankel._CHEB_DEG + 1)  # decaying, as a fitted model's are
-    model = hankel._KernelModel(rank, h, j0, coeffs)
-    on_edges = edges**rank  # every panel edge, both ends included
-    inside = rng.uniform(edges[0], edges[-1], 5000) ** rank
-    beside = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]) ** rank
-    args = rng.permutation(np.concatenate([inside, on_edges, on_edges[::-1], [edges[0] ** rank] * 3, beside]))
-    got, ref = model.eval(args), _per_panel_chebval(model, args)
-    assert got.shape == args.shape and got.dtype == complex
+    model = hankel._KernelModel(h, j0, coeffs)
+    xi = np.concatenate([[-1.0, 1.0], rng.uniform(-1.0, 1.0, 300), [hankel._PROBE_XI]])
+    got = model.table(xi)
+    assert got.shape == (npan, len(xi)) and got.dtype == complex
+    ref = _per_panel_chebval(model, np.repeat(np.arange(npan), len(xi)), np.tile(xi, npan)).reshape(got.shape)
     bound = 1e-14 * np.max(np.abs(ref))
     assert np.max(np.abs(got - ref)) <= bound
-    # one call on a concatenation is two calls on its halves
-    half = len(args) // 2
-    halves = np.concatenate([model.eval(args[:half]), model.eval(args[half:])])
-    assert np.max(np.abs(got - halves)) <= bound
-    # points in a single panel, and no points at all
-    one = np.full(4, ((edges[3] + edges[4]) / 2) ** rank)
-    assert np.max(np.abs(model.eval(one) - _per_panel_chebval(model, one))) <= bound
-    assert model.eval(np.zeros(0)).shape == (0,)
-    # points beyond the lattice range are clipped to the end panels
-    outside = np.array([0.9 * edges[0], 1.05 * edges[-1]]) ** rank
-    ref = _per_panel_chebval(model, outside)
-    assert np.all(np.abs(model.eval(outside) - ref) <= 1e-14 * np.abs(ref))
+    # the columns are independent: the table of a few abscissae is those columns
+    assert np.max(np.abs(model.table(xi[5:9]) - got[:, 5:9])) <= bound
+    assert model.table(np.zeros(0)).shape == (npan, 0)
+    # ξ in row i is u = (j0 + i)·h + (ξ + 1)·h/2: the kernel argument u^rank, located on the
+    # lattice by a binary search, reads the same values (u rounds, hence the looser bound)
+    inner = xi[2:]
+    u = h * (j0 + np.arange(npan)[:, None] + 0.5 * (inner + 1.0))
+    assert np.max(np.abs(_model_at(model, u.ravel() ** rank, rank) - got[:, 2:].ravel())) <= 1e-10 * np.max(np.abs(ref))
 
 
 # ---- the kernel-model cache -------------------------------------------------
@@ -569,9 +568,9 @@ def test_kernel_cache_builds_only_uncovered_panels(monkeypatch):
     # the served models agree with direct values off the nodes
     args = np.linspace(*_u_range(5, 13), 41)
     direct, _ = bessel_real_batch(DS2_11, args, 1e-12)
-    assert np.max(np.abs(model.eval(args) - direct)) <= 1e-9
+    assert np.max(np.abs(_model_at(model, args, 2) - direct)) <= 1e-9
     some = args[(args > ((6 + 0.2) * H2) ** 2) & (args < ((8 + 0.5) * H2) ** 2)]
-    assert len(some) > 3 and np.array_equal(inside.eval(some), model.eval(some))
+    assert len(some) > 3 and np.array_equal(_model_at(inside, some, 2), _model_at(model, some, 2))
 
 
 def test_convolution_batch_builds_no_model_for_the_sign_the_parity_cancels(monkeypatch):
@@ -604,7 +603,7 @@ def test_kernel_cache_rebuilds_a_panel_certified_looser_than_asked():
     assert 0.0 < panels[5][1] <= 1e-9 and np.any(panels[5][0])
     args = (np.linspace(5.05, 5.95, 7) * H2) ** 2
     direct, _ = bessel_real_batch(DS2_11, args, 1e-12)
-    assert np.max(np.abs(model.eval(args) - direct)) <= 1e-9
+    assert np.max(np.abs(_model_at(model, args, 2) - direct)) <= 1e-9
     # a request looser than that claim serves the panel as it is
     panels[5] = (panels[5][0], 1e-6)
     cache.model(DS2_11, 1, lo, hi, 1e-6)
@@ -635,3 +634,43 @@ def test_kernel_cache_unchanged_after_failed_validation(monkeypatch):
     monkeypatch.setattr(hankel, "bessel_real_batch", real)
     cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
     assert cache.panel_counts() == {"built": 4, "reused": 5}
+
+
+# ---- the convolution rule on the kernel's u-lattice --------------------------
+
+
+def test_convolution_rule_covers_the_gap_to_the_mellin_route_below_and_above_one_panel():
+    # bump(1, 40) seen at |x| ≤ 0.01, where its support spans less than one lattice panel in
+    # u = (|x|t)^{1/2} (0.43 of one at 0.002), and at |x| ≈ 150, where it spans 119; the
+    # negative part of w makes the dual nonzero on x < 0 for DS2(11), whose γ ignores the parity
+    bump = make_bump(1.0, 40.0)
+    w = hankel.TestFunction(1.0, 40.0, bump.pos, lambda x: 0.5 * bump.pos(x))
+    xs = np.array([-0.002, 0.01, -0.01, 0.013, 148.0, -150.0])
+    spans = np.sqrt(np.abs(xs)) * (np.sqrt(40.0) - 1.0) / H2
+    assert np.all(spans[:3] < 1) and spans[0] < 0.5 and spans[-1] > 100
+    conv, cerr = hankel_convolution_batch(DS2_11, 2, w, xs, 1e-8)
+    mell, merr = hankel_mellin_batch(DS2_11, 2, w, xs, 1e-10)
+    assert np.all(np.abs(conv) > 1e-9) and np.all(cerr <= 1e-8)
+    assert np.all(np.abs(conv - mell) <= cerr + merr)
+
+
+def test_convolution_rule_reads_the_model_at_abscissae_independent_of_the_points(monkeypatch):
+    # the kernel is tabulated once per rule at fixed ξ: ten times the points of one magnitude
+    # group ask chebvander for exactly the same rows
+    real, rows = hankel.chebvander, []
+
+    def counted(x, deg):
+        rows.append(len(x))
+        return real(x, deg)
+
+    monkeypatch.setattr(hankel, "chebvander", counted)
+    w = make_bump(1.0, 40.0)
+    asked = {}
+    for m in (50, 500):
+        xs = np.linspace(10.0, 30.0, m)
+        assert len(hankel.magnitude_groups(xs, 4.0)) == 1
+        rows.clear()
+        hankel_convolution_batch(DS2_11, 2, w, xs, 1e-7)
+        asked[m] = list(rows)
+    assert asked[50] == asked[500] and len(asked[50]) >= 3
+    assert asked[50][0] == 1  # the off-node probe: one abscissa on every 4th new panel

@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no library
 parameter has a default that every caller leaves alone, only named test hooks
 have a default that only tests pass, no function has a return-shape flag,
-one writer owns every file write and one owner each the phase tables and the
-dual-sum policy.
+one writer owns every file write and one owner each the phase tables, the
+Chebyshev evaluation and the dual-sum policy.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -24,6 +24,10 @@ Phase tables: outside ``quadrature.py`` no ``np.exp`` takes an ``np.outer``
 of the K21 panel nodes (a ``panel_nodes(...)`` call, or a name bound to one),
 so ``quadrature.phase_tables`` is the one place a table exp(−h·ξ ⊗ lx) or an
 unfactored x^{−s} on the panel nodes is formed.
+
+Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
+``src/vorokit`` sits outside ``hankel._KernelModel.table``, so the kernel
+model is read one way: tabulated at fixed abscissae, never point by point.
 
 Dual-sum policy: outside ``voronoi.dual_floor`` no call ``max(…, 2e-9, …)``
 floors a tolerance, and outside ``voronoi.certified_batch`` no handler
@@ -357,6 +361,53 @@ def test_phase_tables_have_one_owner():
     ]
     assert (ROOT / "src" / "vorokit" / "quadrature.py") in SRC
     assert not found, "phase tables formed outside quadrature.phase_tables:\n" + "\n".join(found)
+
+
+def chebyshev_evaluations(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each chebvander(...) or chebval(...) call."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if _call_name(child) in ("chebvander", "chebval"):
+                found.append((where or "<module>", child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scanner_flags_chebyshev_evaluations():
+    # the sorted per-point pass as it stood before the model had one evaluation form
+    src = (
+        "class _KernelModel:\n"
+        "    def table(self, xi):\n"
+        "        return self.coeffs @ chebvander(xi, 20).T\n"
+        "    def eval(self, args):\n"
+        "        vander = chebvander(((2.0 * u - (lo + hi)) / (hi - lo))[order], _CHEB_DEG)\n"
+        "        return np.polynomial.chebyshev.chebval(u, c)\n"
+        "def probe(model, u):\n"
+        "    return [chebvander(v, 20) for v in u]\n"
+        "V = chebvander(np.zeros(3), 4)\n"
+    )
+    assert chebyshev_evaluations(src) == [
+        ("_KernelModel.table", 3), ("_KernelModel.eval", 5), ("_KernelModel.eval", 6), ("probe", 8), ("<module>", 9)
+    ]
+
+
+def test_chebyshev_evaluation_has_one_owner():
+    found = {p.name: chebyshev_evaluations(p.read_text()) for p in SRC}
+    assert [where for where, _ in found["hankel.py"]] == ["_KernelModel.table"]
+    others = [
+        f"{name}:{line}: in {where}"
+        for name, rows in found.items()
+        for where, line in rows
+        if (name, where) != ("hankel.py", "_KernelModel.table")
+    ]
+    assert not others, "Chebyshev model evaluated outside hankel._KernelModel.table:\n" + "\n".join(others)
 
 
 def dual_policy_copies(source: str) -> list[tuple[str, str, int]]:

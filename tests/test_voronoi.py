@@ -3,6 +3,8 @@
 The coefficient oracle here is a *dense* expansion of ∏(1−q^j)^24 by plain
 repeated polynomial multiplication — a different route than the module's
 sparse cube-power passes, so a bug in either one shows up as a mismatch.
+The module runs those passes in int64 modulo a few primes and recombines
+them by the CRT; the same passes over Python ints are the reference for that.
 """
 
 import math
@@ -75,6 +77,49 @@ def test_tau_against_dense_product():
                     nxt[i + j] += c * eta[j]
         prod = nxt
     assert tau_coefficients(N).exact == tuple(prod)
+
+
+def _tau_python_ints(N):
+    # the eight sparse cube-power passes over Python ints, exact at every step: the
+    # reference for the multimodular build, which shares its sparse series only
+    sparse = voronoi._eta_cube_sparse(N - 1)
+    d = np.zeros(N, dtype=object)
+    d[0] = 1
+    for _ in range(8):
+        nd = np.zeros(N, dtype=object)
+        for e, cth in sparse:
+            nd[e:] = nd[e:] + cth * d[: N - e]
+        d = nd
+    return tuple(int(t) for t in d)
+
+
+@pytest.mark.parametrize("N", [1, 2, 12, 28, 29, 1023, 1024, 10_000])
+def test_multimodular_tau_matches_the_python_int_build(N):
+    # 28 → 29 and 1023 → 1024 are where the CRT takes a second and a third prime
+    got = tau_coefficients(N)
+    assert got.exact == _tau_python_ints(N)
+    assert all(type(t) is int for t in got.exact)
+    assert np.array_equal(got.values, np.array([float(t) for t in got.exact]) / np.arange(1, N + 1) ** 5.5)
+
+
+def test_crt_takes_a_prime_more_where_four_n_to_the_sixth_outgrows_the_product(monkeypatch):
+    real, used = voronoi._crt_signed, []
+
+    def counted(residues, primes):
+        used.append(len(primes))
+        return real(residues, primes)
+
+    monkeypatch.setattr(voronoi, "_crt_signed", counted)
+    for N in (1, 28, 29, 1023, 1024, 10_000):
+        tau_coefficients(N)
+    assert used == [1, 1, 2, 2, 3, 3]
+    # distinct primes below 2^31, by trial division with every odd q ≤ √p
+    primes = voronoi._CRT_PRIMES
+    assert len(set(primes)) == len(primes)
+    for p in primes:
+        assert p < 2**31 and p % 2 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))
+    # |τ(n)| ≤ d(n)·n^{11/2} < 2N⁶, so the product above 4N⁶ leaves the signed range room
+    assert max(abs(t) for t in _tau_python_ints(1024)) < 2 * 1024**6
 
 
 def test_lambda_normalisation():

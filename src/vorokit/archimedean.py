@@ -1,10 +1,9 @@
-"""Archimedean local factors over ℝ and ℂ.
+"""Archimedean local factors at the real place.
 
 A representation of GL(n, ℝ) is described here by an ordered list of blocks,
 each either a character GL1Block(δ, t) of GL(1) with parity δ ∈ {0,1} or a
 two-dimensional discrete-series block DS2Block(l, t) with weight parameter
-l ≥ 1.  Over ℂ every block is a character [z]^l |z|^t of ℂ^×.  A unitary twist
-χ (sgn^{δ_χ} over ℝ, [·]^m over ℂ) is folded into the block data rather than
+l ≥ 1.  A sign twist χ = sgn^{δ_χ} is folded into the block data rather than
 materialised.
 
 Every factor is a product of the two archimedean Γ-functions
@@ -18,7 +17,6 @@ Every factor is a product of the two archimedean Γ-functions
     block                 piece (kind, t, a, k)
     GL1Block(δ, t)        (ℝ, t, δ', δ')            δ' = δ + δ_χ mod 2
     DS2Block(l, t)        (ℂ, t, l/2, l + 1)
-    ComplexBlock(t, l)    (ℂ, t, |l+m|/2, |l+m|)
 
 The contragredient π~ twisted by χ̄ has the same pieces with t negated
 (``contragredient_params`` builds its parameters for reference).  The
@@ -30,8 +28,7 @@ L-factors are formed as the exp of a sum of log Γ's, and ``gamma_factor``
 as the exp of the difference of the two logs, so γ stays finite at heights
 where both L-factors underflow.  ``log_mb_gamma`` evaluates log γ(1−s, ·) in a single stable expression for
 use on integration contours at large height, where the L-factors individually
-overflow double precision.  Its variable is the Mellin–Barnes variable
-``mb_scale``·s: s itself over ℝ, the doubled variable over ℂ.
+overflow double precision.
 
 All functions are pure; parameter objects are frozen and hashable.
 """
@@ -42,7 +39,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
 
 import numpy as np
 from scipy.special import loggamma
@@ -51,8 +47,6 @@ __all__ = [
     "GL1Block",
     "DS2Block",
     "RealPlaceParams",
-    "ComplexBlock",
-    "ComplexPlaceParams",
     "CharTwist",
     "PoleError",
     "l_factor",
@@ -77,7 +71,7 @@ class GL1Block:
     t: complex = 0.0
 
     def __post_init__(self) -> None:
-        if self.delta not in (0, 1):
+        if isinstance(self.delta, bool) or self.delta not in (0, 1):
             raise ValueError(f"GL1 parity must be 0 or 1, got {self.delta}")
 
 
@@ -87,15 +81,13 @@ class DS2Block:
     t: complex = 0.0
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.l, int) and self.l >= 1):
+        if isinstance(self.l, bool) or not (isinstance(self.l, int) and self.l >= 1):
             raise ValueError(f"discrete-series weight must be an integer >= 1, got {self.l}")
 
 
 @dataclass(frozen=True)
 class RealPlaceParams:
     blocks: tuple
-
-    mb_scale = 1  # the Mellin–Barnes variable is s itself
 
     def __post_init__(self) -> None:
         if not self.blocks:
@@ -116,40 +108,8 @@ class RealPlaceParams:
 
 
 @dataclass(frozen=True)
-class ComplexBlock:
-    t: complex = 0.0
-    l: int = 0
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.l, int):
-            raise ValueError(f"winding index must be an integer, got {self.l!r}")
-
-
-@dataclass(frozen=True)
-class ComplexPlaceParams:
-    blocks: tuple
-
-    mb_scale = 2  # the Mellin–Barnes variable is the doubled w = 2s
-
-    def __post_init__(self) -> None:
-        if not self.blocks:
-            raise ValueError("need at least one block")
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        for b in self.blocks:
-            if not isinstance(b, ComplexBlock):
-                raise TypeError(f"unexpected block {b!r}")
-
-    @property
-    def rank(self) -> int:
-        return len(self.blocks)
-
-
-PlaceParams = Union[RealPlaceParams, ComplexPlaceParams]
-
-
-@dataclass(frozen=True)
 class CharTwist:
-    """Unitary character twist: winding m ∈ ℤ over ℂ, parity δ ∈ {0,1} over ℝ."""
+    """Sign twist sgn^δ, parity δ ∈ {0,1}."""
 
     value: int = 0
 
@@ -173,10 +133,8 @@ _KINDS = {"R": (2, _LOG_PI, 0.0), "C": (1, _LOG_2PI, math.log(2.0))}
 
 
 @lru_cache(maxsize=256)
-def gamma_pieces(params: PlaceParams, twist: CharTwist) -> tuple:
+def gamma_pieces(params: RealPlaceParams, twist: CharTwist) -> tuple:
     """The Γ-pieces (kind, t, a, k) of π×χ, one per block, kind "R" or "C"."""
-    if isinstance(params, ComplexPlaceParams):
-        return tuple(("C", b.t, abs(b.l + twist.value) / 2, abs(b.l + twist.value)) for b in params.blocks)
     d = twist.value
     if d not in (0, 1):
         raise ValueError(f"real-place twist parity must be 0 or 1, got {d}")
@@ -201,7 +159,7 @@ def _log_l(pieces, s: complex) -> complex:
     return out
 
 
-def l_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
+def l_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> complex:
     """Product over blocks of the local L-factor at s, with the twist folded in."""
     return cmath.exp(_log_l(gamma_pieces(params, twist), s))
 
@@ -216,23 +174,20 @@ def _check_pole(block_index: int, gamma_arg: complex, s: complex, stride: int) -
         raise PoleError(block_index, s - stride * (gamma_arg - k), s)
 
 
-def epsilon_factor(params: PlaceParams, twist: CharTwist) -> complex:
+def epsilon_factor(params: RealPlaceParams, twist: CharTwist) -> complex:
     """The s-independent root of unity i^{Σk} for the twisted parameters."""
     return _I_POW[sum(k for *_, k in gamma_pieces(params, twist)) % 4]
 
 
-def contragredient_params(params: PlaceParams) -> PlaceParams:
-    """Parameters of the contragredient: negate every t (and l over ℂ)."""
-    if isinstance(params, RealPlaceParams):
-        blocks = tuple(
-            GL1Block(b.delta, -b.t) if isinstance(b, GL1Block) else DS2Block(b.l, -b.t)
-            for b in params.blocks
-        )
-        return RealPlaceParams(blocks)
-    return ComplexPlaceParams(tuple(ComplexBlock(-b.t, -b.l) for b in params.blocks))
+def contragredient_params(params: RealPlaceParams) -> RealPlaceParams:
+    """Parameters of the contragredient: negate every t."""
+    return RealPlaceParams(tuple(
+        GL1Block(b.delta, -b.t) if isinstance(b, GL1Block) else DS2Block(b.l, -b.t)
+        for b in params.blocks
+    ))
 
 
-def gamma_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
+def gamma_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> complex:
     """γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~×χ̄) / L(s, π×χ).
 
     The ratio is formed as exp(log L(1−s, π~×χ̄) − log L(s, π×χ)), so it stays
@@ -247,24 +202,22 @@ def gamma_factor(params: PlaceParams, twist: CharTwist, s: complex) -> complex:
 # ---- stable log form for contour integration -------------------------------
 
 
-def log_mb_gamma(params: PlaceParams, twist: CharTwist, s) -> np.ndarray:
+def log_mb_gamma(params: RealPlaceParams, twist: CharTwist, s) -> np.ndarray:
     """log γ(1−s, π×χ, ψ) as one combined expression, vectorised in s.
 
     This is the function whose inverse Mellin transform gives the Bessel
     function; combining the Γ-ratios and power factors inside a single log
     keeps the evaluation finite at contour heights where each L-factor alone
-    would overflow.  s is the Mellin–Barnes variable, so the γ-ratio is formed
-    at u = s / ``mb_scale`` (w/2 for the doubled variable w over ℂ), matching
-    the contour normalisation in :mod:`vorokit.contours`.
+    would overflow.
     """
     s = np.asarray(s, dtype=complex)
     out = np.zeros_like(s)
     phase = 0
     for kind, t, a, k in gamma_pieces(params, twist):
-        # log Γ_kind(u − t + a) − log Γ_kind(1 − u + t + a), f cancelling, written in
-        # v = u/h: (1/h − 2v + 2t/h)·log c + log Γ(v − t/h + a/h) − log Γ(1/h − v + t/h + a/h)
+        # log Γ_kind(s − t + a) − log Γ_kind(1 − s + t + a), f cancelling, written in
+        # v = s/h: (1/h − 2v + 2t/h)·log c + log Γ(v − t/h + a/h) − log Γ(1/h − v + t/h + a/h)
         h, log_c, _ = _KINDS[kind]
-        v, th, ah = s / (params.mb_scale * h), t / h, a / h
+        v, th, ah = s / h, t / h, a / h
         out = out + ((1 / h - 2 * v + 2 * th) * log_c + loggamma(v - th + ah) - loggamma(1 / h - v + th + ah))
         phase += k
     return out + cmath.log(_I_POW[phase % 4])

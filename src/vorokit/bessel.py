@@ -1,15 +1,11 @@
-"""Bessel functions of archimedean representations, and the kernels b·|x|^{1/2}.
+"""Bessel functions of real-place representations, and the kernels b·|x|^{1/2}.
 
-Over ℝ the Bessel function attached to (π, ψ) is the parity-summed inverse
-Mellin transform of the γ-factors,
+The Bessel function attached to (π, ψ) is the parity-summed inverse Mellin
+transform of the γ-factors,
 
     b(x) = (1/2) Σ_{δ∈{0,1}} (1/2πi) ∫_C γ(1−s, π×sgn^δ, ψ) |x|^{−s} (sgn x)^δ ds,
 
-taken along an admissible contour C from :mod:`vorokit.contours`.  Over ℂ the
-radial components are the analogous integrals in the doubled variable and the
-full function is their winding-number series
-
-    B(z) = (1/2π) Σ_m j_{t, l+m}(|z|) (z/|z|)^m.
+taken along an admissible contour C from :mod:`vorokit.contours`.
 
 Quadrature: the contour *object* is vertical-with-detour, but the integrand
 decays only polynomially along a vertical line, so the integral is evaluated
@@ -22,7 +18,7 @@ closed-form calibrations are enforced in the test suite.
 
 Evaluation is batched: many x share one path, with the γ-part of the
 integrand computed once per node and x^{−s} factored by panel (:class:`_BesselIntegrand`).
-Over ℝ, :func:`parity_batch` owns the parity fold, here and in :mod:`vorokit.hankel`.
+:func:`parity_batch` owns the parity fold, here and in :mod:`vorokit.hankel`.
 """
 
 from __future__ import annotations
@@ -36,21 +32,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .archimedean import (
-    CharTwist,
-    ComplexPlaceParams,
-    PlaceParams,
-    RealPlaceParams,
-    log_mb_gamma,
-)
+from .archimedean import CharTwist, RealPlaceParams, log_mb_gamma
 from .contours import Contour, build_contour
 from .params_io import atomic_write, params_from_dict, params_to_dict
-from .quadrature import ToleranceNotMet, adaptive_segment, magnitude_groups, panel_nodes, phase_tables, polyline_walk
+from .quadrature import (
+    ToleranceNotMet,
+    adaptive_segment,
+    magnitude_groups,
+    panel_nodes,
+    phase_tables,
+    polyline_walk,
+    tail_grid_ceil,
+)
 
 __all__ = [
     "parity_batch",
     "bessel_real_batch",
-    "bessel_complex",
     "kernel_table",
     "KernelTable",
     "ToleranceNotMet",
@@ -79,29 +76,25 @@ class _BesselIntegrand:
         return out
 
 
-def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
+def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
     """(1/2πi) ∫_C γ(1−s, π×χ, ψ) xeff^{−s} ds for a batch of xeff > 0.
 
-    s is the Mellin–Barnes variable sc·s₀ (sc = ``params.mb_scale``: 1 over ℝ,
-    2 over ℂ).  The γ-ratio has degree n_osc = sc·n in s₀, so by Stirling its
-    phase rate per unit of Im s₀ is ~ n_osc·log(|Im s₀|/2π) = n_osc·log(|t|/c0)
-    at t = Im s with c0 = 2π·sc; xeff^{−s} = (xeff^{sc})^{−s₀} adds
-    −flip_pow·log xeff with flip_pow = sc.  The stationary height is
-    c0·xeff^{flip_pow/n_osc} = 2π·sc·xeff^{1/n}.
+    The γ-ratio has degree n in s, so by Stirling its phase rate per unit of
+    Im s is ~ n·log(|t|/2π) at t = Im s; xeff^{−s} adds −log xeff.  The
+    stationary height is 2π·xeff^{1/n}.
     Returns (values, error_estimates) as arrays over the batch.
     """
-    sc = params.mb_scale
-    n_osc, c0, flip_pow = sc * params.rank, 2 * math.pi * sc, sc
+    n = params.rank
     lx = np.log(xeffs)
     lx_min, lx_max = float(lx.min()), float(lx.max())
-    t_flip = c0 * math.exp(flip_pow * lx_max / n_osc)
-    # on a multiple of 1/64, so the vertical panels' edges are exact and their h repeat
-    h_bend = math.ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0) * 64) / 64
+    t_flip = 2 * math.pi * math.exp(lx_max / n)
+    # on the tail grid, so the vertical panels' edges are exact and their h repeat
+    h_bend = tail_grid_ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0))
     integrand = _BesselIntegrand(params, twist, lx)
 
     def omega(t: float) -> float:
-        base = n_osc * math.log(max(abs(t), 1.0) / c0)
-        return max(abs(base - flip_pow * lx_min), abs(base - flip_pow * lx_max), 0.5)
+        base = n * math.log(max(abs(t), 1.0) / (2 * math.pi))
+        return max(abs(base - lx_min), abs(base - lx_max), 0.5)
 
     pts = contour.polyline(h_bend)
 
@@ -137,7 +130,7 @@ def _mb_batch(params: PlaceParams, twist: CharTwist, contour: Contour, xeffs: np
     return values, np.full(len(xeffs), achieved)
 
 
-# ---- real place ------------------------------------------------------------
+# ---- parity fold -----------------------------------------------------------
 
 
 def parity_batch(xs, ratio: float, deltas, component):
@@ -168,61 +161,12 @@ def bessel_real_batch(
     contour: Contour | None = None,
 ):
     """b(x) on a batch that may mix signs, each parity integral to tol/2.  Returns (values, errors)."""
-    if not isinstance(params, RealPlaceParams):
-        raise TypeError("bessel_real_batch needs real-place parameters")
     if contour is None:
         contour = build_contour(params, CharTwist(0))
     deltas = (0, 1) if params.parity_dependent else (0,)
     return parity_batch(
         xs, 4.0, deltas, lambda d, ax: _mb_batch(params, CharTwist(d), contour, ax, tol / 2.0)
     )
-
-
-# ---- complex place ---------------------------------------------------------
-
-
-def radial_component(params: ComplexPlaceParams, m: int, r: float, tol: float = 1e-10) -> complex:
-    """j_{t, l+m}(r): one winding component, as an integral in the doubled variable."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    twist = CharTwist(m)
-    vals, _ = _mb_batch(params, twist, build_contour(params, twist), np.array([r]), 2 * tol)
-    return 0.5 * complex(vals[0])
-
-
-def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float) -> complex:
-    """Bessel function over ℂ via the winding-number series.
-
-    Terms are added in increasing |m| until three consecutive |m|-levels fall
-    below tol/10 (and at least |m| ≥ 8 has been reached); the series raises
-    ToleranceNotMet if that has not happened by the cap m_max = ⌊4π|z|⌋ + 32,
-    which tracks the transition point |m| ≈ 4π|z| of the component
-    magnitudes.  Each component integral is evaluated to tol/(2·m_max+1).
-    """
-    if z == 0:
-        raise ValueError("z must be nonzero")
-    r = abs(z)
-    m_max = int(4 * math.pi * r) + 32
-    phase = z / r
-    per_term = tol / (2 * m_max + 1)
-    total = 0.0 + 0.0j
-    small_levels = 0
-    tail_est = 0.0
-    for level in range(0, m_max + 1):
-        ms = (0,) if level == 0 else (level, -level)
-        level_mag = 0.0
-        for m in ms:
-            j = radial_component(params, m, r, 2 * math.pi * per_term)
-            term = j * phase**m / (2 * math.pi)
-            total += term
-            level_mag = max(level_mag, abs(term))
-        small_levels = small_levels + 1 if level_mag < tol / 10.0 else 0
-        tail_est = 2 * level_mag
-        if small_levels >= 3 and level >= 8:
-            break
-    else:
-        raise ToleranceNotMet(tol, tail_est, f"winding series not stabilised by m_max={m_max}")
-    return total
 
 
 # ---- kernels and tables ----------------------------------------------------
@@ -232,7 +176,7 @@ def bessel_complex(params: ComplexPlaceParams, z: complex, tol: float) -> comple
 class KernelTable:
     """Kernel values on a signed grid, with the contour that produced them."""
 
-    params: PlaceParams
+    params: RealPlaceParams
     twist: CharTwist
     xs: tuple
     signs: tuple
@@ -302,8 +246,6 @@ def kernel_table(
     One batch evaluates every point; if it cannot meet `tol` its
     ToleranceNotMet propagates and no table is made.
     """
-    if not isinstance(params, RealPlaceParams):
-        raise TypeError("kernel tables are built for real-place parameters")
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")

@@ -6,20 +6,18 @@ vertical line Re s = σ′, and the detour (an axis-aligned rectangle bulge to
 the right) walks the path around any Γ-poles of the integrand that sit to the
 right of the asymptote.  Admissibility means
 
-  (1) σ′ < sc/2 + (Re Σ n_j t_j − 1)/n in the Mellin–Barnes variable
-      sc·s (sc = ``mb_scale``: 1 over ℝ, 2 over ℂ), with n_j the degree of
-      block j over the place's field and n = Σ n_j,
+  (1) σ′ < 1/2 + (Re Σ n_j t_j − 1)/n, with n_j the degree of block j
+      (1 for GL1, 2 for DS2) and n = Σ n_j,
   (2) every integrand pole lies strictly left of the path with clearance
       ≥ 0.1,
   (3) the path is the vertical line outside the node section.
 
 The integrand γ(1−s, π×χ, ψ) has the poles of L(s, π~×χ̄), so each Γ-piece
-(kind, t, a, k) of :mod:`vorokit.archimedean` contributes, in the variable
-sc·s,
+(kind, t, a, k) of :mod:`vorokit.archimedean` contributes
 
-  Γ_ℂ piece:  sc·(t − a − ℕ)
-  Γ_ℝ piece:  t − ℕ    (real place only: the union of t − a − 2ℕ over both
-                        parities a ∈ {0,1}, since one contour serves both)
+  Γ_ℂ piece:  t − a − ℕ
+  Γ_ℝ piece:  t − ℕ    (the union of t − a − 2ℕ over both parities
+                        a ∈ {0,1}, since one contour serves both)
 
 ``build_contour`` places the asymptote at the admissibility bound minus 1/4
 and bulges right of any poles within 1/4 of it, so all clearances are ≥ 1/4.
@@ -30,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .archimedean import CharTwist, PlaceParams, gamma_pieces
+from .archimedean import CharTwist, RealPlaceParams, gamma_pieces
 
 __all__ = ["Contour", "InfeasibleContour", "build_contour", "pole_starts", "check_admissible"]
 
@@ -47,8 +45,7 @@ class Contour:
     """Piecewise-linear Mellin–Barnes path, directed upward.
 
     ``nodes`` is the finite detour section (possibly empty); away from it the
-    path is the vertical line Re s = ``asymptote``.  For complex-place
-    parameters the path lives in the doubled variable.
+    path is the vertical line Re s = ``asymptote``.
     """
 
     asymptote: float
@@ -71,34 +68,31 @@ class Contour:
         return [complex(self.asymptote, -h), *self.nodes, complex(self.asymptote, h)]
 
 
-def pole_starts(params: PlaceParams, twist: CharTwist) -> list[tuple[complex, int]]:
-    """Rightmost pole and spacing, per Γ-piece: [(start, step), ...].
+def pole_starts(params: RealPlaceParams, twist: CharTwist) -> list[complex]:
+    """Rightmost pole per Γ-piece: [start, ...].
 
-    Poles of piece j are start_j − step_j·k, k = 0, 1, 2, …
+    Poles of piece j are start_j − k, k = 0, 1, 2, …
     """
-    sc = params.mb_scale
     # a Γ_ℝ piece takes t − ℕ, the poles of both parities, whatever its own a
-    return [(sc * (complex(t) - (0 if kind == "R" else a)), sc) for kind, t, a, _ in gamma_pieces(params, twist)]
+    return [complex(t) - (0 if kind == "R" else a) for kind, t, a, _ in gamma_pieces(params, twist)]
 
 
-def _asymptote_bound(params: PlaceParams) -> float:
-    sc = params.mb_scale
-    # n_j: 1 for a Γ_ℝ piece (GL1 over ℝ); 2 // sc for a Γ_ℂ piece (DS2 over ℝ, GL1 over ℂ)
+def _asymptote_bound(params: RealPlaceParams) -> float:
+    # n_j: 1 for a Γ_ℝ piece (GL1), 2 for a Γ_ℂ piece (DS2)
     pieces = gamma_pieces(params, CharTwist(0))
-    tsum = sum((1 if kind == "R" else 2 // sc) * complex(t).real for kind, t, _, _ in pieces)
-    return sc / 2 + (tsum - 1.0) / params.rank
+    tsum = sum((1 if kind == "R" else 2) * complex(t).real for kind, t, _, _ in pieces)
+    return 0.5 + (tsum - 1.0) / params.rank
 
 
 @lru_cache(maxsize=256)
-def build_contour(params: PlaceParams, twist: CharTwist = CharTwist(0)) -> Contour:
+def build_contour(params: RealPlaceParams, twist: CharTwist = CharTwist(0)) -> Contour:
     sigma = _asymptote_bound(params) - CLEARANCE
     bulged: list[complex] = []
-    for start, step in pole_starts(params, twist):
-        p = start
+    for p in pole_starts(params, twist):
         guard = 0
         while p.real > sigma - CLEARANCE:
             bulged.append(p)
-            p -= step
+            p -= 1
             guard += 1
             if guard > 1000:
                 raise InfeasibleContour(
@@ -130,7 +124,7 @@ def _dist_to_segment(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def check_admissible(contour: Contour, params: PlaceParams, twist: CharTwist = CharTwist(0)) -> None:
+def check_admissible(contour: Contour, params: RealPlaceParams, twist: CharTwist = CharTwist(0)) -> None:
     """Raise InfeasibleContour if any admissibility requirement fails."""
     bound = _asymptote_bound(params)
     if not contour.asymptote < bound:
@@ -139,8 +133,7 @@ def check_admissible(contour: Contour, params: PlaceParams, twist: CharTwist = C
         )
     rho = max((n.real for n in contour.nodes), default=contour.asymptote)
     det_span = contour.detour_height
-    for start, step in pole_starts(params, twist):
-        p = start
+    for p in pole_starts(params, twist):
         while p.real > contour.asymptote - 2 * CLEARANCE - 1.0:
             # strictly-left check at the pole's own height
             if contour.nodes and abs(p.imag) <= det_span:
@@ -152,4 +145,4 @@ def check_admissible(contour: Contour, params: PlaceParams, twist: CharTwist = C
             d = min(_dist_to_segment(p, a, b) for a, b in zip(pts, pts[1:]))
             if d < _MIN_CLEARANCE:
                 raise InfeasibleContour(f"pole {p} at distance {d:.3g} < {_MIN_CLEARANCE}")
-            p -= step
+            p -= 1

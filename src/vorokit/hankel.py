@@ -12,7 +12,7 @@ independent routes:
   on x, and on a panel with centre c and half-width h the x-power at the
   node s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}:
   one exponential per point per panel, times a table E_h that depends on
-  the panel only through h.  The tails start on a multiple of 1/64 and step
+  the panel only through h.  The tails start on the 1/64 tail grid and step
   on the ladder {2^k, 1.5·2^k}, so their half-widths, bisected ones
   included, are exact and repeat, and a memo of the last two tables
   (``quadrature.phase_tables``) serves almost every tail panel.  M_δ[w] at
@@ -99,6 +99,7 @@ from .quadrature import (
     phase_step,
     phase_tables,
     polyline_walk,
+    tail_grid_ceil,
 )
 
 __all__ = [
@@ -294,12 +295,9 @@ def _mellin_nodes(grids: _MellinGrids, delta: int, z0: complex, h: complex) -> n
 # ---- mellin route ----------------------------------------------------------
 
 _MAX_HEIGHT = 6000.0
-_TAIL_GRID = 64  # the tails start on a multiple of 1/_TAIL_GRID
 
 
-def _require_real_rank(params, n: int) -> None:
-    if not isinstance(params, RealPlaceParams):
-        raise TypeError("dual functions are computed for real-place parameters")
+def _require_rank(params, n: int) -> None:
     if params.rank != n:
         raise ValueError(f"rank mismatch: params have rank {params.rank}, n={n}")
 
@@ -339,8 +337,8 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
 
     The detour polyline up to height h0 is walked by :func:`polyline_walk`;
     the two vertical tails above it follow, panel after panel, until three
-    consecutive panels fall under the tail threshold.  h0 is rounded up to
-    a multiple of 1/64 and every tail step is put on the ladder
+    consecutive panels fall under the tail threshold.  h0 is rounded up onto
+    the tail grid (``quadrature.tail_grid_ceil``) and every tail step is put on the ladder
     {2^k, 1.5·2^k}: the largest rung within ``phase_step``, so a tail panel
     is never longer than the phase rate allows and at most 1.5 times
     shorter.  Every tail panel edge, bisected sub-panels' included, is then
@@ -360,7 +358,7 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
         return max(abs(base - lx_min), abs(base - lx_max), 0.5) + max(abs(va), abs(vb))
 
     sigma = contour.asymptote
-    h0 = math.ceil((contour.detour_height + 2.0) * _TAIL_GRID) / _TAIL_GRID
+    h0 = tail_grid_ceil(contour.detour_height + 2.0)
     total, err_total = polyline_walk(integrand, contour.polyline(h0), omega, tol_raw / 200.0)
 
     tail_bound = 0.0
@@ -428,7 +426,7 @@ def hankel_mellin_batch(
     ``grids_built`` (composite-rule grids, one per parity and rung) and
     ``tables_built``/``tables_reused`` (their phase tables).
     """
-    _require_real_rank(params, n)
+    _require_rank(params, n)
     counts = Counter() if counts is None else counts
     nu = 0.5 * (n - 1)
     deltas = _parities(params, w)
@@ -555,7 +553,7 @@ def hankel_convolution_batch(
     Kernel models come from ``cache``; a job that makes many batches passes
     one cache to all of them, and a batch given none builds its own.
     """
-    _require_real_rank(params, n)
+    _require_rank(params, n)
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
@@ -670,7 +668,7 @@ def local_fe_residual(
     report dict with one entry per (s, parity) and the maximum relative
     residual.
     """
-    _require_real_rank(params, n)
+    _require_rank(params, n)
     nu = 0.5 * (n - 1)
     s_list = [complex(s) for s in s_samples]
 
@@ -682,7 +680,7 @@ def local_fe_residual(
             rhs[(s, d)] = g * signed_mellin(w, d, 1.0 - s - nu, 1e-12)
 
     kappa = {
-        d: nu - max(st.real for st, _ in pole_starts(params, CharTwist(d))) for d in (0, 1)
+        d: nu - max(st.real for st in pole_starts(params, CharTwist(d))) for d in (0, 1)
     }
     re_z = [(s - nu).real for s in s_list]
     re_min, re_max = min(re_z), max(re_z)

@@ -31,6 +31,7 @@ pairings) take their nodes and weights from :func:`gauss_panels`.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -44,6 +45,7 @@ __all__ = [
     "adaptive_segment",
     "phase_step",
     "polyline_walk",
+    "tail_grid_ceil",
     "magnitude_groups",
     "ToleranceNotMet",
 ]
@@ -170,6 +172,18 @@ def phase_step(omega: float) -> float:
     return min(3.0, max(0.1, 14.0 / omega))
 
 
+_TAIL_GRID = 64  # contour tails start on a multiple of 1/_TAIL_GRID
+
+
+def tail_grid_ceil(height: float) -> float:
+    """The least multiple of 1/64 that is ≥ ``height``: where a contour's vertical tails start.
+
+    From there a vertical piece's panel edges are exact in binary, so
+    :func:`polyline_walk`'s clamped panels and their bisections repeat h exactly.
+    """
+    return math.ceil(height * _TAIL_GRID) / _TAIL_GRID
+
+
 def polyline_walk(f, pts, omega, tol: float):
     """∫ f(c, h) along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
 
@@ -177,7 +191,7 @@ def polyline_walk(f, pts, omega, tol: float):
     t the imaginary part at the panel's start, and each panel is integrated
     by :func:`adaptive_segment` to ``tol``, down to sub-panels 2^-12 of its
     length.  Edges sit at a + u·pos, u = (b − a)/|b − a|, the last at b: exact
-    on a vertical piece from a multiple of 1/64, where clamped panels share h.
+    on a vertical piece from :func:`tail_grid_ceil`, where clamped panels share h.
     Returns (integral, summed error estimates).
     """
     total, err_total = 0.0, 0.0

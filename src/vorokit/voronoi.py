@@ -179,15 +179,20 @@ def tau_coefficients(N: int) -> DirichletCoeffs:
 
 
 def coeffs_from_file(path) -> DirichletCoeffs:
-    """Read `n,lambda_re,lambda_im` rows (header optional, any order of n)."""
+    """Read `n,lambda_re,lambda_im` rows (header optional, any order of n, each n once)."""
     rows = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.lower().startswith("n,"):
                 continue
             parts = line.split(",")
-            rows[int(parts[0])] = complex(float(parts[1]), float(parts[2]))
+            if len(parts) != 3:
+                raise ValueError(f"{path} line {lineno}: expected n,lambda_re,lambda_im, got {line!r}")
+            n = int(parts[0])
+            if n in rows:
+                raise ValueError(f"{path} line {lineno}: n = {n} repeats an earlier row")
+            rows[n] = complex(float(parts[1]), float(parts[2]))
     if not rows or min(rows) != 1 or max(rows) != len(rows):
         raise ValueError("coefficient file must cover n = 1..N contiguously")
     values = np.array([rows[i] for i in range(1, len(rows) + 1)], dtype=complex)
@@ -198,10 +203,13 @@ def multiplicativity_check(coeffs: DirichletCoeffs, pairs: int = 20, seed: int =
     """Largest deviation |λ(mn) − λ(m)λ(n)| over random coprime pairs.
 
     Exactly zero for the integer-backed table (the check is then done on the
-    integers themselves); small-but-nonzero for rounded file input.
+    integers themselves); small-but-nonzero for rounded file input.  A table
+    with N < 6 holds no coprime pair m, n ≥ 2 with mn ≤ N and raises ValueError.
     """
     import random
 
+    if coeffs.n < 6:
+        raise ValueError(f"a multiplicativity check needs N >= 6 coefficients, got N = {coeffs.n}")
     rng = random.Random(seed)
     worst = 0.0
     for _ in range(pairs):

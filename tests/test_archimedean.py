@@ -7,8 +7,6 @@ import pytest
 
 from vorokit.archimedean import (
     CharTwist,
-    ComplexBlock,
-    ComplexPlaceParams,
     DS2Block,
     GL1Block,
     PoleError,
@@ -30,11 +28,6 @@ def test_l_factor_gl1_trivial_at_one():
     assert l_factor(p, T0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_l_factor_complex_trivial_at_one():
-    p = ComplexPlaceParams((ComplexBlock(0.0, 0),))
-    assert l_factor(p, T0, 1.0) == pytest.approx(2 / (2 * math.pi), abs=1e-12)
-
-
 def test_l_factor_ds2_weight11():
     p = RealPlaceParams((DS2Block(11, 0.0),))
     want = 2 * (2 * math.pi) ** -6.0 * math.factorial(5)
@@ -43,17 +36,13 @@ def test_l_factor_ds2_weight11():
 
 
 def test_epsilon_factors():
-    assert epsilon_factor(ComplexPlaceParams((ComplexBlock(0, 0), ComplexBlock(0, 0))), T0) == 1
-    assert epsilon_factor(ComplexPlaceParams((ComplexBlock(0, 3),)), T0) == -1j
     assert epsilon_factor(RealPlaceParams((DS2Block(11),)), T0) == 1
     # twists shift the exponents
-    assert epsilon_factor(ComplexPlaceParams((ComplexBlock(0, 3),)), CharTwist(-3)) == 1
     assert epsilon_factor(RealPlaceParams((GL1Block(0),)), CharTwist(1)) == 1j
 
 
 def test_gamma_factor_symmetric_points():
     for p in (
-        ComplexPlaceParams((ComplexBlock(0, 0),)),
         RealPlaceParams((GL1Block(0),)),
         RealPlaceParams((DS2Block(11),)),
     ):
@@ -61,9 +50,6 @@ def test_gamma_factor_symmetric_points():
 
 
 def test_contragredient():
-    c = ComplexPlaceParams((ComplexBlock(0.3 + 2j, 5),))
-    cd = contragredient_params(c)
-    assert cd.blocks[0].t == -(0.3 + 2j) and cd.blocks[0].l == -5
     r = RealPlaceParams((DS2Block(11, 0.0),))
     assert contragredient_params(r) == r
 
@@ -72,14 +58,11 @@ def test_gamma_pieces_table():
     r = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
     assert gamma_pieces(r, CharTwist(0)) == (("R", 0.2, 1, 1), ("C", -0.1 + 0.3j, 2.0, 5))
     assert gamma_pieces(r, CharTwist(1)) == (("R", 0.2, 0, 0), ("C", -0.1 + 0.3j, 2.0, 5))
-    c = ComplexPlaceParams((ComplexBlock(0.1, 2), ComplexBlock(-0.1, -1)))
-    assert gamma_pieces(c, CharTwist(-3)) == (("C", 0.1, 0.5, 1), ("C", -0.1, 2.0, 4))
     with pytest.raises(ValueError):
         gamma_pieces(r, CharTwist(2))
     # the contragredient with the conjugate twist: the same pieces with t negated
-    for params, tw, ctw in ((r, CharTwist(1), CharTwist(1)), (c, CharTwist(-3), CharTwist(3))):
-        negated = tuple((kind, -t, a, k) for kind, t, a, k in gamma_pieces(params, tw))
-        assert gamma_pieces(contragredient_params(params), ctw) == negated
+    negated = tuple((kind, -t, a, k) for kind, t, a, k in gamma_pieces(r, CharTwist(1)))
+    assert gamma_pieces(contragredient_params(r), CharTwist(1)) == negated
 
 
 def test_gamma_recurrence_random_s():
@@ -112,7 +95,6 @@ def test_gamma_l_consistency_random_s():
     cases = [
         RealPlaceParams((GL1Block(0, 0.1), GL1Block(1, -0.2))),
         RealPlaceParams((DS2Block(3, 0.25),)),
-        ComplexPlaceParams((ComplexBlock(0.1, 2), ComplexBlock(-0.1, -1))),
     ]
     for params in cases:
         for tw in (CharTwist(0), CharTwist(1)):
@@ -121,16 +103,8 @@ def test_gamma_l_consistency_random_s():
                 g = gamma_factor(params, tw, s)
                 lhs = g * l_factor(params, tw, s)
                 dual = contragredient_params(params)
-                ctw = tw if isinstance(params, RealPlaceParams) else CharTwist(-tw.value)
-                rhs = epsilon_factor(params, tw) * l_factor(dual, ctw, 1 - s)
+                rhs = epsilon_factor(params, tw) * l_factor(dual, tw, 1 - s)
                 assert lhs == pytest.approx(rhs, rel=1e-11)
-
-
-def test_epsilon_modulus_one():
-    rng = random.Random(3)
-    for _ in range(10):
-        blocks = tuple(ComplexBlock(0.0, rng.randint(-9, 9)) for _ in range(rng.randint(1, 4)))
-        assert abs(epsilon_factor(ComplexPlaceParams(blocks), CharTwist(rng.randint(-3, 3)))) == 1.0
 
 
 def test_pole_error_reports_block_and_location():
@@ -154,12 +128,6 @@ def test_log_mb_gamma_matches_gamma_factor():
             got = np.exp(log_mb_gamma(params, tw, s))
             want = gamma_factor(params, tw, 1 - s)
             assert got == pytest.approx(want, rel=1e-10)
-    # complex place: the log form lives in the doubled variable w = 2s
-    cp = ComplexPlaceParams((ComplexBlock(0.2, 1),))
-    for w in (0.3 + 1.1j, -0.4 + 3.0j):
-        got = np.exp(log_mb_gamma(cp, CharTwist(2), w))
-        want = gamma_factor(cp, CharTwist(2), 1 - w / 2)
-        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_twist_folding_matches_materialized_params():
@@ -168,8 +136,3 @@ def test_twist_folding_matches_materialized_params():
     q = RealPlaceParams((GL1Block(1, 0.3),))
     for s in (0.7, 1.3 + 0.5j):
         assert l_factor(p, CharTwist(1), s) == pytest.approx(l_factor(q, T0, s), rel=1e-13)
-    # over ℂ the twist shifts the winding index
-    c = ComplexPlaceParams((ComplexBlock(0.1, 2),))
-    c5 = ComplexPlaceParams((ComplexBlock(0.1, 7),))
-    for s in (0.7, 1.3 + 0.5j):
-        assert l_factor(c, CharTwist(5), s) == pytest.approx(l_factor(c5, T0, s), rel=1e-13)

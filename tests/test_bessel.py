@@ -13,8 +13,6 @@ from scipy.special import jv
 from vorokit import bessel, contours, quadrature
 from vorokit.archimedean import (
     CharTwist,
-    ComplexBlock,
-    ComplexPlaceParams,
     DS2Block,
     GL1Block,
     RealPlaceParams,
@@ -22,7 +20,6 @@ from vorokit.archimedean import (
 )
 from vorokit.bessel import (
     KernelTable,
-    bessel_complex,
     bessel_real_batch,
     kernel_table,
     parity_batch,
@@ -32,7 +29,6 @@ from vorokit.quadrature import panel_nodes
 
 GL1R = RealPlaceParams((GL1Block(0, 0.0),))
 DS11 = RealPlaceParams((DS2Block(11, 0.0),))
-GL1C = ComplexPlaceParams((ComplexBlock(0.0, 0),))
 
 
 def b_at(params, x, tol=1e-10, contour=None):
@@ -59,23 +55,12 @@ def test_build_contour_gl1_detours_around_origin():
     check_admissible(c, GL1R)
 
 
-def test_build_contour_complex_bound():
-    c = build_contour(GL1C)
-    assert c.asymptote < 0  # doubled-variable bound for (t, l) = (0, 0)
-    check_admissible(c, GL1C)
-
-
 def test_pole_data_of_twisted_pieces():
-    # ℂ (t, l) = (0.1, 2) by [·]^{−3}: Γ_ℂ(s − 0.1 + 1/2), poles w = 2(0.1 − 1/2 − k); bound 1 + (0.1 − 1)/1
-    c = ComplexPlaceParams((ComplexBlock(0.1, 2),))
-    (start, step), = contours.pole_starts(c, CharTwist(-3))
-    assert start == pytest.approx(-0.8, abs=1e-15) and step == 2
-    assert contours._asymptote_bound(c) == pytest.approx(0.1, abs=1e-15)
-    # ℝ GL1(1, 0.2) + DS2(4, −0.1+0.3j) by sgn: both parities 0.2 − ℕ, and −0.1+0.3j − 2 − ℕ;
+    # GL1(1, 0.2) + DS2(4, −0.1+0.3j) by sgn: both parities 0.2 − ℕ, and −0.1+0.3j − 2 − ℕ;
     # bound 1/2 + (0.2 + 2·(−0.1) − 1)/3
     r = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
-    (s1, k1), (s2, k2) = contours.pole_starts(r, CharTwist(1))
-    assert (s1, k1, k2) == (0.2, 1, 1)
+    s1, s2 = contours.pole_starts(r, CharTwist(1))
+    assert s1 == 0.2
     assert s2 == pytest.approx(-2.1 + 0.3j, abs=1e-15)
     assert contours._asymptote_bound(r) == pytest.approx(1 / 6, abs=1e-15)
 
@@ -105,14 +90,8 @@ def test_real_place_contour_serves_both_parities(params):
 
 
 def test_twisted_contours_admissible():
-    # a twisted real-place contour, and the complex place's one per winding m
     pair = RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))
     check_admissible(build_contour(pair, CharTwist(1)), pair, CharTwist(1))
-    for m in range(-3, 4):
-        check_admissible(build_contour(GL1C, CharTwist(m)), GL1C, CharTwist(m))
-    # the m = 1 path has no detour, so it passes right of the untwisted pole at w = 0
-    with pytest.raises(InfeasibleContour):
-        check_admissible(build_contour(GL1C, CharTwist(1)), GL1C)
 
 
 def test_inadmissible_contours_rejected():
@@ -280,43 +259,16 @@ def test_bessel_batch_reuses_phase_tables(monkeypatch):
     assert reused >= 2 * built > 0
 
 
-# ---- complex place ---------------------------------------------------------
-
-
-def test_gl1_complex_plane_wave_oracle():
-    # trace-character calibration: B(z) = exp(2πi(z + z̄))
-    for z in (0.5 + 0.3j, 0.25, 0.17 - 0.4j):
-        want = cmath.exp(2j * math.pi * (z + z.conjugate()))
-        got = bessel_complex(GL1C, z, tol=1e-9)
-        assert got == pytest.approx(want, abs=3e-8)
-    z = complex(0.25, 0.31)  # z + z̄ = 1/2
-    assert bessel_complex(GL1C, z, tol=1e-9) == pytest.approx(-1.0, abs=3e-8)
-
-
-def test_complex_conjugation_symmetry():
-    p = ComplexPlaceParams((ComplexBlock(0.0, 2),))
-    pm = ComplexPlaceParams((ComplexBlock(0.0, -2),))
-    z = 0.4 + 0.22j
-    a = bessel_complex(p, z, tol=1e-9)
-    b = bessel_complex(pm, z.conjugate(), tol=1e-9)
-    assert a == pytest.approx(b, abs=1e-7)
-
-
 # ---- kernels ---------------------------------------------------------------
 
 
 def test_kernel_eval_identities():
-    # k(x) = b(x)·|x|^{1/2}: over ℝ the kernel table's values, over ℂ b(z)·|z|,
-    # since |z|_ℂ^{1/2} = |z|, checked against the plane wave e^{2πi(z+z̄)}·|z|
+    # k(x) = b(x)·|x|^{1/2}: the kernel table's values
     assert kernel_table(GL1R, [4.0], tol=1e-9).values[0] == pytest.approx(2.0, abs=1e-8)
     x = 2.3
     assert kernel_table(DS11, [x], tol=1e-10).values[0] == pytest.approx(
         b_at(DS11, x, tol=1e-10) * math.sqrt(x), abs=1e-12
     )
-    z = complex(0.25, 0.31) * (2 / abs(complex(0.25, 0.31)))  # |z| = 2, z+z̄ arbitrary
-    got = bessel_complex(GL1C, z, tol=1e-8) * abs(z)
-    want = cmath.exp(2j * math.pi * (z + z.conjugate())) * abs(z)
-    assert got == pytest.approx(want, abs=6e-8)  # the plane-wave oracle's 3e-8, times |z|
 
 
 # ---- the parity fold ---------------------------------------------------------

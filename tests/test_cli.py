@@ -230,6 +230,38 @@ def test_malformed_config_exits_2(capsys, tmp_path):
     assert "object" in err
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [
+        '{"place":"real","blocks":[5]}',  # a block that is not a JSON object
+        '{"place":"complex","blocks":[{"t":[0.0,0.0],"l":0}]}',  # real place only
+        '{"place":"real","blocks":[{"kind":"ds2","l":true}]}',  # a JSON boolean is no weight
+    ],
+    ids=["non-object-block", "complex-place", "boolean-weight"],
+)
+def test_malformed_blocks_exit_2(capsys, blocks):
+    code, _, err = run(capsys, ["gamma", "--blocks", blocks, "--s-list", "0.5"])
+    assert code == 2
+    assert "config error" in err
+
+
+@pytest.mark.parametrize(
+    "rows,why",
+    [
+        ("1,1.0,0.0\n2,0.5\n", "line 3: expected n,lambda_re,lambda_im"),  # too few fields
+        ("1,1.0,0.0\n2,0.5,0.0,9\n", "line 3: expected n,lambda_re,lambda_im"),  # too many
+        ("1,1.0,0.0\n2,0.5,0.0\n2,0.25,0.0\n", "line 4: n = 2 repeats"),
+    ],
+    ids=["short-row", "long-row", "repeated-n"],
+)
+def test_malformed_coeffs_file_exits_2(capsys, tmp_path, rows, why):
+    path = tmp_path / "coeffs.csv"
+    path.write_text("n,lambda_re,lambda_im\n" + rows)
+    code, _, err = run(capsys, ["voronoi-verify", "--zeta", "0", "--support", "1,8", "--coeffs", str(path)])
+    assert code == 2
+    assert why in err
+
+
 # ---- determinism ------------------------------------------------------------
 
 

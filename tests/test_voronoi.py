@@ -132,6 +132,14 @@ def test_multiplicativity_check_exact():
     assert multiplicativity_check(CO, pairs=40, seed=7) == 0.0
 
 
+def test_multiplicativity_check_needs_a_coprime_pair():
+    # below N = 6 no coprime m, n ≥ 2 has mn ≤ N, so no pair could ever be drawn
+    for n in (1, 5):
+        with pytest.raises(ValueError, match="N >= 6"):
+            multiplicativity_check(tau_coefficients(n))
+    assert multiplicativity_check(tau_coefficients(6)) == 0.0
+
+
 def test_coeffs_file_roundtrip(tmp_path):
     path = tmp_path / "coeffs.csv"
     small = tau_coefficients(12)

@@ -61,19 +61,20 @@ class _BesselIntegrand:
     """γ(1−s, π×χ, ψ)·xeff^{−s} on one G10/K21 panel, batched over lx = log xeff.
 
     With lg = log γ(1−s) at the nodes c + h·ξ_l and lg_10 at the centre ξ = 0,
-    it is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10}, E_h from ``phase`` and
-    P_j = e^{lg_10 − c·lx_j}.  No factor exceeds the centre value or the
-    variation across the panel, so none overflows where xeff^{−s} alone would.
+    the value at node l and point j is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10},
+    E_h from ``phase`` and P_j = e^{lg_10 − c·lx_j}.  No factor exceeds the
+    centre value or the variation across the panel, so none overflows where
+    xeff^{−s} alone would.  A call f(c, h, W) returns W @ values as
+    ((W·G) @ E_h)·P: the weight rows meet G before the table, so no
+    21 × len(lx) product is formed.
     """
 
     def __init__(self, params, twist, lx):
         self.params, self.twist, self.lx, self.phase = params, twist, lx, phase_tables(lx)
 
-    def __call__(self, c, h) -> np.ndarray:
+    def __call__(self, c, h, W) -> np.ndarray:
         lg = log_mb_gamma(self.params, self.twist, panel_nodes(c, h))
-        out = self.phase(h) * np.exp(lg - lg[10])[:, None]
-        out *= np.exp(lg[10] - c * self.lx)
-        return out
+        return ((W * np.exp(lg - lg[10])) @ self.phase(h)) * np.exp(lg[10] - c * self.lx)
 
 
 def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):

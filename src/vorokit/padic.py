@@ -46,7 +46,6 @@ __all__ = [
     "whittaker_general",
     "ramified_transform_gl2",
     "kloosterman_gl3",
-    "kloosterman_gl2_literal",
 ]
 
 
@@ -777,24 +776,3 @@ def kloosterman_gl3(
         "shell_depth": shell_depth,
         "shells": {jj: [t.describe() for t in ts] for jj, ts in shells.items()},
     }
-
-
-def kloosterman_gl2_literal(alpha, zeta_p, sp: SatakeParams) -> WhittakerValue:
-    """The rank-2 shadow of the shell sum, taken at face value.
-
-    The block matrix degenerates to [[0, −ζ], [−α/ζ, 0]] with no unipotent
-    direction left to integrate, and |ζ|^{n−2} = 1 — so the result is a single
-    dual Whittaker value that depends on α only through its valuation.  Kept
-    as a separate entry point precisely because it does *not* reduce to
-    :func:`ramified_transform_gl2`, which does see the numerator of α.
-    """
-    if sp.n != 2:
-        raise ValueError("rank-2 Satake data required")
-    alpha = Fraction(alpha)
-    zeta = Fraction(zeta_p)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    if not v_p(zeta, sp.q) < 0:
-        raise ValueError("|ζ|_p must exceed 1")
-    mat = PAdicMat(sp.q, ((0, -zeta), (-alpha / zeta, 0)))
-    return whittaker_general(contragredient_satake(sp), mat)

@@ -8,13 +8,18 @@ Error control is absolute; for a batch it is the max-norm across the batch.
 costs one call of f on the 21 nodes of the Gauss–Kronrod pair G10/K21
 (QUADPACK's qk21, Piessens et al. 1983): the 21-point Kronrod rule K and the
 10-point Gauss rule G embedded in it share those nodes.  The integrand is
-handed the panel, not its nodes: f(c, h) with c the panel's centre and h its
-complex half-width returns the values at the nodes c + h·ξ_l (ξ_l the
-ascending K21 abscissae on [−1, 1]) as ndarray[21] or ndarray[21, B].  An
-integrand that needs only the nodes forms them with :func:`panel_nodes`; one
-whose x-power x^{−s} splits as e^{−c·log x}·e^{−h·ξ_l·log x} takes the second
-factor from :func:`phase_tables`, one table per repeated half-width, as the
-Bessel batch and the Mellin route both do.  A panel is accepted
+handed the panel and the weights, not the nodes: f(c, h, W) gets the panel's
+centre c, its complex half-width h and W, the K21 and G10 weight rows stacked
+(2 × 21).  It returns W @ values, the values at the nodes c + h·ξ_l (ξ_l the
+ascending K21 abscissae on [−1, 1]) being ndarray[21] or ndarray[21, B]; so
+it returns ndarray[2] or ndarray[2, B], the K and G sums before the factor h.
+An integrand that needs only the nodes forms them with :func:`panel_nodes`
+and returns W @ f(nodes).  One whose x-power x^{−s} splits as
+e^{−c·log x}·e^{−h·ξ_l·log x} takes the second factor E_h from
+:func:`phase_tables`, one table per repeated half-width, and contracts W
+with its x-free factor G first: ((W·G) @ E_h)·P gives the two rows per point
+and never forms the 21 × B node table.  The Bessel batch and the Mellin
+route both do so.  Only this module names the weight rows.  A panel is accepted
 when the raw difference |K − G| is within its tolerance and bisected
 otherwise; the value kept is K.  |K − G| estimates the error of G, the
 lower-order rule, so where f is smooth on the panel it overstates the error
@@ -110,6 +115,7 @@ def _mirror(half, sign: float = 1.0):
 _GK_X = _mirror(_XGK, -1.0)
 _GK_WK = _mirror(_WGK)
 _GK_WG = _mirror([0.0, _WG[0], 0.0, _WG[1], 0.0, _WG[2], 0.0, _WG[3], 0.0, _WG[4], 0.0])
+_GK_W = np.stack([_GK_WK, _GK_WG])  # the W handed to every panel integrand
 
 
 @lru_cache(maxsize=8)
@@ -142,24 +148,25 @@ def phase_tables(lx: np.ndarray):
 
 
 def adaptive_segment(f, a: complex, b: complex, tol: float, max_depth: int = 13):
-    """Adaptive G10/K21 quadrature of f(c, h) on a→b.  Returns (integral, error_estimate).
+    """Adaptive G10/K21 quadrature on a→b.  Returns (integral, error_estimate).
 
-    The panel a→b is accepted when |K − G| ≤ tol (max over the batch) and
-    bisected otherwise, each half to 0.6·tol, down to panels of length
-    |b − a|/2^(max_depth+1); a panel that short is accepted whatever its
-    estimate.  The integral is the sum of K over the accepted panels and the
-    error estimate the sum of their |K − G|: G's error, which for f smooth
-    on the panels overstates that of the returned value.
+    f(c, h, W) returns W @ values at the panel's 21 nodes: with W the stacked
+    (2 × 21) K21 and G10 weight rows, its two rows are the panel's K and G
+    sums before the factor h.  The panel a→b is accepted when |K − G| ≤ tol
+    (max over the batch) and bisected otherwise, each half to 0.6·tol, down
+    to panels of length |b − a|/2^(max_depth+1); a panel that short is
+    accepted whatever its estimate.  The integral is the sum of K over the
+    accepted panels and the error estimate the sum of their |K − G|: G's
+    error, which for f smooth on the panels overstates that of the returned
+    value.
     """
     return _adapt(f, a, b, tol, max_depth + 1)
 
 
 def _adapt(f, a, b, tol, depth):
     c, h = 0.5 * (a + b), 0.5 * (b - a)
-    vals = f(c, h)
-    kronrod = h * (_GK_WK @ vals)
-    err = float(np.max(np.abs(kronrod - h * (_GK_WG @ vals))))
-    del vals  # not held while the halves below are integrated
+    kronrod, gauss = h * f(c, h, _GK_W)
+    err = float(np.max(np.abs(kronrod - gauss)))
     if err <= tol or depth <= 0:
         return kronrod, err
     lv, le = _adapt(f, a, c, 0.6 * tol, depth - 1)
@@ -185,7 +192,9 @@ def tail_grid_ceil(height: float) -> float:
 
 
 def polyline_walk(f, pts, omega, tol: float):
-    """∫ f(c, h) along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
+    """∫ f along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
+
+    f is a panel integrand f(c, h, W) → W @ values, as :func:`adaptive_segment` takes it.
 
     Each straight piece a→b is cut into panels of length ``phase_step(omega(t))``,
     t the imaginary part at the panel's start, and each panel is integrated

@@ -84,9 +84,9 @@ def test_signed_mellin_linearity():
 
 def _fourier_oracle(w, x):
     # n=1 trivial parameters: w̃(x) = ∫ e^{2πi x t} w(t) dt, directly
-    def f(c, h):
+    def f(c, h, W):
         t = panel_nodes(c, h).real
-        return np.exp(2j * math.pi * x * t) * w(t)
+        return W @ (np.exp(2j * math.pi * x * t) * w(t))
 
     val, _ = adaptive_segment(f, complex(w.a), complex(w.b), 1e-12)
     return val
@@ -195,7 +195,7 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
         (complex(sigma + 0.3, t), 0.4 + 0.1j, (2, 1)),
     ]
     for c, h, counts in panels:
-        got = f(c, h)
+        got = f(c, h, np.eye(21))  # W = I: the values at every node
         assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         s = panel_nodes(c, h)
         logg = log_mb_gamma(DS2_11, CharTwist(delta), s)

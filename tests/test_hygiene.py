@@ -2,7 +2,7 @@
 parameter has a default that every caller leaves alone, only named test hooks
 have a default that only tests pass, no function has a return-shape flag,
 one writer owns every file write and one owner each the phase tables, the
-Chebyshev evaluation and the dual-sum policy.
+quadrature weight rows, the Chebyshev evaluation and the dual-sum policy.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -24,6 +24,11 @@ Phase tables: outside ``quadrature.py`` no ``np.exp`` takes an ``np.outer``
 of the K21 panel nodes (a ``panel_nodes(...)`` call, or a name bound to one),
 so ``quadrature.phase_tables`` is the one place a table exp(−h·ξ ⊗ lx) or an
 unfactored x^{−s} on the panel nodes is formed.
+
+Weight rows: outside ``quadrature.py`` nothing in ``src/vorokit`` names the
+G10/K21 weight rows ``_GK_WK``, ``_GK_WG`` or their stack ``_GK_W`` (as a
+name, an attribute, an imported name or a string), so every panel integrand
+takes its weights as the W that ``quadrature.adaptive_segment`` hands it.
 
 Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
 ``src/vorokit`` sits outside ``hankel._KernelModel.table``, so the kernel
@@ -361,6 +366,46 @@ def test_phase_tables_have_one_owner():
     ]
     assert (ROOT / "src" / "vorokit" / "quadrature.py") in SRC
     assert not found, "phase tables formed outside quadrature.phase_tables:\n" + "\n".join(found)
+
+
+_WEIGHT_ROWS = frozenset({"_GK_WK", "_GK_WG", "_GK_W"})
+
+
+def weight_row_names(source: str) -> list[int]:
+    """Lines that name a G10/K21 weight row, by name, attribute, import or string."""
+    found = set()
+    for n in ast.walk(ast.parse(source)):
+        name = (
+            n.id if isinstance(n, ast.Name)
+            else n.attr if isinstance(n, ast.Attribute)
+            else n.name if isinstance(n, ast.alias)
+            else n.value if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            else None
+        )
+        if name in _WEIGHT_ROWS:
+            found.add(n.lineno)
+    return sorted(found)
+
+
+def test_scanner_flags_weight_row_names():
+    src = (
+        "from .quadrature import _GK_WK as wk, panel_nodes\n"
+        "from . import quadrature\n"
+        "def f(c, h, W):\n"
+        "    vals = panel_nodes(c, h)\n"
+        "    k = quadrature._GK_WG @ vals\n"
+        "    return W @ vals, _GK_W, getattr(quadrature, '_GK_WK'), wk\n"
+        "GK_W = _GK_WGS = '_GK_W2'\n"
+    )
+    assert weight_row_names(src) == [1, 5, 6]
+
+
+def test_weight_rows_have_one_owner():
+    found = [
+        f"{p.relative_to(ROOT)}:{line}" for p in SRC if p.name != "quadrature.py" for line in weight_row_names(p.read_text())
+    ]
+    assert weight_row_names((ROOT / "src" / "vorokit" / "quadrature.py").read_text())
+    assert not found, "G10/K21 weight rows named outside quadrature.py:\n" + "\n".join(found)
 
 
 def chebyshev_evaluations(source: str) -> list[tuple[str, int]]:

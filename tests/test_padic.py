@@ -18,7 +18,6 @@ from vorokit.padic import (
     complete_homogeneous,
     contragredient_satake,
     iwasawa,
-    kloosterman_gl2_literal,
     kloosterman_gl3,
     local_l_series_check,
     padic_fractional_part,
@@ -457,13 +456,10 @@ def test_kloosterman_guards():
         kloosterman_gl3(0, F(1, 5), SP3_RANK3)
 
 
-def test_rank2_literal_shell_sum_is_numerator_blind():
-    # the degenerate rank-2 reading of the shell sum cannot see the numerator
-    # of α, unlike the ramified transform — the two are intentionally separate
+def test_ramified_transform_sees_the_alpha_numerator():
+    # the ramified transform depends on the numerator of α, not on its valuation alone
     sp = satake_from_eigenvalue(5, F(1, 2))
     zeta = F(1, 5)
-    literal = [kloosterman_gl2_literal(F(a, 25), zeta, sp) for a in (1, 2, 3)]
-    assert literal[0] == literal[1] == literal[2]
     transforms = [ramified_transform_gl2(sp, zeta, F(a, 25)) for a in (1, 2, 3)]
     assert transforms[0] != transforms[1]
     assert {t.turns for t in transforms} == {F(1, 5), F(2, 5), F(3, 5)}

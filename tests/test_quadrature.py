@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from vorokit.quadrature import (
+    _GK_W,
     _GK_WG,
     _GK_WK,
     _GK_X,
@@ -30,14 +31,25 @@ def _greedy_groups(ax, ratio):
     return [np.array(g) for g in groups]
 
 
-def _gk_refine(f, a, b, tol, max_depth):
-    # G10/K21 bisection that stops at panels of length (b - a)/2^(max_depth+1)
+def _stacked(vals):
+    return _GK_W @ vals
+
+
+def _separate(vals):
+    # the contraction before the integrands took the weights: one row at a time
+    return _GK_WK @ vals, _GK_WG @ vals
+
+
+def _gk_refine(f, a, b, tol, max_depth, contract=_stacked, panels=None):
+    # G10/K21 bisection of the node values f(c, h) that stops at panels of length
+    # (b - a)/2^(max_depth+1); ``panels`` collects every panel's centre
     finest = max_depth + 1
 
     def refine(pa, pb, ptol, level):
         c, h = 0.5 * (pa + pb), 0.5 * (pb - pa)
-        vals = f(c, h)
-        k, g = h * (_GK_WK @ vals), h * (_GK_WG @ vals)
+        if panels is not None:
+            panels.append(c)
+        k, g = h * np.asarray(contract(f(c, h)))
         err = float(np.max(np.abs(k - g)))
         if err <= ptol or level == finest:
             return k, err
@@ -46,6 +58,11 @@ def _gk_refine(f, a, b, tol, max_depth):
         return lv + rv, le + re_
 
     return refine(a, b, tol, 0)
+
+
+def _weighted(f):
+    """The panel integrand (c, h, W) ↦ W @ f(c, h) of the node values f(c, h)."""
+    return lambda c, h, W: W @ f(c, h)
 
 
 def _old_te_rule(te, deg):
@@ -139,26 +156,35 @@ def test_adaptive_segment_1d_unchanged():
         return np.exp(2.3j * s) / (1.0 + s * s)
 
     for a, b, tol, depth in ((0.1, 5.0, 1e-12, 13), (-2 + 1j, 3 - 0.5j, 1e-9, 11), (0.0, 40.0, 1e-14, 4)):
-        got = adaptive_segment(f, complex(a), complex(b), tol, max_depth=depth)
+        got = adaptive_segment(_weighted(f), complex(a), complex(b), tol, max_depth=depth)
         ref = _gk_refine(f, complex(a), complex(b), tol, depth)
         assert got[0] == ref[0] and got[1] == ref[1]
 
 
+_BATCH_LAM = np.array([0.4, -1.1 + 2.0j, 3.0j, 7.5])
+
+
+def _batch_exp(c, h):
+    return np.exp(np.outer(panel_nodes(c, h), _BATCH_LAM))
+
+
+def _kink(c, h):
+    return np.abs(panel_nodes(c, h) - 0.3)
+
+
 def test_adaptive_segment_batched_matches_module_bisection():
-    lam = np.array([0.4, -1.1 + 2.0j, 3.0j, 7.5])
-    f = lambda c, h: np.exp(np.outer(panel_nodes(c, h), lam))
     for a, b in ((0.5 - 3j, 0.5 + 2j), (-1 + 1j, 2.5 + 4j)):
-        val, err = adaptive_segment(f, a, b, 1e-11, max_depth=11)
-        ref_val, ref_err = _gk_refine(f, a, b, 1e-11, 11)
+        val, err = adaptive_segment(_weighted(_batch_exp), a, b, 1e-11, max_depth=11)
+        ref_val, ref_err = _gk_refine(_batch_exp, a, b, 1e-11, 11)
         assert np.array_equal(val, ref_val) and err == ref_err
 
 
 def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
     lengths = []
 
-    def f(c, h):
+    def f(c, h, W):
         lengths.append(2.0 * abs(h))  # the panel length
-        return np.abs(panel_nodes(c, h) - 0.3)
+        return W @ _kink(c, h)
 
     for a, b, depth in ((0.0, 1.0, 6), (-1.7, 2.2, 9)):
         lengths.clear()
@@ -168,6 +194,29 @@ def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
         assert val.real == pytest.approx(0.5 * ((b - 0.3) ** 2 + (0.3 - a) ** 2), abs=1e-7)
 
 
+@pytest.mark.parametrize(
+    "f, a, b, tol, depth, same_panels",
+    [
+        (_batch_exp, 0.5 - 3j, 0.5 + 2j, 1e-11, 11, True),
+        # |values| reach e^{7.5·2.5} ≈ 1.4e8 on this one, so the 1e-11 bar lies under their
+        # rounding (~1e-8) and each panel's |K − G| is rounding noise: either contraction
+        # bisects on its own noise, and only the sums can agree
+        (_batch_exp, -1 + 1j, 2.5 + 4j, 1e-11, 11, False),
+        (_kink, 0j, 1 + 0j, 1e-15, 6, True),
+        (_kink, -1.7 + 0j, 2.2 + 0j, 1e-15, 9, True),
+    ],
+)
+def test_stacked_weight_rows_match_the_separate_rows(f, a, b, tol, depth, same_panels):
+    # the integrator's one (2 × 21) contraction against the two row products it replaced
+    panels, ref_panels = [], []
+    val, err = adaptive_segment(lambda c, h, W: panels.append(c) or W @ f(c, h), a, b, tol, max_depth=depth)
+    ref_val, ref_err = _gk_refine(f, a, b, tol, depth, contract=_separate, panels=ref_panels)
+    assert panels == ref_panels or not same_panels
+    assert np.all(np.abs(val - ref_val) <= 1e-14 * np.abs(ref_val))
+    # the estimates are sums of |K − G|, so they agree to the rounding of the values they difference
+    assert abs(err - ref_err) <= 1e-14 * len(ref_panels) * float(np.max(np.abs(ref_val)))
+
+
 # ---- the polyline walk ------------------------------------------------------
 
 
@@ -175,8 +224,8 @@ _EXP_LAM = np.array([0.5, -1.0 + 0.5j, 1.5j, -0.3 - 2.0j])
 _EXP_PTS = [complex(0.5, -4.0), complex(-0.3, -1.0), complex(0.2, 1.5), complex(0.5, 4.0)]
 
 
-def _exp_batch(c, h):
-    return np.exp(np.outer(panel_nodes(c, h), _EXP_LAM))
+def _exp_batch(c, h, W):
+    return W @ np.exp(np.outer(panel_nodes(c, h), _EXP_LAM))
 
 
 @pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
@@ -193,10 +242,10 @@ def test_polyline_walk_exponential_closed_form(omega):
 def test_polyline_walk_panels_follow_phase_step():
     calls = []
 
-    def f(c, h):
+    def f(c, h, W):
         calls.append(c)
         s = panel_nodes(c, h)
-        return s * s  # integrated exactly by every panel: no bisection
+        return W @ (s * s)  # integrated exactly by every panel: no bisection
 
     # step 14/7 = 2 on a length-10 segment: five panels, one rule call each
     polyline_walk(f, [0j, 10j], lambda t: 7.0, 1e-6)

@@ -28,7 +28,8 @@ L-factors are formed as the exp of a sum of log Γ's, and ``gamma_factor``
 as the exp of the difference of the two logs, so γ stays finite at heights
 where both L-factors underflow.  ``log_mb_gamma`` evaluates log γ(1−s, ·) in a single stable expression for
 use on integration contours at large height, where the L-factors individually
-overflow double precision.
+overflow double precision.  Every log Γ here is ``loggamma``, one vectorised
+Stirling series in numpy (principal branch).
 
 All functions are pure; parameter objects are frozen and hashable.
 """
@@ -37,11 +38,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import loggamma
 
 __all__ = [
     "GL1Block",
@@ -55,6 +56,7 @@ __all__ = [
     "contragredient_params",
     "gamma_pieces",
     "log_mb_gamma",
+    "loggamma",
 ]
 
 _LOG_PI = math.log(math.pi)
@@ -126,6 +128,75 @@ class PoleError(ArithmeticError):
         )
 
 
+# ---- log Γ ------------------------------------------------------------------
+
+#: B_2, B_4, …, B_26 as (numerator, denominator)
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+)
+#: Stirling's coefficients c_k = B_2k / (2k(2k−1)): log Γ(z) = (z − ½)·log z − z + ½·log 2π + Σ_k c_k·z^{1−2k}
+_STIRLING = tuple(np.complex128(p / (q * 2 * k * (2 * k - 1))) for k, (p, q) in enumerate(_BERNOULLI, 1))
+#: truncation error allowed to the series, absolute
+_STIRLING_TOL = 1e-16
+#: ascending 2ρ from which K = 12, 11, …, 2 terms meet the tolerance.  With
+#: ρ = (|z| + Re z)/2 = |z|·cos²(½ arg z) the remainder after K terms is at most
+#: |c_{K+1}|·sec^{2K+2}(½ arg z)/|z|^{2K+1} ≤ |c_{K+1}|/ρ^{2K+1}, for |arg z| < π.
+_TWO_RHO = tuple(
+    2 * (float(abs(_STIRLING[k])) / _STIRLING_TOL) ** (1 / (2 * k + 1)) for k in range(len(_STIRLING) - 1, 1, -1)
+)
+# numpy complex scalars: against a complex array they dispatch faster than Python floats
+_HALF = np.complex128(0.5)
+_ONE = np.complex128(1.0)
+_STIRLING_CONST = np.complex128(0.5 * math.log(2.0 * math.pi) - 0.5)
+
+
+def loggamma(z) -> np.ndarray:
+    """Principal branch of log Γ(z), elementwise: the branch of ``mpmath.loggamma``.
+
+    Stirling's series, with as many terms (2 to 12) as the smallest
+    ρ = (|z| + Re z)/2 in the call needs.  An element with ρ below the
+    12-term rung ρ_12 ≈ 5.94 is first shifted up by n = ⌈ρ_12 − Re z⌉ through
+
+        log Γ(z) = log Γ(z + n) − Σ_{k<n} Log(z + k),
+
+    which holds with the principal Log on the whole plane slit along (−∞, 0],
+    so the shift keeps the principal branch.  On the slit, Log takes the side
+    of the sign of Im z (Im z = +0: Im log Γ(−2.5) = −3π, as in mpmath).  The
+    shift costs ⌈ρ_12 − Re z⌉ logs per element, so it grows with −Re z near the
+    negative axis.  Poles give +inf.
+    """
+    z = np.asarray(z, dtype=complex)
+    rho2 = np.abs(z)
+    rho2 += z.real
+    low = rho2.min()
+    shift = None
+    if low < _TWO_RHO[0]:
+        n = np.where(rho2 < _TWO_RHO[0], np.ceil(0.5 * _TWO_RHO[0] - z.real), 0.0)
+        k = np.arange(n.max()).reshape((-1,) + (1,) * z.ndim)
+        shift = np.log(np.where(k < n, z + k, 1.0)).sum(axis=0)
+        z = z + n
+        low = _TWO_RHO[0]
+    terms = len(_STIRLING) - bisect_right(_TWO_RHO, low)
+    r = 1.0 / z
+    w = r * r
+    series = w * _STIRLING[terms - 1]  # Horner in w = z^{−2}, in place
+    for c in _STIRLING[terms - 2:0:-1]:
+        series += c
+        series *= w
+    series += _STIRLING[0]
+    series *= r
+    series += _STIRLING_CONST
+    # (z − ½)·log z − z + ½·log 2π = (z − ½)·(log z − 1) + ½·log 2π − ½
+    out = np.log(z)
+    out -= _ONE
+    out *= z - _HALF
+    out += series
+    if shift is not None:
+        out -= shift
+    return out
+
+
 # ---- Γ-pieces ---------------------------------------------------------------
 
 #: kind → (h, log c, log f) with Γ_kind(z) = f · c^{−z/h} · Γ(z/h)
@@ -155,7 +226,7 @@ def _log_l(pieces, s: complex) -> complex:
         h, log_c, log_f = _KINDS[kind]
         z = (s + t + a) / h
         _check_pole(j, z, s, stride=h)
-        out += log_f - z * log_c + loggamma(complex(z))
+        out += log_f - z * log_c + complex(loggamma(z))
     return out
 
 
@@ -202,22 +273,46 @@ def gamma_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> compl
 # ---- stable log form for contour integration -------------------------------
 
 
+@lru_cache(maxsize=256)
+def _mb_plan(params: RealPlaceParams, twist: CharTwist) -> tuple:
+    """(const, slope, scale, offset, signs): log γ(1−s) = const + slope·s + signs · log Γ(scale·s + offset).
+
+    A piece (kind, t, a, k) gives, in v = s/h and with f cancelling,
+    (1/h − 2v + 2t/h)·log c + log Γ(v + (a − t)/h) − log Γ(−v + (1 + t + a)/h),
+    and k to the phase i^{Σk}: two rows of ``scale``/``offset``, signs +1 and −1.
+    """
+    const, slope, phase = 0j, 0.0, 0
+    scale, offset = [], []
+    for kind, t, a, k in gamma_pieces(params, twist):
+        h, log_c, _ = _KINDS[kind]
+        const += (1 + 2 * t) / h * log_c
+        slope -= 2 * log_c / h
+        scale += [1 / h, -1 / h]
+        offset += [(a - t) / h, (1 + t + a) / h]
+        phase += k
+    return (
+        np.complex128(const + cmath.log(_I_POW[phase % 4])),
+        np.complex128(slope),
+        np.array(scale)[:, None],
+        np.array(offset, dtype=complex)[:, None],
+        np.sign(scale).astype(complex),
+    )
+
+
 def log_mb_gamma(params: RealPlaceParams, twist: CharTwist, s) -> np.ndarray:
     """log γ(1−s, π×χ, ψ) as one combined expression, vectorised in s.
 
     This is the function whose inverse Mellin transform gives the Bessel
     function; combining the Γ-ratios and power factors inside a single log
     keeps the evaluation finite at contour heights where each L-factor alone
-    would overflow.
+    would overflow.  All Γ arguments go to one ``loggamma`` call, stacked
+    (2·pieces × points), with the per-(params, twist) plan of ``_mb_plan``.
     """
+    const, slope, scale, offset, signs = _mb_plan(params, twist)
     s = np.asarray(s, dtype=complex)
-    out = np.zeros_like(s)
-    phase = 0
-    for kind, t, a, k in gamma_pieces(params, twist):
-        # log Γ_kind(s − t + a) − log Γ_kind(1 − s + t + a), f cancelling, written in
-        # v = s/h: (1/h − 2v + 2t/h)·log c + log Γ(v − t/h + a/h) − log Γ(1/h − v + t/h + a/h)
-        h, log_c, _ = _KINDS[kind]
-        v, th, ah = s / h, t / h, a / h
-        out = out + ((1 / h - 2 * v + 2 * th) * log_c + loggamma(v - th + ah) - loggamma(1 / h - v + th + ah))
-        phase += k
-    return out + cmath.log(_I_POW[phase % 4])
+    z = scale * s.reshape(-1)
+    z += offset
+    out = np.dot(signs, loggamma(z)).reshape(s.shape)
+    out += slope * s
+    out += const
+    return out

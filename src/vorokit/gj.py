@@ -28,8 +28,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
-from scipy.special import loggamma
 
 from .archimedean import DS2Block, RealPlaceParams
 from .hankel import KernelCache, TestFunction, hankel_convolution_batch, make_bump, signed_mellin
@@ -191,9 +191,12 @@ class SchwartzGaussian:
 
 
 def _completed_zeta(s: complex) -> complex:
-    """π^{−s/2} Γ(s/2) ζ(s) — what the Gaussian Tate pairing resums to."""
+    """π^{−s/2} Γ(s/2) ζ(s) — what the Gaussian Tate pairing resums to.
+
+    Its log Γ is mpmath's, so the reference shares no code with the kernel routes.
+    """
     s = complex(s)
-    return cmath.exp(complex(loggamma(s / 2)) - 0.5 * s * math.log(math.pi)) * zeta_em(s)
+    return cmath.exp(complex(mpmath.loggamma(s / 2)) - 0.5 * s * math.log(math.pi)) * zeta_em(s)
 
 
 def _tate_pairing(s: complex, phi: SchwartzGaussian) -> complex:

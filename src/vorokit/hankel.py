@@ -573,7 +573,8 @@ def hankel_convolution_batch(
     quad_tol = 0.5 * tol / denom
     # 𝔟(xt) at the signs of x times w's; where γ ignores the parity 𝔟 vanishes on x < 0
     kernel_signs = (1, -1) if params.parity_dependent else (1,)
-    need = {s_x * s_t for s_x in np.unique(np.sign(xs)) for s_t in t_signs}
+    # the signs x takes, read without np.unique, which imports numpy.ma on first use
+    need = {s_x * s_t for s_x in (1, -1) if (s_x * xs > 0).any() for s_t in t_signs}
     lo, hi = float(ax.min() * w.a), float(ax.max() * w.b)
     cache = KernelCache() if cache is None else cache
     models = {s: cache.model(params, s, lo, hi, model_tol) for s in kernel_signs if s in need}

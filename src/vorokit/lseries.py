@@ -15,7 +15,6 @@ from functools import lru_cache
 
 import mpmath
 import numpy as np
-from scipy.special import loggamma
 
 from .voronoi import tau_coefficients
 
@@ -74,8 +73,8 @@ def zeta_em(s: complex, order: int = 12) -> complex:
 
 
 def hardy_theta(t: float) -> float:
-    """θ(t) = arg Γ(1/4 + it/2) − (t/2)·log π, the Riemann–Siegel phase."""
-    return complex(loggamma(0.25 + 0.5j * t)).imag - 0.5 * t * math.log(math.pi)
+    """θ(t) = arg Γ(1/4 + it/2) − (t/2)·log π, the Riemann–Siegel phase (log Γ from mpmath)."""
+    return float(mpmath.loggamma(0.25 + 0.5j * t).imag) - 0.5 * t * math.log(math.pi)
 
 
 def hardy_z(t: float) -> float:

@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 
+import mpmath
 import numpy as np
 import pytest
 
 from vorokit.archimedean import (
+    _TWO_RHO,
     CharTwist,
     DS2Block,
     GL1Block,
@@ -17,6 +19,7 @@ from vorokit.archimedean import (
     gamma_pieces,
     l_factor,
     log_mb_gamma,
+    loggamma,
 )
 
 T0 = CharTwist(0)
@@ -128,6 +131,87 @@ def test_log_mb_gamma_matches_gamma_factor():
             got = np.exp(log_mb_gamma(params, tw, s))
             want = gamma_factor(params, tw, 1 - s)
             assert got == pytest.approx(want, rel=1e-10)
+
+
+def _mp_loggamma(z) -> complex:
+    return complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+
+
+def _loggamma_points() -> np.ndarray:
+    # Re z ∈ [−3, 12] up to |Im z| = 10⁴ in both half-planes
+    tall = (np.linspace(-3.0, 12.0, 16)[:, None] + 1j * np.geomspace(0.5, 1e4, 18)[None, :]).ravel()
+    # |z| from 10⁻³ to 12 all around the origin, off the negative real axis
+    small = (np.geomspace(1e-3, 12.0, 15)[:, None] * np.exp(1j * np.linspace(-3.1, 3.1, 17))[None, :]).ravel()
+    # either side of the shift boundary ρ = (|z| + Re z)/2 = ρ_12, at several args
+    theta = np.linspace(-2.9, 2.9, 11)
+    rho = 0.5 * _TWO_RHO[0] * np.array([1 - 1e-9, 1 + 1e-9, 0.9, 1.1])
+    edge = (rho[:, None] / np.cos(theta / 2)[None, :] ** 2 * np.exp(1j * theta)[None, :]).ravel()
+    pts = np.concatenate([tall, small, edge])
+    return np.concatenate([pts, pts.conj()])
+
+
+def test_loggamma_matches_mpmath_on_the_principal_branch():
+    """The numpy Stirling log Γ against mpmath (no shared code), branch included.
+
+    The bar 1e-14·max(1, |log Γ|) is far below 2π, so a value within it is on
+    mpmath's branch; the branch is also checked on its own.  The whole set goes
+    through one call, so shifted and unshifted elements share it, and a few
+    points go one at a time.
+    """
+    pts = _loggamma_points()
+    got = loggamma(pts)
+    want = np.array([_mp_loggamma(z) for z in pts])
+    assert got.shape == pts.shape
+    branch = np.round((got.imag - want.imag) / (2 * math.pi))
+    assert not branch.any(), f"off the principal branch at {pts[branch != 0][:5]}"
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 1e-14, f"worst {err.max():.3g} at z = {pts[err.argmax()]}"
+    for z in pts[::97]:
+        one = loggamma(z)
+        assert np.shape(one) == ()
+        assert complex(one) == pytest.approx(_mp_loggamma(z), rel=1e-14, abs=1e-14)
+
+
+def test_loggamma_on_the_negative_axis_takes_mpmath_side():
+    # Im z = +0 on the cut: Im log Γ(−2.5) = −3π, as mpmath.loggamma(−2.5)
+    for x in (-2.5, -0.3, -7.75):
+        got = complex(loggamma(complex(x, 0.0)))
+        assert got == pytest.approx(complex(mpmath.loggamma(x)), rel=1e-14, abs=1e-14)
+
+
+RANK3 = RealPlaceParams((GL1Block(1), DS2Block(22)))
+
+
+def _mp_log_mb_gamma(twist: int, s: complex) -> complex:
+    """log γ(1−s, π×sgn^δ, ψ) for GL1Block(1) ⊕ DS2Block(22), summed from mpmath log Γ's.
+
+    Γ_ℝ(z) = π^{−z/2}Γ(z/2) at the GL1 parity δ' = 1 + δ mod 2 and
+    Γ_ℂ(z) = 2(2π)^{−z}Γ(z) at weight 22; γ(1−s) = i^{δ' + 23}·L(s)/L(1−s).
+    """
+    d = (1 + twist) % 2
+    s = mpmath.mpc(s.real, s.imag)
+
+    def log_gr(z):
+        return -z / 2 * mpmath.log(mpmath.pi) + mpmath.loggamma(z / 2)
+
+    def log_gc(z):
+        return mpmath.log(2) - z * mpmath.log(2 * mpmath.pi) + mpmath.loggamma(z)
+
+    out = log_gr(s + d) - log_gr(1 - s + d) + log_gc(s + 11) - log_gc(1 - s + 11)
+    return complex(out + mpmath.log(mpmath.mpc(0, 1) ** ((d + 23) % 4)))
+
+
+def test_fused_log_mb_gamma_matches_mpmath_sum_at_rank_3():
+    """The rank-3 blocks of sym² Δ, both twists: one stacked loggamma call against mpmath."""
+    nodes = 0.3 + 0.7 * np.linspace(-1.0, 1.0, 21)
+    panels = [nodes + 0.5j, nodes * 3 - 2.0 + 9.0j, nodes + 850.0j, nodes - 1.0 - 2400.0j, nodes * 10 - 40.0 + 60.0j]
+    for twist in (0, 1):
+        for s in panels:
+            got = log_mb_gamma(RANK3, CharTwist(twist), s)
+            want = np.array([_mp_log_mb_gamma(twist, z) for z in s])
+            assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
+        one = log_mb_gamma(RANK3, CharTwist(twist), 0.2 + 3.0j)
+        assert complex(one) == pytest.approx(_mp_log_mb_gamma(twist, 0.2 + 3.0j), rel=1e-13)
 
 
 def test_twist_folding_matches_materialized_params():

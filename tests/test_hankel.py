@@ -1,7 +1,11 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -672,3 +676,17 @@ def test_convolution_rule_reads_the_model_at_abscissae_independent_of_the_points
         asked[m] = list(rows)
     assert asked[50] == asked[500] and len(asked[50]) >= 3
     assert asked[50][0] == 1  # the off-node probe: one abscissa on every 4th new panel
+
+
+def test_convolution_batch_imports_no_numpy_ma():
+    """A signed batch leaves numpy.ma unloaded: its lazy import would land in the job's time."""
+    code = (
+        "import sys\n"
+        "from vorokit.archimedean import DS2Block, RealPlaceParams\n"
+        "from vorokit.hankel import hankel_convolution_batch, make_bump\n"
+        "vals, _ = hankel_convolution_batch(RealPlaceParams((DS2Block(11),)), 2, make_bump(1.0, 40.0), [-3.0, 2.5], 1e-6)\n"
+        "print(len(vals), 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300, check=True)
+    assert out.stdout.split() == ["2", "False"], out.stdout + out.stderr

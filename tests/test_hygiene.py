@@ -44,11 +44,19 @@ parameter (one return shape per function), and no ``open``/``os.fdopen``
 call in ``src/vorokit`` opens a file for writing outside
 ``params_io.atomic_write``, so every file a job writes goes through its temp
 file and rename.
+
+No scipy at run time: no module in ``src/vorokit`` imports ``scipy`` or a
+submodule of it (``import scipy…`` or ``from scipy… import``), and importing
+every ``vorokit`` module in a fresh interpreter loads no ``scipy`` module.
+The tests keep scipy as an oracle.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -515,3 +523,47 @@ def test_dual_sum_policy_has_one_owner():
         if name != "voronoi.py" or (kind, where) not in owners
     ]
     assert not copies, "dual-sum policy outside voronoi.dual_floor/certified_batch:\n" + "\n".join(copies)
+
+
+def scipy_imports(source: str) -> list[tuple[str, int]]:
+    """(module, line) for each ``import scipy…`` or ``from scipy… import``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(a.name, node.lineno) for a in node.names if a.name.split(".")[0] == "scipy"]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "scipy":
+            found.append((node.module, node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_scanner_flags_scipy_imports():
+    src = (
+        "import numpy as np, scipy\n"
+        "from scipy.special import loggamma\n"
+        "def f(z):\n"
+        "    import scipy.integrate as si\n"
+        "    return si, loggamma(z)\n"
+        "from .scipy_free import g\n"
+        "import scipyish\n"
+        "from scipy import special\n"
+    )
+    assert scipy_imports(src) == [("scipy", 1), ("scipy.special", 2), ("scipy.integrate", 4), ("scipy", 8)]
+
+
+def test_no_library_module_imports_scipy():
+    assert SRC
+    found = [f"{p.relative_to(ROOT)}:{line}: {mod}" for p in SRC for mod, line in scipy_imports(p.read_text())]
+    assert not found, "scipy imported under src/vorokit:\n" + "\n".join(found)
+
+
+def test_importing_every_module_loads_no_scipy():
+    names = [p.stem for p in SRC if p.stem != "__init__"]
+    code = (
+        "import importlib, sys\n"
+        f"for name in {names!r}:\n"
+        "    importlib.import_module('vorokit.' + name)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]", out.stdout

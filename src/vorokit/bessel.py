@@ -139,11 +139,12 @@ def parity_batch(xs, ratio: float, deltas, component):
 
     ``component(δ, |x|)`` → (I_δ, error) for δ in ``deltas``, (0,) where I₁ = I₀,
     on each magnitude group (|x| within ``ratio`` of its smallest), so each walk
-    is sized to its group.  x = 0 raises ValueError before any component runs.
+    is sized to its group.  An x that is 0 or not finite raises ValueError
+    before any component runs.
     """
     xs = np.asarray(xs, dtype=float)
-    if np.any(xs == 0):
-        raise ValueError("x must be nonzero")
+    if np.any(xs == 0) or not np.all(np.isfinite(xs)):
+        raise ValueError("x must be nonzero and finite")
     ax = np.abs(xs)
     values = np.zeros(len(xs), dtype=complex)
     errors = np.zeros(len(xs))
@@ -163,7 +164,7 @@ def bessel_real_batch(
 ):
     """b(x) on a batch that may mix signs, each parity integral to tol/2.  Returns (values, errors)."""
     if contour is None:
-        contour = build_contour(params, CharTwist(0))
+        contour = build_contour(params)
     deltas = (0, 1) if params.parity_dependent else (0,)
     return parity_batch(
         xs, 4.0, deltas, lambda d, ax: _mb_batch(params, CharTwist(d), contour, ax, tol / 2.0)
@@ -252,7 +253,7 @@ def kernel_table(
         raise ValueError("grid must be nonempty")
     if any(x <= 0 for x in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing and positive")
-    contour = build_contour(params, CharTwist(0))
+    contour = build_contour(params)
     xs_all = grid + grid
     sg_all = [1] * len(grid) + [-1] * len(grid)
     pts = np.array(xs_all) * np.array(sg_all)

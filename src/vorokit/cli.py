@@ -14,9 +14,11 @@ Exit codes: 0 success with all thresholds met, 1 a threshold failed,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
@@ -95,9 +97,12 @@ _COMPUTE_ERRORS = (
 
 def _parse_complex_list(text: str) -> list:
     try:
-        return [complex(tok) for tok in text.split(",") if tok.strip()]
+        values = [complex(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad complex list {text!r}: {exc}") from None
+    if not all(map(cmath.isfinite, values)):
+        raise ConfigError(f"complex list {text!r} holds a non-finite value")
+    return values
 
 
 def _parse_float_pair(text: str, what: str) -> tuple:
@@ -105,9 +110,12 @@ def _parse_float_pair(text: str, what: str) -> tuple:
     if len(parts) != 2:
         raise ConfigError(f"{what} must be two comma-separated numbers, got {text!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        pair = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from None
+    if not all(map(math.isfinite, pair)):
+        raise ConfigError(f"{what} {text!r} holds a non-finite value")
+    return pair
 
 
 def _parse_rational(text: str, what: str) -> Fraction:
@@ -161,6 +169,8 @@ def _parse_s_values(args) -> list:
             re, lo, hi, steps = float(parts[0]), float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise ConfigError(f"bad --s-grid {args.s_grid!r}: {exc}") from None
+        if not all(map(math.isfinite, (re, lo, hi))):
+            raise ConfigError(f"--s-grid {args.s_grid!r} holds a non-finite value")
         if steps < 1:
             raise ConfigError("--s-grid needs at least one step")
         return [complex(re, t) for t in np.linspace(lo, hi, steps)]

@@ -68,13 +68,14 @@ class Contour:
         return [complex(self.asymptote, -h), *self.nodes, complex(self.asymptote, h)]
 
 
-def pole_starts(params: RealPlaceParams, twist: CharTwist) -> list[complex]:
+def pole_starts(params: RealPlaceParams) -> list[complex]:
     """Rightmost pole per Γ-piece: [start, ...].
 
-    Poles of piece j are start_j − k, k = 0, 1, 2, …
+    Poles of piece j are start_j − k, k = 0, 1, 2, …  A sign twist moves
+    neither t nor a Γ_ℂ piece's a, and a Γ_ℝ piece takes t − ℕ, the poles of
+    both parities, so one pole set serves every twist.
     """
-    # a Γ_ℝ piece takes t − ℕ, the poles of both parities, whatever its own a
-    return [complex(t) - (0 if kind == "R" else a) for kind, t, a, _ in gamma_pieces(params, twist)]
+    return [complex(t) - (0 if kind == "R" else a) for kind, t, a, _ in gamma_pieces(params, CharTwist(0))]
 
 
 def _asymptote_bound(params: RealPlaceParams) -> float:
@@ -85,10 +86,10 @@ def _asymptote_bound(params: RealPlaceParams) -> float:
 
 
 @lru_cache(maxsize=256)
-def build_contour(params: RealPlaceParams, twist: CharTwist = CharTwist(0)) -> Contour:
+def build_contour(params: RealPlaceParams) -> Contour:
     sigma = _asymptote_bound(params) - CLEARANCE
     bulged: list[complex] = []
-    for p in pole_starts(params, twist):
+    for p in pole_starts(params):
         guard = 0
         while p.real > sigma - CLEARANCE:
             bulged.append(p)
@@ -124,7 +125,7 @@ def _dist_to_segment(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def check_admissible(contour: Contour, params: RealPlaceParams, twist: CharTwist = CharTwist(0)) -> None:
+def check_admissible(contour: Contour, params: RealPlaceParams) -> None:
     """Raise InfeasibleContour if any admissibility requirement fails."""
     bound = _asymptote_bound(params)
     if not contour.asymptote < bound:
@@ -133,7 +134,7 @@ def check_admissible(contour: Contour, params: RealPlaceParams, twist: CharTwist
         )
     rho = max((n.real for n in contour.nodes), default=contour.asymptote)
     det_span = contour.detour_height
-    for p in pole_starts(params, twist):
+    for p in pole_starts(params):
         while p.real > contour.asymptote - 2 * CLEARANCE - 1.0:
             # strictly-left check at the pole's own height
             if contour.nodes and abs(p.imag) <= det_span:

@@ -46,7 +46,6 @@ __all__ = [
     "unit_coeffs",
     "h_kernel",
     "k_dual_kernel",
-    "clozel_tate_kernels",
     "DualGrid",
     "split_zeta_identity",
     "zero_criterion_pairing",
@@ -153,12 +152,6 @@ def k_dual_kernel(spec: KernelSpec, x: float) -> complex:
     unless an explicit dual table says otherwise.
     """
     return _step_kernel(spec, spec.dual, x)
-
-
-def clozel_tate_kernels(s: complex, x: float):
-    """(H_s(x), K_s(x)) for ζ_ℚ; the pair is equal here because D = 1."""
-    spec = KernelSpec(unit_coeffs(max(1, math.floor(abs(float(x))))), complex(s), "tate")
-    return h_kernel(spec, x), k_dual_kernel(spec, x)
 
 
 # ---- Schwartz test family for the Tate pairing ------------------------------

@@ -115,7 +115,7 @@ __all__ = [
 
 
 class BadSupport(ValueError):
-    """Support must satisfy 0 < a < b."""
+    """Support must satisfy 0 < a < b < ∞."""
 
 
 @dataclass(frozen=True)
@@ -166,8 +166,8 @@ def _bump_profile(a: float, b: float):
 
 def make_bump(a: float, b: float) -> TestFunction:
     """The bump exp(−1/(1−u²)), u = (2x−a−b)/(b−a), supported in (a,b) ⊂ (0,∞)."""
-    if not 0 < a < b:
-        raise BadSupport(f"need 0 < a < b, got ({a}, {b})")
+    if not 0 < a < b < math.inf:
+        raise BadSupport(f"need 0 < a < b < ∞, got ({a}, {b})")
     a, b = float(a), float(b)
     return TestFunction(a, b, _bump_profile(a, b))
 
@@ -430,7 +430,7 @@ def hankel_mellin_batch(
     unvalidated = list(deltas)
     grids = _MellinGrids(w, _mellin_base(tol))
     # over ℝ the pole set ignores the twist, so one contour serves both parities
-    contour = build_contour(params, CharTwist(0))
+    contour = build_contour(params)
 
     def component(d, ax):
         while unvalidated:  # every parity's inner Mellin grid, once, before the first walk
@@ -554,8 +554,8 @@ def hankel_convolution_batch(
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
-    if np.any(xs == 0.0):
-        raise ValueError("x must be nonzero")
+    if np.any(xs == 0.0) or not np.all(np.isfinite(xs)):
+        raise ValueError("x must be nonzero and finite")
     nu = 0.5 * (n - 1)
     tpow = 0.5 * (3.0 - n) - 1.0
 
@@ -660,7 +660,7 @@ def local_fe_residual(
     directly evaluated γ-factor, so the two sides share no quadrature.  Below
     the grid the dual is modelled by its leading power y^κ, κ read off the
     rightmost integrand pole, and integrated in closed form.  The grid starts
-    at y_min = 1e-3 when every κ + Re(s − ν) > 1/2 and at 1e-8 otherwise; it
+    at y_min = 1e-3 when κ + Re(s − ν) > 1/2 at every s and at 1e-8 otherwise; it
     ends at ``y_max`` (default 20·b for w supported in |x| < b), doubled at
     most three times until the dual's tail beyond it is negligible.  Returns a
     report dict with one entry per (s, parity) and the maximum relative
@@ -677,12 +677,10 @@ def local_fe_residual(
             g = gamma_factor(params, CharTwist(d), 1.0 - s)
             rhs[(s, d)] = g * signed_mellin(w, d, 1.0 - s - nu, 1e-12)
 
-    kappa = {
-        d: nu - max(st.real for st in pole_starts(params, CharTwist(d))) for d in (0, 1)
-    }
+    kappa = nu - max(st.real for st in pole_starts(params))
     re_z = [(s - nu).real for s in s_list]
     re_min, re_max = min(re_z), max(re_z)
-    y_min = 1e-3 if min(kappa.values()) + re_min > 0.5 else 1e-8
+    y_min = 1e-3 if kappa + re_min > 0.5 else 1e-8
     if y_max is None:
         y_max = 20.0 * w.b
     two_sided = _parities(params, w) == (0, 1)
@@ -741,7 +739,7 @@ def local_fe_residual(
         z = s - nu
         for d in (0, 1):
             lhs = complex(np.sum(v_wts * comps[d] * np.exp(z * v_nodes)))
-            lhs += complex(head[d]) * y_min**z / (z + kappa[d])
+            lhs += complex(head[d]) * y_min**z / (z + kappa)
             r = rhs[(s, d)]
             rr = abs(lhs - r) / max(abs(lhs), abs(r), 1e-30)
             samples.append({"s": s, "parity": d, "lhs": lhs, "rhs": r, "rel_residual": rr})

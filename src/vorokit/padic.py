@@ -36,9 +36,7 @@ __all__ = [
     "satake_from_eigenvalue",
     "contragredient_satake",
     "elementary_symmetric",
-    "complete_homogeneous",
     "whittaker_diag",
-    "basic_function_value",
     "local_l_series_check",
     "PAdicMat",
     "iwasawa",
@@ -135,9 +133,6 @@ class QSqrt:
         if isinstance(other, (int, Fraction)):
             return QSqrt(self.d, Fraction(other), Fraction(0))
         return None
-
-    def conjugate(self) -> "QSqrt":
-        return QSqrt(self.d, self.a, -self.b)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -296,16 +291,6 @@ def _h_sequence(elem: tuple, m_max: int) -> list:
     return h
 
 
-def complete_homogeneous(m: int, alpha):
-    """Complete homogeneous symmetric polynomial h_m(α), exact.
-
-    h_0 = 1, h_1 = Σα_i, and e.g. h_2(1, 1) = 3.
-    """
-    if not isinstance(m, int) or m < 0:
-        raise ValueError("degree must be a non-negative integer")
-    return _h_sequence(elementary_symmetric(alpha), m)[m]
-
-
 @dataclass(frozen=True)
 class SatakeParams:
     """Unramified local datum: residue cardinality q and Satake values α.
@@ -366,7 +351,7 @@ def contragredient_satake(sp: SatakeParams) -> SatakeParams:
     return SatakeParams(sp.q, alpha, elem=elem)
 
 
-# ---- diagonal Whittaker and basic-function values --------------------------
+# ---- diagonal Whittaker values ----------------------------------------------
 
 
 def whittaker_diag(sp: SatakeParams, m: int):
@@ -375,18 +360,6 @@ def whittaker_diag(sp: SatakeParams, m: int):
         return Fraction(0)
     h = _h_sequence(sp.elem, m)[m]
     return _times_sqrt_pow(h, sp.q, -m * (sp.n - 1))
-
-
-def basic_function_value(sp: SatakeParams, m: int):
-    """𝕃(ϖ^m) = h_m(α)·q^{−m/2} for m ≥ 0, zero on negative shells.
-
-    For the weight-12 level-1 eigenform at p = 2 (λ = −3/8·√2 after unitary
-    normalisation) this gives the exact value −3/8 at m = 1.
-    """
-    if m < 0:
-        return Fraction(0)
-    h = _h_sequence(sp.elem, m)[m]
-    return _times_sqrt_pow(h, sp.q, -m)
 
 
 # ---- truncated power series and the local L-identity -----------------------

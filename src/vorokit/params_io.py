@@ -8,6 +8,7 @@ Schema (``t`` optional, default [0.0, 0.0]; docs/formats.md):
 
 from __future__ import annotations
 
+import cmath
 import os
 import tempfile
 
@@ -56,6 +57,8 @@ def params_from_dict(doc: dict) -> RealPlaceParams:
             raise ValueError(f"each block must be a JSON object, got {b!r}")
         kind = b.get("kind")
         t = complex(*b.get("t", [0.0, 0.0]))
+        if not cmath.isfinite(t):
+            raise ValueError(f"block t must be finite, got {b['t']!r}")
         if kind == "gl1":
             _expect_keys(b, {"kind", "delta", "t"}, {"t"})
             blocks.append(GL1Block(b["delta"], t))

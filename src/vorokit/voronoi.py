@@ -10,12 +10,12 @@ check and not a tautology.
 
 Coefficients are exact integers (eta-product expansion, multimodular in int64);
 the ramified local factors are exact ring elements with rational phase turns,
-converted to floating complex only inside the final α-sum.
+constant on each unit class of a p-adic shell, and converted to floating
+complex once per class through ``WhittakerValue.to_complex``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -193,6 +193,8 @@ def coeffs_from_file(path) -> DirichletCoeffs:
             if n in rows:
                 raise ValueError(f"{path} line {lineno}: n = {n} repeats an earlier row")
             rows[n] = complex(float(parts[1]), float(parts[2]))
+            if not np.isfinite(rows[n]):
+                raise ValueError(f"{path} line {lineno}: lambda must be finite, got {line!r}")
     if not rows or min(rows) != 1 or max(rows) != len(rows):
         raise ValueError("coefficient file must cover n = 1..N contiguously")
     values = np.array([rows[i] for i in range(1, len(rows) + 1)], dtype=complex)
@@ -283,64 +285,43 @@ def _delta_satake(p: int, co: DirichletCoeffs):
     return satake_from_eigenvalue(p, lam)
 
 
-def _class_modulus(p: int, v: int, r: int) -> int:
-    """p^k, k = max(1, −(v + r)): the twisted factor at x = p^v·u, u a p-adic
-    unit, depends on u only through u mod p^k (r = −v_p(ζ)).
+def _shell(memo: dict, sp, zeta: Fraction, v: int):
+    """The twisted factor on the shell v_p(x) = v, one entry per class.
 
-    The shell detection enumerates these unit classes and the factor memo of
-    `rhs_theta` keys on them, so the two always agree on what a class is.
+    At x = p^v·u, u a p-adic unit, ramified_transform_gl2(sp, ζ, x) depends on
+    u only through u mod p^k, k = max(1, −(v + r)), r = −v_p(ζ).  → (exact,
+    table), both indexed by u mod p^k: exact[u] is the transform's
+    WhittakerValue (None where p | u) and table[u] its to_complex() (0 there),
+    each computed once.  `memo` is keyed (p, v) and local to one ζ, so the
+    support detection and the α-sum of `rhs_theta` read the same classes.
     """
-    return p ** max(1, -(v + r))
+    key = (sp.q, v)
+    if key not in memo:
+        p, r = sp.q, -int(v_p(zeta, sp.q))
+        mod = p ** max(1, -(v + r))
+        exact = [
+            ramified_transform_gl2(sp, zeta, Fraction(u) * Fraction(p) ** v) if u % p else None for u in range(mod)
+        ]
+        memo[key] = exact, np.array([0j if wv is None else wv.to_complex() for wv in exact])
+    return memo[key]
 
 
-def _ramified_factor(memo: dict, sp, zeta: Fraction, x: Fraction):
-    """ramified_transform_gl2(sp, zeta, x), computed once per p-adic class of x.
-
-    The key is (p, v_p(x), u mod p^k) for x = p^v·u; `memo` is local to one
-    call of `rhs_theta`, where p, sp and ζ fix the transform.
-    """
-    p = sp.q
-    v = int(v_p(x, p))
-    unit = x / Fraction(p) ** v
-    mod = _class_modulus(p, v, -int(v_p(zeta, p)))
-    key = (p, v, unit.numerator * pow(unit.denominator, -1, mod) % mod)
-    wv = memo.get(key)
-    if wv is None:
-        wv = memo[key] = ramified_transform_gl2(sp, zeta, x)
-    return wv
-
-
-def _detect_min_valuation(sp, zeta: Fraction, memo: dict | None = None):
+def _detect_min_valuation(sp, zeta: Fraction, memo: dict):
     """Deepest surviving α-shell of the local twisted factor, found exactly.
 
-    Descends v = 0, −1, … evaluating the transform on every unit class that
-    the character can distinguish; stops after two consecutive shells vanish
-    identically.  Returns None if nothing survives at all.  The values it
-    computes go into `memo` (see `_ramified_factor`).
+    Descends v = 0, −1, …, −(2r + 3) through `_shell`; stops after two
+    consecutive shells vanish identically on every class.  Returns None if
+    nothing survives at all.
     """
-    memo = {} if memo is None else memo
-    p = sp.q
-    r = -int(v_p(zeta, p))
-    minv = None
-    empty = 0
-    v = 0
-    while v >= -(2 * r + 3):
-        mod = _class_modulus(p, v, r)
-        found = False
-        for u in range(1, mod):
-            if u % p == 0:
-                continue
-            if not _ramified_factor(memo, sp, zeta, Fraction(u) * Fraction(p) ** v).is_zero:
-                found = True
-                break
-        if found:
-            minv = v
-            empty = 0
+    r = -int(v_p(zeta, sp.q))
+    minv, empty = None, 0
+    for v in range(0, -(2 * r + 4), -1):
+        if any(wv is not None and not wv.is_zero for wv in _shell(memo, sp, zeta, v)[0]):
+            minv, empty = v, 0
         else:
             empty += 1
             if empty == 2:
-                return minv
-        v -= 1
+                break
     return minv
 
 
@@ -374,7 +355,9 @@ def rhs_theta(job: VoronoiJob) -> dict:
 
     α runs over m/D with D the detected denominator (v_p ≥ −2v_p(c) in
     practice); the prime-to-c part m′ of m feeds the untwisted coefficient
-    table.  w̃ comes from the convolution route in batches; the negative dual
+    table.  The local factors are read from the per-class tables of `_shell`
+    (exact values, each converted once), so a window is one numpy product and
+    sum.  w̃ comes from the convolution route in batches; the negative dual
     axis vanishes identically for these discrete-series parameters, so the
     sum is one-sided.  Windows of doubling width are accumulated until two
     consecutive ones fall below tol/10 in absolute value; running out of
@@ -390,7 +373,7 @@ def rhs_theta(job: VoronoiJob) -> dict:
     zeta = Fraction(job.a, job.c)
     sps = {}
     support = {}
-    memo: dict = {}  # ramified factors by p-adic class; this call's only
+    memo: dict = {}  # the shells of `_shell`; this call's only
     for p in fac:
         sp = _delta_satake(p, co)
         mv = _detect_min_valuation(sp, zeta, memo)
@@ -415,27 +398,22 @@ def rhs_theta(job: VoronoiJob) -> dict:
                 wtol,
                 cache,
             )
-            contrib = 0j
-            for i in range(len(ms)):
-                m = int(ms[i])
-                mprime = m
-                turns = Fraction(0)
-                local = 1.0 + 0.0j
-                dead = False
-                for p in fac:
-                    while mprime % p == 0:
-                        mprime //= p
-                    wv = _ramified_factor(memo, sps[p], zeta, Fraction(m, denom))
-                    if wv.is_zero:
-                        dead = True
-                        break
-                    turns += wv.turns
-                    local *= complex(wv.coef) * sps[p].q ** (wv.half / 2)
-                if dead:
-                    continue
-                if turns % 1:
-                    local *= cmath.exp(2j * math.pi * float(turns % 1))
-                contrib += local * co.values[mprime - 1] / math.sqrt(mprime) * dual_vals[i]
+            # x = m/D lies on p's shell v_p(m) + support[p], in the unit class of (m/p^{v_p(m)})·D_p^{−1},
+            # D_p the prime-to-p part of D; m is reduced mod p^k first, so the int64 product stays below p^{2k}
+            mprime, local = ms.copy(), np.ones(len(ms), dtype=complex)
+            for p, sp in sps.items():
+                vm = np.zeros(len(ms), dtype=np.int64)
+                while (hit := mprime % p == 0).any():
+                    mprime[hit] //= p
+                    vm[hit] += 1
+                unit, rest = ms // p**vm, denom // p ** -support[p]
+                for j in range(int(vm.max()) + 1):
+                    at = vm == j
+                    if at.any():
+                        table = _shell(memo, sp, zeta, j + support[p])[1]
+                        mod = len(table)
+                        local[at] *= table[unit[at] % mod * pow(rest, -1, mod) % mod]
+            contrib = complex(np.sum(local * co.values[mprime - 1] / np.sqrt(mprime) * dual_vals))
             shells.append({"alpha_hi": edge, "m_range": (m_lo, m_hi), "abs": abs(contrib), **record})
             yield contrib
             m_lo, edge = m_hi + 1, 2 * edge

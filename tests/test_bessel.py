@@ -56,10 +56,10 @@ def test_build_contour_gl1_detours_around_origin():
 
 
 def test_pole_data_of_twisted_pieces():
-    # GL1(1, 0.2) + DS2(4, −0.1+0.3j) by sgn: both parities 0.2 − ℕ, and −0.1+0.3j − 2 − ℕ;
-    # bound 1/2 + (0.2 + 2·(−0.1) − 1)/3
+    # GL1(1, 0.2) + DS2(4, −0.1+0.3j), under either sign twist: both parities 0.2 − ℕ, and
+    # −0.1+0.3j − 2 − ℕ; bound 1/2 + (0.2 + 2·(−0.1) − 1)/3
     r = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
-    s1, s2 = contours.pole_starts(r, CharTwist(1))
+    s1, s2 = contours.pole_starts(r)
     assert s1 == 0.2
     assert s2 == pytest.approx(-2.1 + 0.3j, abs=1e-15)
     assert contours._asymptote_bound(r) == pytest.approx(1 / 6, abs=1e-15)
@@ -83,15 +83,13 @@ def test_shifted_contour_still_admissible():
 )
 def test_real_place_contour_serves_both_parities(params):
     # over ℝ the pole set ignores the twist, which is why both Bessel routes integrate
-    # the δ = 1 component along the δ = 0 contour
-    c0 = build_contour(params, CharTwist(0))
-    assert build_contour(params, CharTwist(1)) == c0
-    check_admissible(c0, params, CharTwist(1))
+    # the δ = 1 component along the one contour
+    check_admissible(build_contour(params), params)
 
 
 def test_twisted_contours_admissible():
     pair = RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))
-    check_admissible(build_contour(pair, CharTwist(1)), pair, CharTwist(1))
+    check_admissible(build_contour(pair), pair)
 
 
 def test_inadmissible_contours_rejected():
@@ -311,11 +309,22 @@ def test_parity_batch_refuses_zero_before_any_component():
     assert vals.shape == errs.shape == (0,) and calls == []
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_x_is_refused_like_zero(bad):
+    # a NaN never met the Mellin tail's stop rule; it is refused with x = 0's ValueError
+    calls = []
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        parity_batch([1.0, bad, -2.0], 4.0, (0, 1), _stub_component(calls))
+    assert calls == []
+    with pytest.raises(ValueError, match="nonzero and finite"):
+        bessel_real_batch(GL1R, [0.5, bad], 1e-8)
+
+
 def test_gl1_batch_error_is_half_the_sum_of_the_parity_errors():
     # GL1 has both parities; the fold's error is ½(e₀ + e₁), not e₀ + e₁
     xs = np.array([0.6, -0.9, 1.7, -2.2])  # one magnitude group
     vals, errs = bessel_real_batch(GL1R, xs, 1e-8)
-    contour = build_contour(GL1R, CharTwist(0))
+    contour = build_contour(GL1R)
     (i0, e0), (i1, e1) = (bessel._mb_batch(GL1R, CharTwist(d), contour, np.abs(xs), 1e-8 / 2) for d in (0, 1))
     assert np.array_equal(errs, 0.5 * (e0 + e1)) and np.all(errs > 0)
     assert np.array_equal(vals, 0.5 * (i0 + np.sign(xs) * i1))

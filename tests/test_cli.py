@@ -5,6 +5,12 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,6 +266,41 @@ def test_malformed_coeffs_file_exits_2(capsys, tmp_path, rows, why):
     code, _, err = run(capsys, ["voronoi-verify", "--zeta", "0", "--support", "1,8", "--coeffs", str(path)])
     assert code == 2
     assert why in err
+
+
+NON_FINITE = {
+    "hankel-x-nan": ["hankel", "--x", "nan"],
+    "hankel-mellin-x-inf": ["hankel", "--x", "inf", "--route", "mellin"],
+    "hankel-convolution-x-nan": ["hankel", "--x", "nan", "--route", "convolution"],
+    "hankel-bump-inf": ["hankel", "--bump", "1,inf", "--x", "1"],
+    "gj-scan-s-list-nan": ["gj-scan", "--variant", "tate", "--s-list", "nan"],
+    "gj-scan-gaussian-nan": ["gj-scan", "--variant", "tate", "--phi", "gaussian:nan,0", "--s-list", "2"],
+    "fe-check-s-grid-inf": ["fe-check", "--s-grid", "0.5:0:inf:3"],
+    "gamma-blocks-t-nan": ["gamma", "--blocks", '{"place":"real","blocks":[{"kind":"ds2","l":11,"t":[NaN,0]}]}',
+                           "--s-list", "0.5"],
+    "voronoi-verify-support-inf": ["voronoi-verify", "--support", "1,inf"],
+    "voronoi-verify-coeffs-nan": ["voronoi-verify", "--zeta", "0", "--support", "1,8", "--coeffs", "{coeffs}"],
+}
+
+
+@pytest.mark.parametrize("argv", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_non_finite_input_exits_2_at_once(tmp_path, argv):
+    # in a fresh process with a timeout, so a refusal that regresses into a hang fails here
+    path = tmp_path / "coeffs.csv"
+    path.write_text("n,lambda_re,lambda_im\n1,1.0,0.0\n2,nan,0.0\n")
+    argv = [str(path) if a == "{coeffs}" else a for a in argv]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "vorokit.cli", *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stdout) == (2, ""), out.stderr
+    assert time.monotonic() - t0 < 5.0
+    assert "config error" in out.stderr and "finite" in out.stderr
+
+
+def test_params_from_dict_refuses_a_non_finite_t():
+    for t in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            params_from_dict({"place": "real", "blocks": [{"kind": "gl1", "delta": 0, "t": t}]})
 
 
 # ---- determinism ------------------------------------------------------------

@@ -20,7 +20,6 @@ from vorokit.gj import (
     _completed_zeta,
     _prefix_sums,
     _tate_pairing,
-    clozel_tate_kernels,
     h_kernel,
     k_dual_kernel,
     split_zeta_identity,
@@ -53,11 +52,11 @@ def test_tate_kernel_values():
     assert h_kernel(spec, 0.5) == 1.0  # empty sum leaves −κ/(1−s)
     assert h_kernel(spec, 2.5) == pytest.approx(4.125, rel=1e-14)
     assert h_kernel(spec, -2.5) == h_kernel(spec, 2.5)  # depends on |x| only
-    H, K = clozel_tate_kernels(2.0, 2.5)
-    assert H == K  # D = 1 over ℚ
-    assert H == pytest.approx(4.125, rel=1e-14)
+    # ζ_ℚ at the smallest table that covers x = 2.5: the dual sums over ℤ itself (D = 1)
+    small = KernelSpec(unit_coeffs(2), 2.0, "tate")
+    assert k_dual_kernel(small, 2.5) == h_kernel(small, 2.5) == pytest.approx(4.125, rel=1e-14)
     with pytest.raises(PoleAtOne):
-        clozel_tate_kernels(1.0 + 1e-12, 2.5)
+        KernelSpec(unit_coeffs(2), 1.0 + 1e-12, "tate")
     with pytest.raises(ValueError):
         h_kernel(spec, 0.0)
 

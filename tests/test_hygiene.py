@@ -45,6 +45,14 @@ call in ``src/vorokit`` opens a file for writing outside
 ``params_io.atomic_write``, so every file a job writes goes through its temp
 file and rename.
 
+Definitions only tests reach: every module-level function and class in
+``src/vorokit``, and every method that is not a dunder, is named (as a name
+or an attribute, not in a string) by code in ``src/vorokit`` or
+``perfbench`` outside its own definition; otherwise it is one of the frozen ``CHECKS``, each with
+the reason a test checks other code against it.  Like the parameter census
+it matches bare names, so a name that other code uses for something else
+counts as a use.
+
 No scipy at run time: no module in ``src/vorokit`` imports ``scipy`` or a
 submodule of it (``import scipy…`` or ``from scipy… import``), and importing
 every ``vorokit`` module in a fresh interpreter loads no ``scipy`` module.
@@ -57,6 +65,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -191,7 +200,6 @@ def test_every_library_default_is_passed_somewhere():
 
 # Defaults that tests pass and no library caller does: named test hooks, frozen.
 TEST_HOOKS = {
-    "check_admissible(twist)": "tests check the contours built for twisted characters",
     "split_zeta_identity(euler_pbound)": "a test deepens the Euler product at one point of large scale",
     "local_fe_residual(y_max)": "A4 fixes the grid's far end, and a test shows a short one is refused",
     "zeta_em(order)": "a test shows an order beyond the Bernoulli table is refused",
@@ -211,6 +219,77 @@ def test_defaults_only_tests_pass_are_the_named_hooks():
     assert not set(TEST_HOOKS) - found, "test hooks a library caller now passes:\n" + "\n".join(
         sorted(set(TEST_HOOKS) - found)
     )
+
+
+def _named(node) -> Counter:
+    """How often `node` holds each name, as a name or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _definitions(tree):
+    """(qualified name, node) for each module-level function and class and each non-dunder method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for f in node.body:
+                if isinstance(f, ast.FunctionDef) and not (f.name.startswith("__") and f.name.endswith("__")):
+                    yield f"{node.name}.{f.name}", f
+
+
+def unnamed_definitions(defining: dict[str, str], naming: list[str]) -> list[str]:
+    """'module.qualname' for each definition in `defining` (module → source) that no
+    code in `naming` names outside the definition itself."""
+    total = sum((_named(ast.parse(source)) for source in naming), Counter())
+    return [
+        f"{module}.{qual}"
+        for module, source in defining.items()
+        for qual, node in _definitions(ast.parse(source))
+        if total[node.name] == _named(node)[node.name]
+    ]
+
+
+def test_census_flags_definitions_no_other_code_names():
+    lib = (
+        "__all__ = ['orphan', 'Used']\n"  # a listing in __all__ is no use
+        "def orphan(n):\n"
+        "    return orphan(n - 1) if n else 0\n"  # nor is a recursive call
+        "def helper():\n"
+        "    return 1\n"
+        "class Used:\n"
+        "    def __repr__(self):\n"  # dunders are called by the language
+        "        return 'u'\n"
+        "    def kept(self):\n"
+        "        return helper()\n"
+        "    def lone(self):\n"
+        "        return self.lone\n"
+        "class Alone:\n"
+        "    pass\n"
+    )
+    caller = "x = mod.Used().kept()\n"
+    assert unnamed_definitions({"lib": lib}, [lib, caller]) == ["lib.orphan", "lib.Used.lone", "lib.Alone"]
+
+
+# Definitions only tests name: each checks other code, frozen with the reason.
+CHECKS = {
+    "archimedean.l_factor": "the γ functional-equation test rebuilds γ from the L-factors",
+    "archimedean.contragredient_params": "the γ functional-equation test pairs γ with its contragredient's",
+    "contours.check_admissible": "the contour admissibility tests check every contour built",
+    "contours.Contour.shifted": "the contour-independence tests move the contour and compare the kernels",
+    "padic.whittaker_diag": "the closed form that whittaker_general and the integral-twist transform are compared against",
+    "voronoi.multiplicativity_check": "the τ table's multiplicativity test",
+    "gj.h_kernel": "pins the _prefix_sums and the KernelSpec power and residue that _pair uses",
+    "gj.k_dual_kernel": "pins the _prefix_sums over the dual table and the KernelSpec power that _pair uses",
+}
+
+
+def test_definitions_only_tests_name_are_the_named_checks():
+    library = [p.read_text() for p in [*SRC, *(ROOT / "perfbench").glob("*.py")]]
+    found = set(unnamed_definitions({p.stem: p.read_text() for p in SRC}, library))
+    assert not found - set(CHECKS), "definitions only tests name:\n" + "\n".join(sorted(found - set(CHECKS)))
+    assert not set(CHECKS) - found, "checks other code now names:\n" + "\n".join(sorted(set(CHECKS) - found))
 
 
 def star_params(source: str) -> list[tuple[str, int]]:

@@ -14,9 +14,8 @@ from vorokit.padic import (
     SatakeParams,
     Singular,
     WhittakerValue,
-    basic_function_value,
-    complete_homogeneous,
     contragredient_satake,
+    elementary_symmetric,
     iwasawa,
     kloosterman_gl3,
     local_l_series_check,
@@ -133,7 +132,6 @@ def test_gaussian_rational_arithmetic():
     assert i * i == -1
     assert (1 + i) ** 2 == 2 * i
     assert 1 / (1 + i) == QSqrt(-1, F(1, 2), F(-1, 2))
-    assert i.conjugate() == -i
     assert complex(QSqrt(-1, F(1, 3), F(-2))) == pytest.approx(1 / 3 - 2j)
     with pytest.raises(TypeError):
         float(i)
@@ -148,8 +146,8 @@ def test_radicand_must_be_minus_one_or_non_square():
 def test_square_q_values_stay_rational():
     # (√4)^{-1} and (√9)^{-1} are rational, so the values compare equal to them
     assert whittaker_diag(SatakeParams(4, (F(1), F(1))), 1) == 1
-    assert basic_function_value(SatakeParams(9, (F(1), F(1))), 1) == F(2, 3)
-    assert basic_function_value(SatakeParams(9, (F(1), F(1))), 2) == F(1, 3)
+    assert whittaker_diag(SatakeParams(9, (F(1), F(1))), 1) == F(2, 3)
+    assert whittaker_diag(SatakeParams(9, (F(1), F(1))), 2) == F(1, 3)
 
 
 def test_hash_agrees_with_equality():
@@ -165,11 +163,10 @@ def test_hash_agrees_with_equality():
 
 
 def test_complete_homogeneous_examples():
-    assert complete_homogeneous(0, (F(5), F(7))) == 1
-    assert complete_homogeneous(1, (F(2), F(1, 2))) == F(5, 2)
-    assert complete_homogeneous(2, (1, 1)) == 3
-    with pytest.raises(ValueError):
-        complete_homogeneous(-1, (F(1),))
+    # h_0 = 1, h_1 = Σα_i, h_2(1, 1) = 3, from the elementary symmetric functions
+    assert padic._h_sequence(elementary_symmetric((F(5), F(7))), 0) == [1]
+    assert padic._h_sequence(elementary_symmetric((F(2), F(1, 2))), 1)[1] == F(5, 2)
+    assert padic._h_sequence(elementary_symmetric((1, 1)), 2) == [1, 2, 3]
 
 
 def test_whittaker_diag_values():
@@ -193,9 +190,9 @@ def test_weight12_basic_value_is_minus_three_eighths():
     # unitarily normalised eigenvalue at p = 2: (−24/2^6)·√2 = (−3/8)√2
     lam = QSqrt(2, F(0), F(-3, 8))
     sp = satake_from_eigenvalue(2, lam)
-    assert basic_function_value(sp, 1) == F(-3, 8)
-    assert basic_function_value(sp, 0) == 1
-    assert basic_function_value(sp, -2) == 0
+    assert whittaker_diag(sp, 1) == F(-3, 8)
+    assert whittaker_diag(sp, 0) == 1
+    assert whittaker_diag(sp, -2) == 0
     # the displayed Satake roots are unitary and multiply to 1
     assert abs(sp.alpha[0] * sp.alpha[1] - 1) < 1e-14
     assert abs(abs(sp.alpha[0]) - 1) < 1e-14

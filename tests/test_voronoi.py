@@ -7,6 +7,7 @@ The module runs those passes in int64 modulo a few primes and recombines
 them by the CRT; the same passes over Python ints are the reference for that.
 """
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from vorokit.voronoi import (
     VoronoiJob,
     _detect_min_valuation,
     _factor,
-    _ramified_factor,
+    _shell,
     certified_batch,
     coeffs_from_file,
     lhs_theta,
@@ -154,6 +155,11 @@ def test_coeffs_file_roundtrip(tmp_path):
     path.write_text("1,1.0,0.0\n3,0.5,0.0\n")
     with pytest.raises(ValueError):
         coeffs_from_file(path)
+    # and so must a λ that is not finite, by its line
+    for bad in ("nan,0.0", "0.5,inf", "-inf,0.0"):
+        path.write_text(f"n,lambda_re,lambda_im\n1,1.0,0.0\n2,{bad}\n")
+        with pytest.raises(ValueError, match="line 3: lambda must be finite"):
+            coeffs_from_file(path)
 
 
 # ---- the direct side --------------------------------------------------------
@@ -221,10 +227,10 @@ def test_truncation_guards():
 
 def test_support_detection_at_five():
     sp = satake_from_eigenvalue(5, QSqrt(5, F(0), F(4830, 5**6)))
-    assert _detect_min_valuation(sp, F(2, 5)) == -2
-    assert _detect_min_valuation(sp, F(1, 5)) == -2
-    assert _detect_min_valuation(sp, F(3)) == 0  # integral twist: no denominator
-    assert _detect_min_valuation(sp, F(1, 25)) == -4
+    assert _detect_min_valuation(sp, F(2, 5), {}) == -2
+    assert _detect_min_valuation(sp, F(1, 5), {}) == -2
+    assert _detect_min_valuation(sp, F(3), {}) == 0  # integral twist: no denominator
+    assert _detect_min_valuation(sp, F(1, 25), {}) == -4
 
 
 def _unit_class(p, x, r):
@@ -241,20 +247,25 @@ def _unit_class(p, x, r):
 
 @pytest.mark.parametrize("c", [5, 7, 25, 10])
 def test_memoised_ramified_factors_equal_direct_transforms(c):
-    # rhs_theta's first window, m/D ≤ 4, for every numerator a/c
+    # every _shell entry that rhs_theta's first window, m/D ≤ 4, reads, for every numerator a/c
     co = tau_coefficients(10)
+    fac = _factor(c)
     for a in range(1, c):
         if math.gcd(a, c) != 1:
             continue
         zeta = F(a, c)
         memo, sps, denom = {}, {}, 1
-        for p in _factor(c):
+        for p in fac:
             sps[p] = voronoi._delta_satake(p, co)
             denom *= p ** -_detect_min_valuation(sps[p], zeta, memo)
         for m in range(1, 4 * denom + 1):
             for p, sp in sps.items():
                 x = F(m, denom)
-                assert _ramified_factor(memo, sp, zeta, x) == voronoi.ramified_transform_gl2(sp, zeta, x), (a, m, p)
+                v, u = _unit_class(p, x, fac[p])
+                exact, table = _shell(memo, sp, zeta, v)
+                direct = voronoi.ramified_transform_gl2(sp, zeta, x)
+                assert len(exact) == len(table) and exact[u] == direct, (a, m, p)
+                assert table[u] == direct.to_complex(), (a, m, p)
 
 
 def test_rhs_transforms_once_per_class(monkeypatch):
@@ -278,6 +289,39 @@ def test_rhs_transforms_once_per_class(monkeypatch):
     assert len(seen) == len(set(seen))  # no class is transformed twice
     assert needed <= set(seen)
     assert len(seen) < points / 5
+
+
+def _decaying_dual(params, n, w, xs, tol, cache):
+    # the padic side does not depend on w̃; a decaying stand-in ends the α-sum quickly
+    return np.exp(-xs), np.zeros(len(xs))
+
+
+@pytest.mark.parametrize("a, c", [(1, 6), (3, 10), (2, 25)])
+def test_rhs_window_product_equals_a_per_m_reference(monkeypatch, a, c):
+    # a plain loop over m: the transform of each m/D by the class of its own Fraction, the
+    # exact turns summed over p | c and converted once; with two primes it pins the inverse
+    # of D's prime-to-p part in the class of m/D
+    monkeypatch.setattr(voronoi, "hankel_convolution_batch", _decaying_dual)
+    co = tau_coefficients(40_000)
+    rep = rhs_theta(VoronoiJob(a=a, c=c, w=W40, n_trunc=40_000, tol=1e-4, coeffs=co))
+    fac, zeta = _factor(c), F(a, c)
+    assert set(rep["support"]) == set(fac)
+    denom = math.prod(p ** -v for p, v in rep["support"].items())
+    sps = {p: voronoi._delta_satake(p, co) for p in fac}
+    known, want = {}, 0j
+    for m in range(1, rep["shells"][-1]["m_range"][1] + 1):
+        x, mprime, turns, size = F(m, denom), m, F(0), 1.0
+        for p, sp in sps.items():
+            while mprime % p == 0:
+                mprime //= p
+            key = (p, *_unit_class(p, x, fac[p]))
+            if key not in known:
+                known[key] = voronoi.ramified_transform_gl2(sp, zeta, x)
+            turns += known[key].turns
+            size *= complex(known[key].coef) * p ** (known[key].half / 2)
+        want += cmath.exp(2j * math.pi * float(turns % 1)) * size * co.lam(mprime) / math.sqrt(mprime) * math.exp(-x)
+    assert abs(want) > 1e-3
+    assert abs(rep["value"] - want) <= 1e-14 * abs(want)
 
 
 # ---- the dual-sum policy ----------------------------------------------------

@@ -717,6 +717,9 @@ def _parse_args(argv) -> argparse.Namespace:
         sub = _subcommands(parser)[args.subcommand]
         sub.set_defaults(**_read_config(args.config, sub, args.subcommand))
         args = parser.parse_args(argv)
+    for dest, val in vars(args).items():
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {val}")
     if "tol" in vars(args) and not args.tol > 0:
         raise ConfigError("tolerances must be positive")
     return args

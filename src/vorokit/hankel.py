@@ -125,6 +125,7 @@ class TestFunction:
     ``pos`` is the profile on the positive axis; ``neg``, if given, is the
     profile of x ↦ f(−x) on the same interval, so f lives on both components
     of ℝ^×.  Profiles must accept numpy arrays; they see only points of (a, b).
+    A call returns an array of the input's shape, 0-d for a scalar.
     """
 
     a: float
@@ -134,15 +135,14 @@ class TestFunction:
 
     def __call__(self, x):
         # off its component a profile is evaluated at the support's midpoint and discarded: no scatter
-        scalar = np.ndim(x) == 0
-        ax = np.atleast_1d(np.asarray(x, dtype=float))
+        ax = np.asarray(x, dtype=float)
         mid = 0.5 * (self.a + self.b)
         m = (ax > self.a) & (ax < self.b)
         out = np.where(m, self.pos(np.where(m, ax, mid)), 0.0)
         if self.neg is not None:
             mn = (-ax > self.a) & (-ax < self.b)
             out = np.where(mn, self.neg(np.where(mn, -ax, mid)), out)
-        return float(out[0]) if scalar else out
+        return out
 
     def __add__(self, other):
         if not isinstance(other, TestFunction):

@@ -3,9 +3,10 @@
 Everything here is exact: matrix entries are rationals, Satake data lives in
 small closed rings (ℚ and the quadratic fields ℚ(√d), with d = −1 giving
 ℚ(i)), and additive-character values are kept as rational *turns* (the
-fraction t in e^{2πi t}) rather than floats.  The conversion to floating
-complex happens once, at the boundary to global sums, via
-:meth:`WhittakerValue.to_complex`.
+fraction t in e^{2πi t}) rather than floats.  Satake data is made exact on
+entry: :class:`SatakeParams` stores each integer it is given as a `Fraction`.
+The conversion to floating complex happens once, at the boundary to global
+sums, via :meth:`WhittakerValue.to_complex`.
 
 The centrepiece is an exact Iwasawa decomposition g = u·t·k over ℚ_p, one
 bottom-up column reduction for every rank, which turns spherical Whittaker
@@ -31,7 +32,6 @@ __all__ = [
     "padic_fractional_part",
     "psi_phase",
     "QSqrt",
-    "FormalSeries",
     "SatakeParams",
     "satake_from_eigenvalue",
     "contragredient_satake",
@@ -226,28 +226,6 @@ class QSqrt:
         return f"({self.a} + {self.b}·√{self.d})"
 
 
-def _ring_div(a, b):
-    if isinstance(a, int):
-        a = Fraction(a)
-    if isinstance(b, int):
-        b = Fraction(b)
-    return a / b
-
-
-def _ring_inv(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    if isinstance(x, (complex, float)):
-        return 1.0 / x
-    return x ** (-1)
-
-
-def _ring_pow(x, k: int):
-    if isinstance(x, int):
-        x = Fraction(x)
-    return x ** k
-
-
 def _times_sqrt_pow(value, q: int, k: int):
     """value·(√q)^k, exactly.
 
@@ -298,7 +276,8 @@ class SatakeParams:
     Everything downstream consumes only `elem` — the elementary symmetric
     functions of α — so exactness is preserved whenever `elem` is exact even
     if the α display entries are floating roots (as with
-    :func:`satake_from_eigenvalue`).
+    :func:`satake_from_eigenvalue`).  Each `int` in `alpha` and in a given
+    `elem` is stored as its `Fraction`, so 1 / a and e ** −k stay exact.
     """
 
     q: int
@@ -308,7 +287,7 @@ class SatakeParams:
     def __post_init__(self) -> None:
         if not isinstance(self.q, int) or self.q < 2:
             raise ValueError("residue cardinality must be an integer ≥ 2")
-        alpha = tuple(self.alpha)
+        alpha = tuple(Fraction(a) if isinstance(a, int) else a for a in self.alpha)
         if not alpha:
             raise ValueError("need at least one Satake value")
         if any(a == 0 for a in alpha):
@@ -318,7 +297,7 @@ class SatakeParams:
         if elem is None:
             elem = elementary_symmetric(alpha)
         else:
-            elem = tuple(elem)
+            elem = tuple(Fraction(e) if isinstance(e, int) else e for e in elem)
             if len(elem) != len(alpha):
                 raise ValueError("need exactly n elementary symmetric values")
             if elem[-1] == 0:
@@ -345,9 +324,9 @@ def satake_from_eigenvalue(q: int, lam) -> SatakeParams:
 def contragredient_satake(sp: SatakeParams) -> SatakeParams:
     """Dual datum {α_i⁻¹}; symmetric functions ẽ_i = e_{n−i}/e_n, kept exact."""
     n = sp.n
-    e = (Fraction(1),) + tuple(sp.elem)
-    elem = tuple(_ring_div(e[n - i], e[n]) for i in range(1, n + 1))
-    alpha = tuple(_ring_inv(a) for a in sp.alpha)
+    e = (Fraction(1), *sp.elem)
+    elem = tuple(e[n - i] / e[n] for i in range(1, n + 1))
+    alpha = tuple(1 / a for a in sp.alpha)
     return SatakeParams(sp.q, alpha, elem=elem)
 
 
@@ -362,52 +341,26 @@ def whittaker_diag(sp: SatakeParams, m: int):
     return _times_sqrt_pow(h, sp.q, -m * (sp.n - 1))
 
 
-# ---- truncated power series and the local L-identity -----------------------
+# ---- the local L-identity --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FormalSeries:
-    """Power series truncated at a fixed order; coefficients stay exact."""
-
-    coeffs: tuple
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __mul__(self, other: "FormalSeries") -> "FormalSeries":
-        order = min(self.order, other.order)
-        out = []
-        for k in range(order + 1):
-            acc = Fraction(0)
-            for i in range(k + 1):
-                if i <= self.order and k - i <= other.order:
-                    acc = acc + self.coeffs[i] * other.coeffs[k - i]
-            out.append(acc)
-        return FormalSeries(tuple(out))
-
-    def is_one(self) -> bool:
-        return self.coeffs[0] == 1 and all(c == 0 for c in self.coeffs[1:])
-
-
-def local_l_series_check(sp: SatakeParams, order: int, series: FormalSeries | None = None):
+def local_l_series_check(sp: SatakeParams, order: int, series=None):
     """(Σ_m h_m X^m)·∏_i(1 − α_i X) ≡ 1 through the given order, exactly.
 
-    Returns the h-series and the verdict.  Passing `series` substitutes the
-    first factor — the hook the corrupted-coefficient negative control uses.
+    Returns h_0 … h_order as a tuple and the verdict.  Passing `series` (a
+    sequence) substitutes the h's — the hook the corrupted-coefficient
+    negative control uses.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    hseries = series if series is not None else FormalSeries(tuple(_h_sequence(sp.elem, order)))
-    lpoly = [Fraction(1)]
-    for i, e in enumerate(sp.elem, start=1):
-        lpoly.append(-e if i % 2 == 1 else e)
-    lpoly += [Fraction(0)] * (order - len(sp.elem))
-    product = hseries * FormalSeries(tuple(lpoly[: order + 1]))
-    return hseries, product.is_one()
+    h = tuple(series) if series is not None else tuple(_h_sequence(sp.elem, order))
+    lpoly = [Fraction(1)] + [-e if i % 2 == 1 else e for i, e in enumerate(sp.elem, start=1)]
+    product = [
+        sum((h[k - j] * lpoly[j] for j in range(min(k, sp.n) + 1)), Fraction(0))
+        for k in range(min(len(h) - 1, order) + 1)
+    ]
+    # == 0, not truthiness: QSqrt defines no __bool__, so every QSqrt is truthy
+    return h, product[0] == 1 and all(c == 0 for c in product[1:])
 
 
 # ---- exact matrices over ℚ_p ----------------------------------------------
@@ -613,10 +566,6 @@ class WhittakerValue:
         return {"turns": str(self.turns), "sqrtq_power": self.half, "coef": repr(self.coef)}
 
 
-def _zero_value(q: int) -> WhittakerValue:
-    return WhittakerValue(q, Fraction(0), 0, Fraction(0))
-
-
 def _check_field(sp: SatakeParams, g: PAdicMat) -> None:
     if g.p != sp.q:
         raise ValueError("matrix prime and Satake residue cardinality disagree")
@@ -637,14 +586,14 @@ def whittaker_general(sp: SatakeParams, g: PAdicMat) -> WhittakerValue:
     n = g.size
     m = [int(v_p(t.entries[i][i], g.p)) for i in range(n)]
     if m != sorted(m, reverse=True):
-        return _zero_value(sp.q)
+        return WhittakerValue(sp.q, Fraction(0), 0, Fraction(0))
     a, b = m[0] - m[-1], m[1] - m[-1]
     if b == 0:
         schur = _h_sequence(sp.elem, a)[a]
     else:
         h = _h_sequence(sp.elem, a + 1)
         schur = h[a] * h[b] - h[a + 1] * h[b - 1]
-    coef = _ring_pow(sp.elem[-1], m[-1]) * schur
+    coef = sp.elem[-1] ** m[-1] * schur
     half = -sum((n - 1 - 2 * i) * mi for i, mi in enumerate(m))
     turns = psi_phase(sum((u.entries[i][i + 1] for i in range(1, n - 1)), u.entries[0][1]), g.p)
     return WhittakerValue(sp.q, turns, half, coef)

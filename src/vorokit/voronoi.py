@@ -189,10 +189,13 @@ def coeffs_from_file(path) -> DirichletCoeffs:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError(f"{path} line {lineno}: expected n,lambda_re,lambda_im, got {line!r}")
-            n = int(parts[0])
+            try:
+                n, lam = int(parts[0]), complex(float(parts[1]), float(parts[2]))
+            except ValueError as exc:
+                raise ValueError(f"{path} line {lineno}: {exc}, in {line!r}") from None
             if n in rows:
                 raise ValueError(f"{path} line {lineno}: n = {n} repeats an earlier row")
-            rows[n] = complex(float(parts[1]), float(parts[2]))
+            rows[n] = lam
             if not np.isfinite(rows[n]):
                 raise ValueError(f"{path} line {lineno}: lambda must be finite, got {line!r}")
     if not rows or min(rows) != 1 or max(rows) != len(rows):

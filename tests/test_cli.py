@@ -257,8 +257,10 @@ def test_malformed_blocks_exit_2(capsys, blocks):
         ("1,1.0,0.0\n2,0.5\n", "line 3: expected n,lambda_re,lambda_im"),  # too few fields
         ("1,1.0,0.0\n2,0.5,0.0,9\n", "line 3: expected n,lambda_re,lambda_im"),  # too many
         ("1,1.0,0.0\n2,0.5,0.0\n2,0.25,0.0\n", "line 4: n = 2 repeats"),
+        ("1,1.0,0.0\n2,abc,0.0\n", "line 3: could not convert string to float: 'abc'"),
+        ("1,1.0,0.0\n1.5,0.1,0.0\n", "line 3: invalid literal for int()"),
     ],
-    ids=["short-row", "long-row", "repeated-n"],
+    ids=["short-row", "long-row", "repeated-n", "unparsable-lambda", "non-integer-n"],
 )
 def test_malformed_coeffs_file_exits_2(capsys, tmp_path, rows, why):
     path = tmp_path / "coeffs.csv"
@@ -280,6 +282,13 @@ NON_FINITE = {
                            "--s-list", "0.5"],
     "voronoi-verify-support-inf": ["voronoi-verify", "--support", "1,inf"],
     "voronoi-verify-coeffs-nan": ["voronoi-verify", "--zeta", "0", "--support", "1,8", "--coeffs", "{coeffs}"],
+    "voronoi-verify-tol-inf": ["voronoi-verify", "--tol", "inf", "--support", "1,8"],
+    "fe-check-max-residual-nan": ["fe-check", "--max-residual", "nan", "--s-list", "0.5", "--bump", "1,4",
+                                  "--tol", "1e-4"],
+    "clozel-test-t0-inf": ["clozel-test", "--t0", "inf", "--steps", "5"],
+    "hankel-tol-inf": ["hankel", "--tol", "inf", "--x", "1", "--route", "convolution"],
+    "kernel-table-x-max-inf": ["kernel-table", "--x-max", "inf"],
+    "fe-check-config-tol-nan": ["fe-check", "--config", "{config}"],
 }
 
 
@@ -288,7 +297,9 @@ def test_non_finite_input_exits_2_at_once(tmp_path, argv):
     # in a fresh process with a timeout, so a refusal that regresses into a hang fails here
     path = tmp_path / "coeffs.csv"
     path.write_text("n,lambda_re,lambda_im\n1,1.0,0.0\n2,nan,0.0\n")
-    argv = [str(path) if a == "{coeffs}" else a for a in argv]
+    config = tmp_path / "job.json"
+    config.write_text('{"tol": "nan"}')
+    argv = [{"{coeffs}": str(path), "{config}": str(config)}.get(a, a) for a in argv]
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     t0 = time.monotonic()
     out = subprocess.run([sys.executable, "-m", "vorokit.cli", *argv], env=env, capture_output=True, text=True, timeout=60)

@@ -16,7 +16,8 @@ default is a constant spelled as a knob.  A second census counts only the
 calls in ``src/vorokit`` and ``perfbench``: the defaults that only tests pass
 are the frozen ``TEST_HOOKS``, each with the reason a test needs it.  A call is matched by the bare name
 it calls (``f(...)`` or ``obj.f(...)``), a call of a class by its name counts
-for ``__init__``, and ``*args``/``**kwargs`` at a call site pass nothing.
+for ``__init__`` (or, for a dataclass, for its fields in order), and
+``*args``/``**kwargs`` at a call site pass nothing.
 The census cannot see a knob that hides in ``*args`` or ``**kwargs``, so no
 function in ``src/vorokit`` (nested ones and lambdas included) declares one.
 
@@ -122,10 +123,16 @@ def test_no_unused_imports():
     assert not found, "unused imports:\n" + "\n".join(found)
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any("dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)) for d in decorators)
+
+
 def _defaulted(tree):
     """(qualified name, name its callers use, parameter, position) for each
-    defaulted parameter; position is None for a keyword-only one."""
-    defs = []
+    defaulted parameter; position is None for a keyword-only one.  A
+    dataclass's fields are the parameters of its class call, in field order."""
+    defs, fields = [], []
     for node in tree.body:
         if isinstance(node, ast.FunctionDef):
             defs.append((node.name, node.name, node, 0))
@@ -133,6 +140,9 @@ def _defaulted(tree):
             for f in node.body:
                 if isinstance(f, ast.FunctionDef):  # self or cls is bound at the call
                     defs.append((f"{node.name}.{f.name}", node.name if f.name == "__init__" else f.name, f, 1))
+            if _is_dataclass(node):
+                named = [f for f in node.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+                fields += [(node.name, node.name, f.target.id, i) for i, f in enumerate(named) if f.value is not None]
     for qual, called, f, bound in defs:
         pos = [*f.args.posonlyargs, *f.args.args][bound:]
         for i in range(len(pos) - len(f.args.defaults), len(pos)):
@@ -140,6 +150,7 @@ def _defaulted(tree):
         for arg, default in zip(f.args.kwonlyargs, f.args.kw_defaults):
             if default is not None:
                 yield qual, called, arg.arg, None
+    yield from fields
 
 
 def _calls(tree):
@@ -180,6 +191,12 @@ def test_census_flags_defaults_no_call_passes():
         "    @classmethod\n"
         "    def make(cls, r=5):\n"
         "        pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 1\n"
+        "    w: tuple = field(default_factory=tuple)\n"
     )
     callers = (
         "f(0, 1)\n"  # b by position
@@ -188,8 +205,10 @@ def test_census_flags_defaults_no_call_passes():
         "K(1, 2)\n"  # y by position through the class name
         "k.m(7)\n"  # p by position, self bound
         "K.make()\n"
+        "D(1, 2)\n"  # field y by position
+        "D(0, w=())\n"  # field w by keyword
     )
-    assert unset_defaults([lib], [lib, callers]) == ["f(c)", "f(e)", "K.m(q)", "K.make(r)"]
+    assert unset_defaults([lib], [lib, callers]) == ["f(c)", "f(e)", "K.m(q)", "K.make(r)", "D(z)"]
 
 
 def test_every_library_default_is_passed_somewhere():
@@ -208,6 +227,7 @@ TEST_HOOKS = {
     "local_l_series_check(series)": "a test substitutes a corrupted series to show the check can fail",
     "multiplicativity_check(pairs)": "a test draws more pairs than the default",
     "multiplicativity_check(seed)": "a test draws its pairs from a second seed",
+    "KernelSpec(dual_coeffs)": "a test passes a second table to show the dual kernel reads its own coefficients",
 }
 
 
@@ -279,6 +299,7 @@ CHECKS = {
     "contours.check_admissible": "the contour admissibility tests check every contour built",
     "contours.Contour.shifted": "the contour-independence tests move the contour and compare the kernels",
     "padic.whittaker_diag": "the closed form that whittaker_general and the integral-twist transform are compared against",
+    "padic.WhittakerValue.scalar": "tests compare whittaker_general against whittaker_diag through it",
     "voronoi.multiplicativity_check": "the τ table's multiplicativity test",
     "gj.h_kernel": "pins the _prefix_sums and the KernelSpec power and residue that _pair uses",
     "gj.k_dual_kernel": "pins the _prefix_sums over the dual table and the KernelSpec power that _pair uses",

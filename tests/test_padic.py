@@ -8,7 +8,6 @@ import pytest
 from vorokit import padic
 from vorokit.padic import (
     DepthExceeded,
-    FormalSeries,
     PAdicMat,
     QSqrt,
     SatakeParams,
@@ -209,6 +208,12 @@ def test_satake_validation_and_dual():
     assert contragredient_satake(dual).elem == sp.elem
     # trivial central character data is its own dual
     assert contragredient_satake(SP5).elem == SP5.elem
+    # integers are made exact on entry, so 1 / a and e ** −k on them stay rational
+    ints = SatakeParams(7, (2, 3), elem=(5, 6))
+    assert all(type(x) is F for x in (*ints.alpha, *ints.elem))
+    dual = contragredient_satake(ints)
+    assert (dual.alpha, dual.elem) == ((F(1, 2), F(1, 3)), (F(5, 6), F(1, 6)))
+    assert all(type(x) is F for x in (*dual.alpha, *dual.elem))
 
 
 # ---- the local L-series identity -------------------------------------------
@@ -229,8 +234,8 @@ def test_local_l_series_random_tuples():
         order = rng.randrange(5, 31)
         series, ok = local_l_series_check(SatakeParams(rng.choice([2, 3, 5]), alpha), order)
         assert ok
-        assert series.coeffs[0] == 1
-        assert series.order == order
+        assert series[0] == 1
+        assert len(series) == order + 1
 
 
 def test_local_l_series_weight12_and_corruption():
@@ -238,19 +243,10 @@ def test_local_l_series_weight12_and_corruption():
     sp = satake_from_eigenvalue(2, lam)
     series, ok = local_l_series_check(sp, 30)
     assert ok
-    bad = list(series.coeffs)
+    bad = list(series)
     bad[3] = bad[3] + 1
-    _, ok2 = local_l_series_check(sp, 30, series=FormalSeries(tuple(bad)))
+    _, ok2 = local_l_series_check(sp, 30, series=tuple(bad))
     assert not ok2
-
-
-def test_formal_series_multiplication():
-    a = FormalSeries((F(1), F(1), F(0)))
-    b = FormalSeries((F(1), F(-1), F(0)))
-    assert (a * b).coeffs == (1, 0, -1)
-    assert not (a * b).is_one()
-    one = FormalSeries((F(1), F(0), F(0)))
-    assert (a * one).coeffs == a.coeffs
 
 
 # ---- matrices and Iwasawa decompositions ------------------------------------
@@ -529,7 +525,7 @@ def _ref_whittaker_gl2(sp, g):
         return WhittakerValue(sp.q, F(0), 0, F(0))
     d = int(m1 - m2)
     h = padic._h_sequence(sp.elem, d)[d]
-    coef = padic._ring_pow(sp.elem[1], int(m2)) * h
+    coef = sp.elem[1] ** int(m2) * h
     return WhittakerValue(sp.q, psi_phase(u.entries[0][1], g.p), -d, coef)
 
 
@@ -543,7 +539,7 @@ def _ref_whittaker_gl3(sp, g):
     a, b = int(m1 - m3), int(m2 - m3)
     h = padic._h_sequence(sp.elem, a + 1)
     schur = h[a] * h[b] - (h[a + 1] * h[b - 1] if b >= 1 else F(0))
-    coef = padic._ring_pow(sp.elem[2], int(m3)) * schur
+    coef = sp.elem[2] ** int(m3) * schur
     turns = psi_phase(u.entries[0][1] + u.entries[1][2], g.p)
     return WhittakerValue(sp.q, turns, -2 * a, coef)
 

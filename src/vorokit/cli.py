@@ -449,8 +449,6 @@ def _run_voronoi_verify(args, t0):
     w = _parse_bump(args.support, "--support")
     coeffs = coeffs_from_file(args.coeffs) if args.coeffs else None
     n_trunc = args.n_trunc if args.n_trunc is not None else 4096 * zeta.denominator
-    if coeffs is None:
-        coeffs = tau_coefficients(n_trunc)
     try:
         job = VoronoiJob(
             a=int(zeta.numerator), c=int(zeta.denominator), w=w,

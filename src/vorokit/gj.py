@@ -32,10 +32,10 @@ import mpmath
 import numpy as np
 
 from .archimedean import DS2Block, RealPlaceParams
-from .hankel import KernelCache, TestFunction, hankel_convolution_batch, make_bump, signed_mellin
+from .hankel import TestFunction, hankel_convolution_batch, make_bump, signed_mellin
 from .lseries import euler_product_l_delta, l_delta_smoothed, zeta_em
 from .quadrature import gauss_panels
-from .voronoi import DirichletCoeffs, certified_batch, dual_floor, tail_sum, tau_coefficients
+from .voronoi import DirichletCoeffs, DualWalk, tau_coefficients
 
 __all__ = [
     "CoeffRangeExceeded",
@@ -219,39 +219,28 @@ def _tate_pairing(s: complex, phi: SchwartzGaussian) -> complex:
 _DELTA_PARAMS = RealPlaceParams((DS2Block(11, 0.0),))
 
 
-class DualGrid:
+class DualGrid(DualWalk):
     """Dual-function samples on gap-wise quadrature nodes, octave by octave.
 
     Building w̃ is the expensive part of the K-side integral and depends only
     on the test function, so one grid is shared across every s in a scan.
-    Octaves [2^j, 2^{j+1}) are built on demand, one ``certified_batch`` each
-    at ``dual_floor(tol/100)``; each node carries its d×x weight and the
-    integer gap it lies in, and each octave carries the batch record: the
-    ``dual_tol`` it met (8 × ``wtol`` after the looser retry) and the
-    kernel-model panels it built and reused from the grid's one cache.
+    It is the :class:`~vorokit.voronoi.DualWalk` whose window j is the octave
+    [2^j, 2^{j+1}), sampled at the share tol/100.
     """
 
     def __init__(self, w: TestFunction, tol: float = 1e-7):
-        self.w = w
-        self.wtol = dual_floor(tol / 100.0)
-        self.octaves: list[dict] = []
-        self._hi = 1
-        self._cache = KernelCache()
+        def sample(xs, wtol, cache):
+            return hankel_convolution_batch(_DELTA_PARAMS, 2, w, xs, tol=wtol, cache=cache)[0]
 
-    def ensure(self, upto: int) -> None:
-        while self._hi < upto:
-            lo, hi = self._hi, 2 * self._hi
+        def octave(j):  # each node's d×x weight and the integer gap it lies in
+            lo, hi = 2**j, 2 ** (j + 1)
             # the dual phase swings by 2π·sqrt(b/g) across gap g
             xs, wts, gaps = _gap_rule(
-                range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(self.w.b / g)))
+                range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(w.b / g)))
             )
-            vals, record = certified_batch(
-                lambda t: hankel_convolution_batch(_DELTA_PARAMS, 2, self.w, xs, tol=t, cache=self._cache)[0],
-                self.wtol,
-                self._cache,
-            )
-            self.octaves.append({"lo": lo, "hi": hi, "xs": xs, "wts": wts / xs, "gaps": gaps, "vals": vals, **record})
-            self._hi = hi
+            return xs, {"lo": lo, "hi": hi, "wts": wts / xs, "gaps": gaps}
+
+        super().__init__(sample, tol / 100.0, octave)
 
 
 def split_zeta_identity(
@@ -284,22 +273,13 @@ def split_zeta_identity(
     gap = np.repeat(np.floor(edges[:-1]).astype(int), 24)
     i1 = _pair(h, h.coeffs, x, wts / x, gap, w(x))
 
-    # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible
+    # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible; octave j needs
+    # C_g for g < 2^{j+1}, so the last one the table reaches ends at the largest power of two ≤ n + 1
     grid = grid if grid is not None else DualGrid(w, tol)
-
-    def octaves():
-        j = 0
-        # octave j is [2^j, 2^{j+1}) and needs C_g for g < 2^{j+1}; check before building it
-        while 2 ** (j + 1) <= coeffs.n + 1:
-            if j == len(grid.octaves):
-                grid.ensure(2 ** (j + 1))
-            oc = grid.octaves[j]
-            yield _pair(k, k.dual, oc["xs"], oc["wts"], oc["gaps"], oc["vals"])
-            j += 1
-
-    # the last reachable octave ends at the largest power of two ≤ n + 1
-    reach = f"x = {2 ** ((coeffs.n + 1).bit_length() - 1)} with {coeffs.n} coefficients"
-    i2, read = tail_sum(octaves(), tol, reach)
+    count = (coeffs.n + 1).bit_length() - 1
+    reach = f"x = {2 ** count} with {coeffs.n} coefficients"
+    i2, sizes = grid.total(lambda oc: _pair(k, k.dual, oc["xs"], oc["wts"], oc["gaps"], oc["vals"]), tol, count, reach)
+    read = grid.windows[: len(sizes)]
 
     z_arch = signed_mellin(w, 0, s - 0.5, tol=min(1e-12, tol / 10))
     if s.real > 1.5:
@@ -320,8 +300,8 @@ def split_zeta_identity(
         "reference": reference,
         "defect": defect,
         "rel_defect": defect / max(abs(reference), 1e-30),
-        "x_max": grid.octaves[read - 1]["hi"],
-        "dual_tol": max(oc["dual_tol"] for oc in grid.octaves[:read]),
+        "x_max": read[-1]["hi"],
+        "dual_tol": max(oc["dual_tol"] for oc in read),
         "tol": tol,
     }
 

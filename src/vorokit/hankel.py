@@ -27,11 +27,11 @@ independent routes:
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
   a validated piecewise-Chebyshev model in the variable u = arg^{1/n}.  A job
   keeps one model per (params, sign with 𝔟 ≢ 0) in a :class:`KernelCache`:
-  one per ``rhs_theta`` call, one per ``DualGrid``, a private one for a lone
-  batch.  Both dual sums run each batch through ``voronoi.certified_batch``,
-  which records the panels it built and reused next to the tolerance it
-  met.  A model's panels sit on a fixed lattice, panel j = [j·h, (j+1)·h]
-  with h = 1.1/n, so every α-window or octave of the job asks for panels the
+  one per ``voronoi.DualWalk`` (one per ``rhs_theta`` call, one per
+  ``DualGrid``), a private one for a lone batch.  The walk records, next to
+  the tolerance each window's batch met, the panels it built and reused.  A
+  model's panels sit on a fixed lattice, panel j = [j·h, (j+1)·h] with
+  h = 1.1/n, so every α-window or octave of the job asks for panels the
   earlier ones may already hold, and builds only the rest, in one Bessel
   batch, checked off-node at the golden-section point of every 4th new
   panel.  The windows' tolerances differ, so a panel is served by the error

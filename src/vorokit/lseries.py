@@ -45,9 +45,9 @@ _BERN = (
 )
 
 
-def zeta_em(s: complex, order: int = 12) -> complex:
+def zeta_em(s: complex) -> complex:
     """ζ(s) by Euler–Maclaurin: partial sum to n = max(20, 8 + 1.1·|Im s|),
-    then ``order`` Bernoulli corrections.
+    then the twelve Bernoulli corrections of ``_BERN``.
 
     Accurate to ~1e-14 for |Im s| up to a few tens; not meant for large height
     or far left of the critical strip.
@@ -55,8 +55,6 @@ def zeta_em(s: complex, order: int = 12) -> complex:
     s = complex(s)
     if abs(s - 1) < 1e-12:
         raise ValueError("ζ has its pole at s = 1")
-    if not 1 <= order <= len(_BERN):
-        raise ValueError(f"order must be in 1..{len(_BERN)}")
     n = max(20, int(8 + 1.1 * abs(s.imag)))
     ks = np.arange(1, n, dtype=float)
     total = complex(np.sum(ks ** (-s)))
@@ -64,8 +62,8 @@ def zeta_em(s: complex, order: int = 12) -> complex:
     rising = s  # s(s+1)...(s+2j-2), grown incrementally
     fact = 2.0  # (2j)!
     npow = n ** (-s - 1)  # N^{-s-2j+1}
-    for j in range(1, order + 1):
-        total += _BERN[j - 1] / fact * rising * npow
+    for j, bern in enumerate(_BERN, 1):
+        total += bern / fact * rising * npow
         rising *= (s + 2 * j - 1) * (s + 2 * j)
         fact *= (2 * j + 1) * (2 * j + 2)
         npow /= n * n

@@ -30,9 +30,7 @@ from .quadrature import ToleranceNotMet
 __all__ = [
     "TruncationTooSmall",
     "TailNotConverged",
-    "dual_floor",
-    "certified_batch",
-    "tail_sum",
+    "DualWalk",
     "DirichletCoeffs",
     "tau_coefficients",
     "coeffs_from_file",
@@ -52,44 +50,61 @@ class TailNotConverged(ArithmeticError):
     """A dual sum failed to stabilise within the coefficient budget."""
 
 
-# ---- the dual-sum policy: rhs_theta's α-windows and gj.DualGrid's octaves ----
+# ---- the dual-sum walk: rhs_theta's α-windows and gj.DualGrid's octaves -----
 
 
-def dual_floor(x: float) -> float:
-    """The per-point dual tolerance for a caller's share x of its tol: floored
-    so far batches, whose kernel arguments push the oscillatory engine toward
-    its roundoff floor (~3e-13), are not asked for more than double precision
-    delivers, and capped so a loose job still gets a usable w̃."""
-    return min(1e-7, max(2e-9, x))
+class DualWalk:
+    """Σ_j term(window j) over dyadic windows of dual points, each built once.
 
+    `points(j)` → (xs, info): window j's dual points and what its term reads
+    besides; `sample(xs, tol, cache)` → w̃(xs) to per-point tol.  Windows are
+    kept, so sums sharing a walk (a scan over s) sample each once.  The
+    per-point tolerance is the caller's `share` of its tol, floored so far
+    batches, whose kernel arguments push the oscillatory engine toward its
+    roundoff floor (~3e-13), are not asked for more than double precision
+    delivers, and capped so a loose job still gets a usable w̃.
+    """
 
-def certified_batch(sample, wtol: float, cache: KernelCache):
-    """sample(wtol), or sample(8·wtol) once if that raises ToleranceNotMet
-    (a second miss propagates).  → (values, {"dual_tol": met,
-    "kernel_panels": cache.panel_counts()}), so every report shows the
-    fallback.  Far batches carry negligible weight, so the looser pass costs
-    nothing against the tol/10 tail threshold."""
-    try:
-        met, values = wtol, sample(wtol)
-    except ToleranceNotMet:
-        met = 8 * wtol
-        values = sample(met)
-    return values, {"dual_tol": met, "kernel_panels": cache.panel_counts()}
+    def __init__(self, sample, share: float, points):
+        self.sample, self.points = sample, points
+        self.wtol = min(1e-7, max(2e-9, share))
+        self.cache = KernelCache()
+        self.windows: list[dict] = []
 
+    def ensure(self) -> None:
+        """Build the next window: {**info, "xs", "vals", "dual_tol", "kernel_panels"}.
 
-def tail_sum(terms, tol: float, reach: str) -> tuple[complex, int]:
-    """(Σ terms, terms read), up to and including the second consecutive term
-    below tol/10; a larger term resets the count.  Terms that run out first
-    raise TailNotConverged, which names `reach`, how far they went."""
-    total, seen, small = 0j, [], 0
-    for term in terms:
-        total += term
-        seen.append(abs(term))
-        small = small + 1 if seen[-1] < tol / 10 else 0
-        if small == 2:
-            return total, len(seen)
-    last = [round(a, 12) for a in seen[-3:]]
-    raise TailNotConverged(f"dual sum still above tol/10 after {reach} (last terms: {last})")
+        A batch that raises ToleranceNotMet is retried once at 8·wtol (a second
+        miss propagates) and records the tolerance it met and the model panels
+        it built and reused, so every report shows the fallback.  Far batches
+        carry negligible weight, so the looser pass costs nothing against the
+        tol/10 tail threshold.
+        """
+        xs, info = self.points(len(self.windows))
+        try:
+            met, vals = self.wtol, self.sample(xs, self.wtol, self.cache)
+        except ToleranceNotMet:
+            met = 8 * self.wtol
+            vals = self.sample(xs, met, self.cache)
+        record = {"dual_tol": met, "kernel_panels": self.cache.panel_counts()}
+        self.windows.append({**info, "xs": xs, "vals": vals, **record})
+
+    def total(self, term, tol: float, count: int, reach: str) -> tuple[complex, list[float]]:
+        """(Σ term(window j), each |term| read) over j < count, up to and
+        including the second consecutive term below tol/10; a larger term
+        resets the count.  Windows that run out first raise TailNotConverged,
+        which names `reach`, how far they went."""
+        total, seen, small = 0j, [], 0
+        for j in range(count):
+            if j == len(self.windows):
+                self.ensure()
+            total += (t := term(self.windows[j]))
+            seen.append(abs(t))
+            small = small + 1 if seen[-1] < tol / 10 else 0
+            if small == 2:
+                return total, seen
+        last = [round(a, 12) for a in seen[-3:]]
+        raise TailNotConverged(f"dual sum still above tol/10 after {reach} (last terms: {last})")
 
 
 # ---- weight-12 coefficient table -------------------------------------------
@@ -257,13 +272,14 @@ class VoronoiJob:
             raise ValueError("weight must be at least 2")
         if self.weight != 12 and (self.coeffs is None or self.coeffs.provenance == "tau"):
             raise ValueError(f"the built-in τ table is weight 12; pass coeffs of weight {self.weight}")
+        if self.coeffs is None:  # resolved once, for both sides
+            object.__setattr__(self, "coeffs", tau_coefficients(self.n_trunc))
 
 
 def _job_coeffs(job: VoronoiJob) -> DirichletCoeffs:
-    co = job.coeffs if job.coeffs is not None else tau_coefficients(job.n_trunc)
-    if co.n < job.n_trunc:
-        raise TruncationTooSmall(f"coefficient table covers {co.n} < {job.n_trunc}")
-    return co
+    if job.coeffs.n < job.n_trunc:
+        raise TruncationTooSmall(f"coefficient table covers {job.coeffs.n} < {job.n_trunc}")
+    return job.coeffs
 
 
 def _factor(c: int) -> dict[int, int]:
@@ -362,13 +378,14 @@ def rhs_theta(job: VoronoiJob) -> dict:
     (exact values, each converted once), so a window is one numpy product and
     sum.  w̃ comes from the convolution route in batches; the negative dual
     axis vanishes identically for these discrete-series parameters, so the
-    sum is one-sided.  Windows of doubling width are accumulated until two
-    consecutive ones fall below tol/10 in absolute value; running out of
-    coefficients first raises TailNotConverged.  The windows share one
-    kernel-model cache, and each shell records the model panels it built and
-    reused (``kernel_panels``).  Returns {"value", "support", "shells"}; a
-    prime whose exact local factor vanishes everywhere has support None and
-    gives value 0 with no shells.
+    sum is one-sided.  The windows of doubling width are one
+    :class:`DualWalk`: accumulated until two consecutive ones fall below
+    tol/10 in absolute value (running out of coefficients first raises
+    TailNotConverged), sharing one kernel-model cache, each shell recording
+    the tolerance it met and the model panels it built and reused
+    (``kernel_panels``).  Returns {"value", "support", "shells"}; a prime
+    whose exact local factor vanishes everywhere has support None and gives
+    value 0 with no shells.
     """
     co = _job_coeffs(job)
     params = RealPlaceParams((DS2Block(job.weight - 1, 0.0),))
@@ -387,41 +404,42 @@ def rhs_theta(job: VoronoiJob) -> dict:
     denom = 1
     for p in fac:
         denom *= p ** (-support[p])
-    wtol = dual_floor(job.tol / 500.0)
-    cache = KernelCache()  # kernel panels shared by this call's windows
-    shells = []
 
-    def windows():
-        m_lo, edge = 1, 4.0  # windows end at α = 4, 8, 16, …: each holds ≥ 4·denom new m
-        while m_lo <= job.n_trunc:
-            m_hi = min(job.n_trunc, int(math.floor(edge * denom)))
-            ms = np.arange(m_lo, m_hi + 1)
-            dual_vals, record = certified_batch(
-                lambda t: hankel_convolution_batch(params, 2, job.w, ms / float(denom), tol=t, cache=cache)[0],
-                wtol,
-                cache,
-            )
-            # x = m/D lies on p's shell v_p(m) + support[p], in the unit class of (m/p^{v_p(m)})·D_p^{−1},
-            # D_p the prime-to-p part of D; m is reduced mod p^k first, so the int64 product stays below p^{2k}
-            mprime, local = ms.copy(), np.ones(len(ms), dtype=complex)
-            for p, sp in sps.items():
-                vm = np.zeros(len(ms), dtype=np.int64)
-                while (hit := mprime % p == 0).any():
-                    mprime[hit] //= p
-                    vm[hit] += 1
-                unit, rest = ms // p**vm, denom // p ** -support[p]
-                for j in range(int(vm.max()) + 1):
-                    at = vm == j
-                    if at.any():
-                        table = _shell(memo, sp, zeta, j + support[p])[1]
-                        mod = len(table)
-                        local[at] *= table[unit[at] % mod * pow(rest, -1, mod) % mod]
-            contrib = complex(np.sum(local * co.values[mprime - 1] / np.sqrt(mprime) * dual_vals))
-            shells.append({"alpha_hi": edge, "m_range": (m_lo, m_hi), "abs": abs(contrib), **record})
-            yield contrib
-            m_lo, edge = m_hi + 1, 2 * edge
+    def alpha_window(j):
+        # window j ends at α = 2^{j+2} (4, 8, 16, …), so each holds ≥ 4·denom new m
+        m_lo = 2 ** (j + 1) * denom + 1 if j else 1
+        m_hi = min(job.n_trunc, 2 ** (j + 2) * denom)
+        ms = np.arange(m_lo, m_hi + 1)
+        return ms / float(denom), {"alpha_hi": 2.0 ** (j + 2), "m_range": (m_lo, m_hi), "ms": ms}
 
-    total, _ = tail_sum(windows(), job.tol, f"m = {job.n_trunc}")
+    def term(win):
+        # x = m/D lies on p's shell v_p(m) + support[p], in the unit class of (m/p^{v_p(m)})·D_p^{−1},
+        # D_p the prime-to-p part of D; m is reduced mod p^k first, so the int64 product stays below p^{2k}
+        ms = win["ms"]
+        mprime, local = ms.copy(), np.ones(len(ms), dtype=complex)
+        for p, sp in sps.items():
+            vm = np.zeros(len(ms), dtype=np.int64)
+            while (hit := mprime % p == 0).any():
+                mprime[hit] //= p
+                vm[hit] += 1
+            unit, rest = ms // p**vm, denom // p ** -support[p]
+            for j in range(int(vm.max()) + 1):
+                at = vm == j
+                if at.any():
+                    table = _shell(memo, sp, zeta, j + support[p])[1]
+                    mod = len(table)
+                    local[at] *= table[unit[at] % mod * pow(rest, -1, mod) % mod]
+        return complex(np.sum(local * co.values[mprime - 1] / np.sqrt(mprime) * win["vals"]))
+
+    def sample(xs, wtol, cache):
+        return hankel_convolution_batch(params, 2, job.w, xs, tol=wtol, cache=cache)[0]
+
+    walk = DualWalk(sample, job.tol / 500.0, alpha_window)
+    # window j ends at m = 2^{j+2}·denom; the first to reach n_trunc is the last
+    count = ((job.n_trunc - 1) // (4 * denom)).bit_length() + 1
+    total, sizes = walk.total(term, job.tol, count, f"m = {job.n_trunc}")
+    keep = ("alpha_hi", "m_range", "dual_tol", "kernel_panels")
+    shells = [{**{k: win[k] for k in keep}, "abs": size} for win, size in zip(walk.windows, sizes)]
     return {"value": total, "support": support, "shells": shells}
 
 

@@ -195,7 +195,7 @@ def test_split_identity_grid():
     assert routes[0.4] == "smoothed-sum"
     assert routes[1.0 + 1.5j] == "smoothed-sum"
     # every octave after the first extends the grid's one kernel model
-    counts = [oc["kernel_panels"] for oc in grid.octaves]
+    counts = [oc["kernel_panels"] for oc in grid.windows]
     assert len(counts) >= 3 and counts[0]["built"] > 0 and counts[0]["reused"] == 0
     assert all(c["reused"] > 0 for c in counts[1:])
 
@@ -215,7 +215,7 @@ def test_octaves_report_the_dual_tolerance_they_met(monkeypatch):
     grid = DualGrid(w, tol=1e-5)
     rep = split_zeta_identity(w, 0.5, CO1K, tol=1e-5, grid=grid)
     wtol = 1e-7  # min(1e-7, max(2e-9, tol/100))
-    met = [oc["dual_tol"] for oc in grid.octaves]
+    met = [oc["dual_tol"] for oc in grid.windows]
     assert asked[:2] == [wtol, 8 * wtol]
     assert len(met) >= 2 and met[0] == 8 * wtol and met[1:] == [wtol] * (len(met) - 1)
     assert rep["dual_tol"] == 8 * wtol and rep["defect"] < 1e-5
@@ -255,7 +255,7 @@ def test_split_identity_guards():
     with pytest.raises(TailNotConverged):
         split_zeta_identity(W40, 2.0, tau_coefficients(64), tol=1e-7, grid=grid)
     # the octave the 64 coefficients cannot reach is refused before it is built
-    assert all(oc["hi"] <= 64 + 1 for oc in grid.octaves)
+    assert all(oc["hi"] <= 64 + 1 for oc in grid.windows)
 
 
 def test_cuspidal_proxy():

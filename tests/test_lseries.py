@@ -28,8 +28,6 @@ def test_zeta_em_against_mpmath():
 def test_zeta_em_pole_guard():
     with pytest.raises(ValueError):
         zeta_em(1.0)
-    with pytest.raises(ValueError):
-        zeta_em(2.0, order=99)
 
 
 def test_hardy_z_sign_change_and_bisect():

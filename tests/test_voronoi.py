@@ -21,18 +21,17 @@ from vorokit.padic import satake_from_eigenvalue, QSqrt
 from vorokit.quadrature import ToleranceNotMet
 from vorokit.voronoi import (
     DirichletCoeffs,
+    DualWalk,
     TailNotConverged,
     TruncationTooSmall,
     VoronoiJob,
     _detect_min_valuation,
     _factor,
     _shell,
-    certified_batch,
     coeffs_from_file,
     lhs_theta,
     multiplicativity_check,
     rhs_theta,
-    tail_sum,
     tau_coefficients,
     voronoi_residual,
 )
@@ -324,60 +323,88 @@ def test_rhs_window_product_equals_a_per_m_reference(monkeypatch, a, c):
     assert abs(rep["value"] - want) <= 1e-14 * abs(want)
 
 
-# ---- the dual-sum policy ----------------------------------------------------
+# ---- the dual walk: each window's certified batch and the tail sum -----------
+
+
+def _one_point(j):
+    # window j: the single dual point j, nothing else for its term
+    return np.array([float(j)]), {}
 
 
 def test_certified_batch_retries_once_at_eight_times():
-    cache = hankel.KernelCache()
     asked = []
 
-    def misses_first(tol):
+    def misses_first(xs, tol, cache):
         asked.append(tol)
         if len(asked) == 1:
             raise ToleranceNotMet(tol, 2 * tol, "forced")
         return [tol]
 
-    vals, record = certified_batch(misses_first, 1e-8, cache)
-    assert asked == [1e-8, 8 * 1e-8] and vals == [8 * 1e-8]
-    assert record == {"dual_tol": 8 * 1e-8, "kernel_panels": {"built": 0, "reused": 0}}
-    assert certified_batch(lambda tol: [tol], 1e-8, cache)[1]["dual_tol"] == 1e-8
+    walk = DualWalk(misses_first, 1e-8, _one_point)
+    walk.ensure()
+    first = walk.windows[0]
+    assert asked == [1e-8, 8 * 1e-8] and first["vals"] == [8 * 1e-8]
+    assert first["dual_tol"] == 8 * 1e-8 and first["kernel_panels"] == {"built": 0, "reused": 0}
+    walk.ensure()
+    assert walk.windows[1]["dual_tol"] == 1e-8
 
 
 def test_certified_batch_reraises_a_second_miss():
     asked = []
 
-    def always_misses(tol):
+    def always_misses(xs, tol, cache):
         asked.append(tol)
         raise ToleranceNotMet(tol, 2 * tol, "forced")
 
     with pytest.raises(ToleranceNotMet):
-        certified_batch(always_misses, 1e-8, hankel.KernelCache())
+        DualWalk(always_misses, 1e-8, _one_point).ensure()
     assert asked == [1e-8, 8 * 1e-8]  # one retry, no third pass
 
 
-def _no_more(terms):
-    # the terms, then a failure if the sum reads past them
-    yield from terms
-    raise AssertionError("read past the stopping term")
+def _walk_sum(terms, tol, count, reach):
+    # the walk's sum over windows carrying `terms`, failing if it builds a window past them
+    def points(j):
+        if j >= len(terms):
+            raise AssertionError("read past the stopping term")
+        return np.zeros(1), {"term": terms[j]}
+
+    return DualWalk(lambda xs, tol, cache: xs, 1e-8, points).total(lambda win: win["term"], tol, count, reach)
 
 
 def test_tail_sum_stops_at_the_second_consecutive_small_term():
     # tol 1e-3: a term below 1e-4 is small
-    assert tail_sum(_no_more([1.0, 5e-5, 2e-5]), 1e-3, "three terms") == (1.0 + 5e-5 + 2e-5, 3)
+    assert _walk_sum([1.0, 5e-5, 2e-5], 1e-3, 9, "three terms") == (1.0 + 5e-5 + 2e-5, [1.0, 5e-5, 2e-5])
     # a term of exactly tol/10 is not small
-    assert tail_sum(_no_more([1.0, 1e-4, 5e-5, 2e-5]), 1e-3, "four terms")[1] == 4
+    assert len(_walk_sum([1.0, 1e-4, 5e-5, 2e-5], 1e-3, 9, "four terms")[1]) == 4
 
 
 def test_tail_sum_resets_on_a_large_term():
-    total, read = tail_sum(_no_more([5e-5, 1.0, 5e-5, 2.0, 5e-5, 5e-5]), 1e-3, "six terms")
-    assert read == 6 and total == 5e-5 + 1.0 + 5e-5 + 2.0 + 5e-5 + 5e-5
+    total, sizes = _walk_sum([5e-5, 1.0, 5e-5, 2.0, 5e-5, 5e-5], 1e-3, 9, "six terms")
+    assert len(sizes) == 6 and total == 5e-5 + 1.0 + 5e-5 + 2.0 + 5e-5 + 5e-5
 
 
 def test_tail_sum_raises_when_the_terms_run_out():
     with pytest.raises(TailNotConverged, match="after m = 3"):
-        tail_sum(iter([1.0, 5e-5, 1.0]), 1e-3, "m = 3")
+        _walk_sum([1.0, 5e-5, 1.0], 1e-3, 3, "m = 3")
     with pytest.raises(TailNotConverged):
-        tail_sum([], 1e-3, "no terms")
+        _walk_sum([], 1e-3, 0, "no terms")
+
+
+def test_walk_builds_each_window_once():
+    built = []
+
+    def sample(xs, tol, cache):
+        built.append(xs[0])
+        return xs
+
+    def term(win):  # 1 on window 0, 1e-5 after
+        return 1.0 if win["vals"][0] == 0.0 else 1e-5
+
+    walk = DualWalk(sample, 1e-8, _one_point)
+    # the first sum reads three windows; a looser second one reads two of them again and builds none
+    assert len(walk.total(term, 1e-3, 9, "nine windows")[1]) == 3
+    assert len(walk.total(term, 100.0, 9, "nine windows")[1]) == 2
+    assert built == [0.0, 1.0, 2.0] and len(walk.windows) == 3
 
 
 # ---- both sides against each other ------------------------------------------

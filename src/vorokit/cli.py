@@ -62,6 +62,7 @@ from .padic import (
 from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import ToleranceNotMet
 from .voronoi import (
+    DELTA_PLACE,
     TailNotConverged,
     TruncationTooSmall,
     VoronoiJob,
@@ -72,7 +73,7 @@ from .voronoi import (
 
 __all__ = ["ConfigError", "main"]
 
-_DELTA_BLOCKS = '{"place": "real", "blocks": [{"kind": "ds2", "l": 11}]}'
+_DELTA_BLOCKS = json.dumps(params_to_dict(DELTA_PLACE))
 
 
 class ConfigError(ValueError):
@@ -445,15 +446,15 @@ def _run_padic(args, t0):
 
 def _run_voronoi_verify(args, t0):
     tol = args.tol
+    params = _parse_blocks(args.blocks)
     zeta = _parse_rational(args.zeta, "--zeta")
     w = _parse_bump(args.support, "--support")
-    coeffs = coeffs_from_file(args.coeffs) if args.coeffs else None
+    if not args.coeffs and params != DELTA_PLACE:
+        raise ConfigError("the built-in τ table is Δ's; give --coeffs for the form of another --blocks")
+    coeffs = coeffs_from_file(args.coeffs, params) if args.coeffs else None
     n_trunc = args.n_trunc if args.n_trunc is not None else 4096 * zeta.denominator
     try:
-        job = VoronoiJob(
-            a=int(zeta.numerator), c=int(zeta.denominator), w=w,
-            n_trunc=n_trunc, tol=tol, weight=args.k, coeffs=coeffs,
-        )
+        job = VoronoiJob(a=int(zeta.numerator), c=int(zeta.denominator), w=w, n_trunc=n_trunc, tol=tol, coeffs=coeffs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     rep = voronoi_residual(job)
@@ -468,7 +469,7 @@ def _run_voronoi_verify(args, t0):
     }
     thresholds = {"rel_residual": _threshold(max_rel, float(rep["rel_residual"]))}
     inputs = {
-        "k": args.k,
+        "blocks": params_to_dict(params),
         "zeta": str(zeta),
         "support": [w.a, w.b],
         "n_trunc": n_trunc,
@@ -634,7 +635,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = subs.add_parser("voronoi-verify", help="two-sided summation-identity residual")
-    p.add_argument("--k", type=int, default=12, help="weight, %(default)s unless --coeffs")
+    blocks(p)
     p.add_argument("--zeta", default="0", help="additive twist a/c (default %(default)s)")
     p.add_argument("--support", default="1,40", help="bump support a,b (default %(default)s)")
     p.add_argument("--n-trunc", type=int, help="coefficients summed (default 4096·c)")

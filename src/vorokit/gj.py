@@ -31,11 +31,11 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .archimedean import DS2Block, RealPlaceParams
+from .archimedean import GL1Block, RealPlaceParams
 from .hankel import TestFunction, hankel_convolution_batch, make_bump, signed_mellin
 from .lseries import euler_product_l_delta, l_delta_smoothed, zeta_em
 from .quadrature import gauss_panels
-from .voronoi import DirichletCoeffs, DualWalk, tau_coefficients
+from .voronoi import DELTA_PLACE, DirichletCoeffs, DualWalk, tau_coefficients
 
 __all__ = [
     "CoeffRangeExceeded",
@@ -63,10 +63,10 @@ class PoleAtOne(ArithmeticError):
 
 
 def unit_coeffs(n: int) -> DirichletCoeffs:
-    """a_n ≡ 1: the ζ_ℚ table (each ideal of norm n contributes once)."""
+    """a_n ≡ 1: the ζ_ℚ table (each ideal of norm n contributes once), at the trivial character's place."""
     if n < 1:
         raise ValueError("need at least one coefficient")
-    return DirichletCoeffs(n, np.ones(n, dtype=complex), "unit", (1,) * n)
+    return DirichletCoeffs(n, np.ones(n, dtype=complex), "unit", RealPlaceParams((GL1Block(0),)), (1,) * n)
 
 
 @dataclass(frozen=True)
@@ -215,22 +215,19 @@ def _tate_pairing(s: complex, phi: SchwartzGaussian) -> complex:
 # ---- split identity for the weight-12 form ----------------------------------
 
 
-# the weight-12 form's real place: the L-value oracles know no other form
-_DELTA_PARAMS = RealPlaceParams((DS2Block(11, 0.0),))
-
-
 class DualGrid(DualWalk):
     """Dual-function samples on gap-wise quadrature nodes, octave by octave.
 
     Building w̃ is the expensive part of the K-side integral and depends only
     on the test function, so one grid is shared across every s in a scan.
     It is the :class:`~vorokit.voronoi.DualWalk` whose window j is the octave
-    [2^j, 2^{j+1}), sampled at the share tol/100.
+    [2^j, 2^{j+1}), sampled at the share tol/100.  Its w̃ is Δ's: the split
+    identity's L-value oracles know no other form.
     """
 
     def __init__(self, w: TestFunction, tol: float = 1e-7):
         def sample(xs, wtol, cache):
-            return hankel_convolution_batch(_DELTA_PARAMS, 2, w, xs, tol=wtol, cache=cache)[0]
+            return hankel_convolution_batch(DELTA_PLACE, 2, w, xs, tol=wtol, cache=cache)[0]
 
         def octave(j):  # each node's d×x weight and the integer gap it lies in
             lo, hi = 2**j, 2 ** (j + 1)

@@ -1,12 +1,13 @@
 """Desk-scale verification of the level-1 GL(2)/ℚ twisted summation identity.
 
 One side is a plainly computable sum Σ e(−na/c)·λ(n)·n^{−1/2}·w(n) over the
-Hecke eigenvalues of the weight-12 cusp form; the other reassembles the same
-number from the dual side: the archimedean dual function w̃ (convolution
-route), exact ramified local transforms at the primes dividing c, and the
-untwisted dual coefficients everywhere else.  The two sides share *no* code
-path beyond the coefficient table, which is what makes the residual a real
-check and not a tautology.
+Hecke eigenvalues of the form a coefficient table records (by default Δ, the
+weight-12 cusp form); the other reassembles the same number from the dual
+side: the dual function w̃ at the table's real place (convolution route),
+exact ramified transforms of its Satake data at the primes dividing c, and
+the untwisted dual coefficients everywhere else.  The two sides share *no*
+code path beyond the coefficient table, which is what makes the residual a
+real check and not a tautology.
 
 Coefficients are exact integers (eta-product expansion, multimodular in int64);
 the ramified local factors are exact ring elements with rational phase turns,
@@ -31,6 +32,7 @@ __all__ = [
     "TruncationTooSmall",
     "TailNotConverged",
     "DualWalk",
+    "DELTA_PLACE",
     "DirichletCoeffs",
     "tau_coefficients",
     "coeffs_from_file",
@@ -107,12 +109,16 @@ class DualWalk:
         raise TailNotConverged(f"dual sum still above tol/10 after {reach} (last terms: {last})")
 
 
-# ---- weight-12 coefficient table -------------------------------------------
+# ---- coefficient tables: a form's λ(n), its real place and Satake data -----
+
+
+# Δ, the level-1 cusp form of weight 12: its real place is the discrete series D_11
+DELTA_PLACE = RealPlaceParams((DS2Block(11, 0.0),))
 
 
 @dataclass(frozen=True, eq=False)
 class DirichletCoeffs:
-    """Hecke-normalised coefficients λ(1..n); exact integers kept when known.
+    """Hecke-normalised coefficients λ(1..n) of one form at real place `params`; exact integers kept when known.
 
     `exact` holds the un-normalised integer coefficients for provenance
     "tau" (so multiplicativity can be checked with no rounding at all);
@@ -122,10 +128,21 @@ class DirichletCoeffs:
     n: int
     values: np.ndarray
     provenance: str
+    params: RealPlaceParams
     exact: tuple | None = None
 
     def lam(self, n: int) -> complex:
         return complex(self.values[n - 1])
+
+    def satake(self, p: int):
+        """Satake data at p of a place of one DS2Block(l), l odd: λ(p) = a(p)·√p/p^{(l+1)/2} exactly."""
+        if self.exact is None:
+            raise ValueError("ramified places need the exact integer coefficient table")
+        if p > self.n:
+            raise TruncationTooSmall(f"no coefficient at p = {p}")
+        (block,) = self.params.blocks
+        root_coef = Fraction(self.exact[p - 1], p ** ((block.l + 1) // 2))
+        return satake_from_eigenvalue(p, QSqrt(p, Fraction(0), root_coef))
 
 
 def _eta_cube_sparse(nmax: int):
@@ -190,11 +207,11 @@ def tau_coefficients(N: int) -> DirichletCoeffs:
     tau = tuple(_crt_signed(d, primes))
     ns = np.arange(1, N + 1, dtype=float)
     lam = np.array([float(t) for t in tau]) / ns**5.5
-    return DirichletCoeffs(N, lam.astype(complex), "tau", tau)
+    return DirichletCoeffs(N, lam.astype(complex), "tau", DELTA_PLACE, tau)
 
 
-def coeffs_from_file(path) -> DirichletCoeffs:
-    """Read `n,lambda_re,lambda_im` rows (header optional, any order of n, each n once)."""
+def coeffs_from_file(path, params: RealPlaceParams) -> DirichletCoeffs:
+    """The form at real place `params`, from `n,lambda_re,lambda_im` rows (header optional, any n order, once each)."""
     rows = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -216,7 +233,7 @@ def coeffs_from_file(path) -> DirichletCoeffs:
     if not rows or min(rows) != 1 or max(rows) != len(rows):
         raise ValueError("coefficient file must cover n = 1..N contiguously")
     values = np.array([rows[i] for i in range(1, len(rows) + 1)], dtype=complex)
-    return DirichletCoeffs(len(rows), values, "file", None)
+    return DirichletCoeffs(len(rows), values, "file", params)
 
 
 def multiplicativity_check(coeffs: DirichletCoeffs, pairs: int = 20, seed: int = 0) -> float:
@@ -251,14 +268,13 @@ def multiplicativity_check(coeffs: DirichletCoeffs, pairs: int = 20, seed: int =
 
 @dataclass(frozen=True, eq=False)
 class VoronoiJob:
-    """One twisted-identity check: twist a/c, window w, truncation and tol."""
+    """One twisted-identity check: twist a/c, window w, truncation, tol and the form's table (Δ's by default)."""
 
     a: int
     c: int
     w: TestFunction
     n_trunc: int
     tol: float = 1e-6
-    weight: int = 12
     coeffs: DirichletCoeffs | None = None
 
     def __post_init__(self) -> None:
@@ -268,18 +284,13 @@ class VoronoiJob:
             raise ValueError("w must be supported inside (0, ∞)")
         if self.n_trunc < 1 or not self.tol > 0:
             raise ValueError("need a positive truncation and tolerance")
-        if self.weight < 2:
-            raise ValueError("weight must be at least 2")
-        if self.weight != 12 and (self.coeffs is None or self.coeffs.provenance == "tau"):
-            raise ValueError(f"the built-in τ table is weight 12; pass coeffs of weight {self.weight}")
         if self.coeffs is None:  # resolved once, for both sides
             object.__setattr__(self, "coeffs", tau_coefficients(self.n_trunc))
-
-
-def _job_coeffs(job: VoronoiJob) -> DirichletCoeffs:
-    if job.coeffs.n < job.n_trunc:
-        raise TruncationTooSmall(f"coefficient table covers {job.coeffs.n} < {job.n_trunc}")
-    return job.coeffs
+        if self.coeffs.n < self.n_trunc:
+            raise TruncationTooSmall(f"coefficient table covers {self.coeffs.n} < {self.n_trunc}")
+        place = self.coeffs.params  # rhs_theta's dual sum is one-sided for a discrete series only
+        if [type(b) for b in place.blocks] != [DS2Block]:
+            raise ValueError(f"the GL(2) identity needs one DS2Block; the table's place has rank {place.rank}: {place}")
 
 
 def _factor(c: int) -> dict[int, int]:
@@ -293,15 +304,6 @@ def _factor(c: int) -> dict[int, int]:
     if left > 1:
         out[left] = out.get(left, 0) + 1
     return out
-
-
-def _delta_satake(p: int, co: DirichletCoeffs):
-    if co.exact is None:
-        raise ValueError("ramified places need the exact integer coefficient table")
-    if p > co.n:
-        raise TruncationTooSmall(f"no coefficient at p = {p}")
-    lam = QSqrt(p, Fraction(0), Fraction(co.exact[p - 1], p**6))
-    return satake_from_eigenvalue(p, lam)
 
 
 def _shell(memo: dict, sp, zeta: Fraction, v: int):
@@ -357,7 +359,7 @@ def lhs_theta(job: VoronoiJob) -> complex:
     need = math.ceil(job.w.b)
     if job.n_trunc < need:
         raise TruncationTooSmall(f"N = {job.n_trunc} < {need} = ⌈sup supp w⌉")
-    co = _job_coeffs(job)
+    co = job.coeffs
     n0 = max(1, math.ceil(job.w.a))
     n1 = min(job.n_trunc, math.floor(job.w.b))
     if n1 < n0:
@@ -387,15 +389,14 @@ def rhs_theta(job: VoronoiJob) -> dict:
     whose exact local factor vanishes everywhere has support None and gives
     value 0 with no shells.
     """
-    co = _job_coeffs(job)
-    params = RealPlaceParams((DS2Block(job.weight - 1, 0.0),))
+    co = job.coeffs
     fac = _factor(job.c)
     zeta = Fraction(job.a, job.c)
     sps = {}
     support = {}
     memo: dict = {}  # the shells of `_shell`; this call's only
     for p in fac:
-        sp = _delta_satake(p, co)
+        sp = co.satake(p)
         mv = _detect_min_valuation(sp, zeta, memo)
         if mv is None:
             return {"value": 0j, "support": {p: None}, "shells": []}
@@ -432,7 +433,7 @@ def rhs_theta(job: VoronoiJob) -> dict:
         return complex(np.sum(local * co.values[mprime - 1] / np.sqrt(mprime) * win["vals"]))
 
     def sample(xs, wtol, cache):
-        return hankel_convolution_batch(params, 2, job.w, xs, tol=wtol, cache=cache)[0]
+        return hankel_convolution_batch(co.params, 2, job.w, xs, tol=wtol, cache=cache)[0]
 
     walk = DualWalk(sample, job.tol / 500.0, alpha_window)
     # window j ends at m = 2^{j+2}·denom; the first to reach n_trunc is the last
@@ -456,7 +457,6 @@ def voronoi_residual(job: VoronoiJob) -> dict:
         "abs_residual": abs_residual,
         "rel_residual": rel_residual,
         "zeta": f"{job.a}/{job.c}",
-        "weight": job.weight,
         "n_trunc": job.n_trunc,
         "tol": job.tol,
         "support": rep["support"],

@@ -527,17 +527,48 @@ def test_voronoi_verify_report_fields(capsys, tmp_path):
         assert key in results
     assert results["rel_residual"]["value"] < 1e-2
     assert rep["thresholds"]["rel_residual"]["passed"] is True
+    # the place is echoed as --blocks is, in place of a weight
+    assert rep["inputs"]["blocks"] == {"place": "real", "blocks": [{"kind": "ds2", "l": 11, "t": [0.0, 0.0]}]}
+    assert "k" not in rep["inputs"]
     # no stray temp files from the atomic write
     assert [p.name for p in tmp_path.iterdir()] == ["vor.json"]
 
 
 def test_voronoi_verify_rejects_unknown_weight(capsys):
-    code, _, err = run(
-        capsys,
-        ["voronoi-verify", "--k", "7", "--zeta", "0", "--support", "1,8"],
-    )
+    # the built-in table is Δ's: another place needs its own --coeffs
+    ds6 = '{"place":"real","blocks":[{"kind":"ds2","l":6}]}'
+    code, _, err = run(capsys, ["voronoi-verify", "--blocks", ds6, "--zeta", "0", "--support", "1,8"])
     assert code == 2
     assert "coeffs" in err
+
+
+def _coeffs_file(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    path.write_text("n,lambda_re,lambda_im\n" + "".join(f"{n},{(-1) ** n / n},0.0\n" for n in range(1, rows + 1)))
+    return str(path)
+
+
+def test_voronoi_verify_refuses_a_mismatched_table_before_any_work(capsys, tmp_path):
+    # a table shorter than --n-trunc is a configuration mismatch: exit 2, and no report is written
+    out_path = tmp_path / "vor.json"
+    table = _coeffs_file(tmp_path, 100)
+    code, out, err = run(capsys, ["voronoi-verify", "--coeffs", table, "--n-trunc", "512", "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert "config error" in err and "covers 100 < 512" in err
+    assert not out_path.exists()
+    # a table whose place is not GL(2)'s: exit 2, naming the rank
+    code, out, err = run(capsys, ["voronoi-verify", "--coeffs", table, "--n-trunc", "100", "--blocks", GL1_DOC])
+    assert (code, out) == (2, "")
+    assert "rank 1" in err
+
+
+def test_voronoi_verify_config_with_a_weight_is_refused(capsys, tmp_path):
+    # the weight is the place's now; a config that still carries k names it as unknown
+    doc = tmp_path / "job.json"
+    doc.write_text(json.dumps({"k": 12, "zeta": "0", "support": "1,8", "n-trunc": 512}))
+    code, out, err = run(capsys, ["voronoi-verify", "--config", str(doc)])
+    assert (code, out) == (2, "")
+    assert "unknown config field 'k'" in err
 
 
 # ---- scans ------------------------------------------------------------------

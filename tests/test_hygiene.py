@@ -2,7 +2,8 @@
 parameter has a default that every caller leaves alone, only named test hooks
 have a default that only tests pass, no function has a return-shape flag,
 one writer owns every file write and one owner each the phase tables, the
-quadrature weight rows, the Chebyshev evaluation and the dual-sum policy.
+quadrature weight rows, the Chebyshev evaluation, the dual-sum policy and Δ's
+real place, and every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -60,6 +61,15 @@ No scipy at run time: no module in ``src/vorokit`` imports ``scipy`` or a
 submodule of it (``import scipy…`` or ``from scipy… import``), and importing
 every ``vorokit`` module in a fresh interpreter loads no ``scipy`` module.
 The tests keep scipy as an oracle.
+
+Δ's real place: no ``DS2Block(...)`` call in ``src/vorokit`` whose weight
+parameter is a literal (first or as ``l=``) sits outside the module-level
+``voronoi.DELTA_PLACE`` assignment, so a form's place is read from its
+coefficient table or from that one constant, never spelled again.
+
+Python 3.10: the 3.10 grammar (``ast.parse(..., feature_version=(3, 10))``)
+accepts every ``.py`` file in ``src/vorokit``, ``tests`` and ``perfbench``.
+This checks syntax only; a standard-library API newer than 3.10 passes it.
 """
 
 from __future__ import annotations
@@ -679,3 +689,68 @@ def test_importing_every_module_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
     assert out.stdout.strip() == "[]", out.stdout
+
+
+def place_literals(source: str) -> list[tuple[str, int]]:
+    """(owner, line) for each DS2Block(...) call whose weight parameter, first or as
+    l=, is a literal; owner is the module-level name assigned the call, else "<elsewhere>"."""
+    tree = ast.parse(source)
+    owner = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+            owner.update((id(n), names) for n in ast.walk(node.value))
+    found = []
+    for node in ast.walk(tree):
+        if _call_name(node) == "DS2Block":
+            weight = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "l"), None)
+            if isinstance(weight, ast.Constant):
+                found.append((owner.get(id(node), "<elsewhere>"), node.lineno))
+    return sorted(found, key=lambda f: f[1])
+
+
+def test_scanner_flags_place_literals():
+    # gj's copy of Δ's place as it stood before the place had one owner, and other spellings of one
+    src = (
+        "DELTA_PLACE = RealPlaceParams((DS2Block(11, 0.0),))\n"
+        "_DELTA_PARAMS = RealPlaceParams((DS2Block(11, 0.0),))\n"
+        "def rhs_theta(job, co):\n"
+        "    ds = RealPlaceParams((archimedean.DS2Block(l=11),))\n"
+        "    return co.params, RealPlaceParams((DS2Block(job.weight - 1, 0.0),)), DS2Block(l=job.l)\n"
+    )
+    assert place_literals(src) == [("DELTA_PLACE", 1), ("_DELTA_PARAMS", 2), ("<elsewhere>", 4)]
+
+
+def test_delta_place_has_one_owner():
+    found = {p.name: place_literals(p.read_text()) for p in SRC}
+    assert [owner for owner, _ in found["voronoi.py"]] == ["DELTA_PLACE"]
+    copies = [
+        f"{name}:{line}: in {owner}"
+        for name, rows in found.items()
+        for owner, line in rows
+        if (name, owner) != ("voronoi.py", "DELTA_PLACE")
+    ]
+    assert not copies, "DS2Block with a literal weight outside voronoi.DELTA_PLACE:\n" + "\n".join(copies)
+
+
+def syntax_310_errors(path: Path) -> list[str]:
+    """'path:line: message' if the Python 3.10 grammar refuses the file, else nothing."""
+    try:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    except SyntaxError as exc:
+        return [f"{path}:{exc.lineno}: {exc.msg}"]
+    return []
+
+
+def test_scanner_flags_syntax_newer_than_3_10(tmp_path):
+    path = tmp_path / "groups.py"
+    path.write_text("try:\n    pass\nexcept* ValueError:\n    pass\n")
+    assert syntax_310_errors(path) == [f"{path}:4: Exception groups are only supported in Python 3.11 and greater"]
+    path.write_text("match x:\n    case 1:\n        pass\n")
+    assert syntax_310_errors(path) == []
+
+
+def test_every_file_parses_as_python_3_10():
+    assert len(CALLERS) > len(FILES) > len(SRC) > 0
+    found = [line for p in CALLERS for line in syntax_310_errors(p)]
+    assert not found, "syntax the Python 3.10 grammar refuses:\n" + "\n".join(found)

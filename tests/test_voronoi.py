@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from vorokit import hankel, voronoi
-from vorokit.archimedean import DS2Block, RealPlaceParams
+from vorokit.archimedean import DS2Block, GL1Block, RealPlaceParams
 from vorokit.hankel import make_bump
 from vorokit.padic import satake_from_eigenvalue, QSqrt
 from vorokit.quadrature import ToleranceNotMet
 from vorokit.voronoi import (
+    DELTA_PLACE,
     DirichletCoeffs,
     DualWalk,
     TailNotConverged,
@@ -147,18 +148,18 @@ def test_coeffs_file_roundtrip(tmp_path):
     for n in (12, 3, 1, 7, 2, 11, 5, 4, 10, 6, 9, 8):  # any order is fine
         lines.append(f"{n},{float(small.values[n - 1].real)!r},0.0")
     path.write_text("\n".join(lines) + "\n")
-    back = coeffs_from_file(path)
-    assert back.provenance == "file" and back.exact is None
+    back = coeffs_from_file(path, DELTA_PLACE)
+    assert back.provenance == "file" and back.exact is None and back.params == DELTA_PLACE
     assert np.allclose(back.values, small.values, rtol=0, atol=0)
     # a gap must be refused
     path.write_text("1,1.0,0.0\n3,0.5,0.0\n")
     with pytest.raises(ValueError):
-        coeffs_from_file(path)
+        coeffs_from_file(path, DELTA_PLACE)
     # and so must a λ that is not finite, by its line
     for bad in ("nan,0.0", "0.5,inf", "-inf,0.0"):
         path.write_text(f"n,lambda_re,lambda_im\n1,1.0,0.0\n2,{bad}\n")
         with pytest.raises(ValueError, match="line 3: lambda must be finite"):
-            coeffs_from_file(path)
+            coeffs_from_file(path, DELTA_PLACE)
 
 
 # ---- the direct side --------------------------------------------------------
@@ -198,27 +199,36 @@ def test_job_validation():
         VoronoiJob(a=0, c=1, w=W40, n_trunc=0)
     with pytest.raises(ValueError):
         VoronoiJob(a=0, c=1, w=W40, n_trunc=64, tol=0.0)
-    with pytest.raises(ValueError):
-        VoronoiJob(a=0, c=1, w=W40, n_trunc=64, weight=1)
+    # the identity is GL(2)'s with a one-sided dual sum: a table whose place is not one DS2Block is refused
+    for place in (RealPlaceParams((GL1Block(0),)), RealPlaceParams((GL1Block(0), GL1Block(1)))):
+        other = DirichletCoeffs(CO.n, CO.values, "file", place)
+        with pytest.raises(ValueError, match=f"rank {place.rank}"):
+            VoronoiJob(a=0, c=1, w=W40, n_trunc=64, coeffs=other)
 
 
-def test_job_refuses_the_tau_table_at_another_weight():
-    # the built-in table is weight 12's; pairing it with DS2Block(15) gave a
-    # silent 116 % residual
-    for coeffs in (None, CO):
-        with pytest.raises(ValueError, match="coeffs"):
-            VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, weight=16, coeffs=coeffs)
-    # a table of any other provenance is the caller's to vouch for
-    other = DirichletCoeffs(CO.n, CO.values, "file")
-    assert VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, weight=16, coeffs=other).weight == 16
+def test_the_dual_side_reads_the_tables_place(monkeypatch):
+    # the same τ values carrying DS2Block(15): the direct side cannot tell, the dual side's w̃ can
+    real, seen = voronoi.hankel_convolution_batch, []
+
+    def recorded(params, n, w, xs, tol, cache):
+        seen.append(params)
+        return real(params, n, w, xs, tol=tol, cache=cache)
+
+    monkeypatch.setattr(voronoi, "hankel_convolution_batch", recorded)
+    other = DirichletCoeffs(CO.n, CO.values, "file", RealPlaceParams((DS2Block(15, 0.0),)))
+    delta, ds15 = (VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=co) for co in (CO, other))
+    assert lhs_theta(delta) == lhs_theta(ds15)
+    want, got = rhs_theta(delta)["value"], rhs_theta(ds15)["value"]
+    assert {p.blocks[0].l for p in seen} == {11, 15}
+    assert abs(got - want) > 100 * delta.tol * abs(want)  # about 4 %: a residual no threshold forgives
 
 
 def test_truncation_guards():
     with pytest.raises(TruncationTooSmall):
         lhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=8, coeffs=CO))
-    # table shorter than the requested truncation
+    # a table shorter than the requested truncation is refused when the job is built
     with pytest.raises(TruncationTooSmall):
-        lhs_theta(VoronoiJob(a=0, c=1, w=W40, n_trunc=50, coeffs=tau_coefficients(10)))
+        VoronoiJob(a=0, c=1, w=W40, n_trunc=50, coeffs=tau_coefficients(10))
 
 
 # ---- ramified support detection ---------------------------------------------
@@ -230,6 +240,18 @@ def test_support_detection_at_five():
     assert _detect_min_valuation(sp, F(1, 5), {}) == -2
     assert _detect_min_valuation(sp, F(3), {}) == 0  # integral twist: no denominator
     assert _detect_min_valuation(sp, F(1, 25), {}) == -4
+
+
+def test_satake_data_read_the_normaliser_from_the_place():
+    # λ(p) = τ(p)·p^{−l/2} = τ(p)·√p/p^{(l+1)/2}: p⁶ at Δ's l = 11, p⁸ at l = 15
+    co = tau_coefficients(10)
+    assert co.satake(5).elem == (QSqrt(5, F(0), F(4830, 5**6)), 1)
+    other = DirichletCoeffs(co.n, co.values, "tau", RealPlaceParams((DS2Block(15, 0.0),)), co.exact)
+    assert other.satake(3).elem == (QSqrt(3, F(0), F(252, 3**8)), 1)
+    with pytest.raises(ValueError, match="exact"):
+        DirichletCoeffs(co.n, co.values, "file", DELTA_PLACE).satake(5)
+    with pytest.raises(TruncationTooSmall):
+        co.satake(11)
 
 
 def _unit_class(p, x, r):
@@ -255,7 +277,7 @@ def test_memoised_ramified_factors_equal_direct_transforms(c):
         zeta = F(a, c)
         memo, sps, denom = {}, {}, 1
         for p in fac:
-            sps[p] = voronoi._delta_satake(p, co)
+            sps[p] = co.satake(p)
             denom *= p ** -_detect_min_valuation(sps[p], zeta, memo)
         for m in range(1, 4 * denom + 1):
             for p, sp in sps.items():
@@ -306,7 +328,7 @@ def test_rhs_window_product_equals_a_per_m_reference(monkeypatch, a, c):
     fac, zeta = _factor(c), F(a, c)
     assert set(rep["support"]) == set(fac)
     denom = math.prod(p ** -v for p, v in rep["support"].items())
-    sps = {p: voronoi._delta_satake(p, co) for p in fac}
+    sps = {p: co.satake(p) for p in fac}
     known, want = {}, 0j
     for m in range(1, rep["shells"][-1]["m_range"][1] + 1):
         x, mprime, turns, size = F(m, denom), m, F(0), 1.0
@@ -321,6 +343,28 @@ def test_rhs_window_product_equals_a_per_m_reference(monkeypatch, a, c):
         want += cmath.exp(2j * math.pi * float(turns % 1)) * size * co.lam(mprime) / math.sqrt(mprime) * math.exp(-x)
     assert abs(want) > 1e-3
     assert abs(rep["value"] - want) <= 1e-14 * abs(want)
+
+
+def _chirped_dual(params, n, w, xs, tol, cache):
+    # a stand-in w̃ whose phase varies from point to point, so no pattern in m can cancel
+    return (np.cos(7.3 * xs**2) + 1j * np.sin(3.1 * xs)) * np.exp(-xs), np.zeros(len(xs))
+
+
+def test_rhs_is_the_level_one_dual_sum(monkeypatch):
+    # at level 1 the exact side collapses to Σ λ(m)·m^{−1/2}·e(ā·m/c)·w̃(m/c²), aā ≡ 1 mod c:
+    # no ramified transform, no Satake data, so it pins both, and the inverse of D's prime-to-p part
+    monkeypatch.setattr(voronoi, "hankel_convolution_batch", _chirped_dual)
+    co = tau_coefficients(60_000)
+    for c in (4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 27):
+        for a in range(1, c):
+            if math.gcd(a, c) != 1:
+                continue
+            rep = rhs_theta(VoronoiJob(a=a, c=c, w=W40, n_trunc=co.n, tol=1e-4, coeffs=co))
+            assert math.prod(p ** -v for p, v in rep["support"].items()) == c * c, (a, c)
+            ms = np.arange(1, rep["shells"][-1]["m_range"][1] + 1)
+            twist = np.exp(2j * np.pi * (pow(a, -1, c) * ms % c) / c)
+            want = np.sum(co.values[ms - 1] / np.sqrt(ms) * twist * _chirped_dual(None, 2, None, ms / c**2, 0, None)[0])
+            assert abs(rep["value"] - want) <= 1e-12, (a, c)
 
 
 # ---- the dual walk: each window's certified batch and the tail sum -----------
@@ -483,12 +527,11 @@ def test_direct_side_and_mellin_route_build_no_kernel_model(monkeypatch):
     monkeypatch.setattr(hankel.KernelCache, "model", refuse)
     monkeypatch.setattr(hankel, "_fit_panels", refuse)
     assert abs(lhs_theta(VoronoiJob(a=2, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))) > 1e-3
-    ds11 = RealPlaceParams((DS2Block(11, 0.0),))
-    vals, errs = hankel.hankel_mellin_batch(ds11, 2, W40, [0.5, 3.0], 1e-8)
+    vals, errs = hankel.hankel_mellin_batch(DELTA_PLACE, 2, W40, [0.5, 3.0], 1e-8)
     assert np.all(np.isfinite(vals)) and np.max(errs) <= 1e-8
     # the patch is live: the convolution route does reach it
     with pytest.raises(AssertionError, match="kernel model built"):
-        hankel.hankel_convolution_batch(ds11, 2, W40, [0.5], 1e-8)
+        hankel.hankel_convolution_batch(DELTA_PLACE, 2, W40, [0.5], 1e-8)
 
 
 def test_tail_not_converged():

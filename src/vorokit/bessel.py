@@ -17,8 +17,9 @@ so the value equals the contour integral exactly; contour-independence and
 closed-form calibrations are enforced in the test suite.
 
 Evaluation is batched: many x share one path, with the γ-part of the
-integrand computed once per node and x^{−s} factored by panel (:class:`_BesselIntegrand`).
-:func:`parity_batch` owns the parity fold, here and in :mod:`vorokit.hankel`.
+integrand computed once per node and x^{−s} factored by panel.  One class,
+:class:`ContourIntegrand`, factors this integrand and the Mellin route's in
+:mod:`vorokit.hankel`; :func:`parity_batch` owns the parity fold of both.
 """
 
 from __future__ import annotations
@@ -57,24 +58,35 @@ _BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical, upper ray
 _MAX_RAY = 2000.0
 
 
-class _BesselIntegrand:
-    """γ(1−s, π×χ, ψ)·xeff^{−s} on one G10/K21 panel, batched over lx = log xeff.
+class ContourIntegrand:
+    """γ(1−s)·F(s)·xeff^{ν−s} on one G10/K21 panel, batched over lx = log xeff.
 
-    With lg = log γ(1−s) at the nodes c + h·ξ_l and lg_10 at the centre ξ = 0,
-    the value at node l and point j is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10},
-    E_h from ``phase`` and P_j = e^{lg_10 − c·lx_j}.  No factor exceeds the
-    centre value or the variation across the panel, so none overflows where
-    xeff^{−s} alone would.  A call f(c, h, W) returns W @ values as
-    ((W·G) @ E_h)·P: the weight rows meet G before the table, so no
-    21 × len(lx) product is formed.
+    The Bessel batch's γ·xeff^{−s} has ν = 0 and F = 1 (no ``factor``); the
+    Mellin route's has F(s) = M_δ[w](1−s−ν).  With lg = ``log_g`` at the nodes
+    c + h·ξ_l and lg_10 at the centre ξ = 0, the value at node l and point j
+    is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10}·F_l with F = ``factor(c, h)``,
+    E_h from ``phase`` and P_j = e^{lg_10 + (ν − c)·lx_j}.  No factor exceeds
+    the centre value or the variation across the panel, so none overflows
+    where xeff^{−s} alone would.  A call f(c, h, W) returns ((W·G) @ E_h)·P:
+    the weight rows meet G before the table, so no 21 × len(lx) product is formed.
     """
 
-    def __init__(self, params, twist, lx):
-        self.params, self.twist, self.lx, self.phase = params, twist, lx, phase_tables(lx)
+    def __init__(self, log_g, rank, lx, nu=0.0, factor=None, rate=0.0):
+        self.log_g, self.rank, self.lx, self.phase = log_g, rank, lx, phase_tables(lx)
+        self.nu, self.factor, self.rate = nu, factor, rate
+        self.lx_min, self.lx_max = float(lx.min()), float(lx.max())
 
     def __call__(self, c, h, W) -> np.ndarray:
-        lg = log_mb_gamma(self.params, self.twist, panel_nodes(c, h))
-        return ((W * np.exp(lg - lg[10])) @ self.phase(h)) * np.exp(lg[10] - c * self.lx)
+        lg = self.log_g(panel_nodes(c, h))
+        g = np.exp(lg - lg[10])
+        if self.factor is not None:
+            g *= self.factor(c, h)
+        return ((W * g) @ self.phase(h)) * np.exp(lg[10] + (self.nu - c) * self.lx)
+
+    def omega(self, t: float) -> float:
+        """Phase rate per unit of Im s at t: γ's ~ n·log(|t|/2π) against the lx range, plus ``rate``."""
+        base = self.rank * math.log(max(abs(t), 1.0) / (2 * math.pi))
+        return max(abs(base - self.lx_min), abs(base - self.lx_max), 0.5) + self.rate
 
 
 def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
@@ -85,22 +97,14 @@ def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs
     stationary height is 2π·xeff^{1/n}.
     Returns (values, error_estimates) as arrays over the batch.
     """
-    n = params.rank
-    lx = np.log(xeffs)
-    lx_min, lx_max = float(lx.min()), float(lx.max())
-    t_flip = 2 * math.pi * math.exp(lx_max / n)
+    integrand = ContourIntegrand(lambda s: log_mb_gamma(params, twist, s), params.rank, np.log(xeffs))
+    t_flip = 2 * math.pi * math.exp(integrand.lx_max / params.rank)
     # on the tail grid, so the vertical panels' edges are exact and their h repeat
     h_bend = tail_grid_ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0))
-    integrand = _BesselIntegrand(params, twist, lx)
-
-    def omega(t: float) -> float:
-        base = n * math.log(max(abs(t), 1.0) / (2 * math.pi))
-        return max(abs(base - lx_min), abs(base - lx_max), 0.5)
-
     pts = contour.polyline(h_bend)
 
     tol_raw = tol * 2 * math.pi
-    total, err_total = polyline_walk(integrand, pts, omega, tol_raw / 200.0)
+    total, err_total = polyline_walk(integrand, pts, integrand.omega, tol_raw / 200.0)
 
     # bent tails: exponential decay; stop on the running tail estimate
     tail_bound = 0.0

@@ -255,12 +255,15 @@ def split_zeta_identity(
     quadrature against the kernel partial sums (w̃ from the convolution
     route), the right by a signed Mellin integral times an L-value oracle —
     Euler product for Re s > 3/2, the smoothed incomplete-Γ sum otherwise.
+    Those oracles are Δ's, so a table at any other place raises ValueError.
     """
     s = complex(s)
     if w.neg is not None or not w.a > 0:
         raise ValueError("the test function must be supported inside (0, ∞)")
     if coeffs is None:
         coeffs = tau_coefficients(1024)
+    if coeffs.params != DELTA_PLACE:
+        raise ValueError(f"the L-value oracles are Δ's; the coefficient table is at {coeffs.params}")
     h = KernelSpec(coeffs, s)
     k = KernelSpec(coeffs, 1.0 - s)
 

@@ -5,14 +5,17 @@ independent routes:
 
 * **mellin** — inverse Mellin integral of γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν),
   ν = (n−1)/2, along the admissible contour of :mod:`vorokit.contours`,
-  folded by ``bessel.parity_batch``.  The transform M_δ[w] of a compactly
-  supported w is entire and decays super-polynomially on vertical lines, so
-  the contour is truncated straight (no bent tails) once three consecutive
-  panels fall under the tail threshold.  The factor γ·M_δ[w] does not depend
+  folded by ``bessel.parity_batch``, its panels factored by
+  ``bessel.ContourIntegrand`` as the Bessel batch's are.  The transform
+  M_δ[w] of a compactly supported w is entire and decays
+  super-polynomially on vertical lines, so the contour is truncated
+  straight (no bent tails) once three consecutive panels fall under the
+  tail threshold.  The factor γ·M_δ[w] does not depend
   on x, and on a panel with centre c and half-width h the x-power at the
   node s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}:
   one exponential per point per panel, times a table E_h that depends on
-  the panel only through h.  The tails start on the 1/64 tail grid and step
+  the panel only through h (the first factor also takes γ's centre value,
+  so none overflows).  The tails start on the 1/64 tail grid and step
   on the ladder {2^k, 1.5·2^k}, so their half-widths, bisected ones
   included, are exact and repeat, and a memo of the last two tables
   (``quadrature.phase_tables``) serves almost every tail panel.  M_δ[w] at
@@ -59,9 +62,9 @@ independent routes:
   would not: it samples w̃ by the mellin route only and never calls this
   one.
 
-The two routes share the generic panel integrator of :mod:`vorokit.quadrature`
-(the mellin route directly, the convolution route through the Bessel
-kernels) and the γ-factor.  What stays independent is the integrands — γ·M_δ[w]
+The two routes share the generic panel integrator of :mod:`vorokit.quadrature`,
+the panel factoring of ``bessel.ContourIntegrand`` (the mellin route
+directly, the convolution route through the Bessel kernels) and the γ-factor.  What stays independent is the integrands — γ·M_δ[w]
 on the mellin side, the Bessel convolution on the other — and the external
 oracles that pin the shared engine from outside: the GL1 plane wave (A2), the
 classical J₁₁ test, the n = 1 Fourier oracle and the :func:`signed_mellin`
@@ -87,7 +90,7 @@ from .archimedean import (
     log_mb_gamma,
 )
 from . import quadrature
-from .bessel import bessel_real_batch, parity_batch
+from .bessel import ContourIntegrand, bessel_real_batch, parity_batch
 from .contours import build_contour, pole_starts
 from .quadrature import (
     ToleranceNotMet,
@@ -97,7 +100,6 @@ from .quadrature import (
     magnitude_groups,
     panel_nodes,
     phase_step,
-    phase_tables,
     polyline_walk,
     tail_grid_ceil,
 )
@@ -253,7 +255,7 @@ class _MellinGrids:
             if self._tables is not None:
                 self._dropped.append(self._tables.cache_info())
             self._key = (delta, p)
-            # looked up on quadrature, so a wrapper of hankel.phase_tables counts the x-phase alone
+            # looked up on quadrature, so a wrapper of bessel.phase_tables counts the x-phase alone
             self._tables = quadrature.phase_tables(np.concatenate([centres, offsets]))
         return fw, centres, offsets, self._tables
 
@@ -305,30 +307,6 @@ def _ladder_step(step: float) -> float:
     return math.ldexp(0.75 if m >= 0.75 else 0.5, e)
 
 
-class _MellinIntegrand:
-    """γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν)·x^{ν−s} on one G10/K21 panel, batched over lx = log|x|.
-
-    At the node s = c + h·ξ_l of the panel with centre c and half-width h,
-    x^{ν−s} = e^{(ν−c)·lx}·e^{−h·ξ_l·lx}.  The first factor costs one
-    exponential per point.  The second, E_h = exp(−h·ξ ⊗ lx), depends on
-    the panel only through h and comes from ``phase``, so panels of a
-    repeated half-width reuse it.  The x-free factor
-    G_l = γ(1−s_l)·M_δ[w](1−s_l−ν) costs 21 values per panel; its
-    M_δ[w] at the nodes 1 − ν − c − h·ξ_l comes from :func:`_mellin_nodes`.
-    A call f(c, h, W) returns W @ values as ((W·G) @ E_h)·e^{(ν−c)·lx}: the
-    weight rows meet G before the table, so no 21 × len(lx) product is formed.
-    """
-
-    def __init__(self, params, delta, grids, nu, lx):
-        self.params, self.twist, self.grids, self.delta = params, CharTwist(delta), grids, delta
-        self.nu, self.lx, self.phase = nu, lx, phase_tables(lx)
-
-    def __call__(self, c, h, W) -> np.ndarray:
-        g = np.exp(log_mb_gamma(self.params, self.twist, panel_nodes(c, h)))
-        g *= _mellin_nodes(self.grids, self.delta, 1.0 - self.nu - c, h)
-        return ((W * g) @ self.phase(h)) * np.exp((self.nu - c) * self.lx)
-
-
 def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
     """One parity component I_δ along the contour, batched over log|x|.
 
@@ -340,29 +318,26 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
     is never longer than the phase rate allows and at most 1.5 times
     shorter.  Every tail panel edge, bisected sub-panels' included, is then
     exact in binary, half-widths repeat exactly, and the integrand's phase
-    memo (:class:`_MellinIntegrand`) serves all but a few of them; the
+    memo (``bessel.ContourIntegrand``) serves all but a few of them; the
     polyline's few panels, unclamped below h0, mostly miss it.  ``counts``
     accumulates the tail panels and the phase tables built and reused.
     """
-    rank = params.rank
-    va, vb = grids.va, grids.vb
-    lx_min, lx_max = float(lx.min()), float(lx.max())
     tol_raw = tol * 2.0 * math.pi
-    integrand = _MellinIntegrand(params, delta, grids, nu, lx)
-
-    def omega(t):
-        base = rank * math.log(max(abs(t), 1.0) / (2.0 * math.pi))
-        return max(abs(base - lx_min), abs(base - lx_max), 0.5) + max(abs(va), abs(vb))
-
+    twist = CharTwist(delta)
+    integrand = ContourIntegrand(
+        lambda s: log_mb_gamma(params, twist, s), params.rank, lx, nu=nu,
+        factor=lambda c, h: _mellin_nodes(grids, delta, 1.0 - nu - c, h),
+        rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
+    )
     sigma = contour.asymptote
     h0 = tail_grid_ceil(contour.detour_height + 2.0)
-    total, err_total = polyline_walk(integrand, contour.polyline(h0), omega, tol_raw / 200.0)
+    total, err_total = polyline_walk(integrand, contour.polyline(h0), integrand.omega, tol_raw / 200.0)
 
     tail_bound = 0.0
     for sgn in (1.0, -1.0):
         t, smalls, recent = h0, 0, [0.0]
         while True:
-            step = _ladder_step(phase_step(omega(t)))
+            step = _ladder_step(phase_step(integrand.omega(t)))
             lo = complex(sigma, sgn * t)
             hi = complex(sigma, sgn * (t + step))
             val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)

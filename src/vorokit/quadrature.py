@@ -19,12 +19,12 @@ e^{−c·log x}·e^{−h·ξ_l·log x} takes the second factor E_h from
 :func:`phase_tables`, one table per repeated half-width, and contracts W
 with its x-free factor G first: ((W·G) @ E_h)·P gives the two rows per point
 and never forms the 21 × B node table.  The Bessel batch and the Mellin
-route both do so.  Only this module names the weight rows.  A panel is accepted
-when the raw difference |K − G| is within its tolerance and bisected
-otherwise; the value kept is K.  |K − G| estimates the error of G, the
-lower-order rule, so where f is smooth on the panel it overstates the error
-of the K that is returned.  Across a kink both rules err alike and |K − G|
-bounds neither.
+route both do so through one class, ``bessel.ContourIntegrand``.  Only this
+module names the weight rows.  A panel is accepted when the raw difference
+|K − G| is within its tolerance and bisected otherwise; the value kept is K.
+|K − G| estimates the error of G, the lower-order rule, so where f is
+smooth on the panel it overstates the error of the K that is returned.
+Across a kink both rules err alike and |K − G| bounds neither.
 
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` walk
 a polyline with :func:`polyline_walk` and then follow their own tails, each

@@ -213,7 +213,7 @@ def test_bessel_integrand_factored_phase_matches_direct():
     sigma = build_contour(DS11).asymptote
     h_bend = 1.25 * 2 * math.pi * 1e3 + 8.0  # the walk's bend height for x up to 1e6
     tail = complex(sigma, h_bend) + 45.0 * bessel._BEND  # 40 to 50 units down the upper ray
-    f = bessel._BesselIntegrand(DS11, twist, lx)
+    f = bessel.ContourIntegrand(lambda s: log_mb_gamma(DS11, twist, s), DS11.rank, lx)  # as the batch builds it
     panels = [  # a miss and a hit at t = 700, a slanted detour panel and a bent-tail panel
         (complex(sigma, 701.5), 1.5j, (1, 0)),
         (complex(sigma, 704.5), 1.5j, (1, 1)),

@@ -256,6 +256,13 @@ def test_split_identity_guards():
         split_zeta_identity(W40, 2.0, tau_coefficients(64), tol=1e-7, grid=grid)
     # the octave the 64 coefficients cannot reach is refused before it is built
     assert all(oc["hi"] <= 64 + 1 for oc in grid.windows)
+    # the L-value oracles are Δ's: ζ's table is refused, naming its place, before any octave
+    grid = DualGrid(W40, tol=1e-7)
+    with pytest.raises(ValueError, match="GL1Block"):
+        split_zeta_identity(make_bump(1, 40), 2.0, unit_coeffs(1024), tol=1e-7, grid=grid)
+    assert grid.windows == []
+    with pytest.raises(ValueError, match="GL1Block"):
+        zero_criterion_pairing("cuspidal", [2.0], w=W40, coeffs=unit_coeffs(1024), tol=1e-7)
 
 
 def test_cuspidal_proxy():

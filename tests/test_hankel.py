@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from vorokit import hankel, quadrature
+from vorokit import bessel, hankel, quadrature
 from vorokit.archimedean import CharTwist, DS2Block, GL1Block, PoleError, RealPlaceParams, log_mb_gamma
-from vorokit.bessel import bessel_real_batch
+from vorokit.bessel import ContourIntegrand, bessel_real_batch
 from vorokit.hankel import (
     BadSupport,
     hankel_convolution_batch,
@@ -201,7 +201,11 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
     lx = np.linspace(-7.0, 7.0, 15)
     grids = hankel._MellinGrids(w, hankel._mellin_base(1e-9))
     sigma = build_contour(DS2_11).asymptote
-    f = hankel._MellinIntegrand(DS2_11, delta, grids, nu, lx)
+    f = ContourIntegrand(  # as the mellin route builds it
+        lambda s: log_mb_gamma(DS2_11, CharTwist(delta), s), DS2_11.rank, lx, nu=nu,
+        factor=lambda c, h: hankel._mellin_nodes(grids, delta, 1.0 - nu - c, h),
+        rate=max(abs(grids.va), abs(grids.vb)),
+    )
     panels = [  # a miss, a hit on the same half-width, and a slanted detour-like panel
         (complex(sigma, t + 0.375), 0.375j, (1, 0)),
         (complex(sigma, t + 1.125), 0.375j, (1, 1)),
@@ -235,7 +239,7 @@ def _recording_tables(phase, sizes):
 def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
     """Run the mellin route, recording every ladder step, adaptive panel and memo size."""
     steps, panels, sizes = [], [], []
-    ladder, segment, tables = hankel._ladder_step, hankel.adaptive_segment, hankel.phase_tables
+    ladder, segment, tables = hankel._ladder_step, hankel.adaptive_segment, bessel.phase_tables
 
     def ladder_rec(p):
         steps.append((p, ladder(p)))
@@ -250,7 +254,7 @@ def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
 
     monkeypatch.setattr(hankel, "_ladder_step", ladder_rec)
     monkeypatch.setattr(hankel, "adaptive_segment", segment_rec)
-    monkeypatch.setattr(hankel, "phase_tables", tables_rec)
+    monkeypatch.setattr(bessel, "phase_tables", tables_rec)  # the x-phase of bessel.ContourIntegrand
     counts = Counter()
     hankel_mellin_batch(params, n, w, xs, tol, counts=counts)
     return steps, panels, sizes, counts

@@ -2,8 +2,8 @@
 parameter has a default that every caller leaves alone, only named test hooks
 have a default that only tests pass, no function has a return-shape flag,
 one writer owns every file write and one owner each the phase tables, the
-quadrature weight rows, the Chebyshev evaluation, the dual-sum policy and Δ's
-real place, and every file parses as Python 3.10.
+contour integrand, the quadrature weight rows, the Chebyshev evaluation, the
+dual-sum policy and Δ's real place, and every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -26,6 +26,14 @@ Phase tables: outside ``quadrature.py`` no ``np.exp`` takes an ``np.outer``
 of the K21 panel nodes (a ``panel_nodes(...)`` call, or a name bound to one),
 so ``quadrature.phase_tables`` is the one place a table exp(−h·ξ ⊗ lx) or an
 unfactored x^{−s} on the panel nodes is formed.
+
+Contour integrand: ``phase_tables(...)`` is called only in
+``bessel.ContourIntegrand.__init__`` (the x-phase) and
+``hankel._MellinGrids.grid`` (the inner Mellin transform's tables), and in
+``bessel.py`` and ``hankel.py`` ``log_mb_gamma`` is named (as a name or an
+attribute; imports aside) only inside the first argument of a
+``ContourIntegrand(...)`` call, so the Bessel batch and the Mellin route
+factor their panels through one class.
 
 Weight rows: outside ``quadrature.py`` nothing in ``src/vorokit`` names the
 G10/K21 weight rows ``_GK_WK``, ``_GK_WG`` or their stack ``_GK_W`` (as a
@@ -485,6 +493,75 @@ def test_phase_tables_have_one_owner():
     ]
     assert (ROOT / "src" / "vorokit" / "quadrature.py") in SRC
     assert not found, "phase tables formed outside quadrature.phase_tables:\n" + "\n".join(found)
+
+
+def contour_integrand_copies(source: str) -> list[tuple[str, str, int]]:
+    """(kind, enclosing Class.function, line) for each ``phase_tables(...)`` call ("phase") and each
+    ``log_mb_gamma`` named, as a name or attribute, outside the first argument of a
+    ``ContourIntegrand(...)`` call ("gamma")."""
+    tree = ast.parse(source)
+    passed = {
+        id(n) for c in ast.walk(tree) if _call_name(c) == "ContourIntegrand" and c.args for n in ast.walk(c.args[0])
+    }
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if _call_name(child) == "phase_tables":
+                found.append(("phase", where or "<module>", child.lineno))
+            name = child.id if isinstance(child, ast.Name) else child.attr if isinstance(child, ast.Attribute) else None
+            if name == "log_mb_gamma" and id(child) not in passed:
+                found.append(("gamma", where or "<module>", child.lineno))
+            visit(child, where)
+
+    visit(tree, "")
+    return sorted(found, key=lambda f: f[2])
+
+
+def test_scanner_flags_second_contour_integrands():
+    # the two hand-copied integrands as they stood before one class factored both
+    src = (
+        "from .archimedean import log_mb_gamma\n"
+        "class _BesselIntegrand:\n"
+        "    def __init__(self, params, twist, lx):\n"
+        "        self.params, self.twist, self.lx, self.phase = params, twist, lx, phase_tables(lx)\n"
+        "    def __call__(self, c, h, W):\n"
+        "        lg = log_mb_gamma(self.params, self.twist, panel_nodes(c, h))\n"
+        "        return ((W * np.exp(lg - lg[10])) @ self.phase(h)) * np.exp(lg[10] - c * self.lx)\n"
+        "class _MellinIntegrand:\n"
+        "    def __init__(self, params, delta, grids, nu, lx):\n"
+        "        self.nu, self.lx, self.phase = nu, lx, quadrature.phase_tables(lx)\n"
+        "    def __call__(self, c, h, W):\n"
+        "        g = np.exp(archimedean.log_mb_gamma(self.params, self.twist, panel_nodes(c, h)))\n"
+        "        return ((W * g) @ self.phase(h)) * np.exp((self.nu - c) * self.lx)\n"
+        "def walk(params, twist, lx, grids):\n"
+        "    f = ContourIntegrand(lambda s: log_mb_gamma(params, twist, s), params.rank, lx)\n"
+        "    g = ContourIntegrand(lambda s: s, 2, lx, factor=lambda c, h: log_mb_gamma(params, twist, c))\n"
+        "    return f, g, grids.phase_tables(lx)\n"
+    )
+    assert contour_integrand_copies(src) == [
+        ("phase", "_BesselIntegrand.__init__", 4), ("gamma", "_BesselIntegrand.__call__", 6),
+        ("phase", "_MellinIntegrand.__init__", 10), ("gamma", "_MellinIntegrand.__call__", 12),
+        ("gamma", "walk", 16), ("phase", "walk", 17),
+    ]
+
+
+def test_contour_integrand_has_one_owner():
+    # the x-phase is made by bessel.ContourIntegrand, the inner Mellin transform's tables by
+    # hankel._MellinGrids.grid; log γ reaches a panel only as the first argument of the class
+    owners = {("bessel.py", "phase", "ContourIntegrand.__init__"), ("hankel.py", "phase", "_MellinGrids.grid")}
+    found = [
+        (p.name, kind, where, line)
+        for p in SRC
+        for kind, where, line in contour_integrand_copies(p.read_text())
+        if kind == "phase" or p.name in ("bessel.py", "hankel.py")
+    ]
+    assert owners <= {(name, kind, where) for name, kind, where, _ in found}
+    copies = [f"{name}:{line}: {kind} in {where}" for name, kind, where, line in found if (name, kind, where) not in owners]
+    assert not copies, "a second contour integrand beside bessel.ContourIntegrand:\n" + "\n".join(copies)
 
 
 _WEIGHT_ROWS = frozenset({"_GK_WK", "_GK_WG", "_GK_W"})

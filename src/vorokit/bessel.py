@@ -7,14 +7,12 @@ transform of the γ-factors,
 
 taken along an admissible contour C from :mod:`vorokit.contours`.
 
-Quadrature: the contour *object* is vertical-with-detour, but the integrand
-decays only polynomially along a vertical line, so the integral is evaluated
-on an equivalent path whose two tails bend 45° up-left/down-left once above
-all detour structure and above the stationary height ≈ c·|x|^{1/n}; on the
-bent rays the decay is exponential and Gauss–Kronrod panels converge fast.
-The horizontal connectors between the two paths vanish as the height grows,
-so the value equals the contour integral exactly; contour-independence and
-closed-form calibrations are enforced in the test suite.
+Quadrature (the walk and its tail rules: :mod:`vorokit.quadrature`): the
+integrand decays only polynomially up a vertical line, so above all detour
+structure and the stationary height ≈ c·|x|^{1/n} both tails bend 45°
+(``quadrature.BENT_RAYS``).  The connectors between the paths vanish as the
+height grows, so the value is the contour integral's, as the
+contour-independence and closed-form tests check.
 
 Evaluation is batched: many x share one path, with the γ-part of the
 integrand computed once per node and x^{−s} factored by panel.  One class,
@@ -24,7 +22,6 @@ integrand computed once per node and x^{−s} factored by panel.  One class,
 
 from __future__ import annotations
 
-import cmath
 import hashlib
 import json
 import math
@@ -37,12 +34,12 @@ from .archimedean import CharTwist, RealPlaceParams, log_mb_gamma
 from .contours import Contour, build_contour
 from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import (
+    BENT_RAYS,
     ToleranceNotMet,
-    adaptive_segment,
+    contour_integral,
     magnitude_groups,
     panel_nodes,
     phase_tables,
-    polyline_walk,
     tail_grid_ceil,
 )
 
@@ -53,10 +50,6 @@ __all__ = [
     "KernelTable",
     "ToleranceNotMet",
 ]
-
-_BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical, upper ray
-_MAX_RAY = 2000.0
-
 
 class ContourIntegrand:
     """γ(1−s)·F(s)·xeff^{ν−s} on one G10/K21 panel, batched over lx = log xeff.
@@ -90,7 +83,7 @@ class ContourIntegrand:
 
 
 def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
-    """(1/2πi) ∫_C γ(1−s, π×χ, ψ) xeff^{−s} ds for a batch of xeff > 0.
+    """(1/2πi) ∫_C γ(1−s, π×χ, ψ) xeff^{−s} ds for a batch of xeff > 0, its tails on the bent rays.
 
     The γ-ratio has degree n in s, so by Stirling its phase rate per unit of
     Im s is ~ n·log(|t|/2π) at t = Im s; xeff^{−s} adds −log xeff.  The
@@ -101,37 +94,7 @@ def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs
     t_flip = 2 * math.pi * math.exp(integrand.lx_max / params.rank)
     # on the tail grid, so the vertical panels' edges are exact and their h repeat
     h_bend = tail_grid_ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0))
-    pts = contour.polyline(h_bend)
-
-    tol_raw = tol * 2 * math.pi
-    total, err_total = polyline_walk(integrand, pts, integrand.omega, tol_raw / 200.0)
-
-    # bent tails: exponential decay; stop on the running tail estimate
-    tail_bound = 0.0
-    for anchor, direction, orient in (
-        (pts[-1], _BEND, 1.0),
-        (pts[0], np.conj(_BEND), -1.0),
-    ):
-        u, step = 0.0, 1.0
-        while True:
-            lo = anchor + u * direction
-            hi = anchor + (u + step) * direction
-            val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)
-            total += orient * val
-            err_total += err
-            mag = float(np.max(np.abs(val)))
-            u += step
-            step *= 1.35
-            if 2.0 * mag < tol_raw / 10.0:
-                tail_bound += 2.0 * mag
-                break
-            if u > _MAX_RAY:
-                raise ToleranceNotMet(tol, mag / (2 * math.pi), "bent-ray tail not converged")
-
-    values = total / (2j * math.pi)
-    achieved = (err_total + tail_bound) / (2 * math.pi)
-    if achieved > tol:
-        raise ToleranceNotMet(tol, achieved, "panel refinement exhausted")
+    values, achieved, _ = contour_integral(integrand, contour.polyline(h_bend), integrand.omega, BENT_RAYS, tol)
     return values, np.full(len(xeffs), achieved)
 
 

@@ -701,6 +701,8 @@ def _read_config(path: str, sub: argparse.ArgumentParser, name: str) -> dict:
         # argparse checks no choices on a default, but runs a string default through type=
         if act.choices and val not in act.choices:
             raise ConfigError(f"config field {key!r} must be one of {list(act.choices)}, got {val!r}")
+        if act.nargs == 0 and not isinstance(val, bool):  # a flag that takes no argument
+            raise ConfigError(f"config field {key!r} is a flag: true or false, got {val!r}")
         defaults[act.dest] = val if act.nargs == 0 or isinstance(val, str) else json.dumps(val)
     return defaults
 

@@ -8,23 +8,19 @@ independent routes:
   folded by ``bessel.parity_batch``, its panels factored by
   ``bessel.ContourIntegrand`` as the Bessel batch's are.  The transform
   M_δ[w] of a compactly supported w is entire and decays
-  super-polynomially on vertical lines, so the contour is truncated
-  straight (no bent tails) once three consecutive panels fall under the
-  tail threshold.  The factor γ·M_δ[w] does not depend
-  on x, and on a panel with centre c and half-width h the x-power at the
-  node s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}:
-  one exponential per point per panel, times a table E_h that depends on
-  the panel only through h (the first factor also takes γ's centre value,
-  so none overflows).  The tails start on the 1/64 tail grid and step
-  on the ladder {2^k, 1.5·2^k}, so their half-widths, bisected ones
-  included, are exact and repeat, and a memo of the last two tables
-  (``quadrature.phase_tables``) serves almost every tail panel.  M_δ[w] at
-  the panel's nodes is one composite rule in v = log x whose panel count p,
-  sized off the panel's largest |Im z|, is rounded up onto the same ladder
-  {2^k, 1.5·2^k}.  A batch keeps one grid per (δ, rung), and the kernel
-  e^{v·z} at the nodes factors into e^{c_i·z0}·e^{η_j·z0} times two
-  phase tables of h, so a panel whose h repeats costs p + 20
-  exponentials, not 21·p.
+  super-polynomially on vertical lines, so the tails stay vertical
+  (``quadrature.VERTICAL_LADDER``; :mod:`vorokit.quadrature` describes the
+  walk and its tail rules).  The factor γ·M_δ[w] does not depend on x, and
+  on a panel with centre c and half-width h the x-power at the node
+  s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}: one
+  exponential per point per panel, times a table E_h that depends on the
+  panel only through h (the first factor also takes γ's centre value, so
+  none overflows).  M_δ[w] at the panel's nodes is one composite rule in
+  v = log x whose panel count p, sized off the panel's largest |Im z|, is
+  rounded up onto the tail steps' ladder {2^k, 1.5·2^k}.  A batch keeps one
+  grid per (δ, rung), and the kernel e^{v·z} at the nodes factors into
+  e^{c_i·z0}·e^{η_j·z0} times two phase tables of h, so a panel whose h
+  repeats costs p + 20 exponentials, not 21·p.
 
 * **convolution** — w̃(x) = |x|^{(n−1)/2} ∫ 𝔟(xt) w(t) |t|^{(3−n)/2} d×t
   against the Bessel function 𝔟 of :mod:`vorokit.bessel`, with 𝔟 replaced by
@@ -93,14 +89,14 @@ from . import quadrature
 from .bessel import ContourIntegrand, bessel_real_batch, parity_batch
 from .contours import build_contour, pole_starts
 from .quadrature import (
+    VERTICAL_LADDER,
     ToleranceNotMet,
     adaptive_segment,
+    contour_integral,
     gauss_nodes,
     gauss_panels,
     magnitude_groups,
     panel_nodes,
-    phase_step,
-    polyline_walk,
     tail_grid_ceil,
 )
 
@@ -293,73 +289,28 @@ def _mellin_nodes(grids: _MellinGrids, delta: int, z0: complex, h: complex) -> n
 
 # ---- mellin route ----------------------------------------------------------
 
-_MAX_HEIGHT = 6000.0
-
-
 def _require_rank(params, n: int) -> None:
     if params.rank != n:
         raise ValueError(f"rank mismatch: params have rank {params.rank}, n={n}")
 
 
-def _ladder_step(step: float) -> float:
-    """The largest of {2^k, 1.5·2^k} that is ≤ ``step``, exact in binary."""
-    m, e = math.frexp(step)  # step = m·2^e, 1/2 ≤ m < 1
-    return math.ldexp(0.75 if m >= 0.75 else 0.5, e)
-
-
 def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
-    """One parity component I_δ along the contour, batched over log|x|.
+    """One parity component I_δ along the contour, batched over log|x|.  → (values, achieved).
 
-    The detour polyline up to height h0 is walked by :func:`polyline_walk`;
-    the two vertical tails above it follow, panel after panel, until three
-    consecutive panels fall under the tail threshold.  h0 is rounded up onto
-    the tail grid (``quadrature.tail_grid_ceil``) and every tail step is put on the ladder
-    {2^k, 1.5·2^k}: the largest rung within ``phase_step``, so a tail panel
-    is never longer than the phase rate allows and at most 1.5 times
-    shorter.  Every tail panel edge, bisected sub-panels' included, is then
-    exact in binary, half-widths repeat exactly, and the integrand's phase
-    memo (``bessel.ContourIntegrand``) serves all but a few of them; the
-    polyline's few panels, unclamped below h0, mostly miss it.  ``counts``
+    One ``quadrature.contour_integral`` walk: the polyline up to h0, on the tail grid, then the
+    vertical ladder, whose repeating half-widths the integrand's phase memo serves.  ``counts``
     accumulates the tail panels and the phase tables built and reused.
     """
-    tol_raw = tol * 2.0 * math.pi
     twist = CharTwist(delta)
     integrand = ContourIntegrand(
         lambda s: log_mb_gamma(params, twist, s), params.rank, lx, nu=nu,
         factor=lambda c, h: _mellin_nodes(grids, delta, 1.0 - nu - c, h),
         rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
     )
-    sigma = contour.asymptote
-    h0 = tail_grid_ceil(contour.detour_height + 2.0)
-    total, err_total = polyline_walk(integrand, contour.polyline(h0), integrand.omega, tol_raw / 200.0)
-
-    tail_bound = 0.0
-    for sgn in (1.0, -1.0):
-        t, smalls, recent = h0, 0, [0.0]
-        while True:
-            step = _ladder_step(phase_step(integrand.omega(t)))
-            lo = complex(sigma, sgn * t)
-            hi = complex(sigma, sgn * (t + step))
-            val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)
-            counts["tail_panels"] += 1
-            total += sgn * val
-            err_total += err
-            mag = float(np.max(np.abs(val)))
-            recent = (recent + [mag])[-3:]
-            t += step
-            smalls = smalls + 1 if 2.0 * mag < tol_raw / 20.0 else 0
-            if smalls >= 3 and t >= h0 + 10.0:
-                tail_bound += 5.0 * max(recent)
-                break
-            if t > _MAX_HEIGHT:
-                raise ToleranceNotMet(tol, mag / (2 * math.pi), "dual-integral tail not converged")
+    pts = contour.polyline(tail_grid_ceil(contour.detour_height + 2.0))  # up to h0
+    values, achieved, tail_panels = contour_integral(integrand, pts, integrand.omega, VERTICAL_LADDER, tol)
     memo = integrand.phase.cache_info()
-    counts.update(memo_built=memo.misses, memo_reused=memo.hits)
-
-    values = total / (2j * math.pi)
-    achieved = (err_total + tail_bound) / (2.0 * math.pi)
-    if achieved > tol:
-        raise ToleranceNotMet(tol, achieved, "dual-integral refinement exhausted")
+    counts.update(tail_panels=tail_panels, memo_built=memo.misses, memo_reused=memo.hits)
     return values, achieved
 
 

@@ -26,9 +26,22 @@ module names the weight rows.  A panel is accepted when the raw difference
 smooth on the panel it overstates the error of the K that is returned.
 Across a kink both rules err alike and |K − G| bounds neither.
 
-The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` walk
-a polyline with :func:`polyline_walk` and then follow their own tails, each
-with its own stopping rule, panel by panel through :func:`adaptive_segment`.
+The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` are
+one walk, :func:`contour_integral`: the polyline by :func:`polyline_walk`,
+then the upper tail from its last vertex along a :class:`TailRule`'s
+direction and the lower from its first along the conjugate, each panel by
+:func:`adaptive_segment` to tol_raw/200, tol_raw = 2π·tol.  A tail stops after
+``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it is
+``min_length`` long, adds ``factor`` × their largest |value| to the error
+bound (a heuristic, not a computed bound) and gives up past ``max_length``.
+The two rules differ only in that data.  :data:`BENT_RAYS` (the Bessel
+batch) runs 45° past vertical, where γ·x^{−s} decays exponentially, in steps
+1, 1.35, 1.35², …: run 1, cut 10, factor 2, up to length 2000.
+:data:`VERTICAL_LADDER` (the Mellin route, whose M_δ[w] decays on vertical
+lines) runs along ±i, each step the largest rung of {2^k, 1.5·2^k} within
+:func:`phase_step`, so from :func:`tail_grid_ceil` its edges are exact and
+its half-widths repeat for the :func:`phase_tables` memo: run 3, cut 20,
+factor 5, at least 10 and up to 6000 long.
 Fixed-resolution integrals over a real partition (the dual function's
 t-integral, the v-grid of the local functional equation, the gap-wise GJ
 pairings) take their nodes and weights from :func:`gauss_panels`.
@@ -36,8 +49,10 @@ pairings) take their nodes and weights from :func:`gauss_panels`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -51,6 +66,10 @@ __all__ = [
     "phase_step",
     "polyline_walk",
     "tail_grid_ceil",
+    "TailRule",
+    "BENT_RAYS",
+    "VERTICAL_LADDER",
+    "contour_integral",
     "magnitude_groups",
     "ToleranceNotMet",
 ]
@@ -215,6 +234,70 @@ def polyline_walk(f, pts, omega, tol: float):
             total = total + val
             err_total += err
     return total, err_total
+
+
+_BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical: the upper bent ray
+_MAX_RAY = 2000.0  # a bent ray longer than this has not converged
+_MAX_HEIGHT = 6000.0  # nor has a vertical tail this long
+
+
+def _ladder_step(step: float) -> float:
+    """The largest of {2^k, 1.5·2^k} that is ≤ ``step``, exact in binary."""
+    m, e = math.frexp(step)  # step = m·2^e, 1/2 ≤ m < 1
+    return math.ldexp(0.75 if m >= 0.75 else 0.5, e)
+
+
+class TailRule(NamedTuple):
+    """How :func:`contour_integral` follows a contour's two tails (see the module docstring)."""
+
+    name: str
+    direction: complex  # the upper tail's; the lower tail takes its conjugate
+    step: Callable[[float, float], float]  # (last step, 0.0 before the first; ω at the panel's start) → step
+    cut: float
+    run: int
+    min_length: float
+    factor: float
+    max_length: float
+
+
+BENT_RAYS = TailRule("bent-ray", _BEND, lambda last, rate: max(1.0, 1.35 * last), 10.0, 1, 0.0, 2.0, _MAX_RAY)
+VERTICAL_LADDER = TailRule(
+    "vertical-ladder", 1j, lambda last, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT
+)
+
+
+def contour_integral(f, pts, omega, rule: TailRule, tol: float):
+    """(1/2πi) ∫ f along the polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
+
+    f and omega are as :func:`polyline_walk` takes them.  ``achieved`` is the panels' summed
+    |K − G| and the tails' bounds over 2π; tail panels are counted before bisection.  Raises
+    ToleranceNotMet for a tail that never stops or an ``achieved`` above ``tol``.
+    """
+    tol_raw = tol * 2 * math.pi
+    total, err_total = polyline_walk(f, pts, omega, tol_raw / 200.0)
+    tail_bound, panels = 0.0, 0
+    tails = (("upper", pts[-1], rule.direction, 1.0), ("lower", pts[0], rule.direction.conjugate(), -1.0))
+    for side, anchor, direction, orient in tails:
+        u, step, small = 0.0, 0.0, []
+        while True:
+            lo = anchor + u * direction
+            step = rule.step(step, omega(lo.imag))
+            val, err = adaptive_segment(f, lo, anchor + (u + step) * direction, tol_raw / 200.0, max_depth=11)
+            panels += 1
+            total += orient * val
+            err_total += err
+            mag = float(np.max(np.abs(val)))
+            u += step
+            small = (small + [mag])[-rule.run:] if 2.0 * mag < tol_raw / rule.cut else []
+            if len(small) == rule.run and u >= rule.min_length:
+                tail_bound += rule.factor * max(small)
+                break
+            if u > rule.max_length:
+                raise ToleranceNotMet(tol, mag / (2 * math.pi), f"{side} {rule.name} tail not converged")
+    achieved = (err_total + tail_bound) / (2 * math.pi)
+    if achieved > tol:
+        raise ToleranceNotMet(tol, achieved, "panel refinement exhausted")
+    return total / (2j * math.pi), achieved, panels
 
 
 def magnitude_groups(mags, ratio: float) -> list[np.ndarray]:

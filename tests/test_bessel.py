@@ -212,13 +212,13 @@ def test_bessel_integrand_factored_phase_matches_direct():
     lx = np.linspace(0.0, math.log(1e6), 8)
     sigma = build_contour(DS11).asymptote
     h_bend = 1.25 * 2 * math.pi * 1e3 + 8.0  # the walk's bend height for x up to 1e6
-    tail = complex(sigma, h_bend) + 45.0 * bessel._BEND  # 40 to 50 units down the upper ray
+    tail = complex(sigma, h_bend) + 45.0 * quadrature._BEND  # 40 to 50 units down the upper ray
     f = bessel.ContourIntegrand(lambda s: log_mb_gamma(DS11, twist, s), DS11.rank, lx)  # as the batch builds it
     panels = [  # a miss and a hit at t = 700, a slanted detour panel and a bent-tail panel
         (complex(sigma, 701.5), 1.5j, (1, 0)),
         (complex(sigma, 704.5), 1.5j, (1, 1)),
         (complex(sigma + 0.3, 2.0), 0.4 + 0.1j, (2, 1)),
-        (tail, 5.0 * bessel._BEND, (3, 1)),
+        (tail, 5.0 * quadrature._BEND, (3, 1)),
     ]
     for c, h, counts in panels:
         got = f(c, h, np.eye(21))  # W = I: the values at every node

@@ -237,6 +237,25 @@ def test_malformed_config_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({"check-lseries": "false", "count": 2}, "check-lseries"),  # a string "false" used to run the job
+        ({"kloosterman3": "no", "check-lseries": True}, "kloosterman3"),  # and "no" to select a second one
+    ],
+    ids=["string-false", "string-no"],
+)
+def test_config_flag_without_argument_takes_only_a_boolean(capsys, tmp_path, doc, key):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["padic", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert f"config field {key!r} is a flag" in err
+    path.write_text(json.dumps({"check-lseries": True, "count": 2}))
+    code, out, _ = run(capsys, ["padic", "--config", str(path)])
+    assert code == 0 and json.loads(out)["inputs"]["mode"] == "check-lseries"
+
+
+@pytest.mark.parametrize(
     "blocks",
     [
         '{"place":"real","blocks":[5]}',  # a block that is not a JSON object

@@ -239,7 +239,7 @@ def _recording_tables(phase, sizes):
 def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
     """Run the mellin route, recording every ladder step, adaptive panel and memo size."""
     steps, panels, sizes = [], [], []
-    ladder, segment, tables = hankel._ladder_step, hankel.adaptive_segment, bessel.phase_tables
+    ladder, segment, tables = quadrature._ladder_step, quadrature.adaptive_segment, bessel.phase_tables
 
     def ladder_rec(p):
         steps.append((p, ladder(p)))
@@ -252,8 +252,8 @@ def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
     def tables_rec(lx):
         return _recording_tables(tables(lx), sizes)
 
-    monkeypatch.setattr(hankel, "_ladder_step", ladder_rec)
-    monkeypatch.setattr(hankel, "adaptive_segment", segment_rec)
+    monkeypatch.setattr(quadrature, "_ladder_step", ladder_rec)
+    monkeypatch.setattr(quadrature, "adaptive_segment", segment_rec)  # the polyline's panels and the tails'
     monkeypatch.setattr(bessel, "phase_tables", tables_rec)  # the x-phase of bessel.ContourIntegrand
     counts = Counter()
     hankel_mellin_batch(params, n, w, xs, tol, counts=counts)
@@ -265,8 +265,10 @@ def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
 def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
     w = make_bump(1.0, 2.0)
     steps, panels, _, counts = _record_mellin_walk(monkeypatch, params, 2, w, [0.3, -2.0, 40.0], 1e-9)
-    sigma = build_contour(params).asymptote
-    tails = [(a, b) for a, b in panels if a.real == b.real == sigma]
+    contour = build_contour(params)
+    sigma, h0 = contour.asymptote, quadrature.tail_grid_ceil(contour.detour_height + 2.0)
+    # the polyline's vertical pieces below h0 sit on σ too; a tail panel starts at |Im s| ≥ h0 and climbs
+    tails = [(a, b) for a, b in panels if a.real == b.real == sigma and h0 <= abs(a.imag) < abs(b.imag)]
     assert len(tails) == len(steps) == counts["tail_panels"] > 0
     for (p, step), (a, b) in zip(steps, tails):
         m, _ = math.frexp(step)
@@ -279,7 +281,7 @@ def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
     # every rung, every ladder cut just below it, and the clamps of phase_step
     rungs = [math.ldexp(m, e) for e in range(-3, 3) for m in (0.5, 0.75)]
     for p in rungs + [np.nextafter(r, 0.0) for r in rungs] + [phase_step(1e9), phase_step(1e-9), 0.1, 2.999]:
-        step = hankel._ladder_step(p)
+        step = quadrature._ladder_step(p)
         assert step <= p and step > p / 1.5 and math.frexp(step)[0] in (0.5, 0.75)
 
 

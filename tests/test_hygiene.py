@@ -2,8 +2,9 @@
 parameter has a default that every caller leaves alone, only named test hooks
 have a default that only tests pass, no function has a return-shape flag,
 one writer owns every file write and one owner each the phase tables, the
-contour integrand, the quadrature weight rows, the Chebyshev evaluation, the
-dual-sum policy and Δ's real place, and every file parses as Python 3.10.
+contour integrand, the contour walk, the quadrature weight rows, the
+Chebyshev evaluation, the dual-sum policy and Δ's real place, and every file
+parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -39,6 +40,12 @@ Weight rows: outside ``quadrature.py`` nothing in ``src/vorokit`` names the
 G10/K21 weight rows ``_GK_WK``, ``_GK_WG`` or their stack ``_GK_W`` (as a
 name, an attribute, an imported name or a string), so every panel integrand
 takes its weights as the W that ``quadrature.adaptive_segment`` hands it.
+
+Contour walk: outside ``quadrature.py`` only ``hankel.signed_mellin``, which
+integrates a finite real segment and not a contour, calls ``adaptive_segment``
+or ``polyline_walk`` (as ``f(...)`` or ``obj.f(...)``), so every contour
+integral, its polyline and both its tails, is one
+``quadrature.contour_integral`` walk and no tail loop lives outside it.
 
 Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
 ``src/vorokit`` sits outside ``hankel._KernelModel.table``, so the kernel
@@ -604,8 +611,8 @@ def test_weight_rows_have_one_owner():
     assert not found, "G10/K21 weight rows named outside quadrature.py:\n" + "\n".join(found)
 
 
-def chebyshev_evaluations(source: str) -> list[tuple[str, int]]:
-    """(enclosing Class.function, line) of each chebvander(...) or chebval(...) call."""
+def _enclosed_calls(source: str, names) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each call, as f(...) or obj.f(...), of a name in ``names``."""
     found = []
 
     def visit(node, where):
@@ -613,12 +620,17 @@ def chebyshev_evaluations(source: str) -> list[tuple[str, int]]:
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, f"{where}.{child.name}" if where else child.name)
                 continue
-            if _call_name(child) in ("chebvander", "chebval"):
+            if _call_name(child) in names:
                 found.append((where or "<module>", child.lineno))
             visit(child, where)
 
     visit(ast.parse(source), "")
     return found
+
+
+def chebyshev_evaluations(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each chebvander(...) or chebval(...) call."""
+    return _enclosed_calls(source, ("chebvander", "chebval"))
 
 
 def test_scanner_flags_chebyshev_evaluations():
@@ -649,6 +661,42 @@ def test_chebyshev_evaluation_has_one_owner():
         if (name, where) != ("hankel.py", "_KernelModel.table")
     ]
     assert not others, "Chebyshev model evaluated outside hankel._KernelModel.table:\n" + "\n".join(others)
+
+
+def contour_walk_calls(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each adaptive_segment(...) or polyline_walk(...) call."""
+    return _enclosed_calls(source, ("adaptive_segment", "polyline_walk"))
+
+
+def test_scanner_flags_contour_walks():
+    # the two hand-copied walks as they stood before quadrature.contour_integral took both
+    src = (
+        "def _mb_batch(params, twist, contour, xeffs, tol):\n"
+        "    total, err_total = polyline_walk(integrand, pts, integrand.omega, tol_raw / 200.0)\n"
+        "    for anchor, direction, orient in ((pts[-1], _BEND, 1.0), (pts[0], np.conj(_BEND), -1.0)):\n"
+        "        val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)\n"
+        "def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):\n"
+        "    total, err_total = quadrature.polyline_walk(integrand, contour.polyline(h0), integrand.omega, tol)\n"
+        "    val, err = quadrature.adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)\n"
+        "def signed_mellin(f, delta, z, tol):\n"
+        "    val, err = adaptive_segment(integrand, complex(f.a), complex(f.b), tol)\n"
+    )
+    assert contour_walk_calls(src) == [
+        ("_mb_batch", 2), ("_mb_batch", 4), ("_dual_vertical", 6), ("_dual_vertical", 7), ("signed_mellin", 9)
+    ]
+
+
+def test_contour_walk_has_one_owner():
+    # a finite real segment is signed_mellin's; every contour walk is quadrature.contour_integral's
+    found = {p.name: contour_walk_calls(p.read_text()) for p in SRC if p.name != "quadrature.py"}
+    assert [where for where, _ in found["hankel.py"]] == ["signed_mellin"]
+    others = [
+        f"{name}:{line}: in {where}"
+        for name, rows in found.items()
+        for where, line in rows
+        if (name, where) != ("hankel.py", "signed_mellin")
+    ]
+    assert not others, "a contour walk outside quadrature.contour_integral:\n" + "\n".join(others)
 
 
 def dual_policy_copies(source: str) -> list[tuple[str, str, int]]:

@@ -1,13 +1,20 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
 
+from vorokit import quadrature
 from vorokit.quadrature import (
     _GK_W,
     _GK_WG,
     _GK_WK,
     _GK_X,
+    BENT_RAYS,
+    VERTICAL_LADDER,
+    ToleranceNotMet,
     adaptive_segment,
+    contour_integral,
     gauss_nodes,
     gauss_panels,
     magnitude_groups,
@@ -267,3 +274,89 @@ def test_polyline_walk_error_estimate_bounds_the_error(omega, tol):
         exact = [(mpmath.exp(lam * b) - mpmath.exp(lam * a)) / lam for lam in map(mpmath.mpc, _EXP_LAM)]
         miss = max(float(abs(mpmath.mpc(v) - e)) for v, e in zip(val, exact))
     assert miss <= err
+
+
+# ---- the contour walk's two tail rules -----------------------------------------
+
+_WALK_PTS = [complex(0.5, -2.0), complex(0.5, 2.0)]
+
+
+def _secant(kappa, bump=0.0):
+    # 1/cos(κ(s − 0.5)), its poles on the real line off 0.5, falls like 2·e^{−κ|Im s|}
+    # up and down both rules' tails; the bump adds bump·e^{−(|Im s| − 9)²} on Re s = 0.5
+    def f(c, h, W):
+        s = panel_nodes(c, h) - 0.5
+        return W @ (1.0 / np.cos(kappa * s) + bump * (np.exp((s - 9j) ** 2) + np.exp((s + 9j) ** 2)))
+
+    return f
+
+
+def _recorded_panels(monkeypatch):
+    """The (a, b, value, error) of each panel handed to adaptive_segment, appended in order."""
+    panels, segment = [], quadrature.adaptive_segment
+
+    def segment_rec(f, a, b, tol, max_depth=13):
+        val, err = segment(f, a, b, tol, max_depth=max_depth)
+        panels.append((a, b, val, err))
+        return val, err
+
+    monkeypatch.setattr(quadrature, "adaptive_segment", segment_rec)
+    return panels
+
+
+@pytest.mark.parametrize("rule", [BENT_RAYS, VERTICAL_LADDER], ids=["bent", "ladder"])
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, side):
+    decays = _secant(1.0)
+
+    def f(c, h, W):  # 1 on the failing side's panels, a decaying secant on the other's
+        return W @ np.ones(21) if (c.imag > 0) == (side == "upper") else decays(c, h, W)
+
+    panels = _recorded_panels(monkeypatch)
+    with pytest.raises(ToleranceNotMet, match=f"{side} {rule.name} tail not converged"):
+        contour_integral(f, _WALK_PTS, lambda t: 7.0, rule, 1e-6)
+    a, b, _, _ = panels[-1]
+    anchor = _WALK_PTS[-1] if side == "upper" else _WALK_PTS[0]
+    assert abs(a - anchor) <= rule.max_length < abs(b - anchor)
+
+
+# the ladder's run of three binds at κ = 1, tol 1e-6; its 10-unit floor at κ = 2, tol 0.1; and
+# there a bump on the panel from 8 to 10 breaks the run, which starts again after it
+@pytest.mark.parametrize(
+    "rule,kappa,bump,tol,floor_binds",
+    [(BENT_RAYS, 1.0, 0.0, 1e-6, False), (BENT_RAYS, 1.0, 0.0, 1e-3, False),
+     (VERTICAL_LADDER, 1.0, 0.0, 1e-6, False), (VERTICAL_LADDER, 2.0, 0.0, 0.1, True),
+     (VERTICAL_LADDER, 2.0, 0.05, 0.1, False)],
+    ids=["bent-1e-6", "bent-1e-3", "ladder-run", "ladder-floor", "ladder-broken-run"],
+)
+def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bump, tol, floor_binds):
+    panels = _recorded_panels(monkeypatch)
+    values, achieved, tail_panels = contour_integral(_secant(kappa, bump), _WALK_PTS, lambda t: 7.0, rule, tol)
+    walked = len(panels) - tail_panels
+    upper = next(i for i, (a, *_) in enumerate(panels) if a == _WALK_PTS[-1])
+    lower = next(i for i, (a, *_) in enumerate(panels) if i > upper and a == _WALK_PTS[0])
+    assert upper == walked
+    cut = 2 * math.pi * tol / rule.cut  # a panel is small when 2·|value| < cut
+    bound = 0.0
+    for tail, direction in ((panels[upper:lower], rule.direction), (panels[lower:], rule.direction.conjugate())):
+        assert [(b - a) / abs(b - a) for a, b, _, _ in tail] == pytest.approx([direction] * len(tail))
+        mags = [abs(complex(val)) for _, _, val, _ in tail]
+        small = [2.0 * m < cut for m in mags]
+        length = np.cumsum([abs(b - a) for a, b, _, _ in tail])
+        runs = [i for i in range(rule.run - 1, len(tail)) if all(small[i + 1 - rule.run : i + 1])]
+        stops = [i for i in runs if length[i] >= rule.min_length]
+        assert stops[0] == len(tail) - 1 > 0  # past a large panel, to the first stop
+        assert (runs[0] < stops[0]) == floor_binds
+        if rule is BENT_RAYS:  # the first small panel, after steps 1, 1.35, 1.35², …
+            assert small[-1] and not any(small[:-1])
+            assert [abs(b - a) for a, b, _, _ in tail[:3]] == pytest.approx([1.0, 1.35, 1.35**2])
+        else:  # three small in a row, at least 10 past the start
+            assert all(small[-3:]) and length[-1] >= 10.0
+            assert (small[:4] == [False, True, True, False]) == (bump > 0)
+        bound += rule.factor * max(mags[-rule.run:])
+    errs = sum(err for *_, err in panels)  # in the walk's order, as the walk sums them
+    assert bound > errs
+    assert achieved == (errs + bound) / (2 * math.pi)
+    line = sum(val for _, _, val, _ in panels[:walked])
+    up, down = (sum(val for _, _, val, _ in t) for t in (panels[upper:lower], panels[lower:]))
+    assert abs(values - (line + up - down) / (2j * math.pi)) < 1e-15

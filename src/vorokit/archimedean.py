@@ -163,19 +163,25 @@ def loggamma(z) -> np.ndarray:
     which holds with the principal Log on the whole plane slit along (−∞, 0],
     so the shift keeps the principal branch.  On the slit, Log takes the side
     of the sign of Im z (Im z = +0: Im log Γ(−2.5) = −3π, as in mpmath).  The
-    shift costs ⌈ρ_12 − Re z⌉ logs per element, so it grows with −Re z near the
-    negative axis.  Poles give +inf.
+    shift costs ⌈ρ_12 − Re z⌉ logs per shifted element, so it grows with −Re z
+    near the negative axis; the other elements of the call pay nothing for it.
+    Poles give +inf.
     """
     z = np.asarray(z, dtype=complex)
+    shape, z = z.shape, z.ravel()
     rho2 = np.abs(z)
     rho2 += z.real
     low = rho2.min()
     shift = None
     if low < _TWO_RHO[0]:
-        n = np.where(rho2 < _TWO_RHO[0], np.ceil(0.5 * _TWO_RHO[0] - z.real), 0.0)
-        k = np.arange(n.max()).reshape((-1,) + (1,) * z.ndim)
-        shift = np.log(np.where(k < n, z + k, 1.0)).sum(axis=0)
-        z = z + n
+        # only the low elements: (n_max × their count), not n_max × the whole call
+        need = rho2 < _TWO_RHO[0]
+        zn = z[need]
+        n = np.ceil(0.5 * _TWO_RHO[0] - zn.real)
+        k = np.arange(n.max())[:, None]
+        shift = np.log(np.where(k < n, zn + k, 1.0)).sum(axis=0)
+        z = z.copy()
+        z[need] = zn + n
         low = _TWO_RHO[0]
     terms = len(_STIRLING) - bisect_right(_TWO_RHO, low)
     r = 1.0 / z
@@ -193,8 +199,8 @@ def loggamma(z) -> np.ndarray:
     out *= z - _HALF
     out += series
     if shift is not None:
-        out -= shift
-    return out
+        out[need] -= shift
+    return out.reshape(shape)
 
 
 # ---- Γ-pieces ---------------------------------------------------------------
@@ -275,11 +281,11 @@ def gamma_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> compl
 
 @lru_cache(maxsize=256)
 def _mb_plan(params: RealPlaceParams, twist: CharTwist) -> tuple:
-    """(const, slope, scale, offset, signs): log γ(1−s) = const + slope·s + signs · log Γ(scale·s + offset).
+    """(const, slope, scale, offset): log γ(1−s) = const + slope·s + Σ ±log Γ(scale·s + offset), + on even rows.
 
     A piece (kind, t, a, k) gives, in v = s/h and with f cancelling,
     (1/h − 2v + 2t/h)·log c + log Γ(v + (a − t)/h) − log Γ(−v + (1 + t + a)/h),
-    and k to the phase i^{Σk}: two rows of ``scale``/``offset``, signs +1 and −1.
+    and k to the phase i^{Σk}: two rows of ``scale``/``offset``, the + row first.
     """
     const, slope, phase = 0j, 0.0, 0
     scale, offset = [], []
@@ -295,7 +301,6 @@ def _mb_plan(params: RealPlaceParams, twist: CharTwist) -> tuple:
         np.complex128(slope),
         np.array(scale)[:, None],
         np.array(offset, dtype=complex)[:, None],
-        np.sign(scale).astype(complex),
     )
 
 
@@ -308,11 +313,17 @@ def log_mb_gamma(params: RealPlaceParams, twist: CharTwist, s) -> np.ndarray:
     would overflow.  All Γ arguments go to one ``loggamma`` call, stacked
     (2·pieces × points), with the per-(params, twist) plan of ``_mb_plan``.
     """
-    const, slope, scale, offset, signs = _mb_plan(params, twist)
+    const, slope, scale, offset = _mb_plan(params, twist)
     s = np.asarray(s, dtype=complex)
     z = scale * s.reshape(-1)
     z += offset
-    out = np.dot(signs, loggamma(z)).reshape(s.shape)
+    lg = loggamma(z)
+    # the ± rows summed in order, not by a BLAS product, which wakes a second OpenBLAS thread
+    out = lg[0] - lg[1]
+    for plus, minus in zip(lg[2::2], lg[3::2]):
+        out += plus
+        out -= minus
+    out = out.reshape(s.shape)
     out += slope * s
     out += const
     return out

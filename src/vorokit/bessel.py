@@ -37,6 +37,7 @@ from .quadrature import (
     BENT_RAYS,
     ToleranceNotMet,
     contour_integral,
+    key_groups,
     magnitude_groups,
     panel_nodes,
     phase_tables,
@@ -52,16 +53,23 @@ __all__ = [
 ]
 
 class ContourIntegrand:
-    """γ(1−s)·F(s)·xeff^{ν−s} on one G10/K21 panel, batched over lx = log xeff.
+    """γ(1−s)·F(s)·xeff^{ν−s} on a stack of G10/K21 panels, batched over lx = log xeff.
 
     The Bessel batch's γ·xeff^{−s} has ν = 0 and F = 1 (no ``factor``); the
-    Mellin route's has F(s) = M_δ[w](1−s−ν).  With lg = ``log_g`` at the nodes
-    c + h·ξ_l and lg_10 at the centre ξ = 0, the value at node l and point j
-    is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10}·F_l with F = ``factor(c, h)``,
-    E_h from ``phase`` and P_j = e^{lg_10 + (ν − c)·lx_j}.  No factor exceeds
-    the centre value or the variation across the panel, so none overflows
-    where xeff^{−s} alone would.  A call f(c, h, W) returns ((W·G) @ E_h)·P:
-    the weight rows meet G before the table, so no 21 × len(lx) product is formed.
+    Mellin route's has F(s) = M_δ[w](1−s−ν).  With lg = ``log_g`` at a panel's
+    nodes c + h·ξ_l and lg_10 at its centre ξ = 0, the value at node l and point j
+    is G_l·E_h[l, j]·P_j: G_l = e^{lg_l − lg_10}·F_l, E_h from ``phase`` and
+    P_j = e^{lg_10 + (ν − c)·lx_j}.  No factor exceeds the centre value or the
+    variation across the panel, so none overflows where xeff^{−s} alone would.
+
+    A call f(cs, hs, W) takes P panels and returns (P × 2 × len(lx)).  The work
+    that does not depend on x is stacked across the panels: one ``log_g`` call on
+    the 21·P nodes, G, and F as one ``factor(cs, hs)`` → (P × 21).  The
+    product stays per panel, (W·G) @ E_h, in panels grouped by h so the phase
+    memo serves each h once a call: the weight rows meet G before the table, so
+    no 21 × len(lx) product is formed, and none spans two panels, which would
+    wake a second BLAS thread.  The P factors of all the panels are one
+    (P × len(lx)) exponential, no larger than the call's output.
     """
 
     def __init__(self, log_g, rank, lx, nu=0.0, factor=None, rate=0.0):
@@ -69,12 +77,21 @@ class ContourIntegrand:
         self.nu, self.factor, self.rate = nu, factor, rate
         self.lx_min, self.lx_max = float(lx.min()), float(lx.max())
 
-    def __call__(self, c, h, W) -> np.ndarray:
-        lg = self.log_g(panel_nodes(c, h))
-        g = np.exp(lg - lg[10])
+    def __call__(self, cs, hs, W) -> np.ndarray:
+        lg = self.log_g(panel_nodes(cs[:, None], hs[:, None]))
+        centre = lg[:, 10]
+        g = np.exp(lg - centre[:, None])
         if self.factor is not None:
-            g *= self.factor(c, h)
-        return ((W * g) @ self.phase(h)) * np.exp(lg[10] + (self.nu - c) * self.lx)
+            g *= self.factor(cs, hs)
+        wg = W * g[:, None, :]
+        out = np.empty((len(cs),) + W.shape[:1] + self.lx.shape, dtype=complex)
+        for group in key_groups(hs.tolist()).values():
+            for i in group:
+                np.matmul(wg[i], self.phase(hs[i]), out=out[i])
+        p = np.multiply.outer(self.nu - cs, self.lx)
+        p += centre[:, None]
+        out *= np.exp(p, out=p)[:, None, :]
+        return out
 
     def omega(self, t: float) -> float:
         """Phase rate per unit of Im s at t: γ's ~ n·log(|t|/2π) against the lx range, plus ``rate``."""

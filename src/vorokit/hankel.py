@@ -95,6 +95,7 @@ from .quadrature import (
     contour_integral,
     gauss_nodes,
     gauss_panels,
+    key_groups,
     magnitude_groups,
     panel_nodes,
     tail_grid_ceil,
@@ -187,9 +188,10 @@ def signed_mellin(f: TestFunction, delta: int, z: complex, tol: float = 1e-12) -
         raise ValueError("parity must be 0 or 1")
     z = complex(z)
 
-    def integrand(c, h, W):
-        x = panel_nodes(c, h).real
-        return W @ (_component_vals(f, delta, x) * np.exp((z - 1.0) * np.log(x)))
+    def integrand(cs, hs, W):
+        x = panel_nodes(cs[:, None], hs[:, None]).real
+        vals = _component_vals(f, delta, x) * np.exp((z - 1.0) * np.log(x))
+        return (W @ vals[:, :, None])[:, :, 0]  # W @ each panel's values, as a lone panel's sum
 
     val, err = adaptive_segment(integrand, complex(f.a), complex(f.b), tol)
     if err > tol:
@@ -198,6 +200,7 @@ def signed_mellin(f: TestFunction, delta: int, z: complex, tol: float = 1e-12) -
 
 
 _MDEG = 20
+_GRID_MEMOS = 2  # grids whose phase-table memos are kept at once
 
 
 def _mellin_base(tol: float) -> int:
@@ -224,17 +227,18 @@ class _MellinGrids:
     v = log x on [log a, log b]: nodes v = cᵢ + ηⱼ, cᵢ the panel centres and
     ηⱼ = half·xⱼ the offsets, weighted by fw = half·wtⱼ·f_δ(e^v).  p only
     takes rungs of the ladder {2^k, 1.5·2^k}, so a batch builds a few grids
-    and keeps them all.  The grid last asked for also keeps the memo of its
-    tables exp(−h·ξ ⊗ (c | η)) from ``quadrature.phase_tables``, so panels of
-    a repeated half-width h on one rung reuse them; a walk changes rung
-    rarely, and only one grid's tables are held at a time.
+    and keeps them all.  The ``_GRID_MEMOS`` grids last asked for also keep
+    the memos of their tables exp(−h·ξ ⊗ (c | η)) from
+    ``quadrature.phase_tables``, so panels of a repeated half-width h on one
+    rung reuse them.  A walk changes rung rarely, but a bisection level can
+    step back to the rung of the level before, which the second memo serves.
     """
 
     def __init__(self, w: TestFunction, base: int):
         self.w, self.base = w, base
         self.va, self.vb = math.log(w.a), math.log(w.b)
         self._grids: dict = {}  # (δ, p) → (fw, centres, offsets)
-        self._key, self._tables = None, None  # the grid last asked for and its table memo
+        self._memos: dict = {}  # (δ, p) → table memo, for the grids last asked for, the latest last
         self._dropped: list = []  # cache_info() of each table memo let go
 
     def grid(self, delta: int, p: int):
@@ -247,17 +251,18 @@ class _MellinGrids:
             fw = half * gwts * _component_vals(self.w, delta, np.exp(centres[:, None] + offsets[None, :]))
             self._grids[(delta, p)] = (fw, centres, offsets)
         fw, centres, offsets = self._grids[(delta, p)]
-        if self._key != (delta, p):
-            if self._tables is not None:
-                self._dropped.append(self._tables.cache_info())
-            self._key = (delta, p)
+        tables = self._memos.pop((delta, p), None)
+        if tables is None:
+            if len(self._memos) == _GRID_MEMOS:
+                self._dropped.append(self._memos.pop(next(iter(self._memos))).cache_info())
             # looked up on quadrature, so a wrapper of bessel.phase_tables counts the x-phase alone
-            self._tables = quadrature.phase_tables(np.concatenate([centres, offsets]))
-        return fw, centres, offsets, self._tables
+            tables = quadrature.phase_tables(np.concatenate([centres, offsets]))
+        self._memos[(delta, p)] = tables
+        return fw, centres, offsets, tables
 
     def counts(self) -> dict:
         """Grids built, and phase tables built and reused."""
-        memos = self._dropped + ([self._tables.cache_info()] if self._tables is not None else [])
+        memos = self._dropped + [m.cache_info() for m in self._memos.values()]
         return {
             "grids_built": len(self._grids),
             "tables_built": sum(m.misses for m in memos),
@@ -265,26 +270,32 @@ class _MellinGrids:
         }
 
 
-def _mellin_nodes(grids: _MellinGrids, delta: int, z0: complex, h: complex) -> np.ndarray:
-    """Composite M_δ[w] at the 21 K21 nodes z_l = z0 − h·ξ_l of one panel.
+def _mellin_nodes(grids: _MellinGrids, delta: int, z0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Composite M_δ[w] at the 21 K21 nodes z_l = z0 − h·ξ_l of each panel (z0, h).  → (P × 21)
 
-    The rule's p is base + 1.3·max|Im z_l|·log(b/a)/2π rounded up onto the
-    ladder, so never fewer panels than that rule asks.  At a node
+    A panel's rule has p = base + 1.3·max|Im z_l|·log(b/a)/2π rounded up onto
+    the ladder, so never fewer panels than that rule asks.  At a node
     v = cᵢ + ηⱼ of the rule the kernel factors as
     e^{v·z_l} = e^{cᵢ·z0}·e^{ηⱼ·z0}·E_h[l, i]·F_h[l, j], with the tables
     E_h = exp(−h·ξ ⊗ c) and F_h = exp(−h·ξ ⊗ η) of the grid's memo, so
-    M(z_l) = Σᵢ e^{cᵢ·z0}·E_h[l, i]·Σⱼ fw[i, j]·e^{ηⱼ·z0}·F_h[l, j]: p + ``_MDEG``
-    exponentials, one (21 × ``_MDEG``) @ (``_MDEG`` × p) product and 21·p
-    multiplies per panel.  Nodes, weights and f-values are the ones the
-    unfactored sum uses, so the quadrature rule is the same; only rounding
-    differs.
+    M(z_l) = Σᵢ e^{cᵢ·z0}·E_h[l, i]·Σⱼ fw[i, j]·e^{ηⱼ·z0}·F_h[l, j]: per panel one
+    (21 × ``_MDEG``) @ (``_MDEG`` × p) product and 21·p multiplies, and the
+    p + ``_MDEG`` exponentials in one call per rung for all its panels.  Panels
+    go rung by rung and, within a rung, grouped by h, so the grid's memo serves
+    each h once.  Nodes, weights and f-values are the ones the unfactored sum
+    uses, so the quadrature rule is the same; only rounding differs.
     """
-    maxim = float(np.max(np.abs(panel_nodes(z0, -h).imag)))
-    p = _panel_rung(grids.base + int(1.3 * maxim * (grids.vb - grids.va) / (2.0 * math.pi)))
-    fw, centres, offsets, tables = grids.grid(delta, p)
-    t = tables(h)
-    inner = t[:, p:] @ (fw * np.exp(offsets * z0)).T
-    return (t[:, :p] * inner) @ np.exp(centres * z0)
+    maxim = np.max(np.abs(panel_nodes(z0[:, None], -h[:, None]).imag), axis=1)
+    ps = [_panel_rung(grids.base + int(m)) for m in 1.3 * maxim * (grids.vb - grids.va) / (2.0 * math.pi)]
+    out = np.empty((len(z0), 21), dtype=complex)
+    for p, rung in key_groups(ps).items():
+        fw, centres, offsets, tables = grids.grid(delta, p)
+        e_off, e_c = np.exp(np.outer(z0[rung], offsets)), np.exp(np.outer(z0[rung], centres))
+        for group in key_groups(h[rung].tolist()).values():
+            for k in group:
+                t = tables(h[rung[k]])
+                out[rung[k]] = (t[:, :p] * (t[:, p:] @ (fw * e_off[k]).T)) @ e_c[k]
+    return out
 
 
 # ---- mellin route ----------------------------------------------------------
@@ -304,7 +315,7 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
     twist = CharTwist(delta)
     integrand = ContourIntegrand(
         lambda s: log_mb_gamma(params, twist, s), params.rank, lx, nu=nu,
-        factor=lambda c, h: _mellin_nodes(grids, delta, 1.0 - nu - c, h),
+        factor=lambda cs, hs: _mellin_nodes(grids, delta, 1.0 - nu - cs, hs),
         rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
     )
     pts = contour.polyline(tail_grid_ceil(contour.detour_height + 2.0))  # up to h0
@@ -322,7 +333,7 @@ def _validate_inner_mellin(grids, delta):
     for z0, node in ((complex(0.7, -13.7), 10), (complex(0.7, 21.3), 0)):
         zp = complex(panel_nodes(z0, -0.5)[node])
         ref = signed_mellin(grids.w, delta, zp, 1e-11)
-        got = complex(_mellin_nodes(grids, delta, z0, 0.5)[node])
+        got = complex(_mellin_nodes(grids, delta, np.array([z0]), np.array([0.5]))[0, node])
         if abs(ref - got) > 1e-9:
             raise ToleranceNotMet(1e-9, abs(ref - got), "inner Mellin grid validation")
 

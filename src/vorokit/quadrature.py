@@ -4,44 +4,56 @@ Everything here integrates vectorised complex-valued functions along
 straight segments in the complex plane, a batch of B integrands at a time.
 Error control is absolute; for a batch it is the max-norm across the batch.
 
-:func:`adaptive_segment` is the one adaptive panel integrator.  Each panel
-costs one call of f on the 21 nodes of the Gauss–Kronrod pair G10/K21
-(QUADPACK's qk21, Piessens et al. 1983): the 21-point Kronrod rule K and the
-10-point Gauss rule G embedded in it share those nodes.  The integrand is
-handed the panel and the weights, not the nodes: f(c, h, W) gets the panel's
-centre c, its complex half-width h and W, the K21 and G10 weight rows stacked
-(2 × 21).  It returns W @ values, the values at the nodes c + h·ξ_l (ξ_l the
-ascending K21 abscissae on [−1, 1]) being ndarray[21] or ndarray[21, B]; so
-it returns ndarray[2] or ndarray[2, B], the K and G sums before the factor h.
-An integrand that needs only the nodes forms them with :func:`panel_nodes`
-and returns W @ f(nodes).  One whose x-power x^{−s} splits as
-e^{−c·log x}·e^{−h·ξ_l·log x} takes the second factor E_h from
-:func:`phase_tables`, one table per repeated half-width, and contracts W
-with its x-free factor G first: ((W·G) @ E_h)·P gives the two rows per point
-and never forms the 21 × B node table.  The Bessel batch and the Mellin
-route both do so through one class, ``bessel.ContourIntegrand``.  Only this
-module names the weight rows.  A panel is accepted when the raw difference
-|K − G| is within its tolerance and bisected otherwise; the value kept is K.
-|K − G| estimates the error of G, the lower-order rule, so where f is
-smooth on the panel it overstates the error of the K that is returned.
-Across a kink both rules err alike and |K − G| bounds neither.
+:class:`Bisection` is the one adaptive panel integrator, and
+:func:`adaptive_segment` its one-panel case.  A panel's rule is the
+Gauss–Kronrod pair G10/K21 (QUADPACK's qk21, Piessens et al. 1983): the
+21-point Kronrod rule K and the 10-point Gauss rule G embedded in it share
+its 21 nodes.  The integrand is handed panels and the weights, not nodes:
+f(cs, hs, W) gets the centres and complex half-widths of P panels and W, the
+K21 and G10 weight rows stacked (2 × 21).  For each panel it returns
+W @ values, the values at the nodes c + h·ξ_l (ξ_l the ascending K21
+abscissae on [−1, 1]) being ndarray[21] or ndarray[21, B]; so it returns
+ndarray[P, 2] or ndarray[P, 2, B], the K and G sums before the factor h.
+The integrator is breadth-first: it evaluates a whole level of panels in one
+call, accepts each panel whose raw difference |K − G| is within its
+tolerance and bisects the rest into the next level, so per-call work that
+does not depend on the batch is paid once a level, not once a panel.  The
+value kept is K.  |K − G| estimates the error of G, the lower-order rule, so
+where f is smooth on the panel it overstates the error of the K that is
+returned.  Across a kink both rules err alike and |K − G| bounds neither.
+An integrand that needs only the nodes forms them with :func:`panel_nodes`.
+One whose x-power x^{−s} splits as e^{−c·log x}·e^{−h·ξ_l·log x} takes the
+second factor E_h from :func:`phase_tables`, one table per repeated
+half-width, and per panel contracts W with its x-free factor G first:
+((W·G) @ E_h)·P gives the two rows per point and never forms the 21 × B node
+table.  It stacks only its x-free work across the panels of a call; each
+panel keeps its own (2 × 21) @ (21 × B) product, since one product over all
+the panels would be large enough to wake a second BLAS thread.  The Bessel
+batch and the Mellin route both do so through one class,
+``bessel.ContourIntegrand``.  Only this module names the weight rows.
 
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` are
-one walk, :func:`contour_integral`: the polyline by :func:`polyline_walk`,
-then the upper tail from its last vertex along a :class:`TailRule`'s
-direction and the lower from its first along the conjugate, each panel by
-:func:`adaptive_segment` to tol_raw/200, tol_raw = 2π·tol.  A tail stops after
+one walk, :func:`contour_integral`, with one :class:`Bisection` of its
+integrand.  :func:`polyline_walk` lays the polyline's panels out first,
+since their edges depend on the phase rate alone, and hands them over as one
+starting level.  Then come the upper tail from the last vertex along a
+:class:`TailRule`'s direction and the lower from the first along the
+conjugate, each panel to tol_raw/200, tol_raw = 2π·tol.  A tail's steps
+depend on the phase rate alone too, so it lays out and evaluates ``ahead``
+panels of one step at a time and sums them in order up to its stop; a panel
+laid out past the stop is neither summed nor counted.  A tail stops after
 ``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it is
 ``min_length`` long, adds ``factor`` × their largest |value| to the error
 bound (a heuristic, not a computed bound) and gives up past ``max_length``.
 The two rules differ only in that data.  :data:`BENT_RAYS` (the Bessel
 batch) runs 45° past vertical, where γ·x^{−s} decays exponentially, in steps
-1, 1.35, 1.35², …: run 1, cut 10, factor 2, up to length 2000.
+1, 1.35, 1.35², …: run 1, cut 10, factor 2, up to length 2000, one panel at
+a time, since it stops at its first small panel.
 :data:`VERTICAL_LADDER` (the Mellin route, whose M_δ[w] decays on vertical
 lines) runs along ±i, each step the largest rung of {2^k, 1.5·2^k} within
 :func:`phase_step`, so from :func:`tail_grid_ceil` its edges are exact and
 its half-widths repeat for the :func:`phase_tables` memo: run 3, cut 20,
-factor 5, at least 10 and up to 6000 long.
+factor 5, at least 10 and up to 6000 long, ``_TAIL_BLOCK`` panels at a time.
 Fixed-resolution integrals over a real partition (the dual function's
 t-integral, the v-grid of the local functional equation, the gap-wise GJ
 pairings) take their nodes and weights from :func:`gauss_panels`.
@@ -62,6 +74,7 @@ __all__ = [
     "gauss_panels",
     "panel_nodes",
     "phase_tables",
+    "Bisection",
     "adaptive_segment",
     "phase_step",
     "polyline_walk",
@@ -71,6 +84,7 @@ __all__ = [
     "VERTICAL_LADDER",
     "contour_integral",
     "magnitude_groups",
+    "key_groups",
     "ToleranceNotMet",
 ]
 
@@ -166,31 +180,87 @@ def phase_tables(lx: np.ndarray):
     return lru_cache(maxsize=_PHASE_MEMO)(lambda h: np.exp(-np.outer(panel_nodes(0.0, h), lx)))
 
 
-def adaptive_segment(f, a: complex, b: complex, tol: float, max_depth: int = 13):
+_CALL_ENTRIES = 1 << 14  # entries one integrand call may return, panels × 2 × batch: 256 KiB
+
+
+class Bisection:
+    """Breadth-first G10/K21 bisection of starting panels, for one panel integrand f(cs, hs, W).
+
+    Called with starting panels (a, b, tol, depth), it evaluates each level of
+    their bisection in one call of f.  A panel is accepted when |K − G| ≤ its
+    tol (max over the batch) or its depth is 0; the rest are halved into the
+    next level, each half with 0.6·tol and depth − 1, so the accepted panels
+    are the recursive rule's.  It yields, for each starting panel in order, the
+    sum of K and of |K − G| over its accepted panels, added child by child as
+    that rule adds them.
+
+    The starting panels go in runs, each bisected to the end before the next,
+    so only one run's values are held at a time.  A run, and a call, takes as
+    many panels as return ``_CALL_ENTRIES`` entries at the width of f's last
+    output: a call on the first panel alone shows that width, and a batch of
+    up to ``_CALL_ENTRIES``/2P points gets its P panels a level in one call.
+    """
+
+    def __init__(self, f):
+        self.f, self.span = f, 1
+
+    def __call__(self, panels):
+        """Yield (value, error) of each starting panel in order, a run at a time."""
+        done = 0
+        while done < len(panels):
+            run = panels[done : done + self.span]
+            done += len(run)
+            yield from self._run(run)
+
+    def _run(self, level) -> list:
+        levels = []  # per level: its values, errors and accepted flags
+        while level:
+            vals, errs, keep = self._evaluate(level)
+            levels.append((vals, errs, keep))
+            halves = []
+            for (a, b, tol, depth), ok in zip(level, keep):
+                if not ok:
+                    c = 0.5 * (a + b)
+                    halves += [(a, c, 0.6 * tol, depth - 1), (c, b, 0.6 * tol, depth - 1)]
+            level = halves
+        # deepest first, each bisected panel takes the sums of its halves, the next pair of the next level
+        for (vals, errs, keep), (kid_vals, kid_errs, _) in zip(levels[-2::-1], levels[:0:-1]):
+            for j, i in enumerate(np.flatnonzero(~keep)):
+                vals[i] = kid_vals[2 * j] + kid_vals[2 * j + 1]
+                errs[i] = kid_errs[2 * j] + kid_errs[2 * j + 1]
+        vals, errs, _ = levels[0]
+        return list(zip(vals, errs))
+
+    def _evaluate(self, level):
+        """(K of each panel, |K − G| of each, accepted flags) for one level, ``span`` panels a call."""
+        vals, errs = [], []
+        for i in range(0, len(level), self.span):
+            chunk = level[i : i + self.span]
+            cs = np.array([0.5 * (a + b) for a, b, _, _ in chunk])
+            hs = np.array([0.5 * (b - a) for a, b, _, _ in chunk])
+            out = self.f(cs, hs, _GK_W)
+            self.span = max(1, _CALL_ENTRIES // out[0].size)
+            rows = hs.reshape((-1,) + (1,) * (out.ndim - 2))
+            kronrod, gauss = rows * out[:, 0], rows * out[:, 1]
+            vals += list(kronrod)
+            errs += np.abs(kronrod - gauss).reshape(len(chunk), -1).max(axis=1).tolist()
+        keep = np.array([err <= tol or depth <= 0 for err, (_, _, tol, depth) in zip(errs, level)])
+        return vals, errs, keep
+
+
+def adaptive_segment(f, a: complex, b: complex, tol: float):
     """Adaptive G10/K21 quadrature on a→b.  Returns (integral, error_estimate).
 
-    f(c, h, W) returns W @ values at the panel's 21 nodes: with W the stacked
-    (2 × 21) K21 and G10 weight rows, its two rows are the panel's K and G
-    sums before the factor h.  The panel a→b is accepted when |K − G| ≤ tol
-    (max over the batch) and bisected otherwise, each half to 0.6·tol, down
-    to panels of length |b − a|/2^(max_depth+1); a panel that short is
-    accepted whatever its estimate.  The integral is the sum of K over the
-    accepted panels and the error estimate the sum of their |K − G|: G's
-    error, which for f smooth on the panels overstates that of the returned
-    value.
+    f is a panel integrand f(cs, hs, W), as :class:`Bisection` takes it.  The
+    panel a→b is accepted when |K − G| ≤ tol (max over the batch) and bisected
+    otherwise, each half to 0.6·tol, down to panels of length |b − a|/2^14; a
+    panel that short is accepted whatever its estimate.  The integral is the
+    sum of K over the accepted panels and the error estimate the sum of their
+    |K − G|: G's error, which for f smooth on the panels overstates that of the
+    returned value.
     """
-    return _adapt(f, a, b, tol, max_depth + 1)
-
-
-def _adapt(f, a, b, tol, depth):
-    c, h = 0.5 * (a + b), 0.5 * (b - a)
-    kronrod, gauss = h * f(c, h, _GK_W)
-    err = float(np.max(np.abs(kronrod - gauss)))
-    if err <= tol or depth <= 0:
-        return kronrod, err
-    lv, le = _adapt(f, a, c, 0.6 * tol, depth - 1)
-    rv, re_ = _adapt(f, c, b, 0.6 * tol, depth - 1)
-    return lv + rv, le + re_
+    (out,) = Bisection(f)([(a, b, tol, 14)])
+    return out
 
 
 def phase_step(omega: float) -> float:
@@ -210,35 +280,36 @@ def tail_grid_ceil(height: float) -> float:
     return math.ceil(height * _TAIL_GRID) / _TAIL_GRID
 
 
-def polyline_walk(f, pts, omega, tol: float):
-    """∫ f along the polyline pts[0]→pts[1]→…, in phase-adaptive panels.
-
-    f is a panel integrand f(c, h, W) → W @ values, as :func:`adaptive_segment` takes it.
+def polyline_walk(bisect: Bisection, pts, omega, tol: float):
+    """∫ f along the polyline pts[0]→pts[1]→…, in phase-adaptive panels, by ``bisect``, a :class:`Bisection` of f.
 
     Each straight piece a→b is cut into panels of length ``phase_step(omega(t))``,
-    t the imaginary part at the panel's start, and each panel is integrated
-    by :func:`adaptive_segment` to ``tol``, down to sub-panels 2^-12 of its
-    length.  Edges sit at a + u·pos, u = (b − a)/|b − a|, the last at b: exact
-    on a vertical piece from :func:`tail_grid_ceil`, where clamped panels share h.
+    t the imaginary part at the panel's start.  The edges do not depend on f, so
+    every panel is laid out first and the lot is bisected as one starting level,
+    each panel to ``tol`` and down to sub-panels 2^-12 of its length.  Edges sit
+    at a + u·pos, u = (b − a)/|b − a|, the last at b: exact on a vertical piece
+    from :func:`tail_grid_ceil`, where clamped panels share h.
     Returns (integral, summed error estimates).
     """
-    total, err_total = 0.0, 0.0
+    panels = []
     for a, b in zip(pts[:-1], pts[1:]):
         length = abs(b - a)
         u, pos = (b - a) / length, 0.0
         while pos < length:
             lo = a + u * pos
             pos += phase_step(omega(lo.imag))
-            hi = a + u * pos if pos < length else b
-            val, err = adaptive_segment(f, lo, hi, tol, max_depth=11)
-            total = total + val
-            err_total += err
+            panels.append((lo, a + u * pos if pos < length else b, tol, 12))
+    total, err_total = 0.0, 0.0
+    for val, err in bisect(panels):
+        total = total + val
+        err_total += err
     return total, err_total
 
 
 _BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical: the upper bent ray
 _MAX_RAY = 2000.0  # a bent ray longer than this has not converged
 _MAX_HEIGHT = 6000.0  # nor has a vertical tail this long
+_TAIL_BLOCK = 8  # vertical-ladder panels laid out and evaluated ahead of the tail's stop
 
 
 def _ladder_step(step: float) -> float:
@@ -258,36 +329,58 @@ class TailRule(NamedTuple):
     min_length: float
     factor: float
     max_length: float
+    ahead: int  # panels laid out and evaluated at a time
 
 
-BENT_RAYS = TailRule("bent-ray", _BEND, lambda last, rate: max(1.0, 1.35 * last), 10.0, 1, 0.0, 2.0, _MAX_RAY)
+BENT_RAYS = TailRule("bent-ray", _BEND, lambda last, rate: max(1.0, 1.35 * last), 10.0, 1, 0.0, 2.0, _MAX_RAY, 1)
 VERTICAL_LADDER = TailRule(
-    "vertical-ladder", 1j, lambda last, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT
+    "vertical-ladder", 1j, lambda last, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT,
+    _TAIL_BLOCK,
 )
+
+
+def _tail(bisect: Bisection, rule: TailRule, anchor: complex, direction: complex, omega, tol: float):
+    """A tail's panels from ``anchor`` along ``direction`` in order, as (length so far, value, error).
+
+    The steps depend on omega alone, so up to ``rule.ahead`` panels of one step, and so of one
+    half-width, are laid out and bisected at a time, none past the first that ends beyond
+    ``rule.max_length``.  The caller stops drawing at its rule's stop.
+    """
+    u, step = 0.0, 0.0
+    nxt = rule.step(step, omega(anchor.imag))
+    while u <= rule.max_length:
+        block, lengths = [], []
+        first = nxt
+        while len(block) < rule.ahead and u <= rule.max_length and nxt == first:
+            step = nxt
+            block.append((anchor + u * direction, anchor + (u + step) * direction, tol, 12))
+            u += step
+            lengths.append(u)
+            nxt = rule.step(step, omega((anchor + u * direction).imag))
+        for length, (val, err) in zip(lengths, bisect(block)):
+            yield length, val, err
 
 
 def contour_integral(f, pts, omega, rule: TailRule, tol: float):
     """(1/2πi) ∫ f along the polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
 
-    f and omega are as :func:`polyline_walk` takes them.  ``achieved`` is the panels' summed
-    |K − G| and the tails' bounds over 2π; tail panels are counted before bisection.  Raises
-    ToleranceNotMet for a tail that never stops or an ``achieved`` above ``tol``.
+    f is a panel integrand f(cs, hs, W) and omega the phase rate :func:`polyline_walk` takes.
+    ``achieved`` is the panels' summed |K − G| and the tails' bounds over 2π; tail panels are
+    the ones summed, counted before bisection.  Raises ToleranceNotMet for a tail that never
+    stops or an ``achieved`` above ``tol``.
     """
     tol_raw = tol * 2 * math.pi
-    total, err_total = polyline_walk(f, pts, omega, tol_raw / 200.0)
+    bisect = Bisection(f)
+    total, err_total = polyline_walk(bisect, pts, omega, tol_raw / 200.0)
     tail_bound, panels = 0.0, 0
     tails = (("upper", pts[-1], rule.direction, 1.0), ("lower", pts[0], rule.direction.conjugate(), -1.0))
     for side, anchor, direction, orient in tails:
-        u, step, small = 0.0, 0.0, []
-        while True:
-            lo = anchor + u * direction
-            step = rule.step(step, omega(lo.imag))
-            val, err = adaptive_segment(f, lo, anchor + (u + step) * direction, tol_raw / 200.0, max_depth=11)
+        small = []
+        for u, val, err in _tail(bisect, rule, anchor, direction, omega, tol_raw / 200.0):
             panels += 1
             total += orient * val
             err_total += err
             mag = float(np.max(np.abs(val)))
-            u += step
             small = (small + [mag])[-rule.run:] if 2.0 * mag < tol_raw / rule.cut else []
             if len(small) == rule.run and u >= rule.min_length:
                 tail_bound += rule.factor * max(small)
@@ -313,3 +406,11 @@ def magnitude_groups(mags, ratio: float) -> list[np.ndarray]:
         else:
             groups.append([i])
     return [np.array(g) for g in groups]
+
+
+def key_groups(keys) -> dict:
+    """Each distinct key of ``keys`` → the positions that hold it, in order; keys in order of first appearance."""
+    groups: dict = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups

@@ -170,6 +170,13 @@ def test_loggamma_matches_mpmath_on_the_principal_branch():
         one = loggamma(z)
         assert np.shape(one) == ()
         assert complex(one) == pytest.approx(_mp_loggamma(z), rel=1e-14, abs=1e-14)
+    # a call that mixes elements needing the shift with ones that do not, in a 2-D array as
+    # log_mb_gamma stacks panels: each element gets its own value, the others pay no shift
+    mixed = np.concatenate([pts[::41][:28], [-3.7 + 0.2j, 0.05 + 0.01j, 12.0 + 9000.0j, 400.0 - 3.0j]]).reshape(2, -1)
+    alone = np.array([[complex(loggamma(z)) for z in row] for row in mixed])
+    got = loggamma(mixed)
+    assert got.shape == mixed.shape
+    assert np.all(np.abs(got - alone) <= 1e-15 * np.maximum(1.0, np.abs(alone)))
 
 
 def test_loggamma_on_the_negative_axis_takes_mpmath_side():

@@ -221,7 +221,7 @@ def test_bessel_integrand_factored_phase_matches_direct():
         (tail, 5.0 * quadrature._BEND, (3, 1)),
     ]
     for c, h, counts in panels:
-        got = f(c, h, np.eye(21))  # W = I: the values at every node
+        got = f(np.array([c]), np.array([h]), np.eye(21))[0]  # one panel, W = I: the values at every node
         assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         assert np.all(np.isfinite(got)), (c, h)
         s = panel_nodes(c, h)

@@ -97,9 +97,9 @@ def test_signed_mellin_linearity():
 
 def _fourier_oracle(w, x):
     # n=1 trivial parameters: w̃(x) = ∫ e^{2πi x t} w(t) dt, directly
-    def f(c, h, W):
-        t = panel_nodes(c, h).real
-        return W @ (np.exp(2j * math.pi * x * t) * w(t))
+    def f(cs, hs, W):
+        t = panel_nodes(cs[:, None], hs[:, None]).real
+        return (np.exp(2j * math.pi * x * t) * w(t)) @ W.T
 
     val, _ = adaptive_segment(f, complex(w.a), complex(w.b), 1e-12)
     return val
@@ -203,7 +203,7 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
     sigma = build_contour(DS2_11).asymptote
     f = ContourIntegrand(  # as the mellin route builds it
         lambda s: log_mb_gamma(DS2_11, CharTwist(delta), s), DS2_11.rank, lx, nu=nu,
-        factor=lambda c, h: hankel._mellin_nodes(grids, delta, 1.0 - nu - c, h),
+        factor=lambda cs, hs: hankel._mellin_nodes(grids, delta, 1.0 - nu - cs, hs),
         rate=max(abs(grids.va), abs(grids.vb)),
     )
     panels = [  # a miss, a hit on the same half-width, and a slanted detour-like panel
@@ -212,11 +212,11 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
         (complex(sigma + 0.3, t), 0.4 + 0.1j, (2, 1)),
     ]
     for c, h, counts in panels:
-        got = f(c, h, np.eye(21))  # W = I: the values at every node
+        got = f(np.array([c]), np.array([h]), np.eye(21))[0]  # one panel, W = I: the values at every node
         assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         s = panel_nodes(c, h)
         logg = log_mb_gamma(DS2_11, CharTwist(delta), s)
-        mv = hankel._mellin_nodes(grids, delta, 1.0 - nu - c, h)
+        mv = _one_panel(grids, delta, 1.0 - nu - c, h)
         with mpmath.workdps(30):
             exact = lambda g, si, m, x: mpmath.exp(mpmath.mpc(g) + (nu - mpmath.mpc(si)) * x) * mpmath.mpc(m)
             ref = np.array([[complex(exact(g, si, m, x)) for x in lx] for g, si, m in zip(logg, s, mv)])
@@ -237,38 +237,47 @@ def _recording_tables(phase, sizes):
 
 
 def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
-    """Run the mellin route, recording every ladder step, adaptive panel and memo size."""
-    steps, panels, sizes = [], [], []
-    ladder, segment, tables = quadrature._ladder_step, quadrature.adaptive_segment, bessel.phase_tables
+    """Run the mellin route, recording every tail panel summed, with the phase step it was cut
+    under, every starting panel the walk laid out, and the memo's size after each table."""
+    steps, panels, summed, sizes = [], [], [], []
+    tail, tables = quadrature._tail, bessel.phase_tables
+    Bisection = quadrature.Bisection
 
-    def ladder_rec(p):
-        steps.append((p, ladder(p)))
-        return steps[-1][1]
+    class Recorded(Bisection):
+        def __call__(self, roots):  # the polyline's panels and the tails' blocks
+            panels.extend((a, b) for a, b, _, _ in roots)
+            yield from Bisection.__call__(self, roots)
 
-    def segment_rec(f, a, b, tol, max_depth=13):
-        panels.append((a, b))
-        return segment(f, a, b, tol, max_depth=max_depth)
+    def tail_rec(bisect, rule, anchor, direction, omega, tol):
+        last = 0.0
+        for length, val, err in tail(bisect, rule, anchor, direction, omega, tol):
+            a, b = anchor + last * direction, anchor + length * direction  # as the tail lays them out
+            steps.append((quadrature.phase_step(omega(a.imag)), length - last))
+            summed.append((a, b))
+            last = length
+            yield length, val, err
 
     def tables_rec(lx):
         return _recording_tables(tables(lx), sizes)
 
-    monkeypatch.setattr(quadrature, "_ladder_step", ladder_rec)
-    monkeypatch.setattr(quadrature, "adaptive_segment", segment_rec)  # the polyline's panels and the tails'
+    monkeypatch.setattr(quadrature, "Bisection", Recorded)
+    monkeypatch.setattr(quadrature, "_tail", tail_rec)
     monkeypatch.setattr(bessel, "phase_tables", tables_rec)  # the x-phase of bessel.ContourIntegrand
     counts = Counter()
     hankel_mellin_batch(params, n, w, xs, tol, counts=counts)
-    return steps, panels, sizes, counts
+    return steps, panels, summed, sizes, counts
 
 
 # detour heights 0 and 1.3: the tails start at 2 and at 3.3 rounded up to 3.3125
 @pytest.mark.parametrize("params", [DS2_11, RealPlaceParams((GL1Block(0, 0.3j), GL1Block(1, -0.3j)))])
 def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
     w = make_bump(1.0, 2.0)
-    steps, panels, _, counts = _record_mellin_walk(monkeypatch, params, 2, w, [0.3, -2.0, 40.0], 1e-9)
+    steps, panels, tails, _, counts = _record_mellin_walk(monkeypatch, params, 2, w, [0.3, -2.0, 40.0], 1e-9)
     contour = build_contour(params)
     sigma, h0 = contour.asymptote, quadrature.tail_grid_ceil(contour.detour_height + 2.0)
     # the polyline's vertical pieces below h0 sit on σ too; a tail panel starts at |Im s| ≥ h0 and climbs
-    tails = [(a, b) for a, b in panels if a.real == b.real == sigma and h0 <= abs(a.imag) < abs(b.imag)]
+    laid_out = [(a, b) for a, b in panels if a.real == b.real == sigma and h0 <= abs(a.imag) < abs(b.imag)]
+    assert set(tails) <= set(laid_out)  # and the ones laid out ahead of each stop besides
     assert len(tails) == len(steps) == counts["tail_panels"] > 0
     for (p, step), (a, b) in zip(steps, tails):
         m, _ = math.frexp(step)
@@ -295,7 +304,7 @@ def test_panel_rung_is_the_smallest_ladder_count_not_below_p():
 
 def test_phase_memo_holds_at_most_two_tables(monkeypatch):
     w = make_bump(1.0, 2.0)
-    _, _, sizes, counts = _record_mellin_walk(monkeypatch, DS2_11, 2, w, [0.3, -2.0, 40.0], 1e-9)
+    _, _, _, sizes, counts = _record_mellin_walk(monkeypatch, DS2_11, 2, w, [0.3, -2.0, 40.0], 1e-9)
     assert max(sizes) == quadrature._PHASE_MEMO == 2
     assert len(sizes) == counts["memo_built"] + counts["memo_reused"]
     assert counts["memo_reused"] > 5 * counts["memo_built"]
@@ -408,6 +417,11 @@ def _direct_composite(f, delta, zs, base):
     return (wt * fv) @ np.exp(np.outer(v, zs))
 
 
+def _one_panel(grids, delta, z0, h):
+    """The inner transform's 21 node values on the one panel (z0, h)."""
+    return hankel._mellin_nodes(grids, delta, np.array([z0]), np.array([h]))[0]
+
+
 def _two_sided():
     return hankel.TestFunction(0.5, 3.0, make_bump(0.5, 3.0).pos, lambda x: 0.7 * make_bump(0.8, 2.5)(x))
 
@@ -418,7 +432,7 @@ def _abs_function(f):
 
 def _at_centre(grids, delta, z):
     # the route's panel form read at the centre node (ξ = 0) of a panel of real half-width
-    return hankel._mellin_nodes(grids, delta, z, 0.5)[10]
+    return _one_panel(grids, delta, z, 0.5)[10]
 
 
 def test_inner_mellin_factored_matches_direct_composite():
@@ -457,11 +471,11 @@ def test_inner_mellin_tables_match_direct_composite_on_whole_panels(h):
             grids = hankel._MellinGrids(f, 44)
             for z0 in (complex(-2.5, 0.0), complex(0.3, 13.7), complex(1.2, -300.0), complex(4.0, 3000.0)):
                 zs = panel_nodes(z0, -h)
-                got = hankel._mellin_nodes(grids, delta, z0, h)
+                got = _one_panel(grids, delta, z0, h)
                 ref = _direct_composite(f, delta, zs, 44)
                 mass = np.abs(_direct_composite(absf, 0, zs.real, 44))
                 assert np.all(np.abs(got - ref) <= 1e-13 * np.maximum(1.0, mass)), (f.a, delta, z0, h)
-            again = hankel._mellin_nodes(grids, delta, complex(4.0, 3000.0), h)
+            again = _one_panel(grids, delta, complex(4.0, 3000.0), h)
             assert np.array_equal(again, got)
             assert grids.counts() == {"grids_built": 4, "tables_built": 4, "tables_reused": 1}
 

@@ -39,7 +39,7 @@ factor their panels through one class.
 Weight rows: outside ``quadrature.py`` nothing in ``src/vorokit`` names the
 G10/K21 weight rows ``_GK_WK``, ``_GK_WG`` or their stack ``_GK_W`` (as a
 name, an attribute, an imported name or a string), so every panel integrand
-takes its weights as the W that ``quadrature.adaptive_segment`` hands it.
+takes its weights as the W that ``quadrature.Bisection`` hands it.
 
 Contour walk: outside ``quadrature.py`` only ``hankel.signed_mellin``, which
 integrates a finite real segment and not a contour, calls ``adaptive_segment``

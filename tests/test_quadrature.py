@@ -4,7 +4,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from vorokit import quadrature
+from vorokit import bessel, hankel, quadrature
+from vorokit.archimedean import DS2Block, RealPlaceParams
 from vorokit.quadrature import (
     _GK_W,
     _GK_WG,
@@ -21,7 +22,11 @@ from vorokit.quadrature import (
     panel_nodes,
     phase_step,
     polyline_walk,
+    Bisection,
 )
+
+
+DS11 = RealPlaceParams((DS2Block(11, 0.0),))
 
 
 # ---- reference copies of the code the shared helpers replaced ---------------
@@ -48,14 +53,15 @@ def _separate(vals):
 
 
 def _gk_refine(f, a, b, tol, max_depth, contract=_stacked, panels=None):
-    # G10/K21 bisection of the node values f(c, h) that stops at panels of length
-    # (b - a)/2^(max_depth+1); ``panels`` collects every panel's centre
+    # depth-first G10/K21 bisection of the node values f(c, h), the recursive rule the
+    # breadth-first one replaced: it stops at panels of length (b - a)/2^(max_depth+1), and
+    # ``panels`` collects every panel (c, h) it evaluates
     finest = max_depth + 1
 
     def refine(pa, pb, ptol, level):
         c, h = 0.5 * (pa + pb), 0.5 * (pb - pa)
         if panels is not None:
-            panels.append(c)
+            panels.append((c, h))
         k, g = h * np.asarray(contract(f(c, h)))
         err = float(np.max(np.abs(k - g)))
         if err <= ptol or level == finest:
@@ -67,9 +73,28 @@ def _gk_refine(f, a, b, tol, max_depth, contract=_stacked, panels=None):
     return refine(a, b, tol, 0)
 
 
-def _weighted(f):
-    """The panel integrand (c, h, W) ↦ W @ f(c, h) of the node values f(c, h)."""
-    return lambda c, h, W: W @ f(c, h)
+def _weighted(f, seen=None):
+    """The stacked panel integrand (cs, hs, W) ↦ [W @ f(c, h)] of the node values f(c, h),
+    appending each panel (c, h) it is handed to ``seen``."""
+
+    def stacked(cs, hs, W):
+        if seen is not None:
+            seen.extend(zip(cs.tolist(), hs.tolist()))
+        return np.stack([W @ f(c, h) for c, h in zip(cs, hs)])
+
+    return stacked
+
+
+def _segment(f, a, b, tol, max_depth):
+    """Breadth-first bisection of the one panel a→b down to panels of length (b − a)/2^(max_depth+1)."""
+    (out,) = Bisection(f)([(a, b, tol, max_depth + 1)])
+    return out
+
+
+def _same_tree(seen, ref_seen):
+    """Both bisections evaluated the same panels, so they accepted the same ones at the same depths."""
+    key = lambda p: (p[0].real, p[0].imag, p[1].real, p[1].imag)
+    assert sorted(map(key, seen)) == sorted(map(key, ref_seen))
 
 
 def _old_te_rule(te, deg):
@@ -163,9 +188,13 @@ def test_adaptive_segment_1d_unchanged():
         return np.exp(2.3j * s) / (1.0 + s * s)
 
     for a, b, tol, depth in ((0.1, 5.0, 1e-12, 13), (-2 + 1j, 3 - 0.5j, 1e-9, 11), (0.0, 40.0, 1e-14, 4)):
-        got = adaptive_segment(_weighted(f), complex(a), complex(b), tol, max_depth=depth)
-        ref = _gk_refine(f, complex(a), complex(b), tol, depth)
+        seen, ref_seen = [], []
+        got = _segment(_weighted(f, seen), complex(a), complex(b), tol, depth)
+        ref = _gk_refine(f, complex(a), complex(b), tol, depth, panels=ref_seen)
         assert got[0] == ref[0] and got[1] == ref[1]
+        _same_tree(seen, ref_seen)
+    # adaptive_segment is the one-panel case, to depth 13
+    assert adaptive_segment(_weighted(f), 0.1 + 0j, 5.0 + 0j, 1e-12) == _segment(_weighted(f), 0.1 + 0j, 5.0 + 0j, 1e-12, 13)
 
 
 _BATCH_LAM = np.array([0.4, -1.1 + 2.0j, 3.0j, 7.5])
@@ -181,24 +210,63 @@ def _kink(c, h):
 
 def test_adaptive_segment_batched_matches_module_bisection():
     for a, b in ((0.5 - 3j, 0.5 + 2j), (-1 + 1j, 2.5 + 4j)):
-        val, err = adaptive_segment(_weighted(_batch_exp), a, b, 1e-11, max_depth=11)
-        ref_val, ref_err = _gk_refine(_batch_exp, a, b, 1e-11, 11)
+        seen, ref_seen = [], []
+        val, err = _segment(_weighted(_batch_exp, seen), a, b, 1e-11, 11)
+        ref_val, ref_err = _gk_refine(_batch_exp, a, b, 1e-11, 11, panels=ref_seen)
         assert np.array_equal(val, ref_val) and err == ref_err
+        _same_tree(seen, ref_seen)
 
 
 def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
     lengths = []
 
-    def f(c, h, W):
-        lengths.append(2.0 * abs(h))  # the panel length
-        return W @ _kink(c, h)
+    def f(cs, hs, W):
+        lengths.extend(2.0 * np.abs(hs))  # the panel lengths
+        return _weighted(_kink)(cs, hs, W)
 
     for a, b, depth in ((0.0, 1.0, 6), (-1.7, 2.2, 9)):
         lengths.clear()
-        val, err = adaptive_segment(f, complex(a), complex(b), 1e-15, max_depth=depth)
+        val, err = _segment(f, complex(a), complex(b), 1e-15, depth)
         assert err > 1e-15  # the kink is never resolved: the depth ran out
         assert min(lengths) == pytest.approx((b - a) / 2 ** (depth + 1), rel=1e-12)
         assert val.real == pytest.approx(0.5 * ((b - 0.3) ** 2 + (0.3 - a) ** 2), abs=1e-7)
+        seen, ref_seen = [], []
+        _segment(_weighted(_kink, seen), complex(a), complex(b), 1e-15, depth)
+        _gk_refine(_kink, complex(a), complex(b), 1e-15, depth, panels=ref_seen)
+        _same_tree(seen, ref_seen)
+
+
+def test_breadth_first_levels_one_call_each():
+    # every level of the bisection is one call of the integrand, its panels in one stack
+    calls = []
+
+    def f(cs, hs, W):
+        calls.append(len(cs))
+        return _weighted(_batch_exp)(cs, hs, W)
+
+    _segment(f, 0.5 - 3j, 0.5 + 2j, 1e-11, 11)
+    ref_seen = []
+    _gk_refine(_batch_exp, 0.5 - 3j, 0.5 + 2j, 1e-11, 11, panels=ref_seen)
+    widths = sorted({abs(h) for _, h in ref_seen}, reverse=True)
+    assert calls[0] == 1 and sum(calls) == len(ref_seen) and len(calls) == len(widths) > 2
+    assert calls == [sum(1 for _, h in ref_seen if abs(h) == w) for w in widths]
+
+
+def test_a_call_returns_at_most_its_entry_budget():
+    # 1200 points: after a first call on one panel, the budget sets the panels a call
+    lam = np.linspace(-2.0, 2.0, 1200) * 1j
+    calls = []
+
+    def f(cs, hs, W):
+        calls.append(len(cs))
+        return np.stack([W @ np.exp(np.outer(panel_nodes(c, h), lam)) for c, h in zip(cs, hs)])
+
+    panels = [(complex(k), complex(k + 1), 1e-3, 12) for k in range(40)]
+    out = list(Bisection(f)(panels))
+    span = quadrature._CALL_ENTRIES // (2 * len(lam))
+    assert span > 1 and calls == [1] + [span] * (39 // span) + [39 % span] * (39 % span > 0)  # none is halved
+    exact = (np.exp(lam * 40.0) - 1.0) / lam
+    assert len(out) == 40 and np.max(np.abs(sum(v for v, _ in out) - exact)) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -216,9 +284,9 @@ def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
 def test_stacked_weight_rows_match_the_separate_rows(f, a, b, tol, depth, same_panels):
     # the integrator's one (2 × 21) contraction against the two row products it replaced
     panels, ref_panels = [], []
-    val, err = adaptive_segment(lambda c, h, W: panels.append(c) or W @ f(c, h), a, b, tol, max_depth=depth)
+    val, err = _segment(_weighted(f, panels), a, b, tol, depth)
     ref_val, ref_err = _gk_refine(f, a, b, tol, depth, contract=_separate, panels=ref_panels)
-    assert panels == ref_panels or not same_panels
+    assert sorted(panels, key=str) == sorted(ref_panels, key=str) or not same_panels
     assert np.all(np.abs(val - ref_val) <= 1e-14 * np.abs(ref_val))
     # the estimates are sums of |K − G|, so they agree to the rounding of the values they difference
     assert abs(err - ref_err) <= 1e-14 * len(ref_panels) * float(np.max(np.abs(ref_val)))
@@ -231,15 +299,15 @@ _EXP_LAM = np.array([0.5, -1.0 + 0.5j, 1.5j, -0.3 - 2.0j])
 _EXP_PTS = [complex(0.5, -4.0), complex(-0.3, -1.0), complex(0.2, 1.5), complex(0.5, 4.0)]
 
 
-def _exp_batch(c, h, W):
-    return W @ np.exp(np.outer(panel_nodes(c, h), _EXP_LAM))
+def _exp_batch(cs, hs, W):
+    return W @ np.exp(panel_nodes(cs[:, None], hs[:, None])[:, :, None] * _EXP_LAM)
 
 
 @pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
 def test_polyline_walk_exponential_closed_form(omega):
     lam, pts = _EXP_LAM, _EXP_PTS
     tol = 1e-9
-    val, err = polyline_walk(_exp_batch, pts, omega, tol)
+    val, err = polyline_walk(Bisection(_exp_batch), pts, omega, tol)
     exact = (np.exp(lam * pts[-1]) - np.exp(lam * pts[0])) / lam
     assert val.shape == lam.shape
     assert np.max(np.abs(val - exact)) <= tol
@@ -249,17 +317,17 @@ def test_polyline_walk_exponential_closed_form(omega):
 def test_polyline_walk_panels_follow_phase_step():
     calls = []
 
-    def f(c, h, W):
-        calls.append(c)
-        s = panel_nodes(c, h)
-        return W @ (s * s)  # integrated exactly by every panel: no bisection
+    def f(cs, hs, W):
+        calls.extend(cs)
+        s = panel_nodes(cs[:, None], hs[:, None])
+        return (s * s) @ W.T  # integrated exactly by every panel: no bisection
 
-    # step 14/7 = 2 on a length-10 segment: five panels, one rule call each
-    polyline_walk(f, [0j, 10j], lambda t: 7.0, 1e-6)
+    # step 14/7 = 2 on a length-10 segment: five panels, one rule call for all of them
+    polyline_walk(Bisection(f), [0j, 10j], lambda t: 7.0, 1e-6)
     assert len(calls) == 5
     calls.clear()
     # step clamped to 3: panels 3, 3, 3, 1
-    polyline_walk(f, [0j, 10j], lambda t: 1.0, 1e-6)
+    polyline_walk(Bisection(f), [0j, 10j], lambda t: 1.0, 1e-6)
     assert len(calls) == 4
     assert phase_step(1e9) == 0.1 and phase_step(1e-9) == 3.0
 
@@ -267,7 +335,7 @@ def test_polyline_walk_panels_follow_phase_step():
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
 @pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
 def test_polyline_walk_error_estimate_bounds_the_error(omega, tol):
-    val, err = polyline_walk(_exp_batch, _EXP_PTS, omega, tol)
+    val, err = polyline_walk(Bisection(_exp_batch), _EXP_PTS, omega, tol)
     # the closed form to 30 digits: in doubles it is itself ~2e-13 off here
     with mpmath.workdps(30):
         a, b = mpmath.mpc(_EXP_PTS[0]), mpmath.mpc(_EXP_PTS[-1])
@@ -284,24 +352,44 @@ _WALK_PTS = [complex(0.5, -2.0), complex(0.5, 2.0)]
 def _secant(kappa, bump=0.0):
     # 1/cos(κ(s − 0.5)), its poles on the real line off 0.5, falls like 2·e^{−κ|Im s|}
     # up and down both rules' tails; the bump adds bump·e^{−(|Im s| − 9)²} on Re s = 0.5
-    def f(c, h, W):
-        s = panel_nodes(c, h) - 0.5
-        return W @ (1.0 / np.cos(kappa * s) + bump * (np.exp((s - 9j) ** 2) + np.exp((s + 9j) ** 2)))
+    def f(cs, hs, W):
+        s = panel_nodes(cs[:, None], hs[:, None]) - 0.5
+        return (1.0 / np.cos(kappa * s) + bump * (np.exp((s - 9j) ** 2) + np.exp((s + 9j) ** 2))) @ W.T
 
     return f
 
 
 def _recorded_panels(monkeypatch):
-    """The (a, b, value, error) of each panel handed to adaptive_segment, appended in order."""
-    panels, segment = [], quadrature.adaptive_segment
+    """→ (summed, laid_out): summed() lists the (a, b, value, error) of each panel the walk
+    summed, in the walk's order (the polyline's, then the upper tail's and the lower tail's), and
+    laid_out maps each tail's anchor to the (a, b) of every panel it laid out, the ones evaluated
+    ahead of its stop included."""
+    line, tails, laid_out = [], {}, {}
+    walk, tail = quadrature.polyline_walk, quadrature._tail
 
-    def segment_rec(f, a, b, tol, max_depth=13):
-        val, err = segment(f, a, b, tol, max_depth=max_depth)
-        panels.append((a, b, val, err))
-        return val, err
+    def walk_rec(bisect, pts, omega, tol):
+        def rec(panels):
+            for (a, b, _, _), (val, err) in zip(panels, bisect(panels)):
+                line.append((a, b, val, err))
+                yield val, err
 
-    monkeypatch.setattr(quadrature, "adaptive_segment", segment_rec)
-    return panels
+        return walk(rec, pts, omega, tol)
+
+    def tail_rec(bisect, rule, anchor, direction, omega, tol):
+        def rec(panels):
+            laid_out.setdefault(anchor, []).extend((a, b) for a, b, _, _ in panels)
+            return bisect(panels)
+
+        done, last = tails.setdefault(anchor, []), 0.0
+        for length, val, err in tail(rec, rule, anchor, direction, omega, tol):
+            # the panel's edges as the tail lays them out
+            done.append((anchor + last * direction, anchor + length * direction, val, err))
+            last = length
+            yield length, val, err
+
+    monkeypatch.setattr(quadrature, "polyline_walk", walk_rec)
+    monkeypatch.setattr(quadrature, "_tail", tail_rec)
+    return (lambda: line + [p for anchor in _WALK_PTS[::-1] for p in tails.get(anchor, [])]), laid_out
 
 
 @pytest.mark.parametrize("rule", [BENT_RAYS, VERTICAL_LADDER], ids=["bent", "ladder"])
@@ -309,15 +397,20 @@ def _recorded_panels(monkeypatch):
 def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, side):
     decays = _secant(1.0)
 
-    def f(c, h, W):  # 1 on the failing side's panels, a decaying secant on the other's
-        return W @ np.ones(21) if (c.imag > 0) == (side == "upper") else decays(c, h, W)
+    def f(cs, hs, W):  # 1 on the failing side's panels, a decaying secant on the other's
+        failing = (cs.imag > 0) == (side == "upper")
+        out = np.empty((len(cs), 2), dtype=complex)
+        out[failing] = W @ np.ones(21)
+        out[~failing] = decays(cs[~failing], hs[~failing], W)
+        return out
 
-    panels = _recorded_panels(monkeypatch)
+    summed, laid_out = _recorded_panels(monkeypatch)
     with pytest.raises(ToleranceNotMet, match=f"{side} {rule.name} tail not converged"):
         contour_integral(f, _WALK_PTS, lambda t: 7.0, rule, 1e-6)
-    a, b, _, _ = panels[-1]
+    a, b, _, _ = summed()[-1]
     anchor = _WALK_PTS[-1] if side == "upper" else _WALK_PTS[0]
     assert abs(a - anchor) <= rule.max_length < abs(b - anchor)
+    assert laid_out[anchor][-1] == (a, b)  # nothing is laid out past the give-up
 
 
 # the ladder's run of three binds at κ = 1, tol 1e-6; its 10-unit floor at κ = 2, tol 0.1; and
@@ -330,8 +423,9 @@ def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, si
     ids=["bent-1e-6", "bent-1e-3", "ladder-run", "ladder-floor", "ladder-broken-run"],
 )
 def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bump, tol, floor_binds):
-    panels = _recorded_panels(monkeypatch)
+    summed, laid_out = _recorded_panels(monkeypatch)
     values, achieved, tail_panels = contour_integral(_secant(kappa, bump), _WALK_PTS, lambda t: 7.0, rule, tol)
+    panels = summed()
     walked = len(panels) - tail_panels
     upper = next(i for i, (a, *_) in enumerate(panels) if a == _WALK_PTS[-1])
     lower = next(i for i, (a, *_) in enumerate(panels) if i > upper and a == _WALK_PTS[0])
@@ -339,6 +433,9 @@ def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bum
     cut = 2 * math.pi * tol / rule.cut  # a panel is small when 2·|value| < cut
     bound = 0.0
     for tail, direction in ((panels[upper:lower], rule.direction), (panels[lower:], rule.direction.conjugate())):
+        # the panels summed lead those laid out, which run at most one block past the stop
+        ahead = laid_out[tail[0][0]]
+        assert ahead[: len(tail)] == [(a, b) for a, b, _, _ in tail] and len(ahead) < len(tail) + rule.ahead
         assert [(b - a) / abs(b - a) for a, b, _, _ in tail] == pytest.approx([direction] * len(tail))
         mags = [abs(complex(val)) for _, _, val, _ in tail]
         small = [2.0 * m < cut for m in mags]
@@ -360,3 +457,98 @@ def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bum
     line = sum(val for _, _, val, _ in panels[:walked])
     up, down = (sum(val for _, _, val, _ in t) for t in (panels[upper:lower], panels[lower:]))
     assert abs(values - (line + up - down) / (2j * math.pi)) < 1e-15
+
+
+# ---- the breadth-first levels inside the library's walks ------------------------
+
+
+def _recorded_bisections(monkeypatch):
+    """Each Bisection the library makes, as [integrand, [(starting panels, results, panels evaluated)], calls]."""
+    made, Bisection_ = [], quadrature.Bisection
+
+    class Recorded(Bisection_):
+        def __init__(self, f):
+            record = [f, [], 0]
+            made.append(record)
+
+            def seen(cs, hs, W):
+                record[2] += 1
+                record[1][-1][2].extend(zip(cs.tolist(), hs.tolist()))
+                return f(cs, hs, W)
+
+            super().__init__(seen)
+            self.record = record
+
+        def __call__(self, panels):
+            self.record[1].append((panels, [], []))
+            for val, err in Bisection_.__call__(self, panels):
+                self.record[1][-1][1].append((val, err))
+                yield val, err
+
+    monkeypatch.setattr(quadrature, "Bisection", Recorded)
+    return made
+
+
+def _depth_first(f, panels):
+    """The recursive rule on each starting panel, f one panel a call: → (results, panels evaluated, levels)."""
+    one = lambda c, h: f(np.array([c]), np.array([h]), _GK_W)[0]
+    results, seen, levels = [], [], 0
+    for a, b, tol, depth in panels:
+        mine = []
+        results.append(_gk_refine(one, a, b, tol, depth - 1, contract=lambda v: v, panels=mine))
+        levels = max(levels, 1 + max(round(math.log2(abs(b - a) / (2 * abs(h)))) for _, h in mine))
+        seen += mine
+    return results, seen, levels
+
+
+def _check_against_depth_first(made):
+    for f, calls, _ in made:
+        for panels, out, seen in calls:
+            ref, ref_seen, _ = _depth_first(f, panels)
+            _same_tree(seen, ref_seen)
+            for (val, err), (ref_val, ref_err) in zip(out, ref):
+                scale = float(np.max(np.abs(ref_val))) + ref_err
+                assert np.max(np.abs(val - ref_val)) <= 1e-13 * scale and abs(err - ref_err) <= 1e-13 * scale
+
+
+_SIGNED_40 = np.linspace(1.0, 3.9, 40) * np.where(np.arange(40) % 3, 1.0, -1.0)
+
+
+def test_bessel_batch_bisects_as_the_recursive_rule(monkeypatch):
+    made = _recorded_bisections(monkeypatch)
+    bessel.bessel_real_batch(DS11, _SIGNED_40, 1e-10)
+    assert len(made) == 1  # one magnitude group, one parity: one walk
+    _check_against_depth_first(made)
+
+
+def test_mellin_route_bisects_as_the_recursive_rule(monkeypatch):
+    made = _recorded_bisections(monkeypatch)
+    hankel.hankel_mellin_batch(DS11, 2, hankel.make_bump(1.0, 2.0), [0.3, -2.0, 40.0], 1e-9)
+    assert len(made) == 4  # the inner transform's validation, then the magnitude groups {0.3, 2} and {40}
+    _check_against_depth_first(made)
+
+
+def test_signed_mellin_bisects_as_the_recursive_rule(monkeypatch):
+    made = _recorded_bisections(monkeypatch)
+    for z in (0.0, 0.4 - 1.3j, 2.0 + 30.0j):
+        hankel.signed_mellin(hankel.make_bump(1.0, 2.0), 0, z)
+    assert len(made) == 3
+    _check_against_depth_first(made)
+
+
+def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
+    # one log_mb_gamma call per level of each run: the polyline's first panel, which shows the
+    # batch's width, the rest of the polyline, and each tail block.  On exactly the nodes of the
+    # panels the recursive rule evaluates: the bent rays evaluate nothing ahead
+    sizes, log_mb_gamma = [], bessel.log_mb_gamma
+    monkeypatch.setattr(bessel, "log_mb_gamma", lambda *a: sizes.append(np.size(a[2])) or log_mb_gamma(*a))
+    made = _recorded_bisections(monkeypatch)
+    bessel.bessel_real_batch(DS11, _SIGNED_40, 1e-10)
+    ((f, calls, f_calls),) = made
+    nodes, sizes[:] = list(sizes), []
+    (line, _, _), *tails = calls
+    runs = [line[:1], line[1:]] + [panels for panels, _, _ in tails]
+    walk = [_depth_first(f, panels) for panels in runs]
+    panels = sum(len(seen) for _, seen, _ in walk)
+    assert len(nodes) == f_calls == sum(levels for _, _, levels in walk) < panels
+    assert sum(nodes) == 21 * panels

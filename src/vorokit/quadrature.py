@@ -39,21 +39,21 @@ since their edges depend on the phase rate alone, and hands them over as one
 starting level.  Then come the upper tail from the last vertex along a
 :class:`TailRule`'s direction and the lower from the first along the
 conjugate, each panel to tol_raw/200, tol_raw = 2π·tol.  A tail's steps
-depend on the phase rate alone too, so it lays out and evaluates ``ahead``
-panels of one step at a time and sums them in order up to its stop; a panel
-laid out past the stop is neither summed nor counted.  A tail stops after
-``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it is
-``min_length`` long, adds ``factor`` × their largest |value| to the error
+depend on the phase rate alone too, so it lays out and evaluates up to
+``_TAIL_BLOCK`` panels of one step at a time and sums them in order up to its
+stop; a panel laid out past the stop is neither summed nor counted.  A tail
+stops after ``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it
+is ``min_length`` long, adds ``factor`` × their largest |value| to the error
 bound (a heuristic, not a computed bound) and gives up past ``max_length``.
 The two rules differ only in that data.  :data:`BENT_RAYS` (the Bessel
 batch) runs 45° past vertical, where γ·x^{−s} decays exponentially, in steps
-1, 1.35, 1.35², …: run 1, cut 10, factor 2, up to length 2000, one panel at
-a time, since it stops at its first small panel.
+1, 1.35, 1.35², …: run 1, cut 10, factor 2, up to length 2000; no two of its
+steps are equal, so it lays out one panel at a time.
 :data:`VERTICAL_LADDER` (the Mellin route, whose M_δ[w] decays on vertical
 lines) runs along ±i, each step the largest rung of {2^k, 1.5·2^k} within
 :func:`phase_step`, so from :func:`tail_grid_ceil` its edges are exact and
 its half-widths repeat for the :func:`phase_tables` memo: run 3, cut 20,
-factor 5, at least 10 and up to 6000 long, ``_TAIL_BLOCK`` panels at a time.
+factor 5, at least 10 and up to 6000 long.
 Fixed-resolution integrals over a real partition (the dual function's
 t-integral, the v-grid of the local functional equation, the gap-wise GJ
 pairings) take their nodes and weights from :func:`gauss_panels`.
@@ -309,7 +309,7 @@ def polyline_walk(bisect: Bisection, pts, omega, tol: float):
 _BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical: the upper bent ray
 _MAX_RAY = 2000.0  # a bent ray longer than this has not converged
 _MAX_HEIGHT = 6000.0  # nor has a vertical tail this long
-_TAIL_BLOCK = 8  # vertical-ladder panels laid out and evaluated ahead of the tail's stop
+_TAIL_BLOCK = 8  # tail panels of one step laid out and evaluated ahead of the tail's stop
 
 
 def _ladder_step(step: float) -> float:
@@ -329,29 +329,28 @@ class TailRule(NamedTuple):
     min_length: float
     factor: float
     max_length: float
-    ahead: int  # panels laid out and evaluated at a time
 
 
-BENT_RAYS = TailRule("bent-ray", _BEND, lambda last, rate: max(1.0, 1.35 * last), 10.0, 1, 0.0, 2.0, _MAX_RAY, 1)
+BENT_RAYS = TailRule("bent-ray", _BEND, lambda last, rate: max(1.0, 1.35 * last), 10.0, 1, 0.0, 2.0, _MAX_RAY)
 VERTICAL_LADDER = TailRule(
-    "vertical-ladder", 1j, lambda last, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT,
-    _TAIL_BLOCK,
+    "vertical-ladder", 1j, lambda last, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT
 )
 
 
 def _tail(bisect: Bisection, rule: TailRule, anchor: complex, direction: complex, omega, tol: float):
     """A tail's panels from ``anchor`` along ``direction`` in order, as (length so far, value, error).
 
-    The steps depend on omega alone, so up to ``rule.ahead`` panels of one step, and so of one
+    The steps depend on omega alone, so up to ``_TAIL_BLOCK`` panels of one step, and so of one
     half-width, are laid out and bisected at a time, none past the first that ends beyond
-    ``rule.max_length``.  The caller stops drawing at its rule's stop.
+    ``rule.max_length``.  Each bent-ray step differs from the last, so there a block is one
+    panel.  The caller stops drawing at its rule's stop.
     """
     u, step = 0.0, 0.0
     nxt = rule.step(step, omega(anchor.imag))
     while u <= rule.max_length:
         block, lengths = [], []
         first = nxt
-        while len(block) < rule.ahead and u <= rule.max_length and nxt == first:
+        while len(block) < _TAIL_BLOCK and u <= rule.max_length and nxt == first:
             step = nxt
             block.append((anchor + u * direction, anchor + (u + step) * direction, tol, 12))
             u += step

@@ -435,7 +435,8 @@ def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bum
     for tail, direction in ((panels[upper:lower], rule.direction), (panels[lower:], rule.direction.conjugate())):
         # the panels summed lead those laid out, which run at most one block past the stop
         ahead = laid_out[tail[0][0]]
-        assert ahead[: len(tail)] == [(a, b) for a, b, _, _ in tail] and len(ahead) < len(tail) + rule.ahead
+        assert ahead[: len(tail)] == [(a, b) for a, b, _, _ in tail]
+        assert len(ahead) < len(tail) + quadrature._TAIL_BLOCK
         assert [(b - a) / abs(b - a) for a, b, _, _ in tail] == pytest.approx([direction] * len(tail))
         mags = [abs(complex(val)) for _, _, val, _ in tail]
         small = [2.0 * m < cut for m in mags]

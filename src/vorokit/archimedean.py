@@ -113,7 +113,7 @@ class RealPlaceParams:
 class CharTwist:
     """Sign twist sgn^δ, parity δ ∈ {0,1}."""
 
-    value: int = 0
+    value: int
 
 
 class PoleError(ArithmeticError):

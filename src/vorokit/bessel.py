@@ -143,7 +143,7 @@ def parity_batch(xs, ratio: float, deltas, component):
 def bessel_real_batch(
     params: RealPlaceParams,
     xs: Sequence[float],
-    tol: float = 1e-10,
+    tol: float,
     contour: Contour | None = None,
 ):
     """b(x) on a batch that may mix signs, each parity integral to tol/2.  Returns (values, errors)."""
@@ -225,7 +225,7 @@ class KernelTable:
 def kernel_table(
     params: RealPlaceParams,
     grid: Sequence[float],
-    tol: float = 1e-8,
+    tol: float,
 ) -> KernelTable:
     """Tabulate k(sign·x) over a sorted positive grid, the + half first, then the −.
 

@@ -96,11 +96,13 @@ _COMPUTE_ERRORS = (
 # ---- small parsing grammars -------------------------------------------------
 
 
-def _parse_complex_list(text: str) -> list:
+def _parse_complex_list(text: str, what: str) -> list:
     try:
         values = [complex(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad complex list {text!r}: {exc}") from None
+    if not values:
+        raise ConfigError(f"{what} holds no value: {text!r}")
     if not all(map(cmath.isfinite, values)):
         raise ConfigError(f"complex list {text!r} holds a non-finite value")
     return values
@@ -127,7 +129,10 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def _parse_rational_list(text: str, what: str) -> list:
-    return [_parse_rational(tok, what) for tok in text.split(",") if tok.strip()]
+    values = [_parse_rational(tok, what) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ConfigError(f"{what} holds no value: {text!r}")
+    return values
 
 
 def _parse_blocks(text: str) -> RealPlaceParams:
@@ -176,7 +181,7 @@ def _parse_s_values(args) -> list:
             raise ConfigError("--s-grid needs at least one step")
         return [complex(re, t) for t in np.linspace(lo, hi, steps)]
     if args.s_list:
-        return _parse_complex_list(args.s_list)
+        return _parse_complex_list(args.s_list, "--s-list")
     raise ConfigError("one of --s-list or --s-grid is required")
 
 
@@ -284,7 +289,7 @@ def _run_kernel_table(args, t0):
 def _run_hankel(args, t0):
     params = _parse_blocks(args.blocks)
     w = _parse_bump(args.bump, "--bump")
-    zs = _parse_complex_list(args.x)
+    zs = _parse_complex_list(args.x, "--x")
     if any(z.imag != 0 for z in zs):
         raise ConfigError("dual evaluation points must be real")
     xs = [z.real for z in zs]
@@ -294,7 +299,7 @@ def _run_hankel(args, t0):
     values = {}
     for route in routes:
         fn = hankel_mellin_batch if route == "mellin" else hankel_convolution_batch
-        vals, errs = fn(params, params.rank, w, xs, tol=args.tol)
+        vals, errs = fn(params, w, xs, tol=args.tol)
         values[route] = (vals, errs)
     rows = []
     csv_rows = []

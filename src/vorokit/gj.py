@@ -6,10 +6,11 @@ C_g = Σ_{n≤g} a_n n^{−s} (C_0 = 0, formed only by :func:`_prefix_sums`),
     kernel(x) = C_{⌊|x|⌋}·|x|^power + residue,
 
 where :class:`KernelSpec` fixes power and residue by variant: s − 1/2 and no
-residue (cuspidal), s − 1 and −1/(1−s) (the Tate case over ℚ).  The dual
-kernel K_{1−s} is the same form at 1 − s over the dual table.  Pointwise
-values (:func:`h_kernel`, :func:`k_dual_kernel`) read one C_g; every pairing
-integral reads them gap by gap through :func:`_pair`, the kernel being a
+residue (cuspidal), s − 1 and −1/(1−s) (the Tate case over ℚ).  A spec reads
+one table: H_s is the spec over π's table at s, and the dual kernel K_{1−s} is
+the spec over π~'s table at 1 − s, the caller naming that table.  The
+pointwise value (:func:`h_kernel`) reads one C_g; every pairing integral reads
+them gap by gap through :func:`_pair`, the kernel being a
 constant times a power of |x| on each unit gap (g, g + 1), so a short
 Gauss–Legendre rule per gap integrates it against a smooth test factor.
 
@@ -45,7 +46,6 @@ __all__ = [
     "SchwartzGaussian",
     "unit_coeffs",
     "h_kernel",
-    "k_dual_kernel",
     "DualGrid",
     "split_zeta_identity",
     "zero_criterion_pairing",
@@ -75,25 +75,19 @@ class KernelSpec:
 
     variant "cuspidal" uses the |x|^{s−1/2} normalisation and vanishes
     identically on |x| < 1; variant "tate" is Clozel's ζ_ℚ kernel with
-    κ = 1, D = 1 baked in (other number fields are out of scope).  Dual
-    coefficients default to the table itself (level-1 self-duality; for ζ
-    the dual series is again all ones).
+    κ = 1, D = 1 baked in (other number fields are out of scope).  The dual
+    kernel K_{1−s} of π is KernelSpec(π~'s table, 1 − s, variant).
     """
 
     coeffs: DirichletCoeffs
     s: complex
     variant: str = "cuspidal"
-    dual_coeffs: DirichletCoeffs | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in ("cuspidal", "tate"):
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.variant == "tate" and abs(1 - self.s) < _POLE_DISK:
             raise PoleAtOne(f"s = {self.s} is within {_POLE_DISK:g} of the pole at 1")
-
-    @property
-    def dual(self) -> DirichletCoeffs:
-        return self.dual_coeffs if self.dual_coeffs is not None else self.coeffs
 
     @property
     def power(self) -> complex:
@@ -114,20 +108,10 @@ def _prefix_sums(table: DirichletCoeffs, z: complex, g_max: int) -> np.ndarray:
     return np.concatenate([[0j], np.cumsum(table.values[:g_max] * ns ** (-z))])
 
 
-def _step_kernel(spec: KernelSpec, table: DirichletCoeffs, x: float) -> complex:
-    ax = abs(float(x))
-    if ax == 0.0:
-        raise ValueError("kernels live on ℝ^×; x = 0 is not allowed")
-    g = math.floor(ax)
-    if g == 0:  # empty sum: exactly the residue
-        return complex(spec.residue)
-    return complex(_prefix_sums(table, spec.s, g)[g] * ax**spec.power + spec.residue)
-
-
-def _pair(spec: KernelSpec, table: DirichletCoeffs, x, wts, gap, values) -> complex:
+def _pair(spec: KernelSpec, x, wts, gap, values) -> complex:
     """Σ wts·values·C_gap·x^power: the prefix-sum part of a kernel paired with
     samples on nodes x, each lying in the unit gap (gap, gap + 1)."""
-    c = _prefix_sums(table, spec.s, int(np.max(gap)))
+    c = _prefix_sums(spec.coeffs, spec.s, int(np.max(gap)))
     return complex(np.sum(wts * values * c[gap] * x**spec.power))
 
 
@@ -139,19 +123,16 @@ def _gap_rule(gaps, count):
 
 
 def h_kernel(spec: KernelSpec, x: float) -> complex:
-    """H_s at a nonzero real x: |x|^{s−1/2} Σ_{n≤|x|} a_n n^{−s} (cuspidal),
-    or |x|^{s−1} Σ_{n≤|x|} a_n n^{−s} − 1/(1−s) (tate)."""
-    return _step_kernel(spec, spec.coeffs, x)
-
-
-def k_dual_kernel(spec: KernelSpec, x: float) -> complex:
-    """The dual kernel: same partial-sum shape over the dual coefficients.
-
-    Over ℚ the Tate dual sums over the inverse different ℤ itself, so it
-    coincides with h_kernel; the cuspidal level-1 case is self-dual as well,
-    unless an explicit dual table says otherwise.
-    """
-    return _step_kernel(spec, spec.dual, x)
+    """The kernel at a nonzero real x: |x|^{s−1/2} Σ_{n≤|x|} a_n n^{−s} (cuspidal),
+    or |x|^{s−1} Σ_{n≤|x|} a_n n^{−s} − 1/(1−s) (tate); over π~'s table at
+    1 − s this is the dual kernel K_{1−s}."""
+    ax = abs(float(x))
+    if ax == 0.0:
+        raise ValueError("kernels live on ℝ^×; x = 0 is not allowed")
+    g = math.floor(ax)
+    if g == 0:  # empty sum: exactly the residue
+        return complex(spec.residue)
+    return complex(_prefix_sums(spec.coeffs, spec.s, g)[g] * ax**spec.power + spec.residue)
 
 
 # ---- Schwartz test family for the Tate pairing ------------------------------
@@ -197,18 +178,19 @@ def _tate_pairing(s: complex, phi: SchwartzGaussian) -> complex:
 
     Both kernels are even, so the integral is twice the half-line one: the
     residue constants against ∫φ̂ and ∫φ in closed form, plus the prefix-sum
-    parts gap by gap on [1, gmax), where φ and φ̂ are negligible beyond.
+    parts gap by gap on [1, gmax), where φ and φ̂ are negligible beyond.  ζ is
+    self-dual, so K_{1−s} reads H_s's table.
     """
     gmax = 9
     s = complex(s)
     h = KernelSpec(unit_coeffs(gmax - 1), s, "tate")
-    k = KernelSpec(h.dual, 1.0 - s, "tate")
+    k = KernelSpec(h.coeffs, 1.0 - s, "tate")
     phih = phi.fourier()
     height = abs(s.imag)
     x, wts, gap = _gap_rule(range(1, gmax), lambda g: min(48, 12 + 3 * int(height * math.log1p(1.0 / g))))
     total = h.residue * phih.integral() + k.residue * phi.integral()
-    total += 2.0 * _pair(h, h.coeffs, x, wts, gap, phih(x))
-    total += 2.0 * _pair(k, k.dual, x, wts, gap, phi(x))
+    total += 2.0 * _pair(h, x, wts, gap, phih(x))
+    total += 2.0 * _pair(k, x, wts, gap, phi(x))
     return complex(total)
 
 
@@ -222,12 +204,15 @@ class DualGrid(DualWalk):
     on the test function, so one grid is shared across every s in a scan.
     It is the :class:`~vorokit.voronoi.DualWalk` whose window j is the octave
     [2^j, 2^{j+1}), sampled at the share tol/100.  Its w̃ is Δ's: the split
-    identity's L-value oracles know no other form.
+    identity's L-value oracles know no other form.  It keeps the ``w`` and
+    ``tol`` it was built for, so a sum can refuse a grid built for others.
     """
 
-    def __init__(self, w: TestFunction, tol: float = 1e-7):
+    def __init__(self, w: TestFunction, tol: float):
+        self.w, self.tol = w, tol
+
         def sample(xs, wtol, cache):
-            return hankel_convolution_batch(DELTA_PLACE, 2, w, xs, tol=wtol, cache=cache)[0]
+            return hankel_convolution_batch(DELTA_PLACE, w, xs, tol=wtol, cache=cache)[0]
 
         def octave(j):  # each node's d×x weight and the integer gap it lies in
             lo, hi = 2**j, 2 ** (j + 1)
@@ -255,7 +240,8 @@ def split_zeta_identity(
     quadrature against the kernel partial sums (w̃ from the convolution
     route), the right by a signed Mellin integral times an L-value oracle —
     Euler product for Re s > 3/2, the smoothed incomplete-Γ sum otherwise.
-    Those oracles are Δ's, so a table at any other place raises ValueError.
+    Those oracles are Δ's, so a table at any other place raises ValueError,
+    as does a ``grid`` built for another ``w`` or ``tol``.
     """
     s = complex(s)
     if w.neg is not None or not w.a > 0:
@@ -264,21 +250,23 @@ def split_zeta_identity(
         coeffs = tau_coefficients(1024)
     if coeffs.params != DELTA_PLACE:
         raise ValueError(f"the L-value oracles are Δ's; the coefficient table is at {coeffs.params}")
+    if grid is not None and (grid.w != w or grid.tol != tol):
+        raise ValueError(f"the dual grid was built for another test function or tol ({grid.tol:g}; here {tol:g})")
     h = KernelSpec(coeffs, s)
-    k = KernelSpec(coeffs, 1.0 - s)
+    k = KernelSpec(coeffs, 1.0 - s)  # Δ's λ(n) are real: π~ reads π's table
 
     # direct side: ⟨w, H_s⟩ over the gaps clipped to the support, d×x = dx/x
     edges = np.concatenate([[w.a], np.arange(math.floor(w.a) + 1, math.ceil(w.b)), [w.b]])
     x, wts = gauss_panels(edges, 24)
     gap = np.repeat(np.floor(edges[:-1]).astype(int), 24)
-    i1 = _pair(h, h.coeffs, x, wts / x, gap, w(x))
+    i1 = _pair(h, x, wts / x, gap, w(x))
 
     # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible; octave j needs
     # C_g for g < 2^{j+1}, so the last one the table reaches ends at the largest power of two ≤ n + 1
     grid = grid if grid is not None else DualGrid(w, tol)
     count = (coeffs.n + 1).bit_length() - 1
     reach = f"x = {2 ** count} with {coeffs.n} coefficients"
-    i2, sizes = grid.total(lambda oc: _pair(k, k.dual, oc["xs"], oc["wts"], oc["gaps"], oc["vals"]), tol, count, reach)
+    i2, sizes = grid.total(lambda oc: _pair(k, oc["xs"], oc["wts"], oc["gaps"], oc["vals"]), tol, count, reach)
     read = grid.windows[: len(sizes)]
 
     z_arch = signed_mellin(w, 0, s - 0.5, tol=min(1e-12, tol / 10))

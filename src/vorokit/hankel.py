@@ -1,7 +1,7 @@
 """Test functions, signed Mellin transforms, and the dual function w̃.
 
 For w ∈ C_c^∞(ℝ^×) the dual function is computed by two deliberately
-independent routes:
+independent routes, each reading the rank n from the place (``params.rank``):
 
 * **mellin** — inverse Mellin integral of γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν),
   ν = (n−1)/2, along the admissible contour of :mod:`vorokit.contours`,
@@ -345,10 +345,9 @@ def _parities(params, w) -> tuple:
 
 def hankel_mellin_batch(
     params: RealPlaceParams,
-    n: int,
     w: TestFunction,
     xs,
-    tol: float = 1e-9,
+    tol: float,
     counts: Counter | None = None,
 ):
     """Dual function on a signed batch by the mellin route.  → (values, errors).
@@ -360,9 +359,8 @@ def hankel_mellin_batch(
     ``grids_built`` (composite-rule grids, one per parity and rung) and
     ``tables_built``/``tables_reused`` (their phase tables).
     """
-    _require_rank(params, n)
     counts = Counter() if counts is None else counts
-    nu = 0.5 * (n - 1)
+    nu = 0.5 * (params.rank - 1)
     deltas = _parities(params, w)
     unvalidated = list(deltas)
     grids = _MellinGrids(w, _mellin_base(tol))
@@ -476,10 +474,9 @@ class KernelCache:
 
 def hankel_convolution_batch(
     params: RealPlaceParams,
-    n: int,
     w: TestFunction,
     xs,
-    tol: float = 1e-8,
+    tol: float,
     cache: KernelCache | None = None,
 ):
     """Dual function on a signed batch by the convolution route.  → (values, errors).
@@ -487,7 +484,7 @@ def hankel_convolution_batch(
     Kernel models come from ``cache``; a job that makes many batches passes
     one cache to all of them, and a batch given none builds its own.
     """
-    _require_rank(params, n)
+    n = params.rank
     xs = np.asarray(xs, dtype=float)
     if xs.size == 0:
         return np.zeros(0, dtype=complex), np.zeros(0)
@@ -587,7 +584,7 @@ def local_fe_residual(
     n: int,
     w: TestFunction,
     s_samples,
-    tol: float = 1e-6,
+    tol: float,
     y_max: float | None = None,
 ) -> dict:
     """Residuals of M_δ[w̃](s−ν) = γ(1−s, π×sgn^δ, ψ)·M_δ[w](1−s−ν), ν = (n−1)/2.
@@ -641,7 +638,7 @@ def local_fe_residual(
         # the parity components w̃(y) ± w̃(−y) on y = e^v, once per batch
         ys = np.exp(vn)
         pts = np.concatenate([ys, -ys]) if two_sided else ys
-        vals, errs = hankel_mellin_batch(params, n, w, pts, gtol, counts=work)
+        vals, errs = hankel_mellin_batch(params, w, pts, gtol, counts=work)
         pos = vals[: len(ys)]
         neg = vals[len(ys) :] if two_sided else 0.0
         return np.stack([pos + neg, pos - neg]), float(np.max(errs))

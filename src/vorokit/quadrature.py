@@ -92,13 +92,10 @@ __all__ = [
 class ToleranceNotMet(ArithmeticError):
     """Quadrature could not certify the requested absolute tolerance."""
 
-    def __init__(self, requested: float, achieved: float, where: str = ""):
+    def __init__(self, requested: float, achieved: float, where: str):
         self.requested = requested
         self.achieved = achieved
-        super().__init__(
-            f"requested abs tol {requested:g}, achieved estimate {achieved:g}"
-            + (f" ({where})" if where else "")
-        )
+        super().__init__(f"requested abs tol {requested:g}, achieved estimate {achieved:g} ({where})")
 
 
 # QUADPACK's qk21 table: the nonnegative abscissae of K21, largest first, and

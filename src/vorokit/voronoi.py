@@ -433,7 +433,7 @@ def rhs_theta(job: VoronoiJob) -> dict:
         return complex(np.sum(local * co.values[mprime - 1] / np.sqrt(mprime) * win["vals"]))
 
     def sample(xs, wtol, cache):
-        return hankel_convolution_batch(co.params, 2, job.w, xs, tol=wtol, cache=cache)[0]
+        return hankel_convolution_batch(co.params, job.w, xs, tol=wtol, cache=cache)[0]
 
     walk = DualWalk(sample, job.tol / 500.0, alpha_window)
     # window j ends at m = 2^{j+2}·denom; the first to reach n_trunc is the last

@@ -186,8 +186,8 @@ def test_a4_local_functional_equation():
 def test_a5_dual_routes_agree():
     t0 = time.time()
     xs = [0.5, 1.0, 2.0, 5.0]
-    mv, _ = hankel_mellin_batch(DS11, 2, W40, xs, tol=1e-9)
-    cv, _ = hankel_convolution_batch(DS11, 2, W40, xs, tol=1e-9)
+    mv, _ = hankel_mellin_batch(DS11, W40, xs, tol=1e-9)
+    cv, _ = hankel_convolution_batch(DS11, W40, xs, tol=1e-9)
     rel = max(abs(m - c) / max(abs(m), abs(c)) for m, c in zip(mv, cv))
     dt = time.time() - t0
     _verdict("A5", rel < 1e-5 and dt < 300.0, f"mellin vs convolution dual: max rel gap {rel:.2e} at x∈{{0.5,1,2,5}} ({dt:.1f}s)")

@@ -94,6 +94,24 @@ def test_hankel_complex_x_exits_2(capsys):
     assert "config error" in err and "real" in err and out == ""
 
 
+EMPTY_LISTS = {
+    "s-list": ["gamma", "--s-list", ","],
+    "x": ["hankel", "--bump", "1,4", "--x", ",", "--route", "both"],
+    "alpha-rational": ["padic", "--kloosterman3", "--p", "5", "--zeta", "2/5", "--alpha-rational", ","],
+    "alpha": ["padic", "--check-lseries", "--q", "5", "--alpha", " , "],
+    "s-list-from-config": ["gj-scan", "--config", "{config}"],
+}
+
+
+@pytest.mark.parametrize("flag, argv", EMPTY_LISTS.items(), ids=EMPTY_LISTS.keys())
+def test_empty_list_exits_2_naming_the_flag(capsys, tmp_path, flag, argv):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"variant": "tate", "s_list": ","}))
+    code, out, err = run(capsys, [str(config) if a == "{config}" else a for a in argv])
+    assert code == 2 and out == ""
+    assert f"config error: --{flag.removesuffix('-from-config')} holds no value" in err
+
+
 # ---- config documents -------------------------------------------------------
 
 

@@ -21,7 +21,6 @@ from vorokit.gj import (
     _prefix_sums,
     _tate_pairing,
     h_kernel,
-    k_dual_kernel,
     split_zeta_identity,
     unit_coeffs,
     zero_criterion_pairing,
@@ -52,9 +51,9 @@ def test_tate_kernel_values():
     assert h_kernel(spec, 0.5) == 1.0  # empty sum leaves −κ/(1−s)
     assert h_kernel(spec, 2.5) == pytest.approx(4.125, rel=1e-14)
     assert h_kernel(spec, -2.5) == h_kernel(spec, 2.5)  # depends on |x| only
-    # ζ_ℚ at the smallest table that covers x = 2.5: the dual sums over ℤ itself (D = 1)
+    # ζ_ℚ is self-dual (D = 1): a spec over the smallest dual table that covers x = 2.5 reads the same value
     small = KernelSpec(unit_coeffs(2), 2.0, "tate")
-    assert k_dual_kernel(small, 2.5) == h_kernel(small, 2.5) == pytest.approx(4.125, rel=1e-14)
+    assert h_kernel(small, 2.5) == h_kernel(spec, 2.5) == pytest.approx(4.125, rel=1e-14)
     with pytest.raises(PoleAtOne):
         KernelSpec(unit_coeffs(2), 1.0 + 1e-12, "tate")
     with pytest.raises(ValueError):
@@ -90,13 +89,6 @@ def test_step_structure():
         step = h_kernel(sp, g + 1.25) * (g + 1.25) ** (0.5 - s) - v1
         assert step == pytest.approx(CO16.lam(g + 1) * (g + 1) ** (-s), rel=1e-10, abs=1e-12)
     assert spec.variant == "cuspidal"
-
-
-def test_dual_kernel_self_duality():
-    spec = KernelSpec(CO16, 1.3 + 0.7j)
-    assert k_dual_kernel(spec, 7.3) == h_kernel(spec, 7.3)
-    other = KernelSpec(CO16, 1.3 + 0.7j, dual_coeffs=unit_coeffs(16))
-    assert k_dual_kernel(other, 7.3) != h_kernel(other, 7.3)
 
 
 def test_prefix_sums():
@@ -155,7 +147,7 @@ def test_tate_pairing_integrates_the_pointwise_kernels(phi):
         h = KernelSpec(unit_coeffs(12), s, "tate")
         k = KernelSpec(unit_coeffs(12), 1 - s, "tate")
         want = 2 * _pointwise_integral(
-            lambda x: h_kernel(h, x) * phih(x) + k_dual_kernel(k, x) * phi(x), range(13)
+            lambda x: h_kernel(h, x) * phih(x) + h_kernel(k, x) * phi(x), range(13)
         )
         assert abs(_tate_pairing(s, phi) - want) < 1e-13
 
@@ -263,6 +255,16 @@ def test_split_identity_guards():
     assert grid.windows == []
     with pytest.raises(ValueError, match="GL1Block"):
         zero_criterion_pairing("cuspidal", [2.0], w=W40, coeffs=unit_coeffs(1024), tol=1e-7)
+
+
+def test_split_identity_refuses_a_grid_built_for_another_w_or_tol():
+    # a DualGrid samples the w̃ of the w and tol it was built for; a sum of another's is refused unread
+    grid = DualGrid(W40, tol=1e-7)
+    with pytest.raises(ValueError, match="another test function or tol"):
+        split_zeta_identity(make_bump(1, 40), 2.0, CO1K, tol=1e-7, grid=grid)
+    with pytest.raises(ValueError, match="another test function or tol"):
+        split_zeta_identity(W40, 2.0, CO1K, tol=1e-6, grid=grid)
+    assert grid.windows == []
 
 
 def test_cuspidal_proxy():

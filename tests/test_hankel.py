@@ -62,7 +62,7 @@ def test_both_routes_refuse_a_non_finite_x_like_zero(route, bad):
     w = make_bump(1.0, 4.0)
     for xs in ([0.5, 0.0], [0.5, bad]):
         with pytest.raises(ValueError, match="nonzero"):
-            route(DS2_11, 2, w, xs, tol=1e-8)
+            route(DS2_11, w, xs, tol=1e-8)
 
 
 def test_signed_mellin_golden_value():
@@ -108,7 +108,7 @@ def _fourier_oracle(w, x):
 def test_mellin_route_n1_fourier_oracle():
     w = make_bump(1.0, 2.0)
     for x in (1.0, 0.45, -2.2):
-        vals, errs = hankel_mellin_batch(GL1_TRIVIAL, 1, w, [x], 1e-9)
+        vals, errs = hankel_mellin_batch(GL1_TRIVIAL, w, [x], 1e-9)
         assert errs[0] <= 1e-9
         assert vals[0] == pytest.approx(_fourier_oracle(w, x), abs=5e-9)
 
@@ -116,51 +116,47 @@ def test_mellin_route_n1_fourier_oracle():
 def test_convolution_route_n1_matches_mellin():
     w = make_bump(1.0, 2.0)
     for x in (1.0, -1.7):
-        conv, _ = hankel_convolution_batch(GL1_TRIVIAL, 1, w, [x], 1e-8)
-        mell, _ = hankel_mellin_batch(GL1_TRIVIAL, 1, w, [x], 1e-8)
+        conv, _ = hankel_convolution_batch(GL1_TRIVIAL, w, [x], 1e-8)
+        mell, _ = hankel_mellin_batch(GL1_TRIVIAL, w, [x], 1e-8)
         assert abs(conv[0] - mell[0]) < 2e-8
 
 
 def test_route_agreement_ds2():
     w = make_bump(1.0, 2.0)
     for x in (0.5, 1.0, 2.0):
-        conv, _ = hankel_convolution_batch(DS2_11, 2, w, [x], 1e-8)
-        mell, _ = hankel_mellin_batch(DS2_11, 2, w, [x], 1e-8)
+        conv, _ = hankel_convolution_batch(DS2_11, w, [x], 1e-8)
+        mell, _ = hankel_mellin_batch(DS2_11, w, [x], 1e-8)
         assert abs(conv[0] - mell[0]) < 2e-8
     # no γ-parity dependence and one-sided w: the dual vanishes on x < 0
-    vals, _ = hankel_mellin_batch(DS2_11, 2, w, [-1.0, -3.7], 1e-9)
+    vals, _ = hankel_mellin_batch(DS2_11, w, [-1.0, -3.7], 1e-9)
     assert np.max(np.abs(vals)) < 1e-12
 
 
 def test_route_agreement_random_pairs():
     rng = random.Random(1393)
-    pool = [
-        (GL1_TRIVIAL, 1),
-        (DS2_5, 2),
-        (RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0))), 2),
-    ]
+    pool = [GL1_TRIVIAL, DS2_5, RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))]
     w = make_bump(1.0, 2.0)
     for _ in range(10):
-        params, n = pool[rng.randrange(len(pool))]
+        params = pool[rng.randrange(len(pool))]
         x = rng.uniform(0.4, 6.0) * rng.choice([1, -1])
-        conv, _ = hankel_convolution_batch(params, n, w, [x], 1e-7)
-        mell, _ = hankel_mellin_batch(params, n, w, [x], 1e-7)
+        conv, _ = hankel_convolution_batch(params, w, [x], 1e-7)
+        mell, _ = hankel_mellin_batch(params, w, [x], 1e-7)
         assert abs(conv[0] - mell[0]) < 2e-7, (params, x)
 
 
 @pytest.mark.parametrize(
-    "params, n",
-    [(GL1_TRIVIAL, 1), (DS2_5, 2), (RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0))), 2)],
+    "params",
+    [GL1_TRIVIAL, DS2_5, RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))],
     ids=["gl1", "ds2_5", "gl1_gl1"],
 )
-def test_route_agreement_two_sided_test_function(params, n):
+def test_route_agreement_two_sided_test_function(params):
     # w lives on both half-lines: the convolution route pairs both kernel
     # signs with the negative t-part, the mellin route sums both parities
     bump = make_bump(1.0, 2.0)
     w = hankel.TestFunction(1.0, 2.0, bump.pos, lambda x: 0.5 * bump.pos(x))
     xs = [0.7, -0.7, 2.3, -2.3]
-    conv, _ = hankel_convolution_batch(params, n, w, xs, 1e-7)
-    mell, _ = hankel_mellin_batch(params, n, w, xs, 1e-7)
+    conv, _ = hankel_convolution_batch(params, w, xs, 1e-7)
+    mell, _ = hankel_mellin_batch(params, w, xs, 1e-7)
     assert np.max(np.abs(conv - mell)) < 2e-7
     if params is DS2_5:
         # one-sided, this dual vanishes on x < 0; the negative part made it nonzero
@@ -172,11 +168,11 @@ def test_scaling_law():
     lam = 2.0
     w = make_bump(1.0, 2.0)
     w_lam = hankel.TestFunction(w.a / lam, w.b / lam, lambda t: w(lam * t))
-    for params, n in ((DS2_5, 2), (GL1_TRIVIAL, 1)):
+    for params in (DS2_5, GL1_TRIVIAL):
         for x in (1.3, 3.1):
-            lhs, _ = hankel_mellin_batch(params, n, w_lam, [x], 1e-9)
-            rhs, _ = hankel_mellin_batch(params, n, w, [x / lam], 1e-9)
-            assert lhs[0] == pytest.approx(lam ** (n - 2) * rhs[0], rel=1e-7, abs=1e-9)
+            lhs, _ = hankel_mellin_batch(params, w_lam, [x], 1e-9)
+            rhs, _ = hankel_mellin_batch(params, w, [x / lam], 1e-9)
+            assert lhs[0] == pytest.approx(lam ** (params.rank - 2) * rhs[0], rel=1e-7, abs=1e-9)
 
 
 def test_dual_decay_beyond_support():
@@ -184,7 +180,7 @@ def test_dual_decay_beyond_support():
     w = make_bump(1.0, 2.0)
     windows = [(20.0, 25.0, 30.0, 35.0), (60.0, 75.0, 90.0, 105.0), (250.0, 300.0, 350.0, 400.0)]
     xs = [x for win in windows for x in win]
-    vals, _ = hankel_mellin_batch(DS2_11, 2, w, xs, 1e-10)
+    vals, _ = hankel_mellin_batch(DS2_11, w, xs, 1e-10)
     envs = [np.max(np.abs(vals[4 * i : 4 * i + 4])) for i in range(3)]
     assert envs[0] > envs[1] > envs[2]
 
@@ -236,7 +232,7 @@ def _recording_tables(phase, sizes):
     return rec
 
 
-def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
+def _record_mellin_walk(monkeypatch, params, w, xs, tol):
     """Run the mellin route, recording every tail panel summed, with the phase step it was cut
     under, every starting panel the walk laid out, and the memo's size after each table."""
     steps, panels, summed, sizes = [], [], [], []
@@ -264,7 +260,7 @@ def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
     monkeypatch.setattr(quadrature, "_tail", tail_rec)
     monkeypatch.setattr(bessel, "phase_tables", tables_rec)  # the x-phase of bessel.ContourIntegrand
     counts = Counter()
-    hankel_mellin_batch(params, n, w, xs, tol, counts=counts)
+    hankel_mellin_batch(params, w, xs, tol, counts=counts)
     return steps, panels, summed, sizes, counts
 
 
@@ -272,7 +268,7 @@ def _record_mellin_walk(monkeypatch, params, n, w, xs, tol):
 @pytest.mark.parametrize("params", [DS2_11, RealPlaceParams((GL1Block(0, 0.3j), GL1Block(1, -0.3j)))])
 def test_tail_steps_sit_on_the_ladder(monkeypatch, params):
     w = make_bump(1.0, 2.0)
-    steps, panels, tails, _, counts = _record_mellin_walk(monkeypatch, params, 2, w, [0.3, -2.0, 40.0], 1e-9)
+    steps, panels, tails, _, counts = _record_mellin_walk(monkeypatch, params, w, [0.3, -2.0, 40.0], 1e-9)
     contour = build_contour(params)
     sigma, h0 = contour.asymptote, quadrature.tail_grid_ceil(contour.detour_height + 2.0)
     # the polyline's vertical pieces below h0 sit on σ too; a tail panel starts at |Im s| ≥ h0 and climbs
@@ -304,7 +300,7 @@ def test_panel_rung_is_the_smallest_ladder_count_not_below_p():
 
 def test_phase_memo_holds_at_most_two_tables(monkeypatch):
     w = make_bump(1.0, 2.0)
-    _, _, _, sizes, counts = _record_mellin_walk(monkeypatch, DS2_11, 2, w, [0.3, -2.0, 40.0], 1e-9)
+    _, _, _, sizes, counts = _record_mellin_walk(monkeypatch, DS2_11, w, [0.3, -2.0, 40.0], 1e-9)
     assert max(sizes) == quadrature._PHASE_MEMO == 2
     assert len(sizes) == counts["memo_built"] + counts["memo_reused"]
     assert counts["memo_reused"] > 5 * counts["memo_built"]
@@ -315,26 +311,24 @@ def test_mellin_error_bars_cover_the_gap_to_a_tighter_convolution_route():
     w = make_bump(1.0, 2.0)
     ys = np.array([1e-3, 0.02, 0.4, 8.0, 160.0, 800.0])
     xs = np.concatenate([ys, -ys[1::2]])
-    mell, merr = hankel_mellin_batch(DS2_11, 2, w, xs, 1e-7)
+    mell, merr = hankel_mellin_batch(DS2_11, w, xs, 1e-7)
     assert len(hankel.magnitude_groups(np.abs(xs), 16.0)) == 5
     for x, m, e in zip(xs, mell, merr):
-        conv, cerr = hankel_convolution_batch(DS2_11, 2, w, [x], 1e-9)
+        conv, cerr = hankel_convolution_batch(DS2_11, w, [x], 1e-9)
         assert cerr[0] < e / 10 and abs(m - conv[0]) <= e + cerr[0], x
 
 
 def test_convolution_zero_function():
     zero = hankel.TestFunction(1.0, 2.0, lambda x: np.zeros_like(np.asarray(x, dtype=float)))
-    vals, errs = hankel_convolution_batch(DS2_5, 2, zero, [0.5, 2.0], 1e-8)
+    vals, errs = hankel_convolution_batch(DS2_5, zero, [0.5, 2.0], 1e-8)
     assert np.all(vals == 0)
     assert np.all(errs == 0)
 
 
 def test_rank_mismatch_rejected():
-    w = make_bump(1.0, 2.0)
-    with pytest.raises(ValueError):
-        hankel_mellin_batch(DS2_5, 3, w, [1.0])
-    with pytest.raises(ValueError):
-        hankel_convolution_batch(DS2_5, 1, w, [1.0], 1e-8)
+    # local_fe_residual is the one function that takes n beside the place; the batch routes read params.rank
+    with pytest.raises(ValueError, match="rank mismatch"):
+        local_fe_residual(DS2_5, 3, make_bump(1.0, 2.0), [0.5], 1e-6)
 
 
 def test_fe_residual_n1():
@@ -365,7 +359,7 @@ def test_fe_residual_stops_after_three_doublings(monkeypatch):
     # a dual that never decays: the initial grid and three doublings are checked, no fourth
     calls = []
 
-    def flat(params, n, w, xs, tol, counts):
+    def flat(params, w, xs, tol, counts):
         calls.append(len(xs))
         return np.ones(len(xs), dtype=complex), np.full(len(xs), 1e-12)
 
@@ -391,7 +385,7 @@ def test_fe_residual_grid_reports_every_batch_error(monkeypatch):
     w = make_bump(1.0, 2.0)
     y_max = 20.0 * w.b
 
-    def stand_in(params, n, w, xs, tol, counts):
+    def stand_in(params, w, xs, tol, counts):
         ax = np.abs(np.asarray(xs))
         err = 3e-9 if ax.min() > y_max else 1e-12
         return np.where(ax <= 2 * y_max, 1.0 + 0j, 0j), np.full(len(ax), err)
@@ -505,7 +499,7 @@ def test_inner_mellin_validation_reads_the_route_tables(monkeypatch):
         with pytest.raises(ToleranceNotMet, match="inner Mellin grid validation"):
             hankel._validate_inner_mellin(hankel._MellinGrids(w, hankel._mellin_base(1e-9)), 0)
         with pytest.raises(ToleranceNotMet, match="inner Mellin grid validation"):
-            hankel_mellin_batch(DS2_11, 2, w, [0.3, 2.0], 1e-9)
+            hankel_mellin_batch(DS2_11, w, [0.3, 2.0], 1e-9)
     monkeypatch.setattr(quadrature, "phase_tables", tables)
     hankel._validate_inner_mellin(hankel._MellinGrids(w, hankel._mellin_base(1e-9)), 0)
 
@@ -610,11 +604,11 @@ def test_convolution_batch_builds_no_model_for_the_sign_the_parity_cancels(monke
     sizes = _bessel_batches(monkeypatch)
     cache = hankel.KernelCache()
     w = make_bump(1.0, 2.0)
-    vals, errs = hankel_convolution_batch(DS2_11, 2, w, [-0.5, -3.0, -40.0], 1e-8, cache)
+    vals, errs = hankel_convolution_batch(DS2_11, w, [-0.5, -3.0, -40.0], 1e-8, cache)
     assert vals.dtype == complex and np.array_equal(vals, np.zeros(3)) and np.all(errs > 0)
     assert sizes == [] and cache._panels == {} and cache.panel_counts() == {"built": 0, "reused": 0}
     # a mixed batch builds the positive-sign model only, and its x < 0 point is exactly 0
-    mixed, _ = hankel_convolution_batch(DS2_11, 2, w, [0.5, -0.5], 1e-8, cache)
+    mixed, _ = hankel_convolution_batch(DS2_11, w, [0.5, -0.5], 1e-8, cache)
     assert mixed[0] != 0 and mixed[1] == 0
     assert sizes and list(cache._panels) == [(DS2_11, 1)]
 
@@ -679,8 +673,8 @@ def test_convolution_rule_covers_the_gap_to_the_mellin_route_below_and_above_one
     xs = np.array([-0.002, 0.01, -0.01, 0.013, 148.0, -150.0])
     spans = np.sqrt(np.abs(xs)) * (np.sqrt(40.0) - 1.0) / H2
     assert np.all(spans[:3] < 1) and spans[0] < 0.5 and spans[-1] > 100
-    conv, cerr = hankel_convolution_batch(DS2_11, 2, w, xs, 1e-8)
-    mell, merr = hankel_mellin_batch(DS2_11, 2, w, xs, 1e-10)
+    conv, cerr = hankel_convolution_batch(DS2_11, w, xs, 1e-8)
+    mell, merr = hankel_mellin_batch(DS2_11, w, xs, 1e-10)
     assert np.all(np.abs(conv) > 1e-9) and np.all(cerr <= 1e-8)
     assert np.all(np.abs(conv - mell) <= cerr + merr)
 
@@ -701,7 +695,7 @@ def test_convolution_rule_reads_the_model_at_abscissae_independent_of_the_points
         xs = np.linspace(10.0, 30.0, m)
         assert len(hankel.magnitude_groups(xs, 4.0)) == 1
         rows.clear()
-        hankel_convolution_batch(DS2_11, 2, w, xs, 1e-7)
+        hankel_convolution_batch(DS2_11, w, xs, 1e-7)
         asked[m] = list(rows)
     assert asked[50] == asked[500] and len(asked[50]) >= 3
     assert asked[50][0] == 1  # the off-node probe: one abscissa on every 4th new panel
@@ -713,7 +707,7 @@ def test_convolution_batch_imports_no_numpy_ma():
         "import sys\n"
         "from vorokit.archimedean import DS2Block, RealPlaceParams\n"
         "from vorokit.hankel import hankel_convolution_batch, make_bump\n"
-        "vals, _ = hankel_convolution_batch(RealPlaceParams((DS2Block(11),)), 2, make_bump(1.0, 40.0), [-3.0, 2.5], 1e-6)\n"
+        "vals, _ = hankel_convolution_batch(RealPlaceParams((DS2Block(11),)), make_bump(1.0, 40.0), [-3.0, 2.5], 1e-6)\n"
         "print(len(vals), 'numpy.ma' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}

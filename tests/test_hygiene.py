@@ -1,10 +1,10 @@
 """Source hygiene: no module imports a name it never uses, no library
-parameter has a default that every caller leaves alone, only named test hooks
-have a default that only tests pass, no function has a return-shape flag,
-one writer owns every file write and one owner each the phase tables, the
-contour integrand, the contour walk, the quadrature weight rows, the
-Chebyshev evaluation, the dual-sum policy and Δ's real place, and every file
-parses as Python 3.10.
+parameter has a default that every caller leaves alone or that every caller
+overrides, only named test hooks have a default that only tests pass, no
+function has a return-shape flag, one writer owns every file write and one
+owner each the phase tables, the contour integrand, the contour walk, the
+quadrature weight rows, the Chebyshev evaluation, the dual-sum policy and
+Δ's real place, and every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -14,12 +14,15 @@ directives and never count as unused.
 Parameters: every defaulted parameter of a module-level function or method
 in ``src/vorokit`` must be passed, by keyword or by position, at one or more
 call sites in ``src/vorokit``, ``tests`` or ``perfbench``; otherwise its
-default is a constant spelled as a knob.  A second census counts only the
-calls in ``src/vorokit`` and ``perfbench``: the defaults that only tests pass
-are the frozen ``TEST_HOOKS``, each with the reason a test needs it.  A call is matched by the bare name
-it calls (``f(...)`` or ``obj.f(...)``), a call of a class by its name counts
-for ``__init__`` (or, for a dataclass, for its fields in order), and
-``*args``/``**kwargs`` at a call site pass nothing.
+default is a constant spelled as a knob.  The reverse census fails on a
+defaulted parameter that every one of its call sites passes: no call uses
+its default, so the parameter should be required.  A third census counts
+only the calls in ``src/vorokit`` and ``perfbench``: the defaults that only
+tests pass are the frozen ``TEST_HOOKS``, each with the reason a test needs
+it.  A call is matched by the bare name it calls (``f(...)`` or
+``obj.f(...)``), and a call of a class by its name counts for ``__init__``
+(or, for a dataclass, for its fields in order).  ``*args``/``**kwargs`` at a
+call site pass nothing, and for the reverse census they may pass anything.
 The census cannot see a knob that hides in ``*args`` or ``**kwargs``, so no
 function in ``src/vorokit`` (nested ones and lambdas included) declares one.
 
@@ -181,27 +184,45 @@ def _defaulted(tree):
 
 
 def _calls(tree):
-    """name called → [(positional arguments, keyword names)] for each call."""
+    """name called → [(positional arguments, keyword names, whether it unpacks *args or **kwargs)] for each call."""
     out = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
             name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
             npos = sum(not isinstance(a, ast.Starred) for a in node.args)
-            out.setdefault(name, []).append((npos, {k.arg for k in node.keywords if k.arg}))
+            unpacks = npos < len(node.args) or any(k.arg is None for k in node.keywords)
+            out.setdefault(name, []).append((npos, {k.arg for k in node.keywords if k.arg}, unpacks))
     return out
 
 
-def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
-    """'qualname(param)' for each defaulted parameter in `defining` that no call in `calling` passes."""
+def _call_census(defining: list[str], calling: list[str]):
+    """('qualname(param)', [(passes it, unpacks) for each call]) for each defaulted parameter in `defining`."""
     calls = {}
     for source in calling:
         for name, sites in _calls(ast.parse(source)).items():
             calls.setdefault(name, []).extend(sites)
+    for source in defining:
+        for qual, called, param, i in _defaulted(ast.parse(source)):
+            sites = calls.get(called, [])
+            yield f"{qual}({param})", [
+                (param in kws or (i is not None and npos > i), unpacks) for npos, kws, unpacks in sites
+            ]
+
+
+def unset_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """'qualname(param)' for each defaulted parameter in `defining` that no call in `calling` passes."""
+    return [param for param, sites in _call_census(defining, calling) if not any(passes for passes, _ in sites)]
+
+
+def overridden_defaults(defining: list[str], calling: list[str]) -> list[str]:
+    """'qualname(param)' for each defaulted parameter in `defining` that every call in `calling` passes.
+
+    A call that unpacks *args or **kwargs may pass it, so it is no evidence that the default is used;
+    a parameter with no call at all is the other census's to flag."""
     return [
-        f"{qual}({param})"
-        for source in defining
-        for qual, called, param, i in _defaulted(ast.parse(source))
-        if not any(param in kws or (i is not None and npos > i) for npos, kws in calls.get(called, []))
+        param
+        for param, sites in _call_census(defining, calling)
+        if sites and all(passes or unpacks for passes, unpacks in sites)
     ]
 
 
@@ -244,6 +265,46 @@ def test_every_library_default_is_passed_somewhere():
     assert not found, "defaulted parameters no caller passes:\n" + "\n".join(found)
 
 
+def test_census_flags_defaults_every_call_passes():
+    lib = (
+        "def f(a, b=1, c=2, *, d=3, e=4):\n"
+        "    return a\n"
+        "def lone(z=0):\n"  # never called: the census above flags it, this one does not
+        "    return z\n"
+        "def g(x, y=0):\n"
+        "    return x\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n"
+        "        pass\n"
+        "    def m(self, p=1, q=2):\n"
+        "        pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 1\n"
+    )
+    callers = (
+        "f(0, 1, d=5)\n"
+        "mod.f(0, 2, e=6, d=7)\n"  # b by position and d by keyword at every call
+        "g(*args)\n"  # unpacking may pass y: no evidence that its default is used
+        "g(1, y=2)\n"
+        "K(1, 2)\n"
+        "K(1, y=3)\n"  # y through the class name at every call
+        "k.m(7)\n"
+        "k.m(8, q=9)\n"  # p by position, self bound
+        "D(1, 2)\n"
+        "D(0, z=3)\n"  # y once, z once: both defaults are used
+    )
+    assert overridden_defaults([lib], [lib, callers]) == ["f(b)", "f(d)", "g(y)", "K.__init__(y)", "K.m(p)"]
+
+
+def test_no_library_default_is_passed_by_every_call():
+    # with the census above: every default is passed by some call and left alone by another
+    found = overridden_defaults([p.read_text() for p in SRC], [p.read_text() for p in CALLERS])
+    assert not found, "defaulted parameters every caller passes:\n" + "\n".join(found)
+
+
 # Defaults that tests pass and no library caller does: named test hooks, frozen.
 TEST_HOOKS = {
     "split_zeta_identity(euler_pbound)": "a test deepens the Euler product at one point of large scale",
@@ -253,7 +314,6 @@ TEST_HOOKS = {
     "local_l_series_check(series)": "a test substitutes a corrupted series to show the check can fail",
     "multiplicativity_check(pairs)": "a test draws more pairs than the default",
     "multiplicativity_check(seed)": "a test draws its pairs from a second seed",
-    "KernelSpec(dual_coeffs)": "a test passes a second table to show the dual kernel reads its own coefficients",
 }
 
 
@@ -328,7 +388,6 @@ CHECKS = {
     "padic.WhittakerValue.scalar": "tests compare whittaker_general against whittaker_diag through it",
     "voronoi.multiplicativity_check": "the τ table's multiplicativity test",
     "gj.h_kernel": "pins the _prefix_sums and the KernelSpec power and residue that _pair uses",
-    "gj.k_dual_kernel": "pins the _prefix_sums over the dual table and the KernelSpec power that _pair uses",
 }
 
 
@@ -738,9 +797,9 @@ def test_scanner_flags_dual_policy_copies():
         "        self._cache = KernelCache()\n"
         "    def ensure(self, upto):\n"
         "        try:\n"
-        "            vals, _ = hankel_convolution_batch(P, 2, self.w, xs, tol=self.wtol, cache=c)\n"
+        "            vals, _ = hankel_convolution_batch(P, self.w, xs, tol=self.wtol, cache=c)\n"
         "        except ToleranceNotMet:\n"
-        "            vals, _ = hankel_convolution_batch(P, 2, self.w, xs, tol=8 * self.wtol, cache=c)\n"
+        "            vals, _ = hankel_convolution_batch(P, self.w, xs, tol=8 * self.wtol, cache=c)\n"
         "def rhs_theta(job):\n"
         "    wtol = min(1e-7, max(2e-9, job.tol / 500.0))\n"
         "    cache = hankel.KernelCache()\n"

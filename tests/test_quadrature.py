@@ -524,7 +524,7 @@ def test_bessel_batch_bisects_as_the_recursive_rule(monkeypatch):
 
 def test_mellin_route_bisects_as_the_recursive_rule(monkeypatch):
     made = _recorded_bisections(monkeypatch)
-    hankel.hankel_mellin_batch(DS11, 2, hankel.make_bump(1.0, 2.0), [0.3, -2.0, 40.0], 1e-9)
+    hankel.hankel_mellin_batch(DS11, hankel.make_bump(1.0, 2.0), [0.3, -2.0, 40.0], 1e-9)
     assert len(made) == 4  # the inner transform's validation, then the magnitude groups {0.3, 2} and {40}
     _check_against_depth_first(made)
 

@@ -210,9 +210,9 @@ def test_the_dual_side_reads_the_tables_place(monkeypatch):
     # the same τ values carrying DS2Block(15): the direct side cannot tell, the dual side's w̃ can
     real, seen = voronoi.hankel_convolution_batch, []
 
-    def recorded(params, n, w, xs, tol, cache):
+    def recorded(params, w, xs, tol, cache):
         seen.append(params)
-        return real(params, n, w, xs, tol=tol, cache=cache)
+        return real(params, w, xs, tol=tol, cache=cache)
 
     monkeypatch.setattr(voronoi, "hankel_convolution_batch", recorded)
     other = DirichletCoeffs(CO.n, CO.values, "file", RealPlaceParams((DS2Block(15, 0.0),)))
@@ -297,7 +297,7 @@ def test_rhs_transforms_once_per_class(monkeypatch):
         seen.append(_unit_class(sp.q, F(x), 1))
         return real(sp, zeta, x)
 
-    def decaying_dual(params, n, w, xs, tol, cache):
+    def decaying_dual(params, w, xs, tol, cache):
         # the padic side does not depend on w̃; a decaying stand-in ends the α-sum quickly
         return np.exp(-xs), np.zeros(len(xs))
 
@@ -312,7 +312,7 @@ def test_rhs_transforms_once_per_class(monkeypatch):
     assert len(seen) < points / 5
 
 
-def _decaying_dual(params, n, w, xs, tol, cache):
+def _decaying_dual(params, w, xs, tol, cache):
     # the padic side does not depend on w̃; a decaying stand-in ends the α-sum quickly
     return np.exp(-xs), np.zeros(len(xs))
 
@@ -345,7 +345,7 @@ def test_rhs_window_product_equals_a_per_m_reference(monkeypatch, a, c):
     assert abs(rep["value"] - want) <= 1e-14 * abs(want)
 
 
-def _chirped_dual(params, n, w, xs, tol, cache):
+def _chirped_dual(params, w, xs, tol, cache):
     # a stand-in w̃ whose phase varies from point to point, so no pattern in m can cancel
     return (np.cos(7.3 * xs**2) + 1j * np.sin(3.1 * xs)) * np.exp(-xs), np.zeros(len(xs))
 
@@ -363,7 +363,7 @@ def test_rhs_is_the_level_one_dual_sum(monkeypatch):
             assert math.prod(p ** -v for p, v in rep["support"].items()) == c * c, (a, c)
             ms = np.arange(1, rep["shells"][-1]["m_range"][1] + 1)
             twist = np.exp(2j * np.pi * (pow(a, -1, c) * ms % c) / c)
-            want = np.sum(co.values[ms - 1] / np.sqrt(ms) * twist * _chirped_dual(None, 2, None, ms / c**2, 0, None)[0])
+            want = np.sum(co.values[ms - 1] / np.sqrt(ms) * twist * _chirped_dual(None, None, ms / c**2, 0, None)[0])
             assert abs(rep["value"] - want) <= 1e-12, (a, c)
 
 
@@ -498,8 +498,8 @@ def test_windows_share_one_kernel_cache(monkeypatch):
     real = voronoi.hankel_convolution_batch
     batches = []
 
-    def recorded(params, n, w, xs, tol, cache):
-        vals, errs = real(params, n, w, xs, tol=tol, cache=cache)
+    def recorded(params, w, xs, tol, cache):
+        vals, errs = real(params, w, xs, tol=tol, cache=cache)
         batches.append((params, xs, tol, cache, vals))
         return vals, errs
 
@@ -509,7 +509,7 @@ def test_windows_share_one_kernel_cache(monkeypatch):
     assert len({id(b[3]) for b in batches}) == 1  # one cache for the whole call
     for (params, xs, tol, _, vals), shell in zip(batches, rep["shells"]):
         # each window's values are those of a model built for that window alone
-        fresh, _ = real(params, 2, W40, xs, tol=tol)
+        fresh, _ = real(params, W40, xs, tol=tol)
         assert tol == shell["dual_tol"]
         assert np.max(np.abs(vals - fresh)) <= tol
     counts = [shell["kernel_panels"] for shell in rep["shells"]]
@@ -527,11 +527,11 @@ def test_direct_side_and_mellin_route_build_no_kernel_model(monkeypatch):
     monkeypatch.setattr(hankel.KernelCache, "model", refuse)
     monkeypatch.setattr(hankel, "_fit_panels", refuse)
     assert abs(lhs_theta(VoronoiJob(a=2, c=5, w=W40, n_trunc=2048, tol=1e-4, coeffs=CO))) > 1e-3
-    vals, errs = hankel.hankel_mellin_batch(DELTA_PLACE, 2, W40, [0.5, 3.0], 1e-8)
+    vals, errs = hankel.hankel_mellin_batch(DELTA_PLACE, W40, [0.5, 3.0], 1e-8)
     assert np.all(np.isfinite(vals)) and np.max(errs) <= 1e-8
     # the patch is live: the convolution route does reach it
     with pytest.raises(AssertionError, match="kernel model built"):
-        hankel.hankel_convolution_batch(DELTA_PLACE, 2, W40, [0.5], 1e-8)
+        hankel.hankel_convolution_batch(DELTA_PLACE, W40, [0.5], 1e-8)
 
 
 def test_tail_not_converged():

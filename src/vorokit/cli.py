@@ -167,7 +167,7 @@ def _parse_phi(text: str):
 
 def _parse_s_values(args) -> list:
     """The s-set: ``--s-grid`` when given, else ``--s-list``."""
-    if args.s_grid:
+    if args.s_grid is not None:
         parts = args.s_grid.split(":")
         if len(parts) != 4:
             raise ConfigError(f"--s-grid must be re:im_lo:im_hi:steps, got {args.s_grid!r}")
@@ -180,7 +180,7 @@ def _parse_s_values(args) -> list:
         if steps < 1:
             raise ConfigError("--s-grid needs at least one step")
         return [complex(re, t) for t in np.linspace(lo, hi, steps)]
-    if args.s_list:
+    if args.s_list is not None:
         return _parse_complex_list(args.s_list, "--s-list")
     raise ConfigError("one of --s-list or --s-grid is required")
 
@@ -385,11 +385,11 @@ def _run_padic(args, t0):
         if args.count < 1:
             raise ConfigError("--count must be positive")
         cases, drawn = [], {}
-        if args.alpha:
+        if args.alpha is not None:
             if not args.q:
                 raise ConfigError("--alpha needs --q")
             cases.append(SatakeParams(args.q, tuple(_parse_rational_list(args.alpha, "--alpha"))))
-        elif args.lam:
+        elif args.lam is not None:
             if not args.q:
                 raise ConfigError("--lam needs --q")
             cases.append(satake_from_eigenvalue(args.q, _parse_rational(args.lam, "--lam")))
@@ -415,13 +415,13 @@ def _run_padic(args, t0):
         inputs = {"mode": "check-lseries", "order": args.order, "count": len(cases), **drawn}
         return _report("padic", inputs, results, thresholds, t0)
     if args.kloosterman3:
-        if args.lam:
+        if args.lam is not None:
             raise ConfigError("--lam is a --check-lseries flag (a rank-2 eigenvalue); give kloosterman3 --alpha")
         if not args.p or not args.zeta or not args.alpha_rational:
             raise ConfigError("--kloosterman3 needs --p, --zeta and --alpha-rational")
         zeta = _parse_rational(args.zeta, "--zeta")
         alphas = _parse_rational_list(args.alpha_rational, "--alpha-rational")
-        if args.alpha:
+        if args.alpha is not None:
             sp = SatakeParams(args.p, tuple(_parse_rational_list(args.alpha, "--alpha")))
         else:
             sp = SatakeParams(args.p, (Fraction(1, 2), Fraction(1), Fraction(2)))

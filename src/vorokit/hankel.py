@@ -40,19 +40,18 @@ independent routes, each reading the rank n from the place (``params.rank``):
   other one is rebuilt, which is the guarantee a fresh build at that
   tolerance gives.  The t-integral is taken in the model's own variable:
   t = u^n/|x| turns it into
-  |x|^{(n−3)/2}·∫ 𝔟(±u^n)·w(±u^n/|x|)·n·u^{(n−1)(2−n)/2} du, and the rule
-  puts its nodes at the same abscissae ξ in every lattice panel under the
-  supports.  The model at every node is then one table,
-  coefficients @ chebvander(ξ) (panels × nodes), whatever x is: a point
-  costs its w-values, one real (points × nodes) @ (nodes × 2) product
-  against the table's real and imaginary parts per kernel sign, and one
-  power of |x|.  Per magnitude group (ratio 4) and resolution s the rule
-  keeps the density of the t-rule it replaced at the group's largest |x|:
-  npan = 4 + ⌈s·cyc/1.8⌉ panels of 16 nodes across the support, so a node
-  spacing δ = x_max^{1/n}·(u_b − u_a)/(16·npan).  A lattice panel of width
-  h gets N = max(⌈h/δ⌉, ⌈16·(4 + 4s)·h/(x_min^{1/n}·(u_b − u_a))⌉) nodes as
-  ⌈N/16⌉ Gauss sub-panels; the second term keeps w resolved where its
-  support spans less than one panel.  The |t|-exponent (3−n)/2 is the
+  |x|^{(n−3)/2}·∫ 𝔟(±u^n)·w(±u^n/|x|)·n·u^{(n−1)(2−n)/2} du, one
+  ``quadrature.Bisection`` per magnitude group (ratio 4) and sign of x.  Its
+  starting panels are the lattice panels under those points' supports, each
+  with an equal share of quad_tol = tol/(2·max(1, max|x|^ν)) and depth 12, so
+  every bisected panel lies inside one lattice panel.  A call reads the model
+  (`_KernelModel.at`) at its panels' 21 nodes, contracts W with it and the
+  u-factor into a real (P × 4 × 21) array, [Re | Im] of the K and G rows,
+  and multiplies that into the real w-values (P × 21 × rows) of the points
+  whose support meets the panels, in blocks of at most ``_BLOCK`` entries.
+  A point's bar is (Σ|K − G| over its bisection's panels + cw·model_tol)·|x|^ν,
+  cw the |w|-mass against the t-power; the batch raises ``ToleranceNotMet``
+  when that sum exceeds quad_tol.  The |t|-exponent (3−n)/2 is the
   calibration-resolved reading; the route-agreement test (A5) would fail
   loudly under the opposite convention.  The functional-equation check
   would not: it samples w̃ by the mellin route only and never calls this
@@ -381,7 +380,7 @@ def hankel_mellin_batch(
 
 _CHEB_DEG = 20
 _PANEL_WIDTH = 1.1  # lattice step in u = arg^{1/n} is _PANEL_WIDTH / n
-_BLOCK = 65536  # entries of the (x × node) test-function matrix per product
+_BLOCK = 65536  # test-function values (panels × nodes × points) per product
 
 
 @dataclass
@@ -389,19 +388,18 @@ class _KernelModel:
     """Piecewise-Chebyshev model of 𝔟(±arg) in u = arg^{1/n}.
 
     ``coeffs[i]`` holds the degree-``_CHEB_DEG`` Chebyshev coefficients on
-    the lattice panel [(j0+i)·h, (j0+i+1)·h].  The model is only ever read
-    at fixed mapped abscissae ξ ∈ [−1, 1], the same ones in every panel, so
-    `table` is its one evaluation: one Chebyshev–Vandermonde matrix of ξ and
-    one product with the coefficients.
+    the lattice panel [(j0+i)·h, (j0+i+1)·h]; `at` is its one evaluation.
     """
 
     h: float
     j0: int
     coeffs: np.ndarray
 
-    def table(self, xi: np.ndarray) -> np.ndarray:
-        """(panels × len(ξ)) model values at u = (j0+i)·h + (ξ+1)·h/2."""
-        return self.coeffs @ chebvander(xi, _CHEB_DEG).T
+    def at(self, u: np.ndarray) -> np.ndarray:
+        """Model values at u (any shape), each read on the lattice panel that holds it."""
+        t = u / self.h - self.j0
+        i = np.clip(np.floor(t).astype(int), 0, len(self.coeffs) - 1)
+        return np.einsum("...k,...k->...", chebvander(2.0 * (t - i) - 1.0, _CHEB_DEG), self.coeffs[i])
 
 
 def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
@@ -416,9 +414,6 @@ def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
     vals, errs = bessel_real_batch(params, sign * unodes**params.rank, tol / 3.0)
     coeffs = chebfit(cheb_x, vals.reshape(len(js), k).T, _CHEB_DEG).T
     return coeffs, 3.0 * errs.reshape(len(js), k).max(axis=1)
-
-
-_PROBE_XI = 2.0 * 0.381966 - 1.0  # the golden-section point of a panel, mapped to [−1, 1]
 
 
 class KernelCache:
@@ -462,8 +457,9 @@ class KernelCache:
         if fresh:
             # validate off-node: golden-section point of every 4th new panel
             probed = stale[::4]
-            direct, _ = bessel_real_batch(params, sign * (h * (probed + 0.381966)) ** rank, tol / 3.0)
-            errp = float(np.max(np.abs(model.table(np.array([_PROBE_XI]))[probed - j0, 0] - direct)))
+            probe = h * (probed + 0.381966)
+            direct, _ = bessel_real_batch(params, sign * probe**rank, tol / 3.0)
+            errp = float(np.max(np.abs(model.at(probe) - direct)))
             if errp > tol:
                 raise ToleranceNotMet(tol, errp, "kernel model validation")
             panels.update((j, (c, max(e, errp))) for (j, c), e in zip(fresh.items(), node_err))
@@ -514,66 +510,60 @@ def hankel_convolution_batch(
     models = {s: cache.model(params, s, lo, hi, model_tol) for s in kernel_signs if s in need}
     if not models:  # every kernel argument falls where 𝔟 vanishes
         return np.zeros(len(xs), dtype=complex), cw * model_tol * ax**nu
-    lattice = next(iter(models.values()))  # both signs' models hold the same lattice panels
-    h, j0 = lattice.h, lattice.j0
+    h = next(iter(models.values())).h  # both signs' models hold the same lattice panels
 
-    ua, ub = w.a ** (1.0 / n), w.b ** (1.0 / n)
-    groups = magnitude_groups(ax, 4.0)
-    # t = u^n/|x|: ∫ 𝔟(±u^n)·w(u^n/|x|)·n·u^{(n−1)(2−n)/2} du · |x|^{(n−3)/2}
-    upow, xpow = 0.5 * (n - 1) * (2 - n), 0.5 * (n - 3)
+    values, quad_err = np.zeros(len(xs), dtype=complex), np.zeros(len(xs))
+    for gi in magnitude_groups(ax, 4.0):
+        for s_x in (1, -1):
+            rows = gi[np.sign(xs[gi]) == s_x]  # ascending in |x|
+            terms = [(s_t, models[s_x * s_t]) for s_t in t_signs if s_x * s_t in models]
+            if len(rows) == 0 or not terms:
+                continue
+            # the lattice panels under these rows' supports, inside the models' [lo, hi]
+            j_lo = int((ax[rows[0]] * w.a) ** (1.0 / n) // h)
+            j_hi = max(j_lo + 1, math.ceil((ax[rows[-1]] * w.b) ** (1.0 / n) / h))
+            panels = [(j * h, (j + 1) * h, quad_tol / (j_hi - j_lo), 12) for j in range(j_lo, j_hi)]
+            total, err = 0.0, 0.0
+            for val, e in quadrature.Bisection(_t_integrand(terms, w, ax[rows], n))(panels):
+                total, err = total + val, err + e
+            if err > quad_tol:
+                raise ToleranceNotMet(tol, err * denom, "t-quadrature not converged")
+            values[rows], quad_err[rows] = total, err
+    return values * ax**nu, (quad_err + cw * model_tol) * ax**nu
 
-    def eval_resolution(scale):
-        out = np.zeros(len(xs), dtype=complex)
-        for gi in groups:
-            xmin, xmax = float(ax[gi].min()), float(ax[gi].max())
-            cyc = n * xmax ** (1.0 / n) * (ub - ua)
-            npan = int(4 + math.ceil(scale * cyc / 1.8))  # 16-node panels across the support at x_max
-            spacing = xmax ** (1.0 / n) * (ub - ua) / (16 * npan)
-            nodes = max(
-                math.ceil(h / spacing), math.ceil(16 * (4 + 4 * scale) * h / (xmin ** (1.0 / n) * (ub - ua)))
-            )
-            sub = math.ceil(nodes / 16)
-            xi, gw = gauss_panels(np.linspace(-1.0, 1.0, sub + 1), math.ceil(nodes / sub))
-            # the lattice panels under the group's supports, inside the models' [lo, hi]
-            i0 = int((xmin * w.a) ** (1.0 / n) // h) - j0
-            i1 = max(i0 + 1, math.ceil((xmax * w.b) ** (1.0 / n) / h) - j0)
-            u = (h * (np.arange(i0 + j0, i1 + j0)[:, None] + 0.5 * (xi + 1.0))).ravel()
-            un = u**n
-            weight = np.tile(0.5 * h * gw, i1 - i0) * n * u**upow
-            tables = {}
-            for s, m in models.items():
-                tab = m.table(xi)[i0:i1].ravel() * weight
-                tables[s] = np.stack([tab.real, tab.imag], axis=1)
-            chunk = max(1, _BLOCK // len(u))  # rows of x per product
-            for s_x in (1, -1):
-                sel = gi[np.sign(xs[gi]) == s_x]
-                for c0 in range(0, len(sel), chunk):
-                    rows = sel[c0 : c0 + chunk]
-                    # the nodes under this chunk's supports: gi is ascending in |x|
-                    k0 = np.searchsorted(un, float(ax[rows[0]]) * w.a)
-                    k1 = np.searchsorted(un, float(ax[rows[-1]]) * w.b, side="right")
-                    targ = np.outer(1.0 / ax[rows], un[k0:k1])
-                    acc = np.zeros((len(rows), 2))
-                    for s_t in t_signs:
-                        tab = tables.get(s_x * s_t)
-                        if tab is not None:
-                            acc += w(s_t * targ) @ tab[k0:k1]
-                    out[rows] += (acc[:, 0] + 1j * acc[:, 1]) * ax[rows] ** xpow
-        return out
 
-    v1, v2 = eval_resolution(1.0), eval_resolution(1.45)
-    diff = np.abs(v1 - v2)
-    scale, rounds = 2.1, 0
-    while float(diff.max()) > quad_tol and rounds < 3:
-        v1, v2 = v2, eval_resolution(scale)
-        diff = np.abs(v1 - v2)
-        scale *= 1.6
-        rounds += 1
-    if float(diff.max()) > quad_tol:
-        raise ToleranceNotMet(tol, float(diff.max()) * denom, "t-quadrature not converged")
-    values = v2 * ax**nu
-    achieved = (diff + cw * model_tol) * ax**nu
-    return values, achieved
+def _t_integrand(terms, w: TestFunction, ax: np.ndarray, n: int):
+    """The panel integrand in u of the t-integral at the points of magnitudes ``ax`` (ascending).  → (P × 2 × len(ax))
+
+    ``terms`` pairs each sign s_t of w's support with the model of 𝔟 at the sign of x·s_t.  A point
+    meets a panel when its support u^n ∈ (|x|·a, |x|·b) does; the others' columns stay 0.
+    """
+    upow, xfac = 0.5 * (n - 1) * (2 - n), ax ** (0.5 * (n - 3))
+    recips = [s_t / ax for s_t, _ in terms]  # w is read at u^n·(s_t/|x|)
+
+    def f(cs, hs, W):
+        u = panel_nodes(cs[:, None], hs[:, None])
+        un = u**n
+        kernels = []
+        for (_, model), recip in zip(terms, recips):
+            wk = W * (model.at(u) * n * u**upow)[:, None, :]
+            kernels.append((recip, np.concatenate([wk.real, wk.imag], axis=1)))
+        first = np.searchsorted(ax, (cs - hs) ** n / w.b, side="right")  # the first row meeting each panel
+        past = np.searchsorted(ax, (cs + hs) ** n / w.a)  # and past the last
+        out = np.zeros((len(cs), 4, len(ax)))
+        span = max(1, _BLOCK // (21 * max(1, int(np.max(past - first)))))  # panels a block
+        for p0 in range(0, len(cs), span):
+            p1 = min(len(cs), p0 + span)
+            r0, r1 = int(first[p0:p1].min()), int(past[p0:p1].max())
+            step = max(1, _BLOCK // (21 * (p1 - p0)))  # rows a block
+            for k0 in range(r0, r1, step):
+                k1 = min(r1, k0 + step)
+                for recip, kw in kernels:
+                    out[p0:p1, :, k0:k1] += kw[p0:p1] @ w(un[p0:p1, :, None] * recip[k0:k1])
+        out *= xfac
+        return out[:, :2] + 1j * out[:, 2:]
+
+    return f
 
 
 # ---- local functional equation ---------------------------------------------

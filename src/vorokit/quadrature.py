@@ -54,8 +54,9 @@ lines) runs along ±i, each step the largest rung of {2^k, 1.5·2^k} within
 :func:`phase_step`, so from :func:`tail_grid_ceil` its edges are exact and
 its half-widths repeat for the :func:`phase_tables` memo: run 3, cut 20,
 factor 5, at least 10 and up to 6000 long.
-Fixed-resolution integrals over a real partition (the dual function's
-t-integral, the v-grid of the local functional equation, the gap-wise GJ
+The convolution route's t-integral is a :class:`Bisection` too, started on
+the kernel model's lattice panels.  Fixed-resolution integrals over a real
+partition (the v-grid of the local functional equation and the gap-wise GJ
 pairings) take their nodes and weights from :func:`gauss_panels`.
 """
 

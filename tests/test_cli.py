@@ -112,6 +112,26 @@ def test_empty_list_exits_2_naming_the_flag(capsys, tmp_path, flag, argv):
     assert f"config error: --{flag.removesuffix('-from-config')} holds no value" in err
 
 
+EMPTY_FLAGS = {
+    "alpha": (["padic", "--check-lseries", "--q", "5", "--alpha", "", "--count", "2"], "--alpha holds no value"),
+    "lam": (["padic", "--check-lseries", "--q", "5", "--lam", ""], "bad --lam ''"),
+    "kloosterman3-alpha": (
+        ["padic", "--kloosterman3", "--p", "5", "--zeta", "2/5", "--alpha-rational", "1", "--alpha", ""],
+        "--alpha holds no value",
+    ),
+    "s-list": (["gamma", "--s-list", ""], "--s-list holds no value"),
+    "s-grid": (["gamma", "--s-grid", ""], "--s-grid must be re:im_lo:im_hi:steps"),
+}
+
+
+@pytest.mark.parametrize("argv, message", EMPTY_FLAGS.values(), ids=EMPTY_FLAGS.keys())
+def test_an_empty_flag_value_exits_2_naming_it(capsys, argv, message):
+    # an empty value is a bad value, not an absent flag: no random or default tuple, no fallback
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert f"config error: {message}" in err
+
+
 # ---- config documents -------------------------------------------------------
 
 

@@ -3,8 +3,8 @@ parameter has a default that every caller leaves alone or that every caller
 overrides, only named test hooks have a default that only tests pass, no
 function has a return-shape flag, one writer owns every file write and one
 owner each the phase tables, the contour integrand, the contour walk, the
-quadrature weight rows, the Chebyshev evaluation, the dual-sum policy and
-Δ's real place, and every file parses as Python 3.10.
+quadrature weight rows, the Chebyshev evaluation, the composite rule, the
+dual-sum policy and Δ's real place, and every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -51,8 +51,16 @@ integral, its polyline and both its tails, is one
 ``quadrature.contour_integral`` walk and no tail loop lives outside it.
 
 Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
-``src/vorokit`` sits outside ``hankel._KernelModel.table``, so the kernel
-model is read one way: tabulated at fixed abscissae, never point by point.
+``src/vorokit`` sits outside ``hankel._KernelModel.at``, so the kernel
+model is read one way, at the points it is handed, by the t-integral's panel
+integrand and the off-node probe alike.
+
+Composite rule: ``gauss_panels`` is called (as ``f(...)`` or
+``obj.f(...)``) only inside the fixed-rule integrals ``gj._gap_rule``,
+``gj.split_zeta_identity`` and ``hankel.local_fe_residual`` (nested
+functions counting as the function that holds them), so no adaptive
+integral takes its nodes from a composite rule and grows a refinement loop
+of its own beside ``quadrature.Bisection``.
 
 Dual-sum policy: outside ``voronoi.DualWalk.__init__`` no call
 ``max(…, 2e-9, …)`` floors a tolerance, outside ``voronoi.DualWalk.ensure``
@@ -712,14 +720,43 @@ def test_scanner_flags_chebyshev_evaluations():
 
 def test_chebyshev_evaluation_has_one_owner():
     found = {p.name: chebyshev_evaluations(p.read_text()) for p in SRC}
-    assert [where for where, _ in found["hankel.py"]] == ["_KernelModel.table"]
+    assert [where for where, _ in found["hankel.py"]] == ["_KernelModel.at"]
     others = [
         f"{name}:{line}: in {where}"
         for name, rows in found.items()
         for where, line in rows
-        if (name, where) != ("hankel.py", "_KernelModel.table")
+        if (name, where) != ("hankel.py", "_KernelModel.at")
     ]
-    assert not others, "Chebyshev model evaluated outside hankel._KernelModel.table:\n" + "\n".join(others)
+    assert not others, "Chebyshev model evaluated outside hankel._KernelModel.at:\n" + "\n".join(others)
+
+
+def composite_rules(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each gauss_panels(...) call."""
+    return _enclosed_calls(source, ("gauss_panels",))
+
+
+def test_scanner_flags_composite_rules():
+    # the convolution route's resolution loop as it stood before its t-integral was a Bisection
+    src = (
+        "def hankel_convolution_batch(params, w, xs, tol):\n"
+        "    def eval_resolution(scale):\n"
+        "        xi, gw = gauss_panels(np.linspace(-1.0, 1.0, sub + 1), math.ceil(nodes / sub))\n"
+        "        return quadrature.gauss_panels(edges, 16)\n"
+        "x, wts = gauss_panels((0.0, 1.0), 4)\n"
+    )
+    assert composite_rules(src) == [
+        ("hankel_convolution_batch.eval_resolution", 3), ("hankel_convolution_batch.eval_resolution", 4), ("<module>", 5)
+    ]
+
+
+FIXED_RULES = {("gj.py", "_gap_rule"), ("gj.py", "split_zeta_identity"), ("hankel.py", "local_fe_residual")}
+
+
+def test_composite_rule_serves_only_the_fixed_rule_integrals():
+    found = {(p.name, where.split(".")[0]): line for p in SRC for where, line in composite_rules(p.read_text())}
+    others = [f"{name}:{line}: in {where}" for (name, where), line in found.items() if (name, where) not in FIXED_RULES]
+    assert not others, "gauss_panels called outside the fixed-rule integrals:\n" + "\n".join(others)
+    assert set(found) == FIXED_RULES
 
 
 def contour_walk_calls(source: str) -> list[tuple[str, int]]:

@@ -98,7 +98,7 @@ def _same_tree(seen, ref_seen):
 
 
 def _old_te_rule(te, deg):
-    # the t-panels hankel_convolution_batch built by hand
+    # the composite rule on fixed panels, built by hand
     gx, gw = gauss_nodes(deg)
     tc, th = 0.5 * (te[:-1] + te[1:]), 0.5 * np.diff(te)
     return (tc[:, None] + th[:, None] * gx[None, :]).ravel(), (th[:, None] * gw[None, :]).ravel()
@@ -117,7 +117,7 @@ def test_gauss_panels_exact_on_monomials(deg):
         exact = (b ** (k + 1) - a ** (k + 1)) / (k + 1)
         assert np.sum(w * x**k) == pytest.approx(exact, rel=1e-13, abs=1e-15)
 
-
+    # panels of equal phase on [a^(1/n), b^(1/n)], n = 2
 def test_gauss_panels_reproduces_the_hand_built_rules():
     # hankel_convolution_batch's t-panels: equal phase on [a^(1/n), b^(1/n)], n = 2
     for npan in (5, 17, 40):
@@ -534,6 +534,55 @@ def test_signed_mellin_bisects_as_the_recursive_rule(monkeypatch):
     for z in (0.0, 0.4 - 1.3j, 2.0 + 30.0j):
         hankel.signed_mellin(hankel.make_bump(1.0, 2.0), 0, z)
     assert len(made) == 3
+    _check_against_depth_first(made)
+
+
+def test_a_convolution_batch_is_one_bisection_per_group_and_sign(monkeypatch):
+    # one Bisection per (magnitude group, sign of x), started on the kernel's lattice panels
+    # [j·h, (j+1)·h] under those points' supports, each with an equal share of the t-tolerance
+    # and depth 12; w is read inside those integrands only, apart from the |w|-mass's 479 points
+    bump, inside, calls = hankel.make_bump(1.0, 40.0), [], []
+
+    def profile(x):
+        calls.append((bool(inside), np.shape(x)))
+        return bump.pos(x)
+
+    w = hankel.TestFunction(1.0, 40.0, profile, lambda x: 0.5 * profile(x))
+    xs = np.array([0.3, -0.5, 0.9, -1.1, 4.0, -6.0, 12.0, -13.0, 15.0])  # groups |x| ≤ 1.1 and 4 ≤ |x| ≤ 15
+    tol, cache = 1e-8, hankel.KernelCache()
+    hankel.hankel_convolution_batch(DS11, w, xs, tol, cache)  # fills the cache: the next batch builds no model
+    cache.panel_counts()
+    made, Recorded = _recorded_bisections(monkeypatch), quadrature.Bisection
+
+    class Flagged(Recorded):
+        def __init__(self, f):
+            def flagged(cs, hs, W):
+                inside.append(True)
+                try:
+                    return f(cs, hs, W)
+                finally:
+                    inside.pop()
+
+            super().__init__(flagged)
+
+    monkeypatch.setattr(quadrature, "Bisection", Flagged)
+    calls.clear()
+    vals, errs = hankel.hankel_convolution_batch(DS11, w, xs, tol, cache)
+    assert cache.panel_counts()["built"] == 0
+    quad_tol = 0.5 * tol / math.sqrt(15.0)
+    h = hankel._PANEL_WIDTH / 2
+    rows = [[0, 2], [1, 3], [4, 6, 8], [5, 7]]  # (group, sign) in order, each ascending in |x|
+    assert len(made) == len(rows)
+    for (_, ((panels, out, _),), _), r in zip(made, rows):
+        ax = np.abs(xs[r])
+        j = range(int(math.sqrt(ax[0]) // h), math.ceil(math.sqrt(40.0 * ax[-1]) / h))
+        assert [(a, b, depth) for a, b, _, depth in panels] == [(k * h, (k + 1) * h, 12) for k in j]
+        assert {t for _, _, t, _ in panels} == {quad_tol / len(j)}
+        total, err = sum(v for v, _ in out), sum(e for _, e in out)
+        assert np.allclose(vals[r], total * np.sqrt(ax), rtol=1e-14, atol=0.0)
+        assert np.all(errs[r] > err * np.sqrt(ax))
+    assert any(flag for flag, _ in calls)
+    assert {shape for flag, shape in calls if not flag} == {(479,)}
     _check_against_depth_first(made)
 
 

@@ -539,13 +539,13 @@ def _t_integrand(terms, w: TestFunction, ax: np.ndarray, n: int):
     meets a panel when its support u^n ∈ (|x|·a, |x|·b) does; the others' columns stay 0.
     """
     upow, xfac = 0.5 * (n - 1) * (2 - n), ax ** (0.5 * (n - 3))
-    recips = [s_t / ax for s_t, _ in terms]  # w is read at u^n·(s_t/|x|)
+    reads = [(s_t / ax, model) for s_t, model in terms]  # w is read at u^n·(s_t/|x|)
 
     def f(cs, hs, W):
         u = panel_nodes(cs[:, None], hs[:, None])
         un = u**n
         kernels = []
-        for (_, model), recip in zip(terms, recips):
+        for recip, model in reads:
             wk = W * (model.at(u) * n * u**upow)[:, None, :]
             kernels.append((recip, np.concatenate([wk.real, wk.imag], axis=1)))
         first = np.searchsorted(ax, (cs - hs) ** n / w.b, side="right")  # the first row meeting each panel

@@ -111,7 +111,9 @@ def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs
     t_flip = 2 * math.pi * math.exp(integrand.lx_max / params.rank)
     # on the tail grid, so the vertical panels' edges are exact and their h repeat
     h_bend = tail_grid_ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0))
-    values, achieved, _ = contour_integral(integrand, contour.polyline(h_bend), integrand.omega, BENT_RAYS, tol)
+    values, achieved, _ = contour_integral(
+        integrand, len(xeffs), contour.polyline(h_bend), integrand.omega, BENT_RAYS, tol
+    )
     return values, np.full(len(xeffs), achieved)
 
 

@@ -12,7 +12,8 @@ the spec over π~'s table at 1 − s, the caller naming that table.  The
 pointwise value (:func:`h_kernel`) reads one C_g; every pairing integral reads
 them gap by gap through :func:`_pair`, the kernel being a
 constant times a power of |x| on each unit gap (g, g + 1), so a short
-Gauss–Legendre rule per gap integrates it against a smooth test factor.
+Gauss–Legendre rule per gap, :func:`_gap_rule`, integrates it against a
+smooth test factor.
 
 Two global statements are made checkable this way.  The split identity writes
 the full zeta integral of a test function as ⟨w, H_s⟩ + ⟨w̃, K_{1−s}⟩ and
@@ -115,9 +116,11 @@ def _pair(spec: KernelSpec, x, wts, gap, values) -> complex:
     return complex(np.sum(wts * values * c[gap] * x**spec.power))
 
 
-def _gap_rule(gaps, count):
-    """count(g) Gauss–Legendre nodes on each unit gap (g, g + 1).  → (x, wts, gap)"""
-    rules = [gauss_panels((g, g + 1), count(g)) for g in gaps]
+def _gap_rule(edges, count):
+    """count(g) Gauss–Legendre nodes on each panel edges[i] → edges[i + 1], each inside the unit
+    gap (g, g + 1) of its left edge, g = ⌊edges[i]⌋.  → (x, wts, gap)"""
+    gaps = [math.floor(e) for e in edges[:-1]]
+    rules = [gauss_panels(edges[i : i + 2], count(g)) for i, g in enumerate(gaps)]
     x = np.concatenate([r[0] for r in rules])
     return x, np.concatenate([r[1] for r in rules]), np.repeat(gaps, [len(r[0]) for r in rules])
 
@@ -187,7 +190,7 @@ def _tate_pairing(s: complex, phi: SchwartzGaussian) -> complex:
     k = KernelSpec(h.coeffs, 1.0 - s, "tate")
     phih = phi.fourier()
     height = abs(s.imag)
-    x, wts, gap = _gap_rule(range(1, gmax), lambda g: min(48, 12 + 3 * int(height * math.log1p(1.0 / g))))
+    x, wts, gap = _gap_rule(range(1, gmax + 1), lambda g: min(48, 12 + 3 * int(height * math.log1p(1.0 / g))))
     total = h.residue * phih.integral() + k.residue * phi.integral()
     total += 2.0 * _pair(h, x, wts, gap, phih(x))
     total += 2.0 * _pair(k, x, wts, gap, phi(x))
@@ -218,7 +221,7 @@ class DualGrid(DualWalk):
             lo, hi = 2**j, 2 ** (j + 1)
             # the dual phase swings by 2π·sqrt(b/g) across gap g
             xs, wts, gaps = _gap_rule(
-                range(lo, hi), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(w.b / g)))
+                range(lo, hi + 1), lambda g: min(48, 10 + 3 * int(2.0 * math.pi * math.sqrt(w.b / g)))
             )
             return xs, {"lo": lo, "hi": hi, "wts": wts / xs, "gaps": gaps}
 
@@ -257,8 +260,7 @@ def split_zeta_identity(
 
     # direct side: ⟨w, H_s⟩ over the gaps clipped to the support, d×x = dx/x
     edges = np.concatenate([[w.a], np.arange(math.floor(w.a) + 1, math.ceil(w.b)), [w.b]])
-    x, wts = gauss_panels(edges, 24)
-    gap = np.repeat(np.floor(edges[:-1]).astype(int), 24)
+    x, wts, gap = _gap_rule(edges, lambda g: 24)
     i1 = _pair(h, x, wts / x, gap, w(x))
 
     # dual side: octaves of ⟨w̃, K_{1−s}⟩ until two in a row are negligible; octave j needs

@@ -90,7 +90,6 @@ from .contours import build_contour, pole_starts
 from .quadrature import (
     VERTICAL_LADDER,
     ToleranceNotMet,
-    adaptive_segment,
     contour_integral,
     gauss_nodes,
     gauss_panels,
@@ -192,14 +191,13 @@ def signed_mellin(f: TestFunction, delta: int, z: complex, tol: float = 1e-12) -
         vals = _component_vals(f, delta, x) * np.exp((z - 1.0) * np.log(x))
         return (W @ vals[:, :, None])[:, :, 0]  # W @ each panel's values, as a lone panel's sum
 
-    val, err = adaptive_segment(integrand, complex(f.a), complex(f.b), tol)
+    ((val, err),) = quadrature.Bisection(integrand, 1)([(complex(f.a), complex(f.b), tol, 14)])
     if err > tol:
         raise ToleranceNotMet(tol, err, "signed Mellin transform")
     return complex(val)
 
 
 _MDEG = 20
-_GRID_MEMOS = 2  # grids whose phase-table memos are kept at once
 
 
 def _mellin_base(tol: float) -> int:
@@ -226,18 +224,17 @@ class _MellinGrids:
     v = log x on [log a, log b]: nodes v = cᵢ + ηⱼ, cᵢ the panel centres and
     ηⱼ = half·xⱼ the offsets, weighted by fw = half·wtⱼ·f_δ(e^v).  p only
     takes rungs of the ladder {2^k, 1.5·2^k}, so a batch builds a few grids
-    and keeps them all.  The ``_GRID_MEMOS`` grids last asked for also keep
-    the memos of their tables exp(−h·ξ ⊗ (c | η)) from
-    ``quadrature.phase_tables``, so panels of a repeated half-width h on one
-    rung reuse them.  A walk changes rung rarely, but a bisection level can
-    step back to the rung of the level before, which the second memo serves.
+    and keeps them all.  The grid asked for last also keeps the memo of its
+    tables exp(−h·ξ ⊗ (c | η)) from ``quadrature.phase_tables``, so panels of
+    a repeated half-width h on one rung reuse them; asking for another grid
+    lets that memo go, and a grid asked for again starts a new one.
     """
 
     def __init__(self, w: TestFunction, base: int):
         self.w, self.base = w, base
         self.va, self.vb = math.log(w.a), math.log(w.b)
         self._grids: dict = {}  # (δ, p) → (fw, centres, offsets)
-        self._memos: dict = {}  # (δ, p) → table memo, for the grids last asked for, the latest last
+        self._memo = None  # ((δ, p), table memo) of the grid asked for last
         self._dropped: list = []  # cache_info() of each table memo let go
 
     def grid(self, delta: int, p: int):
@@ -250,18 +247,16 @@ class _MellinGrids:
             fw = half * gwts * _component_vals(self.w, delta, np.exp(centres[:, None] + offsets[None, :]))
             self._grids[(delta, p)] = (fw, centres, offsets)
         fw, centres, offsets = self._grids[(delta, p)]
-        tables = self._memos.pop((delta, p), None)
-        if tables is None:
-            if len(self._memos) == _GRID_MEMOS:
-                self._dropped.append(self._memos.pop(next(iter(self._memos))).cache_info())
+        if self._memo is None or self._memo[0] != (delta, p):
+            if self._memo is not None:
+                self._dropped.append(self._memo[1].cache_info())
             # looked up on quadrature, so a wrapper of bessel.phase_tables counts the x-phase alone
-            tables = quadrature.phase_tables(np.concatenate([centres, offsets]))
-        self._memos[(delta, p)] = tables
-        return fw, centres, offsets, tables
+            self._memo = ((delta, p), quadrature.phase_tables(np.concatenate([centres, offsets])))
+        return fw, centres, offsets, self._memo[1]
 
     def counts(self) -> dict:
         """Grids built, and phase tables built and reused."""
-        memos = self._dropped + [m.cache_info() for m in self._memos.values()]
+        memos = self._dropped + ([self._memo[1].cache_info()] if self._memo is not None else [])
         return {
             "grids_built": len(self._grids),
             "tables_built": sum(m.misses for m in memos),
@@ -318,7 +313,7 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
         rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
     )
     pts = contour.polyline(tail_grid_ceil(contour.detour_height + 2.0))  # up to h0
-    values, achieved, tail_panels = contour_integral(integrand, pts, integrand.omega, VERTICAL_LADDER, tol)
+    values, achieved, tail_panels = contour_integral(integrand, len(lx), pts, integrand.omega, VERTICAL_LADDER, tol)
     memo = integrand.phase.cache_info()
     counts.update(tail_panels=tail_panels, memo_built=memo.misses, memo_reused=memo.hits)
     return values, achieved
@@ -524,7 +519,7 @@ def hankel_convolution_batch(
             j_hi = max(j_lo + 1, math.ceil((ax[rows[-1]] * w.b) ** (1.0 / n) / h))
             panels = [(j * h, (j + 1) * h, quad_tol / (j_hi - j_lo), 12) for j in range(j_lo, j_hi)]
             total, err = 0.0, 0.0
-            for val, e in quadrature.Bisection(_t_integrand(terms, w, ax[rows], n))(panels):
+            for val, e in quadrature.Bisection(_t_integrand(terms, w, ax[rows], n), len(rows))(panels):
                 total, err = total + val, err + e
             if err > quad_tol:
                 raise ToleranceNotMet(tol, err * denom, "t-quadrature not converged")

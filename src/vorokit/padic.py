@@ -43,6 +43,8 @@ __all__ = [
     "WhittakerValue",
     "whittaker_general",
     "ramified_transform_gl2",
+    "twist_depth",
+    "vanishing_shells",
     "kloosterman_gl3",
 ]
 
@@ -623,7 +625,27 @@ def ramified_transform_gl2(sp: SatakeParams, zeta_p, x) -> WhittakerValue:
     return whittaker_general(sp, mat)
 
 
-# ---- rank-3 Kloosterman-type shell sum -------------------------------------
+# ---- valuation shells, and the rank-3 Kloosterman-type shell sum -----------
+
+
+def twist_depth(zeta, p: int) -> int:
+    """2r + 3, r = −v_p(ζ): how deep a shell walk for the twist ζ looks for the end of its support."""
+    return 2 * -int(v_p(zeta, p)) + 3
+
+
+def vanishing_shells(shell, start: int, depth: int):
+    """(j, shell(j)) for the valuation shells j = start, start − 1, …, ``shell(j)`` listing shell j's
+    nonzero terms, up to the second of two empty shells in a row: the end of the support, an exact
+    statement and not a numerical cutoff.  Raises DepthExceeded if that has not come by j = −depth.
+    """
+    empty = 0
+    for j in range(start, -depth - 1, -1):
+        terms = shell(j)
+        yield j, terms
+        empty = 0 if terms else empty + 1
+        if empty == 2:
+            return
+    raise DepthExceeded(f"no vanishing detected within {depth} shells")
 
 
 def kloosterman_gl3(
@@ -637,10 +659,10 @@ def kloosterman_gl3(
     τ = [[0, −α/ζ, 0], [1, 0, 0], [0, 0, −ζ]].  The y-line splits into ℤ_p
     (volume 1, ψ̄ trivial — the base term) and shells p^j ℤ_p^× for j ≤ −1,
     each a finite union of classes p^j v₀ + ℤ_p of volume 1 on which both the
-    phase and the Whittaker value are constant.  Enumeration stops once two
-    consecutive shells contribute exactly zero — an exact support statement,
-    not a numerical cutoff — and raises DepthExceeded if that never happens
-    within `shell_depth` (default 2·|v_p(ζ)| + 3) shells.  Returns the
+    phase and the Whittaker value are constant.  The shells j ≤ −1 are walked
+    by :func:`vanishing_shells`: enumeration stops once two consecutive shells
+    contribute exactly zero, and raises DepthExceeded if that never happens
+    within `shell_depth` (default :func:`twist_depth`) shells.  Returns the
     value with its prefactor |ζ|_p, the shell where vanishing was detected,
     the depth allowed and each shell's exact terms.
     """
@@ -656,16 +678,14 @@ def kloosterman_gl3(
         raise ValueError("|ζ|_p must exceed 1")
     r = int(r)
     if shell_depth is None:
-        shell_depth = 2 * (-r) + 3
+        shell_depth = twist_depth(zeta, p)
     spd = contragredient_satake(sp)
     tau = PAdicMat(p, ((0, -alpha / zeta, 0), (1, 0, 0), (0, 0, -zeta)))
     shells: dict[int, list[WhittakerValue]] = {}
     base = whittaker_general(spd, tau)
     shells[0] = [] if base.is_zero else [base]
-    consecutive_zero = 0
-    vanished_at = None
-    j = -1
-    while j >= -shell_depth:
+
+    def shell_terms(j):
         mod = p ** (-j)
         terms = []
         for v0 in range(1, mod):
@@ -675,17 +695,11 @@ def kloosterman_gl3(
             wv = whittaker_general(spd, tau @ PAdicMat.elementary(p, 3, 0, 1, y))
             if not wv.is_zero:
                 terms.append(wv.rotated(padic_fractional_part(y, p)))
+        return terms
+
+    for j, terms in vanishing_shells(shell_terms, -1, shell_depth):
         shells[j] = terms
-        if terms:
-            consecutive_zero = 0
-        else:
-            consecutive_zero += 1
-            if consecutive_zero == 2:
-                vanished_at = j + 1
-                break
-        j -= 1
-    else:
-        raise DepthExceeded(f"no vanishing detected within {shell_depth} shells")
+    vanished_at = j + 1  # the first of the two empty shells
     prefactor = p ** (-r)
     acc = 0j
     for jj in sorted(shells):

@@ -4,9 +4,8 @@ Everything here integrates vectorised complex-valued functions along
 straight segments in the complex plane, a batch of B integrands at a time.
 Error control is absolute; for a batch it is the max-norm across the batch.
 
-:class:`Bisection` is the one adaptive panel integrator, and
-:func:`adaptive_segment` its one-panel case.  A panel's rule is the
-Gauss–Kronrod pair G10/K21 (QUADPACK's qk21, Piessens et al. 1983): the
+:class:`Bisection` is the one adaptive panel integrator.  A panel's rule is
+the Gauss–Kronrod pair G10/K21 (QUADPACK's qk21, Piessens et al. 1983): the
 21-point Kronrod rule K and the 10-point Gauss rule G embedded in it share
 its 21 nodes.  The integrand is handed panels and the weights, not nodes:
 f(cs, hs, W) gets the centres and complex half-widths of P panels and W, the
@@ -14,13 +13,14 @@ K21 and G10 weight rows stacked (2 × 21).  For each panel it returns
 W @ values, the values at the nodes c + h·ξ_l (ξ_l the ascending K21
 abscissae on [−1, 1]) being ndarray[21] or ndarray[21, B]; so it returns
 ndarray[P, 2] or ndarray[P, 2, B], the K and G sums before the factor h.
-The integrator is breadth-first: it evaluates a whole level of panels in one
-call, accepts each panel whose raw difference |K − G| is within its
-tolerance and bisects the rest into the next level, so per-call work that
-does not depend on the batch is paid once a level, not once a panel.  The
-value kept is K.  |K − G| estimates the error of G, the lower-order rule, so
-where f is smooth on the panel it overstates the error of the K that is
-returned.  Across a kink both rules err alike and |K − G| bounds neither.
+The integrator is built with that width B (1 for the first shape) and is
+breadth-first: it evaluates a whole level of panels in one call, accepts
+each panel whose raw difference |K − G| is within its tolerance and bisects
+the rest into the next level, so per-call work that does not depend on the
+batch is paid once a level, not once a panel.  The value kept is K.  |K − G|
+estimates the error of G, the lower-order rule, so where f is smooth on the
+panel it overstates the error of the K that is returned.  Across a kink both
+rules err alike and |K − G| bounds neither.
 An integrand that needs only the nodes forms them with :func:`panel_nodes`.
 One whose x-power x^{−s} splits as e^{−c·log x}·e^{−h·ξ_l·log x} takes the
 second factor E_h from :func:`phase_tables`, one table per repeated
@@ -34,14 +34,15 @@ batch and the Mellin route both do so through one class,
 
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` are
 one walk, :func:`contour_integral`, with one :class:`Bisection` of its
-integrand.  :func:`polyline_walk` lays the polyline's panels out first,
-since their edges depend on the phase rate alone, and hands them over as one
-starting level.  Then come the upper tail from the last vertex along a
-:class:`TailRule`'s direction and the lower from the first along the
-conjugate, each panel to tol_raw/200, tol_raw = 2π·tol.  A tail's steps
-depend on the phase rate alone too, so it lays out and evaluates up to
-``_TAIL_BLOCK`` panels of one step at a time and sums them in order up to its
-stop; a panel laid out past the stop is neither summed nor counted.  A tail
+integrand, built at the batch's width.  :func:`polyline_walk` lays the
+polyline's panels out first, since their edges depend on the phase rate
+alone, and hands them over as one starting level.  Then come the upper tail
+from the last vertex along a :class:`TailRule`'s direction and the lower
+from the first along the conjugate, each panel to tol_raw/200,
+tol_raw = 2π·tol.  A tail's steps depend on the phase rate alone too, so it
+lays out and evaluates up to ``_TAIL_BLOCK`` panels of one step at a time
+and sums them in order up to its stop; a panel laid out past the stop is
+neither summed nor counted.  A tail
 stops after ``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it
 is ``min_length`` long, adds ``factor`` × their largest |value| to the error
 bound (a heuristic, not a computed bound) and gives up past ``max_length``.
@@ -55,7 +56,8 @@ lines) runs along ±i, each step the largest rung of {2^k, 1.5·2^k} within
 its half-widths repeat for the :func:`phase_tables` memo: run 3, cut 20,
 factor 5, at least 10 and up to 6000 long.
 The convolution route's t-integral is a :class:`Bisection` too, started on
-the kernel model's lattice panels.  Fixed-resolution integrals over a real
+the kernel model's lattice panels, and so is a signed Mellin transform, on
+the one panel of its support.  Fixed-resolution integrals over a real
 partition (the v-grid of the local functional equation and the gap-wise GJ
 pairings) take their nodes and weights from :func:`gauss_panels`.
 """
@@ -76,7 +78,6 @@ __all__ = [
     "panel_nodes",
     "phase_tables",
     "Bisection",
-    "adaptive_segment",
     "phase_step",
     "polyline_walk",
     "tail_grid_ceil",
@@ -182,7 +183,7 @@ _CALL_ENTRIES = 1 << 14  # entries one integrand call may return, panels × 2 ×
 
 
 class Bisection:
-    """Breadth-first G10/K21 bisection of starting panels, for one panel integrand f(cs, hs, W).
+    """Breadth-first G10/K21 bisection of starting panels, for one panel integrand f(cs, hs, W) at ``width`` points.
 
     Called with starting panels (a, b, tol, depth), it evaluates each level of
     their bisection in one call of f.  A panel is accepted when |K − G| ≤ its
@@ -193,22 +194,20 @@ class Bisection:
     that rule adds them.
 
     The starting panels go in runs, each bisected to the end before the next,
-    so only one run's values are held at a time.  A run, and a call, takes as
-    many panels as return ``_CALL_ENTRIES`` entries at the width of f's last
-    output: a call on the first panel alone shows that width, and a batch of
-    up to ``_CALL_ENTRIES``/2P points gets its P panels a level in one call.
+    so only one run's values are held at a time.  A run, and a call, takes
+    ``span`` panels, as many as return ``_CALL_ENTRIES`` entries at f's width
+    (panels × 2 × width): a batch of up to ``_CALL_ENTRIES``/2P points gets its
+    P panels a level in one call.  ``span`` is fixed when the integrator is
+    built, and no call changes it.
     """
 
-    def __init__(self, f):
-        self.f, self.span = f, 1
+    def __init__(self, f, width: int):
+        self.f, self.span = f, max(1, _CALL_ENTRIES // (2 * width))
 
     def __call__(self, panels):
         """Yield (value, error) of each starting panel in order, a run at a time."""
-        done = 0
-        while done < len(panels):
-            run = panels[done : done + self.span]
-            done += len(run)
-            yield from self._run(run)
+        for i in range(0, len(panels), self.span):
+            yield from self._run(panels[i : i + self.span])
 
     def _run(self, level) -> list:
         levels = []  # per level: its values, errors and accepted flags
@@ -237,28 +236,12 @@ class Bisection:
             cs = np.array([0.5 * (a + b) for a, b, _, _ in chunk])
             hs = np.array([0.5 * (b - a) for a, b, _, _ in chunk])
             out = self.f(cs, hs, _GK_W)
-            self.span = max(1, _CALL_ENTRIES // out[0].size)
             rows = hs.reshape((-1,) + (1,) * (out.ndim - 2))
             kronrod, gauss = rows * out[:, 0], rows * out[:, 1]
             vals += list(kronrod)
             errs += np.abs(kronrod - gauss).reshape(len(chunk), -1).max(axis=1).tolist()
         keep = np.array([err <= tol or depth <= 0 for err, (_, _, tol, depth) in zip(errs, level)])
         return vals, errs, keep
-
-
-def adaptive_segment(f, a: complex, b: complex, tol: float):
-    """Adaptive G10/K21 quadrature on a→b.  Returns (integral, error_estimate).
-
-    f is a panel integrand f(cs, hs, W), as :class:`Bisection` takes it.  The
-    panel a→b is accepted when |K − G| ≤ tol (max over the batch) and bisected
-    otherwise, each half to 0.6·tol, down to panels of length |b − a|/2^14; a
-    panel that short is accepted whatever its estimate.  The integral is the
-    sum of K over the accepted panels and the error estimate the sum of their
-    |K − G|: G's error, which for f smooth on the panels overstates that of the
-    returned value.
-    """
-    (out,) = Bisection(f)([(a, b, tol, 14)])
-    return out
 
 
 def phase_step(omega: float) -> float:
@@ -358,16 +341,17 @@ def _tail(bisect: Bisection, rule: TailRule, anchor: complex, direction: complex
             yield length, val, err
 
 
-def contour_integral(f, pts, omega, rule: TailRule, tol: float):
+def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float):
     """(1/2πi) ∫ f along the polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
 
-    f is a panel integrand f(cs, hs, W) and omega the phase rate :func:`polyline_walk` takes.
+    f is a panel integrand f(cs, hs, W) over a batch of ``width`` points, bisected by one
+    :class:`Bisection`, and omega the phase rate :func:`polyline_walk` takes.
     ``achieved`` is the panels' summed |K − G| and the tails' bounds over 2π; tail panels are
     the ones summed, counted before bisection.  Raises ToleranceNotMet for a tail that never
     stops or an ``achieved`` above ``tol``.
     """
     tol_raw = tol * 2 * math.pi
-    bisect = Bisection(f)
+    bisect = Bisection(f, width)
     total, err_total = polyline_walk(bisect, pts, omega, tol_raw / 200.0)
     tail_bound, panels = 0.0, 0
     tails = (("upper", pts[-1], rule.direction, 1.0), ("lower", pts[0], rule.direction.conjugate(), -1.0))

@@ -25,7 +25,7 @@ import numpy as np
 
 from .archimedean import DS2Block, RealPlaceParams
 from .hankel import KernelCache, TestFunction, hankel_convolution_batch
-from .padic import QSqrt, ramified_transform_gl2, satake_from_eigenvalue, v_p
+from .padic import QSqrt, ramified_transform_gl2, satake_from_eigenvalue, twist_depth, v_p, vanishing_shells
 from .quadrature import ToleranceNotMet
 
 __all__ = [
@@ -330,19 +330,16 @@ def _shell(memo: dict, sp, zeta: Fraction, v: int):
 def _detect_min_valuation(sp, zeta: Fraction, memo: dict):
     """Deepest surviving α-shell of the local twisted factor, found exactly.
 
-    Descends v = 0, −1, …, −(2r + 3) through `_shell`; stops after two
-    consecutive shells vanish identically on every class.  Returns None if
-    nothing survives at all.
+    Descends v = 0, −1, … through `_shell` by ``padic.vanishing_shells``,
+    which stops after two consecutive shells vanish identically on every class
+    and raises DepthExceeded if that has not happened by v = −``twist_depth``.
+    Returns None if nothing survives at all.
     """
-    r = -int(v_p(zeta, sp.q))
-    minv, empty = None, 0
-    for v in range(0, -(2 * r + 4), -1):
-        if any(wv is not None and not wv.is_zero for wv in _shell(memo, sp, zeta, v)[0]):
-            minv, empty = v, 0
-        else:
-            empty += 1
-            if empty == 2:
-                break
+    survivors = lambda v: [wv for wv in _shell(memo, sp, zeta, v)[0] if wv is not None and not wv.is_zero]
+    minv = None
+    for v, terms in vanishing_shells(survivors, 0, twist_depth(zeta, sp.q)):
+        if terms:
+            minv = v
     return minv
 
 

@@ -24,7 +24,7 @@ from vorokit.hankel import (
     signed_mellin,
 )
 from vorokit.contours import build_contour
-from vorokit.quadrature import ToleranceNotMet, adaptive_segment, gauss_nodes, panel_nodes, phase_step
+from vorokit.quadrature import ToleranceNotMet, gauss_nodes, panel_nodes, phase_step
 
 GL1_TRIVIAL = RealPlaceParams((GL1Block(0, 0.0),))
 DS2_5 = RealPlaceParams((DS2Block(5, 0.0),))
@@ -95,22 +95,29 @@ def test_signed_mellin_linearity():
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-11)
 
 
-def _fourier_oracle(w, x):
-    # n=1 trivial parameters: w̃(x) = ∫ e^{2πi x t} w(t) dt, directly
-    def f(cs, hs, W):
-        t = panel_nodes(cs[:, None], hs[:, None]).real
-        return (np.exp(2j * math.pi * x * t) * w(t)) @ W.T
+def _fourier_oracle(w, delta, x):
+    """n = 1 at sgn^δ: w̃(x) = Σ over both signs of t of ∫ sgn(xt)^δ·e(xt)·w(t) dt, by numpy's
+    Gauss–Legendre rule on the support, sharing no code with either route."""
+    u, wts = np.polynomial.legendre.leggauss(400)
+    t = 0.5 * (w.a + w.b) + 0.5 * (w.b - w.a) * u
+    return sum(
+        0.5 * (w.b - w.a) * np.sum(wts * np.sign(x * s_t) ** delta * np.exp(2j * math.pi * x * s_t * t) * w(s_t * t))
+        for s_t in (1.0, -1.0)
+    )
 
-    val, _ = adaptive_segment(f, complex(w.a), complex(w.b), 1e-12)
-    return val
 
-
-def test_mellin_route_n1_fourier_oracle():
-    w = make_bump(1.0, 2.0)
-    for x in (1.0, 0.45, -2.2):
-        vals, errs = hankel_mellin_batch(GL1_TRIVIAL, w, [x], 1e-9)
-        assert errs[0] <= 1e-9
-        assert vals[0] == pytest.approx(_fourier_oracle(w, x), abs=5e-9)
+@pytest.mark.parametrize("delta", [0, 1])
+@pytest.mark.parametrize("route", [hankel_mellin_batch, hankel_convolution_batch], ids=["mellin", "convolution"])
+def test_n1_routes_match_the_fourier_oracle(route, delta):
+    # w lives on both half-lines, with a different profile on each, so both signs of t and both
+    # sign models of the convolution route enter
+    bump = make_bump(1.0, 2.0)
+    w = hankel.TestFunction(1.0, 2.0, bump.pos, lambda t: 0.7 * make_bump(1.2, 1.8).pos(t))
+    xs = [1.0, 0.45, -2.2]
+    vals, errs = route(RealPlaceParams((GL1Block(delta, 0.0),)), w, xs, 1e-9)
+    assert np.all(errs <= 1e-9)
+    for x, val in zip(xs, vals):
+        assert val == pytest.approx(_fourier_oracle(w, delta, x), abs=1e-9)
 
 
 def test_convolution_route_n1_matches_mellin():

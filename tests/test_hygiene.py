@@ -44,11 +44,13 @@ G10/K21 weight rows ``_GK_WK``, ``_GK_WG`` or their stack ``_GK_W`` (as a
 name, an attribute, an imported name or a string), so every panel integrand
 takes its weights as the W that ``quadrature.Bisection`` hands it.
 
-Contour walk: outside ``quadrature.py`` only ``hankel.signed_mellin``, which
-integrates a finite real segment and not a contour, calls ``adaptive_segment``
-or ``polyline_walk`` (as ``f(...)`` or ``obj.f(...)``), so every contour
-integral, its polyline and both its tails, is one
-``quadrature.contour_integral`` walk and no tail loop lives outside it.
+Contour walk: outside ``quadrature.py`` a ``Bisection`` is built (as
+``Bisection(...)`` or ``obj.Bisection(...)``) only by ``hankel.signed_mellin``,
+which integrates a finite real segment, and by
+``hankel.hankel_convolution_batch``, whose t-integral is one per magnitude
+group and sign of x.  Neither is a contour, so every contour integral, its
+polyline and both its tails, is one ``quadrature.contour_integral`` walk
+and no tail loop lives outside it.
 
 Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
 ``src/vorokit`` sits outside ``hankel._KernelModel.at``, so the kernel
@@ -56,8 +58,8 @@ model is read one way, at the points it is handed, by the t-integral's panel
 integrand and the off-node probe alike.
 
 Composite rule: ``gauss_panels`` is called (as ``f(...)`` or
-``obj.f(...)``) only inside the fixed-rule integrals ``gj._gap_rule``,
-``gj.split_zeta_identity`` and ``hankel.local_fe_residual`` (nested
+``obj.f(...)``) only inside the fixed-rule integrals ``gj._gap_rule`` and
+``hankel.local_fe_residual`` (nested
 functions counting as the function that holds them), so no adaptive
 integral takes its nodes from a composite rule and grows a refinement loop
 of its own beside ``quadrature.Bisection``.
@@ -749,7 +751,7 @@ def test_scanner_flags_composite_rules():
     ]
 
 
-FIXED_RULES = {("gj.py", "_gap_rule"), ("gj.py", "split_zeta_identity"), ("hankel.py", "local_fe_residual")}
+FIXED_RULES = {("gj.py", "_gap_rule"), ("hankel.py", "local_fe_residual")}
 
 
 def test_composite_rule_serves_only_the_fixed_rule_integrals():
@@ -759,40 +761,42 @@ def test_composite_rule_serves_only_the_fixed_rule_integrals():
     assert set(found) == FIXED_RULES
 
 
-def contour_walk_calls(source: str) -> list[tuple[str, int]]:
-    """(enclosing Class.function, line) of each adaptive_segment(...) or polyline_walk(...) call."""
-    return _enclosed_calls(source, ("adaptive_segment", "polyline_walk"))
+def bisections_built(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each Bisection(...) construction."""
+    return _enclosed_calls(source, ("Bisection",))
 
 
 def test_scanner_flags_contour_walks():
-    # the two hand-copied walks as they stood before quadrature.contour_integral took both
+    # the hand-copied walks as they stood before quadrature.contour_integral took both, each
+    # building its own integrator, beside the two real segments that build one
     src = (
         "def _mb_batch(params, twist, contour, xeffs, tol):\n"
-        "    total, err_total = polyline_walk(integrand, pts, integrand.omega, tol_raw / 200.0)\n"
-        "    for anchor, direction, orient in ((pts[-1], _BEND, 1.0), (pts[0], np.conj(_BEND), -1.0)):\n"
-        "        val, err = adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)\n"
+        "    bisect = Bisection(integrand, len(xeffs))\n"
+        "    total, err_total = polyline_walk(bisect, pts, integrand.omega, tol_raw / 200.0)\n"
         "def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):\n"
-        "    total, err_total = quadrature.polyline_walk(integrand, contour.polyline(h0), integrand.omega, tol)\n"
-        "    val, err = quadrature.adaptive_segment(integrand, lo, hi, tol_raw / 200.0, max_depth=11)\n"
+        "    for lo, hi in tail_panels:\n"
+        "        (out,) = quadrature.Bisection(integrand, len(lx))([(lo, hi, tol_raw / 200.0, 12)])\n"
         "def signed_mellin(f, delta, z, tol):\n"
-        "    val, err = adaptive_segment(integrand, complex(f.a), complex(f.b), tol)\n"
+        "    ((val, err),) = quadrature.Bisection(integrand, 1)([(complex(f.a), complex(f.b), tol, 14)])\n"
+        "def hankel_convolution_batch(params, w, xs, tol, cache):\n"
+        "    for gi in groups:\n"
+        "        for val, e in quadrature.Bisection(_t_integrand(terms, w, ax[rows], n), len(rows))(panels):\n"
+        "            total += val\n"
     )
-    assert contour_walk_calls(src) == [
-        ("_mb_batch", 2), ("_mb_batch", 4), ("_dual_vertical", 6), ("_dual_vertical", 7), ("signed_mellin", 9)
+    assert bisections_built(src) == [
+        ("_mb_batch", 2), ("_dual_vertical", 6), ("signed_mellin", 8), ("hankel_convolution_batch", 11)
     ]
+
+
+REAL_SEGMENTS = {("hankel.py", "signed_mellin"), ("hankel.py", "hankel_convolution_batch")}
 
 
 def test_contour_walk_has_one_owner():
-    # a finite real segment is signed_mellin's; every contour walk is quadrature.contour_integral's
-    found = {p.name: contour_walk_calls(p.read_text()) for p in SRC if p.name != "quadrature.py"}
-    assert [where for where, _ in found["hankel.py"]] == ["signed_mellin"]
-    others = [
-        f"{name}:{line}: in {where}"
-        for name, rows in found.items()
-        for where, line in rows
-        if (name, where) != ("hankel.py", "signed_mellin")
-    ]
-    assert not others, "a contour walk outside quadrature.contour_integral:\n" + "\n".join(others)
+    # the real segments build their own Bisection; every contour walk is quadrature.contour_integral's
+    found = {(p.name, where) for p in SRC if p.name != "quadrature.py" for where, _ in bisections_built(p.read_text())}
+    others = sorted(found - REAL_SEGMENTS)
+    assert not others, "a Bisection built outside quadrature.py and the real segments:\n" + "\n".join(map(str, others))
+    assert found == REAL_SEGMENTS
 
 
 def dual_policy_copies(source: str) -> list[tuple[str, str, int]]:

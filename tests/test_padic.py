@@ -23,6 +23,7 @@ from vorokit.padic import (
     ramified_transform_gl2,
     satake_from_eigenvalue,
     v_p,
+    vanishing_shells,
     whittaker_diag,
     whittaker_general,
 )
@@ -400,6 +401,27 @@ def test_ramified_transform_p5_shells():
         ramified_transform_gl2(SP5, zeta, 0)
     with pytest.raises(ValueError):
         ramified_transform_gl2(SatakeParams(5, (F(2), F(3))), zeta, 1)
+
+
+# ---- the shell walk both twisted shell sums share ---------------------------
+
+
+def test_shell_walk_stops_after_two_empty_shells_or_raises():
+    # a stub shell: one term on each live shell, none elsewhere
+    def stub(live):
+        return lambda j: ["term"] if live(j) else []
+
+    walk = lambda live, start, depth: [j for j, _ in vanishing_shells(stub(live), start, depth)]
+    # one empty shell does not stop the walk; the second of two in a row does
+    assert walk(lambda j: j in (0, -1, -3), 0, 10) == [0, -1, -2, -3, -4, -5]
+    # two empty shells in a row that end exactly at the depth still stop it
+    assert walk(lambda j: j > -5, -1, 6) == [-1, -2, -3, -4, -5, -6]
+    # never two in a row: the walk runs to −depth and raises there
+    seen = []
+    with pytest.raises(DepthExceeded, match="within 6 shells"):
+        for j, terms in vanishing_shells(stub(lambda j: j % 2 == 0), 0, 6):
+            seen.append((j, terms))
+    assert seen == [(j, ["term"] if j % 2 == 0 else []) for j in range(0, -7, -1)]
 
 
 # ---- rank-3 Kloosterman shell sum ------------------------------------------

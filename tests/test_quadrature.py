@@ -14,7 +14,6 @@ from vorokit.quadrature import (
     BENT_RAYS,
     VERTICAL_LADDER,
     ToleranceNotMet,
-    adaptive_segment,
     contour_integral,
     gauss_nodes,
     gauss_panels,
@@ -85,9 +84,10 @@ def _weighted(f, seen=None):
     return stacked
 
 
-def _segment(f, a, b, tol, max_depth):
-    """Breadth-first bisection of the one panel a→b down to panels of length (b − a)/2^(max_depth+1)."""
-    (out,) = Bisection(f)([(a, b, tol, max_depth + 1)])
+def _segment(f, width, a, b, tol, max_depth):
+    """Breadth-first bisection of the one panel a→b down to panels of length (b − a)/2^(max_depth+1),
+    f of ``width`` points."""
+    (out,) = Bisection(f, width)([(a, b, tol, max_depth + 1)])
     return out
 
 
@@ -189,12 +189,10 @@ def test_adaptive_segment_1d_unchanged():
 
     for a, b, tol, depth in ((0.1, 5.0, 1e-12, 13), (-2 + 1j, 3 - 0.5j, 1e-9, 11), (0.0, 40.0, 1e-14, 4)):
         seen, ref_seen = [], []
-        got = _segment(_weighted(f, seen), complex(a), complex(b), tol, depth)
+        got = _segment(_weighted(f, seen), 1, complex(a), complex(b), tol, depth)
         ref = _gk_refine(f, complex(a), complex(b), tol, depth, panels=ref_seen)
         assert got[0] == ref[0] and got[1] == ref[1]
         _same_tree(seen, ref_seen)
-    # adaptive_segment is the one-panel case, to depth 13
-    assert adaptive_segment(_weighted(f), 0.1 + 0j, 5.0 + 0j, 1e-12) == _segment(_weighted(f), 0.1 + 0j, 5.0 + 0j, 1e-12, 13)
 
 
 _BATCH_LAM = np.array([0.4, -1.1 + 2.0j, 3.0j, 7.5])
@@ -211,7 +209,7 @@ def _kink(c, h):
 def test_adaptive_segment_batched_matches_module_bisection():
     for a, b in ((0.5 - 3j, 0.5 + 2j), (-1 + 1j, 2.5 + 4j)):
         seen, ref_seen = [], []
-        val, err = _segment(_weighted(_batch_exp, seen), a, b, 1e-11, 11)
+        val, err = _segment(_weighted(_batch_exp, seen), len(_BATCH_LAM), a, b, 1e-11, 11)
         ref_val, ref_err = _gk_refine(_batch_exp, a, b, 1e-11, 11, panels=ref_seen)
         assert np.array_equal(val, ref_val) and err == ref_err
         _same_tree(seen, ref_seen)
@@ -226,12 +224,12 @@ def test_adaptive_segment_kink_exhausts_depth_at_the_finest_panel():
 
     for a, b, depth in ((0.0, 1.0, 6), (-1.7, 2.2, 9)):
         lengths.clear()
-        val, err = _segment(f, complex(a), complex(b), 1e-15, depth)
+        val, err = _segment(f, 1, complex(a), complex(b), 1e-15, depth)
         assert err > 1e-15  # the kink is never resolved: the depth ran out
         assert min(lengths) == pytest.approx((b - a) / 2 ** (depth + 1), rel=1e-12)
         assert val.real == pytest.approx(0.5 * ((b - 0.3) ** 2 + (0.3 - a) ** 2), abs=1e-7)
         seen, ref_seen = [], []
-        _segment(_weighted(_kink, seen), complex(a), complex(b), 1e-15, depth)
+        _segment(_weighted(_kink, seen), 1, complex(a), complex(b), 1e-15, depth)
         _gk_refine(_kink, complex(a), complex(b), 1e-15, depth, panels=ref_seen)
         _same_tree(seen, ref_seen)
 
@@ -244,7 +242,7 @@ def test_breadth_first_levels_one_call_each():
         calls.append(len(cs))
         return _weighted(_batch_exp)(cs, hs, W)
 
-    _segment(f, 0.5 - 3j, 0.5 + 2j, 1e-11, 11)
+    _segment(f, len(_BATCH_LAM), 0.5 - 3j, 0.5 + 2j, 1e-11, 11)
     ref_seen = []
     _gk_refine(_batch_exp, 0.5 - 3j, 0.5 + 2j, 1e-11, 11, panels=ref_seen)
     widths = sorted({abs(h) for _, h in ref_seen}, reverse=True)
@@ -253,7 +251,7 @@ def test_breadth_first_levels_one_call_each():
 
 
 def test_a_call_returns_at_most_its_entry_budget():
-    # 1200 points: after a first call on one panel, the budget sets the panels a call
+    # 1200 points: the budget at that width sets the panels a call, from the first call on
     lam = np.linspace(-2.0, 2.0, 1200) * 1j
     calls = []
 
@@ -262,9 +260,9 @@ def test_a_call_returns_at_most_its_entry_budget():
         return np.stack([W @ np.exp(np.outer(panel_nodes(c, h), lam)) for c, h in zip(cs, hs)])
 
     panels = [(complex(k), complex(k + 1), 1e-3, 12) for k in range(40)]
-    out = list(Bisection(f)(panels))
+    out = list(Bisection(f, len(lam))(panels))
     span = quadrature._CALL_ENTRIES // (2 * len(lam))
-    assert span > 1 and calls == [1] + [span] * (39 // span) + [39 % span] * (39 % span > 0)  # none is halved
+    assert span > 1 and calls == [span] * (40 // span) + [40 % span] * (40 % span > 0)  # none is halved
     exact = (np.exp(lam * 40.0) - 1.0) / lam
     assert len(out) == 40 and np.max(np.abs(sum(v for v, _ in out) - exact)) <= 1e-9
 
@@ -284,7 +282,7 @@ def test_a_call_returns_at_most_its_entry_budget():
 def test_stacked_weight_rows_match_the_separate_rows(f, a, b, tol, depth, same_panels):
     # the integrator's one (2 × 21) contraction against the two row products it replaced
     panels, ref_panels = [], []
-    val, err = _segment(_weighted(f, panels), a, b, tol, depth)
+    val, err = _segment(_weighted(f, panels), 1 if f is _kink else len(_BATCH_LAM), a, b, tol, depth)
     ref_val, ref_err = _gk_refine(f, a, b, tol, depth, contract=_separate, panels=ref_panels)
     assert sorted(panels, key=str) == sorted(ref_panels, key=str) or not same_panels
     assert np.all(np.abs(val - ref_val) <= 1e-14 * np.abs(ref_val))
@@ -307,7 +305,7 @@ def _exp_batch(cs, hs, W):
 def test_polyline_walk_exponential_closed_form(omega):
     lam, pts = _EXP_LAM, _EXP_PTS
     tol = 1e-9
-    val, err = polyline_walk(Bisection(_exp_batch), pts, omega, tol)
+    val, err = polyline_walk(Bisection(_exp_batch, len(_EXP_LAM)), pts, omega, tol)
     exact = (np.exp(lam * pts[-1]) - np.exp(lam * pts[0])) / lam
     assert val.shape == lam.shape
     assert np.max(np.abs(val - exact)) <= tol
@@ -323,11 +321,11 @@ def test_polyline_walk_panels_follow_phase_step():
         return (s * s) @ W.T  # integrated exactly by every panel: no bisection
 
     # step 14/7 = 2 on a length-10 segment: five panels, one rule call for all of them
-    polyline_walk(Bisection(f), [0j, 10j], lambda t: 7.0, 1e-6)
+    polyline_walk(Bisection(f, 1), [0j, 10j], lambda t: 7.0, 1e-6)
     assert len(calls) == 5
     calls.clear()
     # step clamped to 3: panels 3, 3, 3, 1
-    polyline_walk(Bisection(f), [0j, 10j], lambda t: 1.0, 1e-6)
+    polyline_walk(Bisection(f, 1), [0j, 10j], lambda t: 1.0, 1e-6)
     assert len(calls) == 4
     assert phase_step(1e9) == 0.1 and phase_step(1e-9) == 3.0
 
@@ -335,7 +333,7 @@ def test_polyline_walk_panels_follow_phase_step():
 @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
 @pytest.mark.parametrize("omega", [lambda t: 1.0 + abs(t), lambda t: 0.5, lambda t: 200.0])
 def test_polyline_walk_error_estimate_bounds_the_error(omega, tol):
-    val, err = polyline_walk(Bisection(_exp_batch), _EXP_PTS, omega, tol)
+    val, err = polyline_walk(Bisection(_exp_batch, len(_EXP_LAM)), _EXP_PTS, omega, tol)
     # the closed form to 30 digits: in doubles it is itself ~2e-13 off here
     with mpmath.workdps(30):
         a, b = mpmath.mpc(_EXP_PTS[0]), mpmath.mpc(_EXP_PTS[-1])
@@ -406,7 +404,7 @@ def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, si
 
     summed, laid_out = _recorded_panels(monkeypatch)
     with pytest.raises(ToleranceNotMet, match=f"{side} {rule.name} tail not converged"):
-        contour_integral(f, _WALK_PTS, lambda t: 7.0, rule, 1e-6)
+        contour_integral(f, 1, _WALK_PTS, lambda t: 7.0, rule, 1e-6)
     a, b, _, _ = summed()[-1]
     anchor = _WALK_PTS[-1] if side == "upper" else _WALK_PTS[0]
     assert abs(a - anchor) <= rule.max_length < abs(b - anchor)
@@ -424,7 +422,7 @@ def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, si
 )
 def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bump, tol, floor_binds):
     summed, laid_out = _recorded_panels(monkeypatch)
-    values, achieved, tail_panels = contour_integral(_secant(kappa, bump), _WALK_PTS, lambda t: 7.0, rule, tol)
+    values, achieved, tail_panels = contour_integral(_secant(kappa, bump), 1, _WALK_PTS, lambda t: 7.0, rule, tol)
     panels = summed()
     walked = len(panels) - tail_panels
     upper = next(i for i, (a, *_) in enumerate(panels) if a == _WALK_PTS[-1])
@@ -468,7 +466,7 @@ def _recorded_bisections(monkeypatch):
     made, Bisection_ = [], quadrature.Bisection
 
     class Recorded(Bisection_):
-        def __init__(self, f):
+        def __init__(self, f, width):
             record = [f, [], 0]
             made.append(record)
 
@@ -477,7 +475,7 @@ def _recorded_bisections(monkeypatch):
                 record[1][-1][2].extend(zip(cs.tolist(), hs.tolist()))
                 return f(cs, hs, W)
 
-            super().__init__(seen)
+            super().__init__(seen, width)
             self.record = record
 
         def __call__(self, panels):
@@ -555,7 +553,7 @@ def test_a_convolution_batch_is_one_bisection_per_group_and_sign(monkeypatch):
     made, Recorded = _recorded_bisections(monkeypatch), quadrature.Bisection
 
     class Flagged(Recorded):
-        def __init__(self, f):
+        def __init__(self, f, width):
             def flagged(cs, hs, W):
                 inside.append(True)
                 try:
@@ -563,7 +561,7 @@ def test_a_convolution_batch_is_one_bisection_per_group_and_sign(monkeypatch):
                 finally:
                     inside.pop()
 
-            super().__init__(flagged)
+            super().__init__(flagged, width)
 
     monkeypatch.setattr(quadrature, "Bisection", Flagged)
     calls.clear()
@@ -587,9 +585,9 @@ def test_a_convolution_batch_is_one_bisection_per_group_and_sign(monkeypatch):
 
 
 def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
-    # one log_mb_gamma call per level of each run: the polyline's first panel, which shows the
-    # batch's width, the rest of the polyline, and each tail block.  On exactly the nodes of the
-    # panels the recursive rule evaluates: the bent rays evaluate nothing ahead
+    # one log_mb_gamma call per level of each run: the polyline in runs of the span its batch's
+    # width allows, and each tail block.  On exactly the nodes of the panels the recursive rule
+    # evaluates: the bent rays evaluate nothing ahead
     sizes, log_mb_gamma = [], bessel.log_mb_gamma
     monkeypatch.setattr(bessel, "log_mb_gamma", lambda *a: sizes.append(np.size(a[2])) or log_mb_gamma(*a))
     made = _recorded_bisections(monkeypatch)
@@ -597,7 +595,8 @@ def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
     ((f, calls, f_calls),) = made
     nodes, sizes[:] = list(sizes), []
     (line, _, _), *tails = calls
-    runs = [line[:1], line[1:]] + [panels for panels, _, _ in tails]
+    span = quadrature._CALL_ENTRIES // (2 * len(_SIGNED_40))
+    runs = [line[i : i + span] for i in range(0, len(line), span)] + [panels for panels, _, _ in tails]
     walk = [_depth_first(f, panels) for panels in runs]
     panels = sum(len(seen) for _, seen, _ in walk)
     assert len(nodes) == f_calls == sum(levels for _, _, levels in walk) < panels

@@ -17,7 +17,7 @@ import pytest
 from vorokit import hankel, voronoi
 from vorokit.archimedean import DS2Block, GL1Block, RealPlaceParams
 from vorokit.hankel import make_bump
-from vorokit.padic import satake_from_eigenvalue, QSqrt
+from vorokit.padic import DepthExceeded, QSqrt, WhittakerValue, satake_from_eigenvalue
 from vorokit.quadrature import ToleranceNotMet
 from vorokit.voronoi import (
     DELTA_PLACE,
@@ -240,6 +240,15 @@ def test_support_detection_at_five():
     assert _detect_min_valuation(sp, F(1, 5), {}) == -2
     assert _detect_min_valuation(sp, F(3), {}) == 0  # integral twist: no denominator
     assert _detect_min_valuation(sp, F(1, 25), {}) == -4
+
+
+def test_support_detection_that_runs_out_of_depth_raises(monkeypatch):
+    # a factor that never vanishes on two shells in a row has no support the walk can certify
+    sp = satake_from_eigenvalue(5, QSqrt(5, F(0), F(4830, 5**6)))
+    live = WhittakerValue(5, F(0), 0, F(1))
+    monkeypatch.setattr(voronoi, "_shell", lambda memo, sp, zeta, v: ([None, live], None))
+    with pytest.raises(DepthExceeded, match="within 5 shells"):
+        _detect_min_valuation(sp, F(1, 5), {})
 
 
 def test_satake_data_read_the_normaliser_from_the_place():

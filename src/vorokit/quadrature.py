@@ -34,27 +34,31 @@ batch and the Mellin route both do so through one class,
 
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` are
 one walk, :func:`contour_integral`, with one :class:`Bisection` of its
-integrand, built at the batch's width.  :func:`polyline_walk` lays the
-polyline's panels out first, since their edges depend on the phase rate
-alone, and hands them over as one starting level.  Then come the upper tail
-from the last vertex along a :class:`TailRule`'s direction and the lower
+integrand, built at the batch's width.  Every panel of a walk has a length on
+the ladder {2^k, 1.5·2^k}, so half-widths repeat for the :func:`phase_tables`
+memo.  :func:`polyline_walk` lays the polyline's panels out first, each the
+largest rung within :func:`phase_step`, since their edges depend on the phase
+rate alone, and hands them over as one starting level.  Then come the upper
+tail from the last vertex along a :class:`TailRule`'s direction and the lower
 from the first along the conjugate, each panel to tol_raw/200,
-tol_raw = 2π·tol.  A tail's steps depend on the phase rate alone too, so it
-lays out and evaluates up to ``_TAIL_BLOCK`` panels of one step at a time
-and sums them in order up to its stop; a panel laid out past the stop is
-neither summed nor counted.  A tail
+tol_raw = 2π·tol.  A tail's steps depend on the length walked and the phase
+rate alone too, so each lays out up to ``_TAIL_BLOCK`` panels of one step at a
+time; the live tails' blocks are bisected in one call, and each tail sums its
+own in order up to its own stop; a panel laid out past the stop is neither
+summed nor counted.  A tail
 stops after ``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it
 is ``min_length`` long, adds ``factor`` × their largest |value| to the error
 bound (a heuristic, not a computed bound) and gives up past ``max_length``.
 The two rules differ only in that data.  :data:`BENT_RAYS` (the Bessel
 batch) runs 45° past vertical, where γ·x^{−s} decays exponentially, in steps
-1, 1.35, 1.35², …: run 1, cut 10, factor 2, up to length 2000; no two of its
-steps are equal, so it lays out one panel at a time.
-:data:`VERTICAL_LADDER` (the Mellin route, whose M_δ[w] decays on vertical
-lines) runs along ±i, each step the largest rung of {2^k, 1.5·2^k} within
-:func:`phase_step`, so from :func:`tail_grid_ceil` its edges are exact and
-its half-widths repeat for the :func:`phase_tables` memo: run 3, cut 20,
-factor 5, at least 10 and up to 6000 long.
+2^max(0, ⌊log₂ max(u, 1)⌋ − 1) after a length u, 1, 1, 1, 1, 2, 2, 4, 4, 8, …,
+each at least twice in a row, so a block holds two panels or more: run 1,
+cut 10, factor 2, up to length 2000.  :data:`VERTICAL_LADDER` (the Mellin
+route, whose M_δ[w] decays on vertical lines) runs along ±i, each step the
+largest rung within :func:`phase_step`: run 3, cut 20, factor 5, at least 10
+and up to 6000 long.  From :func:`tail_grid_ceil` a vertical piece's edges are
+exact, and so are a bent ray's from an anchor short in binary, since the bend
+is short too; there each step's half-width repeats exactly.
 The convolution route's t-integral is a :class:`Bisection` too, started on
 the kernel model's lattice panels, and so is a signed Mellin transform, on
 the one panel of its support.  Fixed-resolution integrals over a real
@@ -64,7 +68,6 @@ pairings) take their nodes and weights from :func:`gauss_panels`.
 
 from __future__ import annotations
 
-import cmath
 import math
 from functools import lru_cache
 from typing import Callable, NamedTuple
@@ -249,6 +252,12 @@ def phase_step(omega: float) -> float:
     return min(3.0, max(0.1, 14.0 / omega))
 
 
+def _ladder_step(step: float) -> float:
+    """The largest of {2^k, 1.5·2^k} that is ≤ ``step``, exact in binary."""
+    m, e = math.frexp(step)  # step = m·2^e, 1/2 ≤ m < 1
+    return math.ldexp(0.75 if m >= 0.75 else 0.5, e)
+
+
 _TAIL_GRID = 64  # contour tails start on a multiple of 1/_TAIL_GRID
 
 
@@ -256,7 +265,7 @@ def tail_grid_ceil(height: float) -> float:
     """The least multiple of 1/64 that is ≥ ``height``: where a contour's vertical tails start.
 
     From there a vertical piece's panel edges are exact in binary, so
-    :func:`polyline_walk`'s clamped panels and their bisections repeat h exactly.
+    :func:`polyline_walk`'s ladder panels and their bisections repeat h exactly.
     """
     return math.ceil(height * _TAIL_GRID) / _TAIL_GRID
 
@@ -264,12 +273,12 @@ def tail_grid_ceil(height: float) -> float:
 def polyline_walk(bisect: Bisection, pts, omega, tol: float):
     """∫ f along the polyline pts[0]→pts[1]→…, in phase-adaptive panels, by ``bisect``, a :class:`Bisection` of f.
 
-    Each straight piece a→b is cut into panels of length ``phase_step(omega(t))``,
-    t the imaginary part at the panel's start.  The edges do not depend on f, so
-    every panel is laid out first and the lot is bisected as one starting level,
-    each panel to ``tol`` and down to sub-panels 2^-12 of its length.  Edges sit
-    at a + u·pos, u = (b − a)/|b − a|, the last at b: exact on a vertical piece
-    from :func:`tail_grid_ceil`, where clamped panels share h.
+    Each straight piece a→b is cut into panels of length ``_ladder_step(phase_step(omega(t)))``,
+    the largest rung of {2^k, 1.5·2^k} within the phase step, t the imaginary part at the
+    panel's start.  The edges do not depend on f, so every panel is laid out first and the lot
+    is bisected as one starting level, each panel to ``tol`` and down to sub-panels 2^-12 of its
+    length.  Edges sit at a + u·pos, u = (b − a)/|b − a|, the last at b: exact on a vertical
+    piece from :func:`tail_grid_ceil`, where panels of one rung share h.
     Returns (integral, summed error estimates).
     """
     panels = []
@@ -278,7 +287,7 @@ def polyline_walk(bisect: Bisection, pts, omega, tol: float):
         u, pos = (b - a) / length, 0.0
         while pos < length:
             lo = a + u * pos
-            pos += phase_step(omega(lo.imag))
+            pos += _ladder_step(phase_step(omega(lo.imag)))
             panels.append((lo, a + u * pos if pos < length else b, tol, 12))
     total, err_total = 0.0, 0.0
     for val, err in bisect(panels):
@@ -287,16 +296,17 @@ def polyline_walk(bisect: Bisection, pts, omega, tol: float):
     return total, err_total
 
 
-_BEND = cmath.exp(0.75j * math.pi)  # 45° past vertical: the upper bent ray
+# 45° past vertical: the upper bent ray, (−1 + i)/√2 to 20 bits, so from an anchor short in
+# binary its panels' edges are exact and their half-widths repeat
+_BEND = complex(-1, 1) * round(math.sqrt(0.5) * 2**20) / 2**20
 _MAX_RAY = 2000.0  # a bent ray longer than this has not converged
 _MAX_HEIGHT = 6000.0  # nor has a vertical tail this long
 _TAIL_BLOCK = 8  # tail panels of one step laid out and evaluated ahead of the tail's stop
 
 
-def _ladder_step(step: float) -> float:
-    """The largest of {2^k, 1.5·2^k} that is ≤ ``step``, exact in binary."""
-    m, e = math.frexp(step)  # step = m·2^e, 1/2 ≤ m < 1
-    return math.ldexp(0.75 if m >= 0.75 else 0.5, e)
+def _paired_step(length: float) -> float:
+    """2^max(0, ⌊log₂ max(length, 1)⌋ − 1): steps 1, 1, 1, 1, 2, 2, 4, 4, 8, … from lengths 0, 1, 2, 3, 4, 6, 8, …"""
+    return math.ldexp(1.0, max(0, math.frexp(max(length, 1.0))[1] - 2))
 
 
 class TailRule(NamedTuple):
@@ -304,7 +314,9 @@ class TailRule(NamedTuple):
 
     name: str
     direction: complex  # the upper tail's; the lower tail takes its conjugate
-    step: Callable[[float, float], float]  # (last step, 0.0 before the first; ω at the panel's start) → step
+    # (length walked so far, ω at the panel's start) → the panel's step, a rung of {2^k, 1.5·2^k}
+    # that repeats while those two change little, so a tail lays out its panels in blocks
+    step: Callable[[float, float], float]
     cut: float
     run: int
     min_length: float
@@ -312,40 +324,66 @@ class TailRule(NamedTuple):
     max_length: float
 
 
-BENT_RAYS = TailRule("bent-ray", _BEND, lambda last, rate: max(1.0, 1.35 * last), 10.0, 1, 0.0, 2.0, _MAX_RAY)
+BENT_RAYS = TailRule("bent-ray", _BEND, lambda length, rate: _paired_step(length), 10.0, 1, 0.0, 2.0, _MAX_RAY)
 VERTICAL_LADDER = TailRule(
-    "vertical-ladder", 1j, lambda last, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT
+    "vertical-ladder", 1j, lambda length, rate: _ladder_step(phase_step(rate)), 20.0, 3, 10.0, 5.0, _MAX_HEIGHT
 )
 
 
-def _tail(bisect: Bisection, rule: TailRule, anchor: complex, direction: complex, omega, tol: float):
-    """A tail's panels from ``anchor`` along ``direction`` in order, as (length so far, value, error).
+class _Tail:
+    """One tail of a walk under ``rule``: its panels from ``anchor`` along ``direction``, laid out a
+    block at a time and summed in order up to the rule's stop.
 
-    The steps depend on omega alone, so up to ``_TAIL_BLOCK`` panels of one step, and so of one
-    half-width, are laid out and bisected at a time, none past the first that ends beyond
-    ``rule.max_length``.  Each bent-ray step differs from the last, so there a block is one
-    panel.  The caller stops drawing at its rule's stop.
+    A step depends on the length walked and on omega alone, so :meth:`block` lays out up to
+    ``_TAIL_BLOCK`` panels of one step, and so of one half-width, none past the first that ends
+    beyond ``rule.max_length``.  :meth:`take` sums a block's values up to the stop; a panel laid
+    out past it is neither summed nor counted.  ``value`` is the sum of the values summed,
+    ``errors`` their errors in order and ``bound`` the tail's bound once it has stopped.
     """
-    u, step = 0.0, 0.0
-    nxt = rule.step(step, omega(anchor.imag))
-    while u <= rule.max_length:
-        block, lengths = [], []
-        first = nxt
-        while len(block) < _TAIL_BLOCK and u <= rule.max_length and nxt == first:
-            step = nxt
-            block.append((anchor + u * direction, anchor + (u + step) * direction, tol, 12))
+
+    def __init__(self, rule: TailRule, side: str, anchor: complex, direction: complex, omega, tol: float):
+        self.rule, self.side, self.anchor, self.direction, self.omega = rule, side, anchor, direction, omega
+        self.tol, self.tol_raw = tol, tol * 2 * math.pi
+        self.laid, self.small, self.value, self.errors, self.bound = 0.0, [], 0.0, [], 0.0
+
+    def block(self) -> list:
+        """The next block, as (length so far at the panel's end, panel (a, b, tol_raw/200, 12))."""
+        rule, u = self.rule, self.laid
+        at = lambda length: self.anchor + length * self.direction
+        first = step = rule.step(u, self.omega(at(u).imag))
+        block = []
+        while step == first and len(block) < _TAIL_BLOCK and u <= rule.max_length:
+            block.append((u + step, (at(u), at(u + step), self.tol_raw / 200.0, 12)))
             u += step
-            lengths.append(u)
-            nxt = rule.step(step, omega((anchor + u * direction).imag))
-        for length, (val, err) in zip(lengths, bisect(block)):
-            yield length, val, err
+            step = rule.step(u, self.omega(at(u).imag))
+        self.laid = u
+        return block
+
+    def take(self, block, results) -> bool:
+        """Sum ``results``, the (value, error) of each panel of ``block``, up to the stop.  → whether it stopped.
+
+        Raises ToleranceNotMet at a panel that ends past ``rule.max_length`` before the stop.
+        """
+        rule = self.rule
+        for (length, _), (val, err) in zip(block, results):
+            self.value = self.value + val
+            self.errors.append(err)
+            mag = abs(complex(val.flat[np.argmax(np.abs(val))]))  # the largest |val|, rounded as Python rounds it
+            self.small = (self.small + [mag])[-rule.run :] if 2.0 * mag < self.tol_raw / rule.cut else []
+            if len(self.small) == rule.run and length >= rule.min_length:
+                self.bound = rule.factor * max(self.small)
+                return True
+            if length > rule.max_length:
+                raise ToleranceNotMet(self.tol, mag / (2 * math.pi), f"{self.side} {rule.name} tail not converged")
+        return False
 
 
 def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float):
     """(1/2πi) ∫ f along the polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
 
     f is a panel integrand f(cs, hs, W) over a batch of ``width`` points, bisected by one
-    :class:`Bisection`, and omega the phase rate :func:`polyline_walk` takes.
+    :class:`Bisection`, and omega the phase rate :func:`polyline_walk` takes.  The live tails'
+    next blocks are bisected in one call, and a tail's panels are added once it stops.
     ``achieved`` is the panels' summed |K − G| and the tails' bounds over 2π; tail panels are
     the ones summed, counted before bisection.  Raises ToleranceNotMet for a tail that never
     stops or an ``achieved`` above ``tol``.
@@ -353,21 +391,22 @@ def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float):
     tol_raw = tol * 2 * math.pi
     bisect = Bisection(f, width)
     total, err_total = polyline_walk(bisect, pts, omega, tol_raw / 200.0)
+    upper = _Tail(rule, "upper", pts[-1], rule.direction, omega, tol)
+    live, ended = [upper, _Tail(rule, "lower", pts[0], rule.direction.conjugate(), omega, tol)], []
+    while live:
+        blocks = [tail.block() for tail in live]
+        out = bisect([panel for block in blocks for _, panel in block])
+        for tail, block in zip(live, blocks):
+            if tail.take(block, [next(out) for _ in block]):
+                ended.append(tail)
+        live = [tail for tail in live if tail not in ended]
     tail_bound, panels = 0.0, 0
-    tails = (("upper", pts[-1], rule.direction, 1.0), ("lower", pts[0], rule.direction.conjugate(), -1.0))
-    for side, anchor, direction, orient in tails:
-        small = []
-        for u, val, err in _tail(bisect, rule, anchor, direction, omega, tol_raw / 200.0):
-            panels += 1
-            total += orient * val
+    for tail in ended:
+        total = total + tail.value if tail is upper else total - tail.value
+        for err in tail.errors:
             err_total += err
-            mag = float(np.max(np.abs(val)))
-            small = (small + [mag])[-rule.run:] if 2.0 * mag < tol_raw / rule.cut else []
-            if len(small) == rule.run and u >= rule.min_length:
-                tail_bound += rule.factor * max(small)
-                break
-            if u > rule.max_length:
-                raise ToleranceNotMet(tol, mag / (2 * math.pi), f"{side} {rule.name} tail not converged")
+        tail_bound += tail.bound
+        panels += len(tail.errors)
     achieved = (err_total + tail_bound) / (2 * math.pi)
     if achieved > tol:
         raise ToleranceNotMet(tol, achieved, "panel refinement exhausted")

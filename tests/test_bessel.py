@@ -250,9 +250,11 @@ def test_a_panel_value_does_not_depend_on_the_panels_stacked_with_it():
 
 
 def test_bessel_batch_reuses_phase_tables(monkeypatch):
-    # the vertical panels clamped at length 3 share h = 1.5i, so one batch over
-    # x ∈ [1, 1e4] serves most panels from a memo of at most two tables
-    memos, sizes, tables = [], [], bessel.phase_tables
+    # every panel of the walk sits on a ladder of repeating half-widths and the two tails
+    # share their integrand calls, so one batch over x ∈ [1, 1e4] serves nearly every panel
+    # from a memo of at most two tables, in few calls
+    memos, sizes, tables, calls = [], [], bessel.phase_tables, []
+    integrand_call = bessel.ContourIntegrand.__call__
 
     def tables_rec(lx):
         phase = tables(lx)
@@ -266,10 +268,12 @@ def test_bessel_batch_reuses_phase_tables(monkeypatch):
         return rec
 
     monkeypatch.setattr(bessel, "phase_tables", tables_rec)
+    monkeypatch.setattr(bessel.ContourIntegrand, "__call__", lambda *a: calls.append(1) or integrand_call(*a))
     bessel_real_batch(DS11, np.geomspace(1.0, 1e4, 9), 1e-10)
     built, reused = sum(m().misses for m in memos), sum(m().hits for m in memos)
     assert len(sizes) == built + reused and max(sizes) == quadrature._PHASE_MEMO == 2
-    assert reused >= 2 * built > 0
+    assert reused >= 12 * built > 0
+    assert 0 < len(calls) <= 40
 
 
 # ---- kernels ---------------------------------------------------------------

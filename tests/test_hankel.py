@@ -243,7 +243,7 @@ def _record_mellin_walk(monkeypatch, params, w, xs, tol):
     """Run the mellin route, recording every tail panel summed, with the phase step it was cut
     under, every starting panel the walk laid out, and the memo's size after each table."""
     steps, panels, summed, sizes = [], [], [], []
-    tail, tables = quadrature._tail, bessel.phase_tables
+    Tail, tables = quadrature._Tail, bessel.phase_tables
     Bisection = quadrature.Bisection
 
     class Recorded(Bisection):
@@ -251,20 +251,21 @@ def _record_mellin_walk(monkeypatch, params, w, xs, tol):
             panels.extend((a, b) for a, b, _, _ in roots)
             yield from Bisection.__call__(self, roots)
 
-    def tail_rec(bisect, rule, anchor, direction, omega, tol):
-        last = 0.0
-        for length, val, err in tail(bisect, rule, anchor, direction, omega, tol):
-            a, b = anchor + last * direction, anchor + length * direction  # as the tail lays them out
-            steps.append((quadrature.phase_step(omega(a.imag)), length - last))
-            summed.append((a, b))
-            last = length
-            yield length, val, err
+    class TailRec(Tail):
+        def take(self, block, results):
+            done = len(self.errors)
+            try:
+                return Tail.take(self, block, results)
+            finally:  # the panels this block summed, as the tail laid them out
+                for _, (a, b, _, _) in block[: len(self.errors) - done]:
+                    steps.append((quadrature.phase_step(self.omega(a.imag)), abs(b - a)))
+                    summed.append((a, b))
 
     def tables_rec(lx):
         return _recording_tables(tables(lx), sizes)
 
     monkeypatch.setattr(quadrature, "Bisection", Recorded)
-    monkeypatch.setattr(quadrature, "_tail", tail_rec)
+    monkeypatch.setattr(quadrature, "_Tail", TailRec)
     monkeypatch.setattr(bessel, "phase_tables", tables_rec)  # the x-phase of bessel.ContourIntegrand
     counts = Counter()
     hankel_mellin_batch(params, w, xs, tol, counts=counts)

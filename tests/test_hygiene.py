@@ -3,8 +3,9 @@ parameter has a default that every caller leaves alone or that every caller
 overrides, only named test hooks have a default that only tests pass, no
 function has a return-shape flag, one writer owns every file write and one
 owner each the phase tables, the contour integrand, the contour walk, the
-quadrature weight rows, the Chebyshev evaluation, the composite rule, the
-dual-sum policy and Δ's real place, and every file parses as Python 3.10.
+panel ladder, the quadrature weight rows, the Chebyshev evaluation, the
+composite rule, the dual-sum policy and Δ's real place, and every file
+parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -51,6 +52,11 @@ which integrates a finite real segment, and by
 group and sign of x.  Neither is a contour, so every contour integral, its
 polyline and both its tails, is one ``quadrature.contour_integral`` walk
 and no tail loop lives outside it.
+
+Panel ladder: every ``phase_step(...)`` call in ``src/vorokit`` (as
+``f(...)`` or ``obj.f(...)``) is the direct argument of a ``_ladder_step(...)``
+call, so every panel a walk lays out by its phase rate has a length on the
+ladder {2^k, 1.5·2^k} and the half-widths repeat for the phase-table memo.
 
 Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
 ``src/vorokit`` sits outside ``hankel._KernelModel.at``, so the kernel
@@ -797,6 +803,46 @@ def test_contour_walk_has_one_owner():
     others = sorted(found - REAL_SEGMENTS)
     assert not others, "a Bisection built outside quadrature.py and the real segments:\n" + "\n".join(map(str, others))
     assert found == REAL_SEGMENTS
+
+
+def bare_phase_steps(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each phase_step(...) call that is not the direct
+    argument of a _ladder_step(...) call."""
+    tree = ast.parse(source)
+    wrapped = {id(arg) for node in ast.walk(tree) if _call_name(node) == "_ladder_step" for arg in node.args}
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if _call_name(child) == "phase_step" and id(child) not in wrapped:
+                found.append((where or "<module>", child.lineno))
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_scanner_flags_steps_off_the_ladder():
+    # the polyline walk as it stood before its panels went on the ladder, beside the ladder's rule
+    src = (
+        "def polyline_walk(bisect, pts, omega, tol):\n"
+        "    pos += phase_step(omega(lo.imag))\n"
+        "    pos += _ladder_step(phase_step(omega(lo.imag)))\n"
+        "RULE = TailRule(1j, lambda length, rate: _ladder_step(phase_step(rate)))\n"
+        "def tail(rate):\n"
+        "    return _ladder_step(2 * phase_step(rate)) + quadrature.phase_step(rate)\n"
+    )
+    assert bare_phase_steps(src) == [("polyline_walk", 2), ("tail", 6), ("tail", 6)]
+
+
+def test_every_phase_step_sits_on_the_ladder():
+    found = {p.name: bare_phase_steps(p.read_text()) for p in SRC}
+    assert len(_enclosed_calls((ROOT / "src" / "vorokit" / "quadrature.py").read_text(), ("phase_step",))) >= 2
+    others = [f"{name}:{line}: in {where}" for name, rows in found.items() for where, line in rows]
+    assert not others, "phase_step called outside _ladder_step:\n" + "\n".join(others)
 
 
 def dual_policy_copies(source: str) -> list[tuple[str, str, int]]:

@@ -359,11 +359,11 @@ def _secant(kappa, bump=0.0):
 
 def _recorded_panels(monkeypatch):
     """→ (summed, laid_out): summed() lists the (a, b, value, error) of each panel the walk
-    summed, in the walk's order (the polyline's, then the upper tail's and the lower tail's), and
-    laid_out maps each tail's anchor to the (a, b) of every panel it laid out, the ones evaluated
-    ahead of its stop included."""
+    summed, in the walk's order (the polyline's, then each tail's whole, in the order the tails
+    ended, the upper first when both end in one call), and laid_out maps each tail's anchor to the
+    (a, b) of every panel it laid out, the ones evaluated ahead of its stop included."""
     line, tails, laid_out = [], {}, {}
-    walk, tail = quadrature.polyline_walk, quadrature._tail
+    walk, Tail = quadrature.polyline_walk, quadrature._Tail
 
     def walk_rec(bisect, pts, omega, tol):
         def rec(panels):
@@ -373,21 +373,23 @@ def _recorded_panels(monkeypatch):
 
         return walk(rec, pts, omega, tol)
 
-    def tail_rec(bisect, rule, anchor, direction, omega, tol):
-        def rec(panels):
-            laid_out.setdefault(anchor, []).extend((a, b) for a, b, _, _ in panels)
-            return bisect(panels)
+    class Recorded(Tail):
+        def block(self):
+            block = Tail.block(self)
+            laid_out.setdefault(self.anchor, []).extend((a, b) for _, (a, b, _, _) in block)
+            return block
 
-        done, last = tails.setdefault(anchor, []), 0.0
-        for length, val, err in tail(rec, rule, anchor, direction, omega, tol):
-            # the panel's edges as the tail lays them out
-            done.append((anchor + last * direction, anchor + length * direction, val, err))
-            last = length
-            yield length, val, err
+        def take(self, block, results):
+            done = len(self.errors)
+            try:
+                return Tail.take(self, block, results)
+            finally:  # the panels this block summed; the tails in the order of their last blocks
+                summed = [(a, b, val, err) for (_, (a, b, _, _)), (val, err) in zip(block, results)]
+                tails[self] = tails.pop(self, []) + summed[: len(self.errors) - done]
 
     monkeypatch.setattr(quadrature, "polyline_walk", walk_rec)
-    monkeypatch.setattr(quadrature, "_tail", tail_rec)
-    return (lambda: line + [p for anchor in _WALK_PTS[::-1] for p in tails.get(anchor, [])]), laid_out
+    monkeypatch.setattr(quadrature, "_Tail", Recorded)
+    return (lambda: line + [p for panels in tails.values() for p in panels]), laid_out
 
 
 @pytest.mark.parametrize("rule", [BENT_RAYS, VERTICAL_LADDER], ids=["bent", "ladder"])
@@ -443,9 +445,10 @@ def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bum
         stops = [i for i in runs if length[i] >= rule.min_length]
         assert stops[0] == len(tail) - 1 > 0  # past a large panel, to the first stop
         assert (runs[0] < stops[0]) == floor_binds
-        if rule is BENT_RAYS:  # the first small panel, after steps 1, 1.35, 1.35², …
+        if rule is BENT_RAYS:  # the first small panel, after steps 1, 1, 1, 1, 2, 2, 4, 4, …
             assert small[-1] and not any(small[:-1])
-            assert [abs(b - a) for a, b, _, _ in tail[:3]] == pytest.approx([1.0, 1.35, 1.35**2])
+            steps = [1, 1, 1, 1, 2, 2, 4, 4, 8, 8, 16, 16]
+            assert [abs(b - a) for a, b, _, _ in tail] == pytest.approx(steps[: len(tail)])
         else:  # three small in a row, at least 10 past the start
             assert all(small[-3:]) and length[-1] >= 10.0
             assert (small[:4] == [False, True, True, False]) == (bump > 0)
@@ -586,8 +589,8 @@ def test_a_convolution_batch_is_one_bisection_per_group_and_sign(monkeypatch):
 
 def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
     # one log_mb_gamma call per level of each run: the polyline in runs of the span its batch's
-    # width allows, and each tail block.  On exactly the nodes of the panels the recursive rule
-    # evaluates: the bent rays evaluate nothing ahead
+    # width allows, and each pair of tail blocks.  On exactly the nodes of the panels the
+    # recursive rule evaluates, those laid out ahead of a tail's stop included
     sizes, log_mb_gamma = [], bessel.log_mb_gamma
     monkeypatch.setattr(bessel, "log_mb_gamma", lambda *a: sizes.append(np.size(a[2])) or log_mb_gamma(*a))
     made = _recorded_bisections(monkeypatch)
@@ -601,3 +604,39 @@ def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
     panels = sum(len(seen) for _, seen, _ in walk)
     assert len(nodes) == f_calls == sum(levels for _, _, levels in walk) < panels
     assert sum(nodes) == 21 * panels
+
+
+def test_a_bessel_walk_lays_its_panels_on_repeating_half_widths(monkeypatch):
+    # the polyline's vertical panels on the ladder {2^k, 1.5·2^k}, each bent-ray step laid out
+    # at least twice in a row with one exact half-width, and each round of the two tails' blocks
+    # in one integrand call
+    blocks, calls, Tail = [], [], quadrature._Tail
+    integrand_call = bessel.ContourIntegrand.__call__
+
+    class Recorded(Tail):
+        def block(self):
+            block = Tail.block(self)
+            blocks.append((self.side, [(a, b) for _, (a, b, _, _) in block]))
+            return block
+
+    def recorded_call(self, cs, hs, W):
+        calls.append(set(cs.tolist()))
+        return integrand_call(self, cs, hs, W)
+
+    made = _recorded_bisections(monkeypatch)
+    monkeypatch.setattr(quadrature, "_Tail", Recorded)
+    monkeypatch.setattr(bessel.ContourIntegrand, "__call__", recorded_call)
+    bessel.bessel_real_batch(DS11, _SIGNED_40, 1e-10)
+    ((_, ((line, _, _), *_), _),) = made  # one magnitude group, one parity: one walk
+    # DS11's polyline is one vertical piece, whose last panel ends at its vertex
+    assert all(a.real == b.real for a, b, _, _ in line)
+    steps = [(b - a).imag for a, b, _, _ in line[:-1]]
+    assert len(steps) > 10 and all(math.frexp(step)[0] in (0.5, 0.75) for step in steps)
+    upper = [panels for side, panels in blocks if side == "upper"]
+    lower = [panels for side, panels in blocks if side == "lower"]
+    assert len(upper) == len(lower) > 3  # this batch's tails are mirror images: they stop together
+    for panels in upper + lower:
+        assert len(panels) >= 2 and len({b - a for a, b in panels}) == 1
+    for up, down in zip(upper, lower):  # the first level of a round: both blocks' panels in one call
+        centres = {0.5 * (a + b) for a, b in up + down}
+        assert any(centres <= call for call in calls)

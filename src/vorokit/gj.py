@@ -67,7 +67,7 @@ def unit_coeffs(n: int) -> DirichletCoeffs:
     """a_n ≡ 1: the ζ_ℚ table (each ideal of norm n contributes once), at the trivial character's place."""
     if n < 1:
         raise ValueError("need at least one coefficient")
-    return DirichletCoeffs(n, np.ones(n, dtype=complex), "unit", RealPlaceParams((GL1Block(0),)), (1,) * n)
+    return DirichletCoeffs(n, np.ones(n, dtype=complex), RealPlaceParams((GL1Block(0),)), (1,) * n)
 
 
 @dataclass(frozen=True)

@@ -121,8 +121,10 @@ class TestFunction:
 
     ``pos`` is the profile on the positive axis; ``neg``, if given, is the
     profile of x ↦ f(−x) on the same interval, so f lives on both components
-    of ℝ^×.  Profiles must accept numpy arrays; they see only points of (a, b).
-    A call returns an array of the input's shape, 0-d for a scalar.
+    of ℝ^×.  Profiles must accept numpy arrays.  A call is the one place a
+    profile is read: it hands the profile only points strictly inside (a, b)
+    and gives 0 elsewhere, so a profile need not be defined off (a, b).  A
+    call returns an array of the input's shape, 0-d for a scalar.
     """
 
     a: float
@@ -141,32 +143,22 @@ class TestFunction:
             out = np.where(mn, self.neg(np.where(mn, -ax, mid)), out)
         return out
 
-    def __add__(self, other):
-        if not isinstance(other, TestFunction):
-            return NotImplemented
-        a, b = min(self.a, other.a), max(self.b, other.b)
-        pos = lambda x: self(x) + other(x)
-        neg = None
-        if self.neg is not None or other.neg is not None:
-            neg = lambda x: self(-x) + other(-x)
-        return TestFunction(a, b, pos, neg)
-
-
-def _bump_profile(a: float, b: float):
-    def profile(x):
-        u = (2.0 * np.asarray(x) - (a + b)) / (b - a)
-        m = u * u < 1.0
-        return np.where(m, np.exp(-1.0 / (1.0 - np.where(m, u, 0.0) ** 2)), 0.0)
-
-    return profile
-
 
 def make_bump(a: float, b: float) -> TestFunction:
-    """The bump exp(−1/(1−u²)), u = (2x−a−b)/(b−a), supported in (a,b) ⊂ (0,∞)."""
+    """The bump exp(−1/(1−u²)), u = (2x−a−b)/(b−a), supported in (a,b) ⊂ (0,∞).
+
+    Its profile is the product form exp(−(b−a)²/(4(x−a)(b−x))), the same
+    function since 1 − u² = 4(x−a)(b−x)/(b−a)².  A profile is read only
+    strictly inside (a, b), where x − a and b − x are exactly positive, so
+    it needs no mask.  Near the edges it is also the more accurate form, as
+    nothing cancels: at x = 1.03 on bump(1, 40) it is 2.6e-14 off in
+    relative terms, where exp(−1/(1−u²)) is 1.4e-11 off.
+    """
     if not 0 < a < b < math.inf:
         raise BadSupport(f"need 0 < a < b < ∞, got ({a}, {b})")
     a, b = float(a), float(b)
-    return TestFunction(a, b, _bump_profile(a, b))
+    c = (0.5 * (b - a)) ** 2  # 1 − u² = (x−a)(b−x)/c
+    return TestFunction(a, b, lambda x: np.exp(-c / ((x - a) * (b - x))))
 
 
 # ---- signed Mellin transforms ----------------------------------------------

@@ -120,14 +120,13 @@ DELTA_PLACE = RealPlaceParams((DS2Block(11, 0.0),))
 class DirichletCoeffs:
     """Hecke-normalised coefficients λ(1..n) of one form at real place `params`; exact integers kept when known.
 
-    `exact` holds the un-normalised integer coefficients for provenance
-    "tau" (so multiplicativity can be checked with no rounding at all);
-    file-loaded tables carry floats only.
+    `exact` holds the un-normalised integer coefficients when they are known
+    (so multiplicativity can be checked with no rounding at all); a
+    file-loaded table carries floats only and has `exact` None.
     """
 
     n: int
     values: np.ndarray
-    provenance: str
     params: RealPlaceParams
     exact: tuple | None = None
 
@@ -207,7 +206,7 @@ def tau_coefficients(N: int) -> DirichletCoeffs:
     tau = tuple(_crt_signed(d, primes))
     ns = np.arange(1, N + 1, dtype=float)
     lam = np.array([float(t) for t in tau]) / ns**5.5
-    return DirichletCoeffs(N, lam.astype(complex), "tau", DELTA_PLACE, tau)
+    return DirichletCoeffs(N, lam.astype(complex), DELTA_PLACE, tau)
 
 
 def coeffs_from_file(path, params: RealPlaceParams) -> DirichletCoeffs:
@@ -233,7 +232,7 @@ def coeffs_from_file(path, params: RealPlaceParams) -> DirichletCoeffs:
     if not rows or min(rows) != 1 or max(rows) != len(rows):
         raise ValueError("coefficient file must cover n = 1..N contiguously")
     values = np.array([rows[i] for i in range(1, len(rows) + 1)], dtype=complex)
-    return DirichletCoeffs(len(rows), values, "file", params)
+    return DirichletCoeffs(len(rows), values, params)
 
 
 def multiplicativity_check(coeffs: DirichletCoeffs, pairs: int = 20, seed: int = 0) -> float:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import chebval
 
-from vorokit import bessel, hankel, quadrature
+from vorokit import bessel, hankel, quadrature, voronoi
 from vorokit.archimedean import CharTwist, DS2Block, GL1Block, PoleError, RealPlaceParams, log_mb_gamma
 from vorokit.bessel import ContourIntegrand, bessel_real_batch
 from vorokit.hankel import (
@@ -48,6 +48,53 @@ def test_bump_profile():
     assert vals[2] == pytest.approx(math.exp(-1.0))
     # off-center support
     assert make_bump(2.0, 5.0)(3.5) == pytest.approx(math.exp(-1.0))
+    # the unmasked product form exp(−(b−a)²/(4(x−a)(b−x))) against the masked exp(−1/(1−u²)),
+    # on and off the support and at the floats next to its ends; exp underflows to 0 near the
+    # ends in both forms, so only divide, overflow and invalid raise
+    for a, b in [(1.0, 2.0), (2.0, 5.0), (1.0, 40.0), (1.2, 1.8)]:
+        ends = [np.nextafter(a, b), np.nextafter(b, a), a, b, np.nextafter(a, 0.0), np.nextafter(b, 2 * b)]
+        xs = np.concatenate([np.linspace(a - 0.5 * (b - a), b + 0.5 * (b - a), 40001), ends, [0.0, -0.5 * (a + b)]])
+        u = (2.0 * xs - (a + b)) / (b - a)
+        inside = u * u < 1.0
+        masked = np.where(inside, np.exp(-1.0 / (1.0 - np.where(inside, u, 0.0) ** 2)), 0.0)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            vals = make_bump(a, b)(xs)
+        assert np.max(np.abs(vals - masked)) <= 2.5e-16
+        assert np.all(vals[(xs <= a) | (xs >= b)] == 0.0)
+    # near an end the product form keeps its digits where 1 − u² cancels: 40 digits at the double 1.03
+    with mpmath.workdps(40):
+        x = mpmath.mpf(1.03)
+        u = (2 * x - 41) / 39
+        want = mpmath.exp(-1 / (1 - u * u))
+        assert abs(mpmath.mpf(float(make_bump(1.0, 40.0)(1.03))) - want) <= 1e-13 * want
+
+
+def test_profiles_are_read_only_strictly_inside_the_support():
+    # TestFunction.__call__ is the one owner of w's support: every route and the direct side hand
+    # a profile only points of (a, b), so make_bump's product form needs no mask.  (1, 4) puts
+    # integers on both ends for the direct side.
+    a, b = 1.0, 4.0
+    bump, seen = make_bump(a, b), []
+
+    def profile(x):
+        seen.append(np.array(x, dtype=float).ravel())
+        return bump.pos(x)
+
+    two_sided = hankel.TestFunction(a, b, profile, profile)
+    stages = {
+        "signed_mellin": lambda: [signed_mellin(two_sided, d, 0.3 - 2.0j, 1e-10) for d in (0, 1)],
+        "hankel_mellin_batch": lambda: hankel_mellin_batch(DS2_11, two_sided, [0.7, -2.5], 1e-7),
+        "hankel_convolution_batch": lambda: hankel_convolution_batch(DS2_11, two_sided, [0.7, -2.5, 6.0], 1e-7),
+        "lhs_theta": lambda: voronoi.lhs_theta(
+            voronoi.VoronoiJob(a=1, c=5, w=hankel.TestFunction(a, b, profile), n_trunc=8)
+        ),
+    }
+    for name, run in stages.items():
+        seen.clear()
+        run()
+        pts = np.concatenate(seen)
+        assert len(pts) > 0, name
+        assert np.all((pts > a) & (pts < b)), (name, pts[(pts <= a) | (pts >= b)])
 
 
 def test_bump_support_validation():
@@ -90,7 +137,7 @@ def test_signed_mellin_linearity():
     rng = random.Random(411)
     for _ in range(6):
         z = complex(rng.uniform(-1, 2), rng.uniform(-25, 25))
-        lhs = signed_mellin(f + g, 0, z, 1e-11)
+        lhs = signed_mellin(hankel.TestFunction(1.0, 3.0, lambda x: f(x) + g(x)), 0, z, 1e-11)
         rhs = signed_mellin(f, 0, z, 1e-12) + signed_mellin(g, 0, z, 1e-12)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-11)
 
@@ -112,7 +159,7 @@ def test_n1_routes_match_the_fourier_oracle(route, delta):
     # w lives on both half-lines, with a different profile on each, so both signs of t and both
     # sign models of the convolution route enter
     bump = make_bump(1.0, 2.0)
-    w = hankel.TestFunction(1.0, 2.0, bump.pos, lambda t: 0.7 * make_bump(1.2, 1.8).pos(t))
+    w = hankel.TestFunction(1.0, 2.0, bump.pos, lambda t: 0.7 * make_bump(1.2, 1.8)(t))
     xs = [1.0, 0.45, -2.2]
     vals, errs = route(RealPlaceParams((GL1Block(delta, 0.0),)), w, xs, 1e-9)
     assert np.all(errs <= 1e-9)

@@ -4,8 +4,8 @@ overrides, only named test hooks have a default that only tests pass, no
 function has a return-shape flag, one writer owns every file write and one
 owner each the phase tables, the contour integrand, the contour walk, the
 panel ladder, the quadrature weight rows, the Chebyshev evaluation, the
-composite rule, the dual-sum policy and Δ's real place, and every file
-parses as Python 3.10.
+composite rule, the dual-sum policy, Δ's real place and w's support, and
+every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -100,6 +100,12 @@ The tests keep scipy as an oracle.
 parameter is a literal (first or as ``l=``) sits outside the module-level
 ``voronoi.DELTA_PLACE`` assignment, so a form's place is read from its
 coefficient table or from that one constant, never spelled again.
+
+w's support: no call of a ``.pos(...)`` or ``.neg(...)`` attribute (nor of a
+bare ``pos``/``neg`` name, as an alias would be) in ``src/vorokit`` sits
+outside ``hankel.TestFunction.__call__``, so a test function's profile is
+read only where its support mask hands it points strictly inside (a, b), and
+``make_bump``'s profile needs no mask of its own.
 
 Python 3.10: the 3.10 grammar (``ast.parse(..., feature_version=(3, 10))``)
 accepts every ``.py`` file in ``src/vorokit``, ``tests`` and ``perfbench``.
@@ -330,6 +336,7 @@ TEST_HOOKS = {
     "local_l_series_check(series)": "a test substitutes a corrupted series to show the check can fail",
     "multiplicativity_check(pairs)": "a test draws more pairs than the default",
     "multiplicativity_check(seed)": "a test draws its pairs from a second seed",
+    "TestFunction(neg)": "tests check every route on a w living on both half-lines; no job's w has an x < 0 part",
 }
 
 
@@ -1002,6 +1009,43 @@ def test_delta_place_has_one_owner():
         if (name, owner) != ("voronoi.py", "DELTA_PLACE")
     ]
     assert not copies, "DS2Block with a literal weight outside voronoi.DELTA_PLACE:\n" + "\n".join(copies)
+
+
+def profile_reads(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each pos(...) or neg(...) call, as f(...) or obj.f(...)."""
+    return _enclosed_calls(source, ("pos", "neg"))
+
+
+def test_scanner_flags_profile_reads():
+    # the support owner's two reads, beside a sum that reads another function's profile directly
+    # and a reader that hands profiles its own points, one of them through an alias
+    src = (
+        "class TestFunction:\n"
+        "    def __call__(self, x):\n"
+        "        out = np.where(m, self.pos(np.where(m, ax, mid)), 0.0)\n"
+        "        return np.where(mn, self.neg(np.where(mn, -ax, mid)), out)\n"
+        "    def __add__(self, other):\n"
+        "        return TestFunction(a, b, lambda x: self(x) + other.pos(x))\n"
+        "def _component_vals(f, delta, x):\n"
+        "    pos = f.pos\n"
+        "    return pos(x) + (-1.0) ** delta * f.neg(x)\n"
+    )
+    assert profile_reads(src) == [
+        ("TestFunction.__call__", 3), ("TestFunction.__call__", 4), ("TestFunction.__add__", 6),
+        ("_component_vals", 9), ("_component_vals", 9),
+    ]
+
+
+def test_test_function_support_has_one_owner():
+    found = {p.name: profile_reads(p.read_text()) for p in SRC}
+    assert [where for where, _ in found["hankel.py"]] == ["TestFunction.__call__"] * 2
+    others = [
+        f"{name}:{line}: in {where}"
+        for name, rows in found.items()
+        for where, line in rows
+        if (name, where) != ("hankel.py", "TestFunction.__call__")
+    ]
+    assert not others, "a test function's profile read outside hankel.TestFunction.__call__:\n" + "\n".join(others)
 
 
 def syntax_310_errors(path: Path) -> list[str]:

@@ -50,7 +50,6 @@ TAU_SMALL = (1, -24, 252, -1472, 4830, -6048, -16744)
 
 
 def test_tau_golden_values():
-    assert CO.provenance == "tau"
     assert CO.exact[:7] == TAU_SMALL
     assert all(isinstance(t, int) for t in CO.exact[:50])
     # multiplicative at a coprime pair, on the integers themselves
@@ -149,7 +148,7 @@ def test_coeffs_file_roundtrip(tmp_path):
         lines.append(f"{n},{float(small.values[n - 1].real)!r},0.0")
     path.write_text("\n".join(lines) + "\n")
     back = coeffs_from_file(path, DELTA_PLACE)
-    assert back.provenance == "file" and back.exact is None and back.params == DELTA_PLACE
+    assert back.exact is None and back.params == DELTA_PLACE
     assert np.allclose(back.values, small.values, rtol=0, atol=0)
     # a gap must be refused
     path.write_text("1,1.0,0.0\n3,0.5,0.0\n")
@@ -201,7 +200,7 @@ def test_job_validation():
         VoronoiJob(a=0, c=1, w=W40, n_trunc=64, tol=0.0)
     # the identity is GL(2)'s with a one-sided dual sum: a table whose place is not one DS2Block is refused
     for place in (RealPlaceParams((GL1Block(0),)), RealPlaceParams((GL1Block(0), GL1Block(1)))):
-        other = DirichletCoeffs(CO.n, CO.values, "file", place)
+        other = DirichletCoeffs(CO.n, CO.values, place)
         with pytest.raises(ValueError, match=f"rank {place.rank}"):
             VoronoiJob(a=0, c=1, w=W40, n_trunc=64, coeffs=other)
 
@@ -215,7 +214,7 @@ def test_the_dual_side_reads_the_tables_place(monkeypatch):
         return real(params, w, xs, tol=tol, cache=cache)
 
     monkeypatch.setattr(voronoi, "hankel_convolution_batch", recorded)
-    other = DirichletCoeffs(CO.n, CO.values, "file", RealPlaceParams((DS2Block(15, 0.0),)))
+    other = DirichletCoeffs(CO.n, CO.values, RealPlaceParams((DS2Block(15, 0.0),)))
     delta, ds15 = (VoronoiJob(a=0, c=1, w=W40, n_trunc=2048, tol=1e-4, coeffs=co) for co in (CO, other))
     assert lhs_theta(delta) == lhs_theta(ds15)
     want, got = rhs_theta(delta)["value"], rhs_theta(ds15)["value"]
@@ -255,10 +254,10 @@ def test_satake_data_read_the_normaliser_from_the_place():
     # λ(p) = τ(p)·p^{−l/2} = τ(p)·√p/p^{(l+1)/2}: p⁶ at Δ's l = 11, p⁸ at l = 15
     co = tau_coefficients(10)
     assert co.satake(5).elem == (QSqrt(5, F(0), F(4830, 5**6)), 1)
-    other = DirichletCoeffs(co.n, co.values, "tau", RealPlaceParams((DS2Block(15, 0.0),)), co.exact)
+    other = DirichletCoeffs(co.n, co.values, RealPlaceParams((DS2Block(15, 0.0),)), co.exact)
     assert other.satake(3).elem == (QSqrt(3, F(0), F(252, 3**8)), 1)
     with pytest.raises(ValueError, match="exact"):
-        DirichletCoeffs(co.n, co.values, "file", DELTA_PLACE).satake(5)
+        DirichletCoeffs(co.n, co.values, DELTA_PLACE).satake(5)
     with pytest.raises(TruncationTooSmall):
         co.satake(11)
 

@@ -41,6 +41,7 @@ from .quadrature import (
     magnitude_groups,
     panel_nodes,
     phase_tables,
+    table_matmul,
     tail_grid_ceil,
 )
 
@@ -67,9 +68,10 @@ class ContourIntegrand:
     the 21·P nodes, G, and F as one ``factor(cs, hs)`` → (P × 21).  The
     product stays per panel, (W·G) @ E_h, in panels grouped by h so the phase
     memo serves each h once a call: the weight rows meet G before the table, so
-    no 21 × len(lx) product is formed, and none spans two panels, which would
-    wake a second BLAS thread.  The P factors of all the panels are one
-    (P × len(lx)) exponential, no larger than the call's output.
+    no 21 × len(lx) product is formed.  ``quadrature.table_matmul`` issues it in
+    column slices of at most 1560 points, so no panel's product, nor one spanning
+    two panels, wakes a second BLAS thread.  The P factors of all the panels are
+    one (P × len(lx)) exponential, no larger than the call's output.
     """
 
     def __init__(self, log_g, rank, lx, nu=0.0, factor=None, rate=0.0):
@@ -87,7 +89,7 @@ class ContourIntegrand:
         out = np.empty((len(cs),) + W.shape[:1] + self.lx.shape, dtype=complex)
         for group in key_groups(hs.tolist()).values():
             for i in group:
-                np.matmul(wg[i], self.phase(hs[i]), out=out[i])
+                table_matmul(wg[i], self.phase(hs[i]), out=out[i])
         p = np.multiply.outer(self.nu - cs, self.lx)
         p += centre[:, None]
         out *= np.exp(p, out=p)[:, None, :]

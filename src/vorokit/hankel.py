@@ -265,22 +265,29 @@ def _mellin_nodes(grids: _MellinGrids, delta: int, z0: np.ndarray, h: np.ndarray
     e^{v·z_l} = e^{cᵢ·z0}·e^{ηⱼ·z0}·E_h[l, i]·F_h[l, j], with the tables
     E_h = exp(−h·ξ ⊗ c) and F_h = exp(−h·ξ ⊗ η) of the grid's memo, so
     M(z_l) = Σᵢ e^{cᵢ·z0}·E_h[l, i]·Σⱼ fw[i, j]·e^{ηⱼ·z0}·F_h[l, j]: per panel one
-    (21 × ``_MDEG``) @ (``_MDEG`` × p) product and 21·p multiplies, and the
-    p + ``_MDEG`` exponentials in one call per rung for all its panels.  Panels
-    go rung by rung and, within a rung, grouped by h, so the grid's memo serves
-    each h once.  Nodes, weights and f-values are the ones the unfactored sum
-    uses, so the quadrature rule is the same; only rounding differs.
+    (p × ``_MDEG``) @ (``_MDEG`` × 21) product, 21·p multiplies and the contraction
+    with e^{cᵢ·z0}, and the p + ``_MDEG`` exponentials in one call per rung for all
+    its panels.  Both products go through ``quadrature.table_matmul`` stacked in
+    p/r blocks of r rows, r = ``quadrature.table_block(p, _MDEG, 21)`` ≤ 156, and
+    the contraction's blocks are summed, so neither wakes a second BLAS thread.
+    Panels go rung by rung and, within a rung, grouped by h, so the grid's memo
+    serves each h once.  Nodes, weights and f-values are the ones the unfactored
+    sum uses, so the quadrature rule is the same; only rounding differs.
     """
     maxim = np.max(np.abs(panel_nodes(z0[:, None], -h[:, None]).imag), axis=1)
     ps = [_panel_rung(grids.base + int(m)) for m in 1.3 * maxim * (grids.vb - grids.va) / (2.0 * math.pi)]
     out = np.empty((len(z0), 21), dtype=complex)
     for p, rung in key_groups(ps).items():
         fw, centres, offsets, tables = grids.grid(delta, p)
+        r = quadrature.table_block(p, _MDEG, 21)
         e_off, e_c = np.exp(np.outer(z0[rung], offsets)), np.exp(np.outer(z0[rung], centres))
+        e_c = e_c.reshape(len(rung), p // r, 1, r)
         for group in key_groups(h[rung].tolist()).values():
             for k in group:
                 t = tables(h[rung[k]])
-                out[rung[k]] = (t[:, :p] * (t[:, p:] @ (fw * e_off[k]).T)) @ e_c[k]
+                inner = quadrature.table_matmul((fw * e_off[k]).reshape(p // r, r, _MDEG), t[:, p:].T)
+                inner *= t[:, :p].T.reshape(p // r, r, 21)
+                out[rung[k]] = quadrature.table_matmul(e_c[k], inner).sum(axis=0)[0]
     return out
 
 

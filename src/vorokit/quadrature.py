@@ -27,10 +27,14 @@ second factor E_h from :func:`phase_tables`, one table per repeated
 half-width, and per panel contracts W with its x-free factor G first:
 ((W·G) @ E_h)·P gives the two rows per point and never forms the 21 × B node
 table.  It stacks only its x-free work across the panels of a call; each
-panel keeps its own (2 × 21) @ (21 × B) product, since one product over all
-the panels would be large enough to wake a second BLAS thread.  The Bessel
-batch and the Mellin route both do so through one class,
-``bessel.ContourIntegrand``.  Only this module names the weight rows.
+panel keeps its own (2 × 21) @ (21 × B) product.  Every product against a
+phase table goes through :func:`table_matmul`, which keeps each BLAS call
+within the sizes numpy's OpenBLAS runs on one thread (zgemm's m·n·k ≤ 65 536,
+zgemv's m·n < 4 096), in column slices, or in stacked blocks that
+:func:`table_block` sizes for a long contraction; past them a second thread
+wakes and buys no wall time.  The Bessel batch and the Mellin route both do
+so through one class, ``bessel.ContourIntegrand``.  Only this module names
+the weight rows.
 
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` are
 one walk, :func:`contour_integral`, with one :class:`Bisection` of its
@@ -80,6 +84,8 @@ __all__ = [
     "gauss_panels",
     "panel_nodes",
     "phase_tables",
+    "table_matmul",
+    "table_block",
     "Bisection",
     "phase_step",
     "polyline_walk",
@@ -182,6 +188,45 @@ def phase_tables(lx: np.ndarray):
     return lru_cache(maxsize=_PHASE_MEMO)(lambda h: np.exp(-np.outer(panel_nodes(0.0, h), lx)))
 
 
+# numpy's BLAS, scipy-openblas 0.3.31, runs a complex product on one thread up to these sizes and
+# wakes a second thread past them, which buys the contour walks no wall time (measured on a 2-core
+# host, one size per fresh process): zgemm's m·n·k of an (m × k) @ (k × n) product, and zgemv's
+# m·n of an (m × n) matrix against a vector on either side
+_ZGEMM_ONE_THREAD = 65_536
+_ZGEMV_ONE_THREAD = 4_095
+
+
+def table_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b against a phase table, stacked as ``np.matmul`` stacks, each BLAS product on one thread.
+
+    numpy hands BLAS one product per stacked matrix: a matrix–vector zgemv when a's
+    matrices have one row or b's one column, else a zgemm.  b's columns go in slices as wide as keep each
+    product within its one-thread size; a contraction too long for one column raises
+    ValueError (block it with :func:`table_block`).
+    """
+    m, k, n = (a.shape[-2] if a.ndim > 1 else 1), a.shape[-1], (b.shape[-1] if b.ndim > 1 else 1)
+    width = (_ZGEMV_ONE_THREAD // k) if m == 1 else (_ZGEMM_ONE_THREAD // (m * k))
+    if width < 1 or (n == 1 and m * k > _ZGEMV_ONE_THREAD):
+        raise ValueError(f"a ({m} × {k}) contraction does not fit one BLAS thread")
+    if n <= width:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + a.shape[-2:-1] + (n,), np.result_type(a, b))
+    for j in range(0, n, width):
+        np.matmul(a, b[..., j : j + width], out=out[..., j : j + width])
+    return out
+
+
+@lru_cache(maxsize=None)
+def table_block(p: int, k: int, n: int) -> int:
+    """The largest r | p for which (r × k) @ (k × n) and (1 × r) @ (r × n) each run on one BLAS thread.
+
+    So a contraction over p in p/r stacked blocks of r, summed, wakes no second thread.
+    """
+    cap = min(_ZGEMM_ONE_THREAD // (k * n), _ZGEMV_ONE_THREAD // n, p)
+    return max(r for r in range(1, cap + 1) if p % r == 0)
+
+
 _CALL_ENTRIES = 1 << 14  # entries one integrand call may return, panels × 2 × batch: 256 KiB
 
 
@@ -197,11 +242,14 @@ class Bisection:
     that rule adds them.
 
     The starting panels go in runs, each bisected to the end before the next,
-    so only one run's values are held at a time.  A run, and a call, takes
+    so only one run's values are held at a time.  A call takes at most
     ``span`` panels, as many as return ``_CALL_ENTRIES`` entries at f's width
     (panels × 2 × width): a batch of up to ``_CALL_ENTRIES``/2P points gets its
-    P panels a level in one call.  ``span`` is fixed when the integrator is
-    built, and no call changes it.
+    P panels a level in one call.  n starting panels go in ⌈n/``span``⌉ runs
+    whose sizes differ by one at most, so no short remainder run pays
+    bisection levels of its own: 41 panels at span 40 go as 21 + 20, not
+    40 + 1.  ``span`` is fixed when the integrator is built, and no call
+    changes it.
     """
 
     def __init__(self, f, width: int):
@@ -209,8 +257,10 @@ class Bisection:
 
     def __call__(self, panels):
         """Yield (value, error) of each starting panel in order, a run at a time."""
-        for i in range(0, len(panels), self.span):
-            yield from self._run(panels[i : i + self.span])
+        n = len(panels)
+        runs = -(-n // self.span)
+        for i in range(runs):
+            yield from self._run(panels[-(-i * n // runs) : -(-(i + 1) * n // runs)])
 
     def _run(self, level) -> list:
         levels = []  # per level: its values, errors and accepted flags

@@ -529,6 +529,27 @@ def test_inner_mellin_tables_match_direct_composite_on_whole_panels(h):
             assert grids.counts() == {"grids_built": 4, "tables_built": 4, "tables_reused": 1}
 
 
+def test_inner_mellin_blocks_match_direct_composite_on_every_rung():
+    # the stacked form, p/r blocks of r ≤ 156 rows summed, against the unfactored sum on each
+    # rung 24 … 768, the rung set by the panel's height; the route's own validation reaches
+    # rung 48 alone at fe-check's tolerance, one block
+    rungs = [24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768]
+    assert {p: p // quadrature.table_block(p, hankel._MDEG, 21) for p in (192, 768)} == {192: 2, 768: 6}
+    for f in (make_bump(1.0, 40.0), _two_sided()):
+        absf, span = _abs_function(f), math.log(f.b) - math.log(f.a)
+        for delta in (0, 1):
+            grids = hankel._MellinGrids(f, 12)
+            for p in rungs:
+                # int(1.3·|Im z|·span/2π) = p − 13, whose rung is p
+                z0 = complex(0.3, -(p - 12.5) * 2.0 * math.pi / (1.3 * span))
+                zs = panel_nodes(z0, -0.375)
+                got = _one_panel(grids, delta, z0, 0.375)
+                ref = _direct_composite(f, delta, zs, 12)
+                mass = np.abs(_direct_composite(absf, 0, zs.real, 12))
+                assert np.all(np.abs(got - ref) <= 1e-13 * mass), (f.a, delta, p)
+            assert sorted(p for _, p in grids._grids) == rungs
+
+
 def test_inner_mellin_validation_reads_the_route_tables(monkeypatch):
     # the validation runs the route's tabled form: a corrupted inner table makes it fail,
     # the rows off the centre node alone included (the centre row is 1 whatever h is)

@@ -4,8 +4,8 @@ overrides, only named test hooks have a default that only tests pass, no
 function has a return-shape flag, one writer owns every file write and one
 owner each the phase tables, the contour integrand, the contour walk, the
 panel ladder, the quadrature weight rows, the Chebyshev evaluation, the
-composite rule, the dual-sum policy, Δ's real place and w's support, and
-every file parses as Python 3.10.
+composite rule, the dual-sum policy, Δ's real place, w's support and the
+products against a phase table, and every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -106,6 +106,15 @@ bare ``pos``/``neg`` name, as an alias would be) in ``src/vorokit`` sits
 outside ``hankel.TestFunction.__call__``, so a test function's profile is
 read only where its support mask hands it points strictly inside (a, b), and
 ``make_bump``'s profile needs no mask of its own.
+
+Products against a phase table: no ``@`` and no ``matmul(...)`` call in
+``src/vorokit`` has an operand that reads a phase table (a call of a memo
+that ``phase_tables(...)`` made, followed through assignments and the
+``return`` of a function such as ``hankel._MellinGrids.grid``, or a name
+bound to such a call), so every such product goes through
+``quadrature.table_matmul``, the one owner of the sizes at which numpy's
+BLAS stays on one thread; ``bessel.ContourIntegrand.__call__`` and
+``hankel._mellin_nodes`` are the ones that call it.
 
 Python 3.10: the 3.10 grammar (``ast.parse(..., feature_version=(3, 10))``)
 accepts every ``.py`` file in ``src/vorokit``, ``tests`` and ``perfbench``.
@@ -1046,6 +1055,103 @@ def test_test_function_support_has_one_owner():
         if (name, where) != ("hankel.py", "TestFunction.__call__")
     ]
     assert not others, "a test function's profile read outside hankel.TestFunction.__call__:\n" + "\n".join(others)
+
+
+def _bound_names(assign: ast.Assign) -> set[str]:
+    """Each name or attribute an assignment binds, tuple targets unpacked."""
+    return {
+        t.id if isinstance(t, ast.Name) else t.attr
+        for target in assign.targets
+        for t in ast.walk(target)
+        if isinstance(t, (ast.Name, ast.Attribute)) and isinstance(t.ctx, ast.Store)
+    }
+
+
+def table_products(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each ``@`` or ``matmul(...)`` with a phase table in an operand.
+
+    A memo is a name or attribute assigned an expression that calls ``phase_tables``, or one
+    that calls a function whose ``return`` names a memo; a table is a call of a memo, or a
+    name assigned an expression that holds one.  ``out=`` and other keywords are no operand.
+    """
+    tree = ast.parse(source)
+    assigns = [n for n in ast.walk(tree) if isinstance(n, ast.Assign)]
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    memos, makers = set(), {"phase_tables"}
+    while True:
+        grown = {name for a in assigns if any(_call_name(c) in makers for c in ast.walk(a.value)) for name in _bound_names(a)}
+        sources = {
+            f.name
+            for f in functions
+            for r in ast.walk(f)
+            if isinstance(r, ast.Return) and r.value is not None
+            and any((n.id if isinstance(n, ast.Name) else n.attr) in memos
+                    for n in ast.walk(r.value) if isinstance(n, (ast.Name, ast.Attribute)))
+        }
+        if grown <= memos and sources <= makers:
+            break
+        memos |= grown
+        makers |= sources
+    is_read = lambda c: isinstance(c, ast.Call) and _call_name(c) in memos
+    tables = {name for a in assigns if any(is_read(c) for c in ast.walk(a.value)) for name in _bound_names(a)}
+
+    def holds_table(operand):
+        return any(is_read(n) or (isinstance(n, ast.Name) and n.id in tables) for n in ast.walk(operand))
+
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.MatMult):
+                operands = [child.left, child.right]
+            else:
+                operands = child.args if _call_name(child) == "matmul" else []
+            if any(holds_table(o) for o in operands):
+                found.append((where or "<module>", child.lineno))
+            visit(child, where)
+
+    visit(tree, "")
+    return found
+
+
+def test_scanner_flags_table_products():
+    # the three products as they stood before one owner kept them on one BLAS thread, beside
+    # the owner's calls and products that read no table
+    src = (
+        "class ContourIntegrand:\n"
+        "    def __init__(self, log_g, lx):\n"
+        "        self.log_g, self.lx, self.phase = log_g, lx, phase_tables(lx)\n"
+        "    def __call__(self, cs, hs, W, wg, out):\n"
+        "        for i in range(len(cs)):\n"
+        "            np.matmul(wg[i], self.phase(hs[i]), out=out[i])\n"
+        "        table_matmul(wg[0], self.phase(hs[0]), out=out[0])\n"
+        "        return np.matmul(W, out[0]) + (W @ self.lx)\n"
+        "class _MellinGrids:\n"
+        "    def grid(self, delta, p):\n"
+        "        self._memo = ((delta, p), quadrature.phase_tables(p))\n"
+        "        return self._memo[1]\n"
+        "def _mellin_nodes(grids, delta, h, fw, e_off, e_c, W, vals, p):\n"
+        "    tables = grids.grid(delta, p)\n"
+        "    t = tables(h[0])\n"
+        "    out = (t[:, :p] * (t[:, p:] @ (fw * e_off).T)) @ e_c\n"
+        "    return out + quadrature.table_matmul(e_c, t) + (W @ vals) + np.matmul(e_c, np.exp(tables(h[1])))\n"
+    )
+    assert table_products(src) == [
+        ("ContourIntegrand.__call__", 6), ("_mellin_nodes", 16), ("_mellin_nodes", 16), ("_mellin_nodes", 17),
+    ]
+
+
+def test_table_products_have_one_owner():
+    # every product against a phase table is quadrature.table_matmul's, which keeps it on one BLAS thread
+    found = [f"{p.relative_to(ROOT)}:{line}: in {where}" for p in SRC for where, line in table_products(p.read_text())]
+    assert not found, "a product against a phase table outside quadrature.table_matmul:\n" + "\n".join(found)
+    owners = {
+        (p.name, where) for p in SRC for where, _ in _enclosed_calls(p.read_text(), ("table_matmul",))
+    }
+    assert owners == {("bessel.py", "ContourIntegrand.__call__"), ("hankel.py", "_mellin_nodes")}
 
 
 def syntax_310_errors(path: Path) -> list[str]:

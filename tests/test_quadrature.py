@@ -262,9 +262,30 @@ def test_a_call_returns_at_most_its_entry_budget():
     panels = [(complex(k), complex(k + 1), 1e-3, 12) for k in range(40)]
     out = list(Bisection(f, len(lam))(panels))
     span = quadrature._CALL_ENTRIES // (2 * len(lam))
-    assert span > 1 and calls == [span] * (40 // span) + [40 % span] * (40 % span > 0)  # none is halved
+    # none is halved, so each call is one run: ⌈40/span⌉ runs whose sizes differ by one at most
+    assert span > 1 and len(calls) == -(-40 // span) and sum(calls) == 40
+    assert max(calls) <= span and max(calls) - min(calls) <= 1
     exact = (np.exp(lam * 40.0) - 1.0) / lam
     assert len(out) == 40 and np.max(np.abs(sum(v for v, _ in out) - exact)) <= 1e-9
+
+
+def test_no_remainder_run_pays_levels_of_its_own():
+    # 41 panels at span 40, the last two bisected once: runs of 21 and 20 take three calls, where
+    # 40 + 1 took four, since the lone remainder panel paid its own level
+    lam = np.linspace(-1.0, 1.0, 204) * 1j
+    calls = []
+
+    def f(cs, hs, W):
+        calls.append(len(cs))
+        return np.stack([W @ np.exp(np.outer(panel_nodes(c, h), lam)) for c, h in zip(cs, hs)])
+
+    bisect = Bisection(f, len(lam))
+    # a tol of −1 is never met, so depth 1 bisects a panel exactly once
+    panels = [(complex(k), complex(k + 1), math.inf if k < 39 else -1.0, 1) for k in range(41)]
+    out = list(bisect(panels))
+    assert bisect.span == 40 and calls == [21, 20, 4]
+    exact = (np.exp(lam * 41.0) - 1.0) / lam
+    assert len(out) == 41 and np.max(np.abs(sum(v for v, _ in out) - exact)) <= 1e-9
 
 
 @pytest.mark.parametrize(
@@ -288,6 +309,72 @@ def test_stacked_weight_rows_match_the_separate_rows(f, a, b, tol, depth, same_p
     assert np.all(np.abs(val - ref_val) <= 1e-14 * np.abs(ref_val))
     # the estimates are sums of |K − G|, so they agree to the rounding of the values they difference
     assert abs(err - ref_err) <= 1e-14 * len(ref_panels) * float(np.max(np.abs(ref_val)))
+
+
+# ---- products on one BLAS thread ------------------------------------------------
+
+
+def _blas_size(a_shape, b_shape) -> tuple[str, int]:
+    """The BLAS call numpy makes for each matrix of np.matmul(a, b), and its size: zgemv's m·n, zgemm's m·n·k."""
+    m, k = (a_shape[-2] if len(a_shape) > 1 else 1), a_shape[-1]
+    n = b_shape[-1] if len(b_shape) > 1 else 1
+    return ("gemv", k * n) if m == 1 else ("gemv", m * k) if n == 1 else ("gemm", m * n * k)
+
+
+_ONE_THREAD = {"gemm": 65_536, "gemv": 4_095}  # the largest sizes scipy-openblas 0.3.31 runs on one thread
+
+
+def test_table_matmul_is_matmul_in_slices_of_one_thread():
+    rng = np.random.default_rng(3)
+    cz = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows, table = cz(2, 21), cz(21, 3703)  # fe-check's largest magnitude group
+    out = np.empty((2, 3703), dtype=complex)
+    assert quadrature.table_matmul(rows, table, out=out) is out
+    slices = [np.matmul(rows, table[:, j : j + 1560]) for j in (0, 1560, 3120)]  # 65 520 = 2·21·1560
+    assert np.array_equal(out, np.concatenate(slices, axis=1))
+    # within the limits one call; past them, slices into an array of its own, stacked or not
+    for a, b in [(cz(6, 128, 20), cz(20, 21)), (cz(6, 1, 128), cz(6, 128, 21)), (cz(2, 21), cz(21, 40)),
+                 (rows, table), (cz(3, 1, 2000), cz(3, 2000, 5)), (cz(2000), cz(2000, 5))]:
+        assert np.allclose(quadrature.table_matmul(a, b), np.matmul(a, b), rtol=1e-14, atol=0)
+    # a contraction too long for one column does not fit one thread, whatever the slices
+    for a, b in [(cz(1, 4096), cz(4096, 2)), (cz(21, 196), cz(196)), (cz(21, 3200), cz(3200, 21))]:
+        with pytest.raises(ValueError, match="one BLAS thread"):
+            quadrature.table_matmul(a, b)
+
+
+def test_table_block_divides_every_rung_within_one_thread():
+    rungs = [p for e in range(3, 10) for p in (1 << e, 3 << (e - 1)) if 24 <= p <= 768]
+    assert rungs == [24, 32, 48, 64, 96, 128, 192, 256, 384, 512, 768]
+    for p in rungs:
+        r = quadrature.table_block(p, 20, 21)
+        assert p % r == 0 and r == max(d for d in range(1, 157) if p % d == 0)
+        assert _blas_size((r, 20), (20, 21))[1] <= 65_536 and _blas_size((1, r), (r, 21))[1] <= 4_095
+        assert (r == p) == (p <= 156)
+
+
+def test_the_mellin_route_issues_no_product_past_one_thread(monkeypatch):
+    # every np.matmul of a Mellin batch wide enough to slice the integrand's product, at a
+    # tolerance whose inner transform reaches rung 384, where one unstacked product of each
+    # kind would wake OpenBLAS's second thread
+    seen, matmul = [], np.matmul
+
+    def recorded(a, b, out=None):
+        seen.append((np.shape(a), np.shape(b)))
+        return matmul(a, b, out=out)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    xs = np.linspace(1.0, 1.4, 1700)
+    hankel.hankel_mellin_batch(DS11, hankel.make_bump(1.0, 40.0), xs, 1e-9)
+    over = [(a, b) for a, b in seen if _blas_size(a, b)[1] > _ONE_THREAD[_blas_size(a, b)[0]]]
+    assert not over, f"products past one BLAS thread: {sorted(set(over))[:5]}"
+    # bessel.ContourIntegrand's (2 × 21) @ (21 × 1700), in column slices
+    sliced = {b[1] for a, b in seen if a == (2, 21)}
+    assert max(sliced) == 1560 and 1700 - 1560 in sliced
+    # hankel._mellin_nodes' (p × 20) @ (20 × 21) and its contraction with e^{c·z0}, in p/r blocks
+    stacked = {(a[0] * a[1], a[0]) for a, b in seen if len(a) == 3 and a[2] == 20 and b == (20, 21)}
+    contracted = {(a[0] * a[2], a[0]) for a, b in seen if len(a) == 3 and a[1] == 1}
+    assert stacked == contracted and max(stacked) == (384, 3)
+    assert {p for p, blocks in stacked if blocks > 1} >= {192, 256, 384}
 
 
 # ---- the polyline walk ------------------------------------------------------

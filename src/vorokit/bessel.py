@@ -69,9 +69,9 @@ class ContourIntegrand:
     product stays per panel, (W·G) @ E_h, in panels grouped by h so the phase
     memo serves each h once a call: the weight rows meet G before the table, so
     no 21 × len(lx) product is formed.  ``quadrature.table_matmul`` issues it in
-    column slices of at most 1560 points, so no panel's product, nor one spanning
-    two panels, wakes a second BLAS thread.  The P factors of all the panels are
-    one (P × len(lx)) exponential, no larger than the call's output.
+    column slices of at most 1560 points, so none wakes a second BLAS thread.
+    The P factors of all the panels are one (P × len(lx)) exponential, no larger
+    than the call's output.
     """
 
     def __init__(self, log_g, rank, lx, nu=0.0, factor=None, rate=0.0):

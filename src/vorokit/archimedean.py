@@ -48,7 +48,6 @@ __all__ = [
     "GL1Block",
     "DS2Block",
     "RealPlaceParams",
-    "CharTwist",
     "PoleError",
     "l_factor",
     "epsilon_factor",
@@ -107,13 +106,6 @@ class RealPlaceParams:
     def parity_dependent(self) -> bool:
         """Whether γ(s, π×sgn^δ, ψ) depends on δ: a sign twist moves GL1 parities only."""
         return any(isinstance(b, GL1Block) for b in self.blocks)
-
-
-@dataclass(frozen=True)
-class CharTwist:
-    """Sign twist sgn^δ, parity δ ∈ {0,1}."""
-
-    value: int
 
 
 class PoleError(ArithmeticError):
@@ -210,13 +202,12 @@ _KINDS = {"R": (2, _LOG_PI, 0.0), "C": (1, _LOG_2PI, math.log(2.0))}
 
 
 @lru_cache(maxsize=256)
-def gamma_pieces(params: RealPlaceParams, twist: CharTwist) -> tuple:
-    """The Γ-pieces (kind, t, a, k) of π×χ, one per block, kind "R" or "C"."""
-    d = twist.value
-    if d not in (0, 1):
-        raise ValueError(f"real-place twist parity must be 0 or 1, got {d}")
+def gamma_pieces(params: RealPlaceParams, twist: int) -> tuple:
+    """The Γ-pieces (kind, t, a, k) of π×sgn^δ, δ = ``twist``, one per block, kind "R" or "C"."""
+    if twist not in (0, 1):
+        raise ValueError(f"real-place twist parity must be 0 or 1, got {twist}")
     return tuple(
-        ("R", b.t, (b.delta + d) % 2, (b.delta + d) % 2) if isinstance(b, GL1Block)
+        ("R", b.t, (b.delta + twist) % 2, (b.delta + twist) % 2) if isinstance(b, GL1Block)
         else ("C", b.t, b.l / 2, b.l + 1)
         for b in params.blocks
     )
@@ -236,7 +227,7 @@ def _log_l(pieces, s: complex) -> complex:
     return out
 
 
-def l_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> complex:
+def l_factor(params: RealPlaceParams, twist: int, s: complex) -> complex:
     """Product over blocks of the local L-factor at s, with the twist folded in."""
     return cmath.exp(_log_l(gamma_pieces(params, twist), s))
 
@@ -251,7 +242,7 @@ def _check_pole(block_index: int, gamma_arg: complex, s: complex, stride: int) -
         raise PoleError(block_index, s - stride * (gamma_arg - k), s)
 
 
-def epsilon_factor(params: RealPlaceParams, twist: CharTwist) -> complex:
+def epsilon_factor(params: RealPlaceParams, twist: int) -> complex:
     """The s-independent root of unity i^{Σk} for the twisted parameters."""
     return _I_POW[sum(k for *_, k in gamma_pieces(params, twist)) % 4]
 
@@ -264,7 +255,7 @@ def contragredient_params(params: RealPlaceParams) -> RealPlaceParams:
     ))
 
 
-def gamma_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> complex:
+def gamma_factor(params: RealPlaceParams, twist: int, s: complex) -> complex:
     """γ(s, π×χ, ψ) = ε(s, π×χ, ψ) · L(1−s, π~×χ̄) / L(s, π×χ).
 
     The ratio is formed as exp(log L(1−s, π~×χ̄) − log L(s, π×χ)), so it stays
@@ -280,7 +271,7 @@ def gamma_factor(params: RealPlaceParams, twist: CharTwist, s: complex) -> compl
 
 
 @lru_cache(maxsize=256)
-def _mb_plan(params: RealPlaceParams, twist: CharTwist) -> tuple:
+def _mb_plan(params: RealPlaceParams, twist: int) -> tuple:
     """(const, slope, scale, offset): log γ(1−s) = const + slope·s + Σ ±log Γ(scale·s + offset), + on even rows.
 
     A piece (kind, t, a, k) gives, in v = s/h and with f cancelling,
@@ -304,7 +295,7 @@ def _mb_plan(params: RealPlaceParams, twist: CharTwist) -> tuple:
     )
 
 
-def log_mb_gamma(params: RealPlaceParams, twist: CharTwist, s) -> np.ndarray:
+def log_mb_gamma(params: RealPlaceParams, twist: int, s) -> np.ndarray:
     """log γ(1−s, π×χ, ψ) as one combined expression, vectorised in s.
 
     This is the function whose inverse Mellin transform gives the Bessel

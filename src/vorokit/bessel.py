@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archimedean import CharTwist, RealPlaceParams, log_mb_gamma
+from .archimedean import RealPlaceParams, log_mb_gamma
 from .contours import Contour, build_contour
 from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import (
@@ -101,8 +101,8 @@ class ContourIntegrand:
         return max(abs(base - self.lx_min), abs(base - self.lx_max), 0.5) + self.rate
 
 
-def _mb_batch(params: RealPlaceParams, twist: CharTwist, contour: Contour, xeffs: np.ndarray, tol: float):
-    """(1/2πi) ∫_C γ(1−s, π×χ, ψ) xeff^{−s} ds for a batch of xeff > 0, its tails on the bent rays.
+def _mb_batch(params: RealPlaceParams, twist: int, contour: Contour, xeffs: np.ndarray, tol: float):
+    """(1/2πi) ∫_C γ(1−s, π×sgn^δ, ψ) xeff^{−s} ds, δ = ``twist``, for a batch of xeff > 0, its tails on the bent rays.
 
     The γ-ratio has degree n in s, so by Stirling its phase rate per unit of
     Im s is ~ n·log(|t|/2π) at t = Im s; xeff^{−s} adds −log xeff.  The
@@ -155,7 +155,7 @@ def bessel_real_batch(
         contour = build_contour(params)
     deltas = (0, 1) if params.parity_dependent else (0,)
     return parity_batch(
-        xs, 4.0, deltas, lambda d, ax: _mb_batch(params, CharTwist(d), contour, ax, tol / 2.0)
+        xs, 4.0, deltas, lambda d, ax: _mb_batch(params, d, contour, ax, tol / 2.0)
     )
 
 
@@ -164,10 +164,12 @@ def bessel_real_batch(
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Kernel values on a signed grid, with the contour that produced them."""
+    """Kernel values on a signed grid, with the contour that produced them.
+
+    The kernel sums both parities, so the sidecar's ``twist`` is always 0.
+    """
 
     params: RealPlaceParams
-    twist: CharTwist
     xs: tuple
     signs: tuple
     values: tuple
@@ -183,7 +185,7 @@ class KernelTable:
         meta = {
             "csv_sha256": hashlib.sha256(text.encode()).hexdigest(),
             "params": params_to_dict(self.params),
-            "twist": self.twist.value,
+            "twist": 0,
             "achieved_tol": self.achieved_tol,
             "requested_tol": self.requested_tol,
             "contour": {
@@ -216,7 +218,6 @@ class KernelTable:
         )
         return cls(
             params_from_dict(meta["params"]),
-            CharTwist(meta["twist"]),
             tuple(xs),
             tuple(signs),
             tuple(values),
@@ -250,7 +251,6 @@ def kernel_table(
     achieved = float(np.max(errs))
     return KernelTable(
         params,
-        CharTwist(0),
         tuple(float(x) for x in xs_all),
         tuple(int(s) for s in sg_all),
         tuple(complex(v) for v in values),

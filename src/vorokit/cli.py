@@ -28,13 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .archimedean import (
-    CharTwist,
-    PoleError,
-    RealPlaceParams,
-    gamma_factor,
-    log_mb_gamma,
-)
+from .archimedean import PoleError, RealPlaceParams, gamma_factor, log_mb_gamma
 from .bessel import kernel_table
 from .contours import InfeasibleContour
 from .gj import (
@@ -241,19 +235,18 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 
 def _run_gamma(args, t0):
     params = _parse_blocks(args.blocks)
-    twist = CharTwist(args.twist)
     s_values = _parse_s_values(args)
     rows = []
     for s in s_values:
-        lg = complex(log_mb_gamma(params, twist, np.array([1 - s]))[0])
+        lg = complex(log_mb_gamma(params, args.twist, np.array([1 - s]))[0])
         entry = {"s": s, "log_gamma": _num(lg, 5e-14 * max(1.0, abs(lg)), "gamma-ratio-closed-form")}
         try:
-            g = gamma_factor(params, twist, s)
+            g = gamma_factor(params, args.twist, s)
             entry["gamma"] = _num(g, 5e-14 * max(1.0, abs(g)), "gamma-ratio-closed-form")
         except OverflowError:
             entry["gamma"] = _num(None, None, "overflow; use log_gamma")
         rows.append(entry)
-    inputs = {"blocks": params_to_dict(params), "twist": twist.value, "s": s_values}
+    inputs = {"blocks": params_to_dict(params), "twist": args.twist, "s": s_values}
     return _report("gamma", inputs, {"points": rows}, {}, t0)
 
 
@@ -524,13 +517,9 @@ def _run_gj_scan(args, t0):
     thresholds = {}
     if args.max_defect is not None:
         thresholds["max_defect"] = _threshold(args.max_defect, max(r.defect for r in res))
-    inputs = {
-        "variant": args.variant,
-        "s": s_values,
-        "phi": res[0].phi if res else None,
-        "tol": tol,
-        "out": args.out,
-    }
+    # the cuspidal variant alone reads the τ table's size and the tolerance
+    read = {"n_trunc": args.n_trunc, "tol": tol} if args.variant == "cuspidal" else {}
+    inputs = {"variant": args.variant, "s": s_values, "phi": res[0].phi if res else None, "out": args.out, **read}
     return _report("gj-scan", inputs, results, thresholds, t0)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .archimedean import CharTwist, RealPlaceParams, gamma_pieces
+from .archimedean import RealPlaceParams, gamma_pieces
 
 __all__ = ["Contour", "InfeasibleContour", "build_contour", "pole_starts", "check_admissible"]
 
@@ -75,12 +75,12 @@ def pole_starts(params: RealPlaceParams) -> list[complex]:
     neither t nor a Γ_ℂ piece's a, and a Γ_ℝ piece takes t − ℕ, the poles of
     both parities, so one pole set serves every twist.
     """
-    return [complex(t) - (0 if kind == "R" else a) for kind, t, a, _ in gamma_pieces(params, CharTwist(0))]
+    return [complex(t) - (0 if kind == "R" else a) for kind, t, a, _ in gamma_pieces(params, 0)]
 
 
 def _asymptote_bound(params: RealPlaceParams) -> float:
     # n_j: 1 for a Γ_ℝ piece (GL1), 2 for a Γ_ℂ piece (DS2)
-    pieces = gamma_pieces(params, CharTwist(0))
+    pieces = gamma_pieces(params, 0)
     tsum = sum((1 if kind == "R" else 2) * complex(t).real for kind, t, _, _ in pieces)
     return 0.5 + (tsum - 1.0) / params.rank
 

@@ -247,7 +247,7 @@ def split_zeta_identity(
     as does a ``grid`` built for another ``w`` or ``tol``.
     """
     s = complex(s)
-    if w.neg is not None or not w.a > 0:
+    if w.neg is not None:
         raise ValueError("the test function must be supported inside (0, ∞)")
     if coeffs is None:
         coeffs = tau_coefficients(1024)

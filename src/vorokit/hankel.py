@@ -78,12 +78,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebvander
 
-from .archimedean import (
-    CharTwist,
-    RealPlaceParams,
-    gamma_factor,
-    log_mb_gamma,
-)
+from .archimedean import RealPlaceParams, gamma_factor, log_mb_gamma
 from . import quadrature
 from .bessel import ContourIntegrand, bessel_real_batch, parity_batch
 from .contours import build_contour, pole_starts
@@ -124,13 +119,18 @@ class TestFunction:
     of ℝ^×.  Profiles must accept numpy arrays.  A call is the one place a
     profile is read: it hands the profile only points strictly inside (a, b)
     and gives 0 elsewhere, so a profile need not be defined off (a, b).  A
-    call returns an array of the input's shape, 0-d for a scalar.
+    call returns an array of the input's shape, 0-d for a scalar.  The
+    support must satisfy 0 < a < b < ∞ (``BadSupport``).
     """
 
     a: float
     b: float
     pos: Callable
     neg: Callable | None = None
+
+    def __post_init__(self) -> None:
+        if not 0 < self.a < self.b < math.inf:
+            raise BadSupport(f"need 0 < a < b < ∞, got ({self.a}, {self.b})")
 
     def __call__(self, x):
         # off its component a profile is evaluated at the support's midpoint and discarded: no scatter
@@ -154,8 +154,6 @@ def make_bump(a: float, b: float) -> TestFunction:
     nothing cancels: at x = 1.03 on bump(1, 40) it is 2.6e-14 off in
     relative terms, where exp(−1/(1−u²)) is 1.4e-11 off.
     """
-    if not 0 < a < b < math.inf:
-        raise BadSupport(f"need 0 < a < b < ∞, got ({a}, {b})")
     a, b = float(a), float(b)
     c = (0.5 * (b - a)) ** 2  # 1 − u² = (x−a)(b−x)/c
     return TestFunction(a, b, lambda x: np.exp(-c / ((x - a) * (b - x))))
@@ -305,9 +303,8 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
     vertical ladder, whose repeating half-widths the integrand's phase memo serves.  ``counts``
     accumulates the tail panels and the phase tables built and reused.
     """
-    twist = CharTwist(delta)
     integrand = ContourIntegrand(
-        lambda s: log_mb_gamma(params, twist, s), params.rank, lx, nu=nu,
+        lambda s: log_mb_gamma(params, delta, s), params.rank, lx, nu=nu,
         factor=lambda cs, hs: _mellin_nodes(grids, delta, 1.0 - nu - cs, hs),
         rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
     )
@@ -502,10 +499,8 @@ def hankel_convolution_batch(
     lo, hi = float(ax.min() * w.a), float(ax.max() * w.b)
     cache = KernelCache() if cache is None else cache
     models = {s: cache.model(params, s, lo, hi, model_tol) for s in kernel_signs if s in need}
-    if not models:  # every kernel argument falls where 𝔟 vanishes
-        return np.zeros(len(xs), dtype=complex), cw * model_tol * ax**nu
-    h = next(iter(models.values())).h  # both signs' models hold the same lattice panels
 
+    # a point whose kernel arguments all fall where 𝔟 vanishes keeps 0 and the model bar alone
     values, quad_err = np.zeros(len(xs), dtype=complex), np.zeros(len(xs))
     for gi in magnitude_groups(ax, 4.0):
         for s_x in (1, -1):
@@ -513,6 +508,7 @@ def hankel_convolution_batch(
             terms = [(s_t, models[s_x * s_t]) for s_t in t_signs if s_x * s_t in models]
             if len(rows) == 0 or not terms:
                 continue
+            h = terms[0][1].h  # both signs' models hold the same lattice panels
             # the lattice panels under these rows' supports, inside the models' [lo, hi]
             j_lo = int((ax[rows[0]] * w.a) ** (1.0 / n) // h)
             j_hi = max(j_lo + 1, math.ceil((ax[rows[-1]] * w.b) ** (1.0 / n) / h))
@@ -592,7 +588,7 @@ def local_fe_residual(
     rhs = {}
     for d in (0, 1):
         for s in s_list:
-            g = gamma_factor(params, CharTwist(d), 1.0 - s)
+            g = gamma_factor(params, d, 1.0 - s)
             rhs[(s, d)] = g * signed_mellin(w, d, 1.0 - s - nu, 1e-12)
 
     kappa = nu - max(st.real for st in pole_starts(params))

@@ -242,14 +242,11 @@ class Bisection:
     that rule adds them.
 
     The starting panels go in runs, each bisected to the end before the next,
-    so only one run's values are held at a time.  A call takes at most
-    ``span`` panels, as many as return ``_CALL_ENTRIES`` entries at f's width
-    (panels × 2 × width): a batch of up to ``_CALL_ENTRIES``/2P points gets its
-    P panels a level in one call.  n starting panels go in ⌈n/``span``⌉ runs
-    whose sizes differ by one at most, so no short remainder run pays
-    bisection levels of its own: 41 panels at span 40 go as 21 + 20, not
-    40 + 1.  ``span`` is fixed when the integrator is built, and no call
-    changes it.
+    so only one run's values are held at a time.  A run takes the next
+    ``span`` starting panels and a call at most ``span`` panels, as many as
+    return ``_CALL_ENTRIES`` entries at f's width (panels × 2 × width): a batch
+    of up to ``_CALL_ENTRIES``/2P points gets its P panels a level in one call.
+    ``span`` is fixed when the integrator is built, and no call changes it.
     """
 
     def __init__(self, f, width: int):
@@ -257,10 +254,8 @@ class Bisection:
 
     def __call__(self, panels):
         """Yield (value, error) of each starting panel in order, a run at a time."""
-        n = len(panels)
-        runs = -(-n // self.span)
-        for i in range(runs):
-            yield from self._run(panels[-(-i * n // runs) : -(-(i + 1) * n // runs)])
+        for i in range(0, len(panels), self.span):
+            yield from self._run(panels[i : i + self.span])
 
     def _run(self, level) -> list:
         levels = []  # per level: its values, errors and accepted flags

@@ -279,7 +279,7 @@ class VoronoiJob:
     def __post_init__(self) -> None:
         if self.c < 1 or math.gcd(self.a, self.c) != 1:
             raise ValueError("need c ≥ 1 and gcd(a, c) = 1")
-        if self.w.neg is not None or not self.w.a > 0:
+        if self.w.neg is not None:
             raise ValueError("w must be supported inside (0, ∞)")
         if self.n_trunc < 1 or not self.tol > 0:
             raise ValueError("need a positive truncation and tolerance")

@@ -8,7 +8,6 @@ import pytest
 
 from vorokit.archimedean import (
     _TWO_RHO,
-    CharTwist,
     DS2Block,
     GL1Block,
     PoleError,
@@ -22,26 +21,24 @@ from vorokit.archimedean import (
     loggamma,
 )
 
-T0 = CharTwist(0)
-
 
 def test_l_factor_gl1_trivial_at_one():
     p = RealPlaceParams((GL1Block(0, 0.0),))
     # pi^{-1/2} Gamma(1/2) = 1
-    assert l_factor(p, T0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert l_factor(p, 0, 1.0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_l_factor_ds2_weight11():
     p = RealPlaceParams((DS2Block(11, 0.0),))
     want = 2 * (2 * math.pi) ** -6.0 * math.factorial(5)
-    assert l_factor(p, T0, 0.5) == pytest.approx(want, rel=1e-13)
+    assert l_factor(p, 0, 0.5) == pytest.approx(want, rel=1e-13)
     assert want == pytest.approx(3.90060e-3, rel=1e-4)
 
 
 def test_epsilon_factors():
-    assert epsilon_factor(RealPlaceParams((DS2Block(11),)), T0) == 1
+    assert epsilon_factor(RealPlaceParams((DS2Block(11),)), 0) == 1
     # twists shift the exponents
-    assert epsilon_factor(RealPlaceParams((GL1Block(0),)), CharTwist(1)) == 1j
+    assert epsilon_factor(RealPlaceParams((GL1Block(0),)), 1) == 1j
 
 
 def test_gamma_factor_symmetric_points():
@@ -49,7 +46,7 @@ def test_gamma_factor_symmetric_points():
         RealPlaceParams((GL1Block(0),)),
         RealPlaceParams((DS2Block(11),)),
     ):
-        assert gamma_factor(p, T0, 0.5) == pytest.approx(1.0, abs=1e-13)
+        assert gamma_factor(p, 0, 0.5) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_contragredient():
@@ -59,13 +56,13 @@ def test_contragredient():
 
 def test_gamma_pieces_table():
     r = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
-    assert gamma_pieces(r, CharTwist(0)) == (("R", 0.2, 1, 1), ("C", -0.1 + 0.3j, 2.0, 5))
-    assert gamma_pieces(r, CharTwist(1)) == (("R", 0.2, 0, 0), ("C", -0.1 + 0.3j, 2.0, 5))
+    assert gamma_pieces(r, 0) == (("R", 0.2, 1, 1), ("C", -0.1 + 0.3j, 2.0, 5))
+    assert gamma_pieces(r, 1) == (("R", 0.2, 0, 0), ("C", -0.1 + 0.3j, 2.0, 5))
     with pytest.raises(ValueError):
-        gamma_pieces(r, CharTwist(2))
+        gamma_pieces(r, 2)
     # the contragredient with the conjugate twist: the same pieces with t negated
-    negated = tuple((kind, -t, a, k) for kind, t, a, k in gamma_pieces(r, CharTwist(1)))
-    assert gamma_pieces(contragredient_params(r), CharTwist(1)) == negated
+    negated = tuple((kind, -t, a, k) for kind, t, a, k in gamma_pieces(r, 1))
+    assert gamma_pieces(contragredient_params(r), 1) == negated
 
 
 def test_gamma_recurrence_random_s():
@@ -74,7 +71,7 @@ def test_gamma_recurrence_random_s():
     p = RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))
     for _ in range(20):
         s = complex(rng.uniform(0.5, 3.0), rng.uniform(-3, 3))
-        ratio = l_factor(p, T0, s + 1) / l_factor(p, T0, s)
+        ratio = l_factor(p, 0, s + 1) / l_factor(p, 0, s)
         a1 = (s + 0.2 + 1) / 2  # parity of the GL1 block is 1
         a2 = s + (-0.1 + 0.3j) + 2.0
         # Γ((z+2)/2)/Γ(z/2) contributes z/2 per unit shift of z by 2; a full
@@ -100,7 +97,7 @@ def test_gamma_l_consistency_random_s():
         RealPlaceParams((DS2Block(3, 0.25),)),
     ]
     for params in cases:
-        for tw in (CharTwist(0), CharTwist(1)):
+        for tw in (0, 1):
             for _ in range(20):
                 s = complex(rng.uniform(0.2, 0.8), rng.uniform(-2, 2))
                 g = gamma_factor(params, tw, s)
@@ -113,19 +110,19 @@ def test_gamma_l_consistency_random_s():
 def test_pole_error_reports_block_and_location():
     p = RealPlaceParams((GL1Block(0), DS2Block(11),))
     with pytest.raises(PoleError) as ei:
-        l_factor(p, T0, -2.0)  # GL1 argument -1: pole of the first block
+        l_factor(p, 0, -2.0)  # GL1 argument -1: pole of the first block
     assert ei.value.block_index == 0
     assert ei.value.pole == pytest.approx(-2.0, abs=1e-9)
     with pytest.raises(PoleError) as ei:
-        l_factor(p, T0, -5.5 - 2.0)  # DS2 argument -2: second block
+        l_factor(p, 0, -5.5 - 2.0)  # DS2 argument -2: second block
     assert ei.value.block_index == 1
 
 
 def test_log_mb_gamma_matches_gamma_factor():
     pts = [0.25 + 0.7j, -0.3 + 2.2j, 0.1 - 1.4j]
     for params, tw in (
-        (RealPlaceParams((GL1Block(0), GL1Block(1, 0.3))), CharTwist(1)),
-        (RealPlaceParams((DS2Block(11),)), CharTwist(0)),
+        (RealPlaceParams((GL1Block(0), GL1Block(1, 0.3))), 1),
+        (RealPlaceParams((DS2Block(11),)), 0),
     ):
         for s in pts:
             got = np.exp(log_mb_gamma(params, tw, s))
@@ -214,10 +211,10 @@ def test_fused_log_mb_gamma_matches_mpmath_sum_at_rank_3():
     panels = [nodes + 0.5j, nodes * 3 - 2.0 + 9.0j, nodes + 850.0j, nodes - 1.0 - 2400.0j, nodes * 10 - 40.0 + 60.0j]
     for twist in (0, 1):
         for s in panels:
-            got = log_mb_gamma(RANK3, CharTwist(twist), s)
+            got = log_mb_gamma(RANK3, twist, s)
             want = np.array([_mp_log_mb_gamma(twist, z) for z in s])
             assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
-        one = log_mb_gamma(RANK3, CharTwist(twist), 0.2 + 3.0j)
+        one = log_mb_gamma(RANK3, twist, 0.2 + 3.0j)
         assert complex(one) == pytest.approx(_mp_log_mb_gamma(twist, 0.2 + 3.0j), rel=1e-13)
 
 
@@ -226,4 +223,4 @@ def test_twist_folding_matches_materialized_params():
     p = RealPlaceParams((GL1Block(0, 0.3),))
     q = RealPlaceParams((GL1Block(1, 0.3),))
     for s in (0.7, 1.3 + 0.5j):
-        assert l_factor(p, CharTwist(1), s) == pytest.approx(l_factor(q, T0, s), rel=1e-13)
+        assert l_factor(p, 1, s) == pytest.approx(l_factor(q, 0, s), rel=1e-13)

@@ -12,7 +12,6 @@ from scipy.special import jv
 
 from vorokit import bessel, contours, quadrature
 from vorokit.archimedean import (
-    CharTwist,
     DS2Block,
     GL1Block,
     RealPlaceParams,
@@ -141,7 +140,7 @@ def test_integrand_tail_decay_on_asymptote():
     x = 3.7
     T = 60.0
     mags = [
-        abs(np.exp(log_mb_gamma(DS11, CharTwist(0), complex(c.asymptote, t)) - complex(c.asymptote, t) * math.log(x)))
+        abs(np.exp(log_mb_gamma(DS11, 0, complex(c.asymptote, t)) - complex(c.asymptote, t) * math.log(x)))
         for t in (T, 2 * T, 4 * T)
     ]
     assert mags[0] > mags[1] > mags[2]
@@ -208,12 +207,11 @@ def test_bessel_integrand_factored_phase_matches_direct():
     # G_l·E_h[l]·P against exp(log γ − s·lx), the latter in 30 digits from the same double
     # inputs.  Doubles round the exponent by ~eps·(|log γ| + |s·lx|), however it is formed:
     # on the tail panel |log γ| ≈ 1e5, and the direct double form is 3.5e4·eps off there
-    twist = CharTwist(0)
     lx = np.linspace(0.0, math.log(1e6), 8)
     sigma = build_contour(DS11).asymptote
     h_bend = 1.25 * 2 * math.pi * 1e3 + 8.0  # the walk's bend height for x up to 1e6
     tail = complex(sigma, h_bend) + 45.0 * quadrature._BEND  # 40 to 50 units down the upper ray
-    f = bessel.ContourIntegrand(lambda s: log_mb_gamma(DS11, twist, s), DS11.rank, lx)  # as the batch builds it
+    f = bessel.ContourIntegrand(lambda s: log_mb_gamma(DS11, 0, s), DS11.rank, lx)  # as the batch builds it
     panels = [  # a miss and a hit at t = 700, a slanted detour panel and a bent-tail panel
         (complex(sigma, 701.5), 1.5j, (1, 0)),
         (complex(sigma, 704.5), 1.5j, (1, 1)),
@@ -225,7 +223,7 @@ def test_bessel_integrand_factored_phase_matches_direct():
         assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         assert np.all(np.isfinite(got)), (c, h)
         s = panel_nodes(c, h)
-        logg = log_mb_gamma(DS11, twist, s)
+        logg = log_mb_gamma(DS11, 0, s)
         with mpmath.workdps(30):
             exact = lambda g, si, x: mpmath.exp(mpmath.mpc(g) - mpmath.mpc(si) * x)
             ref = np.array([[complex(exact(g, si, x)) for x in lx] for g, si in zip(logg, s)])
@@ -243,7 +241,7 @@ def test_a_panel_value_does_not_depend_on_the_panels_stacked_with_it():
     # two vertical panels a Mellin-route walk stacks in one call: alone, the upper one's Γ
     # arguments take 8 Stirling terms; under the lower one, 9, and its values move by 7e-16
     lx = np.linspace(0.0, math.log(1e6), 8)
-    f = bessel.ContourIntegrand(lambda s: log_mb_gamma(DS11, CharTwist(0), s), DS11.rank, lx)
+    f = bessel.ContourIntegrand(lambda s: log_mb_gamma(DS11, 0, s), DS11.rank, lx)
     cs, hs = np.array([-0.25 + 6.75j, -0.25 + 8.25j]), np.array([0.75j, 0.75j])
     alone = f(cs[1:], hs[1:], np.eye(21))[0]
     assert np.array_equal(f(cs, hs, np.eye(21))[1], alone)
@@ -344,7 +342,7 @@ def test_gl1_batch_error_is_half_the_sum_of_the_parity_errors():
     xs = np.array([0.6, -0.9, 1.7, -2.2])  # one magnitude group
     vals, errs = bessel_real_batch(GL1R, xs, 1e-8)
     contour = build_contour(GL1R)
-    (i0, e0), (i1, e1) = (bessel._mb_batch(GL1R, CharTwist(d), contour, np.abs(xs), 1e-8 / 2) for d in (0, 1))
+    (i0, e0), (i1, e1) = (bessel._mb_batch(GL1R, d, contour, np.abs(xs), 1e-8 / 2) for d in (0, 1))
     assert np.array_equal(errs, 0.5 * (e0 + e1)) and np.all(errs > 0)
     assert np.array_equal(vals, 0.5 * (i0 + np.sign(xs) * i1))
 

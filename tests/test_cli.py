@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vorokit.archimedean import CharTwist, gamma_factor, log_mb_gamma
+from vorokit.archimedean import gamma_factor, log_mb_gamma
 from vorokit.cli import _build_parser, _parse_args, _parse_s_values, _subcommands, main
 from vorokit.params_io import params_from_dict
 from vorokit.quadrature import ToleranceNotMet
@@ -413,7 +413,7 @@ def test_gamma_matches_direct_evaluation(capsys):
     params = params_from_dict(DELTA_DOC)
     for point in rep["results"]["points"]:
         s = complex(*point["s"]) if isinstance(point["s"], list) else complex(point["s"])
-        want = gamma_factor(params, CharTwist(0), s)
+        want = gamma_factor(params, 0, s)
         got = complex(*point["gamma"]["value"])
         assert got == pytest.approx(want, rel=1e-12)
         assert point["gamma"]["provenance"] == "gamma-ratio-closed-form"
@@ -424,7 +424,7 @@ def test_gamma_at_large_height_is_finite(capsys):
     code, out, _ = run(capsys, ["gamma", "--s-list", "2+1000j,0.5+2j"])
     assert code == 0
     far, near = json.loads(out)["results"]["points"]
-    want = complex(log_mb_gamma(params_from_dict(DELTA_DOC), CharTwist(0), np.array([-1 - 1000j]))[0])
+    want = complex(log_mb_gamma(params_from_dict(DELTA_DOC), 0, np.array([-1 - 1000j]))[0])
     assert complex(*far["log_gamma"]["value"]) == want
     assert far["gamma"]["provenance"] == "gamma-ratio-closed-form"
     got = complex(*far["gamma"]["value"])
@@ -654,6 +654,8 @@ def test_gj_scan_tate_reads_no_tolerance(capsys):
         assert code == 0
         rep = json.loads(out)
         assert all(p["value"]["error"] is None for p in rep["results"]["points"])
+        # nor the τ table's size, so its inputs echo neither
+        assert sorted(rep["inputs"]) == ["out", "phi", "s", "variant"]
         results.append(json.dumps(rep["results"], sort_keys=True))
     assert results[0] == results[1]
 
@@ -688,6 +690,8 @@ def test_gj_scan_reports_the_dual_tolerance_met(capsys, monkeypatch):
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert [p["dual_tol"] for p in json.loads(out)["results"]["points"]] == [wtol, wtol]
+    # the cuspidal variant reads the τ table's size and the tolerance, so its inputs echo both
+    assert json.loads(out)["inputs"]["n_trunc"] == 1024 and json.loads(out)["inputs"]["tol"] == 1e-5
     monkeypatch.setattr(gj, "hankel_convolution_batch", first_octave_misses)
     code, out, _ = run(capsys, argv)
     assert code == 0 and asked[:2] == [wtol, 8 * wtol]

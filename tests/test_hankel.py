@@ -13,7 +13,7 @@ import pytest
 from numpy.polynomial.chebyshev import chebval
 
 from vorokit import bessel, hankel, quadrature, voronoi
-from vorokit.archimedean import CharTwist, DS2Block, GL1Block, PoleError, RealPlaceParams, log_mb_gamma
+from vorokit.archimedean import DS2Block, GL1Block, PoleError, RealPlaceParams, log_mb_gamma
 from vorokit.bessel import ContourIntegrand, bessel_real_batch
 from vorokit.hankel import (
     BadSupport,
@@ -98,9 +98,12 @@ def test_profiles_are_read_only_strictly_inside_the_support():
 
 
 def test_bump_support_validation():
+    profile = make_bump(1.0, 2.0).pos
     for a, b in [(0.0, 1.0), (-1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)]:
         with pytest.raises(BadSupport):
             make_bump(a, b)
+        with pytest.raises(BadSupport):  # the test function checks its own support, however it is built
+            hankel.TestFunction(a, b, profile)
 
 
 @pytest.mark.parametrize("route", [hankel_mellin_batch, hankel_convolution_batch])
@@ -252,7 +255,7 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
     grids = hankel._MellinGrids(w, hankel._mellin_base(1e-9))
     sigma = build_contour(DS2_11).asymptote
     f = ContourIntegrand(  # as the mellin route builds it
-        lambda s: log_mb_gamma(DS2_11, CharTwist(delta), s), DS2_11.rank, lx, nu=nu,
+        lambda s: log_mb_gamma(DS2_11, delta, s), DS2_11.rank, lx, nu=nu,
         factor=lambda cs, hs: hankel._mellin_nodes(grids, delta, 1.0 - nu - cs, hs),
         rate=max(abs(grids.va), abs(grids.vb)),
     )
@@ -265,7 +268,7 @@ def test_mellin_integrand_factored_phase_matches_direct(t):
         got = f(np.array([c]), np.array([h]), np.eye(21))[0]  # one panel, W = I: the values at every node
         assert (f.phase.cache_info().misses, f.phase.cache_info().hits) == counts
         s = panel_nodes(c, h)
-        logg = log_mb_gamma(DS2_11, CharTwist(delta), s)
+        logg = log_mb_gamma(DS2_11, delta, s)
         mv = _one_panel(grids, delta, 1.0 - nu - c, h)
         with mpmath.workdps(30):
             exact = lambda g, si, m, x: mpmath.exp(mpmath.mpc(g) + (nu - mpmath.mpc(si)) * x) * mpmath.mpc(m)

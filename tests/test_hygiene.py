@@ -1,11 +1,12 @@
 """Source hygiene: no module imports a name it never uses, no library
 parameter has a default that every caller leaves alone or that every caller
 overrides, only named test hooks have a default that only tests pass, no
-function has a return-shape flag, one writer owns every file write and one
-owner each the phase tables, the contour integrand, the contour walk, the
-panel ladder, the quadrature weight rows, the Chebyshev evaluation, the
-composite rule, the dual-sum policy, Δ's real place, w's support and the
-products against a phase table, and every file parses as Python 3.10.
+function has a return-shape flag, no class wraps one field and adds nothing,
+one writer owns every file write and one owner each the phase tables, the
+contour integrand, the contour walk, the panel ladder, the quadrature weight
+rows, the Chebyshev evaluation, the composite rule, the dual-sum policy, Δ's
+real place, w's support and the products against a phase table, and every
+file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -76,6 +77,10 @@ no handler catches ``ToleranceNotMet`` (alone or in a tuple), and outside
 ``voronoi.DualWalk.__init__`` neither ``voronoi.py`` nor ``gj.py`` builds a
 ``KernelCache()``, so the dual tolerance, its one retry and the kernel-model
 cache a dual sum shares have one owner.
+
+One-field wrappers: no class in ``src/vorokit`` has a body, past its
+docstring, of one annotated field and nothing else (no method, no
+``__post_init__``), so a plain value such as a parity δ travels as itself.
 
 Second paths: no function in ``src/vorokit`` takes a ``full_output``
 parameter (one return shape per function), and no ``open``/``os.fdopen``
@@ -488,6 +493,47 @@ def test_no_library_function_takes_full_output():
     assert SRC
     found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in SRC for name, line in full_output_params(p.read_text())]
     assert not found, "full_output parameters:\n" + "\n".join(found)
+
+
+def one_field_wrappers(source: str) -> list[tuple[str, int]]:
+    """(class name, line) of each class whose body, past its docstring, is one annotated field alone."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+            if len(body) == 1 and isinstance(body[0], ast.AnnAssign):
+                found.append((node.name, node.lineno))
+    return found
+
+
+def test_scanner_flags_one_field_wrappers():
+    src = (
+        "@dataclass(frozen=True)\n"
+        "class Twist:\n"
+        '    """Sign twist."""\n'
+        "    value: int\n"
+        "class Bare:\n"
+        "    n: int\n"
+        "class Checked:\n"  # a field with its own check is a type, not a wrapper
+        "    n: int\n"
+        "    def __post_init__(self):\n"
+        "        pass\n"
+        "class Pair:\n"
+        "    a: int\n"
+        "    b: int\n"
+        "class WithConstant:\n"
+        "    a: int\n"
+        "    LIMIT = 3\n"
+        "class Failure(ValueError):\n"
+        '    """No field at all."""\n'
+    )
+    assert one_field_wrappers(src) == [("Twist", 2), ("Bare", 5)]
+
+
+def test_no_library_class_is_a_one_field_wrapper():
+    assert SRC
+    found = [f"{p.relative_to(ROOT)}:{line}: {name}" for p in SRC for name, line in one_field_wrappers(p.read_text())]
+    assert not found, "classes that wrap one field and add nothing:\n" + "\n".join(found)
 
 
 def _mode(call: ast.Call):

@@ -262,30 +262,9 @@ def test_a_call_returns_at_most_its_entry_budget():
     panels = [(complex(k), complex(k + 1), 1e-3, 12) for k in range(40)]
     out = list(Bisection(f, len(lam))(panels))
     span = quadrature._CALL_ENTRIES // (2 * len(lam))
-    # none is halved, so each call is one run: ⌈40/span⌉ runs whose sizes differ by one at most
-    assert span > 1 and len(calls) == -(-40 // span) and sum(calls) == 40
-    assert max(calls) <= span and max(calls) - min(calls) <= 1
+    assert span > 1 and calls == [span] * (40 // span) + [40 % span] * (40 % span > 0)  # none is halved
     exact = (np.exp(lam * 40.0) - 1.0) / lam
     assert len(out) == 40 and np.max(np.abs(sum(v for v, _ in out) - exact)) <= 1e-9
-
-
-def test_no_remainder_run_pays_levels_of_its_own():
-    # 41 panels at span 40, the last two bisected once: runs of 21 and 20 take three calls, where
-    # 40 + 1 took four, since the lone remainder panel paid its own level
-    lam = np.linspace(-1.0, 1.0, 204) * 1j
-    calls = []
-
-    def f(cs, hs, W):
-        calls.append(len(cs))
-        return np.stack([W @ np.exp(np.outer(panel_nodes(c, h), lam)) for c, h in zip(cs, hs)])
-
-    bisect = Bisection(f, len(lam))
-    # a tol of −1 is never met, so depth 1 bisects a panel exactly once
-    panels = [(complex(k), complex(k + 1), math.inf if k < 39 else -1.0, 1) for k in range(41)]
-    out = list(bisect(panels))
-    assert bisect.span == 40 and calls == [21, 20, 4]
-    exact = (np.exp(lam * 41.0) - 1.0) / lam
-    assert len(out) == 41 and np.max(np.abs(sum(v for v, _ in out) - exact)) <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -127,8 +127,10 @@ def parity_batch(xs, ratio: float, deltas, component):
 
     ``component(δ, |x|)`` → (I_δ, error) for δ in ``deltas``, (0,) where I₁ = I₀,
     on each magnitude group (|x| within ``ratio`` of its smallest), so each walk
-    is sized to its group.  An x that is 0 or not finite raises ValueError
-    before any component runs.
+    is sized to its group.  A group's walks take each distinct |x| once, and
+    every x of that magnitude, of either sign, folds its value from them, so
+    a batch that holds ±x pays for x alone.  An x that is 0 or not finite
+    raises ValueError before any component runs.
     """
     xs = np.asarray(xs, dtype=float)
     if np.any(xs == 0) or not np.all(np.isfinite(xs)):
@@ -137,10 +139,13 @@ def parity_batch(xs, ratio: float, deltas, component):
     values = np.zeros(len(xs), dtype=complex)
     errors = np.zeros(len(xs))
     for gi in magnitude_groups(ax, ratio):
-        parts = [component(d, ax[gi]) for d in deltas]
+        g = ax[gi]  # ascending, so equal magnitudes sit side by side
+        first = np.concatenate([[True], g[1:] != g[:-1]])
+        at = np.cumsum(first) - 1  # each point's place among the distinct magnitudes
+        parts = [component(d, g[first]) for d in deltas]
         (i0, e0), (i1, e1) = parts[0], parts[-1]
-        values[gi] = 0.5 * (i0 + np.sign(xs[gi]) * i1)
-        errors[gi] = 0.5 * (e0 + e1)
+        values[gi] = 0.5 * (i0[at] + np.sign(xs[gi]) * i1[at])
+        errors[gi] = np.broadcast_to(0.5 * (e0 + e1), i0.shape)[at]  # a walk's error may be one number
     return values, errors
 
 

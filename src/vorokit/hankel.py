@@ -31,15 +31,20 @@ independent routes, each reading the rank n from the place (``params.rank``):
   the tolerance each window's batch met, the panels it built and reused.  A
   model's panels sit on a fixed lattice, panel j = [j·h, (j+1)·h] with
   h = 1.1/n, so every α-window or octave of the job asks for panels the
-  earlier ones may already hold, and builds only the rest, in one Bessel
-  batch, checked off-node at the golden-section point of every 4th new
-  panel.  The windows' tolerances differ, so a panel is served by the error
-  it was certified to, not by the tolerance it was asked for: max(3 × its
-  node batch's achieved error, the probe error of the chunk it was built
-  in).  A panel certified within the request's tolerance is reused and any
-  other one is rebuilt, which is the guarantee a fresh build at that
-  tolerance gives.  The t-integral is taken in the model's own variable:
-  t = u^n/|x| turns it into
+  earlier ones may already hold, and builds only the rest.  A build is one
+  Bessel batch: the new panels' Chebyshev nodes of every sign the batch
+  needs, and the probes, the golden-section point of every 4th new panel of
+  each sign, ride in it (on GL(1) the ± nodes share their magnitudes, and
+  ``bessel.parity_batch`` walks each magnitude once).  Since the probes are
+  walked with the nodes, they check the Chebyshev interpolation between the
+  nodes; the walk's own error is the batch's achieved bar, and the Meijer G,
+  J₁₁ and plane-wave oracles pin the walk from outside.  The windows'
+  tolerances differ, so a panel is served by the error it was certified to,
+  not by the tolerance it was asked for: max(3 × its batch's achieved node
+  error, the probe error of its sign's new panels).  A panel certified
+  within the request's tolerance is reused and any other one is rebuilt,
+  which is the guarantee a fresh build at that tolerance gives.  The
+  t-integral is taken in the model's own variable: t = u^n/|x| turns it into
   |x|^{(n−3)/2}·∫ 𝔟(±u^n)·w(±u^n/|x|)·n·u^{(n−1)(2−n)/2} du, one
   ``quadrature.Bisection`` per magnitude group (ratio 4) and sign of x.  Its
   starting panels are the lattice panels under those points' supports, each
@@ -116,11 +121,16 @@ class TestFunction:
 
     ``pos`` is the profile on the positive axis; ``neg``, if given, is the
     profile of x ↦ f(−x) on the same interval, so f lives on both components
-    of ℝ^×.  Profiles must accept numpy arrays.  A call is the one place a
-    profile is read: it hands the profile only points strictly inside (a, b)
-    and gives 0 elsewhere, so a profile need not be defined off (a, b).  A
-    call returns an array of the input's shape, 0-d for a scalar.  The
-    support must satisfy 0 < a < b < ∞ (``BadSupport``).
+    of ℝ^×.  A call is the one place a profile is read: it hands the profile
+    only points strictly inside (a, b), and the support's midpoint in place of
+    every other point, so a profile need not be defined off (a, b).  The array
+    a profile is handed is a fresh 1-d array that only the call reads, so the
+    profile may overwrite it.  The array the profile returns, of the same
+    shape, is the call's: it writes the zeros off the support into it, so a
+    profile returns a new array or the one it was handed, never one it keeps.
+    A call leaves its input unchanged and returns a fresh array of the input's
+    shape, 0-d for a scalar.  The support must satisfy 0 < a < b < ∞
+    (``BadSupport``).
     """
 
     a: float
@@ -133,15 +143,16 @@ class TestFunction:
             raise BadSupport(f"need 0 < a < b < ∞, got ({self.a}, {self.b})")
 
     def __call__(self, x):
-        # off its component a profile is evaluated at the support's midpoint and discarded: no scatter
+        # off its component a profile reads the support's midpoint, and the zeros go in after: no scatter
         ax = np.asarray(x, dtype=float)
-        mid = 0.5 * (self.a + self.b)
-        m = (ax > self.a) & (ax < self.b)
-        out = np.where(m, self.pos(np.where(m, ax, mid)), 0.0)
+        flat, mid = ax.reshape(-1), 0.5 * (self.a + self.b)
+        m = (flat > self.a) & (flat < self.b)
+        out = self.pos(np.where(m, flat, mid))
+        np.copyto(out, 0.0, where=~m)
         if self.neg is not None:
-            mn = (-ax > self.a) & (-ax < self.b)
-            out = np.where(mn, self.neg(np.where(mn, -ax, mid)), out)
-        return out
+            m = (flat < -self.a) & (flat > -self.b)
+            np.copyto(out, self.neg(np.where(m, -flat, mid)), where=m)
+        return out.reshape(ax.shape)
 
 
 def make_bump(a: float, b: float) -> TestFunction:
@@ -152,11 +163,21 @@ def make_bump(a: float, b: float) -> TestFunction:
     strictly inside (a, b), where x − a and b − x are exactly positive, so
     it needs no mask.  Near the edges it is also the more accurate form, as
     nothing cancels: at x = 1.03 on bump(1, 40) it is 2.6e-14 off in
-    relative terms, where exp(−1/(1−u²)) is 1.4e-11 off.
+    relative terms, where exp(−1/(1−u²)) is 1.4e-11 off.  It forms
+    (x−a)·(b−x), −c/· and exp in place in one new array, the one it returns,
+    and, as a profile may, overwrites the array it is handed with b − x:
+    each fresh array of a 65 536-entry read costs page faults.
     """
     a, b = float(a), float(b)
     c = (0.5 * (b - a)) ** 2  # 1 − u² = (x−a)(b−x)/c
-    return TestFunction(a, b, lambda x: np.exp(-c / ((x - a) * (b - x))))
+
+    def profile(x):
+        t = x - a
+        t *= np.subtract(b, x, out=x)  # x is the call's own array
+        np.divide(-c, t, out=t)
+        return np.exp(t, out=t)
+
+    return TestFunction(a, b, profile)
 
 
 # ---- signed Mellin transforms ----------------------------------------------
@@ -393,31 +414,49 @@ class _KernelModel:
         return np.einsum("...k,...k->...", chebvander(2.0 * (t - i) - 1.0, _CHEB_DEG), self.coeffs[i])
 
 
-def _fit_panels(params, sign, js: np.ndarray, h: float, tol: float):
-    """Chebyshev coefficients of lattice panels ``js`` from one node batch at tol/3.
+def _fit_panels(params, stale: dict, h: float, tol: float) -> dict:
+    """Chebyshev models of the lattice panels ``stale[sign]`` of each sign, from one Bessel batch at tol/3.
 
-    → (coefficients, 3 × each panel's worst achieved node error).
+    The batch holds, sign after sign, the Chebyshev nodes of each panel and the
+    golden-section point of every 4th one, the off-node probes.
+    → {sign: (coefficients, 3 × each panel's worst achieved node error, probe u, 𝔟 at the probes)}.
     """
     k = _CHEB_DEG + 1
     cheb_x = np.cos(np.pi * (2 * np.arange(k) + 1) / (2 * k))
-    lo, hi = h * js, h * (js + 1)
-    unodes = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * cheb_x[None, :]).ravel()
-    vals, errs = bessel_real_batch(params, sign * unodes**params.rank, tol / 3.0)
-    coeffs = chebfit(cheb_x, vals.reshape(len(js), k).T, _CHEB_DEG).T
-    return coeffs, 3.0 * errs.reshape(len(js), k).max(axis=1)
+    us = {}
+    for sign, js in stale.items():
+        lo, hi = h * js, h * (js + 1)
+        unodes = (0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * cheb_x[None, :]).ravel()
+        us[sign] = np.concatenate([unodes, h * (js[::4] + 0.381966)])
+    vals, errs = bessel_real_batch(
+        params, np.concatenate([sign * u**params.rank for sign, u in us.items()]), tol / 3.0
+    )
+    cuts = np.cumsum([len(u) for u in us.values()])[:-1]
+    out = {}
+    for (sign, js), u, v, e in zip(stale.items(), us.values(), np.split(vals, cuts), np.split(errs, cuts)):
+        nodes = len(js) * k
+        coeffs = chebfit(cheb_x, v[:nodes].reshape(len(js), k).T, _CHEB_DEG).T
+        out[sign] = (coeffs, 3.0 * e[:nodes].reshape(len(js), k).max(axis=1), u[nodes:], v[nodes:])
+    return out
 
 
 class KernelCache:
     """The convolution route's kernel models for one job, panel by panel.
 
     The model of 𝔟(±arg) for (params, sign) lives on a fixed lattice in
-    u = arg^{1/n}: panel j covers [j·h, (j+1)·h], h = 1.1/n.  Each panel keeps
-    the error it was certified to when it was built: max(3 × its node batch's
-    achieved error, the off-node probe error of the chunk it was built in).
-    `model` serves a panel whose certified error is within the request's
-    tolerance and builds every other panel it needs anew, so each request
-    gets the guarantee a fresh build at its tolerance gives.  A chunk that
-    fails validation leaves the cache as it was.
+    u = arg^{1/n}: panel j covers [j·h, (j+1)·h], h = 1.1/n.  `model` serves
+    a panel whose certified error is within the request's tolerance and
+    builds every other panel it needs, of every sign it is asked for, in one
+    Bessel batch at tol/3 that also holds the off-node probes: the
+    golden-section point of every 4th new panel of each sign.  Each panel
+    keeps the error it was certified to when it was built: max(3 × its node
+    batch's achieved error, the probe error of its sign's chunk).  So each
+    request gets the guarantee a fresh build at its tolerance gives.  The
+    probes are walked with the nodes, so what they check is the Chebyshev
+    interpolation between the nodes; the walk's own error is the batch's
+    achieved bar, which the Meijer G, J₁₁ and plane-wave oracles pin from
+    outside.  A build that fails validation, for any sign, leaves the cache
+    as it was.
     """
 
     def __init__(self) -> None:
@@ -430,33 +469,35 @@ class KernelCache:
         self._built = self._reused = 0
         return out
 
-    def model(self, params, sign: int, lo: float, hi: float, tol: float) -> _KernelModel:
-        """A model of 𝔟(sign·arg) on lo ≤ arg ≤ hi, accurate to ``tol``."""
+    def model(self, params, signs, lo: float, hi: float, tol: float) -> dict:
+        """Models of 𝔟(sign·arg) on lo ≤ arg ≤ hi, accurate to ``tol``, for each sign in ``signs``.  → {sign: model}"""
         rank = params.rank
         ulo, uhi = lo ** (1.0 / rank), hi ** (1.0 / rank)
         h = _PANEL_WIDTH / rank
         j0 = int(ulo // h)
         js = np.arange(j0, max(j0 + 1, math.ceil(uhi / h)))
-        panels = self._panels.setdefault((params, sign), {})
-        stale = np.array([j for j in js if j not in panels or panels[j][1] > tol], dtype=int)
-        fresh = {}
-        if len(stale):
-            new, node_err = _fit_panels(params, sign, stale, h, tol)
-            fresh = dict(zip(stale.tolist(), new))
-        coeffs = np.stack([fresh[j] if j in fresh else panels[j][0] for j in js.tolist()])
-        model = _KernelModel(h, j0, coeffs)
-        if fresh:
-            # validate off-node: golden-section point of every 4th new panel
-            probed = stale[::4]
-            probe = h * (probed + 0.381966)
-            direct, _ = bessel_real_batch(params, sign * probe**rank, tol / 3.0)
-            errp = float(np.max(np.abs(model.at(probe) - direct)))
-            if errp > tol:
-                raise ToleranceNotMet(tol, errp, "kernel model validation")
-            panels.update((j, (c, max(e, errp))) for (j, c), e in zip(fresh.items(), node_err))
-        self._built += len(fresh)
-        self._reused += len(js) - len(fresh)
-        return model
+        held = {s: self._panels.get((params, s), {}) for s in signs}
+        stale = {s: np.array([j for j in js if j not in p or p[j][1] > tol], dtype=int) for s, p in held.items()}
+        stale = {s: st for s, st in stale.items() if len(st)}
+        fits = _fit_panels(params, stale, h, tol) if stale else {}
+        models, fresh = {}, {}
+        for s, panels in held.items():
+            new = {}
+            if s in fits:
+                coeffs, node_err, probe, direct = fits[s]
+                new = dict(zip(stale[s].tolist(), coeffs))
+            models[s] = _KernelModel(h, j0, np.stack([new[j] if j in new else panels[j][0] for j in js.tolist()]))
+            if new:
+                errp = float(np.max(np.abs(models[s].at(probe) - direct)))
+                if errp > tol:
+                    raise ToleranceNotMet(tol, errp, "kernel model validation")
+                fresh[s] = {j: (c, max(e, errp)) for (j, c), e in zip(new.items(), node_err)}
+        for s, new in fresh.items():
+            self._panels.setdefault((params, s), {}).update(new)
+        built = sum(len(new) for new in fresh.values())
+        self._built += built
+        self._reused += len(js) * len(signs) - built
+        return models
 
 
 def hankel_convolution_batch(
@@ -498,7 +539,7 @@ def hankel_convolution_batch(
     need = {s_x * s_t for s_x in (1, -1) if (s_x * xs > 0).any() for s_t in t_signs}
     lo, hi = float(ax.min() * w.a), float(ax.max() * w.b)
     cache = KernelCache() if cache is None else cache
-    models = {s: cache.model(params, s, lo, hi, model_tol) for s in kernel_signs if s in need}
+    models = cache.model(params, tuple(s for s in kernel_signs if s in need), lo, hi, model_tol)
 
     # a point whose kernel arguments all fall where 𝔟 vanishes keeps 0 and the model bar alone
     values, quad_err = np.zeros(len(xs), dtype=complex), np.zeros(len(xs))

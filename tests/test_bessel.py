@@ -317,6 +317,20 @@ def test_parity_batch_with_one_parity_folds_i0_with_itself():
     assert [d for d, _ in calls] == [0, 0]
 
 
+def test_parity_batch_walks_each_magnitude_once():
+    # ±x and repeated x share their walks: each parity is asked for the distinct |x| of a group
+    calls = []
+    xs = [1.0, -2.0, -1.0, 2.0, 30.0, 1.0, -30.0]
+    vals, errs = parity_batch(xs, 4.0, (0, 1), _stub_component(calls))
+    assert calls == [(0, [1.0, 2.0]), (1, [1.0, 2.0]), (0, [30.0]), (1, [30.0])]
+    # each point folds ½(I₀ + sgn(x)·I₁) = ½(|x| ± 2|x|) from its magnitude's walks
+    assert vals.tolist() == [1.5, -1.0, -0.5, 3.0, 45.0, 1.5, -15.0]
+    assert errs.tolist() == [0.5 * (1e-3 + 2e-3)] * 7
+    calls.clear()
+    vals, errs = parity_batch(xs, 4.0, (0,), _stub_component(calls, scalar_error=True))
+    assert calls == [(0, [1.0, 2.0]), (0, [30.0])] and errs.tolist() == [1e-3] * 7
+
+
 def test_parity_batch_refuses_zero_before_any_component():
     calls = []
     with pytest.raises(ValueError, match="nonzero"):

@@ -97,6 +97,40 @@ def test_profiles_are_read_only_strictly_inside_the_support():
         assert np.all((pts > a) & (pts < b)), (name, pts[(pts <= a) | (pts >= b)])
 
 
+def test_a_read_of_w_is_fresh_and_exact():
+    # a call masks the support and reads each profile once, in a fresh array: x is left as it was,
+    # the result is x's shape (0-d for a scalar) and shares no memory with x, it is exactly 0 at
+    # and outside a and b, and inside it is the bare product formula bit for bit
+    a, b = 1.0, 40.0
+    c = (0.5 * (b - a)) ** 2
+    bare = lambda x: np.exp(-c / ((x - a) * (b - x)))  # noqa: E731
+    bump = make_bump(a, b)
+    two_sided = hankel.TestFunction(a, b, bump.pos, lambda x: 0.5 * bump.pos(x))
+    ends = [a, b, np.nextafter(a, b), np.nextafter(b, a), np.nextafter(a, 0.0), np.nextafter(b, 2 * b)]
+    xs = np.concatenate([ends, np.negative(ends), np.linspace(-45.0, 45.0, 888)]).reshape(30, 30)
+    for w, neg_part in ((bump, 0.0), (two_sided, 0.5)):
+        for x in (xs, xs.T, xs[::3, 1:]):
+            x0 = x.copy()
+            got = w(x)
+            assert np.array_equal(x, x0) and got.shape == x.shape and not np.shares_memory(got, x)
+            pos, neg = (x > a) & (x < b), (x < -a) & (x > -b)
+            assert np.all(got[~(pos | neg)] == 0.0) and np.all(got[(np.abs(x) <= a) | (np.abs(x) >= b)] == 0.0)
+            assert np.array_equal(got[pos], bare(x[pos]))
+            assert np.array_equal(got[neg], neg_part * bare(-x[neg]))
+        for x in (1.5, np.float64(39.0), np.asarray(2.0), 0.5, -1.5):
+            got = w(x)
+            assert isinstance(got, np.ndarray) and got.shape == ()
+        assert w(1.5) == bare(1.5) and w(-1.5) == neg_part * bare(1.5) and w(40.0) == 0.0
+    # a profile that returns the array it is handed, as test_gj.py's does, on both halves
+    ident = hankel.TestFunction(1.0, 2.0, lambda x: x, lambda x: x)
+    x = np.array([-2.5, -2.0, -1.5, -1.0, 0.5, 1.0, 1.25, 2.0, 3.0])
+    x0 = x.copy()
+    got = ident(x)
+    assert np.array_equal(x, x0) and not np.shares_memory(got, x)
+    assert got.tolist() == [0.0, 0.0, 1.5, 0.0, 0.0, 0.0, 1.25, 0.0, 0.0]
+    assert ident(-1.5).shape == () and float(ident(-1.5)) == 1.5
+
+
 def test_bump_support_validation():
     profile = make_bump(1.0, 2.0).pos
     for a, b in [(0.0, 1.0), (-1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)]:
@@ -657,15 +691,15 @@ def _u_range(j_lo, j_hi):
 def test_kernel_cache_builds_only_uncovered_panels(monkeypatch):
     sizes = _bessel_batches(monkeypatch)
     cache = hankel.KernelCache()
-    cache.model(DS2_11, 1, *_u_range(2, 9), 1e-9)
+    cache.model(DS2_11, (1,), *_u_range(2, 9), 1e-9)
     assert cache.panel_counts() == {"built": 8, "reused": 0}
-    assert sizes == [8 * NODES, 2]  # one node batch; probes in panels 2 and 6
+    assert sizes == [8 * NODES + 2]  # one batch: the nodes, and probes in panels 2 and 6
     sizes.clear()
-    model = cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
+    model = cache.model(DS2_11, (1,), *_u_range(5, 13), 1e-9)[1]
     assert cache.panel_counts() == {"built": 4, "reused": 5}
-    assert sizes == [4 * NODES, 1]  # panels 10..13 only; one probe, in panel 10
+    assert sizes == [4 * NODES + 1]  # panels 10..13 only; one probe, in panel 10
     sizes.clear()
-    inside = cache.model(DS2_11, 1, *_u_range(6, 8), 1e-9)
+    inside = cache.model(DS2_11, (1,), *_u_range(6, 8), 1e-9)[1]
     assert cache.panel_counts() == {"built": 0, "reused": 3} and sizes == []
     # the served models agree with direct values off the nodes
     args = np.linspace(*_u_range(5, 13), 41)
@@ -693,14 +727,14 @@ def test_convolution_batch_builds_no_model_for_the_sign_the_parity_cancels(monke
 def test_kernel_cache_rebuilds_a_panel_certified_looser_than_asked():
     cache = hankel.KernelCache()
     lo, hi = _u_range(2, 9)
-    cache.model(DS2_11, 1, lo, hi, 1e-9)
+    cache.model(DS2_11, (1,), lo, hi, 1e-9)
     panels = cache._panels[(DS2_11, 1)]
     assert sorted(panels) == list(range(2, 10))
     assert all(0.0 < err <= 1e-9 for _, err in panels.values())
     # panel 5 now claims only 1e-6 and holds garbage: it must be built anew, not served
     panels[5] = (np.zeros(NODES, dtype=complex), 1e-6)
     cache.panel_counts()
-    model = cache.model(DS2_11, 1, lo, hi, 1e-9)
+    model = cache.model(DS2_11, (1,), lo, hi, 1e-9)[1]
     assert cache.panel_counts() == {"built": 1, "reused": 7}
     assert 0.0 < panels[5][1] <= 1e-9 and np.any(panels[5][0])
     args = (np.linspace(5.05, 5.95, 7) * H2) ** 2
@@ -708,34 +742,62 @@ def test_kernel_cache_rebuilds_a_panel_certified_looser_than_asked():
     assert np.max(np.abs(_model_at(model, args, 2) - direct)) <= 1e-9
     # a request looser than that claim serves the panel as it is
     panels[5] = (panels[5][0], 1e-6)
-    cache.model(DS2_11, 1, lo, hi, 1e-6)
+    cache.model(DS2_11, (1,), lo, hi, 1e-6)
     assert cache.panel_counts() == {"built": 0, "reused": 8}
 
 
 def test_kernel_cache_unchanged_after_failed_validation(monkeypatch):
     cache = hankel.KernelCache()
-    cache.model(DS2_11, 1, *_u_range(2, 9), 1e-9)
+    cache.model(DS2_11, (1,), *_u_range(2, 9), 1e-9)
     cache.panel_counts()
     before = {j: (c.copy(), e) for j, (c, e) in cache._panels[(DS2_11, 1)].items()}
     real = hankel.bessel_real_batch
-    calls = []
+    batches = []
 
     def probes_disagree(params, xs, tol):
+        # panels 10..13 are built: their nodes are the batch's first 4·NODES entries, and its
+        # one probe, in panel 10, the last; only that probe's value is off
         vals, errs = real(params, xs, tol)
-        calls.append(len(xs))
-        return (vals + 1e-6 if len(calls) == 2 else vals), errs
+        batches.append(len(xs))
+        vals[4 * NODES :] += 1e-6
+        return vals, errs
 
     monkeypatch.setattr(hankel, "bessel_real_batch", probes_disagree)
-    with pytest.raises(ToleranceNotMet):
-        cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
+    with pytest.raises(ToleranceNotMet, match="kernel model validation"):
+        cache.model(DS2_11, (1,), *_u_range(5, 13), 1e-9)
+    assert batches == [4 * NODES + 1]
     after = cache._panels[(DS2_11, 1)]
     assert sorted(after) == sorted(before)
     assert all(np.array_equal(after[j][0], c) and after[j][1] == e for j, (c, e) in before.items())
     assert cache.panel_counts() == {"built": 0, "reused": 0}
     # the same request with agreeing probes goes through, as rhs_theta's retry needs
     monkeypatch.setattr(hankel, "bessel_real_batch", real)
-    cache.model(DS2_11, 1, *_u_range(5, 13), 1e-9)
+    cache.model(DS2_11, (1,), *_u_range(5, 13), 1e-9)
     assert cache.panel_counts() == {"built": 4, "reused": 5}
+
+
+def test_a_mixed_sign_gl1_batch_walks_each_contour_once(monkeypatch):
+    # GL(1)'s 𝔟 depends on the sign of its argument, so ±x need both sign models; they are built
+    # in one Bessel batch of ±nodes whose parity walks take each |u| once, as a one-signed batch's do
+    w, xs = make_bump(1.0, 40.0), np.array([0.3, 0.7, 1.1, 2.5, 4.0])
+    mixed = np.concatenate([xs, -xs])
+    sizes = _bessel_batches(monkeypatch)
+    walks, mb_batch = [], bessel._mb_batch
+    monkeypatch.setattr(bessel, "_mb_batch", lambda *a: walks.append(len(a[3])) or mb_batch(*a))
+    one_signed, _ = hankel_convolution_batch(GL1_TRIVIAL, w, xs, 1e-7, hankel.KernelCache())
+    one_sizes, one_walks = list(sizes), list(walks)
+    sizes.clear()
+    walks.clear()
+    cache = hankel.KernelCache()
+    both, errs = hankel_convolution_batch(GL1_TRIVIAL, w, mixed, 1e-7, cache)
+    assert len(one_sizes) == 1 and sizes == [2 * one_sizes[0]]  # one batch per build, both signs in it
+    assert walks == one_walks  # the same walks, over the same magnitudes
+    assert sorted(cache._panels) == [(GL1_TRIVIAL, -1), (GL1_TRIVIAL, 1)]
+    assert np.all(errs <= 1e-7) and np.all(both[5:] != 0)
+    # each sign's values against a batch of that sign alone, which builds that sign's model alone
+    assert np.max(np.abs(both[:5] - one_signed)) <= 1e-13
+    minus, _ = hankel_convolution_batch(GL1_TRIVIAL, w, -xs, 1e-7, hankel.KernelCache())
+    assert np.max(np.abs(both[5:] - minus)) <= 1e-13
 
 
 # ---- the convolution rule on the kernel's u-lattice --------------------------

@@ -64,6 +64,11 @@ Chebyshev evaluation: no ``chebvander`` or ``chebval`` call in
 model is read one way, at the points it is handed, by the t-integral's panel
 integrand and the off-node probe alike.
 
+One Bessel batch per kernel build: ``hankel.py`` calls ``bessel_real_batch``
+(as ``f(...)`` or ``obj.f(...)``) only inside ``hankel._fit_panels``, whose one
+batch holds the nodes and the off-node probes of every sign a build needs, so
+no validation or second sign walks the contours again.
+
 Composite rule: ``gauss_panels`` is called (as ``f(...)`` or
 ``obj.f(...)``) only inside the fixed-rule integrals ``gj._gap_rule`` and
 ``hankel.local_fe_residual`` (nested
@@ -798,6 +803,31 @@ def test_chebyshev_evaluation_has_one_owner():
         if (name, where) != ("hankel.py", "_KernelModel.at")
     ]
     assert not others, "Chebyshev model evaluated outside hankel._KernelModel.at:\n" + "\n".join(others)
+
+
+def bessel_batches(source: str) -> list[tuple[str, int]]:
+    """(enclosing Class.function, line) of each bessel_real_batch(...) call."""
+    return _enclosed_calls(source, ("bessel_real_batch",))
+
+
+def test_scanner_flags_second_bessel_batches():
+    # the kernel model's build as it stood before its probes rode in the node batch
+    src = (
+        "def _fit_panels(params, sign, js, h, tol):\n"
+        "    vals, errs = bessel_real_batch(params, sign * unodes**params.rank, tol / 3.0)\n"
+        "class KernelCache:\n"
+        "    def model(self, params, sign, lo, hi, tol):\n"
+        "        new, node_err = _fit_panels(params, sign, stale, h, tol)\n"
+        "        if fresh:\n"
+        "            direct, _ = bessel_real_batch(params, sign * probe**rank, tol / 3.0)\n"
+        "            other = bessel.bessel_real_batch(params, -probe**rank, tol)\n"
+    )
+    assert bessel_batches(src) == [("_fit_panels", 2), ("KernelCache.model", 7), ("KernelCache.model", 8)]
+
+
+def test_a_kernel_build_walks_the_contours_once():
+    found = bessel_batches((ROOT / "src" / "vorokit" / "hankel.py").read_text())
+    assert [where for where, _ in found] == ["_fit_panels"], f"bessel_real_batch called in hankel.py at {found}"
 
 
 def composite_rules(source: str) -> list[tuple[str, int]]:

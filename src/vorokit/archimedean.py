@@ -51,6 +51,7 @@ __all__ = [
     "PoleError",
     "l_factor",
     "epsilon_factor",
+    "reflection_factor",
     "gamma_factor",
     "contragredient_params",
     "gamma_pieces",
@@ -245,6 +246,13 @@ def _check_pole(block_index: int, gamma_arg: complex, s: complex, stride: int) -
 def epsilon_factor(params: RealPlaceParams, twist: int) -> complex:
     """The s-independent root of unity i^{Σk} for the twisted parameters."""
     return _I_POW[sum(k for *_, k in gamma_pieces(params, twist)) % 4]
+
+
+def reflection_factor(params: RealPlaceParams, twist: int) -> complex | None:
+    """c = ε² with γ(1−s̄) = c·conj γ(1−s) if every piece's t is real (γ/ε is then real on ℝ), else None."""
+    if any(complex(t).imag for _, t, _, _ in gamma_pieces(params, twist)):
+        return None
+    return epsilon_factor(params, twist) ** 2
 
 
 def contragredient_params(params: RealPlaceParams) -> RealPlaceParams:

@@ -12,7 +12,8 @@ integrand decays only polynomially up a vertical line, so above all detour
 structure and the stationary height ≈ c·|x|^{1/n} both tails bend 45°
 (``quadrature.BENT_RAYS``).  The connectors between the paths vanish as the
 height grows, so the value is the contour integral's, as the
-contour-independence and closed-form tests check.
+contour-independence and closed-form tests check.  Where every t of π is
+real the integrand is self-conjugate, and a walk reflects its upper half.
 
 Evaluation is batched: many x share one path, with the γ-part of the
 integrand computed once per node and x^{−s} factored by panel.  One class,
@@ -30,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .archimedean import RealPlaceParams, log_mb_gamma
+from .archimedean import RealPlaceParams, log_mb_gamma, reflection_factor
 from .contours import Contour, build_contour
 from .params_io import atomic_write, params_from_dict, params_to_dict
 from .quadrature import (
@@ -114,7 +115,8 @@ def _mb_batch(params: RealPlaceParams, twist: int, contour: Contour, xeffs: np.n
     # on the tail grid, so the vertical panels' edges are exact and their h repeat
     h_bend = tail_grid_ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0))
     values, achieved, _ = contour_integral(
-        integrand, len(xeffs), contour.polyline(h_bend), integrand.omega, BENT_RAYS, tol
+        integrand, len(xeffs), contour.polyline(h_bend), integrand.omega, BENT_RAYS, tol,
+        reflection_factor(params, twist),
     )
     return values, np.full(len(xeffs), achieved)
 

@@ -10,8 +10,10 @@ independent routes, each reading the rank n from the place (``params.rank``):
   M_δ[w] of a compactly supported w is entire and decays
   super-polynomially on vertical lines, so the tails stay vertical
   (``quadrature.VERTICAL_LADDER``; :mod:`vorokit.quadrature` describes the
-  walk and its tail rules).  The factor γ·M_δ[w] does not depend on x, and
-  on a panel with centre c and half-width h the x-power at the node
+  walk and its tail rules).  w is real, so where every t of π is real the
+  integrand is self-conjugate, and a walk reflects its upper half.  The
+  factor γ·M_δ[w] does not depend on x, and on a panel with centre c and
+  half-width h the x-power at the node
   s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}: one
   exponential per point per panel, times a table E_h that depends on the
   panel only through h (the first factor also takes γ's centre value, so
@@ -83,7 +85,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebvander
 
-from .archimedean import RealPlaceParams, gamma_factor, log_mb_gamma
+from .archimedean import RealPlaceParams, gamma_factor, log_mb_gamma, reflection_factor
 from . import quadrature
 from .bessel import ContourIntegrand, bessel_real_batch, parity_batch
 from .contours import build_contour, pole_starts
@@ -117,11 +119,13 @@ class BadSupport(ValueError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Smooth test function on ℝ^×, supported in {a < |x| < b}.
+    """Smooth real-valued test function on ℝ^×, supported in {a < |x| < b}.
 
     ``pos`` is the profile on the positive axis; ``neg``, if given, is the
     profile of x ↦ f(−x) on the same interval, so f lives on both components
-    of ℝ^×.  A call is the one place a profile is read: it hands the profile
+    of ℝ^×.  Both are real: the Mellin route's M_δ[w](z̄) = conj M_δ[w](z)
+    and the convolution route's real [Re | Im] product rest on it, so a
+    complex one is a TypeError.  A call is the one place a profile is read: it hands the profile
     only points strictly inside (a, b), and the support's midpoint in place of
     every other point, so a profile need not be defined off (a, b).  The array
     a profile is handed is a fresh 1-d array that only the call reads, so the
@@ -148,6 +152,8 @@ class TestFunction:
         flat, mid = ax.reshape(-1), 0.5 * (self.a + self.b)
         m = (flat > self.a) & (flat < self.b)
         out = self.pos(np.where(m, flat, mid))
+        if out.dtype.kind == "c":  # a complex neg is refused by copyto's same-kind cast
+            raise TypeError("a test function's profile must return real values")
         np.copyto(out, 0.0, where=~m)
         if self.neg is not None:
             m = (flat < -self.a) & (flat > -self.b)
@@ -330,7 +336,9 @@ def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
         rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
     )
     pts = contour.polyline(tail_grid_ceil(contour.detour_height + 2.0))  # up to h0
-    values, achieved, tail_panels = contour_integral(integrand, len(lx), pts, integrand.omega, VERTICAL_LADDER, tol)
+    values, achieved, tail_panels = contour_integral(
+        integrand, len(lx), pts, integrand.omega, VERTICAL_LADDER, tol, reflection_factor(params, delta)
+    )
     memo = integrand.phase.cache_info()
     counts.update(tail_panels=tail_panels, memo_built=memo.misses, memo_reused=memo.hits)
     return values, achieved
@@ -364,7 +372,7 @@ def hankel_mellin_batch(
     """Dual function on a signed batch by the mellin route.  → (values, errors).
 
     ``counts``, when given, accumulates the route's deterministic work:
-    ``tail_panels`` (vertical tail panels before bisection),
+    ``tail_panels`` (vertical tail panels before bisection; the upper's alone if reflected),
     ``memo_built``/``memo_reused`` (x-phase tables made and served again) and
     the inner transform's memo, which lives for this call:
     ``grids_built`` (composite-rule grids, one per parity and rung) and

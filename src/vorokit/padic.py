@@ -98,6 +98,8 @@ def psi_phase(x: Fraction | int, p: int) -> Fraction:
 
 
 def _exact_fraction(x) -> Fraction:
+    if type(x) is Fraction:  # immutable, so the entry itself, not a copy
+        return x
     if isinstance(x, float):
         raise TypeError("float is not exact here; pass int, Fraction or str")
     return Fraction(x)

@@ -45,14 +45,17 @@ largest rung within :func:`phase_step`, since their edges depend on the phase
 rate alone, and hands them over as one starting level.  Then come the upper
 tail from the last vertex along a :class:`TailRule`'s direction and the lower
 from the first along the conjugate, each panel to tol_raw/200,
-tol_raw = 2π·tol.  A tail's steps depend on the length walked and the phase
-rate alone too, so each lays out up to ``_TAIL_BLOCK`` panels of one step at a
-time; the live tails' blocks are bisected in one call, and each tail sums its
-own in order up to its own stop; a panel laid out past the stop is neither
-summed nor counted.  A tail
-stops after ``run`` panels in a row with 2·|value| < tol_raw/``cut``, once it
-is ``min_length`` long, adds ``factor`` × their largest |value| to the error
-bound (a heuristic, not a computed bound) and gives up past ``max_length``.
+tol_raw = 2π·tol.  Where every t is real, f(s̄) = c·conj f(s), c = ε²
+(``archimedean.reflection_factor``): only the half above ℝ and its tail are
+walked, the lower half being their reflection; a complex t walks both.
+A tail's steps depend on the length walked and the phase rate alone too, so
+each lays out up to ``_TAIL_BLOCK`` panels of one step at a time; the live
+tails' blocks are bisected in one call, and each tail sums its own in order
+up to its own stop; a panel laid out past the stop is neither summed nor
+counted.  A tail stops after ``run`` panels in a row with
+2·|value| < tol_raw/``cut``, once it is ``min_length`` long, adds ``factor``
+× their largest |value| to the error bound (a heuristic, not a computed
+bound) and gives up past ``max_length``.
 The two rules differ only in that data.  :data:`BENT_RAYS` (the Bessel
 batch) runs 45° past vertical, where γ·x^{−s} decays exponentially, in steps
 2^max(0, ⌊log₂ max(u, 1)⌋ − 1) after a length u, 1, 1, 1, 1, 2, 2, 4, 4, 8, …,
@@ -358,7 +361,7 @@ class TailRule(NamedTuple):
     """How :func:`contour_integral` follows a contour's two tails (see the module docstring)."""
 
     name: str
-    direction: complex  # the upper tail's; the lower tail takes its conjugate
+    direction: complex  # the upper tail's; the lower tail, walked without a reflection, takes its conjugate
     # (length walked so far, ω at the panel's start) → the panel's step, a rung of {2^k, 1.5·2^k}
     # that repeats while those two change little, so a tail lays out its panels in blocks
     step: Callable[[float, float], float]
@@ -423,21 +426,32 @@ class _Tail:
         return False
 
 
-def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float):
+def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float, reflection):
     """(1/2πi) ∫ f along the polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
 
     f is a panel integrand f(cs, hs, W) over a batch of ``width`` points, bisected by one
-    :class:`Bisection`, and omega the phase rate :func:`polyline_walk` takes.  The live tails'
-    next blocks are bisected in one call, and a tail's panels are added once it stops.
-    ``achieved`` is the panels' summed |K − G| and the tails' bounds over 2π; tail panels are
-    the ones summed, counted before bisection.  Raises ToleranceNotMet for a tail that never
-    stops or an ``achieved`` above ``tol``.
+    :class:`Bisection`, and omega the phase rate :func:`polyline_walk` takes.  A ``reflection``
+    c, f(s̄) = c·conj f(s), walks only the half J from the real-axis crossing up and the upper
+    tail, the lower half being −c·conj J, and needs ``pts`` its own mirror image (else
+    ValueError); None walks both.  The live tails' next blocks are bisected in one call, and a
+    tail's panels are added once it stops.  ``achieved`` is the panels' summed |K − G| and the
+    tails' bounds over 2π, doubled by a reflection; tail panels are the ones summed, counted
+    before bisection.  Raises ToleranceNotMet for a tail that never stops or an ``achieved``
+    above ``tol``.
     """
     tol_raw = tol * 2 * math.pi
     bisect = Bisection(f, width)
-    total, err_total = polyline_walk(bisect, pts, omega, tol_raw / 200.0)
     upper = _Tail(rule, "upper", pts[-1], rule.direction, omega, tol)
-    live, ended = [upper, _Tail(rule, "lower", pts[0], rule.direction.conjugate(), omega, tol)], []
+    live, ended = [upper], []
+    if reflection is None:
+        live.append(_Tail(rule, "lower", pts[0], rule.direction.conjugate(), omega, tol))
+    elif list(pts) != [p.conjugate() for p in reversed(pts)]:
+        raise ValueError("a reflected walk needs a polyline that is its own mirror image in ℝ")
+    else:  # from the crossing up: the middle vertex, or the midpoint of the middle segment
+        pts = list(pts[len(pts) // 2 :])
+        if pts[0].imag:
+            pts.insert(0, complex(pts[0].real, 0.0))
+    total, err_total = polyline_walk(bisect, pts, omega, tol_raw / 200.0)
     while live:
         blocks = [tail.block() for tail in live]
         out = bisect([panel for block in blocks for _, panel in block])
@@ -452,6 +466,8 @@ def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float):
             err_total += err
         tail_bound += tail.bound
         panels += len(tail.errors)
+    if reflection is not None:
+        total, err_total, tail_bound = total - reflection * np.conj(total), 2 * err_total, 2 * tail_bound
     achieved = (err_total + tail_bound) / (2 * math.pi)
     if achieved > tol:
         raise ToleranceNotMet(tol, achieved, "panel refinement exhausted")

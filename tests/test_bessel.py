@@ -15,7 +15,9 @@ from vorokit.archimedean import (
     DS2Block,
     GL1Block,
     RealPlaceParams,
+    epsilon_factor,
     log_mb_gamma,
+    reflection_factor,
 )
 from vorokit.bessel import (
     KernelTable,
@@ -198,6 +200,34 @@ def test_real_bessel_matches_meijer_g(name):
     vals, errs = bessel_real_batch(params, xs, tol)
     gaps = np.abs(vals - np.array([meijer_bessel(shifts, x) for x in xs]))
     assert np.all(gaps <= errs) and np.all(errs <= tol), (name, gaps, errs)
+
+
+@pytest.mark.parametrize("name", sorted(MEIJER_SETS))
+def test_gamma_reflects_in_the_real_axis(name):
+    # γ(1−s̄) = c·conj γ(1−s), c = ε², on a place whose t are all real, from its contour's
+    # crossing up to |Im s| = 500.  Doubles round log γ by ~eps·|log γ|, and the phase i^{Σk} in
+    # its constant rounds the two sides apart by that much: ~3e-13 at |Im log γ| ≈ 2e3
+    params, _ = MEIJER_SETS[name]
+    contour = build_contour(params)
+    t = np.concatenate([np.linspace(0.0, 3.0, 31), np.geomspace(3.0, 500.0, 80)])
+    s = np.concatenate([x + 1j * t for x in (contour.asymptote, max(n.real for n in contour.polyline(1.0)))])
+    for delta in (0, 1):
+        c = reflection_factor(params, delta)
+        if any(complex(b.t).imag for b in params.blocks):
+            assert c is None
+            continue
+        assert c == epsilon_factor(params, delta) ** 2 and c in (1, -1)
+        logg = log_mb_gamma(params, delta, s)
+        got, ref = np.exp(log_mb_gamma(params, delta, s.conj())), c * np.conj(np.exp(logg))
+        bound = (1e-14 + 2 * np.finfo(float).eps * np.abs(logg)) * np.abs(ref)
+        assert np.all(np.abs(got - ref) <= bound), (name, delta)
+
+
+def test_a_complex_t_has_no_reflection():
+    # beside the Meijer G set's complex t: the Mellin route's complex-t place, and a real t typed complex
+    params = RealPlaceParams((GL1Block(0, 0.3j),))
+    assert reflection_factor(params, 0) is reflection_factor(params, 1) is None
+    assert reflection_factor(RealPlaceParams((GL1Block(1, 0.2 + 0j),)), 0) == -1
 
 
 # ---- the factored x-phase ----------------------------------------------------

@@ -131,6 +131,19 @@ def test_a_read_of_w_is_fresh_and_exact():
     assert ident(-1.5).shape == () and float(ident(-1.5)) == 1.5
 
 
+def test_a_complex_profile_is_refused():
+    # w is real: the Mellin route reflects M_δ[w] in the real axis, the convolution route takes w real
+    bump = make_bump(1.0, 2.0)
+    for w in (
+        hankel.TestFunction(1.0, 2.0, lambda x: bump.pos(x) * (1.0 + 0.5j)),
+        hankel.TestFunction(1.0, 2.0, bump.pos, lambda x: bump.pos(x) + 0j),
+    ):
+        with pytest.raises(TypeError):
+            w(np.array([-1.5, 1.5]))
+        with pytest.raises(TypeError):
+            hankel_mellin_batch(DS2_11, w, [2.0], 1e-6)
+
+
 def test_bump_support_validation():
     profile = make_bump(1.0, 2.0).pos
     for a, b in [(0.0, 1.0), (-1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (1.0, math.inf), (math.nan, 2.0), (1.0, math.nan)]:

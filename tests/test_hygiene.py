@@ -3,10 +3,10 @@ parameter has a default that every caller leaves alone or that every caller
 overrides, only named test hooks have a default that only tests pass, no
 function has a return-shape flag, no class wraps one field and adds nothing,
 one writer owns every file write and one owner each the phase tables, the
-contour integrand, the contour walk, the panel ladder, the quadrature weight
-rows, the Chebyshev evaluation, the composite rule, the dual-sum policy, Δ's
-real place, w's support and the products against a phase table, and every
-file parses as Python 3.10.
+contour integrand, the contour walk and its reflection, the panel ladder, the
+quadrature weight rows, the Chebyshev evaluation, the composite rule, the
+dual-sum policy, Δ's real place, w's support and the products against a
+phase table, and every file parses as Python 3.10.
 
 Both are pure-``ast`` scans.  Imports: ``src/vorokit/*.py`` and
 ``tests/*.py``; a name counts as used when it is read anywhere in the module
@@ -53,6 +53,11 @@ which integrates a finite real segment, and by
 group and sign of x.  Neither is a contour, so every contour integral, its
 polyline and both its tails, is one ``quadrature.contour_integral`` walk
 and no tail loop lives outside it.
+
+Reflection: each ``contour_integral(...)`` call in ``src/vorokit`` (as
+``f(...)`` or ``obj.f(...)``) passes as its reflection, seventh or as
+``reflection=``, a ``reflection_factor(...)`` call, so whether a walk takes
+its lower half from the upper is read from the place, never spelled.
 
 Panel ladder: every ``phase_step(...)`` call in ``src/vorokit`` (as
 ``f(...)`` or ``obj.f(...)``) is the direct argument of a ``_ladder_step(...)``
@@ -895,6 +900,50 @@ def test_contour_walk_has_one_owner():
     others = sorted(found - REAL_SEGMENTS)
     assert not others, "a Bisection built outside quadrature.py and the real segments:\n" + "\n".join(map(str, others))
     assert found == REAL_SEGMENTS
+
+
+def contour_reflections(source: str) -> list[tuple[str, int, bool]]:
+    """(enclosing Class.function, line, archimedean) of each contour_integral(...) call, as f(...)
+    or obj.f(...); archimedean when its reflection, seventh or as reflection=, is a
+    reflection_factor(...) call."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if _call_name(child) == "contour_integral":
+                given = [k.value for k in child.keywords if k.arg == "reflection"] + child.args[6:7]
+                archimedean = bool(given) and _call_name(given[0]) == "reflection_factor"
+                found.append((where or "<module>", child.lineno, archimedean))
+            visit(child, where)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_scanner_flags_literal_reflections():
+    # the two walks with the reflection spelled out, beside the archimedean value and a walk without one
+    src = (
+        "def _mb_batch(params, twist, contour, xeffs, tol):\n"
+        "    values, achieved, _ = contour_integral(f, len(xeffs), pts, f.omega, BENT_RAYS, tol, 1.0)\n"
+        "    return contour_integral(f, 1, pts, f.omega, BENT_RAYS, tol, reflection_factor(params, twist))\n"
+        "def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):\n"
+        "    a = quadrature.contour_integral(f, 1, pts, f.omega, VERTICAL_LADDER, tol, reflection=None)\n"
+        "    b = contour_integral(f, 1, pts, f.omega, VERTICAL_LADDER, tol, reflection=-1 if delta else 1)\n"
+        "    return contour_integral(f, 1, pts, f.omega, VERTICAL_LADDER, tol)\n"
+    )
+    assert contour_reflections(src) == [
+        ("_mb_batch", 2, False), ("_mb_batch", 3, True), ("_dual_vertical", 5, False),
+        ("_dual_vertical", 6, False), ("_dual_vertical", 7, False),
+    ]
+
+
+def test_every_contour_walk_takes_the_archimedean_reflection():
+    # a literal c or None would reflect a place whose t is complex, or walk a self-conjugate one twice
+    found = {(p.name, where): ok for p in SRC for where, _, ok in contour_reflections(p.read_text())}
+    assert found == {("bessel.py", "_mb_batch"): True, ("hankel.py", "_dual_vertical"): True}
 
 
 def bare_phase_steps(source: str) -> list[tuple[str, int]]:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from vorokit import bessel, hankel, quadrature
-from vorokit.archimedean import DS2Block, RealPlaceParams
+from vorokit.archimedean import DS2Block, GL1Block, RealPlaceParams
 from vorokit.quadrature import (
     _GK_W,
     _GK_WG,
@@ -472,7 +472,7 @@ def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, si
 
     summed, laid_out = _recorded_panels(monkeypatch)
     with pytest.raises(ToleranceNotMet, match=f"{side} {rule.name} tail not converged"):
-        contour_integral(f, 1, _WALK_PTS, lambda t: 7.0, rule, 1e-6)
+        contour_integral(f, 1, _WALK_PTS, lambda t: 7.0, rule, 1e-6, None)
     a, b, _, _ = summed()[-1]
     anchor = _WALK_PTS[-1] if side == "upper" else _WALK_PTS[0]
     assert abs(a - anchor) <= rule.max_length < abs(b - anchor)
@@ -490,7 +490,7 @@ def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, si
 )
 def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bump, tol, floor_binds):
     summed, laid_out = _recorded_panels(monkeypatch)
-    values, achieved, tail_panels = contour_integral(_secant(kappa, bump), 1, _WALK_PTS, lambda t: 7.0, rule, tol)
+    values, achieved, tail_panels = contour_integral(_secant(kappa, bump), 1, _WALK_PTS, lambda t: 7.0, rule, tol, None)
     panels = summed()
     walked = len(panels) - tail_panels
     upper = next(i for i, (a, *_) in enumerate(panels) if a == _WALK_PTS[-1])
@@ -525,6 +525,68 @@ def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bum
     line = sum(val for _, _, val, _ in panels[:walked])
     up, down = (sum(val for _, _, val, _ in t) for t in (panels[upper:lower], panels[lower:]))
     assert abs(values - (line + up - down) / (2j * math.pi)) < 1e-15
+
+
+# a mirror polyline crosses ℝ at the midpoint of its middle segment, or at its middle vertex
+@pytest.mark.parametrize(
+    "pts", [_WALK_PTS, [complex(0.5, -2.0), complex(0.8, 0.0), complex(0.5, 2.0)]], ids=["segment", "vertex"]
+)
+@pytest.mark.parametrize("rule", [BENT_RAYS, VERTICAL_LADDER], ids=["bent", "ladder"])
+def test_a_reflected_walk_takes_the_upper_half_and_its_tail(monkeypatch, pts, rule):
+    # sec(κ(s − 0.5)) is its own reflection, c = 1: the walk sums J from the crossing up its
+    # upper tail and returns (J − conj J)/2πi, its bar twice J's, from half the tail panels
+    summed, _ = _recorded_panels(monkeypatch)
+    values, achieved, tail_panels = contour_integral(_secant(1.0), 1, pts, lambda t: 7.0, rule, 1e-6, 1.0)
+    panels = summed()
+    walked = len(panels) - tail_panels
+    assert panels[0][0] == pts[1].real and all(a.imag >= 0 and b.imag >= 0 for a, b, _, _ in panels)
+    assert panels[walked - 1][1] == pts[-1] == panels[walked][0]
+    j = sum(val for _, _, val, _ in panels)
+    bound = rule.factor * max(abs(complex(val)) for _, _, val, _ in panels[-rule.run :])
+    assert achieved == 2 * (sum(err for *_, err in panels) + bound) / (2 * math.pi)
+    assert abs(values - (j - np.conj(j)) / (2j * math.pi)) < 1e-15
+    ref, ref_achieved, ref_tail_panels = contour_integral(_secant(1.0), 1, pts, lambda t: 7.0, rule, 1e-6, None)
+    assert abs(values - ref) <= achieved + ref_achieved and 2 * tail_panels == ref_tail_panels
+
+
+@pytest.mark.parametrize("pts", [[complex(0.5, -2.0), complex(0.6, 2.0)], [complex(0.5, -2.0), complex(0.5, 3.0)]])
+def test_a_reflected_walk_needs_a_mirror_polyline(pts):
+    with pytest.raises(ValueError, match="mirror image"):
+        contour_integral(_secant(1.0), 1, pts, lambda t: 7.0, BENT_RAYS, 1e-6, 1.0)
+
+
+def _walked_both_ways(monkeypatch, module):
+    """Each walk ``module`` makes, under its reflection c and again with both halves walked: [(c, reflected, walked)]."""
+    seen, walk = [], quadrature.contour_integral
+
+    def both(f, width, pts, omega, rule, tol, reflection):
+        reflected = walk(f, width, pts, omega, rule, tol, reflection)
+        seen.append((reflection, reflected, walk(f, width, pts, omega, rule, tol, None)))
+        return reflected
+
+    monkeypatch.setattr(module, "contour_integral", both)
+    return seen
+
+
+def _agree_both_ways(seen, cs):
+    # within the sum of the two bars, and the reflected walk sums half the tail panels
+    assert {c for c, _, _ in seen} == cs
+    for _, (vals, bar, tail_panels), (ref, ref_bar, ref_tail_panels) in seen:
+        assert np.all(np.abs(vals - ref) <= bar + ref_bar) and 2 * tail_panels == ref_tail_panels
+
+
+# GL1(1) has ε = i at δ = 0, so c = −1 there, and ε = 1 at δ = 1
+@pytest.mark.parametrize("params,cs", [(DS11, {1}), (RealPlaceParams((GL1Block(1),)), {-1, 1})], ids=["DS11", "GL1(1)"])
+def test_a_reflected_bessel_batch_equals_both_halves_walked(monkeypatch, params, cs):
+    seen = _walked_both_ways(monkeypatch, bessel)
+    bessel.bessel_real_batch(params, [0.3, -1.7, 5.0, -20.0, 100.0], 1e-10)
+    _agree_both_ways(seen, cs)
+
+
+def test_a_reflected_mellin_route_equals_both_halves_walked(monkeypatch):
+    seen = _walked_both_ways(monkeypatch, hankel)
+    hankel.hankel_mellin_batch(DS11, hankel.make_bump(1.0, 40.0), [0.3, 2.0, 17.0], 1e-9)
+    _agree_both_ways(seen, {1})
 
 
 # ---- the breadth-first levels inside the library's walks ------------------------
@@ -673,9 +735,9 @@ def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
 
 
 def test_a_bessel_walk_lays_its_panels_on_repeating_half_widths(monkeypatch):
-    # the polyline's vertical panels on the ladder {2^k, 1.5·2^k}, each bent-ray step laid out
-    # at least twice in a row with one exact half-width, and each round of the two tails' blocks
-    # in one integrand call
+    # the upper half's vertical panels on the ladder {2^k, 1.5·2^k} from the real axis, each
+    # bent-ray step laid out at least twice in a row with one exact half-width, and each block in
+    # one integrand call; DS11's γ is self-conjugate, so no lower tail is walked
     blocks, calls, Tail = [], [], quadrature._Tail
     integrand_call = bessel.ContourIntegrand.__call__
 
@@ -694,15 +756,12 @@ def test_a_bessel_walk_lays_its_panels_on_repeating_half_widths(monkeypatch):
     monkeypatch.setattr(bessel.ContourIntegrand, "__call__", recorded_call)
     bessel.bessel_real_batch(DS11, _SIGNED_40, 1e-10)
     ((_, ((line, _, _), *_), _),) = made  # one magnitude group, one parity: one walk
-    # DS11's polyline is one vertical piece, whose last panel ends at its vertex
-    assert all(a.real == b.real for a, b, _, _ in line)
+    # DS11's upper half is one vertical piece from the real axis, whose last panel ends at its vertex
+    assert all(a.real == b.real for a, b, _, _ in line) and line[0][0].imag == 0.0
     steps = [(b - a).imag for a, b, _, _ in line[:-1]]
-    assert len(steps) > 10 and all(math.frexp(step)[0] in (0.5, 0.75) for step in steps)
-    upper = [panels for side, panels in blocks if side == "upper"]
-    lower = [panels for side, panels in blocks if side == "lower"]
-    assert len(upper) == len(lower) > 3  # this batch's tails are mirror images: they stop together
-    for panels in upper + lower:
+    assert len(steps) > 5 and all(math.frexp(step)[0] in (0.5, 0.75) for step in steps)
+    assert {side for side, _ in blocks} == {"upper"} and len(blocks) > 3
+    for _, panels in blocks:
         assert len(panels) >= 2 and len({b - a for a, b in panels}) == 1
-    for up, down in zip(upper, lower):  # the first level of a round: both blocks' panels in one call
-        centres = {0.5 * (a + b) for a, b in up + down}
+        centres = {0.5 * (a + b) for a, b in panels}  # the first level of a block: one call
         assert any(centres <= call for call in calls)

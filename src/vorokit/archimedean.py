@@ -39,7 +39,7 @@ from __future__ import annotations
 import cmath
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -248,11 +248,16 @@ def epsilon_factor(params: RealPlaceParams, twist: int) -> complex:
     return _I_POW[sum(k for *_, k in gamma_pieces(params, twist)) % 4]
 
 
-def reflection_factor(params: RealPlaceParams, twist: int) -> complex | None:
-    """c = ε² with γ(1−s̄) = c·conj γ(1−s) if every piece's t is real (γ/ε is then real on ℝ), else None."""
-    if any(complex(t).imag for _, t, _, _ in gamma_pieces(params, twist)):
-        return None
-    return epsilon_factor(params, twist) ** 2
+def reflection_factor(params: RealPlaceParams, twist: int) -> tuple:
+    """(c, places) of a contour walk: γ(1−s̄, π×χ) = c·conj γ(1−s, π̄×χ), c = ε².
+
+    π̄ is π with every block's t conjugated.  ``places`` is (π,) when π̄ = π, every t real,
+    and (π, π̄) otherwise, so a walk reads its place and the conjugate as places[0], places[-1].
+    """
+    c = epsilon_factor(params, twist) ** 2
+    if not any(complex(b.t).imag for b in params.blocks):
+        return c, (params,)
+    return c, (params, RealPlaceParams(tuple(replace(b, t=complex(b.t).conjugate()) for b in params.blocks)))
 
 
 def contragredient_params(params: RealPlaceParams) -> RealPlaceParams:

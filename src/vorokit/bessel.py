@@ -12,8 +12,9 @@ integrand decays only polynomially up a vertical line, so above all detour
 structure and the stationary height ≈ c·|x|^{1/n} both tails bend 45°
 (``quadrature.BENT_RAYS``).  The connectors between the paths vanish as the
 height grows, so the value is the contour integral's, as the
-contour-independence and closed-form tests check.  Where every t of π is
-real the integrand is self-conjugate, and a walk reflects its upper half.
+contour-independence and closed-form tests check.  A walk takes the upper
+half alone and the lower half from the conjugate place's upper half, which
+is its own where every t of π is real (``archimedean.reflection_factor``).
 
 Evaluation is batched: many x share one path, with the γ-part of the
 integrand computed once per node and x^{−s} factored by panel.  One class,
@@ -27,6 +28,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -107,17 +109,17 @@ def _mb_batch(params: RealPlaceParams, twist: int, contour: Contour, xeffs: np.n
 
     The γ-ratio has degree n in s, so by Stirling its phase rate per unit of
     Im s is ~ n·log(|t|/2π) at t = Im s; xeff^{−s} adds −log xeff.  The
-    stationary height is 2π·xeff^{1/n}.
+    stationary height is 2π·xeff^{1/n}.  One integrand per place that
+    ``reflection_factor`` names, so a complex t adds the conjugate place's walk.
     Returns (values, error_estimates) as arrays over the batch.
     """
-    integrand = ContourIntegrand(lambda s: log_mb_gamma(params, twist, s), params.rank, np.log(xeffs))
-    t_flip = 2 * math.pi * math.exp(integrand.lx_max / params.rank)
+    c, places = reflection_factor(params, twist)
+    lx = np.log(xeffs)
+    fs = [ContourIntegrand(partial(log_mb_gamma, place, twist), params.rank, lx) for place in places]
+    t_flip = 2 * math.pi * math.exp(fs[0].lx_max / params.rank)
     # on the tail grid, so the vertical panels' edges are exact and their h repeat
     h_bend = tail_grid_ceil(max(contour.detour_height + 2.0, 1.25 * t_flip + 8.0))
-    values, achieved, _ = contour_integral(
-        integrand, len(xeffs), contour.polyline(h_bend), integrand.omega, BENT_RAYS, tol,
-        reflection_factor(params, twist),
-    )
+    values, achieved, _ = contour_integral(fs, len(xeffs), contour.polyline(h_bend), fs[0].omega, BENT_RAYS, tol, c)
     return values, np.full(len(xeffs), achieved)
 
 

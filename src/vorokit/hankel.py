@@ -10,8 +10,8 @@ independent routes, each reading the rank n from the place (``params.rank``):
   M_δ[w] of a compactly supported w is entire and decays
   super-polynomially on vertical lines, so the tails stay vertical
   (``quadrature.VERTICAL_LADDER``; :mod:`vorokit.quadrature` describes the
-  walk and its tail rules).  w is real, so where every t of π is real the
-  integrand is self-conjugate, and a walk reflects its upper half.  The
+  walk and its tail rules).  w is real, so a walk's lower half reflects the
+  conjugate place's upper half, its own where every t of π is real.  The
   factor γ·M_δ[w] does not depend on x, and on a panel with centre c and
   half-width h the x-power at the node
   s = c + h·ξ_l splits as x^{ν−s} = e^{(ν−c)·log|x|}·e^{−h·ξ_l·log|x|}: one
@@ -54,8 +54,9 @@ independent routes, each reading the rank n from the place (``params.rank``):
   every bisected panel lies inside one lattice panel.  A call reads the model
   (`_KernelModel.at`) at its panels' 21 nodes, contracts W with it and the
   u-factor into a real (P × 4 × 21) array, [Re | Im] of the K and G rows,
-  and multiplies that into the real w-values (P × 21 × rows) of the points
-  whose support meets the panels, in blocks of at most ``_BLOCK`` entries.
+  and multiplies each panel's (4 × 21) into the real w-values (21 × rows) of
+  the points whose support meets that panel, in blocks of at most ``_BLOCK``
+  entries, so a panel's value does not depend on the panels that share its call.
   A point's bar is (Σ|K − G| over its bisection's panels + cw·model_tol)·|x|^ν,
   cw the |w|-mass against the t-power; the batch raises ``ToleranceNotMet``
   when that sum exceeds quad_tol.  The |t|-exponent (3−n)/2 is the
@@ -80,6 +81,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -326,21 +328,19 @@ def _require_rank(params, n: int) -> None:
 def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):
     """One parity component I_δ along the contour, batched over log|x|.  → (values, achieved).
 
-    One ``quadrature.contour_integral`` walk: the polyline up to h0, on the tail grid, then the
-    vertical ladder, whose repeating half-widths the integrand's phase memo serves.  ``counts``
-    accumulates the tail panels and the phase tables built and reused.
+    One ``quadrature.contour_integral`` walk per place that ``reflection_factor`` names: the
+    polyline up to h0, on the tail grid, then the vertical ladder, whose repeating half-widths
+    the integrand's phase memo serves.  ``counts`` accumulates every walk's tail panels and
+    phase tables built and reused.
     """
-    integrand = ContourIntegrand(
-        lambda s: log_mb_gamma(params, delta, s), params.rank, lx, nu=nu,
-        factor=lambda cs, hs: _mellin_nodes(grids, delta, 1.0 - nu - cs, hs),
-        rate=max(abs(grids.va), abs(grids.vb)),  # M_δ[w](1−s−ν)'s own phase rate
-    )
+    c, places = reflection_factor(params, delta)
+    mellin = lambda cs, hs: _mellin_nodes(grids, delta, 1.0 - nu - cs, hs)
+    rate = max(abs(grids.va), abs(grids.vb))  # M_δ[w](1−s−ν)'s own phase rate
+    fs = [ContourIntegrand(partial(log_mb_gamma, p, delta), params.rank, lx, nu=nu, factor=mellin, rate=rate) for p in places]
     pts = contour.polyline(tail_grid_ceil(contour.detour_height + 2.0))  # up to h0
-    values, achieved, tail_panels = contour_integral(
-        integrand, len(lx), pts, integrand.omega, VERTICAL_LADDER, tol, reflection_factor(params, delta)
-    )
-    memo = integrand.phase.cache_info()
-    counts.update(tail_panels=tail_panels, memo_built=memo.misses, memo_reused=memo.hits)
+    values, achieved, tail_panels = contour_integral(fs, len(lx), pts, fs[0].omega, VERTICAL_LADDER, tol, c)
+    memos = [f.phase.cache_info() for f in fs]
+    counts.update(tail_panels=tail_panels, memo_built=sum(m.misses for m in memos), memo_reused=sum(m.hits for m in memos))
     return values, achieved
 
 
@@ -372,7 +372,7 @@ def hankel_mellin_batch(
     """Dual function on a signed batch by the mellin route.  → (values, errors).
 
     ``counts``, when given, accumulates the route's deterministic work:
-    ``tail_panels`` (vertical tail panels before bisection; the upper's alone if reflected),
+    ``tail_panels`` (upper-tail panels before bisection, summed over every walk),
     ``memo_built``/``memo_reused`` (x-phase tables made and served again) and
     the inner transform's memo, which lives for this call:
     ``grids_built`` (composite-rule grids, one per parity and rung) and
@@ -575,7 +575,8 @@ def _t_integrand(terms, w: TestFunction, ax: np.ndarray, n: int):
     """The panel integrand in u of the t-integral at the points of magnitudes ``ax`` (ascending).  → (P × 2 × len(ax))
 
     ``terms`` pairs each sign s_t of w's support with the model of 𝔟 at the sign of x·s_t.  A point
-    meets a panel when its support u^n ∈ (|x|·a, |x|·b) does; the others' columns stay 0.
+    meets a panel when its support u^n ∈ (|x|·a, |x|·b) does; the others' columns stay 0.  Each
+    panel is its own product over its own rows, so its value is the same in any call.
     """
     upow, xfac = 0.5 * (n - 1) * (2 - n), ax ** (0.5 * (n - 3))
     reads = [(s_t / ax, model) for s_t, model in terms]  # w is read at u^n·(s_t/|x|)
@@ -590,15 +591,11 @@ def _t_integrand(terms, w: TestFunction, ax: np.ndarray, n: int):
         first = np.searchsorted(ax, (cs - hs) ** n / w.b, side="right")  # the first row meeting each panel
         past = np.searchsorted(ax, (cs + hs) ** n / w.a)  # and past the last
         out = np.zeros((len(cs), 4, len(ax)))
-        span = max(1, _BLOCK // (21 * max(1, int(np.max(past - first)))))  # panels a block
-        for p0 in range(0, len(cs), span):
-            p1 = min(len(cs), p0 + span)
-            r0, r1 = int(first[p0:p1].min()), int(past[p0:p1].max())
-            step = max(1, _BLOCK // (21 * (p1 - p0)))  # rows a block
-            for k0 in range(r0, r1, step):
-                k1 = min(r1, k0 + step)
+        for p in range(len(cs)):  # each panel its own product, over its own rows, _BLOCK // 21 a block
+            for k0 in range(first[p], past[p], _BLOCK // 21):
+                k1 = min(past[p], k0 + _BLOCK // 21)
                 for recip, kw in kernels:
-                    out[p0:p1, :, k0:k1] += kw[p0:p1] @ w(un[p0:p1, :, None] * recip[k0:k1])
+                    out[p, :, k0:k1] += kw[p] @ w(un[p, :, None] * recip[k0:k1])
         out *= xfac
         return out[:, :2] + 1j * out[:, 2:]
 

@@ -37,31 +37,31 @@ so through one class, ``bessel.ContourIntegrand``.  Only this module names
 the weight rows.
 
 The contour integrals of :mod:`vorokit.bessel` and :mod:`vorokit.hankel` are
-one walk, :func:`contour_integral`, with one :class:`Bisection` of its
-integrand, built at the batch's width.  Every panel of a walk has a length on
-the ladder {2^k, 1.5·2^k}, so half-widths repeat for the :func:`phase_tables`
-memo.  :func:`polyline_walk` lays the polyline's panels out first, each the
-largest rung within :func:`phase_step`, since their edges depend on the phase
-rate alone, and hands them over as one starting level.  Then come the upper
-tail from the last vertex along a :class:`TailRule`'s direction and the lower
-from the first along the conjugate, each panel to tol_raw/200,
-tol_raw = 2π·tol.  Where every t is real, f(s̄) = c·conj f(s), c = ε²
-(``archimedean.reflection_factor``): only the half above ℝ and its tail are
-walked, the lower half being their reflection; a complex t walks both.
+one walk, :func:`contour_integral`, along a polyline that is its own mirror
+image in ℝ.  With f(s̄) = c·conj f̄(s), c = ε² and f̄ the integrand at the
+conjugate place (``archimedean.reflection_factor``; f̄ = f where every t is
+real), the lower half is the reflection of f̄'s upper half, so each walk goes
+from the real-axis crossing up and along the upper tail only, with one
+:class:`Bisection` of its integrand, built at the batch's width.  Every panel
+of a walk has a length on the ladder {2^k, 1.5·2^k}, so half-widths repeat
+for the :func:`phase_tables` memo.  :func:`polyline_walk` lays the half's
+panels out first, each the largest rung within :func:`phase_step`, since
+their edges depend on the phase rate alone, and hands them over as one
+starting level.  Then comes the tail from the last vertex along a
+:class:`TailRule`'s direction, each panel to tol_raw/200, tol_raw = 2π·tol.
 A tail's steps depend on the length walked and the phase rate alone too, so
-each lays out up to ``_TAIL_BLOCK`` panels of one step at a time; the live
-tails' blocks are bisected in one call, and each tail sums its own in order
-up to its own stop; a panel laid out past the stop is neither summed nor
-counted.  A tail stops after ``run`` panels in a row with
-2·|value| < tol_raw/``cut``, once it is ``min_length`` long, adds ``factor``
-× their largest |value| to the error bound (a heuristic, not a computed
-bound) and gives up past ``max_length``.
+it lays out up to ``_TAIL_BLOCK`` panels of one step at a time, bisects the
+block in one call and sums it in order up to its stop; a panel laid out past
+the stop is neither summed nor counted.  A tail stops after ``run`` panels in
+a row with 2·|value| < tol_raw/``cut``, once it is ``min_length`` long, adds
+``factor`` × their largest |value| to the error bound (a heuristic, not a
+computed bound) and gives up past ``max_length``.
 The two rules differ only in that data.  :data:`BENT_RAYS` (the Bessel
 batch) runs 45° past vertical, where γ·x^{−s} decays exponentially, in steps
 2^max(0, ⌊log₂ max(u, 1)⌋ − 1) after a length u, 1, 1, 1, 1, 2, 2, 4, 4, 8, …,
 each at least twice in a row, so a block holds two panels or more: run 1,
 cut 10, factor 2, up to length 2000.  :data:`VERTICAL_LADDER` (the Mellin
-route, whose M_δ[w] decays on vertical lines) runs along ±i, each step the
+route, whose M_δ[w] decays on vertical lines) runs up along i, each step the
 largest rung within :func:`phase_step`: run 3, cut 20, factor 5, at least 10
 and up to 6000 long.  From :func:`tail_grid_ceil` a vertical piece's edges are
 exact, and so are a bent ray's from an anchor short in binary, since the bend
@@ -358,10 +358,10 @@ def _paired_step(length: float) -> float:
 
 
 class TailRule(NamedTuple):
-    """How :func:`contour_integral` follows a contour's two tails (see the module docstring)."""
+    """How :func:`contour_integral` follows a contour's upper tail (see the module docstring)."""
 
     name: str
-    direction: complex  # the upper tail's; the lower tail, walked without a reflection, takes its conjugate
+    direction: complex  # from the polyline's last vertex, up: the lower tail is its reflection
     # (length walked so far, ω at the panel's start) → the panel's step, a rung of {2^k, 1.5·2^k}
     # that repeats while those two change little, so a tail lays out its panels in blocks
     step: Callable[[float, float], float]
@@ -379,8 +379,8 @@ VERTICAL_LADDER = TailRule(
 
 
 class _Tail:
-    """One tail of a walk under ``rule``: its panels from ``anchor`` along ``direction``, laid out a
-    block at a time and summed in order up to the rule's stop.
+    """The upper tail of a walk under ``rule``: its panels from ``anchor`` along ``rule.direction``,
+    laid out a block at a time and summed in order up to the rule's stop.
 
     A step depends on the length walked and on omega alone, so :meth:`block` lays out up to
     ``_TAIL_BLOCK`` panels of one step, and so of one half-width, none past the first that ends
@@ -389,15 +389,15 @@ class _Tail:
     ``errors`` their errors in order and ``bound`` the tail's bound once it has stopped.
     """
 
-    def __init__(self, rule: TailRule, side: str, anchor: complex, direction: complex, omega, tol: float):
-        self.rule, self.side, self.anchor, self.direction, self.omega = rule, side, anchor, direction, omega
+    def __init__(self, rule: TailRule, anchor: complex, omega, tol: float):
+        self.rule, self.anchor, self.omega = rule, anchor, omega
         self.tol, self.tol_raw = tol, tol * 2 * math.pi
         self.laid, self.small, self.value, self.errors, self.bound = 0.0, [], 0.0, [], 0.0
 
     def block(self) -> list:
         """The next block, as (length so far at the panel's end, panel (a, b, tol_raw/200, 12))."""
         rule, u = self.rule, self.laid
-        at = lambda length: self.anchor + length * self.direction
+        at = lambda length: self.anchor + length * rule.direction
         first = step = rule.step(u, self.omega(at(u).imag))
         block = []
         while step == first and len(block) < _TAIL_BLOCK and u <= rule.max_length:
@@ -422,56 +422,48 @@ class _Tail:
                 self.bound = rule.factor * max(self.small)
                 return True
             if length > rule.max_length:
-                raise ToleranceNotMet(self.tol, mag / (2 * math.pi), f"{self.side} {rule.name} tail not converged")
+                raise ToleranceNotMet(self.tol, mag / (2 * math.pi), f"{rule.name} tail not converged")
         return False
 
 
-def contour_integral(f, width: int, pts, omega, rule: TailRule, tol: float, reflection):
-    """(1/2πi) ∫ f along the polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
-
-    f is a panel integrand f(cs, hs, W) over a batch of ``width`` points, bisected by one
-    :class:`Bisection`, and omega the phase rate :func:`polyline_walk` takes.  A ``reflection``
-    c, f(s̄) = c·conj f(s), walks only the half J from the real-axis crossing up and the upper
-    tail, the lower half being −c·conj J, and needs ``pts`` its own mirror image (else
-    ValueError); None walks both.  The live tails' next blocks are bisected in one call, and a
-    tail's panels are added once it stops.  ``achieved`` is the panels' summed |K − G| and the
-    tails' bounds over 2π, doubled by a reflection; tail panels are the ones summed, counted
-    before bisection.  Raises ToleranceNotMet for a tail that never stops or an ``achieved``
-    above ``tol``.
-    """
-    tol_raw = tol * 2 * math.pi
+def _upper_walk(f, width: int, pts, omega, rule: TailRule, tol: float):
+    """∫ f along the half polyline ``pts`` from ℝ up, then its tail.  → (value, summed |K − G| and tail bound, tail panels)."""
     bisect = Bisection(f, width)
-    upper = _Tail(rule, "upper", pts[-1], rule.direction, omega, tol)
-    live, ended = [upper], []
-    if reflection is None:
-        live.append(_Tail(rule, "lower", pts[0], rule.direction.conjugate(), omega, tol))
-    elif list(pts) != [p.conjugate() for p in reversed(pts)]:
-        raise ValueError("a reflected walk needs a polyline that is its own mirror image in ℝ")
-    else:  # from the crossing up: the middle vertex, or the midpoint of the middle segment
-        pts = list(pts[len(pts) // 2 :])
-        if pts[0].imag:
-            pts.insert(0, complex(pts[0].real, 0.0))
-    total, err_total = polyline_walk(bisect, pts, omega, tol_raw / 200.0)
-    while live:
-        blocks = [tail.block() for tail in live]
-        out = bisect([panel for block in blocks for _, panel in block])
-        for tail, block in zip(live, blocks):
-            if tail.take(block, [next(out) for _ in block]):
-                ended.append(tail)
-        live = [tail for tail in live if tail not in ended]
-    tail_bound, panels = 0.0, 0
-    for tail in ended:
-        total = total + tail.value if tail is upper else total - tail.value
-        for err in tail.errors:
-            err_total += err
-        tail_bound += tail.bound
-        panels += len(tail.errors)
-    if reflection is not None:
-        total, err_total, tail_bound = total - reflection * np.conj(total), 2 * err_total, 2 * tail_bound
-    achieved = (err_total + tail_bound) / (2 * math.pi)
+    total, err_total = polyline_walk(bisect, pts, omega, tol * 2 * math.pi / 200.0)
+    tail = _Tail(rule, pts[-1], omega, tol)
+    while True:
+        block = tail.block()
+        if tail.take(block, list(bisect([panel for _, panel in block]))):
+            break
+    for err in tail.errors:
+        err_total += err
+    return total + tail.value, err_total + tail.bound, len(tail.errors)
+
+
+def contour_integral(fs, width: int, pts, omega, rule: TailRule, tol: float, reflection):
+    """(1/2πi) ∫ f along the mirror polyline ``pts`` and its two tails under ``rule``.  → (values, achieved, tail panels).
+
+    ``fs`` holds f and f̄, f(s̄) = c·conj f̄(s) with c = ``reflection``, as
+    ``archimedean.reflection_factor`` names their places; f alone when f̄ = f.  Each is a panel
+    integrand f(cs, hs, W) over a batch of ``width`` points, and omega the phase rate
+    :func:`polyline_walk` takes.  Each is walked from the real-axis crossing (the middle vertex,
+    or the midpoint of the middle segment) up and along the upper tail, J for f and J̄ for f̄;
+    the lower half is −c·conj J̄, so the value is (J − c·conj J̄)/2πi.  ``pts`` must be its own
+    mirror image in ℝ (else ValueError).  ``achieved`` is the summed |K − G| and tail bounds of
+    J and of J̄ over 2π; tail panels are the ones summed over the walks taken, counted before
+    bisection.  Raises ToleranceNotMet for a tail that never stops or an ``achieved`` above ``tol``.
+    """
+    if list(pts) != [p.conjugate() for p in reversed(pts)]:
+        raise ValueError("a contour walk needs a polyline that is its own mirror image in ℝ")
+    pts = list(pts[len(pts) // 2 :])
+    if pts[0].imag:
+        pts.insert(0, complex(pts[0].real, 0.0))
+    walks = [_upper_walk(f, width, pts, omega, rule, tol) for f in fs]
+    (j, bar, _), (j_bar, bar_conj, _) = walks[0], walks[-1]
+    achieved = (bar + bar_conj) / (2 * math.pi)
     if achieved > tol:
         raise ToleranceNotMet(tol, achieved, "panel refinement exhausted")
-    return total / (2j * math.pi), achieved, panels
+    return (j - reflection * np.conj(j_bar)) / (2j * math.pi), achieved, sum(panels for *_, panels in walks)
 
 
 def magnitude_groups(mags, ratio: float) -> list[np.ndarray]:

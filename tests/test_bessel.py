@@ -204,30 +204,37 @@ def test_real_bessel_matches_meijer_g(name):
 
 @pytest.mark.parametrize("name", sorted(MEIJER_SETS))
 def test_gamma_reflects_in_the_real_axis(name):
-    # γ(1−s̄) = c·conj γ(1−s), c = ε², on a place whose t are all real, from its contour's
-    # crossing up to |Im s| = 500.  Doubles round log γ by ~eps·|log γ|, and the phase i^{Σk} in
-    # its constant rounds the two sides apart by that much: ~3e-13 at |Im log γ| ≈ 2e3
+    # γ(1−s̄, π) = c·conj γ(1−s, π̄), c = ε², π̄ the place with every t conjugated (π itself where
+    # every t is real), from its contour's crossing up to |Im s| = 500.  Doubles round log γ by
+    # ~eps·|log γ|, and the phase i^{Σk} in its constant rounds the two sides apart by that
+    # much: ~3e-13 at |Im log γ| ≈ 2e3
     params, _ = MEIJER_SETS[name]
     contour = build_contour(params)
     t = np.concatenate([np.linspace(0.0, 3.0, 31), np.geomspace(3.0, 500.0, 80)])
     s = np.concatenate([x + 1j * t for x in (contour.asymptote, max(n.real for n in contour.polyline(1.0)))])
+    real = not any(complex(b.t).imag for b in params.blocks)
     for delta in (0, 1):
-        c = reflection_factor(params, delta)
-        if any(complex(b.t).imag for b in params.blocks):
-            assert c is None
-            continue
+        c, places = reflection_factor(params, delta)
         assert c == epsilon_factor(params, delta) ** 2 and c in (1, -1)
-        logg = log_mb_gamma(params, delta, s)
+        assert places[0] is params and len(places) == (1 if real else 2)
+        conj = places[-1]
+        assert [type(b) for b in conj.blocks] == [type(b) for b in params.blocks]
+        assert [b.t for b in conj.blocks] == [complex(b.t).conjugate() for b in params.blocks]
+        logg = log_mb_gamma(conj, delta, s)
         got, ref = np.exp(log_mb_gamma(params, delta, s.conj())), c * np.conj(np.exp(logg))
         bound = (1e-14 + 2 * np.finfo(float).eps * np.abs(logg)) * np.abs(ref)
         assert np.all(np.abs(got - ref) <= bound), (name, delta)
 
 
-def test_a_complex_t_has_no_reflection():
+def test_a_complex_t_walks_the_conjugate_place():
     # beside the Meijer G set's complex t: the Mellin route's complex-t place, and a real t typed complex
     params = RealPlaceParams((GL1Block(0, 0.3j),))
-    assert reflection_factor(params, 0) is reflection_factor(params, 1) is None
-    assert reflection_factor(RealPlaceParams((GL1Block(1, 0.2 + 0j),)), 0) == -1
+    conj = RealPlaceParams((GL1Block(0, -0.3j),))
+    assert reflection_factor(params, 0) == (1, (params, conj))
+    assert reflection_factor(params, 1) == (-1, (params, conj))
+    typed = RealPlaceParams((GL1Block(1, 0.2 + 0j),))
+    c, places = reflection_factor(typed, 0)
+    assert c == -1 and len(places) == 1 and places[0] is typed
 
 
 # ---- the factored x-phase ----------------------------------------------------

@@ -248,10 +248,13 @@ def test_route_agreement_random_pairs():
         assert abs(conv[0] - mell[0]) < 2e-7, (params, x)
 
 
+# the complex-t places walk their conjugate place besides; a lone GL1Block(0, 0.3j) is left out, as its
+# convolution route fails kernel-model validation
 @pytest.mark.parametrize(
     "params",
-    [GL1_TRIVIAL, DS2_5, RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0)))],
-    ids=["gl1", "ds2_5", "gl1_gl1"],
+    [GL1_TRIVIAL, DS2_5, RealPlaceParams((GL1Block(0, 0.0), GL1Block(1, 0.0))),
+     RealPlaceParams((DS2Block(5, 0.2j),)), RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j)))],
+    ids=["gl1", "ds2_5", "gl1_gl1", "ds2_5_complex_t", "gl1_ds2_4_complex_t"],
 )
 def test_route_agreement_two_sided_test_function(params):
     # w lives on both half-lines: the convolution route pairs both kernel
@@ -259,12 +262,26 @@ def test_route_agreement_two_sided_test_function(params):
     bump = make_bump(1.0, 2.0)
     w = hankel.TestFunction(1.0, 2.0, bump.pos, lambda x: 0.5 * bump.pos(x))
     xs = [0.7, -0.7, 2.3, -2.3]
-    conv, _ = hankel_convolution_batch(params, w, xs, 1e-7)
-    mell, _ = hankel_mellin_batch(params, w, xs, 1e-7)
-    assert np.max(np.abs(conv - mell)) < 2e-7
+    conv, conv_err = hankel_convolution_batch(params, w, xs, 1e-7)
+    mell, mell_err = hankel_mellin_batch(params, w, xs, 1e-7)
+    assert np.max(np.abs(conv - mell)) < 2e-7 and np.all(np.abs(conv - mell) <= conv_err + mell_err)
     if params is DS2_5:
         # one-sided, this dual vanishes on x < 0; the negative part made it nonzero
         assert abs(mell[1]) > 1e-3
+
+
+def test_a_t_integrand_panel_is_the_same_alone_and_stacked():
+    # a convolution-route panel's value does not depend on the panels that share its integrand
+    # call: each panel is its own product over its own rows, here up to 400 of them
+    w, ax = make_bump(1.0, 40.0), np.geomspace(0.5, 15.0, 400)
+    model = hankel.KernelCache().model(DS2_11, (1,), ax[0] * w.a, ax[-1] * w.b, 1e-8)[1]
+    f = hankel._t_integrand([(1, model)], w, ax, 2)
+    j = np.arange(int(math.sqrt(ax[0] * w.a) // model.h), math.ceil(math.sqrt(ax[-1] * w.b) / model.h))
+    cs, hs = (j + 0.5) * model.h, np.full(len(j), 0.5 * model.h)
+    stacked = f(cs, hs, quadrature._GK_W)
+    assert len(j) > 10 and np.all(np.any(stacked != 0, axis=(1, 2)))
+    for p in range(len(j)):
+        assert np.array_equal(f(cs[p : p + 1], hs[p : p + 1], quadrature._GK_W)[0], stacked[p]), p
 
 
 def test_scaling_law():

@@ -51,13 +51,15 @@ Contour walk: outside ``quadrature.py`` a ``Bisection`` is built (as
 which integrates a finite real segment, and by
 ``hankel.hankel_convolution_batch``, whose t-integral is one per magnitude
 group and sign of x.  Neither is a contour, so every contour integral, its
-polyline and both its tails, is one ``quadrature.contour_integral`` walk
-and no tail loop lives outside it.
+polyline and its tails, is one ``quadrature.contour_integral`` walk and no
+tail loop lives outside it.
 
 Reflection: each ``contour_integral(...)`` call in ``src/vorokit`` (as
 ``f(...)`` or ``obj.f(...)``) passes as its reflection, seventh or as
-``reflection=``, a ``reflection_factor(...)`` call, so whether a walk takes
-its lower half from the upper is read from the place, never spelled.
+``reflection=``, a name its enclosing function binds first in a
+``c, places = reflection_factor(...)`` unpacking, so the factor c by which
+a walk takes its lower half from the conjugate place's upper half is read
+from the place, never spelled.
 
 Panel ladder: every ``phase_step(...)`` call in ``src/vorokit`` (as
 ``f(...)`` or ``obj.f(...)``) is the direct argument of a ``_ladder_step(...)``
@@ -904,44 +906,57 @@ def test_contour_walk_has_one_owner():
 
 def contour_reflections(source: str) -> list[tuple[str, int, bool]]:
     """(enclosing Class.function, line, archimedean) of each contour_integral(...) call, as f(...)
-    or obj.f(...); archimedean when its reflection, seventh or as reflection=, is a
-    reflection_factor(...) call."""
+    or obj.f(...); archimedean when its reflection, seventh or as reflection=, is a name the
+    enclosing function binds first in a tuple unpacking of a reflection_factor(...) call."""
     found = []
 
-    def visit(node, where):
+    def visit(node, where, factors):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{where}.{child.name}" if where else child.name)
+                unpacked = {
+                    a.targets[0].elts[0].id
+                    for a in ast.walk(child)
+                    if isinstance(a, ast.Assign) and _call_name(a.value) == "reflection_factor"
+                    and isinstance(a.targets[0], ast.Tuple) and isinstance(a.targets[0].elts[0], ast.Name)
+                }
+                visit(child, f"{where}.{child.name}" if where else child.name, unpacked)
                 continue
             if _call_name(child) == "contour_integral":
                 given = [k.value for k in child.keywords if k.arg == "reflection"] + child.args[6:7]
-                archimedean = bool(given) and _call_name(given[0]) == "reflection_factor"
+                archimedean = bool(given) and isinstance(given[0], ast.Name) and given[0].id in factors
                 found.append((where or "<module>", child.lineno, archimedean))
-            visit(child, where)
+            visit(child, where, factors)
 
-    visit(ast.parse(source), "")
+    visit(ast.parse(source), "", set())
     return found
 
 
 def test_scanner_flags_literal_reflections():
-    # the two walks with the reflection spelled out, beside the archimedean value and a walk without one
+    # walks with the reflection spelled out or bound elsewhere, beside the archimedean one and a
+    # walk without one
     src = (
         "def _mb_batch(params, twist, contour, xeffs, tol):\n"
-        "    values, achieved, _ = contour_integral(f, len(xeffs), pts, f.omega, BENT_RAYS, tol, 1.0)\n"
-        "    return contour_integral(f, 1, pts, f.omega, BENT_RAYS, tol, reflection_factor(params, twist))\n"
+        "    c, places = reflection_factor(params, twist)\n"
+        "    values, achieved, _ = contour_integral(fs, len(xeffs), pts, f.omega, BENT_RAYS, tol, 1.0)\n"
+        "    return contour_integral(fs, 1, pts, f.omega, BENT_RAYS, tol, c)\n"
         "def _dual_vertical(params, delta, grids, nu, lx, tol, contour, counts):\n"
-        "    a = quadrature.contour_integral(f, 1, pts, f.omega, VERTICAL_LADDER, tol, reflection=None)\n"
-        "    b = contour_integral(f, 1, pts, f.omega, VERTICAL_LADDER, tol, reflection=-1 if delta else 1)\n"
-        "    return contour_integral(f, 1, pts, f.omega, VERTICAL_LADDER, tol)\n"
+        "    places, c = reflection_factor(params, delta)\n"
+        "    e = epsilon_factor(params, delta) ** 2\n"
+        "    a = quadrature.contour_integral(fs, 1, pts, f.omega, VERTICAL_LADDER, tol, reflection=None)\n"
+        "    b = contour_integral(fs, 1, pts, f.omega, VERTICAL_LADDER, tol, reflection=-1 if delta else 1)\n"
+        "    d = contour_integral(fs, 1, pts, f.omega, VERTICAL_LADDER, tol, e)\n"
+        "    g = contour_integral(fs, 1, pts, f.omega, VERTICAL_LADDER, tol, c)\n"
+        "    return contour_integral(fs, 1, pts, f.omega, VERTICAL_LADDER, tol)\n"
     )
     assert contour_reflections(src) == [
-        ("_mb_batch", 2, False), ("_mb_batch", 3, True), ("_dual_vertical", 5, False),
-        ("_dual_vertical", 6, False), ("_dual_vertical", 7, False),
+        ("_mb_batch", 3, False), ("_mb_batch", 4, True), ("_dual_vertical", 8, False),
+        ("_dual_vertical", 9, False), ("_dual_vertical", 10, False), ("_dual_vertical", 11, False),
+        ("_dual_vertical", 12, False),
     ]
 
 
 def test_every_contour_walk_takes_the_archimedean_reflection():
-    # a literal c or None would reflect a place whose t is complex, or walk a self-conjugate one twice
+    # a literal c would reflect a place whose ε² differs; the factor and the conjugate place come together
     found = {(p.name, where): ok for p in SRC for where, _, ok in contour_reflections(p.read_text())}
     assert found == {("bessel.py", "_mb_batch"): True, ("hankel.py", "_dual_vertical"): True}
 

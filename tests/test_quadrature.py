@@ -424,10 +424,9 @@ def _secant(kappa, bump=0.0):
 
 
 def _recorded_panels(monkeypatch):
-    """→ (summed, laid_out): summed() lists the (a, b, value, error) of each panel the walk
-    summed, in the walk's order (the polyline's, then each tail's whole, in the order the tails
-    ended, the upper first when both end in one call), and laid_out maps each tail's anchor to the
-    (a, b) of every panel it laid out, the ones evaluated ahead of its stop included."""
+    """→ (summed, laid_out): summed() lists the (a, b, value, error) of each panel the walks
+    summed, in their order (each walk's polyline, then its tail), and laid_out maps each tail's
+    anchor to the (a, b) of every panel it laid out, the ones evaluated ahead of its stop included."""
     line, tails, laid_out = [], {}, {}
     walk, Tail = quadrature.polyline_walk, quadrature._Tail
 
@@ -449,7 +448,7 @@ def _recorded_panels(monkeypatch):
             done = len(self.errors)
             try:
                 return Tail.take(self, block, results)
-            finally:  # the panels this block summed; the tails in the order of their last blocks
+            finally:  # the panels this block summed
                 summed = [(a, b, val, err) for (_, (a, b, _, _)), (val, err) in zip(block, results)]
                 tails[self] = tails.pop(self, []) + summed[: len(self.errors) - done]
 
@@ -458,23 +457,18 @@ def _recorded_panels(monkeypatch):
     return (lambda: line + [p for panels in tails.values() for p in panels]), laid_out
 
 
+# a walk follows the upper tail alone: the lower one is the conjugate place's upper tail reflected
 @pytest.mark.parametrize("rule", [BENT_RAYS, VERTICAL_LADDER], ids=["bent", "ladder"])
-@pytest.mark.parametrize("side", ["upper", "lower"])
+@pytest.mark.parametrize("side", ["upper"])
 def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, side):
-    decays = _secant(1.0)
-
-    def f(cs, hs, W):  # 1 on the failing side's panels, a decaying secant on the other's
-        failing = (cs.imag > 0) == (side == "upper")
-        out = np.empty((len(cs), 2), dtype=complex)
-        out[failing] = W @ np.ones(21)
-        out[~failing] = decays(cs[~failing], hs[~failing], W)
-        return out
+    def f(cs, hs, W):  # 1 everywhere: the polyline is finite, the tail never decays
+        return np.tile(W @ np.ones(21), (len(cs), 1)).astype(complex)
 
     summed, laid_out = _recorded_panels(monkeypatch)
-    with pytest.raises(ToleranceNotMet, match=f"{side} {rule.name} tail not converged"):
-        contour_integral(f, 1, _WALK_PTS, lambda t: 7.0, rule, 1e-6, None)
+    with pytest.raises(ToleranceNotMet, match=f"{rule.name} tail not converged"):
+        contour_integral([f], 1, _WALK_PTS, lambda t: 7.0, rule, 1e-6, 1.0)
     a, b, _, _ = summed()[-1]
-    anchor = _WALK_PTS[-1] if side == "upper" else _WALK_PTS[0]
+    anchor = _WALK_PTS[-1]
     assert abs(a - anchor) <= rule.max_length < abs(b - anchor)
     assert laid_out[anchor][-1] == (a, b)  # nothing is laid out past the give-up
 
@@ -489,42 +483,65 @@ def test_a_tail_that_never_decays_gives_up_past_its_length(monkeypatch, rule, si
     ids=["bent-1e-6", "bent-1e-3", "ladder-run", "ladder-floor", "ladder-broken-run"],
 )
 def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bump, tol, floor_binds):
+    # the secant is its own reflection, c = 1, so one walk: the half from ℝ up, then its tail
     summed, laid_out = _recorded_panels(monkeypatch)
-    values, achieved, tail_panels = contour_integral(_secant(kappa, bump), 1, _WALK_PTS, lambda t: 7.0, rule, tol, None)
+    values, achieved, tail_panels = contour_integral([_secant(kappa, bump)], 1, _WALK_PTS, lambda t: 7.0, rule, tol, 1.0)
     panels = summed()
     walked = len(panels) - tail_panels
-    upper = next(i for i, (a, *_) in enumerate(panels) if a == _WALK_PTS[-1])
-    lower = next(i for i, (a, *_) in enumerate(panels) if i > upper and a == _WALK_PTS[0])
-    assert upper == walked
+    tail = panels[walked:]
+    assert tail[0][0] == _WALK_PTS[-1]
     cut = 2 * math.pi * tol / rule.cut  # a panel is small when 2·|value| < cut
-    bound = 0.0
-    for tail, direction in ((panels[upper:lower], rule.direction), (panels[lower:], rule.direction.conjugate())):
-        # the panels summed lead those laid out, which run at most one block past the stop
-        ahead = laid_out[tail[0][0]]
-        assert ahead[: len(tail)] == [(a, b) for a, b, _, _ in tail]
-        assert len(ahead) < len(tail) + quadrature._TAIL_BLOCK
-        assert [(b - a) / abs(b - a) for a, b, _, _ in tail] == pytest.approx([direction] * len(tail))
-        mags = [abs(complex(val)) for _, _, val, _ in tail]
-        small = [2.0 * m < cut for m in mags]
-        length = np.cumsum([abs(b - a) for a, b, _, _ in tail])
-        runs = [i for i in range(rule.run - 1, len(tail)) if all(small[i + 1 - rule.run : i + 1])]
-        stops = [i for i in runs if length[i] >= rule.min_length]
-        assert stops[0] == len(tail) - 1 > 0  # past a large panel, to the first stop
-        assert (runs[0] < stops[0]) == floor_binds
-        if rule is BENT_RAYS:  # the first small panel, after steps 1, 1, 1, 1, 2, 2, 4, 4, …
-            assert small[-1] and not any(small[:-1])
-            steps = [1, 1, 1, 1, 2, 2, 4, 4, 8, 8, 16, 16]
-            assert [abs(b - a) for a, b, _, _ in tail] == pytest.approx(steps[: len(tail)])
-        else:  # three small in a row, at least 10 past the start
-            assert all(small[-3:]) and length[-1] >= 10.0
-            assert (small[:4] == [False, True, True, False]) == (bump > 0)
-        bound += rule.factor * max(mags[-rule.run:])
+    # the panels summed lead those laid out, which run at most one block past the stop
+    ahead = laid_out[tail[0][0]]
+    assert ahead[: len(tail)] == [(a, b) for a, b, _, _ in tail]
+    assert len(ahead) < len(tail) + quadrature._TAIL_BLOCK
+    assert [(b - a) / abs(b - a) for a, b, _, _ in tail] == pytest.approx([rule.direction] * len(tail))
+    mags = [abs(complex(val)) for _, _, val, _ in tail]
+    small = [2.0 * m < cut for m in mags]
+    length = np.cumsum([abs(b - a) for a, b, _, _ in tail])
+    runs = [i for i in range(rule.run - 1, len(tail)) if all(small[i + 1 - rule.run : i + 1])]
+    stops = [i for i in runs if length[i] >= rule.min_length]
+    assert stops[0] == len(tail) - 1 > 0  # past a large panel, to the first stop
+    assert (runs[0] < stops[0]) == floor_binds
+    if rule is BENT_RAYS:  # the first small panel, after steps 1, 1, 1, 1, 2, 2, 4, 4, …
+        assert small[-1] and not any(small[:-1])
+        steps = [1, 1, 1, 1, 2, 2, 4, 4, 8, 8, 16, 16]
+        assert [abs(b - a) for a, b, _, _ in tail] == pytest.approx(steps[: len(tail)])
+    else:  # three small in a row, at least 10 past the start
+        assert all(small[-3:]) and length[-1] >= 10.0
+        assert (small[:4] == [False, True, True, False]) == (bump > 0)
+    bound = rule.factor * max(mags[-rule.run:])
     errs = sum(err for *_, err in panels)  # in the walk's order, as the walk sums them
     assert bound > errs
-    assert achieved == (errs + bound) / (2 * math.pi)
-    line = sum(val for _, _, val, _ in panels[:walked])
-    up, down = (sum(val for _, _, val, _ in t) for t in (panels[upper:lower], panels[lower:]))
-    assert abs(values - (line + up - down) / (2j * math.pi)) < 1e-15
+    assert achieved == 2 * (errs + bound) / (2 * math.pi)
+    j = sum(val for _, _, val, _ in panels)
+    assert abs(values - (j - np.conj(j)) / (2j * math.pi)) < 1e-15
+
+
+def _whole_polyline(f, width, pts, omega, rule, reached, tol):
+    """(1/2πi) ∫ f along the mirror polyline ``pts`` and both its tails, walked whole by
+    :func:`polyline_walk` with no reflection: the upper tail ``reached[0]`` long and the lower
+    ``reached[-1]``.  → (value, bar)."""
+    d = rule.direction
+    whole = [pts[0] + reached[-1] * d.conjugate(), *pts, pts[-1] + reached[0] * d]
+    val, err = polyline_walk(Bisection(f, width), whole, omega, tol * 2 * math.pi / 200.0)
+    return val / (2j * math.pi), err / (2 * math.pi)
+
+
+def _tail_lengths(monkeypatch):
+    """The length each tail reached when it stopped, in the order the tails stopped."""
+    reached, Tail = [], quadrature._Tail
+
+    class Reached(Tail):
+        def take(self, block, results):
+            done = len(self.errors)
+            stopped = Tail.take(self, block, results)
+            if stopped:
+                reached.append(block[len(self.errors) - done - 1][0])
+            return stopped
+
+    monkeypatch.setattr(quadrature, "_Tail", Reached)
+    return reached
 
 
 # a mirror polyline crosses ℝ at the midpoint of its middle segment, or at its middle vertex
@@ -534,59 +551,72 @@ def test_a_decaying_tail_stops_where_its_rule_says(monkeypatch, rule, kappa, bum
 @pytest.mark.parametrize("rule", [BENT_RAYS, VERTICAL_LADDER], ids=["bent", "ladder"])
 def test_a_reflected_walk_takes_the_upper_half_and_its_tail(monkeypatch, pts, rule):
     # sec(κ(s − 0.5)) is its own reflection, c = 1: the walk sums J from the crossing up its
-    # upper tail and returns (J − conj J)/2πi, its bar twice J's, from half the tail panels
+    # upper tail and returns (J − conj J)/2πi, its bar twice J's
+    reached = _tail_lengths(monkeypatch)
     summed, _ = _recorded_panels(monkeypatch)
-    values, achieved, tail_panels = contour_integral(_secant(1.0), 1, pts, lambda t: 7.0, rule, 1e-6, 1.0)
+    values, achieved, tail_panels = contour_integral([_secant(1.0)], 1, pts, lambda t: 7.0, rule, 1e-6, 1.0)
     panels = summed()
     walked = len(panels) - tail_panels
     assert panels[0][0] == pts[1].real and all(a.imag >= 0 and b.imag >= 0 for a, b, _, _ in panels)
     assert panels[walked - 1][1] == pts[-1] == panels[walked][0]
+    assert reached == [pytest.approx(sum(abs(b - a) for a, b, _, _ in panels[walked:]))]
     j = sum(val for _, _, val, _ in panels)
     bound = rule.factor * max(abs(complex(val)) for _, _, val, _ in panels[-rule.run :])
     assert achieved == 2 * (sum(err for *_, err in panels) + bound) / (2 * math.pi)
     assert abs(values - (j - np.conj(j)) / (2j * math.pi)) < 1e-15
-    ref, ref_achieved, ref_tail_panels = contour_integral(_secant(1.0), 1, pts, lambda t: 7.0, rule, 1e-6, None)
-    assert abs(values - ref) <= achieved + ref_achieved and 2 * tail_panels == ref_tail_panels
+    ref, ref_bar = _whole_polyline(_secant(1.0), 1, pts, lambda t: 7.0, rule, reached, 1e-6)
+    assert abs(values - ref) <= achieved + ref_bar
 
 
 @pytest.mark.parametrize("pts", [[complex(0.5, -2.0), complex(0.6, 2.0)], [complex(0.5, -2.0), complex(0.5, 3.0)]])
 def test_a_reflected_walk_needs_a_mirror_polyline(pts):
     with pytest.raises(ValueError, match="mirror image"):
-        contour_integral(_secant(1.0), 1, pts, lambda t: 7.0, BENT_RAYS, 1e-6, 1.0)
+        contour_integral([_secant(1.0)], 1, pts, lambda t: 7.0, BENT_RAYS, 1e-6, 1.0)
 
 
 def _walked_both_ways(monkeypatch, module):
-    """Each walk ``module`` makes, under its reflection c and again with both halves walked: [(c, reflected, walked)]."""
+    """Each walk ``module`` makes, and its place's integrand walked along the whole mirror
+    polyline, each tail as long as the walk's: [(c, walks, (values, bar), (reference, bar))]."""
     seen, walk = [], quadrature.contour_integral
+    reached = _tail_lengths(monkeypatch)
 
-    def both(f, width, pts, omega, rule, tol, reflection):
-        reflected = walk(f, width, pts, omega, rule, tol, reflection)
-        seen.append((reflection, reflected, walk(f, width, pts, omega, rule, tol, None)))
-        return reflected
+    def whole(fs, width, pts, omega, rule, tol, reflection):
+        reached.clear()
+        values, achieved, tail_panels = walk(fs, width, pts, omega, rule, tol, reflection)
+        ref = _whole_polyline(fs[0], width, pts, omega, rule, list(reached), tol)
+        seen.append((reflection, len(fs), (values, achieved), ref))
+        return values, achieved, tail_panels
 
-    monkeypatch.setattr(module, "contour_integral", both)
+    monkeypatch.setattr(module, "contour_integral", whole)
     return seen
 
 
-def _agree_both_ways(seen, cs):
-    # within the sum of the two bars, and the reflected walk sums half the tail panels
-    assert {c for c, _, _ in seen} == cs
-    for _, (vals, bar, tail_panels), (ref, ref_bar, ref_tail_panels) in seen:
-        assert np.all(np.abs(vals - ref) <= bar + ref_bar) and 2 * tail_panels == ref_tail_panels
+def _agree_with_the_whole_polyline(seen, cs, walks):
+    # within the sum of the two bars; a complex t walks its conjugate place besides
+    assert {c for c, _, _, _ in seen} == cs and {n for _, n, _, _ in seen} == {walks}
+    for _, _, (vals, bar), (ref, ref_bar) in seen:
+        assert np.all(np.abs(vals - ref) <= bar + ref_bar)
 
 
-# GL1(1) has ε = i at δ = 0, so c = −1 there, and ε = 1 at δ = 1
-@pytest.mark.parametrize("params,cs", [(DS11, {1}), (RealPlaceParams((GL1Block(1),)), {-1, 1})], ids=["DS11", "GL1(1)"])
-def test_a_reflected_bessel_batch_equals_both_halves_walked(monkeypatch, params, cs):
+# GL1(1) has ε = i at δ = 0, so c = −1 there, and ε = 1 at δ = 1; so has the complex Meijer G set
+@pytest.mark.parametrize(
+    "params,cs,walks",
+    [(DS11, {1}, 1), (RealPlaceParams((GL1Block(1),)), {-1, 1}, 1),
+     (RealPlaceParams((GL1Block(1, 0.2), DS2Block(4, -0.1 + 0.3j))), {-1, 1}, 2)],
+    ids=["DS11", "GL1(1)", "GL1(1,0.2)+DS2(4,-0.1+0.3i)"],
+)
+def test_a_reflected_bessel_batch_equals_both_halves_walked(monkeypatch, params, cs, walks):
     seen = _walked_both_ways(monkeypatch, bessel)
     bessel.bessel_real_batch(params, [0.3, -1.7, 5.0, -20.0, 100.0], 1e-10)
-    _agree_both_ways(seen, cs)
+    _agree_with_the_whole_polyline(seen, cs, walks)
 
 
 def test_a_reflected_mellin_route_equals_both_halves_walked(monkeypatch):
     seen = _walked_both_ways(monkeypatch, hankel)
-    hankel.hankel_mellin_batch(DS11, hankel.make_bump(1.0, 40.0), [0.3, 2.0, 17.0], 1e-9)
-    _agree_both_ways(seen, {1})
+    for params, cs, walks in ((DS11, {1}, 1), (RealPlaceParams((GL1Block(0, 0.3j),)), {1, -1}, 2)):
+        seen.clear()
+        hankel.hankel_mellin_batch(params, hankel.make_bump(1.0, 40.0), [0.3, 2.0, 17.0], 1e-9)
+        _agree_with_the_whole_polyline(seen, cs, walks)
 
 
 # ---- the breadth-first levels inside the library's walks ------------------------
@@ -717,7 +747,7 @@ def test_a_convolution_batch_is_one_bisection_per_group_and_sign(monkeypatch):
 
 def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
     # one log_mb_gamma call per level of each run: the polyline in runs of the span its batch's
-    # width allows, and each pair of tail blocks.  On exactly the nodes of the panels the
+    # width allows, and each tail block.  On exactly the nodes of the panels the
     # recursive rule evaluates, those laid out ahead of a tail's stop included
     sizes, log_mb_gamma = [], bessel.log_mb_gamma
     monkeypatch.setattr(bessel, "log_mb_gamma", lambda *a: sizes.append(np.size(a[2])) or log_mb_gamma(*a))
@@ -737,14 +767,14 @@ def test_a_bessel_walk_calls_log_gamma_once_a_level(monkeypatch):
 def test_a_bessel_walk_lays_its_panels_on_repeating_half_widths(monkeypatch):
     # the upper half's vertical panels on the ladder {2^k, 1.5·2^k} from the real axis, each
     # bent-ray step laid out at least twice in a row with one exact half-width, and each block in
-    # one integrand call; DS11's γ is self-conjugate, so no lower tail is walked
+    # one integrand call; DS11's γ is self-conjugate, so one walk, and its tail climbs
     blocks, calls, Tail = [], [], quadrature._Tail
     integrand_call = bessel.ContourIntegrand.__call__
 
     class Recorded(Tail):
         def block(self):
             block = Tail.block(self)
-            blocks.append((self.side, [(a, b) for _, (a, b, _, _) in block]))
+            blocks.append([(a, b) for _, (a, b, _, _) in block])
             return block
 
     def recorded_call(self, cs, hs, W):
@@ -760,8 +790,8 @@ def test_a_bessel_walk_lays_its_panels_on_repeating_half_widths(monkeypatch):
     assert all(a.real == b.real for a, b, _, _ in line) and line[0][0].imag == 0.0
     steps = [(b - a).imag for a, b, _, _ in line[:-1]]
     assert len(steps) > 5 and all(math.frexp(step)[0] in (0.5, 0.75) for step in steps)
-    assert {side for side, _ in blocks} == {"upper"} and len(blocks) > 3
-    for _, panels in blocks:
+    assert len(blocks) > 3 and all(b.imag > a.imag > 0 for panels in blocks for a, b in panels)
+    for panels in blocks:
         assert len(panels) >= 2 and len({b - a for a, b in panels}) == 1
         centres = {0.5 * (a + b) for a, b in panels}  # the first level of a block: one call
         assert any(centres <= call for call in calls)
